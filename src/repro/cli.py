@@ -420,40 +420,40 @@ def cmd_sweep(args) -> None:
     _emit(cell_rows(results))
 
 
-def cmd_fleet(args) -> None:
-    """Fleet-scale campaign: sharded corruption fleet + fleet-wide corruptd."""
-    from .fleet import (
-        POLICIES, ControllerConfig, FleetCampaignSpec, FleetSpec,
-        run_fleet_campaign,
-    )
+def _fleet_spec(args):
+    """The ``--fleet-*`` / ``--mttf-hours`` flags as a FleetSpec."""
+    from .fleet import FleetSpec
 
-    if args.policy not in POLICIES:
-        _usage_error(
-            f"unknown --policy {args.policy!r}; known: {', '.join(sorted(POLICIES))}"
-        )
+    return FleetSpec(
+        n_pods=args.fleet_pods, tors_per_pod=args.fleet_tors,
+        fabrics_per_pod=args.fleet_fabrics, spine_uplinks=args.fleet_spines,
+        mttf_hours=args.mttf_hours)
+
+
+def cmd_fleet(args) -> None:
+    """Fleet-scale campaign: one-shot SLOs over a lifecycle replay."""
+    from .fleet import ControllerConfig, FleetCampaignSpec, run_fleet_campaign
     from .obs import Observability
 
-    campaign = FleetCampaignSpec(
-        fleet=FleetSpec(
-            n_pods=args.fleet_pods,
-            tors_per_pod=args.fleet_tors,
-            fabrics_per_pod=args.fleet_fabrics,
-            spine_uplinks=args.fleet_spines,
-            mttf_hours=args.mttf_hours,
-        ),
-        controller=ControllerConfig(activation_budget=args.activation_budget),
-        policy=args.policy,
-        duration_days=args.days,
-        seed=args.seed,
-        n_shards=args.shards,
-        backend=args.backend,
-        resim_fraction=args.resim_fraction,
-    )
+    try:
+        campaign = FleetCampaignSpec(
+            fleet=_fleet_spec(args),
+            controller=ControllerConfig(
+                activation_budget=args.activation_budget),
+            policy=args.policy,
+            duration_days=args.days,
+            seed=args.seed,
+            n_shards=args.shards,
+            backend=args.backend,
+            resim_fraction=args.resim_fraction,
+        )
+    except ValueError as exc:
+        _usage_error(str(exc))
 
     def progress(result) -> None:
         if not _JSON_MODE:
-            _print(f"[{result.cell_id}] {result.metrics['n_episodes']} episodes "
-                   f"in {result.wall_s:.2f}s")
+            _print(f"[{result.cell_id}] days [{result.metrics['day_lo']}, "
+                   f"{result.metrics['day_hi']}) in {result.wall_s:.2f}s")
 
     # The campaign publishes its summary through the metrics registry;
     # make sure one exists even without --trace-out/--metrics-out.
@@ -1004,20 +1004,10 @@ def cmd_lifecycle(argv: List[str]) -> int:
     _JSON_MODE = args.json
 
     from .lifecycle import LifecycleRollup, TraceSpec, generate_trace
-    from .fleet import FleetSpec
 
     def fleet_from_args() -> TraceSpec:
-        return TraceSpec(
-            fleet=FleetSpec(
-                n_pods=args.fleet_pods,
-                tors_per_pod=args.fleet_tors,
-                fabrics_per_pod=args.fleet_fabrics,
-                spine_uplinks=args.fleet_spines,
-                mttf_hours=args.mttf_hours,
-            ),
-            duration_days=args.days,
-            seed=args.seed,
-        )
+        return TraceSpec(fleet=_fleet_spec(args), duration_days=args.days,
+                         seed=args.seed)
 
     def day_rows(rollup) -> List[dict]:
         days = rollup.days
@@ -1252,7 +1242,6 @@ def cmd_serve(argv: List[str]) -> int:
         return asyncio.run(probe())
 
     from .fleet.controller import ControllerConfig
-    from .fleet.topology import FleetSpec
     from .service import ControlPlaneService, ServiceConfig
 
     try:
@@ -1277,12 +1266,7 @@ def cmd_serve(argv: List[str]) -> int:
             onset_threshold=args.onset_threshold,
             clear_hysteresis=args.clear_hysteresis,
             policy=args.policy, seed=args.seed,
-            fleet=FleetSpec(
-                n_pods=args.fleet_pods, tors_per_pod=args.fleet_tors,
-                fabrics_per_pod=args.fleet_fabrics,
-                spine_uplinks=args.fleet_spines,
-                mttf_hours=args.mttf_hours,
-            ),
+            fleet=_fleet_spec(args),
             controller=ControllerConfig(
                 activation_budget=args.activation_budget),
             snapshot_path=args.snapshot_out,
@@ -1411,12 +1395,7 @@ def cmd_blame(argv: List[str]) -> int:
     global _JSON_MODE
     _JSON_MODE = args.json
 
-    from .fleet.topology import FleetSpec
-
-    fleet = FleetSpec(
-        n_pods=args.fleet_pods, tors_per_pod=args.fleet_tors,
-        fabrics_per_pod=args.fleet_fabrics, spine_uplinks=args.fleet_spines,
-        mttf_hours=args.mttf_hours)
+    fleet = _fleet_spec(args)
 
     if args.mode == "report":
         from .blame import (
@@ -1570,7 +1549,7 @@ COMMANDS = {
     "export": (cmd_export, "convert benchmarks/results JSON to .dat/.csv"),
     "metrics": (cmd_metrics, "instrumented run + metrics-registry summary"),
     "sweep": (cmd_sweep, "declarative cell sweep (parallel, resumable)"),
-    "fleet": (cmd_fleet, "fleet campaign: sharded links + fleet-wide corruptd"),
+    "fleet": (cmd_fleet, "fleet campaign: one-shot SLOs + fleet-wide corruptd"),
 }
 
 
@@ -1660,8 +1639,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fleet: controller policy "
                              "(incremental | greedy-worst)")
     parser.add_argument("--shards", type=int, default=1,
-                        help="fleet: link shards executed through the "
-                             "sweep runner (bit-identical to --shards 1)")
+                        help="fleet: time shards (day ranges, at most --days) "
+                             "executed through the sweep runner "
+                             "(bit-identical to --shards 1)")
     parser.add_argument("--fleet-pods", type=int, default=4,
                         help="fleet: pods in the generated Clos fabric")
     parser.add_argument("--fleet-tors", type=int, default=8,

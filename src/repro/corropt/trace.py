@@ -1,28 +1,22 @@
-"""Link-corruption trace generation (paper Appendix D, Table 1).
+"""Link-corruption trace model (paper Appendix D, Table 1).
 
-A corruption trace is a time series of (time, link, loss_rate) onset
-events.  Following the paper:
-
-* time-to-corruption per link is Weibull with shape beta = 1 (i.e.
-  exponential — corruption is caused by memoryless external events) and
-  scale eta = MTTF = 10,000 hours (Meza et al.);
-* the loss rate of each event is drawn from the bucket distribution
-  observed across Microsoft datacenters (Table 1), log-uniform within
-  the bucket;
-* the resulting spatial distribution of concurrently corrupting links
-  is near-random, matching production observations.
+Following the paper, time-to-corruption per link is Weibull with shape
+beta = 1 (exponential — corruption is caused by memoryless external
+events) and scale eta = MTTF = 10,000 hours (Meza et al.); the loss rate
+of each event is drawn from the bucket distribution observed across
+Microsoft datacenters (Table 1), log-uniform within the bucket.  The
+fleet-scale generator built on these draws is
+:mod:`repro.lifecycle.traces`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "HOURS", "MTTF_HOURS", "LOSS_BUCKETS",
-    "CorruptionEvent", "sample_loss_rates", "generate_trace",
+    "HOURS", "MTTF_HOURS", "LOSS_BUCKETS", "sample_loss_rates",
 ]
 
 #: simulation time unit for the deployment study: nanoseconds are
@@ -40,13 +34,6 @@ LOSS_BUCKETS: Tuple[Tuple[float, float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CorruptionEvent:
-    time_s: float
-    link_id: int
-    loss_rate: float
-
-
 def sample_loss_rates(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` loss rates from the Table 1 bucket distribution."""
     probabilities = np.array([p for _, _, p in LOSS_BUCKETS])
@@ -60,27 +47,3 @@ def sample_loss_rates(rng: np.random.Generator, n: int) -> np.ndarray:
 def next_corruption_delay_s(rng: np.random.Generator, mttf_hours: float = MTTF_HOURS) -> float:
     """Time until a (just-repaired) link next starts corrupting."""
     return float(rng.exponential(mttf_hours * HOURS))
-
-
-def generate_trace(
-    n_links: int,
-    duration_s: float,
-    rng: np.random.Generator,
-    mttf_hours: float = MTTF_HOURS,
-) -> List[CorruptionEvent]:
-    """First corruption onset of every link within ``duration_s``.
-
-    Re-corruption after repair is sampled on the fly by the deployment
-    simulation (a repaired link draws a fresh exponential delay); this
-    function provides the initial draw for each link, which is all a
-    memoryless process needs.
-    """
-    times = rng.exponential(mttf_hours * HOURS, n_links)
-    rates = sample_loss_rates(rng, n_links)
-    events = [
-        CorruptionEvent(float(t), link, float(r))
-        for link, (t, r) in enumerate(zip(times, rates))
-        if t < duration_s
-    ]
-    events.sort(key=lambda e: e.time_s)
-    return events

@@ -2,13 +2,15 @@
 
 ``repro.fleet`` scales the per-link machinery to whole datacenters:
 
-* :mod:`~repro.fleet.topology` — multi-pod Clos fleets whose links carry
-  independent, heavy-tailed corruption processes from named RNG streams;
+* :mod:`~repro.fleet.topology` — multi-pod Clos fleets and the
+  stochastic knobs of their per-link corruption processes;
 * :mod:`~repro.fleet.controller` — the fleet-wide arbitration loop
   (LinkGuardian activation vs CorrOpt disable) with pluggable policies;
-* :mod:`~repro.fleet.campaign` — sharded campaign execution through the
-  runner layer, rolled up into fleet SLOs, bit-identical for any
-  shard/worker count.
+* :mod:`~repro.fleet.cost` — what a corrupting link costs in each
+  controller state (goodput, affected flows), the planner's one model;
+* :mod:`~repro.fleet.campaign` — one-shot fleet SLOs as a view over the
+  :mod:`repro.lifecycle` replay, bit-identical for any shard/worker
+  count.
 
 Quickstart::
 
@@ -21,29 +23,28 @@ Quickstart::
 """
 
 from .campaign import (
-    FleetCampaignResult, FleetCampaignSpec, run_fleet_campaign, run_shard,
-    shard_bounds, unprotected_goodput_fraction,
+    FleetCampaignResult, FleetCampaignSpec, run_fleet_campaign,
 )
 from .controller import (
     POLICIES, ControllerConfig, FleetController, FleetPolicy,
     GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
 )
+from .cost import unprotected_goodput_fraction
 from .policies import (
     PolicyCandidate, TraceDrivenOptimizer, default_candidates, fleet_policy,
     optimize_policies, register_policy,
 )
 from .topology import (
-    CorruptionEpisode, FleetSpec, FleetTopology, LinkProfile, link_episodes,
-    sample_affected_fraction, sample_profile,
+    CorruptionEpisode, FleetSpec, FleetTopology, sample_affected_fraction,
 )
 
 __all__ = [
     "FleetCampaignResult", "FleetCampaignSpec", "run_fleet_campaign",
-    "run_shard", "shard_bounds", "unprotected_goodput_fraction",
+    "unprotected_goodput_fraction",
     "POLICIES", "ControllerConfig", "FleetController", "FleetPolicy",
     "GreedyWorstLinkPolicy", "IncrementalDeploymentPolicy",
     "PolicyCandidate", "TraceDrivenOptimizer", "default_candidates",
     "fleet_policy", "optimize_policies", "register_policy",
-    "CorruptionEpisode", "FleetSpec", "FleetTopology", "LinkProfile",
-    "link_episodes", "sample_affected_fraction", "sample_profile",
+    "CorruptionEpisode", "FleetSpec", "FleetTopology",
+    "sample_affected_fraction",
 ]

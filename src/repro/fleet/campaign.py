@@ -1,31 +1,19 @@
-"""Sharded fleet campaigns: generate → arbitrate → roll up to fleet SLOs.
+"""Fleet campaigns: the one-shot view of a lifecycle replay.
 
-A campaign answers the ROADMAP's production-scale question: across a
-whole fleet of links under the heavy-tailed corruption distribution,
-what fraction of flows does corruption touch, what does the fleet-wide
-goodput look like, and how hard does the controller work?  The execution
-scheme is built for scale and bit-reproducibility:
+A campaign answers the production-scale question in one line of SLOs:
+across a whole fleet of links under the Table 1 corruption distribution,
+what fraction of flows does corruption touch, what does fleet-wide
+goodput look like, and how hard does the controller work?
 
-1. **Shard** — links are partitioned into contiguous id ranges; each
-   shard is one :class:`~repro.runner.spec.ExperimentSpec` cell (kind
-   ``fleet_shard``) executed through
-   :class:`~repro.runner.sweep.SweepRunner`, so parallel execution,
-   JSONL checkpoint/resume and canonical result order come from the
-   existing runner layer.  Shard work — episode generation plus the
-   vectorized Gilbert–Elliott flow sampling — only touches per-link
-   named RNG streams, so shard boundaries can never change a single
-   draw.
-2. **Arbitrate** — the merged episode timeline (sorted by ``(onset,
-   link_id)``) is replayed serially through the
-   :class:`~repro.fleet.controller.FleetController`; the control plane
-   is cheap and global, so it does not shard.
-3. **Roll up** — controller segments turn into fleet SLOs with
-   closed-form per-segment arithmetic (affected-flow fraction, goodput
-   fraction, p99 FCT inflation, decision counts per day).
-
-The same seed therefore yields a byte-identical
-:meth:`FleetCampaignResult.canonical_json` for any ``(n_shards,
-workers)`` combination.
+There is one planner engine — the lifecycle pipeline of
+:mod:`repro.lifecycle.replay` (failure trace → repair → controller
+arbitration → tiered affected-flow evaluation → per-day segment rollup).
+A :class:`FleetCampaignSpec` is a :class:`~repro.lifecycle.replay.
+ReplaySpec` with CorrOpt repair and ``n_shards`` time chunks; the
+campaign's SLOs are horizon-wide aggregates of the replay's per-day
+columns, so they inherit its guarantee: the same seed yields a
+byte-identical :meth:`FleetCampaignResult.canonical_json` for any
+``(n_shards, workers)`` combination.
 """
 
 from __future__ import annotations
@@ -33,66 +21,26 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Optional
 
-from ..core.rng import RngFactory
-from ..corropt.simulation import lg_effective_speed_fraction
-from ..runner.spec import ExperimentSpec, SweepSpec
-from ..runner.sweep import SweepRunner
-from .controller import (
-    DISABLED, EXPOSED, PROTECTED, POLICIES, ControllerConfig, FleetController,
-)
-from .topology import (
-    DAY_S, CorruptionEpisode, FleetSpec, FleetTopology, link_episodes,
-    sample_affected_fraction,
-)
+from .controller import ControllerConfig, ControllerOutcome
+from .cost import EXPOSED_FCT_INFLATION, LG_FCT_INFLATION
+from .topology import DAY_S, FleetSpec
 
-__all__ = [
-    "FleetCampaignSpec", "FleetCampaignResult", "HYBRID_EMPIRICAL_THRESHOLD",
-    "shard_bounds", "run_shard", "shard_timeline", "run_fleet_campaign",
-    "resimulate_flagged", "unprotected_goodput_fraction",
-]
-
-#: FCT inflation factor for a flow that loses >= 1 packet with LinkGuardian
-#: active: recovery is sub-RTT (Figure 19: 2-6 us on a ~20 us RTT).
-LG_FCT_INFLATION = 1.05
-#: ... and without protection: timeout-dominated recovery for short flows
-#: (paper Figure 10: p99 single-packet FCT goes from ~25 us to RTO-scale).
-EXPOSED_FCT_INFLATION = 10.0
-#: packets in flight per RTT on a healthy link, for the Mathis-style
-#: unprotected goodput model below (100G, ~20 us RTT, 1460 B MSS ~ 171;
-#: rounded down to stay conservative).
-BDP_PACKETS = 128
-#: hybrid-backend cutover: episodes whose *analytic* affected fraction
-#: reaches this are sampled empirically instead (the Gilbert–Elliott
-#: closed form is weakest exactly where bursts touch most flows).  A
-#: module constant, not a spec field, so campaign canonical output stays
-#: byte-compatible across backends.
-HYBRID_EMPIRICAL_THRESHOLD = 0.5
-
-
-def unprotected_goodput_fraction(loss_rate: float) -> float:
-    """Goodput of a corrupting, unprotected link as a fraction of line rate.
-
-    Mathis et al.: TCP throughput ~ (MSS/RTT) * 1.22/sqrt(p); normalized
-    by the link's bandwidth-delay product in packets and clamped to 1.
-    Matches the Table 3 shape: negligible damage at 1e-5, collapse at 1e-3.
-    """
-    if loss_rate <= 0.0:
-        return 1.0
-    return min(1.0, 1.22 / (math.sqrt(loss_rate) * BDP_PACKETS))
+__all__ = ["FleetCampaignSpec", "FleetCampaignResult", "run_fleet_campaign"]
 
 
 @dataclass(frozen=True)
 class FleetCampaignSpec:
-    """Everything one fleet campaign needs, serializable for shard cells."""
+    """Everything one fleet campaign needs; maps onto a replay spec."""
 
     fleet: FleetSpec = field(default_factory=FleetSpec)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     policy: str = "incremental"
     duration_days: float = 30.0
     seed: int = 1
+    #: contiguous day ranges the campaign is split into for execution
     n_shards: int = 1
     #: offered load per link, for the affected-flow and FCT rollups
     flows_per_link_per_s: float = 100.0
@@ -100,40 +48,40 @@ class FleetCampaignSpec:
     #: flows sampled per episode for the empirical Gilbert-Elliott
     #: affected-fraction measurement
     sample_flows: int = 128
-    #: "packet" samples every episode's affected fraction empirically;
-    #: "fastpath" computes it analytically (Gilbert-Elliott closed form)
-    #: and re-simulates only the flagged worst episodes; "hybrid" is the
-    #: middle tier — analytic for mild episodes, empirical sampling for
-    #: any episode whose analytic affected fraction reaches
-    #: :data:`HYBRID_EMPIRICAL_THRESHOLD` (decided per episode, so the
-    #: outcome is independent of sharding), plus the flagged resim pass.
+    #: evaluation tier for per-episode affected-flow fractions: "packet",
+    #: "fastpath" or "hybrid" (see :mod:`repro.lifecycle.replay`)
     backend: str = "packet"
     #: fraction of episodes (the worst, by analytic affected fraction)
-    #: the fastpath backend re-simulates with the packet sampler.
+    #: re-simulated empirically on the analytic tiers
     resim_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
+        n_days = max(1, math.ceil(self.duration_days))
+        if not 1 <= self.n_shards <= n_days:
             raise ValueError(
-                f"unknown policy {self.policy!r}; known: {sorted(POLICIES)}")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if self.n_shards > self.fleet.n_links:
-            raise ValueError(
-                f"n_shards={self.n_shards} exceeds fleet links "
-                f"({self.fleet.n_links})")
-        if self.duration_days <= 0:
-            raise ValueError("duration_days must be positive")
-        if self.backend not in ("packet", "fastpath", "hybrid"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"known: packet, fastpath, hybrid")
-        if not 0.0 <= self.resim_fraction <= 1.0:
-            raise ValueError("resim_fraction must be in [0, 1]")
+                f"n_shards must be in [1, {n_days}] "
+                f"(one shard needs at least one day)")
+        # Everything else fails here exactly as the replay would.
+        self.replay_spec()
 
-    @property
-    def duration_s(self) -> float:
-        return self.duration_days * DAY_S
+    def replay_spec(self):
+        """The lifecycle replay this campaign is a view of."""
+        from ..lifecycle.replay import ReplaySpec
+        from ..lifecycle.traces import TraceSpec
+
+        return ReplaySpec(
+            trace=TraceSpec(fleet=self.fleet,
+                            duration_days=self.duration_days, seed=self.seed),
+            controller=self.controller,
+            policy=self.policy,
+            repair="corropt",
+            backend=self.backend,
+            n_chunks=self.n_shards,
+            flows_per_link_per_s=self.flows_per_link_per_s,
+            flow_packets=self.flow_packets,
+            sample_flows=self.sample_flows,
+            resim_fraction=self.resim_fraction,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -153,129 +101,6 @@ class FleetCampaignSpec:
         data["controller"] = ControllerConfig.from_dict(
             data.get("controller", {}))
         return cls(**data)
-
-
-def shard_bounds(n_links: int, n_shards: int, shard: int) -> Tuple[int, int]:
-    """Contiguous ``[lo, hi)`` link-id range of one shard (balanced)."""
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard {shard} out of range [0, {n_shards})")
-    base, extra = divmod(n_links, n_shards)
-    lo = shard * base + min(shard, extra)
-    hi = lo + base + (1 if shard < extra else 0)
-    return lo, hi
-
-
-def run_shard(campaign: FleetCampaignSpec, shard: int) -> List[CorruptionEpisode]:
-    """Generate one shard's episodes, with per-episode affected fractions.
-
-    All randomness is drawn from streams named by ``link_id`` (and the
-    episode's index on its link), so the output is a pure function of
-    ``(campaign.seed, link_id)`` — re-sharding cannot move any draw.
-
-    The packet backend samples every episode's affected fraction
-    empirically; the fastpath backend uses the Gilbert–Elliott closed
-    form (:func:`repro.fastpath.model.ge_affected_fraction`) and leaves
-    the empirical sampling to the flagged-worst re-simulation pass in
-    :func:`run_fleet_campaign`.  The hybrid backend splits per episode:
-    the closed form where it is trustworthy, the empirical sampler (same
-    named stream a packet shard would use) once the analytic fraction
-    reaches :data:`HYBRID_EMPIRICAL_THRESHOLD` — the regime where the
-    closed form's burst approximation is weakest.
-    """
-    factory = RngFactory(campaign.seed)
-    lo, hi = shard_bounds(campaign.fleet.n_links, campaign.n_shards, shard)
-    analytic = campaign.backend in ("fastpath", "hybrid")
-    if analytic:
-        from ..fastpath.model import ge_affected_fraction
-
-    episodes: List[CorruptionEpisode] = []
-    for link_id in range(lo, hi):
-        for ep_index, episode in enumerate(
-                link_episodes(campaign.fleet, factory, link_id,
-                              campaign.duration_s)):
-            if analytic:
-                affected = float(ge_affected_fraction(
-                    episode.loss_rate, episode.mean_burst,
-                    campaign.flow_packets))
-                if (campaign.backend == "hybrid"
-                        and affected >= HYBRID_EMPIRICAL_THRESHOLD):
-                    flows_rng = factory.stream(
-                        f"fleet.link.{link_id}.flows.{ep_index}")
-                    affected = sample_affected_fraction(
-                        flows_rng, episode.loss_rate, episode.mean_burst,
-                        campaign.flow_packets, campaign.sample_flows,
-                    )
-            else:
-                flows_rng = factory.stream(
-                    f"fleet.link.{link_id}.flows.{ep_index}")
-                affected = sample_affected_fraction(
-                    flows_rng, episode.loss_rate, episode.mean_burst,
-                    campaign.flow_packets, campaign.sample_flows,
-                )
-            episodes.append(CorruptionEpisode(
-                link_id=episode.link_id,
-                onset_s=episode.onset_s,
-                clear_s=episode.clear_s,
-                loss_rate=episode.loss_rate,
-                mean_burst=episode.mean_burst,
-                affected_fraction=affected,
-            ))
-    return episodes
-
-
-def shard_timeline(
-    campaign: FleetCampaignSpec,
-    episodes: List[CorruptionEpisode],
-) -> Dict[str, list]:
-    """Per-day longitudinal health series for one shard's episodes.
-
-    Three columns, one entry per campaign day: episode onsets, corrupting
-    link-seconds (episode time overlapping the day), and the
-    time-weighted mean loss rate while corrupting.  Deterministic given
-    the episode list, but attached to the shard cell's ``artifacts`` (not
-    ``series``) because its shape depends on how links were sharded.
-    """
-    n_days = max(1, math.ceil(campaign.duration_days))
-    onsets = [0] * n_days
-    active_s = [0.0] * n_days
-    loss_weight = [0.0] * n_days
-    for episode in episodes:
-        bucket = min(int(episode.onset_s / DAY_S), n_days - 1)
-        onsets[bucket] += 1
-        end = min(episode.clear_s, campaign.duration_s)
-        first = min(int(episode.onset_s / DAY_S), n_days - 1)
-        last = min(int(end / DAY_S), n_days - 1)
-        for day in range(first, last + 1):
-            span = min(end, (day + 1) * DAY_S) - max(episode.onset_s, day * DAY_S)
-            if span > 0:
-                active_s[day] += span
-                loss_weight[day] += span * episode.loss_rate
-    return {
-        "interval_s": DAY_S,
-        "day": list(range(n_days)),
-        "episode_onsets": onsets,
-        "corrupting_link_s": [round(s, 6) for s in active_s],
-        "mean_loss_rate": [
-            (loss_weight[d] / active_s[d]) if active_s[d] > 0 else 0.0
-            for d in range(n_days)
-        ],
-    }
-
-
-def shard_sweep(campaign: FleetCampaignSpec) -> SweepSpec:
-    """The campaign's shards as one runner sweep (kind ``fleet_shard``)."""
-    base = ExperimentSpec(
-        kind="fleet_shard",
-        scenario=campaign.policy,
-        n_trials=1,
-        seed=campaign.seed,
-        params={"campaign": campaign.to_dict()},
-    )
-    return SweepSpec(
-        name=f"fleet-{campaign.policy}-{campaign.fleet.n_links}links",
-        base=base,
-        axes={"params.shard": list(range(campaign.n_shards))},
-    )
 
 
 @dataclass
@@ -307,64 +132,6 @@ class FleetCampaignResult:
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def resimulate_flagged(
-    campaign: FleetCampaignSpec,
-    episodes: List[CorruptionEpisode],
-) -> Tuple[List[CorruptionEpisode], int]:
-    """Replace the worst analytic episodes with packet-sampled fractions.
-
-    The two-tier contract: flag the ``resim_fraction`` of episodes with
-    the highest analytic affected fraction (loss rate breaking ties) and
-    re-sample each with the **same named RNG stream** a packet-backend
-    shard would have used (``fleet.link.<id>.flows.<ep_index>``) — the
-    flagged values are therefore byte-identical to a full packet run.
-    Flagging ranks the merged fleet-wide list, never per shard, so the
-    outcome is independent of ``n_shards``.
-    """
-    if not episodes or campaign.resim_fraction <= 0.0:
-        return episodes, 0
-    n_flagged = min(len(episodes),
-                    max(1, math.ceil(campaign.resim_fraction * len(episodes))))
-    ranked = sorted(
-        range(len(episodes)),
-        key=lambda i: (-episodes[i].affected_fraction,
-                       -episodes[i].loss_rate,
-                       episodes[i].link_id, episodes[i].onset_s))
-    flagged = ranked[:n_flagged]
-
-    # Reconstruct each episode's on-link index (link_episodes generates
-    # per link in onset order) to name the exact packet RNG stream.
-    per_link: Dict[int, List[int]] = {}
-    for index, episode in enumerate(episodes):
-        per_link.setdefault(episode.link_id, []).append(index)
-    ep_index: Dict[int, int] = {}
-    for indices in per_link.values():
-        indices.sort(key=lambda i: episodes[i].onset_s)
-        for position, index in enumerate(indices):
-            ep_index[index] = position
-
-    factory = RngFactory(campaign.seed)
-    episodes = list(episodes)
-    for index in flagged:
-        episode = episodes[index]
-        flows_rng = factory.stream(
-            f"fleet.link.{episode.link_id}.flows.{ep_index[index]}")
-        episodes[index] = replace(episode, affected_fraction=(
-            sample_affected_fraction(
-                flows_rng, episode.loss_rate, episode.mean_burst,
-                campaign.flow_packets, campaign.sample_flows)))
-    return episodes, n_flagged
-
-
-def _analytic_affected(loss_rate: float, flow_packets: int) -> float:
-    """P(flow of n packets loses >= 1) under i.i.d. loss — used for the
-    LinkGuardian-protected state, where retransmission breaks bursts and
-    the residual effective loss really is independent."""
-    if loss_rate <= 0.0:
-        return 0.0
-    return -math.expm1(flow_packets * math.log1p(-min(loss_rate, 1.0 - 1e-15)))
-
-
 def run_fleet_campaign(
     campaign: FleetCampaignSpec,
     workers: int = 1,
@@ -372,135 +139,82 @@ def run_fleet_campaign(
     obs=None,
     progress=None,
 ) -> FleetCampaignResult:
-    """Run the full campaign: sharded generation, arbitration, rollup."""
+    """Run the campaign's replay and fold its days into one-shot SLOs."""
+    from ..lifecycle.replay import arbitrate, merge_chunks, run_chunks
+
     started = time.perf_counter()
-    runner = SweepRunner(shard_sweep(campaign), workers=workers,
-                         checkpoint=checkpoint)
-    shard_results = runner.run(progress=progress)
-    episodes = [
-        CorruptionEpisode.from_dict(raw)
-        for result in shard_results
-        for raw in result.series["episodes"]
-    ]
-    episodes.sort(key=lambda e: (e.onset_s, e.link_id))
+    replay = campaign.replay_spec()
+    results = run_chunks(replay, workers, checkpoint, progress)
+    rollup = merge_chunks(replay, results)
+    days = rollup.days
 
-    n_flagged = 0
-    if campaign.backend in ("fastpath", "hybrid"):
-        # For hybrid, episodes above the empirical threshold were already
-        # sampled with these exact streams in run_shard; re-sampling a
-        # flagged one reproduces the same value, so the pass only adds
-        # coverage below the threshold.
-        episodes, n_flagged = resimulate_flagged(campaign, episodes)
+    # Horizon-wide fractions are the day columns weighted by day length
+    # (only the last day of a fractional horizon is short).
+    duration_s = replay.trace.duration_s
+    weights = [min(duration_s, (day + 1) * DAY_S) - day * DAY_S
+               for day in days["day"]]
 
-    topology = FleetTopology(campaign.fleet, campaign.seed)
-    controller = FleetController(
-        topology, campaign.controller, POLICIES[campaign.policy](), obs=obs)
-    outcome = controller.run(episodes)
+    def horizon_mean(column) -> float:
+        return sum(v * w for v, w in zip(column, weights)) / duration_s
 
-    # -- rollup: segments -> fleet SLOs ---------------------------------------
-    duration_s = campaign.duration_s
-    n_links = campaign.fleet.n_links
-    flow_rate = campaign.flows_per_link_per_s
-    total_flows = n_links * flow_rate * duration_s
-    link_seconds = n_links * duration_s
+    affected = horizon_mean(days["affected_flow_fraction"])
+    affected_exposed = horizon_mean([
+        value for result in results
+        for value in result.series["exposed_affected_flow_fraction"]])
+    # p99 FCT inflation from the three-level mixture: unaffected flows
+    # (1.0), flows hit behind LinkGuardian, flows hit unprotected.
+    if affected <= 0.01:
+        p99_inflation = 1.0
+    elif affected_exposed <= 0.01:
+        p99_inflation = LG_FCT_INFLATION
+    else:
+        p99_inflation = EXPOSED_FCT_INFLATION
 
-    affected_exposed = 0.0
-    affected_lg = 0.0
-    goodput_delta = 0.0     # lost link-seconds vs an all-healthy fleet
-    exposed_s = 0.0
-    protected_s = 0.0
-    disabled_s = 0.0
-    n_days = max(1, math.ceil(campaign.duration_days))
-    decisions_per_day = {
-        action: [0] * n_days
-        for action in ("activate", "disable", "blocked", "preempt")
-    }
-
-    for index, segments in sorted(outcome.segments.items()):
-        episode = episodes[index]
-        for segment in segments:
-            span = segment.end_s - segment.start_s
-            if span <= 0:
-                continue
-            flows = flow_rate * span
-            if segment.state == EXPOSED:
-                exposed_s += span
-                affected_exposed += flows * episode.affected_fraction
-                goodput_delta += span * (
-                    1.0 - unprotected_goodput_fraction(episode.loss_rate))
-            elif segment.state == PROTECTED:
-                protected_s += span
-                residual = controller.effective_loss(episode.loss_rate)
-                affected_lg += flows * _analytic_affected(
-                    residual, campaign.flow_packets)
-                goodput_delta += span * (
-                    1.0 - lg_effective_speed_fraction(episode.loss_rate))
-            elif segment.state == DISABLED:
-                disabled_s += span
-                goodput_delta += span  # the link contributes nothing
-
-    for decision in outcome.decisions:
-        bucket = min(int(decision.time_s / DAY_S), n_days - 1)
-        if decision.action in decisions_per_day:
-            decisions_per_day[decision.action][bucket] += 1
-
-    affected_flows = affected_exposed + affected_lg
-    # p99 FCT inflation from the three-level mixture (1.0 for unaffected).
-    levels = sorted([
-        (1.0, total_flows - affected_flows),
-        (LG_FCT_INFLATION, affected_lg),
-        (EXPOSED_FCT_INFLATION, affected_exposed),
-    ])
-    threshold = 0.99 * total_flows
-    cumulative = 0.0
-    p99_inflation = levels[-1][0]
-    for level, weight in levels:
-        cumulative += weight
-        if cumulative >= threshold:
-            p99_inflation = level
-            break
-
-    slos = {
-        "affected_flow_fraction": affected_flows / total_flows,
-        "fleet_goodput_fraction": 1.0 - goodput_delta / link_seconds,
-        "p99_fct_inflation": p99_inflation,
-        "exposed_link_s": exposed_s,
-        "protected_link_s": protected_s,
-        "disabled_link_s": disabled_s,
-        "n_episodes": float(len(episodes)),
-    }
-    counts = outcome.counts()
     result = FleetCampaignResult(
         spec=campaign.to_dict(),
-        slos=slos,
-        counts=counts,
+        slos={
+            "affected_flow_fraction": affected,
+            "fleet_goodput_fraction": horizon_mean(days["goodput_fraction"]),
+            "p99_fct_inflation": p99_inflation,
+            "exposed_link_s": rollup.slos["exposed_link_s"],
+            "protected_link_s": rollup.slos["protected_link_s"],
+            "disabled_link_s": rollup.slos["disabled_link_s"],
+            "n_episodes": float(rollup.counts["n_episodes"]),
+        },
+        counts={name: rollup.counts[name]
+                for name in ControllerOutcome().counts()},
         series={
-            f"{action}_per_day": buckets
-            for action, buckets in sorted(decisions_per_day.items())
+            "activate_per_day": days["activations"],
+            "blocked_per_day": days["blocked"],
+            "disable_per_day": days["disables"],
+            "preempt_per_day": days["preempts"],
         },
         wall_s=time.perf_counter() - started,
     )
     if obs is not None:
-        obs.registry.register_provider(
-            f"fleet.rollup.{campaign.policy}",
-            lambda: {**result.slos, **result.counts},
-        )
-        # Campaign bookkeeping: one summary per campaign through the
-        # registry (cells, backend mix, flagged-for-resim count) so the
-        # CLI and exporters read the same source of truth.
+        # Chunk cells arbitrate uninstrumented (possibly in pool workers);
+        # replay the same verdicts once here so decision counters and
+        # trace instants land in the caller's registry and tracer.
+        arbitrate(replay, obs=obs)
         registry = obs.registry
+        registry.register_provider(
+            f"fleet.rollup.{campaign.policy}", result.summary)
+        # One summary per campaign through the registry, so the CLI and
+        # exporters read the same source of truth.
+        n_flagged = rollup.counts["flagged_resim"]
+        n_episodes = rollup.counts["n_episodes"]
         registry.counter("fleet.campaign.runs").inc()
         registry.counter("fleet.campaign.cells").inc(campaign.n_shards)
         registry.counter(
             f"fleet.campaign.cells.{campaign.backend}").inc(campaign.n_shards)
-        registry.counter("fleet.campaign.episodes").inc(len(episodes))
+        registry.counter("fleet.campaign.episodes").inc(n_episodes)
         registry.counter("fleet.campaign.flagged_resim").inc(n_flagged)
         summary = {
             "cells": campaign.n_shards,
             "backend": campaign.backend,
             "backend_mix": {campaign.backend: campaign.n_shards},
             "flagged_resim": n_flagged,
-            "episodes": len(episodes),
+            "episodes": n_episodes,
             "links": campaign.fleet.n_links,
             "duration_days": campaign.duration_days,
             "policy": campaign.policy,

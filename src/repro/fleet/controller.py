@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..corropt.simulation import (
-    lg_effective_loss_rate, lg_effective_speed_fraction,
-)
 from ..fabric.topology import FabricLink
 from ..obs.trace import NULL_TRACER
+from .cost import (
+    DISABLED, EXPOSED, PROTECTED, lg_effective_loss_rate,
+    lg_effective_speed_fraction,
+)
 from .policies import (
     POLICIES, FleetPolicy, GreedyWorstLinkPolicy,
     IncrementalDeploymentPolicy,
@@ -43,12 +44,6 @@ __all__ = [
     "FleetPolicy", "IncrementalDeploymentPolicy", "GreedyWorstLinkPolicy",
     "FleetController", "POLICIES",
 ]
-
-#: states a corrupting link can sit in until its episode clears
-EXPOSED = "exposed"     # corrupting, unprotected: flows eat the loss
-PROTECTED = "lg"        # LinkGuardian active: loss masked, speed fraction paid
-DISABLED = "down"       # taken out for repair: capacity lost, flows reroute
-
 
 @dataclass(frozen=True)
 class ControllerConfig:

@@ -25,8 +25,10 @@ so sweeping candidates over an O(100k)-link fleet stays interactive and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+
+from .cost import DISABLED, EXPOSED, PROTECTED, segment_cost
 
 __all__ = [
     "POLICIES", "FleetPolicy", "IncrementalDeploymentPolicy",
@@ -157,6 +159,10 @@ class PolicyCandidate:
         return replace(base, **dict(self.overrides))
 
 
+#: the state a controller decision leaves its link in
+_ACTION_STATE = {"disable": DISABLED, "activate": PROTECTED}
+
+
 class _CandidateState:
     """One candidate's controller, its private fleet, and its cost."""
 
@@ -225,15 +231,9 @@ class TraceDrivenOptimizer:
     @staticmethod
     def _weight(action: str, loss_rate: float) -> float:
         """Lost capacity (0..1 of one link) while the state persists."""
-        from ..corropt.simulation import lg_effective_speed_fraction
-        from .campaign import unprotected_goodput_fraction
-
-        if action == "disable":
-            return 1.0
-        if action == "activate":
-            return 1.0 - lg_effective_speed_fraction(loss_rate)
         # blocked / preempted-back-to-exposed: flows eat the loss
-        return 1.0 - unprotected_goodput_fraction(loss_rate)
+        state = _ACTION_STATE.get(action, EXPOSED)
+        return segment_cost(state, loss_rate)[0]
 
     def _advance(self, state: _CandidateState, now_s: float) -> None:
         if now_s > state.last_s:

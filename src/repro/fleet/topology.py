@@ -2,45 +2,36 @@
 
 A *fleet* is a multi-pod Clos fabric (``FleetSpec`` parameterizes pods ×
 fabric switches × ToRs, so hundreds to thousands of links) in which every
-link carries its own independent corruption process.  Per-link behaviour
-is sampled from a configurable fleet-wide distribution:
-
-* **loss rates** are heavy-tailed — either the Table 1 bucket
-  distribution measured across 350K production links (log-uniform within
-  buckets) or a bounded Pareto tail for what-if studies;
-* **burstiness** is a per-link Gilbert–Elliott mean burst length drawn
-  log-uniformly from a configurable range (§3.5 observed short geometric
-  bursts).
-
-Determinism is the load-bearing property: every draw comes from a named
-:class:`~repro.core.rng.RngFactory` stream keyed by ``link_id`` — never
-by shard or iteration order — so a link's profile and corruption
-episodes are identical no matter how the fleet campaign is partitioned
-across worker processes.
+link carries its own independent corruption process.  The spec holds the
+shape plus the stochastic knobs of that process — MTTF, the clamp on the
+Table 1 loss-rate draws, the Gilbert–Elliott burst range — and
+:mod:`repro.lifecycle.traces` turns them into failure events from
+``(link_id, event_index)``-addressed :class:`~repro.core.rng.RngFactory`
+streams, so a link's history is identical however a replay is chunked.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
 from ..core.rng import RngFactory
-from ..corropt.trace import HOURS, sample_loss_rates
+from ..corropt.trace import HOURS
 from ..fabric.topology import FabricTopology
 
 __all__ = [
-    "FleetSpec", "LinkProfile", "CorruptionEpisode", "FleetTopology",
-    "sample_profile", "link_episodes", "sample_affected_fraction",
+    "FleetSpec", "CorruptionEpisode", "FleetTopology",
+    "sample_affected_fraction",
 ]
 
 DAY_S = 24 * HOURS
 
-#: format tag carried by FleetSpec.to_json documents
-FLEET_SPEC_VERSION = 1
+#: format tag carried by FleetSpec.to_json documents (2: repair and
+#: loss-distribution knobs moved out — repair is a lifecycle policy)
+FLEET_SPEC_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -54,17 +45,10 @@ class FleetSpec:
     #: mean time between corruption onsets per link (Meza et al. use 10k
     #: hours; campaigns default lower so a 30-day window has activity)
     mttf_hours: float = 1_500.0
-    #: hours to repair once a link is corrupting (fast / slow crews)
-    repair_fast_hours: float = 48.0
-    repair_slow_hours: float = 96.0
-    repair_fast_fraction: float = 0.8
-    #: "table1" = production bucket distribution; "pareto" = bounded
-    #: Pareto(alpha) tail between loss_floor and loss_cap
-    loss_distribution: str = "table1"
-    pareto_alpha: float = 1.2
+    #: clamp on the per-event Table 1 loss-rate draws
     loss_floor: float = 1e-7
     loss_cap: float = 1e-2
-    #: per-link Gilbert-Elliott mean burst length, log-uniform in range
+    #: per-event Gilbert-Elliott mean burst length, log-uniform in range
     mean_burst_min: float = 1.0
     mean_burst_max: float = 2.0
 
@@ -72,9 +56,6 @@ class FleetSpec:
         if min(self.n_pods, self.tors_per_pod, self.fabrics_per_pod,
                self.spine_uplinks) < 1:
             raise ValueError("fleet dimensions must all be >= 1")
-        if self.loss_distribution not in ("table1", "pareto"):
-            raise ValueError(
-                f"unknown loss_distribution {self.loss_distribution!r}")
         if not 0 < self.loss_floor < self.loss_cap <= 1.0:
             raise ValueError("need 0 < loss_floor < loss_cap <= 1")
         if not 1.0 <= self.mean_burst_min <= self.mean_burst_max:
@@ -134,15 +115,6 @@ class FleetSpec:
 
 
 @dataclass(frozen=True)
-class LinkProfile:
-    """Static stochastic character of one link, fixed for a campaign."""
-
-    link_id: int
-    loss_rate: float     # characteristic episode loss rate (heavy-tailed)
-    mean_burst: float    # Gilbert-Elliott mean burst length (packets)
-
-
-@dataclass(frozen=True)
 class CorruptionEpisode:
     """One corruption event on one link: onset until repair completion."""
 
@@ -168,68 +140,6 @@ class CorruptionEpisode:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CorruptionEpisode":
         return cls(**data)
-
-
-def _sample_loss_rate(spec: FleetSpec, rng: np.random.Generator) -> float:
-    if spec.loss_distribution == "pareto":
-        # Bounded Pareto via inverse CDF: heavy tail, hard-capped like the
-        # open-ended Table 1 top bucket.
-        alpha, lo, hi = spec.pareto_alpha, spec.loss_floor, spec.loss_cap
-        u = float(rng.random())
-        h = 1.0 - (lo / hi) ** alpha
-        return lo / (1.0 - u * h) ** (1.0 / alpha)
-    rate = float(sample_loss_rates(rng, 1)[0])
-    return min(max(rate, spec.loss_floor), spec.loss_cap)
-
-
-def sample_profile(spec: FleetSpec, factory: RngFactory, link_id: int) -> LinkProfile:
-    """The per-link profile, from the link's own named stream."""
-    rng = factory.stream(f"fleet.link.{link_id}.profile")
-    loss_rate = _sample_loss_rate(spec, rng)
-    log_lo = math.log(spec.mean_burst_min)
-    log_hi = math.log(spec.mean_burst_max)
-    mean_burst = math.exp(float(rng.uniform(log_lo, log_hi)))
-    return LinkProfile(link_id=link_id, loss_rate=loss_rate, mean_burst=mean_burst)
-
-
-def link_episodes(
-    spec: FleetSpec,
-    factory: RngFactory,
-    link_id: int,
-    duration_s: float,
-) -> List[CorruptionEpisode]:
-    """Every corruption episode of one link within ``[0, duration_s)``.
-
-    Onsets are exponential with the fleet MTTF (memoryless external
-    damage, Appendix D); each episode lasts until a fast or slow repair
-    crew clears it.  Episode loss rates jitter around the link's
-    characteristic rate by a log-normal factor so repeat offenders stay
-    repeat offenders (the heavy tail is a *per-link* property, as 007
-    observed) without being bit-identical each time.
-    """
-    profile = sample_profile(spec, factory, link_id)
-    rng = factory.stream(f"fleet.link.{link_id}.episodes")
-    episodes: List[CorruptionEpisode] = []
-    now = float(rng.exponential(spec.mttf_hours * HOURS))
-    while now < duration_s:
-        jitter = math.exp(float(rng.normal(0.0, 0.25)))
-        loss_rate = min(max(profile.loss_rate * jitter, spec.loss_floor),
-                        spec.loss_cap)
-        repair_h = (
-            spec.repair_fast_hours
-            if float(rng.random()) < spec.repair_fast_fraction
-            else spec.repair_slow_hours
-        )
-        clear = min(now + repair_h * HOURS, duration_s)
-        episodes.append(CorruptionEpisode(
-            link_id=link_id,
-            onset_s=now,
-            clear_s=clear,
-            loss_rate=loss_rate,
-            mean_burst=profile.mean_burst,
-        ))
-        now = clear + float(rng.exponential(spec.mttf_hours * HOURS))
-    return episodes
 
 
 def sample_affected_fraction(
@@ -262,7 +172,8 @@ def sample_affected_fraction(
 
 
 class FleetTopology(FabricTopology):
-    """A :class:`FabricTopology` whose links carry corruption profiles."""
+    """A :class:`FabricTopology` sized by a fleet spec, with the seed's
+    RNG factory for per-link controller draws."""
 
     def __init__(self, spec: FleetSpec, seed: int = 0) -> None:
         super().__init__(
@@ -272,17 +183,3 @@ class FleetTopology(FabricTopology):
         self.spec = spec
         self.seed = int(seed)
         self.factory = RngFactory(seed)
-        self._profiles: Dict[int, LinkProfile] = {}
-
-    def profile(self, link_id: int) -> LinkProfile:
-        """The link's (lazily sampled, cached) corruption profile."""
-        self._check_index("link", link_id, self.n_links)
-        cached = self._profiles.get(link_id)
-        if cached is None:
-            cached = sample_profile(self.spec, self.factory, link_id)
-            self._profiles[link_id] = cached
-        return cached
-
-    def episodes_for(self, link_id: int, duration_s: float) -> List[CorruptionEpisode]:
-        self._check_index("link", link_id, self.n_links)
-        return link_episodes(self.spec, self.factory, link_id, duration_s)

@@ -28,10 +28,11 @@ Hence :meth:`~repro.lifecycle.slo.LifecycleRollup.canonical_json` is
 byte-identical for any ``(n_chunks, workers)`` — the acceptance bar this
 module is built around.
 
-Tiers mirror the fleet campaign: ``fastpath`` is the Gilbert–Elliott
-closed form everywhere plus empirical re-simulation of the flagged worst
-episodes; ``hybrid`` additionally samples any episode whose analytic
-fraction reaches the splice threshold; ``packet`` samples every episode.
+Tiers: ``fastpath`` is the Gilbert–Elliott closed form everywhere plus
+empirical re-simulation of the flagged worst episodes; ``hybrid``
+additionally samples any episode whose analytic fraction reaches the
+splice threshold; ``packet`` samples every episode.  A fleet campaign
+(:mod:`repro.fleet.campaign`) is the one-shot view of this same replay.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.rng import RngFactory
-from ..fleet.campaign import HYBRID_EMPIRICAL_THRESHOLD, shard_bounds
 from ..fleet.controller import (
     POLICIES, ControllerConfig, ControllerOutcome, FleetController,
 )
@@ -54,10 +54,27 @@ from .slo import LifecycleRollup, SloConfig, accumulate_days, summarize_days
 from .traces import LifecycleTrace, TraceSpec
 
 __all__ = [
-    "ReplaySpec", "chunk_sweep", "run_chunk", "run_replay",
+    "ReplaySpec", "HYBRID_EMPIRICAL_THRESHOLD", "shard_bounds", "arbitrate",
+    "chunk_sweep", "run_chunk", "run_chunks", "merge_chunks", "run_replay",
 ]
 
 _BACKENDS = ("packet", "fastpath", "hybrid")
+#: hybrid-tier cutover: episodes whose *analytic* affected fraction
+#: reaches this are sampled empirically instead (the Gilbert–Elliott
+#: closed form is weakest exactly where bursts touch most flows).  A
+#: module constant, not a spec field, so canonical output stays
+#: byte-compatible across backends.
+HYBRID_EMPIRICAL_THRESHOLD = 0.5
+
+
+def shard_bounds(n_items: int, n_shards: int, shard: int) -> Tuple[int, int]:
+    """Contiguous ``[lo, hi)`` range of one shard (balanced)."""
+    if not 0 <= shard < n_shards:
+        raise ValueError(f"shard {shard} out of range [0, {n_shards})")
+    base, extra = divmod(n_items, n_shards)
+    lo = shard * base + min(shard, extra)
+    hi = lo + base + (1 if shard < extra else 0)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -137,19 +154,21 @@ class ReplaySpec:
         return cls(**data)
 
 
-def _arbitrate(
-    replay: ReplaySpec,
-) -> Tuple[List[RepairedEpisode], int, ControllerOutcome, FleetController]:
+def arbitrate(
+    replay: ReplaySpec, obs=None,
+) -> Tuple[List[RepairedEpisode], int, ControllerOutcome]:
     """The global serial pipeline every chunk regenerates identically:
-    trace generation, repair application, controller arbitration."""
+    trace generation, repair application, controller arbitration.
+    ``obs`` instruments the controller (decision counters and trace
+    instants) without changing a verdict."""
     trace = LifecycleTrace.generate(replay.trace)
     episodes, coalesced = apply_repair(
         trace, repair_policy(replay.repair, replay.repair_params))
     topology = FleetTopology(replay.trace.fleet, replay.trace.seed)
     controller = FleetController(
-        topology, replay.controller, POLICIES[replay.policy]())
+        topology, replay.controller, POLICIES[replay.policy](), obs=obs)
     outcome = controller.run([r.episode for r in episodes])
-    return episodes, coalesced, outcome, controller
+    return episodes, coalesced, outcome
 
 
 def _flagged_keys(
@@ -236,35 +255,25 @@ class _AffectedEvaluator:
 def run_chunk(replay: ReplaySpec, chunk: int) -> Dict[str, Any]:
     """One chunk's day-range columns plus the global audit counters.
 
-    ``days`` holds only the chunk's ``[day_lo, day_hi)`` rows; ``counts``
-    are the replay-global controller/repair counters, identical in every
-    chunk (each regenerates the same global pipeline), so the merge can
-    take them from any one chunk.
+    ``days`` holds only the chunk's ``[day_lo, day_hi)`` rows (with the
+    exposed share of each day's affected-flow fraction alongside, for
+    the one-shot campaign view); ``counts`` are the replay-global
+    controller/repair counters, identical in every chunk (each
+    regenerates the same global pipeline), so the merge can take them
+    from any one chunk.
     """
-    episodes, coalesced, outcome, controller = _arbitrate(replay)
+    episodes, coalesced, outcome = arbitrate(replay)
     evaluator = _AffectedEvaluator(replay, episodes)
     day_lo, day_hi = replay.chunk_days(chunk)
-    fleet = replay.trace.fleet
-    days = accumulate_days(
-        day_lo, day_hi,
-        episodes=episodes,
-        outcome=outcome,
-        affected_of=evaluator,
-        effective_loss=controller.effective_loss,
-        duration_s=replay.trace.duration_s,
-        n_links=fleet.n_links,
-        links_per_pod=fleet.n_links // fleet.n_pods,
-        n_pods=fleet.n_pods,
-        pod_capacity_floor=replay.controller.pod_capacity_floor,
-        flows_per_link_per_s=replay.flows_per_link_per_s,
-        flow_packets=replay.flow_packets,
-    )
+    days, exposed_affected = accumulate_days(
+        replay, day_lo, day_hi, episodes, outcome, evaluator)
     counts = dict(outcome.counts())
     counts["n_episodes"] = len(episodes)
     counts["coalesced_events"] = coalesced
     counts["flagged_resim"] = len(evaluator.flagged)
     return {
         "days": days,
+        "exposed_affected_flow_fraction": exposed_affected,
         "counts": counts,
         "chunk": {
             "chunk": chunk,
@@ -295,6 +304,31 @@ def chunk_sweep(replay: ReplaySpec) -> SweepSpec:
     )
 
 
+def run_chunks(replay: ReplaySpec, workers: int = 1,
+               checkpoint: Optional[str] = None, progress=None) -> list:
+    """The replay's chunk cells, executed, in canonical sweep order."""
+    runner = SweepRunner(chunk_sweep(replay), workers=workers,
+                         checkpoint=checkpoint)
+    return runner.run(progress=progress)
+
+
+def merge_chunks(replay: ReplaySpec, results) -> LifecycleRollup:
+    """Concatenate the chunks' disjoint day ranges in canonical sweep
+    order and recompute the attainment summaries over the merged
+    columns — no floating-point reduction crosses a chunk boundary, so
+    the rollup is byte-identical for any ``(n_chunks, workers)``."""
+    days: Dict[str, list] = {}
+    for result in results:
+        for name, column in result.series["days"].items():
+            days.setdefault(name, []).extend(column)
+    return LifecycleRollup(
+        spec=replay.to_dict(),
+        slos=summarize_days(days, replay.slo),
+        counts=dict(results[0].series["counts"]),
+        days=days,
+    )
+
+
 def run_replay(
     replay: ReplaySpec,
     workers: int = 1,
@@ -302,31 +336,11 @@ def run_replay(
     obs=None,
     progress=None,
 ) -> LifecycleRollup:
-    """Run the full replay: chunked evaluation, merge, SLO rollup.
-
-    The merge concatenates the chunks' disjoint day ranges in canonical
-    sweep order and recomputes the attainment summaries over the merged
-    columns — no floating-point reduction crosses a chunk boundary, so
-    the rollup is byte-identical for any ``(n_chunks, workers)``.
-    """
+    """Run the full replay: chunked evaluation, merge, SLO rollup."""
     started = time.perf_counter()
-    runner = SweepRunner(chunk_sweep(replay), workers=workers,
-                         checkpoint=checkpoint)
-    results = runner.run(progress=progress)
-
-    days: Dict[str, list] = {}
-    for result in results:
-        for name, column in result.series["days"].items():
-            days.setdefault(name, []).extend(column)
-    counts = dict(results[0].series["counts"])
-    slos = summarize_days(days, replay.slo)
-    rollup = LifecycleRollup(
-        spec=replay.to_dict(),
-        slos=slos,
-        counts=counts,
-        days=days,
-        wall_s=time.perf_counter() - started,
-    )
+    results = run_chunks(replay, workers, checkpoint, progress)
+    rollup = merge_chunks(replay, results)
+    rollup.wall_s = time.perf_counter() - started
     if obs is not None:
         _record_obs(obs, replay, rollup, results)
     return rollup

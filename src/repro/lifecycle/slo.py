@@ -30,11 +30,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Tuple
 
-from ..corropt.simulation import lg_effective_speed_fraction
-from ..fleet.campaign import unprotected_goodput_fraction
-from ..fleet.controller import (
-    DISABLED, EXPOSED, PROTECTED, ControllerOutcome,
-)
+from ..fleet.controller import ControllerOutcome
+from ..fleet.cost import DISABLED, EXPOSED, PROTECTED, segment_cost
 from ..fleet.topology import DAY_S
 from .repair import RepairedEpisode
 
@@ -94,32 +91,19 @@ DAY_COLUMNS = (
 )
 
 
-def _analytic_affected(loss_rate: float, flow_packets: int) -> float:
-    """P(flow of n packets loses >= 1) under i.i.d. residual loss (the
-    LinkGuardian-protected state, where retransmission breaks bursts)."""
-    if loss_rate <= 0.0:
-        return 0.0
-    return -math.expm1(
-        flow_packets * math.log1p(-min(loss_rate, 1.0 - 1e-15)))
-
-
 def accumulate_days(
+    replay,
     day_lo: int,
     day_hi: int,
-    *,
     episodes: List[RepairedEpisode],
     outcome: ControllerOutcome,
     affected_of: Callable[[int], float],
-    effective_loss: Callable[[float], float],
-    duration_s: float,
-    n_links: int,
-    links_per_pod: int,
-    n_pods: int,
-    pod_capacity_floor: float,
-    flows_per_link_per_s: float,
-    flow_packets: int,
-) -> Dict[str, list]:
-    """Per-day columns for days ``[day_lo, day_hi)``.
+) -> Tuple[Dict[str, list], List[float]]:
+    """Per-day columns for days ``[day_lo, day_hi)`` of ``replay`` (a
+    :class:`~repro.lifecycle.replay.ReplaySpec`), plus the exposed
+    (unprotected) share of each day's affected-flow fraction — what the
+    one-shot campaign view needs to place its p99 FCT level, kept out of
+    the canonical :data:`DAY_COLUMNS`.
 
     ``affected_of(episode_index)`` supplies the (tier-evaluated)
     affected-flow fraction of an episode; everything else is closed-form
@@ -128,16 +112,21 @@ def accumulate_days(
     day range, never the inputs — which is what makes the output
     independent of how the replay was chunked.
     """
+    fleet = replay.trace.fleet
+    duration_s = replay.trace.duration_s
+    n_links, n_pods = fleet.n_links, fleet.n_pods
+    links_per_pod = n_links // n_pods
+    flows_per_link_per_s = replay.flows_per_link_per_s
     n_days = day_hi - day_lo
     day_span = [
         min(duration_s, (day_lo + d + 1) * DAY_S) - (day_lo + d) * DAY_S
         for d in range(n_days)
     ]
 
-    exposed_s = [0.0] * n_days
-    protected_s = [0.0] * n_days
-    disabled_s = [0.0] * n_days
+    state_s = {state: [0.0] * n_days
+               for state in (EXPOSED, PROTECTED, DISABLED)}
     affected = [0.0] * n_days
+    affected_exposed = [0.0] * n_days
     goodput_delta = [0.0] * n_days
     pod_lost = [[0.0] * n_pods for _ in range(n_days)]
 
@@ -153,32 +142,24 @@ def accumulate_days(
                 yield day - day_lo, span
 
     for index, segments in sorted(outcome.segments.items()):
-        repaired = episodes[index]
-        episode = repaired.episode
+        episode = episodes[index].episode
         pod = min(episode.link_id // links_per_pod, n_pods - 1)
         for segment in segments:
-            if segment.state == EXPOSED:
-                fraction = affected_of(index)
-                loss = 1.0 - unprotected_goodput_fraction(episode.loss_rate)
-                for day, span in day_windows(segment.start_s, segment.end_s):
-                    exposed_s[day] += span
-                    affected[day] += flows_per_link_per_s * span * fraction
-                    goodput_delta[day] += span * loss
-            elif segment.state == PROTECTED:
-                residual = _analytic_affected(
-                    effective_loss(episode.loss_rate), flow_packets)
-                speed_cost = 1.0 - lg_effective_speed_fraction(
-                    episode.loss_rate)
-                for day, span in day_windows(segment.start_s, segment.end_s):
-                    protected_s[day] += span
-                    affected[day] += flows_per_link_per_s * span * residual
-                    goodput_delta[day] += span * speed_cost
-                    pod_lost[day][pod] += span * speed_cost
-            elif segment.state == DISABLED:
-                for day, span in day_windows(segment.start_s, segment.end_s):
-                    disabled_s[day] += span
-                    goodput_delta[day] += span
-                    pod_lost[day][pod] += span
+            exposed = segment.state == EXPOSED
+            cost, fraction = segment_cost(
+                segment.state, episode.loss_rate, replay.flow_packets,
+                replay.controller.lg_target_loss,
+                affected_of(index) if exposed else 0.0)
+            for day, span in day_windows(segment.start_s, segment.end_s):
+                flows = flows_per_link_per_s * span * fraction
+                state_s[segment.state][day] += span
+                affected[day] += flows
+                goodput_delta[day] += span * cost
+                if exposed:
+                    affected_exposed[day] += flows
+                else:
+                    # exposed links still carry traffic at full capacity
+                    pod_lost[day][pod] += span * cost
 
     # Clamp instants landing exactly on the trace end into the (global)
     # final day — never into the *chunk's* final day, which would pull
@@ -227,12 +208,12 @@ def accumulate_days(
     for d in range(n_days):
         for pod in range(n_pods):
             capacity = 1.0 - pod_lost[d][pod] / (links_per_pod * day_span[d])
-            if capacity < pod_capacity_floor:
+            if capacity < replay.controller.pod_capacity_floor:
                 violations[d] += 1
 
     link_day = [n_links * span for span in day_span]
     flow_day = [n_links * flows_per_link_per_s * span for span in day_span]
-    return {
+    days = {
         "day": list(range(day_lo, day_hi)),
         "goodput_fraction": [
             round(1.0 - goodput_delta[d] / link_day[d], 12)
@@ -241,9 +222,9 @@ def accumulate_days(
         "affected_flow_fraction": [
             round(affected[d] / flow_day[d], 12) for d in range(n_days)
         ],
-        "exposed_link_s": [round(v, 6) for v in exposed_s],
-        "protected_link_s": [round(v, 6) for v in protected_s],
-        "disabled_link_s": [round(v, 6) for v in disabled_s],
+        "exposed_link_s": [round(v, 6) for v in state_s[EXPOSED]],
+        "protected_link_s": [round(v, 6) for v in state_s[PROTECTED]],
+        "disabled_link_s": [round(v, 6) for v in state_s[DISABLED]],
         "activations": decisions["activate"],
         "disables": decisions["disable"],
         "blocked": decisions["blocked"],
@@ -259,6 +240,8 @@ def accumulate_days(
         ],
         "episode_onsets": onsets,
     }
+    return days, [round(affected_exposed[d] / flow_day[d], 12)
+                  for d in range(n_days)]
 
 
 def summarize_days(days: Dict[str, list], slo: SloConfig) -> Dict[str, float]:

@@ -44,8 +44,9 @@ __all__ = [
     "link_failure_events", "generate_trace",
 ]
 
-#: format tag carried by LifecycleTrace.to_json documents
-TRACE_VERSION = 1
+#: format tag carried by LifecycleTrace.to_json documents (2: the
+#: embedded FleetSpec lost its repair and loss-distribution fields)
+TRACE_VERSION = 2
 
 
 @dataclass(frozen=True)

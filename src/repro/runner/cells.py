@@ -311,37 +311,6 @@ def _run_incremental(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     return _result(spec, rows[0])
 
 
-@register("fleet_shard")
-def _run_fleet_shard(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
-    """One shard of a fleet campaign: generate that link range's episodes.
-
-    ``spec.params`` carries the serialized campaign plus the shard index;
-    the fleet rollup (``repro.fleet.campaign.run_fleet_campaign``) merges
-    the shards' episode lists back into one timeline.
-    """
-    from ..fleet.campaign import FleetCampaignSpec, run_shard, shard_bounds
-
-    campaign = FleetCampaignSpec.from_dict(spec.params["campaign"])
-    shard = int(spec.params.get("shard", 0))
-    episodes = run_shard(campaign, shard)
-    lo, hi = shard_bounds(campaign.fleet.n_links, campaign.n_shards, shard)
-    metrics = {
-        "shard": shard,
-        "links_lo": lo,
-        "links_hi": hi,
-        "n_links": hi - lo,
-        "n_episodes": len(episodes),
-    }
-    result = _result(spec, metrics,
-                     {"episodes": [e.to_dict() for e in episodes]})
-    # Longitudinal per-shard health series; rides in artifacts (not the
-    # canonical form) so campaign byte-identity stays shard-independent.
-    from ..fleet.campaign import shard_timeline
-
-    result.artifacts["timeline"] = shard_timeline(campaign, episodes)
-    return result
-
-
 @register("lifecycle_chunk")
 def _run_lifecycle_chunk(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     """One time chunk of a lifecycle replay: its day range's SLO columns.
@@ -357,8 +326,8 @@ def _run_lifecycle_chunk(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     replay = ReplaySpec.from_dict(spec.params["replay"])
     chunk = int(spec.params.get("chunk", 0))
     out = run_chunk(replay, chunk)
-    return _result(spec, dict(out["chunk"]),
-                   {"days": out["days"], "counts": out["counts"]})
+    metrics = out.pop("chunk")
+    return _result(spec, metrics, out)
 
 
 @register("checker")

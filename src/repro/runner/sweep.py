@@ -84,11 +84,13 @@ class SweepRunner:
         completes (not for cells resumed from the checkpoint).
         """
         cells = self.sweep.cells()
-        done = load_checkpoint(self.checkpoint)
-        done = {cid: r for cid, r in done.items()
-                if cid in {c.cell_id() for c in cells}}
+        # cell_id() is a JSON dump + SHA-256: compute each exactly once.
+        ids = [cell.cell_id() for cell in cells]
+        known = set(ids)
+        done = {cid: r for cid, r in load_checkpoint(self.checkpoint).items()
+                if cid in known}
         self.resumed = len(done)
-        pending = [c for c in cells if c.cell_id() not in done]
+        pending = [c for c, cid in zip(cells, ids) if cid not in done]
 
         # Fastpath cells are a single vectorized batch, not pool work:
         # one NumPy call evaluates all of them, so shipping them to
@@ -131,7 +133,7 @@ class SweepRunner:
         finally:
             if sink is not None:
                 sink.close()
-        return [done[c.cell_id()] for c in cells]
+        return [done[cid] for cid in ids]
 
     def _finish(self, result, done, sink, progress) -> None:
         done[result.cell_id] = result

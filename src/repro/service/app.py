@@ -37,9 +37,7 @@ from typing import Any, Dict, List, Optional
 
 from ..blame.adapter import BlameMonitor
 from ..core.state import SnapshotError
-from ..corropt.simulation import (
-    lg_effective_loss_rate, lg_effective_speed_fraction,
-)
+from ..fleet.cost import lg_effective_loss_rate, lg_effective_speed_fraction
 from ..fleet.topology import FleetTopology
 from ..obs import Observability
 from ..obs.export import prometheus_line, prometheus_text

@@ -7,7 +7,7 @@ from repro.corropt.simulation import (
     DeploymentConfig, DeploymentSimulation,
     lg_effective_loss_rate, lg_effective_speed_fraction,
 )
-from repro.corropt.trace import LOSS_BUCKETS, generate_trace, sample_loss_rates
+from repro.corropt.trace import LOSS_BUCKETS, sample_loss_rates
 from repro.fabric.topology import FabricTopology
 
 
@@ -142,13 +142,19 @@ class TestTrace:
             assert fraction == pytest.approx(expected, abs=0.01)
 
     def test_trace_sorted_and_bounded(self):
-        rng = np.random.default_rng(6)
-        events = generate_trace(n_links=5_000, duration_s=86_400 * 30, rng=rng)
+        """The one trace generator (lifecycle) on the Appendix D model."""
+        from repro.fleet import FleetSpec
+        from repro.lifecycle import TraceSpec, generate_trace
+
+        spec = TraceSpec(fleet=FleetSpec(n_pods=80, mttf_hours=10_000.0),
+                         duration_days=30.0, seed=6)
+        events = generate_trace(spec).events
         times = [e.time_s for e in events]
         assert times == sorted(times)
         assert all(t < 86_400 * 30 for t in times)
-        # MTTF 10k hours -> ~30/ (10000/24) = 7.2% of links corrupt in 30 days.
-        assert len(events) == pytest.approx(5_000 * 30 * 24 / 10_000, rel=0.2)
+        # MTTF 10k hours -> ~30 / (10000/24) = 7.2% of links corrupt in 30 days.
+        assert len(events) == pytest.approx(
+            spec.fleet.n_links * 30 * 24 / 10_000, rel=0.2)
 
 
 class TestLgDeploymentModels:

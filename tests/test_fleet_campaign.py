@@ -1,17 +1,21 @@
-"""Tests for sharded fleet campaigns: determinism, rollup, resume."""
+"""Tests for fleet campaigns — the one-shot view of a lifecycle replay:
+determinism, rollup, resume, and consistency with the replay it views."""
 
 import json
 
 import pytest
 
-from repro.fleet.campaign import (
-    FleetCampaignSpec, run_fleet_campaign, run_shard, shard_bounds,
-    shard_sweep, unprotected_goodput_fraction,
-)
+from repro.fleet.campaign import FleetCampaignSpec, run_fleet_campaign
 from repro.fleet.controller import ControllerConfig
-from repro.fleet.topology import FleetSpec
+from repro.fleet.cost import (
+    DISABLED, EXPOSED, PROTECTED, segment_cost, unprotected_goodput_fraction,
+)
+from repro.fleet.policies import TraceDrivenOptimizer
+from repro.fleet.topology import DAY_S, FleetSpec
+from repro.lifecycle.replay import (
+    arbitrate, chunk_sweep, run_chunk, run_replay, shard_bounds,
+)
 from repro.obs import Observability
-from repro.runner.cells import experiment_kinds
 
 
 def small_campaign(**overrides) -> FleetCampaignSpec:
@@ -36,12 +40,17 @@ class TestSpec:
         with pytest.raises(ValueError):
             small_campaign(policy="oracle")
 
-    def test_rejects_more_shards_than_links(self):
-        with pytest.raises(ValueError):
-            small_campaign(n_shards=1000)
+    def test_rejects_more_shards_than_days(self):
+        # Shards are time chunks: 20 days hold at most 20 of them.
+        assert small_campaign(n_shards=20).n_shards == 20
+        with pytest.raises(ValueError, match="n_shards"):
+            small_campaign(n_shards=21)
 
-    def test_fleet_shard_kind_registered(self):
-        assert "fleet_shard" in experiment_kinds()
+    def test_maps_onto_a_corropt_replay(self):
+        replay = small_campaign(n_shards=4, backend="hybrid").replay_spec()
+        assert (replay.repair, replay.n_chunks, replay.backend) == (
+            "corropt", 4, "hybrid")
+        assert replay.trace.seed == 3 and replay.trace.duration_days == 20.0
 
 
 class TestShardBounds:
@@ -62,15 +71,18 @@ class TestShardBounds:
 
 class TestShardDeterminism:
     def test_shards_union_equals_serial(self):
-        serial = run_shard(small_campaign(), 0)
-        sharded = small_campaign(n_shards=4)
-        merged = [ep for s in range(4) for ep in run_shard(sharded, s)]
-        key = lambda e: (e.onset_s, e.link_id)  # noqa: E731
-        assert sorted(merged, key=key) == sorted(serial, key=key)
+        serial = run_chunk(small_campaign().replay_spec(), 0)
+        sharded = small_campaign(n_shards=4).replay_spec()
+        chunks = [run_chunk(sharded, s) for s in range(4)]
+        for name, column in serial["days"].items():
+            assert [v for c in chunks for v in c["days"][name]] == column
+        assert all(c["counts"] == serial["counts"] for c in chunks)
 
     def test_sweep_has_one_cell_per_shard(self):
-        sweep = shard_sweep(small_campaign(n_shards=4))
-        assert len(list(sweep.cells())) == 4
+        sweep = chunk_sweep(small_campaign(n_shards=4).replay_spec())
+        cells = list(sweep.cells())
+        assert len(cells) == 4
+        assert {cell.kind for cell in cells} == {"lifecycle_chunk"}
 
 
 class TestCampaignRollup:
@@ -178,3 +190,57 @@ class TestGoodputModel:
         severe = unprotected_goodput_fraction(1e-3)
         assert severe < mild <= 1.0
         assert severe < 0.5
+
+
+class TestViewOfReplay:
+    """The campaign is a view: its numbers are the replay's numbers."""
+
+    @pytest.mark.parametrize("backend", ["packet", "fastpath", "hybrid"])
+    def test_campaign_equals_corropt_replay_rollup(self, backend):
+        # 19.25 days: the short last day must weigh a quarter.
+        campaign = small_campaign(backend=backend, policy="greedy-worst",
+                                  duration_days=19.25,
+                                  controller=ControllerConfig(
+                                      capacity_constraint=1.0,
+                                      activation_budget=2))
+        result = run_fleet_campaign(campaign)
+        replay = campaign.replay_spec()
+        assert replay.repair == "corropt"
+        rollup = run_replay(replay)
+        for name in ("exposed_link_s", "protected_link_s", "disabled_link_s"):
+            assert result.slos[name] == rollup.slos[name]
+        assert result.slos["exposed_link_s"] > 0
+        assert result.slos["n_episodes"] == rollup.counts["n_episodes"]
+        for name, count in result.counts.items():
+            assert count == rollup.counts[name]
+        assert result.series["activate_per_day"] == rollup.days["activations"]
+
+        # One-shot fractions are the link-second-weighted day columns.
+        duration_s = replay.trace.duration_s
+        weights = [min(duration_s, (d + 1) * DAY_S) - d * DAY_S
+                   for d in rollup.days["day"]]
+        for slo, column in (
+                ("fleet_goodput_fraction", "goodput_fraction"),
+                ("affected_flow_fraction", "affected_flow_fraction")):
+            mean = sum(v * w for v, w in zip(rollup.days[column], weights)
+                       ) / sum(weights)
+            assert result.slos[slo] == pytest.approx(mean, abs=1e-9)
+
+        # ... and goodput agrees with pricing the raw segments directly.
+        episodes, _, outcome = arbitrate(replay)
+        lost = sum(
+            (seg.end_s - seg.start_s) * segment_cost(
+                seg.state, episodes[index].episode.loss_rate)[0]
+            for index, segments in outcome.segments.items()
+            for seg in segments)
+        assert result.slos["fleet_goodput_fraction"] == pytest.approx(
+            1.0 - lost / (campaign.fleet.n_links * duration_s), abs=1e-9)
+
+    @pytest.mark.parametrize("action,state", [
+        ("disable", DISABLED), ("activate", PROTECTED),
+        ("blocked", EXPOSED), ("preempt", EXPOSED),
+    ])
+    def test_optimizer_weight_is_the_shared_cost(self, action, state):
+        for loss_rate in (1e-7, 3e-5, 1e-3, 1e-2):
+            assert TraceDrivenOptimizer._weight(action, loss_rate) == \
+                segment_cost(state, loss_rate)[0]

@@ -1,13 +1,24 @@
-"""Tests for fleet topology generation and per-link corruption processes."""
+"""Tests for fleet topology generation and per-link corruption processes
+(the processes themselves are drawn by :mod:`repro.lifecycle.traces`)."""
 
 import numpy as np
 import pytest
 
 from repro.core.rng import RngFactory
 from repro.fleet.topology import (
-    CorruptionEpisode, FleetSpec, FleetTopology, link_episodes,
-    sample_affected_fraction, sample_profile,
+    CorruptionEpisode, FleetSpec, FleetTopology,
+    sample_affected_fraction,
 )
+from repro.lifecycle import (
+    LifecycleTrace, TraceSpec, apply_repair, link_failure_events,
+    repair_policy,
+)
+
+
+def link_events(fleet, seed, link_id, days=30.0):
+    """One link's failure events — its whole stochastic character."""
+    spec = TraceSpec(fleet=fleet, duration_days=days, seed=seed)
+    return link_failure_events(spec, RngFactory(seed), link_id)
 
 
 class TestFleetSpec:
@@ -23,9 +34,16 @@ class TestFleetSpec:
         assert spec.n_links == 512
 
     def test_roundtrips_through_dict(self):
-        spec = FleetSpec(n_pods=2, loss_distribution="pareto",
-                         pareto_alpha=1.5)
+        spec = FleetSpec(n_pods=2, loss_cap=5e-3, mean_burst_max=3.0)
         assert FleetSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("removed", [
+        "loss_distribution", "pareto_alpha", "repair_fast_hours",
+        "repair_slow_hours", "repair_fast_fraction",
+    ])
+    def test_removed_fields_are_rejected(self, removed):
+        with pytest.raises(ValueError, match="unknown FleetSpec"):
+            FleetSpec.from_dict({removed: 1})
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
@@ -33,7 +51,7 @@ class TestFleetSpec:
 
     @pytest.mark.parametrize("overrides", [
         {"n_pods": 0},
-        {"loss_distribution": "zipf"},
+        {"spine_uplinks": 0},
         {"loss_floor": 0.0},
         {"loss_floor": 1e-2, "loss_cap": 1e-3},
         {"mean_burst_min": 0.5},
@@ -45,25 +63,24 @@ class TestFleetSpec:
 
 
 class TestProfiles:
+    FLEET = FleetSpec(mttf_hours=100.0)
+
     def test_profile_is_deterministic_per_link(self):
-        spec = FleetSpec()
-        a = sample_profile(spec, RngFactory(9), 17)
-        b = sample_profile(spec, RngFactory(9), 17)
-        assert a == b
+        events = link_events(self.FLEET, 9, 17)
+        assert events and events == link_events(self.FLEET, 9, 17)
 
     def test_profiles_differ_across_links_and_seeds(self):
-        spec = FleetSpec()
-        base = sample_profile(spec, RngFactory(9), 17)
-        assert sample_profile(spec, RngFactory(9), 18) != base
-        assert sample_profile(spec, RngFactory(10), 17) != base
+        base = link_events(self.FLEET, 9, 17)
+        assert link_events(self.FLEET, 9, 18) != base
+        assert link_events(self.FLEET, 10, 17) != base
 
     def test_loss_rates_heavy_tailed_within_bounds(self):
-        spec = FleetSpec()
-        factory = RngFactory(3)
+        spec = FleetSpec(mttf_hours=400.0)
         rates = np.array([
-            sample_profile(spec, factory, link).loss_rate
-            for link in range(2_000)
+            event.loss_rate
+            for link in range(1_000) for event in link_events(spec, 3, link)
         ])
+        assert len(rates) > 1_000
         assert rates.min() >= spec.loss_floor
         assert rates.max() <= spec.loss_cap
         # Table 1: ~12.7% of corrupting links land in the 1e-3..1e-2 bucket.
@@ -71,54 +88,45 @@ class TestProfiles:
         # Heavy tail: the mean dwarfs the median.
         assert rates.mean() > 10 * np.median(rates)
 
-    def test_pareto_distribution_selectable(self):
-        spec = FleetSpec(loss_distribution="pareto", pareto_alpha=1.2)
-        factory = RngFactory(3)
-        rates = np.array([
-            sample_profile(spec, factory, link).loss_rate
-            for link in range(2_000)
-        ])
-        assert rates.min() >= spec.loss_floor
-        assert rates.max() <= spec.loss_cap
-        # Right-skewed: rates spread over decades, mean well above median.
-        assert rates.max() > 100 * rates.min()
-        assert rates.mean() > 2 * np.median(rates)
-
     def test_mean_burst_within_configured_range(self):
-        spec = FleetSpec(mean_burst_min=1.2, mean_burst_max=3.0)
-        factory = RngFactory(4)
-        bursts = [sample_profile(spec, factory, link).mean_burst
-                  for link in range(200)]
-        assert all(1.2 <= b <= 3.0 for b in bursts)
+        spec = FleetSpec(mttf_hours=100.0, mean_burst_min=1.2,
+                         mean_burst_max=3.0)
+        bursts = [event.mean_burst
+                  for link in range(50) for event in link_events(spec, 4, link)]
+        assert bursts and all(1.2 <= b <= 3.0 for b in bursts)
 
 
 class TestEpisodes:
     def test_episodes_ordered_and_bounded(self):
-        spec = FleetSpec(mttf_hours=200.0)
-        duration = 30 * 86_400.0
-        episodes = link_episodes(spec, RngFactory(5), 3, duration)
+        spec = TraceSpec(fleet=FleetSpec(n_pods=1, mttf_hours=200.0),
+                         duration_days=30.0, seed=5)
+        episodes, _ = apply_repair(LifecycleTrace.generate(spec),
+                                   repair_policy("corropt"))
         assert episodes, "200h MTTF over 30 days should corrupt"
-        for ep in episodes:
-            assert 0 <= ep.onset_s < duration
-            assert ep.onset_s < ep.clear_s <= duration
-            assert spec.loss_floor <= ep.loss_rate <= spec.loss_cap
-        onsets = [ep.onset_s for ep in episodes]
+        by_link = {}
+        for repaired in episodes:
+            ep = repaired.episode
+            assert 0 <= ep.onset_s < ep.clear_s <= spec.duration_s
+            assert spec.fleet.loss_floor <= ep.loss_rate <= spec.fleet.loss_cap
+            by_link.setdefault(ep.link_id, []).append(ep)
+        onsets = [r.episode.onset_s for r in episodes]
         assert onsets == sorted(onsets)
-        # Episodes of one link never overlap.
-        for prev, nxt in zip(episodes, episodes[1:]):
-            assert prev.clear_s <= nxt.onset_s
+        # Episodes of one link never overlap (later onsets coalesce).
+        assert any(len(eps) > 1 for eps in by_link.values())
+        for eps in by_link.values():
+            for prev, nxt in zip(eps, eps[1:]):
+                assert prev.clear_s <= nxt.onset_s
 
     def test_episodes_independent_of_other_links(self):
-        """The shard-invariance property: a link's episodes depend only on
+        """The chunk-invariance property: a link's events depend only on
         (seed, link_id), never on which other links were generated."""
-        spec = FleetSpec(mttf_hours=500.0)
-        duration = 60 * 86_400.0
-        alone = link_episodes(spec, RngFactory(7), 11, duration)
+        spec = TraceSpec(fleet=FleetSpec(mttf_hours=500.0),
+                         duration_days=60.0, seed=7)
+        alone = link_failure_events(spec, RngFactory(7), 11)
         factory = RngFactory(7)
         for other in range(11):
-            link_episodes(spec, factory, other, duration)
-        interleaved = link_episodes(spec, factory, 11, duration)
-        assert alone == interleaved
+            link_failure_events(spec, factory, other)
+        assert alone and link_failure_events(spec, factory, 11) == alone
 
     def test_episode_roundtrips_through_dict(self):
         ep = CorruptionEpisode(link_id=4, onset_s=10.5, clear_s=99.25,
@@ -165,20 +173,10 @@ class TestFleetTopology:
         assert topo.pod_capacity_fraction(0) == 1.0
         assert len(topo.links_for_tor(1, 2)) == 4
 
-    def test_profiles_cached_and_validated(self):
-        topo = FleetTopology(FleetSpec(n_pods=1, tors_per_pod=4,
-                                       spine_uplinks=4), seed=1)
-        assert topo.profile(0) is topo.profile(0)
-        with pytest.raises(ValueError):
-            topo.profile(topo.n_links)
-        with pytest.raises(ValueError):
-            topo.episodes_for(-1, 1000.0)
-
 
 class TestFleetSpecJson:
     def test_json_roundtrip_byte_identical(self):
-        spec = FleetSpec(n_pods=2, loss_distribution="pareto",
-                         pareto_alpha=1.5, mttf_hours=900.0)
+        spec = FleetSpec(n_pods=2, loss_cap=5e-3, mttf_hours=900.0)
         text = spec.to_json()
         assert FleetSpec.from_json(text) == spec
         assert FleetSpec.from_json(text).to_json() == text
@@ -196,6 +194,9 @@ class TestFleetSpecJson:
             FleetSpec.from_json('{"n_pods": 2}')
         with pytest.raises(ValueError, match="fleet spec"):
             FleetSpec.from_json('{"fleet_spec": 99, "n_pods": 2}')
+        # v1 documents (repair / loss-distribution fields) name the skew.
+        with pytest.raises(ValueError, match="tag 1, expected 2"):
+            FleetSpec.from_json('{"fleet_spec": 1, "n_pods": 2}')
 
     def test_rejects_malformed_json_and_non_objects(self):
         with pytest.raises(ValueError, match="not valid JSON"):
@@ -207,6 +208,6 @@ class TestFleetSpecJson:
         # The full constructor path: unknown fields and range checks
         # must fail a hand-edited document loudly.
         with pytest.raises(ValueError, match="unknown FleetSpec"):
-            FleetSpec.from_json('{"fleet_spec": 1, "bogus": 3}')
+            FleetSpec.from_json('{"fleet_spec": 2, "bogus": 3}')
         with pytest.raises(ValueError, match="dimensions"):
-            FleetSpec.from_json('{"fleet_spec": 1, "n_pods": 0}')
+            FleetSpec.from_json('{"fleet_spec": 2, "n_pods": 0}')

@@ -26,8 +26,9 @@ from repro.fastpath.splice import (
     run_hybrid_cell,
 )
 from repro.fastpath.validate import TOLERANCES, default_grid, run_validation
-from repro.fleet.campaign import (
-    HYBRID_EMPIRICAL_THRESHOLD, run_fleet_campaign, run_shard,
+from repro.fleet.campaign import run_fleet_campaign
+from repro.lifecycle.replay import (
+    HYBRID_EMPIRICAL_THRESHOLD, _AffectedEvaluator, arbitrate,
 )
 from repro.runner.cells import run_cell
 from repro.runner.spec import ExperimentSpec, SweepSpec
@@ -237,21 +238,21 @@ class TestFleetHybridTier:
 
     def test_episode_split_straddles_threshold(self):
         """Light episodes stay analytic (identical to fastpath); heavy
-        episodes go empirical (identical to packet)."""
-        key = lambda e: (e.link_id, e.onset_s)  # noqa: E731
-        packet = {key(e): e for e in run_shard(self._campaign(), 0)}
-        fast = {key(e): e
-                for e in run_shard(self._campaign(backend="fastpath"), 0)}
-        hybrid = {key(e): e
-                  for e in run_shard(self._campaign(backend="hybrid"), 0)}
-        assert hybrid.keys() == fast.keys() == packet.keys()
-        for key, ep in hybrid.items():
-            if fast[key].affected_fraction >= HYBRID_EMPIRICAL_THRESHOLD:
-                assert ep.affected_fraction == pytest.approx(
-                    packet[key].affected_fraction)
-            else:
-                assert ep.affected_fraction == pytest.approx(
-                    fast[key].affected_fraction)
+        episodes go empirical (identical to packet).  Long flows and no
+        flagged resim, so the threshold alone decides and both sides of
+        it are populated."""
+        def fractions(backend):
+            replay = self._campaign(backend=backend, flow_packets=1000,
+                                    resim_fraction=0.0).replay_spec()
+            episodes = arbitrate(replay)[0]
+            evaluator = _AffectedEvaluator(replay, episodes)
+            return [evaluator(i) for i in range(len(episodes))]
+
+        packet, fast, hybrid = map(fractions, ("packet", "fastpath", "hybrid"))
+        heavy = [f >= HYBRID_EMPIRICAL_THRESHOLD for f in fast]
+        assert any(heavy) and not all(heavy)
+        for is_heavy, got, sampled, analytic in zip(heavy, hybrid, packet, fast):
+            assert got == (sampled if is_heavy else analytic)
 
     def test_sharding_independent(self):
         serial = run_fleet_campaign(self._campaign(backend="hybrid"))

@@ -107,6 +107,9 @@ class TestFastpathDiagnostics:
 
 
 class TestFleetShardTimeline:
+    """A campaign shard is a ``lifecycle_chunk`` cell: its per-day
+    timeline rides in the cell's series, one row per day of the chunk."""
+
     @pytest.fixture(scope="class")
     def shard_result(self):
         from repro.fleet import FleetCampaignSpec, FleetSpec
@@ -116,27 +119,32 @@ class TestFleetShardTimeline:
                             spine_uplinks=4, mttf_hours=300.0),
             duration_days=20.0, seed=3,
         )
-        spec = ExperimentSpec(kind="fleet_shard", scenario="incremental",
+        spec = ExperimentSpec(kind="lifecycle_chunk", scenario="incremental",
                               n_trials=1, seed=3,
-                              params={"campaign": campaign.to_dict(),
-                                      "shard": 0})
+                              params={"replay": campaign.replay_spec().to_dict(),
+                                      "chunk": 0})
         return campaign, run_cell(spec)
 
     def test_artifact_shape(self, shard_result):
-        campaign, result = shard_result
-        timeline = result.artifacts["timeline"]
+        from repro.lifecycle import DAY_COLUMNS
+
+        _, result = shard_result
+        days = result.series["days"]
         n_days = 20
-        assert timeline["day"] == list(range(n_days))
-        assert len(timeline["episode_onsets"]) == n_days
-        assert sum(timeline["episode_onsets"]) == result.metrics["n_episodes"]
-        for active, mean_loss in zip(timeline["corrupting_link_s"],
-                                     timeline["mean_loss_rate"]):
-            assert active >= 0.0
-            assert (mean_loss > 0.0) == (active > 0.0)
+        assert tuple(days) == DAY_COLUMNS
+        assert days["day"] == list(range(n_days))
+        assert (result.metrics["day_lo"], result.metrics["day_hi"]) == (0, 20)
+        assert sum(days["episode_onsets"]) == \
+            result.series["counts"]["n_episodes"]
+        exposed = result.series["exposed_affected_flow_fraction"]
+        assert len(exposed) == n_days
+        for share, total in zip(exposed, days["affected_flow_fraction"]):
+            assert 0.0 <= share <= total
 
     def test_series_and_canonical_form_untouched(self, shard_result):
         _, result = shard_result
-        assert set(result.series) == {"episodes"}
+        assert set(result.series) == {
+            "days", "counts", "exposed_affected_flow_fraction"}
         assert '"artifacts"' not in result.canonical_json()
 
     def test_campaign_rollup_unchanged_by_artifact(self, shard_result):

@@ -72,6 +72,20 @@ class TestCheckpointResume:
         # The checkpoint now covers every cell (torn line ignored).
         assert set(load_checkpoint(path)) == {r.cell_id for r in full}
 
+    def test_resume_hashes_each_cell_id_once(self, tmp_path, monkeypatch):
+        """cell_id() is a JSON dump + SHA-256; a full resume must compute
+        it once per cell, not once per (cell, checkpoint entry)."""
+        path = str(tmp_path / "ckpt.jsonl")
+        full = SweepRunner(SWEEP, workers=1, checkpoint=path).run()
+        calls = []
+        real = ExperimentSpec.cell_id
+        monkeypatch.setattr(
+            ExperimentSpec, "cell_id",
+            lambda spec: calls.append(1) or real(spec))
+        runner = SweepRunner(SWEEP, workers=1, checkpoint=path)
+        assert _canonical(runner.run()) == _canonical(full)
+        assert runner.resumed == len(full) == len(calls)
+
     def test_stale_checkpoint_entries_ignored(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         other = ExperimentSpec(kind="fct", scenario="noloss", n_trials=5,
