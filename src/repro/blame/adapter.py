@@ -1,62 +1,54 @@
 """BlameMonitor: voting verdicts driving corruptd's onset/clear signals.
 
-The monitor is the drop-in replacement for the port-counter path: where
-the service's :class:`~repro.service.arbiter.StreamingArbiter` folds
-counter snapshots into per-link :class:`LossWindow` estimates, the
-BlameMonitor folds **flow reports** into a sliding evidence window,
-re-runs the 007 vote at a fixed cadence, and drives the very same
-:meth:`FleetController.stream_onset` / :meth:`stream_clear` transitions
-— so the policy, capacity checks, budget accounting, and decision audit
-trail are byte-for-byte the machinery the oracle path uses.  The only
-difference an operator sees is the ``evidence`` label on each decision
-record: ``"voting"`` here, ``"port_counters"`` there.
+The monitor is the drop-in replacement for the port-counter path: the
+same :class:`~repro.fleet.monitor.EvidenceMonitor` loop the service's
+:class:`~repro.service.arbiter.StreamingArbiter` runs, fed by an
+estimator that folds **flow reports** into a sliding evidence window
+and re-runs the 007 vote at a fixed cadence — so the policy, capacity
+checks, budget accounting, and decision audit trail are byte-for-byte
+the machinery the oracle path uses.  The only difference an operator
+sees is the ``evidence`` label on each decision record: ``"voting"``
+here, ``"port_counters"`` there.
 
-Onset: a link enters the blamed set with an inverted loss estimate at
-or above ``onset_threshold``.  Clear: an open link leaves the blamed
-set, or its estimate falls below ``onset_threshold *
-clear_hysteresis`` — mirroring the arbiter's hysteresis, with the
-extra lag that flagged flows take up to ``window_s`` to age out of the
-evidence window after the link actually heals.
+A re-vote is a *complete* verdict: a link enters with an inverted loss
+estimate at or above ``onset_threshold``; an open link clears when it
+leaves the blamed set or its estimate falls below the clear threshold
+— with the extra lag that flagged flows take up to ``window_s`` to age
+out of the evidence window after the link actually heals.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..fleet.controller import ControllerConfig, FleetController
+from ..fleet.monitor import Estimator, EvidenceMonitor, Verdict
 from ..fleet.policies import fleet_policy
-from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
-from ..obs.trace import NULL_TRACER
+from ..fleet.topology import FleetSpec, FleetTopology
 from .evidence import FlowReport
 from .voting import BlameReport, tally_votes
 
 __all__ = [
-    "BlameMonitor", "decision_signature", "run_oracle", "run_voting",
+    "BlameMonitor", "VotingEstimator", "decision_signature", "run_oracle",
+    "run_voting",
 ]
 
 
-class BlameMonitor:
-    """Drives a :class:`FleetController` from a live flow-report stream."""
+class VotingEstimator(Estimator):
+    """A sliding window of flow reports, re-voted every ``eval_interval_s``."""
 
-    #: evidence source stamped on every decision record
     evidence = "voting"
+    obs_prefix = "blame.monitor"
+    complete = True
 
-    def __init__(self, topology: FleetTopology, config: ControllerConfig,
-                 policy: str = "incremental", *,
+    def __init__(self, topology: FleetTopology, *,
                  window_s: float = 60.0,
                  eval_interval_s: Optional[float] = None,
                  flow_packets: int = 100,
                  min_votes: float = 2.0,
-                 onset_threshold: float = 1e-6,
-                 clear_hysteresis: float = 0.1,
-                 decision_log: int = 1024,
-                 mean_burst: float = 1.0,
                  obs=None) -> None:
         self.topology = topology
-        self.controller = FleetController(
-            topology, config, fleet_policy(policy), obs=obs)
         self.window_s = float(window_s)
         self.eval_interval_s = (float(eval_interval_s)
                                 if eval_interval_s is not None
@@ -65,178 +57,74 @@ class BlameMonitor:
             raise ValueError("window_s and eval_interval_s must be positive")
         self.flow_packets = int(flow_packets)
         self.min_votes = float(min_votes)
-        self.onset_threshold = float(onset_threshold)
-        self.clear_threshold = float(onset_threshold) * float(clear_hysteresis)
-        self.mean_burst = float(mean_burst)
         self._reports: Deque[FlowReport] = deque()
-        self._open: Dict[int, int] = {}     # link_id -> episode index
-        self._estimates: Dict[int, float] = {}
         self._next_eval_s: Optional[float] = None
         self.last_verdict: Optional[BlameReport] = None
-        self.decisions: Deque[dict] = deque(maxlen=int(decision_log))
-        self._decision_cursor = 0
-        self.records_seen = 0
         self.flagged_seen = 0
-        self.rejected = 0
-        self.onsets = 0
-        self.clears = 0
         self.evaluations = 0
-        self.last_record_s = 0.0
-        self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._counters = None
-        if obs is not None:
-            registry = obs.registry
-            self._counters = {
-                name: registry.counter(f"blame.monitor.{name}")
-                for name in ("reports", "flagged", "onsets", "clears",
-                             "evaluations")
-            }
+        self._counters = None if obs is None else {
+            name: obs.registry.counter(f"{self.obs_prefix}.{name}")
+            for name in ("reports", "flagged", "evaluations")}
 
-    # -- state access ----------------------------------------------------------
+    def links(self, report: FlowReport) -> Tuple[int, ...]:
+        return report.path
 
-    def corrupting_links(self) -> List[Tuple[int, float]]:
-        return sorted(
-            (link_id, self._estimates.get(link_id, 0.0))
-            for link_id in self._open)
-
-    def tracked_links(self) -> int:
-        links = set()
-        for report in self._reports:
-            links.update(report.path)
-        return len(links)
-
-    def shard_sizes(self) -> Dict[int, int]:
-        """Links under evidence in the current window, grouped by pod."""
-        by_pod: Dict[int, set] = {}
-        for report in self._reports:
-            for link_id in report.path:
-                pod = self.topology.link(link_id).pod
-                by_pod.setdefault(pod, set()).add(link_id)
-        return {pod: len(links) for pod, links in sorted(by_pod.items())}
-
-    # -- the streaming transition function -------------------------------------
-
-    def observe(self, report: FlowReport) -> List[dict]:
-        """Fold one flow report in; return any new decisions."""
-        if any(link >= self.topology.n_links or link < 0
-               for link in report.path):
-            self.rejected += 1
-            return []
-        self.records_seen += 1
+    def fold(self, report: FlowReport) -> Optional[Verdict]:
         if report.retx:
             self.flagged_seen += 1
         if self._counters is not None:
             self._counters["reports"].inc()
             if report.retx:
                 self._counters["flagged"].inc()
-        self.last_record_s = report.time_s
         self._reports.append(report)
         horizon = report.time_s - self.window_s
         while self._reports and self._reports[0].time_s < horizon:
             self._reports.popleft()
         if self._next_eval_s is None:
             self._next_eval_s = report.time_s + self.eval_interval_s
-        if report.time_s >= self._next_eval_s:
-            self._reevaluate(report.time_s)
-            self._next_eval_s = report.time_s + self.eval_interval_s
-        return self._drain_decisions()
+        if report.time_s < self._next_eval_s:
+            return None
+        self._next_eval_s = report.time_s + self.eval_interval_s
+        return self.flush(report.time_s)
 
-    def flush(self, time_s: Optional[float] = None) -> List[dict]:
-        """Force an immediate re-vote (end of a feed, tests, drain)."""
-        self._reevaluate(time_s if time_s is not None else self.last_record_s)
-        return self._drain_decisions()
-
-    def _reevaluate(self, now_s: float) -> None:
+    def flush(self, now_s: float) -> Verdict:
+        """Re-run the vote over the current window."""
         self.evaluations += 1
         if self._counters is not None:
             self._counters["evaluations"].inc()
-        verdict = tally_votes(
+        self.last_verdict = verdict = tally_votes(
             self._reports, flow_packets=self.flow_packets,
             min_votes=self.min_votes)
-        self.last_verdict = verdict
-        blamed = set(verdict.blamed)
-        self._estimates = {
+        estimates = {
             score.link_id: score.loss_estimate for score in verdict.ranked}
-        for link_id in verdict.blamed:
-            estimate = self._estimates.get(link_id, 0.0)
-            if link_id in self._open or estimate < self.onset_threshold:
-                continue
-            episode = CorruptionEpisode(
-                link_id=link_id, onset_s=now_s, clear_s=math.inf,
-                loss_rate=estimate, mean_burst=self.mean_burst)
-            self._open[link_id] = self.controller.stream_onset(episode)
-            self.onsets += 1
-            if self._counters is not None:
-                self._counters["onsets"].inc()
-            if self._tracer.enabled:
-                self._tracer.instant(int(now_s * 1e9), "blame", "onset", {
-                    "link": link_id, "loss_estimate": estimate,
-                    "votes": (verdict.score_for(link_id).votes
-                              if verdict.score_for(link_id) else 0.0),
-                })
-        for link_id in list(self._open):
-            estimate = self._estimates.get(link_id, 0.0)
-            if link_id in blamed and estimate >= self.clear_threshold:
-                continue
-            self.controller.stream_clear(self._open.pop(link_id), now_s)
-            self.clears += 1
-            if self._counters is not None:
-                self._counters["clears"].inc()
-            if self._tracer.enabled:
-                self._tracer.instant(int(now_s * 1e9), "blame", "clear", {
-                    "link": link_id, "loss_estimate": estimate,
-                })
+        return {link_id: estimates.get(link_id, 0.0)
+                for link_id in verdict.blamed}
 
-    def _drain_decisions(self) -> List[dict]:
-        """New controller decisions since the last drain, as dicts."""
-        fresh = []
-        log = self.controller.outcome.decisions
-        while self._decision_cursor < len(log):
-            decision = log[self._decision_cursor]
-            self._decision_cursor += 1
-            record = {
-                "time_s": decision.time_s,
-                "link_id": decision.link_id,
-                "action": decision.action,
-                "loss_rate": decision.loss_rate,
-                "evidence": self.evidence,
-            }
-            fresh.append(record)
-            self.decisions.append(record)
-        return fresh
+    def explain(self, link_id: int) -> Dict[str, Any]:
+        score = self.last_verdict.score_for(link_id)
+        return {"votes": score.votes if score else 0.0}
 
-    # -- summaries -------------------------------------------------------------
+    def shard_sizes(self) -> Dict[int, int]:
+        """Links under evidence in the current window, grouped by pod."""
+        by_pod: Dict[int, int] = {}
+        for link_id in set().union(*(r.path for r in self._reports)):
+            pod = self.topology.link(link_id).pod
+            by_pod[pod] = by_pod.get(pod, 0) + 1
+        return dict(sorted(by_pod.items()))
 
     def counts(self) -> Dict[str, int]:
-        base = self.controller.outcome.counts()
-        base.update({
-            "records_seen": self.records_seen,
-            "records_rejected": self.rejected,
-            "reports_flagged": self.flagged_seen,
-            "onsets": self.onsets,
-            "clears": self.clears,
-            "evaluations": self.evaluations,
-            "tracked_links": self.tracked_links(),
-            "open_episodes": len(self._open),
-        })
-        return base
+        return {"reports_flagged": self.flagged_seen,
+                "evaluations": self.evaluations}
 
-    def state_dict(self) -> dict:
-        """A JSON-able snapshot of the arbitration state (GET /state)."""
-        return {
-            "evidence": self.evidence,
-            "counts": self.counts(),
-            "shard_sizes": self.shard_sizes(),
-            "corrupting": [
-                {"link_id": link_id, "loss_estimate": loss}
-                for link_id, loss in self.corrupting_links()
-            ],
-            "lg_active": self.controller.lg_active_links(),
-            "exposed": self.controller.exposed_links(),
-            "last_record_s": self.last_record_s,
-            "last_verdict": (self.last_verdict.to_dict()
-                             if self.last_verdict is not None else None),
-        }
+    def state(self) -> Dict[str, Any]:
+        return {"last_verdict": (self.last_verdict.to_dict()
+                                 if self.last_verdict is not None else None)}
+
+
+class BlameMonitor(EvidenceMonitor):
+    """Drives a :class:`FleetController` from a live flow-report stream."""
+
+    estimator_cls = VotingEstimator
 
 
 # ---------------------------------------------------------------------------

@@ -172,15 +172,15 @@ class LossOracle:
     """
 
     def __init__(self, episodes: Sequence[CorruptionEpisode]) -> None:
-        self._intervals: Dict[int, List[Tuple[float, float, float]]] = {}
+        self.intervals: Dict[int, List[Tuple[float, float, float]]] = {}
         for episode in episodes:
-            self._intervals.setdefault(episode.link_id, []).append(
+            self.intervals.setdefault(episode.link_id, []).append(
                 (episode.onset_s, episode.clear_s, episode.loss_rate))
-        for spans in self._intervals.values():
+        for spans in self.intervals.values():
             spans.sort()
 
     def loss_at(self, link_id: int, time_s: float) -> float:
-        for onset_s, clear_s, loss_rate in self._intervals.get(link_id, ()):
+        for onset_s, clear_s, loss_rate in self.intervals.get(link_id, ()):
             if onset_s <= time_s < clear_s:
                 return loss_rate
             if onset_s > time_s:
@@ -191,7 +191,7 @@ class LossOracle:
                       min_loss: float = 0.0) -> List[int]:
         """Links corrupting at ``time_s`` with loss >= ``min_loss``."""
         return sorted(
-            link_id for link_id, spans in self._intervals.items()
+            link_id for link_id, spans in self.intervals.items()
             if any(onset <= time_s < clear and loss >= min_loss
                    for onset, clear, loss in spans))
 

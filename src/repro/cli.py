@@ -1196,8 +1196,7 @@ def cmd_serve(argv: List[str]) -> int:
                              "(0 = whole trace)")
     parser.add_argument("--interval", type=float, default=0.0, metavar="S",
                         help="real-time pacing between synthetic records")
-    parser.add_argument("--evidence", default="port_counters",
-                        choices=["port_counters", "voting"],
+    parser.add_argument("--evidence", default="port_counters", metavar="KIND",
                         help="corruption signal: RX counter snapshots "
                              "through LossWindows, or per-flow retx "
                              "reports through 007 voting")

@@ -6,6 +6,8 @@
   stochastic knobs of their per-link corruption processes;
 * :mod:`~repro.fleet.controller` — the fleet-wide arbitration loop
   (LinkGuardian activation vs CorrOpt disable) with pluggable policies;
+* :mod:`~repro.fleet.monitor` — the one onset/clear loop that drives
+  the controller from a live evidence stream, whatever the evidence;
 * :mod:`~repro.fleet.cost` — what a corrupting link costs in each
   controller state (goodput, affected flows), the planner's one model;
 * :mod:`~repro.fleet.campaign` — one-shot fleet SLOs as a view over the
@@ -30,6 +32,7 @@ from .controller import (
     GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
 )
 from .cost import unprotected_goodput_fraction
+from .monitor import Estimator, EvidenceMonitor
 from .policies import (
     PolicyCandidate, TraceDrivenOptimizer, default_candidates, fleet_policy,
     optimize_policies, register_policy,
@@ -40,7 +43,7 @@ from .topology import (
 
 __all__ = [
     "FleetCampaignResult", "FleetCampaignSpec", "run_fleet_campaign",
-    "unprotected_goodput_fraction",
+    "unprotected_goodput_fraction", "Estimator", "EvidenceMonitor",
     "POLICIES", "ControllerConfig", "FleetController", "FleetPolicy",
     "GreedyWorstLinkPolicy", "IncrementalDeploymentPolicy",
     "PolicyCandidate", "TraceDrivenOptimizer", "default_candidates",

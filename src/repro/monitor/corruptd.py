@@ -52,31 +52,35 @@ class LossWindow:
         against pre-reset snapshots would be negative or nonsensical, so
         the window restarts from the new baseline instead.
         """
-        if self._snapshots:
-            last_all, last_ok = self._snapshots[-1]
+        snapshots = self._snapshots
+        if snapshots:
+            last_all, last_ok = snapshots[-1]
             if rx_all < last_all or rx_ok < last_ok:
-                self._snapshots.clear()
-        self._snapshots.append((rx_all, rx_ok))
-        while len(self._snapshots) > 2 and (
-            self._snapshots[-1][0] - self._snapshots[1][0] >= self.window_frames
+                snapshots.clear()
+        snapshots.append((rx_all, rx_ok))
+        while len(snapshots) > 2 and (
+            rx_all - snapshots[1][0] >= self.window_frames
         ):
-            self._snapshots.popleft()
+            snapshots.popleft()
 
     def loss_rate(self) -> Optional[float]:
-        """Loss rate over (up to) the last ``window_frames`` frames."""
-        if len(self._snapshots) < 2:
+        """Loss rate over (up to) the last ``window_frames`` frames.
+
+        :meth:`observe` retains at most one snapshot older than the
+        window, so the base is the first or the second; when polls are
+        sparser than the window the estimate is over the newest pair.
+        """
+        snapshots = self._snapshots
+        if len(snapshots) < 2:
             return None
-        newest_all, newest_ok = self._snapshots[-1]
-        base_all, base_ok = self._snapshots[0]
-        for past_all, past_ok in self._snapshots:
-            if newest_all - past_all <= self.window_frames:
-                base_all, base_ok = past_all, past_ok
-                break
+        newest_all, newest_ok = snapshots[-1]
+        base_all, base_ok = snapshots[0]
+        if newest_all - base_all > self.window_frames and len(snapshots) > 2:
+            base_all, base_ok = snapshots[1]
         frames = newest_all - base_all
         if frames == 0:
             return None
-        ok = newest_ok - base_ok
-        return 1.0 - ok / frames
+        return 1.0 - (newest_ok - base_ok) / frames
 
 
 class PubSubBus:

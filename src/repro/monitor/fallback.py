@@ -17,12 +17,12 @@ top of the same windowed loss estimate corruptd uses:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional
 
 from ..core.engine import Simulator
 from ..linkguardian.protocol import ProtectedLink
 from ..units import MS
+from .corruptd import LossWindow
 
 __all__ = ["AutoFallback"]
 
@@ -56,7 +56,6 @@ class AutoFallback:
         self.sim = sim
         self.plink = plink
         self.poll_interval_ns = int(poll_interval_ns)
-        self.window_frames = int(window_frames)
         self.nb_threshold = nb_threshold
         self.disable_threshold = disable_threshold
         #: hysteresis: a demotion fires only after this many *consecutive*
@@ -65,7 +64,7 @@ class AutoFallback:
         #: single noisy window.
         self.confirm_windows = int(confirm_windows)
         self.transitions: List[tuple] = []  # (time_ns, from_mode, to_mode)
-        self._snapshots: deque = deque()
+        self._window = LossWindow(window_frames)
         self._pending_target: Optional[str] = None
         self._pending_count = 0
         self._running = False
@@ -83,26 +82,12 @@ class AutoFallback:
     def stop(self) -> None:
         self._running = False
 
-    def _window_loss(self) -> Optional[float]:
-        if len(self._snapshots) < 2:
-            return None
-        new_all, new_ok = self._snapshots[-1]
-        old_all, old_ok = self._snapshots[0]
-        frames = new_all - old_all
-        if frames == 0:
-            return None
-        return 1.0 - (new_ok - old_ok) / frames
-
     def _poll(self) -> None:
         if not self._running:
             return
         counters = self.plink.forward_link.rx_counters
-        self._snapshots.append((counters.frames_rx_all, counters.frames_rx_ok))
-        while len(self._snapshots) > 2 and (
-            self._snapshots[-1][0] - self._snapshots[1][0] >= self.window_frames
-        ):
-            self._snapshots.popleft()
-        loss = self._window_loss()
+        self._window.observe(counters.frames_rx_all, counters.frames_rx_ok)
+        loss = self._window.loss_rate()
         if loss is not None:
             self._apply_policy(loss)
         self.sim.schedule(self.poll_interval_ns, self._poll)

@@ -8,9 +8,10 @@ cached what-if answers out, Prometheus exposition throughout.
 Layers (each its own module, composed by :mod:`repro.service.app`):
 
 ==============  ==========================================================
-``config``      :class:`ServiceConfig` — every knob, one frozen dataclass
+``config``      :class:`ServiceConfig` — every knob, one frozen dataclass;
+                the evidence table (parser, demo feed, monitor per kind)
 ``telemetry``   record parsing + file/TCP/synthetic sources
-``arbiter``     :class:`StreamingArbiter` — counters → controller decisions
+``arbiter``     :class:`StreamingArbiter` — the evidence monitor on counters
 ``cache``       :class:`WhatIfQuery` canonicalization + counting LRU
 ``http``        stdlib asyncio HTTP/1.1 server + test client
 ``app``         :class:`ControlPlaneService` — wiring, admission, drain
@@ -20,7 +21,7 @@ Layers (each its own module, composed by :mod:`repro.service.app`):
 from .app import (
     SNAPSHOT_VERSION, ControlPlaneService, ServiceSnapshot, load_snapshot,
 )
-from .arbiter import LinkState, StreamingArbiter
+from .arbiter import StreamingArbiter
 from .cache import QueryError, WhatIfCache, WhatIfQuery, quantize_loss
 from .config import EXECUTOR_KINDS, TELEMETRY_KINDS, ServiceConfig
 from .telemetry import (
@@ -31,7 +32,7 @@ from .telemetry import (
 __all__ = [
     "ControlPlaneService", "ServiceSnapshot", "load_snapshot",
     "SNAPSHOT_VERSION",
-    "StreamingArbiter", "LinkState",
+    "StreamingArbiter",
     "WhatIfQuery", "WhatIfCache", "QueryError", "quantize_loss",
     "ServiceConfig", "TELEMETRY_KINDS", "EXECUTOR_KINDS",
     "TelemetryRecord", "TelemetryError", "parse_record",

@@ -6,7 +6,8 @@ process hosting three loops over shared fleet state:
 * the **ingestion loop** pulls telemetry records from the configured
   source (synthetic lifecycle replay, JSONL file tail, or TCP ingest
   connections) through a bounded queue and folds them into the
-  :class:`~repro.service.arbiter.StreamingArbiter`;
+  :class:`~repro.fleet.monitor.EvidenceMonitor` the evidence table
+  (:data:`repro.service.config.EVIDENCE`) binds for ``config.evidence``;
 * the **HTTP front end** serves ``/metrics`` (Prometheus text
   exposition: the obs registry plus labeled per-link service series),
   ``/state``, ``/decisions``, ``/healthz``, and ``POST /whatif``;
@@ -35,20 +36,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..blame.adapter import BlameMonitor
 from ..core.state import SnapshotError
 from ..fleet.cost import lg_effective_loss_rate, lg_effective_speed_fraction
 from ..fleet.topology import FleetTopology
 from ..obs import Observability
 from ..obs.export import prometheus_line, prometheus_text
 from ..runner.cells import run_cell
-from .arbiter import StreamingArbiter
 from .cache import QueryError, WhatIfCache, WhatIfQuery
-from .config import ServiceConfig
+from .config import EVIDENCE, ServiceConfig
 from .http import HttpError, Request, Response, json_response, serve
 from .telemetry import (
-    TelemetryError, file_source, flow_evidence_from_config,
-    parse_evidence_line, parse_record, stream_source, synthetic_from_config,
+    TelemetryError, file_source, paced_source, stream_source,
 )
 
 __all__ = [
@@ -140,28 +138,16 @@ class ControlPlaneService:
         self.config = config
         self.obs = obs if obs is not None else Observability(tracing=False)
         self.topology = FleetTopology(config.fleet, seed=config.seed)
-        # The two arbiters expose the same surface (observe / counts /
-        # state_dict / shard_sizes / decisions / .controller); which one
-        # runs — and what the ingest stream must carry — is the
-        # ``evidence`` knob.
-        if config.evidence == "voting":
-            self.arbiter = BlameMonitor(
-                self.topology, config.controller, config.policy,
-                window_s=config.blame_window_s,
-                onset_threshold=config.onset_threshold,
-                clear_hysteresis=config.clear_hysteresis,
-                decision_log=config.decision_log,
-                obs=self.obs)
-            self._parse_line = parse_evidence_line
-        else:
-            self.arbiter = StreamingArbiter(
-                self.topology, config.controller, config.policy,
-                window_frames=config.window_frames,
-                onset_threshold=config.onset_threshold,
-                clear_hysteresis=config.clear_hysteresis,
-                decision_log=config.decision_log,
-                obs=self.obs)
-            self._parse_line = parse_record
+        # One monitor loop for every evidence kind; what the ingest
+        # stream carries and which estimator folds it is the table row.
+        kind = EVIDENCE[config.evidence]
+        self._parse_line = kind.parse_line
+        self.arbiter = kind.monitor(
+            config, self.topology, config.controller, config.policy,
+            onset_threshold=config.onset_threshold,
+            clear_hysteresis=config.clear_hysteresis,
+            decision_log=config.decision_log,
+            obs=self.obs)
         self.cache = WhatIfCache(config.cache_size)
         self.draining = False
         self.port: Optional[int] = None          # bound HTTP port
@@ -247,12 +233,8 @@ class ControlPlaneService:
             return
         self._tasks.append(asyncio.create_task(self._ingest_consumer()))
         if config.telemetry == "synthetic":
-            if config.evidence == "voting":
-                source = flow_evidence_from_config(config)
-            else:
-                source = synthetic_from_config(config)
-            self._tasks.append(asyncio.create_task(
-                self._pump_records(source.source(config.interval_s))))
+            self._tasks.append(asyncio.create_task(self._pump_records(
+                paced_source(config.synthetic_feed(), config.interval_s))))
         elif config.telemetry == "file":
             self._tasks.append(asyncio.create_task(
                 self._pump_lines(file_source(
@@ -270,32 +252,27 @@ class ControlPlaneService:
         finally:
             self._ingest_done.set()
 
+    async def _ingest_lines(self, source) -> None:
+        async for line in source:
+            if not line.strip():
+                continue
+            try:
+                record = self._parse_line(line)
+            except TelemetryError:
+                self._bad_lines += 1
+                continue
+            await self._ingest_queue.put(record)
+
     async def _pump_lines(self, source) -> None:
         try:
-            async for line in source:
-                if not line.strip():
-                    continue
-                try:
-                    record = self._parse_line(line)
-                except TelemetryError:
-                    self._bad_lines += 1
-                    continue
-                await self._ingest_queue.put(record)
+            await self._ingest_lines(source)
         finally:
             self._ingest_done.set()
 
     async def _ingest_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            async for line in stream_source(reader):
-                if not line.strip():
-                    continue
-                try:
-                    record = self._parse_line(line)
-                except TelemetryError:
-                    self._bad_lines += 1
-                    continue
-                await self._ingest_queue.put(record)
+            await self._ingest_lines(stream_source(reader))
         finally:
             writer.close()
 
@@ -501,8 +478,7 @@ class ControlPlaneService:
                     "_pump_records", "_pump_lines", "_ingest_consumer"):
                 task.cancel()
         # Evidence at the tail of the stream still reaches a verdict.
-        if isinstance(self.arbiter, BlameMonitor):
-            self.arbiter.flush()
+        self.arbiter.flush()
         # 2. Reject every *queued* (not yet started) query with 503:
         #    cancelling the job future resolves its waiting handler.
         while True:

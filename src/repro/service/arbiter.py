@@ -1,24 +1,11 @@
-"""Streaming arbitration: counters in, controller decisions out.
+"""Port-counter evidence: counters in, controller decisions out.
 
-:class:`StreamingArbiter` is the service-side analogue of what the
-batch pipeline does in two passes (corruptd loss estimation, then
-:meth:`FleetController.run` over a complete episode timeline).  Here
-neither pass has the luxury of hindsight: records arrive one at a time,
-a link's clear time is unknown at onset, and the controller must commit
-a decision immediately.
-
-Per link, the arbiter keeps a corruptd-style
+:class:`StreamingArbiter` is the :class:`~repro.fleet.monitor.EvidenceMonitor`
+fed by ``framesRxAll``/``framesRxOk`` snapshots — the service-side
+analogue of corruptd's polling loop.  The loop is the monitor's; this
+module supplies the estimator: per link, a corruptd-style
 :class:`~repro.monitor.corruptd.LossWindow` over the cumulative RX
-counters.  When the windowed loss estimate crosses ``onset_threshold``
-the arbiter opens an episode via
-:meth:`~repro.fleet.controller.FleetController.stream_onset` — the
-policy (disable / activate LG / blocked) runs right there.  The episode
-stays open until the estimate falls below ``onset_threshold *
-clear_hysteresis`` (hysteresis keeps a flapping estimator from
-thrashing the controller), at which point
-:meth:`~repro.fleet.controller.FleetController.stream_clear` closes it
-with the observed clear time and lets the policy's optimizer pass
-retry still-exposed links.
+counters, so each record yields a one-link verdict.
 
 Window state is sharded by pod — the shard map is what a scaled-out
 deployment would partition across ingestion workers, and the per-shard
@@ -27,170 +14,49 @@ sizes are exported as service gauges.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..fleet.controller import POLICIES, ControllerConfig, FleetController
-from ..fleet.topology import CorruptionEpisode, FleetTopology
+from ..fleet.monitor import Estimator, EvidenceMonitor, Verdict
+from ..fleet.topology import FleetTopology
 from ..monitor.corruptd import LossWindow
 from .telemetry import TelemetryRecord
 
-__all__ = ["LinkState", "StreamingArbiter"]
+__all__ = ["CounterEstimator", "StreamingArbiter"]
 
 
-class LinkState:
-    """Everything the arbiter tracks for one link."""
+class CounterEstimator(Estimator):
+    """Per-link :class:`LossWindow` estimates, sharded by pod."""
 
-    __slots__ = ("window", "episode_index", "loss_estimate", "last_seen_s")
-
-    def __init__(self, window_frames: int) -> None:
-        self.window = LossWindow(window_frames)
-        self.episode_index: Optional[int] = None   # open episode, if any
-        self.loss_estimate: Optional[float] = None
-        self.last_seen_s: float = 0.0
-
-    @property
-    def corrupting(self) -> bool:
-        return self.episode_index is not None
-
-
-class StreamingArbiter:
-    """Drives a :class:`FleetController` from a live counter stream."""
-
-    #: evidence source stamped on every decision record, so operators
-    #: can tell which signal (oracle counters vs 007 voting) drove an
-    #: activation — the :class:`~repro.blame.adapter.BlameMonitor`
-    #: stamps ``"voting"`` on the same record shape
     evidence = "port_counters"
+    obs_prefix = "service.arbiter"
 
-    def __init__(self, topology: FleetTopology, config: ControllerConfig,
-                 policy: str = "incremental", *,
-                 window_frames: int = 10_000_000,
-                 onset_threshold: float = 1e-6,
-                 clear_hysteresis: float = 0.1,
-                 decision_log: int = 1024,
-                 mean_burst: float = 1.0,
-                 obs=None) -> None:
+    def __init__(self, topology: FleetTopology, *,
+                 window_frames: int = 10_000_000, obs=None) -> None:
         self.topology = topology
-        self.controller = FleetController(
-            topology, config, POLICIES[policy](), obs=obs)
         self.window_frames = int(window_frames)
-        self.onset_threshold = float(onset_threshold)
-        self.clear_threshold = float(onset_threshold) * float(clear_hysteresis)
-        self.mean_burst = float(mean_burst)
-        #: pod -> link_id -> LinkState; the shard map
-        self.shards: Dict[int, Dict[int, LinkState]] = {}
-        self.decisions: Deque[dict] = deque(maxlen=int(decision_log))
-        self._decision_cursor = 0
-        self.records_seen = 0
-        self.onsets = 0
-        self.clears = 0
-        self.rejected = 0
-        self.last_record_s = 0.0
+        #: pod -> link_id -> LossWindow; the shard map
+        self.shards: Dict[int, Dict[int, LossWindow]] = {}
+        self._windows: Dict[int, LossWindow] = {}   # flat index over shards
 
-    # -- state access ---------------------------------------------------------
+    def links(self, record: TelemetryRecord) -> Tuple[int]:
+        return (record.link_id,)
 
-    def link_state(self, link_id: int) -> LinkState:
-        pod = self.topology.link(link_id).pod
-        shard = self.shards.setdefault(pod, {})
-        state = shard.get(link_id)
-        if state is None:
-            state = LinkState(self.window_frames)
-            shard[link_id] = state
-        return state
-
-    def tracked_links(self) -> int:
-        return sum(len(shard) for shard in self.shards.values())
+    def fold(self, record: TelemetryRecord) -> Optional[Verdict]:
+        link_id = record.link_id
+        window = self._windows.get(link_id)
+        if window is None:
+            window = self._windows[link_id] = LossWindow(self.window_frames)
+            pod = self.topology.link(link_id).pod
+            self.shards.setdefault(pod, {})[link_id] = window
+        window.observe(record.rx_all, record.rx_ok)
+        loss = window.loss_rate()
+        return None if loss is None else {link_id: loss}
 
     def shard_sizes(self) -> Dict[int, int]:
         return {pod: len(shard) for pod, shard in sorted(self.shards.items())}
 
-    def corrupting_links(self) -> List[Tuple[int, float]]:
-        out = []
-        for shard in self.shards.values():
-            for link_id, state in shard.items():
-                if state.corrupting:
-                    out.append((link_id, state.loss_estimate or 0.0))
-        return sorted(out)
 
-    # -- the streaming transition function ------------------------------------
+class StreamingArbiter(EvidenceMonitor):
+    """Drives a :class:`FleetController` from a live counter stream."""
 
-    def observe(self, record: TelemetryRecord) -> List[dict]:
-        """Fold one counter snapshot in; return any new decisions."""
-        if record.link_id >= self.topology.n_links:
-            self.rejected += 1
-            return []
-        self.records_seen += 1
-        self.last_record_s = record.time_s
-        state = self.link_state(record.link_id)
-        state.window.observe(record.rx_all, record.rx_ok)
-        state.last_seen_s = record.time_s
-        loss = state.window.loss_rate()
-        state.loss_estimate = loss
-        if loss is None:
-            return []
-        if state.episode_index is None and loss >= self.onset_threshold:
-            episode = CorruptionEpisode(
-                link_id=record.link_id,
-                onset_s=record.time_s,
-                clear_s=math.inf,
-                loss_rate=loss,
-                mean_burst=self.mean_burst,
-            )
-            state.episode_index = self.controller.stream_onset(episode)
-            self.onsets += 1
-        elif state.episode_index is not None and loss < self.clear_threshold:
-            self.controller.stream_clear(state.episode_index, record.time_s)
-            state.episode_index = None
-            self.clears += 1
-        return self._drain_decisions()
-
-    def _drain_decisions(self) -> List[dict]:
-        """New controller decisions since the last drain, as dicts."""
-        fresh = []
-        log = self.controller.outcome.decisions
-        while self._decision_cursor < len(log):
-            decision = log[self._decision_cursor]
-            self._decision_cursor += 1
-            record = {
-                "time_s": decision.time_s,
-                "link_id": decision.link_id,
-                "action": decision.action,
-                "loss_rate": decision.loss_rate,
-                "evidence": self.evidence,
-            }
-            fresh.append(record)
-            self.decisions.append(record)
-        return fresh
-
-    # -- summaries ------------------------------------------------------------
-
-    def counts(self) -> Dict[str, int]:
-        base = self.controller.outcome.counts()
-        base.update({
-            "records_seen": self.records_seen,
-            "records_rejected": self.rejected,
-            "onsets": self.onsets,
-            "clears": self.clears,
-            "tracked_links": self.tracked_links(),
-            "open_episodes": sum(
-                1 for shard in self.shards.values()
-                for state in shard.values() if state.corrupting),
-        })
-        return base
-
-    def state_dict(self) -> dict:
-        """A JSON-able snapshot of the arbitration state (GET /state)."""
-        return {
-            "evidence": self.evidence,
-            "counts": self.counts(),
-            "shard_sizes": self.shard_sizes(),
-            "corrupting": [
-                {"link_id": link_id, "loss_estimate": loss}
-                for link_id, loss in self.corrupting_links()
-            ],
-            "lg_active": self.controller.lg_active_links(),
-            "exposed": self.controller.exposed_links(),
-            "last_record_s": self.last_record_s,
-        }
+    estimator_cls = CounterEstimator

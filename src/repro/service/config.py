@@ -6,27 +6,65 @@ path (worker pool, default backend, cache sizing), the telemetry
 ingestion side (source kind, synthetic-trace shape, loss thresholds),
 and the fleet the service arbitrates over (a full
 :class:`~repro.fleet.topology.FleetSpec` plus controller policy).
+Beside it sits the evidence table: everything the service does
+differently per ``evidence`` kind is one :data:`EVIDENCE` row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
+from ..blame.adapter import BlameMonitor
 from ..fleet.controller import POLICIES, ControllerConfig
+from ..fleet.monitor import EvidenceMonitor
 from ..fleet.topology import FleetSpec
+from ..lifecycle.traces import TraceSpec
+from .arbiter import StreamingArbiter
+from .telemetry import (
+    SyntheticFlowEvidence, SyntheticTelemetry, parse_evidence_line,
+    parse_record,
+)
 
 __all__ = ["ServiceConfig", "TELEMETRY_KINDS", "EXECUTOR_KINDS",
-           "EVIDENCE_KINDS"]
+           "EVIDENCE", "EVIDENCE_KINDS", "EvidenceKind"]
 
 #: where telemetry records come from
 TELEMETRY_KINDS = ("synthetic", "file", "tcp", "none")
 
-#: what the arbiter's corruption signal is built from:
-#: ``port_counters`` ingests RX counter snapshots through per-link
-#: LossWindows; ``voting`` ingests per-flow retransmission reports and
-#: localizes via 007-style voting (no switch counters needed)
-EVIDENCE_KINDS = ("port_counters", "voting")
+
+class EvidenceKind(NamedTuple):
+    """What the corruption signal is built from: one evidence-table row."""
+
+    #: one ingest line -> one record (``TelemetryError`` on junk)
+    parse_line: Callable[[str], Any]
+    #: ``(config, trace_spec)`` -> the deterministic demo record sequence
+    synthetic: Callable[..., Iterable[Any]]
+    #: ``(config, topology, controller_config, policy, **common)``
+    monitor: Callable[..., EvidenceMonitor]
+
+
+EVIDENCE: Dict[str, EvidenceKind] = {
+    # RX counter snapshots through per-link LossWindows
+    "port_counters": EvidenceKind(
+        parse_record,
+        lambda config, spec: SyntheticTelemetry(
+            spec, tick_s=config.tick_s,
+            frames_per_tick=config.frames_per_tick,
+            limit=config.synthetic_records).records(),
+        lambda config, *args, **common: StreamingArbiter(
+            *args, window_frames=config.window_frames, **common)),
+    # per-flow retransmission reports through 007-style voting (no
+    # switch counters needed)
+    "voting": EvidenceKind(
+        parse_evidence_line,
+        lambda config, spec: SyntheticFlowEvidence(
+            spec, flows_per_s=config.flows_per_s, coverage=config.coverage,
+            limit=config.synthetic_records).reports(),
+        lambda config, *args, **common: BlameMonitor(
+            *args, window_s=config.blame_window_s, **common)),
+}
+EVIDENCE_KINDS = tuple(EVIDENCE)
 
 #: how what-if cells are executed ("inline" runs on the event loop —
 #: tests and debugging only, it blocks the service during a query)
@@ -149,6 +187,12 @@ class ServiceConfig:
             raise ValueError("clear_hysteresis must be in (0, 1]")
         if self.tick_s <= 0 or self.frames_per_tick < 1:
             raise ValueError("tick_s and frames_per_tick must be positive")
+
+    def synthetic_feed(self) -> Iterable[Any]:
+        """The deterministic demo feed of this config's evidence kind."""
+        spec = TraceSpec(fleet=self.fleet, duration_days=self.synthetic_days,
+                         seed=self.seed)
+        return EVIDENCE[self.evidence].synthetic(self, spec)
 
     def to_dict(self) -> Dict[str, Any]:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

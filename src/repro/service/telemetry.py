@@ -32,8 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
-from typing import AsyncIterator, Dict, Iterator, List, Tuple
+from typing import (
+    Any, AsyncIterator, Callable, Dict, Iterable, Iterator, List, Tuple,
+)
 
 from ..blame.evidence import (
     FlowReport, LossOracle, default_fleet_evidence, iter_reports,
@@ -45,7 +48,7 @@ from ..lifecycle.traces import TraceSpec, generate_trace
 
 __all__ = [
     "TelemetryRecord", "TelemetryError", "parse_record",
-    "parse_evidence_line", "file_source", "stream_source",
+    "parse_evidence_line", "file_source", "stream_source", "paced_source",
     "SyntheticTelemetry", "SyntheticFlowEvidence",
 ]
 
@@ -71,45 +74,49 @@ class TelemetryRecord:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def parse_record(line: str) -> TelemetryRecord:
-    """Parse one JSONL telemetry line; :class:`TelemetryError` on junk."""
+def _parse_line(line: str, what: str,
+                build: Callable[[dict], Any]) -> Any:
+    """The shared ingest boundary: a JSON-object line in, a record with
+    a finite timestamp out, :class:`TelemetryError` on anything else."""
     try:
         data = json.loads(line)
     except ValueError as exc:
         raise TelemetryError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise TelemetryError("record is not an object")
-    missing = {"t", "link", "rx_all", "rx_ok"} - set(data)
-    if missing:
-        raise TelemetryError(f"record missing {sorted(missing)}")
+        raise TelemetryError(f"{what} is not an object")
     try:
-        record = TelemetryRecord(
-            time_s=float(data["t"]),
-            link_id=int(data["link"]),
-            rx_all=int(data["rx_all"]),
-            rx_ok=int(data["rx_ok"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise TelemetryError(f"non-numeric counter field: {exc}") from None
-    if record.link_id < 0 or record.rx_all < 0 or record.rx_ok < 0:
-        raise TelemetryError("counters and link id must be non-negative")
-    if record.rx_ok > record.rx_all:
-        raise TelemetryError("rx_ok exceeds rx_all")
+        record = build(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TelemetryError(f"bad {what}: {exc}") from None
+    # json.loads accepts NaN/Infinity; a non-finite clock would wedge
+    # every time-driven window downstream (it never compares >= again).
+    if not math.isfinite(record.time_s):
+        raise TelemetryError(f"{what} has a non-finite timestamp")
     return record
+
+
+def _counter_record(data: dict) -> TelemetryRecord:
+    record = TelemetryRecord(
+        time_s=float(data["t"]),
+        link_id=int(data["link"]),
+        rx_all=int(data["rx_all"]),
+        rx_ok=int(data["rx_ok"]),
+    )
+    if record.link_id < 0 or record.rx_all < 0 or record.rx_ok < 0:
+        raise ValueError("counters and link id must be non-negative")
+    if record.rx_ok > record.rx_all:
+        raise ValueError("rx_ok exceeds rx_all")
+    return record
+
+
+def parse_record(line: str) -> TelemetryRecord:
+    """Parse one JSONL telemetry line; :class:`TelemetryError` on junk."""
+    return _parse_line(line, "record", _counter_record)
 
 
 def parse_evidence_line(line: str) -> FlowReport:
     """Parse one JSONL flow-report line; :class:`TelemetryError` on junk."""
-    try:
-        data = json.loads(line)
-    except ValueError as exc:
-        raise TelemetryError(f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise TelemetryError("flow report is not an object")
-    try:
-        return parse_flow_report(data)
-    except ValueError as exc:
-        raise TelemetryError(str(exc)) from None
+    return _parse_line(line, "flow report", parse_flow_report)
 
 
 async def file_source(path: str, follow: bool = False,
@@ -146,6 +153,28 @@ async def stream_source(reader: asyncio.StreamReader) -> AsyncIterator[str]:
         yield line.decode("utf-8", errors="replace")
 
 
+async def paced_source(records: Iterable[Any], interval_s: float = 0.0,
+                       yield_every: int = 64) -> AsyncIterator[Any]:
+    """A synthetic record sequence as an async iterator.
+
+    ``interval_s`` paces emission in real time (demos); at 0 the loop
+    still yields to the event loop every ``yield_every`` records so
+    ingestion never starves the HTTP front end.
+    """
+    for count, record in enumerate(records, start=1):
+        yield record
+        if interval_s > 0:
+            await asyncio.sleep(interval_s)
+        elif count % yield_every == 0:
+            await asyncio.sleep(0)
+
+
+def _repaired_oracle(spec: TraceSpec, repair: str) -> LossOracle:
+    """Ground truth of a synthetic feed: the trace's failures, repaired."""
+    repaired, _ = apply_repair(generate_trace(spec), repair_policy(repair))
+    return LossOracle([r.episode for r in repaired])
+
+
 class SyntheticTelemetry:
     """Deterministic counter feed regenerated from a lifecycle trace.
 
@@ -169,20 +198,9 @@ class SyntheticTelemetry:
         self.frames_per_tick = int(frames_per_tick)
         self.healthy_per_tick = int(healthy_per_tick)
         self.limit = int(limit)
-        trace = generate_trace(spec)
-        episodes, _ = apply_repair(trace, repair_policy(repair))
+        self.oracle = _repaired_oracle(spec, repair)
         #: per-link corrupting intervals [(onset_s, clear_s, loss_rate)]
-        self.intervals: Dict[int, List[Tuple[float, float, float]]] = {}
-        for repaired in episodes:
-            episode = repaired.episode
-            self.intervals.setdefault(episode.link_id, []).append(
-                (episode.onset_s, episode.clear_s, episode.loss_rate))
-
-    def _loss_at(self, link_id: int, time_s: float) -> float:
-        for onset_s, clear_s, loss_rate in self.intervals.get(link_id, ()):
-            if onset_s <= time_s < clear_s:
-                return loss_rate
-        return 0.0
+        self.intervals = self.oracle.intervals
 
     def _active_near(self, time_s: float) -> List[int]:
         """Links corrupting at ``time_s`` or transitioning within a tick."""
@@ -211,7 +229,7 @@ class SyntheticTelemetry:
                 if candidate not in watched:
                     watched.append(candidate)
             for link_id in watched:
-                loss = self._loss_at(link_id, time_s)
+                loss = self.oracle.loss_at(link_id, time_s)
                 rx_all, rx_ok = counters.get(link_id, (0, 0))
                 frames = self.frames_per_tick
                 good = frames - int(round(frames * loss))
@@ -223,21 +241,6 @@ class SyntheticTelemetry:
                 if self.limit and emitted >= self.limit:
                     return
             tick += 1
-
-    async def source(self, interval_s: float = 0.0,
-                     yield_every: int = 64) -> AsyncIterator[TelemetryRecord]:
-        """The record sequence as an async iterator.
-
-        ``interval_s`` paces emission in real time (demos); at 0 the
-        loop still yields to the event loop every ``yield_every``
-        records so ingestion never starves the HTTP front end.
-        """
-        for count, record in enumerate(self.records(), start=1):
-            yield record
-            if interval_s > 0:
-                await asyncio.sleep(interval_s)
-            elif count % yield_every == 0:
-                await asyncio.sleep(0)
 
 
 class SyntheticFlowEvidence:
@@ -265,9 +268,7 @@ class SyntheticFlowEvidence:
             overrides["flows_per_s"] = float(flows_per_s)
         self.evidence = default_fleet_evidence(
             spec.fleet, seed=spec.seed, **overrides)
-        trace = generate_trace(spec)
-        repaired, _ = apply_repair(trace, repair_policy(repair))
-        self.oracle = LossOracle([r.episode for r in repaired])
+        self.oracle = _repaired_oracle(spec, repair)
 
     def reports(self) -> Iterator[FlowReport]:
         """The full deterministic report sequence, oldest first."""
@@ -283,37 +284,3 @@ class SyntheticFlowEvidence:
                 if self.limit and emitted >= self.limit:
                     return
             t_lo = t_hi
-
-    async def source(self, interval_s: float = 0.0,
-                     yield_every: int = 64) -> AsyncIterator[FlowReport]:
-        """The report sequence as an async iterator (paced like telemetry)."""
-        for count, report in enumerate(self.reports(), start=1):
-            yield report
-            if interval_s > 0:
-                await asyncio.sleep(interval_s)
-            elif count % yield_every == 0:
-                await asyncio.sleep(0)
-
-
-def synthetic_from_config(config) -> SyntheticTelemetry:
-    """Build the demo source a :class:`ServiceConfig` describes."""
-    spec = TraceSpec(fleet=config.fleet, duration_days=config.synthetic_days,
-                     seed=config.seed)
-    return SyntheticTelemetry(
-        spec,
-        tick_s=config.tick_s,
-        frames_per_tick=config.frames_per_tick,
-        limit=config.synthetic_records,
-    )
-
-
-def flow_evidence_from_config(config) -> SyntheticFlowEvidence:
-    """Build the voting-mode demo source a :class:`ServiceConfig` describes."""
-    spec = TraceSpec(fleet=config.fleet, duration_days=config.synthetic_days,
-                     seed=config.seed)
-    return SyntheticFlowEvidence(
-        spec,
-        flows_per_s=config.flows_per_s,
-        coverage=config.coverage,
-        limit=config.synthetic_records,
-    )
