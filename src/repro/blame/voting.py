@@ -340,13 +340,12 @@ def evaluate_blame(spec: BlameEvalSpec, obs=None) -> Dict[str, Any]:
         return _finalize(totals, spec, skipped)
 
     # mode == "trace": lifecycle ground truth.
-    from ..lifecycle.repair import apply_repair, repair_policy
-    from ..lifecycle.traces import TraceSpec, generate_trace
+    from ..lifecycle.repair import corruption_episodes
+    from ..lifecycle.traces import TraceSpec
 
-    trace = generate_trace(TraceSpec(
-        fleet=spec.fleet, duration_days=spec.trace_days, seed=spec.seed))
-    repaired, _ = apply_repair(trace, repair_policy(spec.repair))
-    episodes = [item.episode for item in repaired]
+    episodes = corruption_episodes(TraceSpec(
+        fleet=spec.fleet, duration_days=spec.trace_days, seed=spec.seed),
+        spec.repair)
     oracle = LossOracle(episodes)
     evidence = spec.evidence(seed=factory.child_seed("blame.trace.evidence"))
     duration_s = spec.trace_days * 24 * 3600.0

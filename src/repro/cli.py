@@ -1,31 +1,40 @@
-"""Command-line runner for the paper's experiments.
+"""Command-line front end: one verb table over the library.
 
 Usage::
 
-    python -m repro list                       # show available experiments
-    python -m repro fig08 --duration-ms 3      # one figure, custom params
-    python -m repro fig10 --trials 2000
-    python -m repro fig15 --days 120
+    python -m repro list                       # every verb, one line each
+    python -m repro fig10 --trials 2000        # a paper figure or table
+    python -m repro lifecycle replay --days 30 # a grouped verb
+    python -m repro <verb> [<sub-verb>] -h     # the flags that verb reads
 
-Each command runs the corresponding experiment at (configurable)
-simulator scale and prints the same rows/series the paper reports.  The
-benchmark suite (``pytest benchmarks/ --benchmark-only``) runs the same
-experiments with shape assertions attached.
+Every table and figure of the paper (``fig01`` .. ``fig21``, ``tab01`` ..
+``tab04``) and every tier built on top (``sweep``, ``fleet``,
+``lifecycle``, ``blame``, ``serve``, plus the ``check`` / ``fastpath`` /
+``obs`` tooling) is one row of :data:`VERBS`: a name, a help line, the
+flags it reads and a handler returning an exit code.  Grouped verbs are
+rows that nest rows.  :func:`build_parser` turns the table into a single
+``argparse`` tree and ``repro list`` prints it.  Flags shared between
+verbs are declared once and a row carries only its own defaults and help
+(``DAYS.but(default=30.0)``).  A verb rejects flags it does not read.
 
-Observability: ``--json`` switches every figure/table command to
-machine-readable output (a JSON array of row objects, one parseable
-document per table); ``--trace-out trace.json`` captures a Chrome
-trace-event file any run can open in Perfetto (``.jsonl`` extension
+Exit codes: 0 success; 1 the run finished and the answer is "no" (a
+violated invariant, a missed ``--fail-under`` gate, an artifact whose
+content is invalid, an unreachable server); 2 the command line is wrong
+(unknown flag or value, missing input file).
+
+Observability: ``--json`` switches every verb to machine-readable output
+(a JSON array of row objects, one parseable document per table).  On the
+verbs that instrument a simulation, ``--trace-out trace.json`` captures a
+Chrome trace-event file that opens in Perfetto (a ``.jsonl`` extension
 selects the line-delimited raw event format instead); ``--metrics-out``
-dumps the metrics registry (``.prom`` extension selects the Prometheus
-text format).  ``python -m repro metrics`` runs a fig09-style timeline
-and prints the loss->recovery latency histogram.
-
-obs v2: ``--spans`` turns on causal recovery-episode spans (exported
-with the trace), ``--timeline-out`` + ``--timeline-interval-us`` record
-a metrics timeline on simulated-time cadence, and ``python -m repro obs
-spans|timeline|top <artifact>`` renders episode trees, timeline
-summaries, and per-cell wall-clock rankings from exported artifacts.
+dumps the metrics registry (``.prom`` selects the Prometheus text
+format); ``--spans`` turns on causal recovery-episode spans (exported
+with the trace); ``--timeline-out`` + ``--timeline-interval-us`` record a
+metrics timeline on simulated-time cadence.  ``python -m repro metrics``
+runs a fig09-style timeline and prints the loss->recovery latency
+histogram, and ``python -m repro obs spans|timeline|top <artifact>``
+renders episode trees, timeline summaries and per-cell wall-clock
+rankings from exported artifacts.
 """
 
 from __future__ import annotations
@@ -33,13 +42,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from .analysis.report import render_table
-
-__all__ = ["main"]
+__all__ = ["main", "build_parser", "VERBS", "Verb", "Flag", "parse_axis"]
 
 #: set by main() from --json: _emit prints JSON rows instead of tables.
 _JSON_MODE = False
@@ -50,6 +56,8 @@ def _print(text: str = "") -> None:
 
 
 def _json_default(value):
+    import numpy as np
+
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -59,18 +67,87 @@ def _json_default(value):
     return str(value)
 
 
+def _say(text: str = "") -> None:
+    """A status line for a human reader; dropped under ``--json``, whose
+    stdout is nothing but JSON documents."""
+    if not _JSON_MODE:
+        _print(text)
+
+
+def _print_json(document) -> None:
+    _print(json.dumps(document, default=_json_default))
+
+
 def _emit(rows, columns=None) -> None:
     """Print dict-rows as an aligned table, or JSON under ``--json``."""
     rows = list(rows)
     if _JSON_MODE:
         if columns is not None:
             rows = [{col: row.get(col, "") for col in columns} for row in rows]
-        _print(json.dumps(rows, default=_json_default))
+        _print_json(rows)
     else:
+        from .analysis.report import render_table
+
         _print(render_table(rows, columns))
 
 
-def cmd_fig01(args) -> None:
+def _usage_error(message: str) -> None:
+    """Invalid command-line arguments: complain on stderr, exit 2.
+
+    Mirrors argparse's own convention so every verb fails argument
+    validation the same way.
+    """
+    sys.stderr.write(f"repro: error: {message}\n")
+    raise SystemExit(2)
+
+
+class _InvalidInput(Exception):
+    """An input file's content is not what its verb reads: main() turns
+    this into one line on stderr and exit 1."""
+
+
+def _load(path: str, parse: Callable[[str], Any] = json.loads,
+          usage: bool = False):
+    """Read and parse an input file named on the command line.
+
+    A file that cannot be opened is a usage error (exit 2).  Content that
+    ``parse`` rejects — not JSON, or JSON of the wrong shape — exits 1:
+    the command line was fine, the artifact is not.  The lifecycle verbs
+    pass ``usage=True``, their documented contract for a file that is
+    not a trace or rollup (exit 2).
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as exc:
+        _usage_error(f"{path}: {exc.strerror}")
+    try:
+        return parse(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        message = f"{path}: {type(exc).__name__}: {exc}"
+        if usage:
+            _usage_error(message)
+        raise _InvalidInput(message) from None
+
+
+def _require_valid(problems: List[str]) -> None:
+    """Reject an artifact its schema validator found ``problems`` in."""
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def _progress(result) -> None:
+    """One line per finished runner cell: a sweep cell, or the day range
+    of a replay chunk."""
+    metrics = result.metrics
+    what = (f"days [{metrics['day_lo']}, {metrics['day_hi']})"
+            if "day_lo" in metrics else "done")
+    _say(f"[{result.cell_id}] {what} in {result.wall_s:.2f}s")
+
+
+# -- paper figures and tables --------------------------------------------------
+
+def _fig01(args) -> None:
     from .experiments.figures import figure1_attenuation_series
 
     series = figure1_attenuation_series()
@@ -82,7 +159,7 @@ def cmd_fig01(args) -> None:
     _emit(rows)
 
 
-def cmd_fig02(args) -> None:
+def _fig02(args) -> None:
     from .experiments.figures import figure2_flow_size_cdfs
     from .workloads import WORKLOADS
 
@@ -94,28 +171,32 @@ def cmd_fig02(args) -> None:
     _emit(rows)
 
 
-def cmd_tab01(args) -> None:
+def _tab01(args) -> None:
     from .experiments.figures import table1_loss_buckets
 
     _emit(table1_loss_buckets())
 
 
-def cmd_fig08(args) -> None:
+def _stress_grid(args, losses=(1e-5, 1e-4, 1e-3), modes=(True,)):
+    """The 25G/100G x loss x ordered stress grid behind Fig. 8/14/19 and
+    Tab. 4: ``(rate_gbps, loss, ordered, StressResult)`` per cell."""
     from .experiments.stress import run_stress_test
 
-    rows = []
     for rate_gbps in (25, 100):
-        for loss in (1e-5, 1e-4, 1e-3):
-            for ordered in (True, False):
-                result = run_stress_test(
+        for loss in losses:
+            for ordered in modes:
+                yield rate_gbps, loss, ordered, run_stress_test(
                     rate_gbps=rate_gbps, loss_rate=loss, ordered=ordered,
                     duration_ms=args.duration_ms, seed=args.seed, obs=args.obs,
                 )
-                rows.append(result.row())
-    _emit(rows)
 
 
-def cmd_fig09(args) -> None:
+def _fig08(args) -> None:
+    _emit([result.row()
+           for *_, result in _stress_grid(args, modes=(True, False))])
+
+
+def _fig09(args) -> None:
     from .experiments.timeline import run_timeline
     from .linkguardian.config import LinkGuardianConfig
     from .units import KB
@@ -145,36 +226,24 @@ def cmd_fig09(args) -> None:
     _emit(rows)
 
 
-def _fct_command(transport_list, size, args, loss=None):
+def _fct(transports, size, args, loss=None, max_trials=None) -> None:
+    """The transport x scenario FCT grid of Fig. 10/11/12 at one flow size."""
     from .experiments.fct import run_fct_experiment
 
-    loss = loss if loss is not None else args.loss_rate
     rows = []
-    for transport in transport_list:
+    for transport in transports:
         for scenario in ("noloss", "loss", "lg", "lgnb"):
             result = run_fct_experiment(
-                transport=transport, flow_size=size, n_trials=args.trials,
-                scenario=scenario, loss_rate=loss, seed=args.seed,
-                obs=args.obs,
+                transport=transport, flow_size=size,
+                n_trials=min(args.trials, max_trials or args.trials),
+                scenario=scenario, loss_rate=loss or args.loss_rate,
+                seed=args.seed, obs=args.obs,
             )
             rows.append(result.summary())
     _emit(rows)
 
 
-def cmd_fig10(args) -> None:
-    _fct_command(("dctcp", "rdma"), 143, args)
-
-
-def cmd_fig11(args) -> None:
-    _fct_command(("dctcp", "bbr", "rdma"), 24_387, args)
-
-
-def cmd_fig12(args) -> None:
-    args.trials = min(args.trials, 200)
-    _fct_command(("dctcp",), 2_000_000, args, loss=1e-3)
-
-
-def cmd_fig13(args) -> None:
+def _fig13(args) -> None:
     from .experiments.fct import run_fct_experiment
 
     result = run_fct_experiment(
@@ -184,7 +253,7 @@ def cmd_fig13(args) -> None:
     _emit([result.classification().as_dict()])
 
 
-def cmd_tab02(args) -> None:
+def _tab02(args) -> None:
     from .experiments.mechanisms import run_mechanism_study
 
     study = run_mechanism_study(n_trials=args.trials, loss_rate=args.loss_rate,
@@ -193,7 +262,7 @@ def cmd_tab02(args) -> None:
     _emit(rows, ["variant", "p50", "p99", "p99.9", "p99.99", "trials"])
 
 
-def cmd_tab03(args) -> None:
+def _tab03(args) -> None:
     from .experiments.goodput import run_goodput
 
     rows = []
@@ -209,68 +278,49 @@ def cmd_tab03(args) -> None:
     _emit(rows)
 
 
-def cmd_tab04(args) -> None:
-    from .experiments.stress import run_stress_test
-
-    rows = []
-    for rate_gbps in (25, 100):
-        for loss in (1e-5, 1e-4, 1e-3):
-            result = run_stress_test(rate_gbps=rate_gbps, loss_rate=loss,
-                                     duration_ms=args.duration_ms, seed=args.seed,
-                                     obs=args.obs)
-            rows.append({
-                "link": f"{rate_gbps:g}G", "loss": loss,
-                "tx_%pipe": round(result.recirc_overhead_tx_percent, 4),
-                "rx_%pipe": round(result.recirc_overhead_rx_percent, 4),
-            })
-    _emit(rows)
+def _tab04(args) -> None:
+    _emit({
+        "link": f"{rate_gbps:g}G", "loss": loss,
+        "tx_%pipe": round(result.recirc_overhead_tx_percent, 4),
+        "rx_%pipe": round(result.recirc_overhead_rx_percent, 4),
+    } for rate_gbps, loss, _, result in _stress_grid(args))
 
 
-def cmd_fig14(args) -> None:
-    from .experiments.stress import run_stress_test
-
-    rows = []
-    for rate_gbps in (25, 100):
-        for loss in (1e-5, 1e-4, 1e-3):
-            for ordered in (True, False):
-                r = run_stress_test(rate_gbps=rate_gbps, loss_rate=loss,
-                                    ordered=ordered,
-                                    duration_ms=args.duration_ms, seed=args.seed,
-                                    obs=args.obs)
-                rows.append({
-                    "link": f"{rate_gbps:g}G", "loss": loss,
-                    "mode": "LG" if ordered else "LG_NB",
-                    "tx_max_KB": round(r.tx_buffer["max"] / 1e3, 1),
-                    "rx_max_KB": round(r.rx_buffer["max"] / 1e3, 1),
-                })
-    _emit(rows)
+def _fig14(args) -> None:
+    grid = _stress_grid(args, modes=(True, False))
+    _emit({
+        "link": f"{rate_gbps:g}G", "loss": loss,
+        "mode": "LG" if ordered else "LG_NB",
+        "tx_max_KB": round(r.tx_buffer["max"] / 1e3, 1),
+        "rx_max_KB": round(r.rx_buffer["max"] / 1e3, 1),
+    } for rate_gbps, loss, ordered, r in grid)
 
 
-def cmd_fig15(args) -> None:
+def _deployments(args):
+    """The deployment study at both capacity constraints of Fig. 15/16:
+    ``(constraint label, DeploymentComparison)``."""
     from .experiments.deployment import run_deployment_comparison
 
-    rows = []
     for constraint in (0.50, 0.75):
-        comparison = run_deployment_comparison(
+        yield f"{constraint:.0%}", run_deployment_comparison(
             capacity_constraint=constraint, duration_days=args.days,
             mttf_hours=args.mttf_hours, seed=args.seed,
         )
-        rows.append({"constraint": f"{constraint:.0%}", **comparison.summary()})
-    _emit(rows)
 
 
-def cmd_fig16(args) -> None:
-    from .experiments.deployment import run_deployment_comparison
+def _fig15(args) -> None:
+    _emit({"constraint": constraint, **comparison.summary()}
+          for constraint, comparison in _deployments(args))
+
+
+def _fig16(args) -> None:
+    import numpy as np
 
     rows = []
-    for constraint in (0.50, 0.75):
-        comparison = run_deployment_comparison(
-            capacity_constraint=constraint, duration_days=args.days,
-            mttf_hours=args.mttf_hours, seed=args.seed,
-        )
+    for constraint, comparison in _deployments(args):
         gain = comparison.penalty_gain()
         rows.append({
-            "constraint": f"{constraint:.0%}",
+            "constraint": constraint,
             "gain=1(%)": round(100 * float((gain <= 1 + 1e-9).mean()), 1),
             "gain_p50": float(np.median(gain)),
             "gain_p90": float(np.percentile(gain, 90)),
@@ -280,18 +330,15 @@ def cmd_fig16(args) -> None:
     _emit(rows)
 
 
-def cmd_fig19(args) -> None:
-    from .experiments.stress import run_stress_test
+def _fig19(args) -> None:
+    import numpy as np
 
+    delays: dict = {}
+    for rate_gbps, *_, result in _stress_grid(args, losses=(1e-3, 5e-3)):
+        delays.setdefault(rate_gbps, []).extend(result.retx_delays_us)
     rows = []
-    for rate_gbps in (25, 100):
-        delays: List[float] = []
-        for loss in (1e-3, 5e-3):
-            result = run_stress_test(rate_gbps=rate_gbps, loss_rate=loss,
-                                     duration_ms=args.duration_ms, seed=args.seed,
-                                     obs=args.obs)
-            delays.extend(result.retx_delays_us)
-        data = np.asarray(delays)
+    for rate_gbps, samples in delays.items():
+        data = np.asarray(samples)
         rows.append({
             "link": f"{rate_gbps:g}G", "n": len(data),
             "min_us": round(float(data.min()), 2),
@@ -301,7 +348,7 @@ def cmd_fig19(args) -> None:
     _emit(rows)
 
 
-def cmd_fig20(args) -> None:
+def _fig20(args) -> None:
     from .experiments.figures import figure20_consecutive_losses
 
     results = figure20_consecutive_losses()
@@ -312,7 +359,7 @@ def cmd_fig20(args) -> None:
     _emit(rows)
 
 
-def cmd_fig21(args) -> None:
+def _fig21(args) -> None:
     from .experiments.timeline import run_timeline
 
     rows = []
@@ -333,7 +380,7 @@ def cmd_fig21(args) -> None:
     _emit(rows)
 
 
-def cmd_export(args) -> None:
+def _export(args) -> None:
     from .analysis.export import export_results
 
     written = export_results(args.results_dir, args.out_dir)
@@ -342,12 +389,19 @@ def cmd_export(args) -> None:
     _print(f"{len(written)} files written to {args.out_dir}")
 
 
-def cmd_incremental(args) -> None:
+def _incremental(args) -> None:
     from .experiments.incremental import run_incremental_deployment
 
     _emit(run_incremental_deployment(
         duration_days=args.days, seed=args.seed))
 
+
+def _list(args) -> None:
+    _emit({"experiment": verb.name, "description": verb.help}
+          for verb in VERBS if verb.run is not _list)
+
+
+# -- sweeps, fleet campaigns, the instrumented run -----------------------------
 
 def _coerce_axis_value(text: str):
     """Best-effort typing for --axis values: int, float, bool, else str."""
@@ -362,16 +416,6 @@ def _coerce_axis_value(text: str):
     return text
 
 
-def _usage_error(message: str) -> None:
-    """Invalid command-line arguments: complain on stderr, exit 2.
-
-    Mirrors argparse's own convention so every subcommand — ``check``,
-    ``sweep``, ``fleet`` — fails argument validation the same way.
-    """
-    sys.stderr.write(f"repro: error: {message}\n")
-    raise SystemExit(2)
-
-
 def parse_axis(text: str):
     """Parse one ``--axis field=v1,v2,...`` argument."""
     if "=" not in text:
@@ -383,40 +427,37 @@ def parse_axis(text: str):
     return name.strip(), parsed
 
 
-def cmd_sweep(args) -> None:
-    """Declarative sweep over experiment cells (the runner layer)."""
-    from .analysis.report import cell_rows
-    from .runner import ExperimentSpec, SweepRunner, SweepSpec, experiment_kinds
+def _sweep_spec(args, name: str, backend: str):
+    """The ``--kind/--axis/--trials/--loss-rate/--seed/--sweep-seed``
+    flags as a SweepSpec on ``backend``."""
+    from .runner import ExperimentSpec, SweepSpec
 
-    if args.kind not in experiment_kinds():
-        _usage_error(
-            f"unknown --kind {args.kind!r}; known: {', '.join(experiment_kinds())}"
-        )
     base = ExperimentSpec(
-        kind=args.kind,
-        n_trials=args.trials,
-        loss_rate=args.loss_rate,
-        seed=args.seed,
-        backend=args.backend,
+        kind=args.kind, n_trials=args.trials, loss_rate=args.loss_rate,
+        seed=args.seed, backend=backend,
     )
     try:
         axes = dict(parse_axis(text) for text in (args.axis or []))
     except ValueError as exc:
         _usage_error(str(exc))
-    sweep = SweepSpec(
-        name=args.kind, base=base, axes=axes,
-        seed=args.sweep_seed,
-    )
-    n_cells = len(sweep.cells())
+    return SweepSpec(name=name, base=base, axes=axes, seed=args.sweep_seed)
 
-    def progress(result) -> None:
-        if not _JSON_MODE:
-            _print(f"[{result.cell_id}] done in {result.wall_s:.2f}s")
 
+def _sweep(args) -> None:
+    """Declarative sweep over experiment cells (the runner layer)."""
+    from .analysis.report import cell_rows
+    from .runner import SweepRunner, experiment_kinds
+
+    if args.kind not in experiment_kinds():
+        _usage_error(
+            f"unknown --kind {args.kind!r}; known: {', '.join(experiment_kinds())}"
+        )
+    sweep = _sweep_spec(args, args.kind, args.backend)
     runner = SweepRunner(sweep, workers=args.workers, checkpoint=args.checkpoint)
-    results = runner.run(progress=progress)
-    if not _JSON_MODE and runner.resumed:
-        _print(f"resumed {runner.resumed}/{n_cells} cells from {args.checkpoint}")
+    results = runner.run(progress=_progress)
+    if runner.resumed:
+        _say(f"resumed {runner.resumed}/{len(sweep.cells())} cells "
+             f"from {args.checkpoint}")
     _emit(cell_rows(results))
 
 
@@ -430,7 +471,7 @@ def _fleet_spec(args):
         mttf_hours=args.mttf_hours)
 
 
-def cmd_fleet(args) -> None:
+def _fleet(args) -> None:
     """Fleet-scale campaign: one-shot SLOs over a lifecycle replay."""
     from .fleet import ControllerConfig, FleetCampaignSpec, run_fleet_campaign
     from .obs import Observability
@@ -450,18 +491,13 @@ def cmd_fleet(args) -> None:
     except ValueError as exc:
         _usage_error(str(exc))
 
-    def progress(result) -> None:
-        if not _JSON_MODE:
-            _print(f"[{result.cell_id}] days [{result.metrics['day_lo']}, "
-                   f"{result.metrics['day_hi']}) in {result.wall_s:.2f}s")
-
     # The campaign publishes its summary through the metrics registry;
     # make sure one exists even without --trace-out/--metrics-out.
     obs = args.obs if args.obs is not None else Observability()
     args.obs = obs
     result = run_fleet_campaign(
         campaign, workers=args.workers, checkpoint=args.checkpoint,
-        obs=obs, progress=progress,
+        obs=obs, progress=_progress,
     )
     if _JSON_MODE:
         # The canonical form: byte-identical across runs and shardings.
@@ -477,7 +513,7 @@ def cmd_fleet(args) -> None:
         _emit([result.summary()])
 
 
-def cmd_metrics(args) -> None:
+def _metrics(args) -> None:
     """Instrumented fig09-style run + registry summary (the obs showcase)."""
     from .analysis.report import histogram_rows
     from .experiments.timeline import run_timeline
@@ -494,23 +530,20 @@ def cmd_metrics(args) -> None:
     )
     snapshot = obs.registry.snapshot()
 
-    if not _JSON_MODE:
-        _print("loss -> recovery latency (retx delay):")
+    _say("loss -> recovery latency (retx delay):")
     hist_name = next(
         (n for n in snapshot if n.endswith(".retx_delay_ns")), None)
     hist = obs.registry.get(hist_name) if hist_name else None
     if hist is not None and hist.count:
         _emit(histogram_rows(hist.snapshot(), unit_divisor=1e3, unit="us"))
-        if not _JSON_MODE:
-            _print(f"samples={hist.count}  mean={hist.mean / 1e3:.2f}us  "
-                   f"p50<={hist.percentile(50) / 1e3:g}us  "
-                   f"p99<={hist.percentile(99) / 1e3:g}us")
+        _say(f"samples={hist.count}  mean={hist.mean / 1e3:.2f}us  "
+             f"p50<={hist.percentile(50) / 1e3:g}us  "
+             f"p99<={hist.percentile(99) / 1e3:g}us")
     else:
         _emit([])
 
-    if not _JSON_MODE:
-        _print()
-        _print("registry summary:")
+    _say()
+    _say("registry summary:")
     rows = []
     for name in sorted(snapshot):
         entry = snapshot[name]
@@ -528,81 +561,30 @@ def cmd_metrics(args) -> None:
     _emit(rows)
 
 
-def cmd_fastpath(argv: List[str]) -> int:
-    """``repro fastpath {scan,validate}`` — the analytic backend.
+# -- repro fastpath: the analytic backend --------------------------------------
 
-    ``scan`` sweeps a grid entirely on the vectorized models (the cheap
-    wide pass of a two-tier campaign); ``validate`` runs a matched grid
-    on both backends and compares metric by metric — tolerance failures
-    exit 1, argument errors exit 2.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro fastpath",
-        description="Vectorized analytic backend: wide scans and "
-                    "cross-validation against the packet engine.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
+def _fastpath_scan(args) -> None:
+    """Sweep a grid entirely on the vectorized models (the cheap wide
+    pass of a two-tier campaign)."""
+    from .analysis.report import cell_rows
+    from .fastpath import FASTPATH_KINDS
+    from .runner import SweepRunner
 
-    scan_p = sub.add_parser("scan", help="sweep a grid on the analytic models")
-    scan_p.add_argument("--kind", default="fct",
-                        help="experiment kind of the base spec "
-                             "(fct | goodput | stress)")
-    scan_p.add_argument("--axis", action="append", metavar="FIELD=V1,V2",
-                        help="one axis of the grid (repeatable)")
-    scan_p.add_argument("--trials", type=int, default=1_000)
-    scan_p.add_argument("--loss-rate", type=float, default=5e-3)
-    scan_p.add_argument("--seed", type=int, default=1)
-    scan_p.add_argument("--sweep-seed", type=int, default=None,
-                        help="derive deterministic per-cell seeds")
-    scan_p.add_argument("--json", action="store_true")
+    if args.kind not in FASTPATH_KINDS:
+        _usage_error(f"--kind {args.kind!r} has no fastpath model; "
+                     f"known: {', '.join(FASTPATH_KINDS)}")
+    sweep = _sweep_spec(args, f"fastpath-{args.kind}", "fastpath")
+    _emit(cell_rows(SweepRunner(sweep).run()))
 
-    val_p = sub.add_parser("validate",
-                           help="matched grid on both backends + comparison")
-    val_p.add_argument("--cells", type=int, default=200,
-                       help="approximate grid size")
-    val_p.add_argument("--seed", type=int, default=1)
-    val_p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the packet cells")
-    val_p.add_argument("--backend", default="fastpath",
-                       choices=["fastpath", "hybrid"],
-                       help="the fast side of the comparison (hybrid = "
-                            "the splicing backend)")
-    val_p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the full report JSON here")
-    val_p.add_argument("--json", action="store_true")
 
-    args = parser.parse_args(argv)
-    global _JSON_MODE
-    _JSON_MODE = args.json
-
-    if args.mode == "scan":
-        from .analysis.report import cell_rows
-        from .fastpath import FASTPATH_KINDS
-        from .runner import ExperimentSpec, SweepRunner, SweepSpec
-
-        if args.kind not in FASTPATH_KINDS:
-            _usage_error(f"--kind {args.kind!r} has no fastpath model; "
-                         f"known: {', '.join(FASTPATH_KINDS)}")
-        base = ExperimentSpec(
-            kind=args.kind, n_trials=args.trials, loss_rate=args.loss_rate,
-            seed=args.seed, backend="fastpath",
-        )
-        try:
-            axes = dict(parse_axis(text) for text in (args.axis or []))
-        except ValueError as exc:
-            _usage_error(str(exc))
-        sweep = SweepSpec(name=f"fastpath-{args.kind}", base=base, axes=axes,
-                          seed=args.sweep_seed)
-        results = SweepRunner(sweep).run()
-        _emit(cell_rows(results))
-        return 0
-
+def _fastpath_validate(args) -> int:
+    """Run a matched grid on both backends and compare metric by metric;
+    a metric past its documented tolerance exits 1."""
     from .fastpath import run_validation
     from .fastpath.validate import write_report
 
     def progress(spec, fast, packet) -> None:
-        if not _JSON_MODE:
-            _print(f"[{spec.cell_id()}] packet {packet.wall_s:.2f}s")
+        _say(f"[{spec.cell_id()}] packet {packet.wall_s:.2f}s")
 
     report = run_validation(n_cells=args.cells, seed=args.seed,
                             workers=args.workers, progress=progress,
@@ -610,7 +592,7 @@ def cmd_fastpath(argv: List[str]) -> int:
     if args.out:
         write_report(report, args.out)
     if _JSON_MODE:
-        _print(json.dumps(report.to_dict(), default=_json_default))
+        _print_json(report.to_dict())
     else:
         _emit(report.rows())
         _print(f"{'OK' if report.ok else 'FAIL'}: {report.n_cells} cells, "
@@ -622,104 +604,64 @@ def cmd_fastpath(argv: List[str]) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_check(argv: List[str]) -> int:
-    """``repro check {run,fuzz,replay}`` — the conformance checker.
+# -- repro check: the conformance checker --------------------------------------
 
-    Has its own argument parser (the checker's knobs share nothing with
-    the figure experiments); invalid arguments exit 2 via argparse,
-    violations and replay mismatches exit 1.
-    """
-    from .checker import (
-        CheckConfig, DEFECTS, FaultScenario, replay_artifact, run_fuzz,
-        run_scenario,
-    )
+def _check_fuzz(args) -> int:
+    from .checker import CheckConfig, run_fuzz
     from .checker.fuzz import canonical_json
 
-    parser = argparse.ArgumentParser(
-        prog="repro check",
-        description="Protocol conformance checking: invariant monitors, "
-                    "fault scenarios, and a shrinking schedule fuzzer.",
+    result = run_fuzz(
+        seed=args.seed, trials=args.trials,
+        base=CheckConfig(defect=args.defect), shrink=not args.no_shrink,
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-
-    fuzz_p = sub.add_parser("fuzz", help="random fault schedules + shrinking")
-    fuzz_p.add_argument("--seed", type=int, default=1)
-    fuzz_p.add_argument("--trials", type=int, default=50,
-                        help="random scenarios to run")
-    fuzz_p.add_argument("--defect", default=None, choices=sorted(DEFECTS),
-                        help="deliberate protocol break to fuzz against")
-    fuzz_p.add_argument("--no-shrink", action="store_true",
-                        help="skip ddmin shrinking of the first failure")
-    fuzz_p.add_argument("--shrink-out", default=None, metavar="PATH",
-                        help="write the shrunk counterexample artifact here")
-    fuzz_p.add_argument("--json", action="store_true")
-
-    run_p = sub.add_parser("run", help="run one scenario file")
-    run_p.add_argument("scenario", metavar="SCENARIO.json",
-                       help="JSON file with 'scenario' and optional 'config'")
-    run_p.add_argument("--json", action="store_true")
-
-    replay_p = sub.add_parser("replay", help="replay a counterexample artifact")
-    replay_p.add_argument("artifact", metavar="ARTIFACT.json")
-    replay_p.add_argument("--json", action="store_true")
-
-    args = parser.parse_args(argv)
-    global _JSON_MODE
-    _JSON_MODE = args.json
-
-    if args.mode == "fuzz":
-        base = CheckConfig(defect=args.defect)
-        result = run_fuzz(
-            seed=args.seed, trials=args.trials, base=base,
-            shrink=not args.no_shrink,
-        )
-        if args.shrink_out and result.artifact is not None:
-            with open(args.shrink_out, "w") as handle:
-                handle.write(canonical_json(result.artifact) + "\n")
-            if not _JSON_MODE:
-                _print(f"counterexample written to {args.shrink_out}")
-        if _JSON_MODE:
-            _print(json.dumps(result.to_dict(), default=_json_default))
-        else:
-            _print(f"fuzz: seed={result.seed} trials={result.trials} "
-                   f"runs={result.runs} "
-                   f"{'OK' if result.ok else f'{len(result.failures)} FAILING'}")
-            for failure in result.failures:
-                _print(f"  trial {failure['trial']}: {failure['counts']}")
-            if result.artifact is not None:
-                counts = result.artifact["counts"]
-                _print(f"  shrunk {counts['original_drops']} -> "
-                       f"{counts['shrunk_drops']} drop(s) in "
-                       f"{counts['shrink_runs']} runs")
-        return 0 if result.ok else 1
-
-    if args.mode == "run":
-        with open(args.scenario) as handle:
-            data = json.load(handle)
-        if "scenario" not in data:
-            _usage_error(f"{args.scenario}: no 'scenario' key")
-        scenario = FaultScenario.from_dict(data["scenario"])
-        config = CheckConfig.from_dict(data.get("config", {}))
-        outcome = run_scenario(scenario, config)
-        rows = [v.to_dict() for v in outcome.violations]
-        if _JSON_MODE:
-            _print(json.dumps(
-                {"ok": outcome.ok, "completed": outcome.completed,
-                 "counts": outcome.counts, "violations": rows},
-                default=_json_default))
-        else:
-            _print(f"scenario {scenario.name}: "
-                   f"{'OK' if outcome.ok else 'VIOLATIONS'} "
-                   f"(completed={outcome.completed})")
-            for row in rows:
-                _print(f"  {row['invariant']} @ {row['time_ns']}ns {row['detail']}")
-        return 0 if outcome.ok else 1
-
-    with open(args.artifact) as handle:
-        artifact = json.load(handle)
-    replay = replay_artifact(artifact)
+    if args.shrink_out and result.artifact is not None:
+        with open(args.shrink_out, "w") as handle:
+            handle.write(canonical_json(result.artifact) + "\n")
+        _say(f"counterexample written to {args.shrink_out}")
     if _JSON_MODE:
-        _print(json.dumps(replay.to_dict(), default=_json_default))
+        _print_json(result.to_dict())
+    else:
+        _print(f"fuzz: seed={result.seed} trials={result.trials} "
+               f"runs={result.runs} "
+               f"{'OK' if result.ok else f'{len(result.failures)} FAILING'}")
+        for failure in result.failures:
+            _print(f"  trial {failure['trial']}: {failure['counts']}")
+        if result.artifact is not None:
+            counts = result.artifact["counts"]
+            _print(f"  shrunk {counts['original_drops']} -> "
+                   f"{counts['shrunk_drops']} drop(s) in "
+                   f"{counts['shrink_runs']} runs")
+    return 0 if result.ok else 1
+
+
+def _check_run(args) -> int:
+    from .checker import CheckConfig, FaultScenario, run_scenario
+
+    data = _load(args.scenario)
+    if "scenario" not in data:
+        _usage_error(f"{args.scenario}: no 'scenario' key")
+    scenario = FaultScenario.from_dict(data["scenario"])
+    config = CheckConfig.from_dict(data.get("config", {}))
+    outcome = run_scenario(scenario, config)
+    rows = [v.to_dict() for v in outcome.violations]
+    if _JSON_MODE:
+        _print_json({"ok": outcome.ok, "completed": outcome.completed,
+                     "counts": outcome.counts, "violations": rows})
+    else:
+        _print(f"scenario {scenario.name}: "
+               f"{'OK' if outcome.ok else 'VIOLATIONS'} "
+               f"(completed={outcome.completed})")
+        for row in rows:
+            _print(f"  {row['invariant']} @ {row['time_ns']}ns {row['detail']}")
+    return 0 if outcome.ok else 1
+
+
+def _check_replay(args) -> int:
+    from .checker import replay_artifact
+
+    replay = replay_artifact(_load(args.artifact))
+    if _JSON_MODE:
+        _print_json(replay.to_dict())
     else:
         _print(f"replay: byte_identical={replay.byte_identical} "
                f"violations={sum(replay.outcome.counts.values())}")
@@ -728,173 +670,96 @@ def cmd_check(argv: List[str]) -> int:
     return 0 if replay.byte_identical else 1
 
 
-def cmd_obs(argv: List[str]) -> int:
-    """``repro obs {spans,timeline,top}`` — inspect obs v2 artifacts.
+# -- repro obs: inspect obs v2 artifacts ---------------------------------------
 
-    ``spans`` renders recovery-episode trees from a trace file written
-    with ``--trace-out`` under ``--spans``; ``timeline`` summarizes a
-    flight-recorder file from ``--timeline-out``; ``top`` ranks the
-    cells of a sweep checkpoint by wall-clock cost.  Missing files and
-    bad arguments exit 2; files that fail schema validation exit 1.
-    """
-    import os
+def _obs_spans(args) -> None:
+    """Render recovery-episode trees from a trace file written with
+    ``--trace-out`` under ``--spans``."""
+    from .obs.export import read_span_records
+    from .obs.schema import validate_chrome_trace, validate_events_jsonl
 
-    from .obs.schema import (
-        validate_chrome_trace, validate_events_jsonl, validate_timeline,
-    )
+    jsonl = args.trace.endswith(".jsonl")
 
-    parser = argparse.ArgumentParser(
-        prog="repro obs",
-        description="Inspect observability artifacts: recovery-episode "
-                    "span trees, flight-recorder timelines, cell costs.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
+    def parse(text: str) -> List[dict]:
+        _require_valid(validate_events_jsonl(text) if jsonl
+                       else validate_chrome_trace(json.loads(text)))
+        return read_span_records(text, jsonl=jsonl)
 
-    spans_p = sub.add_parser("spans",
-                             help="render recovery-episode trees from a trace")
-    spans_p.add_argument("trace", metavar="TRACE.json",
-                         help="Chrome trace (--trace-out) or .jsonl events")
-    spans_p.add_argument("--json", action="store_true")
+    spans = _load(args.trace, parse)
+    if _JSON_MODE:
+        _print_json(spans)
+        return
+    if not spans:
+        _print("no spans in trace (re-run with --spans --trace-out)")
+        return
+    by_id = {span["span_id"]: span for span in spans}
+    trees: dict = {}
+    for span in spans:
+        trees.setdefault(span.get("trace_id"), []).append(span)
+    for members in sorted(trees.values(),
+                          key=lambda m: min(s["start_ns"] for s in m)):
+        members.sort(key=lambda s: (s["start_ns"], s["span_id"]))
+        origin = members[0]["start_ns"]
+        for span in members:
+            depth, parent = 0, span.get("parent_id")
+            while parent is not None and parent in by_id:
+                depth += 1
+                parent = by_id[parent].get("parent_id")
+            offset_us = (span["start_ns"] - origin) / 1e3
+            if span["end_ns"] is not None and span["end_ns"] > span["start_ns"]:
+                extent = f"dur={(span['end_ns'] - span['start_ns']) / 1e3:g}us"
+            elif span["end_ns"] is None and depth == 0:
+                extent = "open"
+            else:
+                extent = "instant"
+            detail = " ".join(
+                f"{key}={value}" for key, value in sorted(span["args"].items()))
+            _print(f"{'  ' * depth}{span['name']} [{span['cat']}] "
+                   f"+{offset_us:g}us {extent}"
+                   + (f"  {detail}" if detail else ""))
+        _print()
+    _print(f"{len(trees)} episode(s), {len(spans)} span(s)")
 
-    tl_p = sub.add_parser("timeline",
-                          help="summarize a flight-recorder timeline")
-    tl_p.add_argument("timeline", metavar="TIMELINE.json",
-                      help="file written by --timeline-out")
-    tl_p.add_argument("--json", action="store_true")
 
-    top_p = sub.add_parser("top", help="rank sweep cells by wall-clock cost")
-    top_p.add_argument("checkpoint", metavar="CHECKPOINT.jsonl",
-                       help="sweep --checkpoint JSONL of cell results")
-    top_p.add_argument("--limit", type=int, default=10)
-    top_p.add_argument("--json", action="store_true")
+def _obs_timeline(args) -> None:
+    """Summarize a flight-recorder file from ``--timeline-out``."""
+    from .obs.schema import validate_timeline
 
-    args = parser.parse_args(argv)
-    global _JSON_MODE
-    _JSON_MODE = args.json
+    def parse(text: str) -> dict:
+        data = json.loads(text)
+        _require_valid(validate_timeline(data))
+        return data
 
-    if args.mode == "spans":
-        if not os.path.isfile(args.trace):
-            _usage_error(f"{args.trace}: no such file")
-        with open(args.trace) as handle:
-            text = handle.read()
-        if args.trace.endswith(".jsonl"):
-            problems = validate_events_jsonl(text)
-            spans = [
-                record for record in
-                (json.loads(line) for line in text.splitlines() if line.strip())
-                if record.get("kind") == "span"
-            ]
-        else:
-            try:
-                data = json.loads(text)
-            except ValueError as exc:
-                sys.stderr.write(f"repro obs: {args.trace}: {exc}\n")
-                return 1
-            problems = validate_chrome_trace(data)
-            spans = []
-            for event in data.get("traceEvents", []):
-                meta = event.get("args") or {}
-                if "span_id" not in meta:
-                    continue
-                start_ns = int(round(event.get("ts", 0) * 1000))
-                spans.append({
-                    "span_id": meta["span_id"],
-                    "parent_id": meta.get("parent_id"),
-                    "trace_id": meta.get("trace_id"),
-                    "cat": event.get("cat"),
-                    "name": event.get("name"),
-                    "start_ns": start_ns,
-                    "end_ns": (start_ns + int(round(event.get("dur", 0) * 1000))
-                               if event.get("ph") == "X" else None),
-                    "args": {k: v for k, v in meta.items()
-                             if k not in ("span_id", "parent_id", "trace_id")},
-                })
-        if problems:
-            for problem in problems:
-                sys.stderr.write(f"repro obs: {args.trace}: {problem}\n")
-            return 1
-        if _JSON_MODE:
-            _print(json.dumps(spans, default=_json_default))
-            return 0
-        if not spans:
-            _print("no spans in trace (re-run with --spans --trace-out)")
-            return 0
-        by_id = {span["span_id"]: span for span in spans}
-        trees: dict = {}
-        for span in spans:
-            trees.setdefault(span.get("trace_id"), []).append(span)
-        for members in sorted(trees.values(),
-                              key=lambda m: min(s["start_ns"] for s in m)):
-            members.sort(key=lambda s: (s["start_ns"], s["span_id"]))
-            origin = members[0]["start_ns"]
-            for span in members:
-                depth, parent = 0, span.get("parent_id")
-                while parent is not None and parent in by_id:
-                    depth += 1
-                    parent = by_id[parent].get("parent_id")
-                offset_us = (span["start_ns"] - origin) / 1e3
-                if span["end_ns"] is not None and span["end_ns"] > span["start_ns"]:
-                    extent = f"dur={(span['end_ns'] - span['start_ns']) / 1e3:g}us"
-                elif span["end_ns"] is None and depth == 0:
-                    extent = "open"
-                else:
-                    extent = "instant"
-                detail = " ".join(
-                    f"{key}={value}" for key, value in sorted(span["args"].items()))
-                _print(f"{'  ' * depth}{span['name']} [{span['cat']}] "
-                       f"+{offset_us:g}us {extent}"
-                       + (f"  {detail}" if detail else ""))
-            _print()
-        _print(f"{len(trees)} episode(s), {len(spans)} span(s)")
-        return 0
+    data = _load(args.timeline, parse)
+    ts_ns = data.get("ts_ns", [])
+    rows = []
+    for name in sorted(data.get("metrics", {})):
+        values = [v for v in data["metrics"][name]
+                  if isinstance(v, (int, float))]
+        if not values:
+            continue
+        rows.append({
+            "metric": name, "samples": len(values),
+            "min": round(min(values), 6), "max": round(max(values), 6),
+            "last": round(values[-1], 6),
+        })
+    span_ms = (ts_ns[-1] - ts_ns[0]) / 1e6 if len(ts_ns) > 1 else 0.0
+    _say(f"timeline: {data.get('sampled', len(ts_ns))} sample(s) "
+         f"({data.get('dropped', 0)} dropped), "
+         f"cadence {data.get('interval_ns', 0) / 1e3:g}us, "
+         f"span {span_ms:g}ms")
+    _emit(rows, ["metric", "samples", "min", "max", "last"])
 
-    if args.mode == "timeline":
-        if not os.path.isfile(args.timeline):
-            _usage_error(f"{args.timeline}: no such file")
-        with open(args.timeline) as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as exc:
-                sys.stderr.write(f"repro obs: {args.timeline}: {exc}\n")
-                return 1
-        problems = validate_timeline(data)
-        if problems:
-            for problem in problems:
-                sys.stderr.write(f"repro obs: {args.timeline}: {problem}\n")
-            return 1
-        ts_ns = data.get("ts_ns", [])
-        rows = []
-        for name in sorted(data.get("metrics", {})):
-            values = [v for v in data["metrics"][name]
-                      if isinstance(v, (int, float))]
-            if not values:
-                continue
-            rows.append({
-                "metric": name, "samples": len(values),
-                "min": round(min(values), 6), "max": round(max(values), 6),
-                "last": round(values[-1], 6),
-            })
-        if not _JSON_MODE:
-            span_ms = (ts_ns[-1] - ts_ns[0]) / 1e6 if len(ts_ns) > 1 else 0.0
-            _print(f"timeline: {data.get('sampled', len(ts_ns))} sample(s) "
-                   f"({data.get('dropped', 0)} dropped), "
-                   f"cadence {data.get('interval_ns', 0) / 1e3:g}us, "
-                   f"span {span_ms:g}ms")
-        _emit(rows, ["metric", "samples", "min", "max", "last"])
-        return 0
 
-    # -- top: rank checkpoint cells by cost --------------------------------
-    if args.limit <= 0:
-        _usage_error("--limit must be > 0")
-    if not os.path.isfile(args.checkpoint):
-        _usage_error(f"{args.checkpoint}: no such file")
+def _obs_top(args) -> None:
+    """Rank the cells of a sweep checkpoint by wall-clock cost."""
     from .runner.harness import CellResult
 
-    results = []
-    with open(args.checkpoint) as handle:
-        for line in handle:
-            if line.strip():
-                results.append(CellResult.from_json(line))
+    if args.limit <= 0:
+        _usage_error("--limit must be > 0")
+    results = _load(args.checkpoint, lambda text: [
+        CellResult.from_json(line) for line in text.splitlines()
+        if line.strip()])
     results.sort(key=lambda r: r.timings.get("total_s", r.wall_s), reverse=True)
     rows = []
     for result in results[:args.limit]:
@@ -907,223 +772,112 @@ def cmd_obs(argv: List[str]) -> int:
             **({"engine_run_s": result.timings["engine_run_s"]}
                if "engine_run_s" in result.timings else {}),
         })
-    if not _JSON_MODE:
-        _print(f"top {min(args.limit, len(results))} of {len(results)} cell(s) "
-               f"by wall clock:")
+    _say(f"top {min(args.limit, len(results))} of {len(results)} cell(s) "
+         f"by wall clock:")
     _emit(rows)
+
+
+# -- repro lifecycle: month-scale SLO replay -----------------------------------
+
+def _trace_spec(args):
+    """The fleet-shape / ``--days`` / ``--seed`` flags as a TraceSpec."""
+    from .lifecycle import TraceSpec
+
+    try:
+        return TraceSpec(fleet=_fleet_spec(args), duration_days=args.days,
+                         seed=args.seed)
+    except ValueError as exc:
+        _usage_error(str(exc))
+
+
+def _slo_verdict(rollup, fail_under) -> int:
+    attainment = rollup.slos.get("goodput_slo_attainment", 0.0)
+    if fail_under is not None and attainment < fail_under:
+        _say(f"FAIL: goodput SLO attainment {attainment:.4f} "
+             f"< --fail-under {fail_under:g}")
+        return 1
     return 0
 
 
-def cmd_lifecycle(argv: List[str]) -> int:
-    """``repro lifecycle {generate,replay,report}`` — month-scale SLO replay.
+def _lifecycle_generate(args) -> None:
+    """Write a deterministic fleet failure trace."""
+    from .lifecycle import generate_trace
 
-    ``generate`` writes a deterministic fleet failure trace; ``replay``
-    pushes it (or a spec built from flags) through repair + fleet
+    trace = generate_trace(_trace_spec(args))
+    document = trace.to_json()
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(document + "\n")
+        _say(f"trace written to {args.out} "
+             f"({len(trace.events)} events, "
+             f"{trace.spec.fleet.n_links} links, "
+             f"{trace.spec.duration_days:g} days)")
+    else:
+        _print(document)
+
+
+def _lifecycle_replay(args) -> int:
+    """Push a trace (or a spec built from flags) through repair + fleet
     arbitration into per-day SLO series, time-chunked through the sweep
-    runner; ``report`` renders a saved rollup.  Bad arguments exit 2;
-    ``replay``/``report`` exit 1 when ``--fail-under`` is given and the
-    goodput SLO attainment lands below it.
-    """
-    import os
+    runner."""
+    from .lifecycle import LifecycleTrace, ReplaySpec, SloConfig, run_replay
+    from .obs import Observability
 
-    parser = argparse.ArgumentParser(
-        prog="repro lifecycle",
-        description="Month-scale fleet lifecycle: failure traces, repair "
-                    "loop, and longitudinal SLO replay.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
+    if args.trace:
+        trace_spec = _load(
+            args.trace, lambda text: LifecycleTrace.from_json(text).spec,
+            usage=True)
+    else:
+        trace_spec = _trace_spec(args)
+    repair_params = {}
+    for text in args.repair_param or []:
+        if "=" not in text:
+            _usage_error(
+                f"--repair-param must look like key=value (got {text!r})")
+        key, _, value = text.partition("=")
+        repair_params[key.strip()] = _coerce_axis_value(value)
+    try:
+        replay = ReplaySpec(
+            trace=trace_spec,
+            policy=args.policy,
+            repair=args.repair,
+            repair_params=repair_params,
+            backend=args.backend,
+            n_chunks=args.chunks,
+            resim_fraction=args.resim_fraction,
+            slo=SloConfig(goodput_target=args.goodput_target,
+                          affected_target=args.affected_target),
+        )
+    except (TypeError, ValueError) as exc:
+        _usage_error(str(exc))
 
-    def add_fleet_args(p) -> None:
-        p.add_argument("--days", type=float, default=30.0,
-                       help="simulated fleet time (days)")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--fleet-pods", type=int, default=4)
-        p.add_argument("--fleet-tors", type=int, default=8)
-        p.add_argument("--fleet-fabrics", type=int, default=4)
-        p.add_argument("--fleet-spines", type=int, default=8)
-        p.add_argument("--mttf-hours", type=float, default=1_500.0,
-                       help="per-link mean time between corruption onsets")
-
-    gen_p = sub.add_parser("generate",
-                           help="write a deterministic failure trace")
-    add_fleet_args(gen_p)
-    gen_p.add_argument("--out", default=None, metavar="TRACE.json",
-                       help="write the trace document here (default stdout)")
-    gen_p.add_argument("--json", action="store_true")
-
-    rep_p = sub.add_parser("replay",
-                           help="replay a trace into per-day SLO series")
-    add_fleet_args(rep_p)
-    rep_p.add_argument("--trace", default=None, metavar="TRACE.json",
-                       help="replay this generated trace (verified against "
-                            "its embedded spec); fleet flags are ignored")
-    rep_p.add_argument("--policy", default="incremental",
-                       help="fleet arbitration policy "
-                            "(incremental | greedy-worst)")
-    rep_p.add_argument("--repair", default="corropt",
-                       help="repair policy (corropt | exponential | severity)")
-    rep_p.add_argument("--repair-param", action="append", metavar="K=V",
-                       help="one repair-policy parameter (repeatable)")
-    rep_p.add_argument("--backend", default="hybrid",
-                       choices=["packet", "fastpath", "hybrid"],
-                       help="affected-flow evaluation tier")
-    rep_p.add_argument("--chunks", type=int, default=1,
-                       help="time chunks executed through the sweep runner "
-                            "(bit-identical to --chunks 1)")
-    rep_p.add_argument("--workers", type=int, default=1)
-    rep_p.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="JSONL chunk checkpoint; completed chunks are "
-                            "skipped on rerun")
-    rep_p.add_argument("--resim-fraction", type=float, default=0.05)
-    rep_p.add_argument("--goodput-target", type=float, default=0.97,
-                       help="per-day fleet goodput SLO target")
-    rep_p.add_argument("--affected-target", type=float, default=1e-3,
-                       help="per-day affected-flow-fraction SLO target")
-    rep_p.add_argument("--out", default=None, metavar="ROLLUP.json",
-                       help="write the full rollup document here "
-                            "(input to 'repro lifecycle report')")
-    rep_p.add_argument("--fail-under", type=float, default=None,
-                       metavar="FRACTION",
-                       help="exit 1 if goodput SLO attainment < FRACTION")
-    rep_p.add_argument("--json", action="store_true",
-                       help="print the canonical rollup JSON "
-                            "(byte-identical across chunkings/workers)")
-
-    report_p = sub.add_parser("report", help="render a saved replay rollup")
-    report_p.add_argument("rollup", metavar="ROLLUP.json",
-                          help="rollup document from 'replay --out'")
-    report_p.add_argument("--days-table", action="store_true",
-                          help="include the full per-day series table")
-    report_p.add_argument("--fail-under", type=float, default=None,
-                          metavar="FRACTION",
-                          help="exit 1 if goodput SLO attainment < FRACTION")
-    report_p.add_argument("--json", action="store_true")
-
-    args = parser.parse_args(argv)
-    global _JSON_MODE
-    _JSON_MODE = args.json
-
-    from .lifecycle import LifecycleRollup, TraceSpec, generate_trace
-
-    def fleet_from_args() -> TraceSpec:
-        return TraceSpec(fleet=_fleet_spec(args), duration_days=args.days,
-                         seed=args.seed)
-
-    def day_rows(rollup) -> List[dict]:
-        days = rollup.days
-        return [
-            {
-                "day": days["day"][i],
-                "goodput": round(days["goodput_fraction"][i], 6),
-                "affected": round(days["affected_flow_fraction"][i], 8),
-                "onsets": days["episode_onsets"][i],
-                "churn": days["lg_churn"][i],
-                "queue_max": days["repair_queue_depth_max"][i],
-                "floor_viol": days["capacity_floor_violations"][i],
-            }
-            for i in range(len(days["day"]))
-        ]
-
-    def slo_verdict(rollup, fail_under) -> int:
-        attainment = rollup.slos.get("goodput_slo_attainment", 0.0)
-        if fail_under is not None and attainment < fail_under:
-            if not _JSON_MODE:
-                _print(f"FAIL: goodput SLO attainment {attainment:.4f} "
-                       f"< --fail-under {fail_under:g}")
-            return 1
-        return 0
-
-    if args.mode == "generate":
-        trace = generate_trace(fleet_from_args())
-        document = trace.to_json()
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(document + "\n")
-            if not _JSON_MODE:
-                _print(f"trace written to {args.out} "
-                       f"({len(trace.events)} events, "
-                       f"{trace.spec.fleet.n_links} links, "
-                       f"{trace.spec.duration_days:g} days)")
-        else:
-            _print(document)
-        return 0
-
-    if args.mode == "replay":
-        from .lifecycle import ReplaySpec, SloConfig, run_replay
-        from .lifecycle.traces import LifecycleTrace
-        from .obs import Observability
-
-        if args.trace:
-            if not os.path.exists(args.trace):
-                _usage_error(f"{args.trace}: no such file")
-            with open(args.trace) as handle:
-                try:
-                    trace_spec = LifecycleTrace.from_json(handle.read()).spec
-                except ValueError as exc:
-                    _usage_error(f"{args.trace}: {exc}")
-        else:
-            trace_spec = fleet_from_args()
-        repair_params = {}
-        for text in args.repair_param or []:
-            if "=" not in text:
-                _usage_error(
-                    f"--repair-param must look like key=value (got {text!r})")
-            key, _, value = text.partition("=")
-            repair_params[key.strip()] = _coerce_axis_value(value)
-        try:
-            replay = ReplaySpec(
-                trace=trace_spec,
-                policy=args.policy,
-                repair=args.repair,
-                repair_params=repair_params,
-                backend=args.backend,
-                n_chunks=args.chunks,
-                resim_fraction=args.resim_fraction,
-                slo=SloConfig(goodput_target=args.goodput_target,
-                              affected_target=args.affected_target),
-            )
-        except (TypeError, ValueError) as exc:
-            _usage_error(str(exc))
-
-        def progress(result) -> None:
-            if not _JSON_MODE:
-                _print(f"[{result.cell_id}] days "
-                       f"[{result.metrics['day_lo']}, "
-                       f"{result.metrics['day_hi']}) in {result.wall_s:.2f}s")
-
-        obs = Observability()
-        rollup = run_replay(replay, workers=args.workers,
-                            checkpoint=args.checkpoint, obs=obs,
-                            progress=progress)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(rollup.to_json() + "\n")
-            if not _JSON_MODE:
-                _print(f"rollup written to {args.out}")
-        if _JSON_MODE:
-            # The canonical form: byte-identical across chunkings/workers.
-            _print(rollup.canonical_json())
-        else:
-            _print(f"lifecycle: {trace_spec.fleet.n_links} links, "
-                   f"{trace_spec.duration_days:g} days, "
-                   f"policy={replay.policy}, repair={replay.repair}, "
-                   f"backend={replay.backend}, {replay.n_chunks} chunk(s)")
-            _emit([rollup.summary()])
-        return slo_verdict(rollup, args.fail_under)
-
-    # report
-    if not os.path.exists(args.rollup):
-        _usage_error(f"{args.rollup}: no such file")
-    with open(args.rollup) as handle:
-        try:
-            rollup = LifecycleRollup.from_json(handle.read())
-        except ValueError as exc:
-            _usage_error(f"{args.rollup}: {exc}")
+    rollup = run_replay(replay, workers=args.workers,
+                        checkpoint=args.checkpoint, obs=Observability(),
+                        progress=_progress)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(rollup.to_json() + "\n")
+        _say(f"rollup written to {args.out}")
     if _JSON_MODE:
-        _print(json.dumps(
-            {"slos": rollup.slos, "counts": rollup.counts,
-             **({"days": rollup.days} if args.days_table else {})},
-            default=_json_default))
+        # The canonical form: byte-identical across chunkings/workers.
+        _print(rollup.canonical_json())
+    else:
+        _print(f"lifecycle: {trace_spec.fleet.n_links} links, "
+               f"{trace_spec.duration_days:g} days, "
+               f"policy={replay.policy}, repair={replay.repair}, "
+               f"backend={replay.backend}, {replay.n_chunks} chunk(s)")
+        _emit([rollup.summary()])
+    return _slo_verdict(rollup, args.fail_under)
+
+
+def _lifecycle_report(args) -> int:
+    """Render a saved replay rollup."""
+    from .lifecycle import LifecycleRollup
+
+    rollup = _load(args.rollup, LifecycleRollup.from_json, usage=True)
+    if _JSON_MODE:
+        _print_json({"slos": rollup.slos, "counts": rollup.counts,
+                     **({"days": rollup.days} if args.days_table else {})})
     else:
         trace = rollup.spec.get("trace", {})
         _print(f"lifecycle rollup: {trace.get('duration_days', '?')} days, "
@@ -1132,143 +886,62 @@ def cmd_lifecycle(argv: List[str]) -> int:
                f"backend={rollup.spec.get('backend', '?')}")
         _emit([rollup.summary()])
         if args.days_table:
+            days = rollup.days
             _print()
-            _emit(day_rows(rollup))
-    return slo_verdict(rollup, args.fail_under)
+            _emit({
+                "day": days["day"][i],
+                "goodput": round(days["goodput_fraction"][i], 6),
+                "affected": round(days["affected_flow_fraction"][i], 8),
+                "onsets": days["episode_onsets"][i],
+                "churn": days["lg_churn"][i],
+                "queue_max": days["repair_queue_depth_max"][i],
+                "floor_viol": days["capacity_floor_violations"][i],
+            } for i in range(len(days["day"])))
+    return _slo_verdict(rollup, args.fail_under)
 
 
-def cmd_serve(argv: List[str]) -> int:
-    """``repro serve`` — the always-on control-plane service.
+# -- repro serve: the always-on control plane ----------------------------------
 
-    Binds the HTTP front end (``/metrics``, ``/state``, ``/decisions``,
-    ``POST /whatif``), starts the configured telemetry source feeding
-    the streaming arbiter, and runs until SIGTERM/SIGINT, then drains
+def _serve(args) -> int:
+    """Bind the HTTP front end (``/metrics``, ``/state``, ``/decisions``,
+    ``POST /whatif``), start the configured telemetry source feeding the
+    evidence monitor, and run until SIGTERM/SIGINT, then drain
     gracefully (in-flight queries finish, queued ones get 503) and
-    exits 0.  ``--probe PATH`` instead sends one GET to an already
-    running instance and prints the body (exit 1 on a non-200).
+    exit 0.  ``--probe PATH`` instead sends one GET to an already
+    running instance and prints the body (exit 1 on a non-200 or an
+    unreachable server).
     """
     import asyncio
-
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Long-running control plane: streaming telemetry in, "
-                    "controller decisions and cached what-if answers out.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8351,
-                        help="HTTP port (0 = ephemeral; see --port-file)")
-    parser.add_argument("--port-file", default=None, metavar="PATH",
-                        help="write the bound HTTP port here once listening "
-                             "(scripts/CI pair this with --port 0)")
-    parser.add_argument("--probe", default=None, metavar="/PATH",
-                        help="client mode: GET this path on --host:--port, "
-                             "print the body, exit")
-    parser.add_argument("--queue-limit", type=int, default=64,
-                        help="pending what-if queries before 429")
-    parser.add_argument("--max-inflight", type=int, default=8,
-                        help="queries dispatched to workers concurrently")
-    parser.add_argument("--query-timeout", type=float, default=60.0,
-                        metavar="S", help="per-query server-side deadline")
-    parser.add_argument("--drain-timeout", type=float, default=30.0,
-                        metavar="S",
-                        help="SIGTERM: in-flight queries get this long")
-    parser.add_argument("--executor", default="process",
-                        choices=["process", "thread", "inline"])
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--backend", default="fastpath",
-                        choices=["packet", "fastpath", "hybrid"],
-                        help="default what-if execution backend")
-    parser.add_argument("--cache-size", type=int, default=1024)
-    parser.add_argument("--loss-sigfigs", type=int, default=3,
-                        help="cache-key loss-rate quantization (0 = off)")
-    parser.add_argument("--telemetry", default="synthetic",
-                        choices=["synthetic", "file", "tcp", "none"])
-    parser.add_argument("--telemetry-file", default=None, metavar="PATH",
-                        help="JSONL counter records (--telemetry file)")
-    parser.add_argument("--follow", action="store_true",
-                        help="tail --telemetry-file for appends")
-    parser.add_argument("--ingest-port", type=int, default=0,
-                        help="TCP ingest listener (--telemetry tcp)")
-    parser.add_argument("--synthetic-days", type=float, default=30.0,
-                        help="simulated days the synthetic trace covers")
-    parser.add_argument("--synthetic-records", type=int, default=0,
-                        help="stop the synthetic feed after N records "
-                             "(0 = whole trace)")
-    parser.add_argument("--interval", type=float, default=0.0, metavar="S",
-                        help="real-time pacing between synthetic records")
-    parser.add_argument("--evidence", default="port_counters", metavar="KIND",
-                        help="corruption signal: RX counter snapshots "
-                             "through LossWindows, or per-flow retx "
-                             "reports through 007 voting")
-    parser.add_argument("--blame-window", type=float, default=60.0,
-                        metavar="S", help="voting: sliding evidence window")
-    parser.add_argument("--coverage", type=float, default=1.0,
-                        help="voting: fraction of synthetic flow reports "
-                             "surviving telemetry loss")
-    parser.add_argument("--flows-per-s", type=float, default=0.0,
-                        help="voting: synthetic flow rate (0 = fleet-sized)")
-    parser.add_argument("--window-frames", type=int, default=10_000_000,
-                        help="loss-estimation window (frames)")
-    parser.add_argument("--onset-threshold", type=float, default=1e-6)
-    parser.add_argument("--clear-hysteresis", type=float, default=0.1)
-    parser.add_argument("--policy", default="incremental",
-                        help="fleet arbitration policy "
-                             "(incremental | greedy-worst)")
-    parser.add_argument("--activation-budget", type=int, default=64)
-    parser.add_argument("--fleet-pods", type=int, default=4)
-    parser.add_argument("--fleet-tors", type=int, default=8)
-    parser.add_argument("--fleet-fabrics", type=int, default=4)
-    parser.add_argument("--fleet-spines", type=int, default=8)
-    parser.add_argument("--mttf-hours", type=float, default=1_500.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--snapshot-out", default=None, metavar="PATH",
-                        help="write a final state snapshot at drain")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-
-    global _JSON_MODE
-    _JSON_MODE = args.json
 
     if args.probe:
         from .service.http import request as http_request
 
         async def probe() -> int:
-            status, _, body = await http_request(
-                args.host, args.port, "GET", args.probe)
+            try:
+                status, _, body = await http_request(
+                    args.host, args.port, "GET", args.probe)
+            except OSError as exc:
+                sys.stderr.write(
+                    f"repro: error: {args.host}:{args.port}: {exc}\n")
+                return 1
             sys.stdout.write(body.decode(errors="replace"))
             return 0 if status == 200 else 1
 
         return asyncio.run(probe())
 
+    from dataclasses import fields
+
     from .fleet.controller import ControllerConfig
     from .service import ControlPlaneService, ServiceConfig
 
     try:
+        # Every serve flag's dest is the ServiceConfig field it sets.
         config = ServiceConfig(
-            host=args.host, port=args.port,
-            queue_limit=args.queue_limit, max_inflight=args.max_inflight,
-            query_timeout_s=args.query_timeout,
-            drain_timeout_s=args.drain_timeout,
-            executor=args.executor, workers=args.workers,
-            backend=args.backend, cache_size=args.cache_size,
-            loss_sigfigs=args.loss_sigfigs,
-            telemetry=args.telemetry, telemetry_file=args.telemetry_file,
-            follow=args.follow, ingest_port=args.ingest_port,
-            synthetic_days=args.synthetic_days,
-            synthetic_records=args.synthetic_records,
-            interval_s=args.interval,
-            evidence=args.evidence,
-            blame_window_s=args.blame_window,
-            coverage=args.coverage,
-            flows_per_s=args.flows_per_s,
-            window_frames=args.window_frames,
-            onset_threshold=args.onset_threshold,
-            clear_hysteresis=args.clear_hysteresis,
-            policy=args.policy, seed=args.seed,
+            **{f.name: getattr(args, f.name) for f in fields(ServiceConfig)
+               if hasattr(args, f.name)},
             fleet=_fleet_spec(args),
             controller=ControllerConfig(
                 activation_budget=args.activation_budget),
-            snapshot_path=args.snapshot_out,
         )
     except (TypeError, ValueError) as exc:
         _usage_error(str(exc))
@@ -1279,14 +952,13 @@ def cmd_serve(argv: List[str]) -> int:
         if args.port_file:
             with open(args.port_file, "w") as handle:
                 handle.write(f"{service.port}\n")
-        if not _JSON_MODE:
-            _print(f"serving on http://{args.host}:{service.port} "
-                   f"(telemetry={config.telemetry}, "
-                   f"evidence={config.evidence}, "
-                   f"backend={config.backend}, "
-                   f"{config.fleet.n_links} links); SIGTERM drains")
-            if service.ingest_port is not None:
-                _print(f"TCP ingest on {args.host}:{service.ingest_port}")
+        _say(f"serving on http://{args.host}:{service.port} "
+             f"(telemetry={config.telemetry}, "
+             f"evidence={config.evidence}, "
+             f"backend={config.backend}, "
+             f"{config.fleet.n_links} links); SIGTERM drains")
+        if service.ingest_port is not None:
+            _say(f"TCP ingest on {args.host}:{service.ingest_port}")
         loop = asyncio.get_running_loop()
         import signal as _signal
 
@@ -1294,222 +966,138 @@ def cmd_serve(argv: List[str]) -> int:
             loop.add_signal_handler(signum, service.request_shutdown)
         await service.wait_shutdown()
         await service.begin_drain()
-        if not _JSON_MODE:
-            _print("drained; exiting 0")
+        _say("drained; exiting 0")
         return 0
 
     return asyncio.run(serve_forever())
 
 
-def cmd_blame(argv: List[str]) -> int:
-    """``repro blame {report,eval,optimize}`` — corruption localization.
+# -- repro blame: corruption localization --------------------------------------
 
-    ``report`` harvests one window of flow evidence against a lifecycle
-    trace and prints the ranked 007 vote; ``eval`` scores voting against
-    ground truth (precision / recall / top-1) across telemetry-coverage
-    levels, exiting 1 when ``--fail-under`` is given and single-bad-link
-    top-1 accuracy lands below it; ``optimize`` replays a trace window
-    through every registered activation policy x budget and ranks them
-    by link-seconds of damage.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro blame",
-        description="Fleet-scale corruption localization from flow-level "
-                    "evidence: 007-style voting, no oracle counters.",
+def _trace_episodes(args):
+    """The repaired corruption episodes of the lifecycle trace the fleet
+    shape / ``--days`` / ``--seed`` / ``--repair`` flags describe."""
+    from .lifecycle import corruption_episodes
+
+    try:
+        return corruption_episodes(_trace_spec(args), args.repair)
+    except ValueError as exc:
+        _usage_error(str(exc))
+
+
+def _blame_report(args) -> None:
+    """Harvest one window of flow evidence against a lifecycle trace and
+    print the ranked 007 vote."""
+    from .blame import (
+        LossOracle, default_fleet_evidence, harvest_evidence, tally_votes,
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
+    from .fleet.topology import FleetTopology
 
-    def add_fleet_args(p) -> None:
-        p.add_argument("--fleet-pods", type=int, default=2)
-        p.add_argument("--fleet-tors", type=int, default=4)
-        p.add_argument("--fleet-fabrics", type=int, default=2)
-        p.add_argument("--fleet-spines", type=int, default=4)
-        p.add_argument("--mttf-hours", type=float, default=300.0,
-                       help="per-link mean time between corruption onsets")
-        p.add_argument("--seed", type=int, default=1)
-
-    def add_evidence_args(p) -> None:
-        p.add_argument("--window", type=float, default=60.0, metavar="S",
-                       help="evidence window the vote runs over")
-        p.add_argument("--coverage", type=float, default=1.0,
-                       help="fraction of flow reports surviving "
-                            "telemetry loss")
-        p.add_argument("--flows-per-s", type=float, default=0.0,
-                       help="aggregate flow rate (0 = sized to fleet)")
-        p.add_argument("--flow-packets", type=int, default=100)
-        p.add_argument("--min-votes", type=float, default=2.0,
-                       help="votes below this never enter the blamed set")
-
-    rpt_p = sub.add_parser("report",
-                           help="rank one evidence window's blamed links")
-    add_fleet_args(rpt_p)
-    add_evidence_args(rpt_p)
-    rpt_p.add_argument("--days", type=float, default=10.0,
-                       help="lifecycle trace length the window comes from")
-    rpt_p.add_argument("--repair", default="corropt",
-                       help="repair policy applied to the trace")
-    rpt_p.add_argument("--at", type=float, default=None, metavar="T",
-                       help="window start in trace seconds (default: the "
-                            "first window with a corrupting link)")
-    rpt_p.add_argument("--top", type=int, default=10,
-                       help="ranked links to print")
-    rpt_p.add_argument("--json", action="store_true")
-
-    eval_p = sub.add_parser("eval",
-                            help="score voting against ground truth")
-    add_fleet_args(eval_p)
-    add_evidence_args(eval_p)
-    eval_p.add_argument("--mode", dest="eval_mode", default="trials",
-                        choices=["trials", "trace"],
-                        help="trials = planted single-bad-link windows; "
-                             "trace = lifecycle ground truth")
-    eval_p.add_argument("--trials", type=int, default=20,
-                        help="windows evaluated per coverage level")
-    eval_p.add_argument("--coverages", default=None, metavar="C1,C2",
-                        help="sweep these coverage levels instead of "
-                             "--coverage (e.g. 1.0,0.5,0.2)")
-    eval_p.add_argument("--loss-lo", type=float, default=5e-4)
-    eval_p.add_argument("--loss-hi", type=float, default=5e-3)
-    eval_p.add_argument("--trace-days", type=float, default=10.0)
-    eval_p.add_argument("--detectable-loss", type=float, default=1e-4,
-                        help="trace mode: truth is links at/above this")
-    eval_p.add_argument("--repair", default="corropt")
-    eval_p.add_argument("--fail-under", type=float, default=None,
-                        metavar="FRACTION",
-                        help="exit 1 if single-bad-link top-1 accuracy "
-                             "< FRACTION at any coverage level")
-    eval_p.add_argument("--json", action="store_true")
-
-    opt_p = sub.add_parser("optimize",
-                           help="rank activation policies over a trace")
-    add_fleet_args(opt_p)
-    opt_p.add_argument("--days", type=float, default=10.0,
-                       help="lifecycle trace replayed through candidates")
-    opt_p.add_argument("--repair", default="corropt")
-    opt_p.add_argument("--budgets", default="8,64", metavar="B1,B2",
-                       help="activation budgets swept per policy")
-    opt_p.add_argument("--json", action="store_true")
-
-    args = parser.parse_args(argv)
-    global _JSON_MODE
-    _JSON_MODE = args.json
-
+    if args.window <= 0:
+        _usage_error("--window must be > 0")
     fleet = _fleet_spec(args)
+    episodes = _trace_episodes(args)
+    oracle = LossOracle(episodes)
+    t_lo = args.at
+    if t_lo is None:
+        duration_s = args.days * 24 * 3600.0
+        t_lo = 0.0
+        while t_lo + args.window <= duration_s:
+            if oracle.corrupting_at(t_lo + args.window / 2):
+                break
+            t_lo += args.window
+    overrides = {"coverage": args.coverage}
+    if args.flows_per_s > 0:
+        overrides["flows_per_s"] = args.flows_per_s
+    evidence = default_fleet_evidence(fleet, seed=args.seed, **overrides)
+    topology = FleetTopology(fleet, seed=args.seed)
+    reports = harvest_evidence(
+        evidence, topology, episodes, t_lo, t_lo + args.window)
+    verdict = tally_votes(reports, flow_packets=args.flow_packets,
+                          min_votes=args.min_votes)
+    truth = set(oracle.corrupting_at(t_lo + args.window / 2))
+    _say(f"window [{t_lo:.0f}s, {t_lo + args.window:.0f}s): "
+         f"{verdict.n_reports} reports, {verdict.n_flagged} "
+         f"flagged; blamed {verdict.blamed}; truth {sorted(truth)}")
+    rows = []
+    for score in verdict.ranked[:args.top]:
+        link = topology.link(score.link_id)
+        rows.append({
+            "link": score.link_id,
+            "pod": link.pod,
+            "kind": link.kind,
+            "votes": round(score.votes, 2),
+            "flagged": score.flagged,
+            "crossings": score.crossings,
+            "loss_estimate": f"{score.loss_estimate:.2e}",
+            "confidence": round(score.confidence, 3),
+            "blamed": score.link_id in verdict.blamed,
+            "truth": score.link_id in truth,
+        })
+    _emit(rows)
 
-    if args.mode == "report":
-        from .blame import (
-            LossOracle, default_fleet_evidence, harvest_evidence, tally_votes,
-        )
-        from .fleet.topology import FleetTopology
-        from .lifecycle.repair import apply_repair, repair_policy
-        from .lifecycle.traces import TraceSpec, generate_trace
 
-        trace = generate_trace(TraceSpec(
-            fleet=fleet, duration_days=args.days, seed=args.seed))
-        repaired, _ = apply_repair(trace, repair_policy(args.repair))
-        episodes = [item.episode for item in repaired]
-        oracle = LossOracle(episodes)
-        t_lo = args.at
-        if t_lo is None:
-            duration_s = args.days * 24 * 3600.0
-            t_lo = 0.0
-            while t_lo + args.window <= duration_s:
-                if oracle.corrupting_at(t_lo + args.window / 2):
-                    break
-                t_lo += args.window
-        overrides = {"coverage": args.coverage}
+def _blame_eval(args) -> int:
+    """Score voting against ground truth (precision / recall / top-1)
+    across telemetry-coverage levels; exits 1 when ``--fail-under`` is
+    given and single-bad-link top-1 accuracy lands below it."""
+    from .blame import BlameEvalSpec, evaluate_blame
+
+    if args.coverages:
+        try:
+            coverages = [float(c) for c in args.coverages.split(",")]
+        except ValueError:
+            _usage_error("--coverages must be comma-separated floats")
+    else:
+        coverages = [args.coverage]
+    rows = []
+    for coverage in coverages:
+        spec_kwargs = dict(
+            fleet=_fleet_spec(args), mode=args.mode, n_trials=args.trials,
+            window_s=args.window, coverage=coverage,
+            flow_packets=args.flow_packets, min_votes=args.min_votes,
+            loss_lo=args.loss_lo, loss_hi=args.loss_hi,
+            trace_days=args.trace_days,
+            detectable_loss=args.detectable_loss,
+            repair=args.repair, seed=args.seed)
         if args.flows_per_s > 0:
-            overrides["flows_per_s"] = args.flows_per_s
-        evidence = default_fleet_evidence(fleet, seed=args.seed, **overrides)
-        topology = FleetTopology(fleet, seed=args.seed)
-        reports = harvest_evidence(
-            evidence, topology, episodes, t_lo, t_lo + args.window)
-        verdict = tally_votes(reports, flow_packets=args.flow_packets,
-                              min_votes=args.min_votes)
-        truth = set(oracle.corrupting_at(t_lo + args.window / 2))
-        if not _JSON_MODE:
-            _print(f"window [{t_lo:.0f}s, {t_lo + args.window:.0f}s): "
-                   f"{verdict.n_reports} reports, {verdict.n_flagged} "
-                   f"flagged; blamed {verdict.blamed}; truth {sorted(truth)}")
-        rows = []
-        for score in verdict.ranked[:args.top]:
-            link = topology.link(score.link_id)
-            rows.append({
-                "link": score.link_id,
-                "pod": link.pod,
-                "kind": link.kind,
-                "votes": round(score.votes, 2),
-                "flagged": score.flagged,
-                "crossings": score.crossings,
-                "loss_estimate": f"{score.loss_estimate:.2e}",
-                "confidence": round(score.confidence, 3),
-                "blamed": score.link_id in verdict.blamed,
-                "truth": score.link_id in truth,
-            })
-        _emit(rows)
-        return 0
+            spec_kwargs["flows_per_s"] = args.flows_per_s
+        try:
+            spec = BlameEvalSpec(**spec_kwargs)
+        except ValueError as exc:
+            _usage_error(str(exc))
+        metrics = evaluate_blame(spec)
+        rows.append({
+            "coverage": coverage,
+            "windows": metrics["windows"],
+            "top1": round(metrics["top1_accuracy"], 4),
+            "single_top1": round(metrics["single_top1_accuracy"], 4),
+            "precision": round(metrics["precision"], 4),
+            "recall": round(metrics["recall"], 4),
+            "mean_blamed": round(metrics["mean_blamed"], 2),
+        })
+    _emit(rows)
+    if args.fail_under is not None:
+        worst = min(row["single_top1"] for row in rows)
+        if worst < args.fail_under:
+            _say(f"FAIL: single-bad-link top-1 {worst} < "
+                 f"{args.fail_under}")
+            return 1
+    return 0
 
-    if args.mode == "eval":
-        from .blame import BlameEvalSpec, evaluate_blame
 
-        if args.coverages:
-            try:
-                coverages = [float(c) for c in args.coverages.split(",")]
-            except ValueError:
-                _usage_error("--coverages must be comma-separated floats")
-        else:
-            coverages = [args.coverage]
-        rows = []
-        for coverage in coverages:
-            spec_kwargs = dict(
-                fleet=fleet, mode=args.eval_mode, n_trials=args.trials,
-                window_s=args.window, coverage=coverage,
-                flow_packets=args.flow_packets, min_votes=args.min_votes,
-                loss_lo=args.loss_lo, loss_hi=args.loss_hi,
-                trace_days=args.trace_days,
-                detectable_loss=args.detectable_loss,
-                repair=args.repair, seed=args.seed)
-            if args.flows_per_s > 0:
-                spec_kwargs["flows_per_s"] = args.flows_per_s
-            try:
-                spec = BlameEvalSpec(**spec_kwargs)
-            except ValueError as exc:
-                _usage_error(str(exc))
-            metrics = evaluate_blame(spec)
-            rows.append({
-                "coverage": coverage,
-                "windows": metrics["windows"],
-                "top1": round(metrics["top1_accuracy"], 4),
-                "single_top1": round(metrics["single_top1_accuracy"], 4),
-                "precision": round(metrics["precision"], 4),
-                "recall": round(metrics["recall"], 4),
-                "mean_blamed": round(metrics["mean_blamed"], 2),
-            })
-        _emit(rows)
-        if args.fail_under is not None:
-            worst = min(row["single_top1"] for row in rows)
-            if worst < args.fail_under:
-                if not _JSON_MODE:
-                    _print(f"FAIL: single-bad-link top-1 {worst} < "
-                           f"{args.fail_under}")
-                return 1
-        return 0
-
-    # mode == "optimize"
+def _blame_optimize(args) -> None:
+    """Replay a trace window through every registered activation policy
+    x budget and rank them by link-seconds of damage."""
     from .fleet.policies import default_candidates, optimize_policies
-    from .lifecycle.repair import apply_repair, repair_policy
-    from .lifecycle.traces import TraceSpec, generate_trace
 
     try:
         budgets = [int(b) for b in args.budgets.split(",")]
     except ValueError:
         _usage_error("--budgets must be comma-separated integers")
-    trace = generate_trace(TraceSpec(
-        fleet=fleet, duration_days=args.days, seed=args.seed))
-    repaired, _ = apply_repair(trace, repair_policy(args.repair))
-    episodes = [item.episode for item in repaired]
+    episodes = _trace_episodes(args)
     results = optimize_policies(
-        fleet, episodes, seed=args.seed,
+        _fleet_spec(args), episodes, seed=args.seed,
         candidates=default_candidates(budgets))
     rows = [{
         "rank": rank,
@@ -1522,218 +1110,566 @@ def cmd_blame(argv: List[str]) -> int:
     _emit(rows)
     if not _JSON_MODE and rows:
         _print(f"best: {rows[0]['candidate']} over {len(episodes)} episodes")
-    return 0
 
 
-COMMANDS = {
-    "fig01": (cmd_fig01, "PLR vs optical attenuation per transceiver"),
-    "fig02": (cmd_fig02, "flow-size CDFs of six datacenter workloads"),
-    "tab01": (cmd_tab01, "corruption loss-rate buckets (trace model)"),
-    "fig08": (cmd_fig08, "effective loss rate & link speed (stress test)"),
-    "fig09": (cmd_fig09, "DCTCP timeline on 25G with 1e-3 loss"),
-    "fig10": (cmd_fig10, "FCT of 143B single-packet flows"),
-    "fig11": (cmd_fig11, "FCT of 24,387B flows (DCTCP/BBR/RDMA)"),
-    "fig12": (cmd_fig12, "FCT of 2MB DCTCP flows"),
-    "fig13": (cmd_fig13, "classification of affected flows under LG_NB"),
-    "tab02": (cmd_tab02, "mechanism-contribution ablation"),
-    "tab03": (cmd_tab03, "CUBIC goodput: LinkGuardian vs Wharf"),
-    "tab04": (cmd_tab04, "recirculation overhead"),
-    "fig14": (cmd_fig14, "TX/RX buffer usage"),
-    "fig15": (cmd_fig15, "deployment-study snapshot (CorrOpt vs +LG)"),
-    "fig16": (cmd_fig16, "deployment-study CDFs (gain & capacity cost)"),
-    "fig19": (cmd_fig19, "retransmission-delay distribution"),
-    "fig20": (cmd_fig20, "consecutive packets lost"),
-    "fig21": (cmd_fig21, "CUBIC and BBR timelines"),
-    "incremental": (cmd_incremental, "partial-deployment sweep (§5)"),
-    "export": (cmd_export, "convert benchmarks/results JSON to .dat/.csv"),
-    "metrics": (cmd_metrics, "instrumented run + metrics-registry summary"),
-    "sweep": (cmd_sweep, "declarative cell sweep (parallel, resumable)"),
-    "fleet": (cmd_fleet, "fleet campaign: one-shot SLOs + fleet-wide corruptd"),
-}
+# -- flags: each spelling declared once ----------------------------------------
+
+class Flag:
+    """One command-line flag: spelling, default, help.
+
+    The default implies the type (``False`` makes a switch), so a row
+    says each thing once; ``**kwargs`` carries whatever else
+    ``add_argument`` needs — ``metavar``, ``choices``, ``dest``, the
+    ``type`` of a flag whose default is None.  A name without dashes is
+    a positional.
+    """
+
+    def __init__(self, name: str, default: Any = None,
+                 help: Optional[str] = None, **kwargs: Any) -> None:
+        self.name = name
+        self.kwargs = {"default": default, "help": help, **kwargs}
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest") or self.name.lstrip("-").replace("-", "_")
+
+    def but(self, **kwargs: Any) -> "Flag":
+        """This flag with a verb's own default, help or choices."""
+        return Flag(self.name, **{**self.kwargs, **kwargs})
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        kwargs = dict(self.kwargs)
+        if kwargs["default"] is False:
+            kwargs["action"] = "store_true"
+        elif kwargs["default"] is not None:
+            kwargs.setdefault("type", type(kwargs["default"]))
+        parser.add_argument(self.name, **kwargs)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "check":
-        # The checker has its own subcommand grammar (run/fuzz/replay);
-        # dispatch before the experiment parser sees the arguments.
-        return cmd_check(argv[1:])
-    if argv and argv[0] == "fastpath":
-        # Same pattern: scan/validate have their own grammar.
-        return cmd_fastpath(argv[1:])
-    if argv and argv[0] == "obs":
-        # And spans/timeline/top for obs artifact inspection.
-        return cmd_obs(argv[1:])
-    if argv and argv[0] == "lifecycle":
-        # And generate/replay/report for month-scale SLO replay.
-        return cmd_lifecycle(argv[1:])
-    if argv and argv[0] == "serve":
-        # The long-running control-plane service (own flag grammar).
-        return cmd_serve(argv[1:])
-    if argv and argv[0] == "blame":
-        # And report/eval/optimize for voting-based localization.
-        return cmd_blame(argv[1:])
+def _defaults(group: Tuple[Flag, ...], **defaults: Any) -> Tuple[Flag, ...]:
+    """``group`` with the defaults of the named dests replaced."""
+    return tuple(flag.but(default=defaults[flag.dest])
+                 if flag.dest in defaults else flag for flag in group)
+
+
+JSON = Flag("--json", False, "machine-readable output: JSON rows, not tables")
+SEED = Flag("--seed", 1)
+TRIALS = Flag("--trials", 1_000, "FCT trials per scenario")
+LOSS_RATE = Flag("--loss-rate", 5e-3,
+                 "corruption loss rate for FCT experiments")
+DURATION_MS = Flag("--duration-ms", 4.0,
+                   "stress/timeline phase duration (simulated ms)")
+DAYS = Flag("--days", 120.0, "deployment-study duration (simulated days)")
+MTTF_HOURS = Flag("--mttf-hours", 1_500.0,
+                  "link mean-time-to-failure for deployment study")
+OUT = Flag("--out", metavar="PATH")
+FAIL_UNDER = Flag("--fail-under", type=float, metavar="FRACTION",
+                  help="exit 1 if goodput SLO attainment < FRACTION")
+
+#: obs-output group: the verbs that instrument a simulation
+OBS_OUT = (
+    Flag("--trace-out", metavar="PATH",
+         help="write a Chrome trace-event file (Perfetto); "
+              "a .jsonl extension selects raw JSONL events"),
+    Flag("--metrics-out", metavar="PATH",
+         help="write the metrics registry (JSON, or "
+              "Prometheus text with a .prom extension)"),
+    Flag("--spans", False,
+         "record causal recovery-episode spans (exported with "
+         "--trace-out, inspected with 'repro obs spans')"),
+    Flag("--timeline-out", metavar="PATH",
+         help="write the flight-recorder timeline JSON "
+              "(inspected with 'repro obs timeline')"),
+    Flag("--timeline-interval-us", 100.0,
+         "flight-recorder sampling cadence in simulated microseconds"),
+)
+
+#: sweep/runner group
+KIND = Flag("--kind", "fct", "experiment kind of the base spec")
+AXIS = Flag("--axis", action="append", metavar="FIELD=V1,V2",
+            help="one axis of the grid (repeatable); "
+                 "FIELD is a spec field or params.X / lg.X")
+SWEEP_SEED = Flag("--sweep-seed", type=int,
+                  help="derive a deterministic per-cell seed from this "
+                       "root (default: every cell keeps --seed, as in "
+                       "the paper's figures)")
+BACKEND = Flag("--backend", "packet",
+               "execution backend for every cell (fastpath = vectorized "
+               "analytic models; hybrid = analytic between losses, "
+               "packet windows around them)",
+               choices=["packet", "fastpath", "hybrid"])
+WORKERS = Flag("--workers", 1, "worker processes (results are "
+                               "bit-identical to --workers 1)")
+CHECKPOINT = Flag("--checkpoint", metavar="PATH",
+                  help="JSONL checkpoint; completed cells (or replay "
+                       "chunks) are appended as they finish and skipped "
+                       "on rerun")
+
+#: fleet-shape group: the generated Clos fabric and its failure rate
+FLEET_SHAPE = (
+    Flag("--fleet-pods", 4, "pods in the generated Clos fabric"),
+    Flag("--fleet-tors", 8, "ToR switches per pod"),
+    Flag("--fleet-fabrics", 4, "fabric switches per pod"),
+    Flag("--fleet-spines", 8, "spine uplinks per fabric switch"),
+    MTTF_HOURS.but(help="per-link mean time between corruption onsets"),
+)
+POLICY = Flag("--policy", "incremental",
+              "fleet arbitration policy (incremental | greedy-worst)")
+ACTIVATION_BUDGET = Flag(
+    "--activation-budget", 64,
+    "max concurrent LinkGuardian activations fleet-wide")
+RESIM_FRACTION = Flag(
+    "--resim-fraction", 0.05,
+    "with --backend fastpath, the worst fraction of episodes "
+    "re-simulated with the packet sampler")
+REPAIR = Flag("--repair", "corropt", "repair policy applied to the trace "
+                                     "(corropt | exponential | severity)")
+
+#: blame-evidence group: the flow-report window a vote runs over
+COVERAGE = Flag("--coverage", 1.0,
+                "fraction of flow reports surviving telemetry loss")
+FLOWS_PER_S = Flag("--flows-per-s", 0.0,
+                   "aggregate flow rate (0 = sized to fleet)")
+BLAME_EVIDENCE = (
+    Flag("--window", 60.0, "evidence window the vote runs over",
+         metavar="S"),
+    COVERAGE, FLOWS_PER_S,
+    Flag("--flow-packets", 100),
+    Flag("--min-votes", 2.0, "votes below this never enter the blamed set"),
+)
+#: blame runs on a small, failure-dense fleet so a short window has signal
+BLAME_FLEET = (*_defaults(FLEET_SHAPE, fleet_pods=2, fleet_tors=4,
+                          fleet_fabrics=2, fleet_spines=4, mttf_hours=300.0),
+               SEED)
+LIFECYCLE_FLEET = (DAYS.but(default=30.0, help="simulated fleet time (days)"),
+                   SEED, *FLEET_SHAPE)
+
+
+def _fuzz_flags() -> Tuple[Flag, ...]:
+    """``repro check fuzz``'s flags; the ``--defect`` choices are the
+    checker's registry."""
+    from .checker import DEFECTS
+
+    return (
+        SEED,
+        TRIALS.but(default=50, help="random scenarios to run"),
+        Flag("--defect", choices=sorted(DEFECTS),
+             help="deliberate protocol break to fuzz against"),
+        Flag("--no-shrink", False,
+             "skip ddmin shrinking of the first failure"),
+        Flag("--shrink-out", metavar="PATH",
+             help="write the shrunk counterexample artifact here"))
+
+
+#: ``repro serve``: flags whose dest names the ServiceConfig field they
+#: set; _serve_flags() reads each one's default (hence type) and choices
+#: off the dataclass.
+SERVE = (
+    Flag("--host"),
+    Flag("--port", help="HTTP port (0 = ephemeral; see --port-file)"),
+    Flag("--queue-limit", help="pending what-if queries before 429"),
+    Flag("--max-inflight", help="queries dispatched to workers concurrently"),
+    Flag("--query-timeout", dest="query_timeout_s", metavar="S",
+         help="per-query server-side deadline"),
+    Flag("--drain-timeout", dest="drain_timeout_s", metavar="S",
+         help="SIGTERM: in-flight queries get this long"),
+    Flag("--executor"),
+    WORKERS.but(help="what-if worker pool size"),
+    BACKEND.but(help="default what-if execution backend"),
+    Flag("--cache-size"),
+    Flag("--loss-sigfigs", help="cache-key loss-rate quantization (0 = off)"),
+    Flag("--telemetry"),
+    Flag("--telemetry-file", metavar="PATH",
+         help="JSONL counter records (--telemetry file)"),
+    Flag("--follow", help="tail --telemetry-file for appends"),
+    Flag("--ingest-port", help="TCP ingest listener (--telemetry tcp)"),
+    Flag("--synthetic-days",
+         help="simulated days the synthetic trace covers"),
+    Flag("--synthetic-records",
+         help="stop the synthetic feed after N records (0 = whole trace)"),
+    Flag("--interval", dest="interval_s", metavar="S",
+         help="real-time pacing between synthetic records"),
+    Flag("--evidence", metavar="KIND",
+         help="corruption signal: RX counter snapshots through "
+              "LossWindows, or per-flow retx reports through 007 voting"),
+    Flag("--blame-window", dest="blame_window_s", metavar="S",
+         help="voting: sliding evidence window"),
+    COVERAGE.but(help="voting: fraction of synthetic flow reports "
+                      "surviving telemetry loss"),
+    FLOWS_PER_S.but(help="voting: synthetic flow rate (0 = fleet-sized)"),
+    Flag("--window-frames", help="loss-estimation window (frames)"),
+    Flag("--onset-threshold"),
+    Flag("--clear-hysteresis"),
+    POLICY, SEED,
+    Flag("--snapshot-out", dest="snapshot_path", metavar="PATH",
+         help="write a final state snapshot at drain"),
+    # -- not ServiceConfig fields ---------------------------------------------
+    Flag("--port-file", metavar="PATH",
+         help="write the bound HTTP port here once listening "
+              "(scripts/CI pair this with --port 0)"),
+    Flag("--probe", metavar="/PATH",
+         help="client mode: GET this path on --host:--port, "
+              "print the body, exit"),
+    ACTIVATION_BUDGET, *FLEET_SHAPE,
+)
+
+
+def _serve_flags() -> Tuple[Flag, ...]:
+    """:data:`SERVE` with each ServiceConfig-backed flag's default and
+    choices filled in from the dataclass, so a knob's default is typed
+    once — there.  (A function because importing the service package is
+    too heavy to do for every other verb.)"""
+    from dataclasses import fields
+
+    from .service.config import EXECUTOR_KINDS, TELEMETRY_KINDS, ServiceConfig
+
+    config = {f.name: f.default for f in fields(ServiceConfig)}
+    choices = {"executor": EXECUTOR_KINDS, "telemetry": TELEMETRY_KINDS}
+    flags = []
+    for flag in SERVE:
+        if flag.dest in config:
+            flag = flag.but(default=config[flag.dest])
+        if flag.dest in choices:
+            flag = flag.but(choices=choices[flag.dest])
+        flags.append(flag)
+    return tuple(flags)
+
+
+# -- the verb table ------------------------------------------------------------
+
+class Verb(NamedTuple):
+    """One row of the command tree."""
+
+    name: str
+    #: one line: ``repro list``, the parent's ``-h``, the verb's own ``-h``
+    help: str
+    #: handler(args) -> exit code (None = 0)
+    run: Optional[Callable] = None
+    #: the flags this verb reads besides ``--json`` (anything else is
+    #: rejected), or a zero-argument function returning them
+    flags: Any = ()
+    #: a grouped verb nests rows instead of running
+    subs: Tuple["Verb", ...] = ()
+    #: the group's ``-h`` description
+    description: Optional[str] = None
+
+    def flag_rows(self) -> Tuple["Flag", ...]:
+        return self.flags() if callable(self.flags) else self.flags
+
+
+_STRESS = (DURATION_MS, SEED, *OBS_OUT)
+_FCT = (TRIALS, LOSS_RATE, SEED)
+_DEPLOYMENT = (DAYS, MTTF_HOURS, SEED)
+
+# Invalid arguments exit 2; violations and replay mismatches exit 1.
+CHECK = (
+    Verb("fuzz", "random fault schedules + shrinking", _check_fuzz,
+         _fuzz_flags),
+    Verb("run", "run one scenario file", _check_run, (
+        Flag("scenario", metavar="SCENARIO.json",
+             help="JSON file with 'scenario' and optional 'config'"),
+    )),
+    Verb("replay", "replay a counterexample artifact", _check_replay, (
+        Flag("artifact", metavar="ARTIFACT.json"),
+    )),
+)
+
+# Argument errors exit 2; validate exits 1 past a documented tolerance.
+FASTPATH = (
+    Verb("scan", "sweep a grid on the analytic models", _fastpath_scan, (
+        KIND.but(help="experiment kind of the base spec "
+                      "(fct | goodput | stress)"),
+        AXIS, TRIALS, LOSS_RATE, SEED, SWEEP_SEED,
+    )),
+    Verb("validate", "matched grid on both backends + comparison",
+         _fastpath_validate, (
+        Flag("--cells", 200, "approximate grid size"),
+        SEED,
+        WORKERS.but(help="worker processes for the packet cells"),
+        BACKEND.but(default="fastpath", choices=["fastpath", "hybrid"],
+                    help="the fast side of the comparison (hybrid = "
+                         "the splicing backend)"),
+        OUT.but(help="write the full report JSON here"),
+    )),
+)
+
+# Missing files and bad arguments exit 2; files that fail schema
+# validation exit 1.
+OBS = (
+    Verb("spans", "render recovery-episode trees from a trace", _obs_spans, (
+        Flag("trace", metavar="TRACE.json",
+             help="Chrome trace (--trace-out) or .jsonl events"),
+    )),
+    Verb("timeline", "summarize a flight-recorder timeline", _obs_timeline, (
+        Flag("timeline", metavar="TIMELINE.json",
+             help="file written by --timeline-out"),
+    )),
+    Verb("top", "rank sweep cells by wall-clock cost", _obs_top, (
+        Flag("checkpoint", metavar="CHECKPOINT.jsonl",
+             help="sweep --checkpoint JSONL of cell results"),
+        Flag("--limit", 10),
+    )),
+)
+
+# Bad arguments exit 2; replay/report exit 1 when --fail-under is given
+# and the goodput SLO attainment lands below it.
+LIFECYCLE = (
+    Verb("generate", "write a deterministic failure trace",
+         _lifecycle_generate, (
+        *LIFECYCLE_FLEET,
+        OUT.but(metavar="TRACE.json",
+                help="write the trace document here (default stdout)"),
+    )),
+    Verb("replay", "replay a trace into per-day SLO series",
+         _lifecycle_replay, (
+        *LIFECYCLE_FLEET,
+        Flag("--trace", metavar="TRACE.json",
+             help="replay this generated trace (verified against "
+                  "its embedded spec); fleet flags are ignored"),
+        POLICY, REPAIR,
+        Flag("--repair-param", action="append", metavar="K=V",
+             help="one repair-policy parameter (repeatable)"),
+        BACKEND.but(default="hybrid", help="affected-flow evaluation tier"),
+        Flag("--chunks", 1, "time chunks executed through the sweep runner "
+                            "(bit-identical to --chunks 1)"),
+        WORKERS, CHECKPOINT, RESIM_FRACTION,
+        Flag("--goodput-target", 0.97, "per-day fleet goodput SLO target"),
+        Flag("--affected-target", 1e-3,
+             "per-day affected-flow-fraction SLO target"),
+        OUT.but(metavar="ROLLUP.json",
+                help="write the full rollup document here "
+                     "(input to 'repro lifecycle report')"),
+        FAIL_UNDER,
+        JSON.but(help="print the canonical rollup JSON "
+                      "(byte-identical across chunkings/workers)"),
+    )),
+    Verb("report", "render a saved replay rollup", _lifecycle_report, (
+        Flag("rollup", metavar="ROLLUP.json",
+             help="rollup document from 'replay --out'"),
+        Flag("--days-table", False, "include the full per-day series table"),
+        FAIL_UNDER,
+    )),
+)
+
+BLAME = (
+    Verb("report", "rank one evidence window's blamed links", _blame_report, (
+        *BLAME_FLEET, *BLAME_EVIDENCE,
+        DAYS.but(default=10.0,
+                 help="lifecycle trace length the window comes from"),
+        REPAIR,
+        Flag("--at", type=float, metavar="T",
+             help="window start in trace seconds (default: the "
+                  "first window with a corrupting link)"),
+        Flag("--top", 10, "ranked links to print"),
+    )),
+    Verb("eval", "score voting against ground truth", _blame_eval, (
+        *BLAME_FLEET, *BLAME_EVIDENCE,
+        Flag("--mode", "trials",
+             "trials = planted single-bad-link windows; "
+             "trace = lifecycle ground truth", choices=["trials", "trace"]),
+        TRIALS.but(default=20, help="windows evaluated per coverage level"),
+        Flag("--coverages", metavar="C1,C2",
+             help="sweep these coverage levels instead of "
+                  "--coverage (e.g. 1.0,0.5,0.2)"),
+        Flag("--loss-lo", 5e-4),
+        Flag("--loss-hi", 5e-3),
+        Flag("--trace-days", 10.0),
+        Flag("--detectable-loss", 1e-4,
+             "trace mode: truth is links at/above this"),
+        REPAIR,
+        FAIL_UNDER.but(help="exit 1 if single-bad-link top-1 accuracy "
+                            "< FRACTION at any coverage level"),
+    )),
+    Verb("optimize", "rank activation policies over a trace",
+         _blame_optimize, (
+        *BLAME_FLEET,
+        DAYS.but(default=10.0,
+                 help="lifecycle trace replayed through candidates"),
+        REPAIR,
+        Flag("--budgets", "8,64", "activation budgets swept per policy",
+             metavar="B1,B2"),
+    )),
+)
+
+VERBS: Tuple[Verb, ...] = (
+    Verb("fig01", "PLR vs optical attenuation per transceiver", _fig01),
+    Verb("fig02", "flow-size CDFs of six datacenter workloads", _fig02),
+    Verb("tab01", "corruption loss-rate buckets (trace model)", _tab01),
+    Verb("fig08", "effective loss rate & link speed (stress test)",
+         _fig08, _STRESS),
+    Verb("fig09", "DCTCP timeline on 25G with 1e-3 loss", _fig09, (
+        DURATION_MS,
+        Flag("--resume-kb", 2.0,
+             "fig09 backpressure resume threshold in KB, scaled down like "
+             "the phase durations so pause/resume dynamics show at sim "
+             "scale; <= 0 restores the paper's 25G default"),
+        *OBS_OUT,
+    )),
+    Verb("fig10", "FCT of 143B single-packet flows",
+         partial(_fct, ("dctcp", "rdma"), 143), (*_FCT, *OBS_OUT)),
+    Verb("fig11", "FCT of 24,387B flows (DCTCP/BBR/RDMA)",
+         partial(_fct, ("dctcp", "bbr", "rdma"), 24_387), (*_FCT, *OBS_OUT)),
+    Verb("fig12", "FCT of 2MB DCTCP flows",
+         partial(_fct, ("dctcp",), 2_000_000, loss=1e-3, max_trials=200),
+         (TRIALS, SEED, *OBS_OUT)),
+    Verb("fig13", "classification of affected flows under LG_NB",
+         _fig13, _FCT),
+    Verb("tab02", "mechanism-contribution ablation", _tab02, _FCT),
+    Verb("tab03", "CUBIC goodput: LinkGuardian vs Wharf", _tab03, (SEED,)),
+    Verb("tab04", "recirculation overhead", _tab04, _STRESS),
+    Verb("fig14", "TX/RX buffer usage", _fig14, _STRESS),
+    Verb("fig15", "deployment-study snapshot (CorrOpt vs +LG)",
+         _fig15, _DEPLOYMENT),
+    Verb("fig16", "deployment-study CDFs (gain & capacity cost)",
+         _fig16, _DEPLOYMENT),
+    Verb("fig19", "retransmission-delay distribution", _fig19, _STRESS),
+    Verb("fig20", "consecutive packets lost", _fig20),
+    Verb("fig21", "CUBIC and BBR timelines", _fig21,
+         (DURATION_MS, *OBS_OUT)),
+    Verb("incremental", "partial-deployment sweep (§5)", _incremental,
+         (DAYS, SEED)),
+    Verb("export", "convert benchmarks/results JSON to .dat/.csv", _export, (
+        Flag("--results-dir", "benchmarks/results",
+             "where the benchmark suite saved its JSON"),
+        Flag("--out-dir", "figures",
+             "where to write .dat/.csv files (export)"),
+    )),
+    Verb("metrics", "instrumented run + metrics-registry summary",
+         _metrics, _STRESS),
+    Verb("sweep", "declarative cell sweep (parallel, resumable)", _sweep,
+         (KIND, AXIS, TRIALS, LOSS_RATE, SEED, SWEEP_SEED, BACKEND, WORKERS,
+          CHECKPOINT)),
+    Verb("fleet", "fleet campaign: one-shot SLOs + fleet-wide corruptd",
+         _fleet, (
+        *FLEET_SHAPE, DAYS, SEED, POLICY, ACTIVATION_BUDGET,
+        Flag("--shards", 1,
+             "time shards (day ranges, at most --days) executed through "
+             "the sweep runner (bit-identical to --shards 1)"),
+        BACKEND, RESIM_FRACTION, WORKERS, CHECKPOINT, *OBS_OUT,
+    )),
+    Verb("check", "conformance checker: invariants, fault scenarios, "
+                  "fuzzing ('repro check -h')", subs=CHECK,
+         description="Protocol conformance checking: invariant monitors, "
+                     "fault scenarios, and a shrinking schedule fuzzer."),
+    Verb("fastpath", "analytic backend: wide scans + "
+                     "cross-validation ('repro fastpath -h')", subs=FASTPATH,
+         description="Vectorized analytic backend: wide scans and "
+                     "cross-validation against the packet engine."),
+    Verb("obs", "inspect span trees, timelines, and "
+                "cell costs ('repro obs -h')", subs=OBS,
+         description="Inspect observability artifacts: recovery-episode "
+                     "span trees, flight-recorder timelines, cell costs."),
+    Verb("lifecycle", "month-scale fleet traces, repair loop, "
+                      "SLO replay ('repro lifecycle -h')", subs=LIFECYCLE,
+         description="Month-scale fleet lifecycle: failure traces, repair "
+                     "loop, and longitudinal SLO replay."),
+    Verb("serve", "always-on control plane: streaming "
+                  "telemetry, /metrics, cached what-if "
+                  "API ('repro serve -h')", _serve, _serve_flags,
+         description="Long-running control plane: streaming telemetry in, "
+                     "controller decisions and cached what-if answers out."),
+    Verb("blame", "corruption localization from flow "
+                  "evidence: 007 voting, accuracy eval, "
+                  "policy optimizer ('repro blame -h')", subs=BLAME,
+         description="Fleet-scale corruption localization from flow-level "
+                     "evidence: 007-style voting, no oracle counters."),
+    Verb("list", "every verb with its one-line help", _list),
+)
+
+
+def _add_verbs(parser, verbs, argv) -> None:
+    sub = parser.add_subparsers(metavar="VERB", required=True)
+    for verb in verbs:
+        child = sub.add_parser(verb.name, help=verb.help,
+                               description=verb.description or verb.help)
+        if verb.subs:
+            _add_verbs(child, verb.subs, argv)
+        elif argv is None or verb.name in argv:
+            # Every verb takes --json (main() reads it); a row that lists
+            # its own wording of a flag replaces the shared one.
+            flags = {flag.name: flag for flag in (JSON, *verb.flag_rows())}
+            for flag in flags.values():
+                flag.add_to(child)
+            child.set_defaults(run=verb.run)
+
+
+def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
+    """The ``repro`` command tree, built from :data:`VERBS`.
+
+    Every verb is always in the tree; its flags are declared when
+    ``argv`` names it (for every verb when ``argv`` is None), so ``repro
+    fig01`` does not import the service package to read ``repro serve``'s
+    defaults and ``repro serve`` does not pay for 28 other flag tables.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Run LinkGuardian reproduction experiments.",
     )
-    parser.add_argument("experiment", choices=list(COMMANDS) + ["list"],
-                        help="experiment id (paper figure/table) or 'list'")
-    parser.add_argument("--trials", type=int, default=1_000,
-                        help="FCT trials per scenario")
-    parser.add_argument("--loss-rate", type=float, default=5e-3,
-                        help="corruption loss rate for FCT experiments")
-    parser.add_argument("--duration-ms", type=float, default=4.0,
-                        help="stress/timeline phase duration (simulated ms)")
-    parser.add_argument("--days", type=float, default=120.0,
-                        help="deployment-study duration (simulated days)")
-    parser.add_argument("--mttf-hours", type=float, default=1_500.0,
-                        help="link mean-time-to-failure for deployment study")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--results-dir", default="benchmarks/results",
-                        help="where the benchmark suite saved its JSON")
-    parser.add_argument("--out-dir", default="figures",
-                        help="where to write .dat/.csv files (export)")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output: JSON rows, not tables")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write a Chrome trace-event file (Perfetto); "
-                             "a .jsonl extension selects raw JSONL events")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the metrics registry (JSON, or "
-                             "Prometheus text with a .prom extension)")
-    parser.add_argument("--spans", action="store_true",
-                        help="record causal recovery-episode spans "
-                             "(exported with --trace-out, inspected with "
-                             "'repro obs spans')")
-    parser.add_argument("--timeline-out", default=None, metavar="PATH",
-                        help="write the flight-recorder timeline JSON "
-                             "(inspected with 'repro obs timeline')")
-    parser.add_argument("--timeline-interval-us", type=float, default=100.0,
-                        help="flight-recorder sampling cadence in "
-                             "simulated microseconds")
-    parser.add_argument("--kind", default="fct",
-                        help="sweep: experiment kind of the base spec")
-    parser.add_argument("--backend", default="packet",
-                        choices=["packet", "fastpath", "hybrid"],
-                        help="sweep: execution backend for every cell "
-                             "(fastpath = vectorized analytic models; "
-                             "hybrid = analytic between losses, packet "
-                             "windows around them)")
-    parser.add_argument("--axis", action="append", metavar="FIELD=V1,V2",
-                        help="sweep: one axis of the grid (repeatable); "
-                             "FIELD is a spec field or params.X / lg.X")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="sweep: worker processes (results are "
-                             "bit-identical to --workers 1)")
-    parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="sweep: JSONL checkpoint; completed cells are "
-                             "appended as they finish and skipped on rerun")
-    parser.add_argument("--sweep-seed", type=int, default=None,
-                        help="sweep: derive a deterministic per-cell seed "
-                             "from this root (default: every cell keeps "
-                             "--seed, as in the paper's figures)")
-    parser.add_argument("--policy", default="incremental",
-                        help="fleet: controller policy "
-                             "(incremental | greedy-worst)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="fleet: time shards (day ranges, at most --days) "
-                             "executed through the sweep runner "
-                             "(bit-identical to --shards 1)")
-    parser.add_argument("--fleet-pods", type=int, default=4,
-                        help="fleet: pods in the generated Clos fabric")
-    parser.add_argument("--fleet-tors", type=int, default=8,
-                        help="fleet: ToR switches per pod")
-    parser.add_argument("--fleet-fabrics", type=int, default=4,
-                        help="fleet: fabric switches per pod")
-    parser.add_argument("--fleet-spines", type=int, default=8,
-                        help="fleet: spine uplinks per fabric switch")
-    parser.add_argument("--activation-budget", type=int, default=64,
-                        help="fleet: max concurrent LinkGuardian "
-                             "activations fleet-wide")
-    parser.add_argument("--resim-fraction", type=float, default=0.05,
-                        help="fleet: with --backend fastpath, the worst "
-                             "fraction of episodes re-simulated with the "
-                             "packet sampler")
-    parser.add_argument("--resume-kb", type=float, default=2.0,
-                        help="fig09 backpressure resume threshold in KB, "
-                             "scaled down like the phase durations so "
-                             "pause/resume dynamics show at sim scale; "
-                             "<= 0 restores the paper's 25G default")
-    args = parser.parse_args(argv)
+    _add_verbs(parser, VERBS, argv)
+    return parser
 
-    global _JSON_MODE
-    _JSON_MODE = args.json
 
+def _observability(args):
+    """The run's Observability, when the verb takes the obs-output flags
+    and one of them asks for an artifact."""
+    if not hasattr(args, "trace_out"):
+        return None
     if args.timeline_interval_us <= 0:
         _usage_error("--timeline-interval-us must be > 0")
-    args.obs = None
-    if args.trace_out or args.metrics_out or args.spans or args.timeline_out:
-        from .obs import Observability
+    if not (args.trace_out or args.metrics_out or args.spans
+            or args.timeline_out):
+        return None
+    from .obs import Observability
 
-        args.obs = Observability(
-            spans=args.spans,
-            timeline=({"interval_ns": int(args.timeline_interval_us * 1000)}
-                      if args.timeline_out else None),
-        )
+    return Observability(
+        spans=args.spans,
+        timeline=({"interval_ns": int(args.timeline_interval_us * 1000)}
+                  if args.timeline_out else None),
+    )
 
-    if args.experiment == "list":
-        rows = [{"experiment": name, "description": desc}
-                for name, (_, desc) in COMMANDS.items()]
-        rows.append({"experiment": "check",
-                     "description": "conformance checker: invariants, fault "
-                                    "scenarios, fuzzing ('repro check -h')"})
-        rows.append({"experiment": "fastpath",
-                     "description": "analytic backend: wide scans + "
-                                    "cross-validation ('repro fastpath -h')"})
-        rows.append({"experiment": "obs",
-                     "description": "inspect span trees, timelines, and "
-                                    "cell costs ('repro obs -h')"})
-        rows.append({"experiment": "lifecycle",
-                     "description": "month-scale fleet traces, repair loop, "
-                                    "SLO replay ('repro lifecycle -h')"})
-        rows.append({"experiment": "serve",
-                     "description": "always-on control plane: streaming "
-                                    "telemetry, /metrics, cached what-if "
-                                    "API ('repro serve -h')"})
-        rows.append({"experiment": "blame",
-                     "description": "corruption localization from flow "
-                                    "evidence: 007 voting, accuracy eval, "
-                                    "policy optimizer ('repro blame -h')"})
-        _emit(rows)
-        return 0
-    command, _ = COMMANDS[args.experiment]
-    command(args)
 
+def _write_artifacts(args) -> None:
+    """Export what ``args.obs`` recorded to the obs-output paths."""
+    from .obs import (
+        write_chrome_trace, write_jsonl,
+        write_metrics_json, write_metrics_prometheus, write_timeline_json,
+    )
+
+    if args.trace_out:
+        if args.trace_out.endswith(".jsonl"):
+            write_jsonl(args.trace_out, args.obs.tracer,
+                        spans=args.obs.spans)
+        else:
+            write_chrome_trace(args.trace_out, args.obs.tracer,
+                               args.obs.registry, spans=args.obs.spans)
+        _say(f"trace written to {args.trace_out}")
+    if args.timeline_out and args.obs.timeline is not None:
+        args.obs.timeline.stop()
+        write_timeline_json(args.timeline_out, args.obs.timeline)
+        _say(f"timeline written to {args.timeline_out}")
+    if args.metrics_out:
+        if args.metrics_out.endswith(".prom"):
+            write_metrics_prometheus(args.metrics_out, args.obs.registry)
+        else:
+            write_metrics_json(args.metrics_out, args.obs.registry)
+        _say(f"metrics written to {args.metrics_out}")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    global _JSON_MODE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
+    _JSON_MODE = args.json
+    args.obs = _observability(args)
+    try:
+        code = args.run(args) or 0
+    except _InvalidInput as exc:
+        sys.stderr.write(f"repro: error: {exc}\n")
+        return 1
     if args.obs is not None:
-        from .obs import (
-            write_chrome_trace, write_jsonl,
-            write_metrics_json, write_metrics_prometheus, write_timeline_json,
-        )
-
-        if args.trace_out:
-            if args.trace_out.endswith(".jsonl"):
-                write_jsonl(args.trace_out, args.obs.tracer,
-                            spans=args.obs.spans)
-            else:
-                write_chrome_trace(args.trace_out, args.obs.tracer,
-                                   args.obs.registry, spans=args.obs.spans)
-            if not _JSON_MODE:
-                _print(f"trace written to {args.trace_out}")
-        if args.timeline_out and args.obs.timeline is not None:
-            args.obs.timeline.stop()
-            write_timeline_json(args.timeline_out, args.obs.timeline)
-            if not _JSON_MODE:
-                _print(f"timeline written to {args.timeline_out}")
-        if args.metrics_out:
-            if args.metrics_out.endswith(".prom"):
-                write_metrics_prometheus(args.metrics_out, args.obs.registry)
-            else:
-                write_metrics_json(args.metrics_out, args.obs.registry)
-            if not _JSON_MODE:
-                _print(f"metrics written to {args.metrics_out}")
-    return 0
+        _write_artifacts(args)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,7 +21,7 @@ CLI: ``repro lifecycle generate|replay|report``.
 from .repair import (
     REPAIR_POLICIES, CorrOptRepairPolicy, ExponentialRepairPolicy,
     RepairPolicy, RepairedEpisode, SeverityTieredRepairPolicy, apply_repair,
-    repair_policy,
+    corruption_episodes, repair_policy,
 )
 from .replay import ReplaySpec, chunk_sweep, run_chunk, run_replay
 from .slo import DAY_COLUMNS, LifecycleRollup, SloConfig, summarize_days
@@ -35,7 +35,7 @@ __all__ = [
     "link_failure_events",
     "RepairPolicy", "CorrOptRepairPolicy", "ExponentialRepairPolicy",
     "SeverityTieredRepairPolicy", "REPAIR_POLICIES", "repair_policy",
-    "RepairedEpisode", "apply_repair",
+    "RepairedEpisode", "apply_repair", "corruption_episodes",
     "SloConfig", "DAY_COLUMNS", "summarize_days", "LifecycleRollup",
     "ReplaySpec", "chunk_sweep", "run_chunk", "run_replay",
 ]

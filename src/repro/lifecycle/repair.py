@@ -32,12 +32,12 @@ import numpy as np
 from ..core.rng import RngFactory
 from ..corropt.trace import HOURS
 from ..fleet.topology import CorruptionEpisode
-from .traces import LifecycleTrace
+from .traces import LifecycleTrace, TraceSpec, generate_trace
 
 __all__ = [
     "RepairPolicy", "CorrOptRepairPolicy", "ExponentialRepairPolicy",
     "SeverityTieredRepairPolicy", "REPAIR_POLICIES", "repair_policy",
-    "RepairedEpisode", "apply_repair",
+    "RepairedEpisode", "apply_repair", "corruption_episodes",
 ]
 
 DAY_H = 24.0
@@ -212,3 +212,19 @@ def apply_repair(
             repair_delay_s=delay_s,
         ))
     return episodes, coalesced
+
+
+def corruption_episodes(
+    spec: TraceSpec, repair: str = "corropt", params: Dict[str, Any] = None,
+) -> List[CorruptionEpisode]:
+    """Trace spec -> the repaired fleet's corruption episodes.
+
+    The generate -> repair recipe behind every consumer of lifecycle
+    ground truth that needs only the controller-facing episodes (blame
+    scoring, the policy optimizer, the service's synthetic feeds); the
+    replay itself also wants event keys and the coalesced count, so it
+    calls :func:`apply_repair` directly.
+    """
+    repaired, _ = apply_repair(generate_trace(spec),
+                               repair_policy(repair, params))
+    return [item.episode for item in repaired]

@@ -31,7 +31,8 @@ from typing import Optional, Union
 
 from .export import (
     events_to_jsonl, prometheus_escape_label, prometheus_line,
-    prometheus_text, to_chrome_trace, write_chrome_trace, write_jsonl,
+    prometheus_text, read_span_records, to_chrome_trace, write_chrome_trace,
+    write_jsonl,
     write_metrics_json, write_metrics_prometheus, write_timeline_json,
 )
 from .metrics import (
@@ -49,6 +50,7 @@ __all__ = [
     "SpanTracer", "Span", "NULL_SPANS",
     "TimelineRecorder", "PhaseTimer",
     "to_chrome_trace", "write_chrome_trace", "events_to_jsonl", "write_jsonl",
+    "read_span_records",
     "write_metrics_json", "write_metrics_prometheus", "write_timeline_json",
     "prometheus_escape_label", "prometheus_line", "prometheus_text",
 ]

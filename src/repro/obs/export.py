@@ -28,7 +28,7 @@ from .trace import TraceEvent, Tracer
 
 __all__ = [
     "to_chrome_trace", "write_chrome_trace",
-    "events_to_jsonl", "write_jsonl",
+    "events_to_jsonl", "write_jsonl", "read_span_records",
     "write_metrics_json", "write_metrics_prometheus",
     "write_timeline_json",
     "prometheus_escape_label", "prometheus_line", "prometheus_text",
@@ -181,6 +181,35 @@ def write_jsonl(path: str, tracer: Tracer,
     with open(path, "w") as handle:
         handle.write(events_to_jsonl(tracer, spans=spans))
     return path
+
+
+def read_span_records(text: str, jsonl: bool = False) -> List[dict]:
+    """Span records (the :meth:`Span.to_dict` shape, native ns) back out
+    of an exported artifact: the inverse of :func:`events_to_jsonl`'s
+    ``"kind": "span"`` lines (``jsonl=True``) or of the records
+    :func:`to_chrome_trace` marks with ``args.span_id``, whose µs
+    ``ts``/``dur`` are scaled back to integer ns."""
+    if jsonl:
+        records = (json.loads(line) for line in text.splitlines()
+                   if line.strip())
+        return [record for record in records if record.get("kind") == "span"]
+    ids = ("span_id", "parent_id", "trace_id")
+    spans = []
+    for event in json.loads(text).get("traceEvents", []):
+        meta = event.get("args") or {}
+        if "span_id" not in meta:
+            continue
+        start_ns = int(round(event.get("ts", 0) * 1000))
+        spans.append({
+            **{key: meta.get(key) for key in ids},
+            "cat": event.get("cat"),
+            "name": event.get("name"),
+            "start_ns": start_ns,
+            "end_ns": (start_ns + int(round(event.get("dur", 0) * 1000))
+                       if event.get("ph") == "X" else None),
+            "args": {k: v for k, v in meta.items() if k not in ids},
+        })
+    return spans
 
 
 def _json_safe(value):

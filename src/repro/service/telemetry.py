@@ -43,8 +43,8 @@ from ..blame.evidence import (
     parse_flow_report,
 )
 from ..fleet.topology import FleetTopology
-from ..lifecycle.repair import apply_repair, repair_policy
-from ..lifecycle.traces import TraceSpec, generate_trace
+from ..lifecycle.repair import corruption_episodes
+from ..lifecycle.traces import TraceSpec
 
 __all__ = [
     "TelemetryRecord", "TelemetryError", "parse_record",
@@ -169,12 +169,6 @@ async def paced_source(records: Iterable[Any], interval_s: float = 0.0,
             await asyncio.sleep(0)
 
 
-def _repaired_oracle(spec: TraceSpec, repair: str) -> LossOracle:
-    """Ground truth of a synthetic feed: the trace's failures, repaired."""
-    repaired, _ = apply_repair(generate_trace(spec), repair_policy(repair))
-    return LossOracle([r.episode for r in repaired])
-
-
 class SyntheticTelemetry:
     """Deterministic counter feed regenerated from a lifecycle trace.
 
@@ -198,7 +192,7 @@ class SyntheticTelemetry:
         self.frames_per_tick = int(frames_per_tick)
         self.healthy_per_tick = int(healthy_per_tick)
         self.limit = int(limit)
-        self.oracle = _repaired_oracle(spec, repair)
+        self.oracle = LossOracle(corruption_episodes(spec, repair))
         #: per-link corrupting intervals [(onset_s, clear_s, loss_rate)]
         self.intervals = self.oracle.intervals
 
@@ -268,7 +262,7 @@ class SyntheticFlowEvidence:
             overrides["flows_per_s"] = float(flows_per_s)
         self.evidence = default_fleet_evidence(
             spec.fleet, seed=spec.seed, **overrides)
-        self.oracle = _repaired_oracle(spec, repair)
+        self.oracle = LossOracle(corruption_episodes(spec, repair))
 
     def reports(self) -> Iterator[FlowReport]:
         """The full deterministic report sequence, oldest first."""

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.cli import COMMANDS, main
+from repro.cli import VERBS, main
 
 
 class TestCli:
     def test_list_runs(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in COMMANDS:
-            assert name in out
+        for verb in VERBS:
+            assert verb.name in out or verb.name == "list"
 
     def test_fig20_runs(self, capsys):
         assert main(["fig20"]) == 0
@@ -92,9 +92,9 @@ class TestCli:
         assert "affected_flow_fraction" in out
 
     def test_every_command_registered_with_description(self):
-        for name, (func, description) in COMMANDS.items():
-            assert callable(func)
-            assert description
+        for verb in VERBS:
+            assert callable(verb.run) or verb.subs
+            assert verb.help
 
 
 class TestCliObservability:
@@ -331,3 +331,181 @@ class TestLifecycleCli:
     def test_lifecycle_listed_in_list_output(self, capsys):
         assert main(["list"]) == 0
         assert "lifecycle" in capsys.readouterr().out
+
+
+def _leaves(verbs=None, path=()):
+    """Every runnable (path, verb) of the table, sub-verbs included."""
+    from repro.cli import VERBS
+
+    for verb in VERBS if verbs is None else verbs:
+        if verb.subs:
+            yield from _leaves(verb.subs, (*path, verb.name))
+        else:
+            yield (*path, verb.name), verb
+
+
+LEAVES = list(_leaves())
+LEAF_IDS = [" ".join(path) for path, _ in LEAVES]
+
+
+class TestVerbTable:
+    """The one table ``build_parser`` and ``repro list`` are made from."""
+
+    def _help(self, path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*path, "-h"])
+        assert excinfo.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_top_level_help_names_every_verb(self, capsys):
+        out = self._help((), capsys)
+        for verb in VERBS:
+            assert verb.name in out
+
+    @pytest.mark.parametrize("path,verb", LEAVES, ids=LEAF_IDS)
+    def test_every_verb_answers_help(self, path, verb, capsys):
+        out = self._help(path, capsys)
+        assert "usage: repro " + " ".join(path) in out
+        for flag in verb.flag_rows():
+            assert flag.name in out or flag.kwargs.get("metavar") in out
+
+    def test_list_is_the_table(self, capsys):
+        import json
+
+        assert main(["list", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        # `list` is the one verb it leaves out: it is what you just ran.
+        assert rows == [{"experiment": verb.name, "description": verb.help}
+                        for verb in VERBS if verb.name != "list"]
+
+    @pytest.mark.parametrize(
+        "group", [verb for verb in VERBS if verb.subs], ids=lambda v: v.name)
+    def test_group_help_lists_its_sub_verbs(self, group, capsys):
+        out = self._help((group.name,), capsys)
+        assert group.description in out
+        for sub in group.subs:
+            assert f"{sub.name} {sub.help}" in out
+
+    @pytest.mark.parametrize("path,verb", LEAVES, ids=LEAF_IDS)
+    def test_every_leaf_takes_json(self, path, verb):
+        from repro.cli import build_parser
+
+        positionals = ["x" for flag in verb.flag_rows()
+                       if not flag.name.startswith("-")]
+        args = build_parser().parse_args([*path, *positionals, "--json"])
+        assert args.json is True and args.run is verb.run
+
+    @pytest.mark.parametrize("spelling", [
+        "--json", "--seed", "--fleet-pods", "--mttf-hours", "--days",
+        "--workers", "--backend", "--repair"])
+    def test_shared_flags_are_spelled_once(self, spelling):
+        import inspect
+
+        import repro.cli
+
+        assert inspect.getsource(repro.cli).count(f'"{spelling}"') == 1
+
+    def test_serve_defaults_come_from_service_config(self):
+        from dataclasses import fields
+
+        from repro.cli import build_parser
+        from repro.service.config import (
+            EXECUTOR_KINDS, TELEMETRY_KINDS, ServiceConfig,
+        )
+
+        args = build_parser().parse_args(["serve"])
+        exposed = [f for f in fields(ServiceConfig) if hasattr(args, f.name)]
+        assert len(exposed) >= 25
+        for field in exposed:
+            assert getattr(args, field.name) == field.default
+        serve = next(verb for verb in VERBS if verb.name == "serve")
+        choices = {flag.dest: flag.kwargs.get("choices")
+                   for flag in serve.flag_rows()}
+        assert choices["telemetry"] is TELEMETRY_KINDS
+        assert choices["executor"] is EXECUTOR_KINDS
+
+
+#: flags that belong to one family of verbs; everywhere else they used
+#: to be accepted and ignored
+FOREIGN = [
+    ("--kind", "fct"), ("--axis", "scenario=loss"), ("--workers", "2"),
+    ("--checkpoint", "x.jsonl"), ("--sweep-seed", "1"),
+    ("--backend", "hybrid"),                                  # sweep
+    ("--policy", "incremental"), ("--shards", "2"), ("--fleet-pods", "2"),
+    ("--activation-budget", "2"), ("--resim-fraction", "0.1"),  # fleet
+    ("--results-dir", "x"), ("--out-dir", "x"),               # export
+    ("--resume-kb", "1"),                                     # fig09
+]
+
+
+class TestUnreadFlagsRejected:
+    """A verb accepts the flags its row lists and nothing else."""
+
+    @pytest.mark.parametrize("path,verb", LEAVES, ids=LEAF_IDS)
+    def test_foreign_flags_exit_two(self, path, verb):
+        names = [flag.name for flag in verb.flag_rows()]
+        positionals = ["x" for name in names if not name.startswith("-")]
+        rejected = [(flag, value) for flag, value in FOREIGN
+                    if flag not in names]
+        assert rejected
+        for flag, value in rejected:
+            with pytest.raises(SystemExit) as excinfo:
+                main([*path, *positionals, flag, value])
+            assert excinfo.value.code == 2, (path, flag)
+
+    def test_the_flat_parser_example(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig01", "--shards", "3", "--policy", "nonsense",
+                  "--fleet-pods", "-5"])
+        assert excinfo.value.code == 2
+
+
+class TestInputErrorsAreOneLine:
+    """Bad input is a message and an exit code, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["blame", "report", "--window", "0"],
+        ["blame", "report", "--window", "-5"],
+        ["blame", "report", "--days", "0"],
+        ["blame", "optimize", "--days", "-1"],
+    ])
+    def test_blame_rejects_non_positive_window_and_days(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
+
+    @pytest.mark.parametrize("mode", ["run", "replay"])
+    def test_check_missing_file_exits_two(self, mode, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", mode, "/nonexistent.json"])
+        assert excinfo.value.code == 2
+        assert "/nonexistent.json" in capsys.readouterr().err
+
+    def test_check_unparsable_file_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "scenario.json"
+        bad.write_text("{not json")
+        assert main(["check", "run", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: {bad}: ")
+
+    def test_obs_top_malformed_checkpoint_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "checkpoint.jsonl"
+        bad.write_text('{"cell_id": "a", "spec": {}}\n{torn line\n')
+        assert main(["obs", "top", str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+        bad.write_text('{"no_cell_id": 1}\n')
+        assert main(["obs", "top", str(bad)]) == 1
+        assert "KeyError" in capsys.readouterr().err
+
+    def test_probe_of_a_closed_port_exits_one(self, capsys):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(["serve", "--probe", "/healthz", "--port", str(port)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: 127.0.0.1:{port}: ")
