@@ -16,10 +16,17 @@ Two implementations ship:
   ``bisect`` insert; pushes into future buckets are plain appends with
   one day-heap operation per *distinct* bucket, not per event.
 
-Both maintain the same total order — ``(time, seq)`` with ``seq`` the
-insertion counter — so dispatch order is bit-identical between them
-(guaranteed by tests, relied on by every "same seed ⇒ same bytes"
+Both hold ``(time, seq, event, callback, args)`` tuples — ``seq`` the
+simulator's insertion counter, unique, so ``heapq``/``bisect``/``sort``
+order two entries in C on two ints and never look past them — and so
+both maintain the same total order: dispatch is bit-identical between
+them (guaranteed by tests, relied on by every "same seed ⇒ same bytes"
 claim in the repo).
+
+:meth:`Simulator.run` is the only per-event loop in the tree: one
+``pop_due`` and one handler call per event, nothing else.  A driver
+that needs to end a run early calls :meth:`Simulator.stop` from a
+handler (or passes ``stop_when`` for a condition no handler owns).
 
 Typical usage::
 
@@ -30,11 +37,11 @@ Typical usage::
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import sys
 import time
 from bisect import insort
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = [
@@ -42,30 +49,34 @@ __all__ = [
     "Simulator", "SimError",
 ]
 
+#: one pending-set entry: ``(time, seq, event, callback, args)`` — what
+#: orders it, the handle that can cancel it, what to call when it is due
+Entry = Tuple[int, int, "Event", Callable[..., Any], Tuple]
+
+#: ``pop_due`` bound meaning "whatever is next" (integer time never gets here)
+_FOREVER = sys.maxsize
+
 
 class SimError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
 
 
 class Event:
-    """A scheduled callback.
+    """The handle :meth:`Simulator.schedule` returns: a scheduled
+    callback can be cancelled with :meth:`cancel` before it fires.
 
-    Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at` and can be cancelled with
-    :meth:`cancel` before they fire.
+    That is all it is — when it fires and what it calls live in the
+    queue entry that carries it.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner")
+    __slots__ = ("cancelled", "owner")
 
-    def __init__(self, time: int, seq: int, callback: Callable[..., Any], args: Tuple):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
+    def __init__(self, owner) -> None:
         self.cancelled = False
-        #: the Simulator this event is pending in; cleared on dispatch so
-        #: a late ``cancel()`` on a fired handle stays a cheap no-op.
-        self.owner = None
+        #: the Simulator this event is pending in; cleared on dispatch
+        #: (and by ``clear()``) so a late ``cancel()`` on a fired or
+        #: dropped handle stays a cheap no-op.
+        self.owner = owner
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Safe to call more than once."""
@@ -76,36 +87,42 @@ class Event:
         if owner is not None:
             owner._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Ties break on insertion order so same-time events fire FIFO.
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time}, {getattr(self.callback, '__name__', self.callback)}, {state})"
+        return "Event(%s)" % ("cancelled" if self.cancelled else
+                              "pending" if self.owner is not None else "done")
 
 
 class EventQueue:
-    """The pending-event set: a strict ``(time, seq)`` priority queue.
+    """The pending-event set: a strict ``(time, seq)`` priority queue
+    of ``(time, seq, event, callback, args)`` entries.
 
     The contract every implementation must honor (and that
     ``tests/test_engine.py`` locks in):
 
-    * ``pop()`` returns pending events in ascending ``(time, seq)``
-      order — same-time events fire FIFO in insertion order — skipping
-      (and discarding) cancelled entries;
-    * ``peek_time()`` returns the timestamp the next ``pop()`` would
-      dispatch, discarding cancelled entries it passes over, without
-      consuming a live event;
-    * events pushed *while draining* (zero-delay self-rescheduling)
-      take their place in the same total order;
-    * ``skipped_cancelled`` counts cancelled entries discarded by
-      ``pop``/``peek_time``; ``cancelled_pending`` is maintained by the
-      Simulator and must be decremented on every such skip;
-    * ``compact()`` removes all cancelled entries in one pass.
+    * ``push(entry)`` adds an entry and returns the number now held;
+    * ``pop_due(until)`` first discards cancelled entries at the head
+      (whatever their time), then removes and returns the next live
+      entry if its time is ``<= until``, else returns ``None`` and
+      leaves it pending.  Successive calls return entries in ascending
+      ``(time, seq)`` order — same-time events fire FIFO in insertion
+      order;
+    * ``peek_time()`` returns the timestamp the next ``pop_due`` would
+      look at, discarding cancelled heads the same way, without
+      consuming a live entry;
+    * entries pushed *while draining* (zero-delay self-rescheduling)
+      take their place in the same total order, as do entries pushed
+      earlier than a head that ``pop_due``/``peek_time`` left pending;
+    * ``cancelled_pending`` is incremented by the Simulator on each
+      cancel and must be decremented on every discarded entry;
+    * ``compact()`` removes all cancelled entries in one pass;
+    * ``clear()`` drops every entry and orphans its event
+      (``owner = None``), so a handle from before the clear cannot
+      touch this queue's accounting.
 
-    Implementations never inspect ``callback``/``args`` — ordering
-    depends only on ``(time, seq)``, which is what makes dispatch order
+    Implementations order entries by comparing the tuples — ``seq`` is
+    unique, so the comparison is decided on two ints and never reaches
+    the event or the callback — and otherwise read only
+    ``entry[2].cancelled``.  That is what makes dispatch order
     bit-identical across implementations.
     """
 
@@ -117,15 +134,16 @@ class EventQueue:
         #: input for eager compaction)
         self.cancelled_pending = 0
 
-    def push(self, event: Event) -> None:
+    def push(self, entry: Entry) -> int:
+        """Add an entry; returns ``len(self)`` afterwards."""
         raise NotImplementedError
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None when empty."""
+    def pop_due(self, until: int) -> Optional[Entry]:
+        """Remove and return the next live entry if due by ``until``."""
         raise NotImplementedError
 
     def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or None when empty."""
+        """Timestamp of the next live entry, or None when empty."""
         raise NotImplementedError
 
     def compact(self) -> int:
@@ -133,6 +151,7 @@ class EventQueue:
         raise NotImplementedError
 
     def clear(self) -> None:
+        """Drop every entry, orphaning the events they carry."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -147,37 +166,44 @@ class HeapEventQueue(EventQueue):
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: List[Event] = []
+        self._heap: List[Entry] = []
 
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
+    def push(self, entry: Entry) -> int:
+        heap = self._heap
+        heappush(heap, entry)
+        return len(heap)
 
-    def pop(self) -> Optional[Event]:
+    def pop_due(self, until: int) -> Optional[Entry]:
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)
-            if event.cancelled:
+            entry = heap[0]
+            if entry[2].cancelled:
+                heappop(heap)
                 self.cancelled_pending -= 1
-                continue
-            return event
+            elif entry[0] > until:
+                return None
+            else:
+                return heappop(heap)
         return None
 
     def peek_time(self) -> Optional[int]:
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
             self.cancelled_pending -= 1
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     def compact(self) -> int:
-        live = [e for e in self._heap if not e.cancelled]
+        live = [entry for entry in self._heap if not entry[2].cancelled]
         removed = len(self._heap) - len(live)
-        heapq.heapify(live)
+        heapify(live)
         self._heap = live
         self.cancelled_pending = 0
         return removed
 
     def clear(self) -> None:
+        for entry in self._heap:
+            entry[2].owner = None
         self._heap.clear()
         self.cancelled_pending = 0
 
@@ -209,42 +235,44 @@ class CalendarEventQueue(EventQueue):
         if bucket_ns <= 0:
             raise ValueError(f"bucket_ns must be positive, got {bucket_ns}")
         self._bucket_ns = int(bucket_ns)
-        self._days: Dict[int, List[Event]] = {}   # future days, unsorted
+        self._days: Dict[int, List[Entry]] = {}   # future days, unsorted
         self._day_heap: List[int] = []            # non-empty future days
         self._cur_day = -1
-        self._cur: List[Event] = []               # opened day, sorted
+        self._cur: List[Entry] = []               # opened day, sorted
         self._cur_idx = 0                         # drain cursor into _cur
         self._len = 0
 
-    def push(self, event: Event) -> None:
-        day = event.time // self._bucket_ns
-        self._len += 1
+    def push(self, entry: Entry) -> int:
+        day = entry[0] // self._bucket_ns
+        self._len = pending = self._len + 1
         if day == self._cur_day:
             # Into the day being drained: keep (time, seq) order.  New
-            # events sort at/after the cursor (time >= now), so the
+            # entries sort at/after the cursor (time >= now), so the
             # search range starts there.
-            insort(self._cur, event, lo=self._cur_idx)
-            return
+            insort(self._cur, entry, self._cur_idx)
+            return pending
         if day < self._cur_day and self._cur_idx < len(self._cur):
-            # An event before the opened day (possible when peek_time()
-            # opened a day ahead of the idle clock): put the remainder
-            # of the opened day back so pop() re-selects the minimum.
+            # An entry before the opened day (possible when pop_due or
+            # peek_time opened a day ahead of the idle clock): put the
+            # remainder of the opened day back so the next pop
+            # re-selects the minimum.
             self._days[self._cur_day] = self._cur[self._cur_idx:]
-            heapq.heappush(self._day_heap, self._cur_day)
+            heappush(self._day_heap, self._cur_day)
             self._cur_day = -1
             self._cur = []
             self._cur_idx = 0
         bucket = self._days.get(day)
         if bucket is None:
-            self._days[day] = [event]
-            heapq.heappush(self._day_heap, day)
+            self._days[day] = [entry]
+            heappush(self._day_heap, day)
         else:
-            bucket.append(event)
+            bucket.append(entry)
+        return pending
 
     def _open_next_day(self) -> bool:
         """Sort and install the earliest non-empty future day."""
         while self._day_heap:
-            day = heapq.heappop(self._day_heap)
+            day = heappop(self._day_heap)
             bucket = self._days.pop(day, None)
             if bucket is None:
                 continue  # stale heap entry from a re-stash
@@ -258,44 +286,54 @@ class CalendarEventQueue(EventQueue):
         self._cur_idx = 0
         return False
 
-    def pop(self) -> Optional[Event]:
+    def pop_due(self, until: int) -> Optional[Entry]:
         while True:
-            if self._cur_idx >= len(self._cur):
+            cur = self._cur
+            index = self._cur_idx
+            if index >= len(cur):
                 if not self._open_next_day():
                     return None
-            event = self._cur[self._cur_idx]
-            self._cur_idx += 1
-            self._len -= 1
-            if self._cur_idx >= len(self._cur):
-                self._cur = []
-                self._cur_idx = 0
-                # _cur_day stays: same-day pushes may still arrive
-            if event.cancelled:
-                self.cancelled_pending -= 1
                 continue
-            return event
-
-    def peek_time(self) -> Optional[int]:
-        while True:
-            if self._cur_idx >= len(self._cur):
-                if not self._open_next_day():
-                    return None
-            event = self._cur[self._cur_idx]
-            if event.cancelled:
-                self._cur_idx += 1
+            entry = cur[index]
+            if entry[2].cancelled:
+                self._cur_idx = index + 1
                 self._len -= 1
                 self.cancelled_pending -= 1
                 continue
-            return event.time
+            if entry[0] > until:
+                return None
+            index += 1
+            if index >= len(cur):
+                self._cur = []
+                index = 0
+                # _cur_day stays: same-day pushes may still arrive
+            self._cur_idx = index
+            self._len -= 1
+            return entry
+
+    def peek_time(self) -> Optional[int]:
+        # pop_due's cancelled-head discard, with nothing consumed
+        while True:
+            index = self._cur_idx
+            if index >= len(self._cur):
+                if not self._open_next_day():
+                    return None
+                continue
+            entry = self._cur[index]
+            if not entry[2].cancelled:
+                return entry[0]
+            self._cur_idx = index + 1
+            self._len -= 1
+            self.cancelled_pending -= 1
 
     def compact(self) -> int:
         removed = 0
-        live = [e for e in self._cur[self._cur_idx:] if not e.cancelled]
+        live = [e for e in self._cur[self._cur_idx:] if not e[2].cancelled]
         removed += len(self._cur) - self._cur_idx - len(live)
         self._cur = live
         self._cur_idx = 0
         for day in list(self._days):
-            bucket = [e for e in self._days[day] if not e.cancelled]
+            bucket = [e for e in self._days[day] if not e[2].cancelled]
             removed += len(self._days[day]) - len(bucket)
             if bucket:
                 self._days[day] = bucket
@@ -306,6 +344,9 @@ class CalendarEventQueue(EventQueue):
         return removed
 
     def clear(self) -> None:
+        for bucket in (self._cur[self._cur_idx:], *self._days.values()):
+            for entry in bucket:
+                entry[2].owner = None
         self._days.clear()
         self._day_heap.clear()
         self._cur_day = -1
@@ -348,10 +389,15 @@ class Simulator:
                 raise SimError(
                     f"unknown event queue {queue!r}; "
                     f"known: {sorted(EVENT_QUEUES)}") from None
-        self._now: int = 0
+        #: current simulation time in nanoseconds.  A plain attribute
+        #: because handlers read it more often than anything else in the
+        #: tree; only the kernel writes it.
+        self.now: int = 0
         self._queue: EventQueue = queue
+        self._push = queue.push
         self._seq = itertools.count()
         self._running = False
+        self._stopped = False
         self._events_processed = 0
         self._events_cancelled = 0
         self._events_compacted = 0
@@ -366,11 +412,6 @@ class Simulator:
             attach = getattr(obs, "attach_engine", None)
             if attach is not None:
                 attach(self)
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
 
     @property
     def queue(self) -> EventQueue:
@@ -394,12 +435,13 @@ class Simulator:
 
     @property
     def wall_seconds(self) -> float:
-        """Host wall-clock time spent inside :meth:`run` so far."""
+        """Host wall-clock time spent inside :meth:`run` so far
+        (added when a run returns, so it reads 0.0 during the first)."""
         return self._wall_seconds
 
     def obs_snapshot(self) -> dict:
         """Kernel self-measurement: the substrate for all perf claims."""
-        sim_seconds = self._now / 1e9
+        sim_seconds = self.now / 1e9
         return {
             "events_processed": self._events_processed,
             "events_cancelled": self._events_cancelled,
@@ -408,7 +450,7 @@ class Simulator:
             "heap_pending": len(self._queue),
             "queue_impl": self._queue.name,
             "event_pool_size": len(self._pool),
-            "sim_time_ns": self._now,
+            "sim_time_ns": self.now,
             "wall_seconds": self._wall_seconds,
             "wall_seconds_per_sim_second": (
                 self._wall_seconds / sim_seconds if sim_seconds > 0 else 0.0
@@ -424,14 +466,17 @@ class Simulator:
     def _note_cancel(self) -> None:
         self._events_cancelled += 1
         queue = self._queue
-        queue.cancelled_pending += 1
+        queue.cancelled_pending = cancelled = queue.cancelled_pending + 1
         # Eager compaction: cancelled entries would otherwise linger
         # until the pop path reaches their timestamps — on timer-heavy
         # workloads (every ACK re-arms RTO/TLP/RACK) that is most of the
-        # queue.  Compact when they exceed half the pending set.
-        if (queue.cancelled_pending * 2 > len(queue)
-                and len(queue) >= self.COMPACT_MIN):
-            self._events_compacted += queue.compact()
+        # queue.  Compact when they exceed half the pending set, itself
+        # at least COMPACT_MIN — which takes more than COMPACT_MIN / 2
+        # of them, so most cancels never need the queue's length.
+        if cancelled * 2 > self.COMPACT_MIN:
+            pending = len(queue)
+            if cancelled * 2 > pending >= self.COMPACT_MIN:
+                self._events_compacted += queue.compact()
 
     # -- scheduling -----------------------------------------------------------
 
@@ -439,38 +484,27 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + int(delay), callback, *args)
+        pool = self._pool
+        if pool:
+            event = pool.pop()
+            event.cancelled = False
+            event.owner = self
+        else:
+            event = Event(self)
+        if delay.__class__ is not int:
+            delay = int(delay)
+        pending = self._push(
+            (self.now + delay, next(self._seq), event, callback, args))
+        if pending > self._heap_high_watermark:
+            self._heap_high_watermark = pending
+        return event
 
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute time (ns)."""
         time = int(time)
-        if time < self._now:
-            raise SimError(f"cannot schedule at t={time} < now={self._now}")
-        if self._pool:
-            event = self._pool.pop()
-            event.time = time
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, next(self._seq), callback, args)
-        event.owner = self
-        self._queue.push(event)
-        if len(self._queue) > self._heap_high_watermark:
-            self._heap_high_watermark = len(self._queue)
-        return event
-
-    def _recycle(self, event: Event) -> None:
-        """Pool a dispatched event for reuse — only when no caller still
-        holds the handle (the ``cancel()``-after-fire contract would
-        otherwise let an old handle cancel an unrelated future event).
-        Refcount 3 == the pop-site local + this argument + getrefcount's
-        own frame: nothing external."""
-        if len(self._pool) < self.POOL_CAP and sys.getrefcount(event) <= 3:
-            event.callback = None
-            event.args = ()
-            self._pool.append(event)
+        if time < self.now:
+            raise SimError(f"cannot schedule at t={time} < now={self.now}")
+        return self.schedule(time - self.now, callback, *args)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -480,25 +514,39 @@ class Simulator:
 
     def step(self) -> bool:
         """Dispatch the next event.  Returns False when nothing is pending."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        event.owner = None
-        self._now = event.time
-        self._events_processed += 1
-        callback, args = event.callback, event.args
-        self._recycle(event)
-        del event
-        callback(*args)
-        return True
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run the event loop.
+    def stop(self) -> None:
+        """End the running :meth:`run` once the current handler returns.
+
+        Later events stay pending and the clock stays at the current
+        event's time, so a following ``run()`` resumes at the next
+        ``(time, seq)``.  Outside a run this does nothing.
+        """
+        self._stopped = True
+
+    def run(
+        self,
+        until: Optional[int] = None,
+        max_events: Optional[int] = None,
+        stop_when: Optional[Callable[[], bool]] = None,
+    ) -> int:
+        """Run the event loop — the only per-event loop there is.
+
+        It ends when nothing is pending at or before ``until`` (then,
+        and only then, the clock is advanced to ``until``), after
+        ``max_events`` dispatches, or after the handler that called
+        :meth:`stop` — whichever comes first.
 
         Args:
-            until: stop once simulation time would exceed this (ns); the
-                clock is advanced to ``until`` on return.
+            until: do not dispatch events later than this (ns).
             max_events: hard cap on dispatched events (runaway guard).
+            stop_when: polled after every handler; a true result ends
+                the run like :meth:`stop`.  For end conditions that no
+                single handler owns — a handler that knows the run is
+                over should call :meth:`stop` instead.
 
         Returns:
             The simulation time when the loop stopped.
@@ -506,44 +554,63 @@ class Simulator:
         if self._running:
             raise SimError("run() is not reentrant")
         self._running = True
+        self._stopped = False
+        limit = _FOREVER if until is None else until
+        budget = -1 if max_events is None else max_events
+        pop_due = self._queue.pop_due
+        pool = self._pool
+        pool_cap = self.POOL_CAP
+        getrefcount = sys.getrefcount
         dispatched = 0
+        drained = False
         wall_start = time.perf_counter()
         try:
-            while True:
-                next_time = self.peek()
-                if next_time is None:
+            while dispatched != budget:
+                entry = pop_due(limit)
+                if entry is None:
+                    drained = True
                     break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and dispatched >= max_events:
-                    break
-                self.step()
+                self.now, _, event, callback, args = entry
+                self._events_processed += 1
                 dispatched += 1
+                event.owner = None
+                # Pool the handle for reuse — only when no caller still
+                # holds it (the ``cancel()``-after-fire contract would
+                # otherwise let an old handle cancel an unrelated future
+                # event).  Refcount 3 == the entry tuple + the local +
+                # getrefcount's argument: nothing external.
+                if len(pool) < pool_cap and getrefcount(event) <= 3:
+                    pool.append(event)
+                callback(*args)
+                if self._stopped or (stop_when is not None and stop_when()):
+                    break
         finally:
             self._running = False
             self._wall_seconds += time.perf_counter() - wall_start
-        if until is not None and self._now < until:
-            self._now = int(until)
-        return self._now
+        if drained and until is not None and self.now < until:
+            self.now = int(until)
+        return self.now
 
     def jump_to(self, time: int) -> None:
         """Advance the idle clock without dispatching (snapshot restore:
         materializing a simulation mid-run needs ``now`` at the capture
         time before components re-arm their timers)."""
         time = int(time)
-        if time < self._now:
-            raise SimError(f"cannot jump to t={time} < now={self._now}")
+        if time < self.now:
+            raise SimError(f"cannot jump to t={time} < now={self.now}")
         next_time = self.peek()
         if next_time is not None and next_time < time:
             raise SimError(
                 f"cannot jump past pending event at t={next_time}")
-        self._now = time
+        self.now = time
 
     def clear(self) -> None:
         """Drop all pending events and reset per-run accounting (the
         clock is left where it is) — a reused simulator reports stats
-        for its current run, not its lifetime.  Pooled events are
-        dropped too, so the pool cannot carry handles across runs."""
+        for its current run, not its lifetime.  Dropped events are
+        orphaned and pooled ones discarded, so no handle from before
+        the clear can reach this simulator's accounting or a later
+        event."""
         self._queue.clear()
         self._pool.clear()
         self._events_processed = 0

@@ -62,6 +62,12 @@ class TcpHeader:
     ts_val: int = 0                 # timestamp option (ns) for RACK
     ts_ecr: int = 0
 
+    def copy(self) -> "TcpHeader":
+        return TcpHeader(
+            self.src_port, self.dst_port, self.seq, self.ack, self.payload,
+            self.is_ack, self.fin, self.syn, self.ece, self.sack_blocks,
+            self.ts_val, self.ts_ecr)
+
 
 @dataclass
 class RdmaHeader:
@@ -75,6 +81,10 @@ class RdmaHeader:
     ack_psn: int = 0                # cumulative (ACK) or expected (NAK) PSN
     last: bool = False              # last packet of the message
 
+    def copy(self) -> "RdmaHeader":
+        return RdmaHeader(self.qp, self.psn, self.payload, self.is_ack,
+                          self.is_nak, self.ack_psn, self.last)
+
 
 @dataclass
 class LgDataHeader:
@@ -84,6 +94,9 @@ class LgDataHeader:
     era: int = 0
     is_retx: bool = False
 
+    def copy(self) -> "LgDataHeader":
+        return LgDataHeader(self.seqno, self.era, self.is_retx)
+
 
 @dataclass
 class LgAckHeader:
@@ -91,6 +104,9 @@ class LgAckHeader:
 
     ackno: int = 0                  # latestRxSeqNo at the receiver switch
     era: int = 0
+
+    def copy(self) -> "LgAckHeader":
+        return LgAckHeader(self.ackno, self.era)
 
 
 @dataclass
@@ -113,17 +129,24 @@ class Packet:
     uid: int = field(default_factory=lambda: next(_packet_ids))
 
     def copy(self) -> "Packet":
-        """Independent copy with a fresh uid (mirroring/multicast semantics)."""
-        import copy as _copy
+        """Independent copy with a fresh uid (mirroring/multicast semantics).
 
-        dup = _copy.copy(self)
-        dup.tcp = _copy.copy(self.tcp) if self.tcp else None
-        dup.rdma = _copy.copy(self.rdma) if self.rdma else None
-        dup.lg = _copy.copy(self.lg) if self.lg else None
-        dup.lg_ack = _copy.copy(self.lg_ack) if self.lg_ack else None
-        dup.meta = dict(self.meta)
-        dup.uid = next(_packet_ids)
-        return dup
+        Written out field by field — this runs once per mirrored frame,
+        and ``copy.copy``'s reduce/reconstruct round trip per object was
+        a tenth of a stress run.  ``tests/test_packets.py`` walks
+        ``dataclasses.fields`` so a field added here cannot be missed.
+        """
+        tcp, rdma, lg, lg_ack = self.tcp, self.rdma, self.lg, self.lg_ack
+        return Packet(
+            self.size, self.kind, self.src, self.dst, self.flow_id,
+            self.priority, self.ecn, self.created_at,
+            tcp.copy() if tcp is not None else None,
+            rdma.copy() if rdma is not None else None,
+            lg.copy() if lg is not None else None,
+            lg_ack.copy() if lg_ack is not None else None,
+            dict(self.meta),
+            next(_packet_ids),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         extra = ""

@@ -120,9 +120,8 @@ def _attach_diagnostics(result: CellResult, ctx: RunContext) -> None:
     if ctx.obs is not None:
         engine = ctx.obs.registry.snapshot().get("engine")
         if isinstance(engine, dict):
-            # Wall-clock the kernel spent inside run() — the engine hot
-            # loop (TrialHarness-driven experiments step() instead, so
-            # their hot loop is the "run" phase).
+            # Wall-clock the kernel spent inside run() — the one
+            # per-event loop, whichever driver started it.
             timings["engine_run_s"] = round(engine.get("wall_seconds", 0.0), 6)
         if ctx.obs.timeline is not None:
             ctx.obs.timeline.stop()

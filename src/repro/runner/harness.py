@@ -3,7 +3,9 @@
 Every back-to-back-trials experiment (FCT, multihop, RDMA reordering)
 used to hand-roll the same launch → watchdog → deadline → collect loop;
 :class:`TrialHarness` owns it once.  Single-flow experiments (goodput)
-share :func:`run_until_complete` for the watchdog-bounded drive loop.
+share :func:`run_until_complete` for the watchdog-bounded run.  Neither
+owns a per-event loop: both call ``Simulator.run`` and end it with
+``Simulator.stop`` (DESIGN §5i).
 
 :class:`CellResult` is the unified schema every experiment cell emits:
 scalar ``metrics`` for tables, larger ``series`` for distributions, the
@@ -131,11 +133,14 @@ class CellResult:
 class TrialHarness:
     """Runs ``n_trials`` back-to-back flows on one simulator.
 
-    The loop: launch trial *i*; when it completes (or its deadline
+    The chain: launch trial *i*; when it completes (or its deadline
     watchdog fires), wait ``inter_trial_gap_ns`` and launch trial *i+1*;
-    stop after the last trial or at ``safety_ns`` (a wedged-experiment
-    guard — LinkGuardian's self-replenishing queues keep the event heap
-    non-empty forever, so a plain run-to-empty would never return).
+    the launch after the last trial stops the simulator's run.
+    ``safety_ns`` is a wedged-experiment guard — LinkGuardian's
+    self-replenishing queues keep the event heap non-empty forever, so
+    a plain run-to-empty would never return: the first event later than
+    it is still dispatched and ends the run (the clock is left at that
+    event, not moved to the limit).
     """
 
     def __init__(
@@ -162,6 +167,7 @@ class TrialHarness:
     def _launch(self, trial: int) -> None:
         if trial >= self.n_trials:
             self._done = True
+            self.sim.stop()
             return
 
         def finished(record) -> None:
@@ -189,27 +195,24 @@ class TrialHarness:
     def run(self) -> List[Any]:
         """Drive the simulator until the last trial finishes; return the
         completion records in trial order."""
-        self.sim.schedule(0, self._launch, 0)
-        while not self._done and self.sim.peek() is not None:
-            if self.safety_ns is not None and self.sim.now > self.safety_ns:
-                break
-            self.sim.step()
+        sim = self.sim
+        sim.schedule(0, self._launch, 0)
+        sim.run(until=self.safety_ns)
+        if not self._done and self.safety_ns is not None:
+            sim.run(max_events=1)   # the first event past the limit
         return self.records
 
 
 def run_until_complete(sim, is_done: Callable[[], bool], deadline_ns: int) -> bool:
-    """Step ``sim`` until ``is_done()`` or the deadline; True if done.
+    """Run ``sim`` until ``is_done()`` or the deadline; True if done.
 
     The single-flow counterpart of :class:`TrialHarness`: goodput-style
-    experiments run one long transfer under a watchdog.
+    experiments run one long transfer under a watchdog.  ``is_done`` is
+    asked after every event; the watchdog event at ``deadline_ns`` from
+    now stops the run itself.
     """
-    state = {"stop": False}
-
-    def watchdog() -> None:
-        state["stop"] = True
-
-    guard = sim.schedule(int(deadline_ns), watchdog)
-    while not is_done() and not state["stop"] and sim.peek() is not None:
-        sim.step()
+    guard = sim.schedule(int(deadline_ns), sim.stop)
+    if not is_done():
+        sim.run(stop_when=is_done)
     guard.cancel()
     return is_done()

@@ -9,7 +9,7 @@ letting retransmissions through (paper §3.3/§3.5).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.engine import Simulator
 from ..packets.packet import Packet
@@ -40,6 +40,8 @@ class EgressPort:
         self.tx_counters = PortCounters()
         self._paused = [False] * len(self.queues)
         self._busy = False
+        #: frame size -> serialization time at this port's (fixed) rate
+        self._serialization_ns: Dict[int, int] = {}
         self._residence_hist = None   # set by attach_obs
         #: hook called as on_transmit(packet, queue_index) when a frame's
         #: last bit leaves — LinkGuardian uses it for egress mirroring
@@ -116,12 +118,13 @@ class EgressPort:
 
     def enqueue(self, packet: Packet, queue_index: int = 0) -> bool:
         """Push into a queue and kick the serializer.  False on tail drop."""
-        accepted = self.queues[queue_index].push(packet)
-        if accepted:
-            if self._residence_hist is not None:
-                packet.meta["_obs_enq_ns"] = self.sim.now
+        if not self.queues[queue_index].push(packet):
+            return False
+        if self._residence_hist is not None:
+            packet.meta["_obs_enq_ns"] = self.sim.now
+        if not self._busy:
             self._kick()
-        return accepted
+        return True
 
     def pause(self, queue_index: int) -> None:
         """PFC-style pause: the queue stops draining at a frame boundary."""
@@ -144,35 +147,42 @@ class EgressPort:
 
     # -- serializer ----------------------------------------------------------
 
-    def _select(self) -> Optional[int]:
-        for index, queue in enumerate(self.queues):
-            if not self._paused[index] and len(queue):
-                return index
-        return None
-
     def _kick(self) -> None:
+        """Start serializing the first frame of the highest-priority
+        queue that is neither empty nor paused, if the port is idle."""
         if self._busy:
             return
-        index = self._select()
-        if index is None:
+        paused = self._paused
+        index = 0
+        for queue in self.queues:
+            # the deque's own truthiness: len(queue) is a Python call
+            if queue._fifo and not paused[index]:
+                break
+            index += 1
+        else:
             return
         self._busy = True
-        packet = self.queues[index].pop()
-        if self._residence_hist is not None:
+        packet = queue.pop()
+        hist = self._residence_hist
+        if hist is not None:
             enqueued_at = packet.meta.pop("_obs_enq_ns", None)
             if enqueued_at is not None:
-                self._residence_hist.observe(self.sim.now - enqueued_at)
-        if self.on_dequeue is not None:
-            self.on_dequeue(packet, index)
-        self.tx_counters.record_tx(packet.size)
-        self.sim.schedule(
-            serialization_ns(packet.size, self.rate_bps),
-            self._finish, packet, index,
-        )
+                hist.observe(self.sim.now - enqueued_at)
+        hook = self.on_dequeue
+        if hook is not None:
+            hook(packet, index)
+        size = packet.size   # read after the hook: it may add a header
+        self.tx_counters.record_tx(size)
+        delay = self._serialization_ns.get(size)
+        if delay is None:
+            delay = self._serialization_ns[size] = serialization_ns(
+                size, self.rate_bps)
+        self.sim.schedule(delay, self._finish, packet, index)
 
     def _finish(self, packet: Packet, queue_index: int) -> None:
         self._busy = False
         self.link.transmit(packet)
-        if self.on_transmit is not None:
-            self.on_transmit(packet, queue_index)
+        hook = self.on_transmit
+        if hook is not None:
+            hook(packet, queue_index)
         self._kick()

@@ -1,0 +1,81 @@
+"""Dispatch order, end to end: a whole packet-tier cell dispatches the
+same ``(time, seq, handler)`` sequence on either event queue, and its
+result equals the one the commit *before* the kernel's fast path
+produced (digests computed there once and pinned here) — the fast path
+changed how fast events are dispatched, not which or in what order."""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+import repro.experiments.testbed as testbed_module
+from repro.core.engine import Simulator
+from repro.experiments.stress import run_stress_test
+from repro.runner import ExperimentSpec, run_cell
+
+FCT_LG = ExperimentSpec(kind="fct", transport="dctcp", scenario="lg",
+                        loss_rate=1e-2, flow_size=24_387, n_trials=12, seed=5)
+FCT_RDMA = ExperimentSpec(kind="fct", transport="rdma", scenario="loss",
+                          loss_rate=2e-2, flow_size=24_387, n_trials=20,
+                          seed=6)
+
+
+def _stress():
+    result = run_stress_test(loss_rate=1e-2, duration_ms=0.3, seed=4,
+                             mean_burst=3.0)
+    return json.dumps(dataclasses.asdict(result), sort_keys=True)
+
+
+#: name -> (zero-arg run returning the canonical text, sha256 of that
+#: text at the parent commit)
+CASES = {
+    "fct-dctcp-lg": (
+        lambda: run_cell(FCT_LG).canonical_json(),
+        "90c8ec710b4c8df646667af7278d33d17d53b6227f654dcec05f32d3b65f74ec"),
+    "fct-rdma-loss": (
+        lambda: run_cell(FCT_RDMA).canonical_json(),
+        "bc7dd2d256c2b909c7c2b43da2601ee837f9e602262fa189382d582faf43816b"),
+    "stress-bursty": (
+        _stress,
+        "21fff71cb742b26a7ee6b2a1ad53c8ef894defeda45e7482791785cc9c5672f9"),
+}
+
+
+def _run_traced(monkeypatch, kind, run):
+    """Run with every testbed simulator on queue ``kind``, recording
+    what ``pop_due`` hands the loop."""
+    trace = []
+
+    class Traced(Simulator):
+        def __init__(self, obs=None, queue="heap"):
+            super().__init__(obs=obs, queue=kind)
+            pop_due = self.queue.pop_due
+
+            def recording(until):
+                entry = pop_due(until)
+                if entry is not None:
+                    callback = entry[3]
+                    trace.append((entry[0], entry[1], getattr(
+                        callback, "__qualname__", type(callback).__name__)))
+                return entry
+
+            self.queue.pop_due = recording
+
+    monkeypatch.setattr(testbed_module, "Simulator", Traced)
+    return run(), trace
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_same_dispatch_trace_and_pinned_result_on_both_queues(
+        monkeypatch, name):
+    run, pinned = CASES[name]
+    heap_text, heap_trace = _run_traced(monkeypatch, "heap", run)
+    calendar_text, calendar_trace = _run_traced(monkeypatch, "calendar", run)
+    assert len(heap_trace) > 5_000
+    assert heap_trace == calendar_trace
+    # (time, seq) strictly ascending: the order is the kernel contract's
+    assert all(a[:2] < b[:2] for a, b in zip(heap_trace, heap_trace[1:]))
+    assert heap_text == calendar_text
+    assert hashlib.sha256(heap_text.encode()).hexdigest() == pinned

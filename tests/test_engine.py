@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.engine import (
     CalendarEventQueue,
+    Event,
     HeapEventQueue,
     SimError,
     Simulator,
@@ -290,10 +291,209 @@ def test_jump_to_advances_idle_clock(sim):
 
 @pytest.mark.parametrize("impl", QUEUES)
 def test_queue_instance_can_be_passed_directly(impl):
-    queue = {"heap": HeapEventQueue, "calendar": CalendarEventQueue}[impl]()
+    queue = _queue(impl)
     sim = Simulator(queue=queue)
     assert sim.queue is queue
     fired = []
     sim.schedule(1, fired.append, 1)
     sim.run()
     assert fired == [1]
+
+
+# -- the queue contract: pop_due -------------------------------------------------
+
+def _queue(impl):
+    return {"heap": HeapEventQueue, "calendar": CalendarEventQueue}[impl]()
+
+
+def _entry(time, seq):
+    """A queue entry the way the Simulator builds one."""
+    return (time, seq, Event(None), print, (seq,))
+
+
+@pytest.mark.parametrize("impl", QUEUES)
+def test_pop_due_never_returns_a_later_event(impl):
+    # Randomized schedule, drained in randomly sized time slices: every
+    # entry comes out inside the slice that covers it, in (time, seq)
+    # order, and what is not due stays pending.
+    rng = random.Random(99)
+    queue = _queue(impl)
+    entries = [_entry(rng.randrange(0, 50_000), seq) for seq in range(400)]
+    for pending, entry in enumerate(entries, start=1):
+        assert queue.push(entry) == pending
+    popped = []
+    until = 0
+    while len(queue):
+        until += rng.randrange(1, 3_000)
+        while True:
+            entry = queue.pop_due(until)
+            if entry is None:
+                break
+            assert entry[0] <= until
+            popped.append(entry)
+        head = queue.peek_time()
+        assert head is None or head > until
+    assert popped == sorted(entries, key=lambda e: (e[0], e[1]))
+
+
+@pytest.mark.parametrize("impl", QUEUES)
+def test_pop_due_discards_cancelled_heads(impl):
+    # Cancelled heads go whatever their time — also those past `until`,
+    # which is what the peek()+pop() pair it replaces did — and each
+    # discard is taken off cancelled_pending.
+    queue = _queue(impl)
+    entries = [_entry(10 * (seq + 1), seq) for seq in range(6)]
+    for entry in entries:
+        queue.push(entry)
+    for index in (0, 1, 3):
+        entries[index][2].cancelled = True
+        queue.cancelled_pending += 1
+    assert queue.pop_due(5) is None          # heads at 10, 20 discarded
+    assert (len(queue), queue.cancelled_pending) == (4, 1)
+    assert queue.pop_due(30) is entries[2]
+    assert queue.pop_due(45) is None         # head at 40 discarded, 50 waits
+    assert (len(queue), queue.cancelled_pending) == (2, 0)
+    assert queue.pop_due(1_000) is entries[4]
+    assert queue.pop_due(1_000) is entries[5]
+    assert queue.pop_due(1_000) is None
+    assert len(queue) == 0
+
+
+@pytest.mark.parametrize("impl", QUEUES)
+def test_pop_due_same_time_fifo_and_push_while_draining(impl):
+    # Same-time entries leave in seq order; an entry pushed at the time
+    # being drained (a zero-delay reschedule) leaves after its peers.
+    queue = _queue(impl)
+    for seq in range(4):
+        queue.push(_entry(100, seq))
+    assert queue.pop_due(100)[1] == 0
+    queue.push(_entry(100, 4))
+    queue.push(_entry(100, 5))
+    assert [queue.pop_due(100)[1] for _ in range(5)] == [1, 2, 3, 4, 5]
+    assert queue.pop_due(100) is None
+
+
+@pytest.mark.parametrize("impl", QUEUES)
+def test_push_earlier_than_a_head_pop_due_left_pending(impl):
+    # pop_due(until) that finds nothing due may have opened a calendar
+    # day far ahead of the clock; entries pushed before that day (and
+    # into it, and between) must still come out in order.
+    queue = CalendarEventQueue(bucket_ns=64) if impl == "calendar" \
+        else HeapEventQueue()
+    far = [_entry(10_000 + i, i) for i in range(3)]
+    for entry in far:
+        queue.push(entry)
+    assert queue.pop_due(50) is None
+    near = [_entry(70, 3), _entry(10_001, 4), _entry(5_000, 5)]
+    for entry in near:
+        queue.push(entry)
+    order = []
+    while (entry := queue.pop_due(20_000)) is not None:
+        order.append(entry[1])
+    assert order == [3, 5, 0, 1, 4, 2]
+
+
+def test_ordering_never_compares_events(sim):
+    # seq is unique, so tuple comparison is decided before it reaches
+    # the Event — which defines no ordering at all — or the callback.
+    with pytest.raises(TypeError):
+        Event(None) < Event(None)
+    fired = []
+    for tag in range(50):
+        sim.schedule(7, fired.append, tag)     # 50-way tie on time
+    sim.run()
+    assert fired == list(range(50))
+
+
+# -- ending a run: stop(), stop_when, max_events, until --------------------------
+
+def test_stop_returns_after_the_current_handler(sim):
+    fired = []
+
+    def stopper():
+        sim.stop()
+        fired.append("stopper-finished")   # the handler itself completes
+
+    sim.schedule(10, fired.append, "a")
+    sim.schedule(20, stopper)
+    sim.schedule(20, fired.append, "same-time peer")
+    sim.schedule(30, fired.append, "later")
+    assert sim.run(until=1_000) == 20      # not advanced to `until`
+    assert fired == ["a", "stopper-finished"]
+    assert sim.peek() == 20 and len(sim.queue) == 2
+    # A following run resumes at the next (time, seq).
+    sim.run()
+    assert fired == ["a", "stopper-finished", "same-time peer", "later"]
+    assert sim.now == 30
+
+
+def test_stop_outside_a_run_is_forgotten(sim):
+    fired = []
+    sim.schedule(5, fired.append, 1)
+    sim.stop()
+    sim.run()
+    assert fired == [1]
+
+
+def test_stop_when_is_asked_after_every_handler(sim):
+    fired = []
+    for t in (10, 20, 30, 40):
+        sim.schedule(t, fired.append, t)
+    sim.run(stop_when=lambda: len(fired) == 2)
+    assert fired == [10, 20] and sim.now == 20
+    sim.run()
+    assert fired == [10, 20, 30, 40]
+
+
+def test_step_and_run_share_one_dispatch_path(sim):
+    fired = []
+    sim.schedule(10, fired.append, "a")
+    handle = sim.schedule(20, fired.append, "b")
+    assert sim.step() is True
+    assert (fired, sim.now, sim.events_processed) == (["a"], 10, 1)
+    handle.cancel()
+    assert sim.step() is False
+    assert sim.now == 10
+
+
+def test_clock_is_monotone_across_a_capped_run(sim):
+    # Satellite: run(until=100, max_events=1) used to return now == 100
+    # with t=20 still pending, and the next run() set the clock *back*.
+    fired = []
+    for t in (10, 20, 30):
+        sim.schedule(t, fired.append, t)
+    first = sim.run(until=100, max_events=1)
+    assert first == 10 and fired == [10]
+    second = sim.run()
+    assert fired == [10, 20, 30]
+    assert first <= second == 30
+    # ... while a run that ends because nothing is due still advances.
+    sim.schedule(50, fired.append, 80)
+    assert sim.run(until=60) == 60
+    assert sim.run(until=100) == 100 and fired[-1] == 80
+
+
+def test_clear_orphans_the_handles_it_drops(sim):
+    # Satellite: a handle from before clear() kept `owner`, so a later
+    # cancel() counted a cancellation against an empty queue and skewed
+    # the eager-compaction test from then on.
+    stale = [sim.schedule(1_000 + i, lambda: None) for i in range(10)]
+    sim.run(until=5)            # calendar: the day is opened, cursor at 0
+    sim.clear()
+    for handle in stale:
+        handle.cancel()
+    assert sim.queue.cancelled_pending == 0
+    assert sim.events_cancelled == 0
+    assert len(sim.queue) == 0
+
+    def arm_and_cancel(simulator):
+        timers = [simulator.schedule(1_000_000 + i, lambda: None)
+                  for i in range(100)]
+        for timer in timers[:60]:
+            timer.cancel()
+        snap = simulator.obs_snapshot()
+        return (len(simulator.queue), simulator.queue.cancelled_pending,
+                snap["events_cancelled"], snap["events_compacted"])
+
+    assert arm_and_cancel(sim) == arm_and_cancel(
+        Simulator(queue=type(sim.queue)()))

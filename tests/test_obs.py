@@ -454,6 +454,27 @@ class TestDisabledOverhead:
         assert disabled < baseline * 1.5
 
 
+@pytest.mark.obs_smoke
+def test_engine_measures_itself_under_the_trial_harness():
+    # Satellite: TrialHarness used to step() the simulator itself, never
+    # entering run(), so every FCT/goodput/RDMA cell reported a kernel
+    # that had dispatched thousands of events in 0.0 wall seconds.
+    from repro.experiments.fct import run_fct_experiment
+
+    obs = Observability(tracing=False)
+    result = run_fct_experiment(transport="dctcp", scenario="lg",
+                                flow_size=24_387, n_trials=5,
+                                loss_rate=1e-3, seed=3, obs=obs)
+    assert len(result.records) == 5
+    engine = obs.registry.snapshot()["engine"]
+    assert engine["events_processed"] > 1_000
+    assert engine["wall_seconds"] > 0.0
+    assert engine["events_per_wall_second"] > 0.0
+    assert engine["wall_seconds_per_sim_second"] > 0.0
+    # ... and all of the "run" phase's events were the kernel loop's
+    assert engine["wall_seconds"] <= result.timings["run"]
+
+
 class TestPrometheusEscaping:
     """Regression tests for label-value escaping in the text exposition.
 

@@ -45,9 +45,9 @@ class TestCellResultDiagnostics:
         for phase in ("setup", "run", "collect", "total_s"):
             assert phase in timings, f"missing {phase}"
         assert timings["total_s"] >= timings["run"] > 0.0
-        # TrialHarness drives step() itself, so the hot loop is the
-        # "run" phase, not the engine's run() accumulator.
-        assert "engine_run_s" in timings
+        # TrialHarness ends Simulator.run() with stop(): the kernel's own
+        # accumulator covers the hot loop, inside the "run" phase.
+        assert 0.0 < timings["engine_run_s"] <= timings["run"]
 
     def test_timeline_artifact_attached_and_valid(self, instrumented):
         series = instrumented.artifacts["timeline"]

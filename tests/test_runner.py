@@ -196,3 +196,126 @@ class TestTrialHarnessEquivalence:
 
         with pytest.raises(ValueError):
             run_rdma_case("lg+bogus")
+
+
+class TestDriversRideTheKernelLoop:
+    """``TrialHarness`` and ``run_until_complete`` no longer own a
+    per-event loop: they call ``Simulator.run`` and end it with
+    ``stop()``.  Their limits keep the rule the hand-rolled loops had —
+    the first event past the limit ends the run, and the clock stays at
+    that event — checked here against those loops, rebuilt from the
+    public ``peek()``/``step()``."""
+
+    @staticmethod
+    def _world(queue, n_trials, safety_ns, trial_ns=1_000, deadline_ns=None):
+        from repro.core.engine import Simulator
+        from repro.runner.harness import TrialHarness
+
+        sim = Simulator(queue=queue)
+
+        def tick():     # LinkGuardian-style self-replenishing background
+            sim.schedule(70, tick)
+
+        sim.schedule(0, tick)
+
+        def launch_trial(trial, finished):
+            done = sim.schedule(trial_ns, finished, ("rec", trial))
+            return (lambda: None), done.cancel
+
+        return sim, TrialHarness(
+            sim, n_trials, launch_trial, inter_trial_gap_ns=100,
+            trial_deadline_ns=deadline_ns, safety_ns=safety_ns)
+
+    @staticmethod
+    def _old_harness_run(harness):
+        sim = harness.sim
+        sim.schedule(0, harness._launch, 0)
+        while not harness._done and sim.peek() is not None:
+            if harness.safety_ns is not None and sim.now > harness.safety_ns:
+                break
+            sim.step()
+        return harness.records
+
+    @staticmethod
+    def _old_run_until_complete(sim, is_done, deadline_ns):
+        state = {"stop": False}
+
+        def watchdog():
+            state["stop"] = True
+
+        guard = sim.schedule(int(deadline_ns), watchdog)
+        while not is_done() and not state["stop"] and sim.peek() is not None:
+            sim.step()
+        guard.cancel()
+        return is_done()
+
+    @staticmethod
+    def _outcome(sim, harness):
+        return (list(harness.records), harness.incomplete, harness._done,
+                sim.now, sim.events_processed, sim.events_cancelled,
+                len(sim.queue))
+
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    @pytest.mark.parametrize("safety_ns,deadline_ns", [
+        (3_500, None),        # trips mid-campaign: 3 of 10 trials done
+        (3_500, 400),         # ... with every trial given up on
+        (1_000_000, None),    # never trips: the last launch stops the run
+        (None, None),         # no guard at all
+    ])
+    def test_harness_matches_the_loop_it_replaced(self, queue, safety_ns,
+                                                  deadline_ns):
+        sim, harness = self._world(queue, 10, safety_ns,
+                                   deadline_ns=deadline_ns)
+        harness.run()
+        ref_sim, ref = self._world(queue, 10, safety_ns,
+                                   deadline_ns=deadline_ns)
+        self._old_harness_run(ref)
+        assert self._outcome(sim, harness) == self._outcome(ref_sim, ref)
+        if safety_ns == 3_500:
+            assert not harness._done
+            # the clock is at the first event past the limit, not at it
+            assert safety_ns < sim.now <= safety_ns + 70
+            assert len(harness.records) == (3 if deadline_ns is None else 0)
+            assert harness.incomplete == (0 if deadline_ns is None else 7)
+        else:
+            assert harness._done and len(harness.records) == 10
+        assert sim.wall_seconds > 0.0     # it really ran inside run()
+
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    @pytest.mark.parametrize("settle_ns,left,deadline_ns", [
+        (2_000, 25, 10_000),  # done at the first event past the settle time
+        (0, 25, 10_000),      # done when the state gets there
+        (50_000, 25, 10_000), # the deadline watchdog ends it
+        (0, 40, 10_000),      # done before the first event
+    ])
+    def test_run_until_complete_matches_the_loop_it_replaced(
+            self, queue, settle_ns, left, deadline_ns):
+        from repro.core.engine import Simulator
+        from repro.runner.harness import run_until_complete
+
+        def world():
+            sim = Simulator(queue=queue)
+            busy = {"left": 40}
+
+            def work():
+                busy["left"] -= 1
+                sim.schedule(70, work)
+
+            sim.schedule(0, work)
+            # checker-style: a time floor plus state no one handler owns
+            return sim, (
+                lambda: sim.now >= settle_ns and busy["left"] <= left)
+
+        sim, is_done = world()
+        ref_sim, ref_done = world()
+        got = run_until_complete(sim, is_done, deadline_ns)
+        want = self._old_run_until_complete(ref_sim, ref_done, deadline_ns)
+        assert got == want == (settle_ns < deadline_ns)
+        assert (sim.now, sim.events_processed, sim.events_cancelled,
+                len(sim.queue)) == (
+            ref_sim.now, ref_sim.events_processed, ref_sim.events_cancelled,
+            len(ref_sim.queue))
+        if left == 40:
+            assert sim.events_processed == 0
+        if settle_ns > deadline_ns:
+            assert sim.now == deadline_ns   # at the watchdog, not beyond
