@@ -1,13 +1,6 @@
-"""CorrOpt re-implementation: traces, checker/optimizer, deployment study."""
+"""CorrOpt's trace model (Table 1); its checker and optimizer run in
+:class:`repro.fleet.controller.FleetController`."""
 
-from .simulation import (
-    DeploymentConfig, DeploymentResult, DeploymentSimulation,
-    lg_effective_loss_rate, lg_effective_speed_fraction,
-)
 from .trace import LOSS_BUCKETS, MTTF_HOURS, sample_loss_rates
 
-__all__ = [
-    "DeploymentConfig", "DeploymentResult", "DeploymentSimulation",
-    "lg_effective_loss_rate", "lg_effective_speed_fraction",
-    "LOSS_BUCKETS", "MTTF_HOURS", "sample_loss_rates",
-]
+__all__ = ["LOSS_BUCKETS", "MTTF_HOURS", "sample_loss_rates"]

@@ -15,13 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "HOURS", "MTTF_HOURS", "LOSS_BUCKETS", "sample_loss_rates",
-]
+__all__ = ["MTTF_HOURS", "LOSS_BUCKETS", "sample_loss_rates"]
 
-#: simulation time unit for the deployment study: nanoseconds are
-#: overkill at year scale, so corropt uses seconds.
-HOURS = 3_600.0
 MTTF_HOURS = 10_000.0
 
 #: Table 1 — corruption loss rates observed across 350K optical links.
@@ -42,8 +37,3 @@ def sample_loss_rates(rng: np.random.Generator, n: int) -> np.ndarray:
     lows = np.array([np.log10(LOSS_BUCKETS[b][0]) for b in buckets])
     highs = np.array([np.log10(LOSS_BUCKETS[b][1]) for b in buckets])
     return 10.0 ** rng.uniform(lows, highs)
-
-
-def next_corruption_delay_s(rng: np.random.Generator, mttf_hours: float = MTTF_HOURS) -> float:
-    """Time until a (just-repaired) link next starts corrupting."""
-    return float(rng.exponential(mttf_hours * HOURS))

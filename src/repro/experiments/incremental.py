@@ -14,9 +14,9 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core.rng import RngFactory
-from ..corropt.simulation import DeploymentConfig, DeploymentSimulation
-from ..fabric.topology import FabricTopology
+from ..fleet.topology import FleetSpec
+from ..lifecycle.traces import TraceSpec, generate_trace
+from .deployment import replay_corropt
 
 __all__ = ["run_incremental_deployment"]
 
@@ -33,21 +33,14 @@ def run_incremental_deployment(
     seed: int = 31,
 ) -> List[Dict[str, float]]:
     """Mean/median total penalty versus LG deployment fraction."""
+    # Every deployment fraction replays the identical failure trace (and
+    # each link's upgrade coin is fixed), so rows differ only by policy.
+    fleet = FleetSpec(n_pods, tors_per_pod, fabrics_per_pod, spine_uplinks,
+                      mttf_hours=mttf_hours)
+    trace = generate_trace(TraceSpec(fleet, duration_days, seed))
     rows: List[Dict[str, float]] = []
     for fraction in fractions:
-        topology = FabricTopology(n_pods, tors_per_pod, fabrics_per_pod, spine_uplinks)
-        config = DeploymentConfig(
-            capacity_constraint=capacity_constraint,
-            use_linkguardian=fraction > 0,
-            lg_deployment_fraction=fraction,
-            duration_s=duration_days * 86_400.0,
-            sample_interval_s=3_600.0,
-            mttf_hours=mttf_hours,
-        )
-        # A fresh named stream per fraction: every deployment fraction sees
-        # the identical failure trace, so rows differ only by policy.
-        rng = RngFactory(seed).stream("incremental-trace")
-        result = DeploymentSimulation(topology, config, rng).run()
+        result = replay_corropt(trace, capacity_constraint, fraction)
         rows.append({
             "fraction": fraction,
             "mean_penalty": float(result.total_penalty.mean()),

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..linkguardian.config import expected_effective_loss, retx_copies
 from ..units import ETH_OVERHEAD, GBPS, MIN_FRAME, MTU_FRAME, SEC
 
 __all__ = [
@@ -59,16 +60,6 @@ def ser_ns(frame_bytes, rate_bps):
     return np.ceil(bits * SEC / np.asarray(rate_bps, dtype=np.float64))
 
 
-def retx_copies(loss_rate, target_loss_rate=1e-8):
-    """Copies N per Eq. 2 (vectorized ``linkguardian.config.retx_copies``)."""
-    p = np.asarray(loss_rate, dtype=np.float64)
-    target = np.asarray(target_loss_rate, dtype=np.float64)
-    safe = np.clip(p, 1e-300, 1.0 - 1e-12)
-    needed = np.log(target) / np.log(safe) - 1.0
-    n = np.maximum(np.ceil(needed - 1e-12), 1.0)
-    return np.where((p <= 0.0) | (p <= target), 1.0, n)
-
-
 def effective_loss(loss_rate, n_copies, max_consecutive_retx=5, dummy_copies=1):
     """Eq. 1 with the era-bit/consecutive-loss correction.
 
@@ -81,7 +72,7 @@ def effective_loss(loss_rate, n_copies, max_consecutive_retx=5, dummy_copies=1):
     """
     p = np.asarray(loss_rate, dtype=np.float64)
     n = np.asarray(n_copies, dtype=np.float64)
-    base = p ** (n + 1.0)
+    base = expected_effective_loss(p, n)
     correction = p ** (max_consecutive_retx + 1.0 + dummy_copies) * (1.0 - p ** n)
     return base + correction
 
@@ -221,8 +212,8 @@ def interp_log_loss(loss_rate, points):
 
     ``points`` is a sequence of ``(loss_rate, value)`` pairs sorted by
     loss rate; values clamp at both ends and ``loss_rate <= 0`` maps to
-    the first value.  Same convention as
-    ``corropt.simulation.lg_effective_speed_fraction``.
+    the first value.  The planner's Figure 8 capacity table
+    (``fleet.cost.FIG8_POINTS``) is read through this function too.
     """
     p = np.asarray(loss_rate, dtype=np.float64)
     xs = np.log10([x for x, _ in points])

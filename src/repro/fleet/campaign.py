@@ -24,9 +24,10 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
+from ..units import DAY_S
 from .controller import ControllerConfig, ControllerOutcome
 from .cost import EXPOSED_FCT_INFLATION, LG_FCT_INFLATION
-from .topology import DAY_S, FleetSpec
+from .topology import FleetSpec
 
 __all__ = ["FleetCampaignSpec", "FleetCampaignResult", "run_fleet_campaign"]
 

@@ -186,6 +186,13 @@ class FleetController:
         if link.link_id in self._exposed:
             del self._exposed[link.link_id]
             self._close_segment(index, time_s)
+        elif link.link_id in self._active:
+            # masked is not repaired: an optimizer pass may still pull an
+            # LG-protected link once the constraint has room for it
+            del self._active[link.link_id]
+            self._close_segment(index, time_s)
+            if self._counters is not None:
+                self._lg_gauge.set(len(self._active))
         link.up = False
         link.lg_enabled = False
         link.speed_fraction = 1.0
@@ -201,6 +208,8 @@ class FleetController:
         if not self._is_lg_capable(link.link_id):
             return False
         speed = lg_effective_speed_fraction(episode.loss_rate)
+        if speed <= 0.0:
+            return False    # a dead link: nothing left to protect
         previous = link.speed_fraction
         link.lg_enabled = True
         link.speed_fraction = speed
@@ -261,13 +270,23 @@ class FleetController:
             key=lambda item: (self._episodes[item[1]].loss_rate, item[0]),
         )
 
-    def exposed_worst_first(self) -> List[Tuple[int, CorruptionEpisode]]:
-        """Still-exposed episodes, highest loss rate first (ties by link)."""
+    def _worst_first(self, held: Dict[int, int], penalty,
+                     ) -> List[Tuple[int, CorruptionEpisode]]:
         ordered = sorted(
-            self._exposed.items(),
-            key=lambda item: (-self._episodes[item[1]].loss_rate, item[0]),
+            held.items(),
+            key=lambda item: (-penalty(self._episodes[item[1]].loss_rate),
+                              item[0]),
         )
         return [(index, self._episodes[index]) for _, index in ordered]
+
+    def exposed_worst_first(self) -> List[Tuple[int, CorruptionEpisode]]:
+        """Still-exposed episodes, highest loss rate first (ties by link)."""
+        return self._worst_first(self._exposed, float)
+
+    def protected_worst_first(self) -> List[Tuple[int, CorruptionEpisode]]:
+        """LG-protected episodes, highest *effective* loss first (Eq. 1 is
+        a sawtooth in the actual loss rate; ties by link)."""
+        return self._worst_first(self._active, self.effective_loss)
 
     # -- streaming arbitration (the always-on service) ---------------------------
     #

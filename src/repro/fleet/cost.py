@@ -3,22 +3,25 @@
 The planner's single cost model: the lifecycle per-day rollup, the
 one-shot fleet campaign, the trace-driven policy optimizer, the
 controller's activation check and the service's what-if preview all read
-their numbers here.  :func:`segment_cost` is the only place the
-EXPOSED / PROTECTED / DISABLED branch exists.
+their numbers here, and so does the §4.8 deployment study.
+:func:`segment_cost` is the only place the EXPOSED / PROTECTED / DISABLED
+branch exists; :func:`lg_effective_loss_rate` and
+:func:`lg_effective_speed_fraction` are the one ``loss rate -> (effective
+loss, effective capacity)`` table every solution consults.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Tuple
 
-from ..corropt.simulation import (
-    lg_effective_loss_rate, lg_effective_speed_fraction,
-)
+from ..fastpath.model import interp_log_loss
+from ..linkguardian.config import expected_effective_loss, retx_copies
 
 __all__ = [
     "EXPOSED", "PROTECTED", "DISABLED", "BDP_PACKETS", "LG_FCT_INFLATION",
-    "EXPOSED_FCT_INFLATION", "lg_effective_loss_rate",
+    "EXPOSED_FCT_INFLATION", "FIG8_POINTS", "lg_effective_loss_rate",
     "lg_effective_speed_fraction", "unprotected_goodput_fraction",
     "segment_cost",
 ]
@@ -38,6 +41,34 @@ EXPOSED_FCT_INFLATION = 10.0
 #: unprotected goodput model below (100G, ~20 us RTT, 1460 B MSS ~ 171;
 #: rounded down to stay conservative).
 BDP_PACKETS = 128
+#: Figure 8 (ordered LinkGuardian, 100G): measured effective link speed
+#: at each loss rate — ~100% at 1e-5, ~99% at 1e-4, ~92% at 1e-3 —
+#: floored at 85% for the (rare) top-bucket rates above 1e-3.
+FIG8_POINTS = (
+    (1e-6, 1.0), (1e-5, 0.998), (1e-4, 0.99), (1e-3, 0.92), (1e-2, 0.85),
+)
+
+
+@lru_cache(maxsize=4096)
+def lg_effective_loss_rate(loss_rate: float, target: float = 1e-8) -> float:
+    """Effective loss rate once LinkGuardian is active (Equations 1-2).
+
+    A dead link (``loss_rate >= 1``) loses every copy too.  Memoized:
+    optimizer passes re-price the same episodes at every repair completion.
+    """
+    if loss_rate <= 0.0:
+        return 0.0
+    if loss_rate >= 1.0:
+        return 1.0
+    return expected_effective_loss(loss_rate, retx_copies(loss_rate, target))
+
+
+def lg_effective_speed_fraction(loss_rate: float) -> float:
+    """Effective link speed under ordered LinkGuardian: log-linear
+    interpolation of :data:`FIG8_POINTS`; a dead link carries nothing."""
+    if loss_rate >= 1.0:
+        return 0.0
+    return float(interp_log_loss(loss_rate, FIG8_POINTS))
 
 
 def unprotected_goodput_fraction(loss_rate: float) -> float:

@@ -19,15 +19,12 @@ from typing import Any, Dict
 import numpy as np
 
 from ..core.rng import RngFactory
-from ..corropt.trace import HOURS
 from ..fabric.topology import FabricTopology
 
 __all__ = [
     "FleetSpec", "CorruptionEpisode", "FleetTopology",
     "sample_affected_fraction",
 ]
-
-DAY_S = 24 * HOURS
 
 #: format tag carried by FleetSpec.to_json documents (2: repair and
 #: loss-distribution knobs moved out — repair is a lifecycle policy)

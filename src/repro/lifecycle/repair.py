@@ -30,17 +30,16 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from ..core.rng import RngFactory
-from ..corropt.trace import HOURS
 from ..fleet.topology import CorruptionEpisode
+from ..units import DAY_S, HOURS
 from .traces import LifecycleTrace, TraceSpec, generate_trace
 
 __all__ = [
     "RepairPolicy", "CorrOptRepairPolicy", "ExponentialRepairPolicy",
     "SeverityTieredRepairPolicy", "REPAIR_POLICIES", "repair_policy",
-    "RepairedEpisode", "apply_repair", "corruption_episodes",
+    "RepairedEpisode", "repair_delay_s", "apply_repair",
+    "corruption_episodes",
 ]
-
-DAY_H = 24.0
 
 
 class RepairPolicy:
@@ -81,7 +80,7 @@ class CorrOptRepairPolicy(RepairPolicy):
         days = (self.fast_days
                 if float(rng.random()) < self.fast_fraction
                 else self.slow_days)
-        return days * DAY_H * HOURS
+        return days * DAY_S
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "fast_days": self.fast_days,
@@ -131,7 +130,7 @@ class SeverityTieredRepairPolicy(RepairPolicy):
                 else self.routine_days)
         # +/- 25% uniform jitter so same-day repairs do not all land on
         # the exact same instant (one draw, index-addressed stream).
-        return base * DAY_H * HOURS * (0.75 + 0.5 * float(rng.random()))
+        return base * DAY_S * (0.75 + 0.5 * float(rng.random()))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name,
@@ -173,6 +172,15 @@ class RepairedEpisode:
     repair_delay_s: float
 
 
+def repair_delay_s(factory: RngFactory, policy: RepairPolicy, link_id: int,
+                   event_index: int, loss_rate: float) -> float:
+    """Failure event ``(link_id, event_index)``'s repair delay: one draw
+    from the event's own addressed stream, so it is the same whoever asks
+    and whenever the crew's clock starts."""
+    rng = factory.stream(f"lifecycle.link.{link_id}.repair", index=event_index)
+    return float(policy.delay_s(rng, loss_rate))
+
+
 def apply_repair(
     trace: LifecycleTrace,
     policy: RepairPolicy,
@@ -195,9 +203,8 @@ def apply_repair(
         if event.time_s < open_until.get(event.link_id, 0.0):
             coalesced += 1
             continue
-        rng = factory.stream(f"lifecycle.link.{event.link_id}.repair",
-                             index=event.event_index)
-        delay_s = float(policy.delay_s(rng, event.loss_rate))
+        delay_s = repair_delay_s(factory, policy, event.link_id,
+                                 event.event_index, event.loss_rate)
         clear_s = event.time_s + delay_s
         open_until[event.link_id] = clear_s
         episodes.append(RepairedEpisode(

@@ -46,9 +46,10 @@ from ..core.rng import RngFactory
 from ..fleet.controller import (
     POLICIES, ControllerConfig, ControllerOutcome, FleetController,
 )
-from ..fleet.topology import DAY_S, FleetTopology, sample_affected_fraction
+from ..fleet.topology import FleetTopology, sample_affected_fraction
 from ..runner.spec import ExperimentSpec, SweepSpec
 from ..runner.sweep import SweepRunner
+from ..units import DAY_S
 from .repair import RepairedEpisode, apply_repair, repair_policy
 from .slo import LifecycleRollup, SloConfig, accumulate_days, summarize_days
 from .traces import LifecycleTrace, TraceSpec

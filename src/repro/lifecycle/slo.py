@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from ..fleet.controller import ControllerOutcome
 from ..fleet.cost import DISABLED, EXPOSED, PROTECTED, segment_cost
-from ..fleet.topology import DAY_S
+from ..units import DAY_S
 from .repair import RepairedEpisode
 
 __all__ = [

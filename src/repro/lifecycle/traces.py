@@ -36,8 +36,9 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List
 
 from ..core.rng import RngFactory
-from ..corropt.trace import HOURS, sample_loss_rates
-from ..fleet.topology import DAY_S, FleetSpec
+from ..corropt.trace import sample_loss_rates
+from ..fleet.topology import FleetSpec
+from ..units import DAY_S, HOURS
 
 __all__ = [
     "TRACE_VERSION", "TraceSpec", "FailureEvent", "LifecycleTrace",

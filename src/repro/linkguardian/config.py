@@ -8,40 +8,45 @@ operator's target:
     (actual_loss_rate) ** (N + 1) <= target_loss_rate        (Eq. 1)
     N >= log(target) / log(actual) - 1                       (Eq. 2)
 
-with ``ceil`` applied since N is an integer.
+with ``ceil`` applied since N is an integer.  This module is the only
+implementation of both equations: the packet tier, the vectorized
+fastpath models and the planner's cost model (``fleet.cost``) all call
+:func:`retx_copies` / :func:`expected_effective_loss`, scalar or array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from ..units import KB, MTU_FRAME, US
 
 __all__ = ["retx_copies", "expected_effective_loss", "LinkGuardianConfig"]
 
 
-def retx_copies(actual_loss_rate: float, target_loss_rate: float = 1e-8) -> int:
+def retx_copies(actual_loss_rate, target_loss_rate=1e-8):
     """Number of retransmitted copies N per Equation 2 (at least 1).
 
     Mirrors the testbed configuration: loss 1e-5 -> N=1, 1e-4 -> N=1,
-    1e-3 -> N=2 for the default 1e-8 target.
+    1e-3 -> N=2 for the default 1e-8 target.  Scalars give an ``int``;
+    arrays broadcast and give a float array (N feeds ``p ** (N + 1)``).
     """
-    if not 0.0 < target_loss_rate < 1.0:
+    p = np.asarray(actual_loss_rate, dtype=np.float64)
+    target = np.asarray(target_loss_rate, dtype=np.float64)
+    if np.any((target <= 0.0) | (target >= 1.0)):
         raise ValueError("target loss rate must be in (0,1)")
-    if actual_loss_rate <= 0.0:
-        return 1
-    if actual_loss_rate >= 1.0:
+    if np.any(p >= 1.0):
         raise ValueError("actual loss rate must be < 1")
-    if actual_loss_rate <= target_loss_rate:
-        return 1
-    needed = math.log(target_loss_rate) / math.log(actual_loss_rate) - 1.0
-    return max(1, math.ceil(needed - 1e-12))
+    needed = np.log(target) / np.log(np.maximum(p, 1e-300)) - 1.0
+    n = np.where(p <= target, 1.0, np.maximum(np.ceil(needed - 1e-12), 1.0))
+    return int(n) if n.ndim == 0 else n
 
 
-def expected_effective_loss(actual_loss_rate: float, n_copies: int) -> float:
-    """Theoretical effective loss rate ``p ** (N+1)`` under i.i.d. loss."""
+def expected_effective_loss(actual_loss_rate, n_copies):
+    """Theoretical effective loss rate ``p ** (N+1)`` under i.i.d. loss
+    (Equation 1), scalar or array."""
     return actual_loss_rate ** (n_copies + 1)
 
 

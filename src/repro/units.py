@@ -1,6 +1,7 @@
 """Units and wire-format constants.
 
-Time is integer nanoseconds, rates are bits per second, sizes are bytes.
+Packet-tier time is integer nanoseconds (the planner tiers count float
+seconds), rates are bits per second, sizes are bytes.
 The helpers here are the only place unit conversions happen, so every
 module agrees on what "100G" or "an MTU frame on the wire" means.
 """
@@ -8,7 +9,7 @@ module agrees on what "100G" or "an MTU frame on the wire" means.
 from __future__ import annotations
 
 __all__ = [
-    "NS", "US", "MS", "SEC",
+    "NS", "US", "MS", "SEC", "HOURS", "DAY_S",
     "KB", "MB",
     "GBPS", "gbps",
     "ETH_OVERHEAD", "MIN_FRAME", "MTU_FRAME", "MTU_PAYLOAD", "MTU_WIRE",
@@ -20,6 +21,11 @@ NS = 1
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
+
+# The planner tiers (fleet, lifecycle, the deployment study) run year-scale
+# traces where nanoseconds are overkill: their clock is float *seconds*.
+HOURS = 3_600.0
+DAY_S = 24 * HOURS
 
 # -- sizes -----------------------------------------------------------------
 KB = 1_000

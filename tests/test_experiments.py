@@ -128,18 +128,39 @@ class TestMechanismStudy:
 
 
 class TestDeploymentComparison:
-    def test_same_trace_for_both_policies(self):
-        comparison = run_deployment_comparison(
-            capacity_constraint=0.75, n_pods=2, tors_per_pod=8,
-            fabrics_per_pod=4, spine_uplinks=8,
-            duration_days=40, mttf_hours=800, seed=3,
-        )
-        assert (comparison.vanilla.corruption_events
-                == pytest.approx(comparison.combined.corruption_events, rel=0.2))
+    KWARGS = dict(capacity_constraint=0.75, n_pods=2, tors_per_pod=8,
+                  fabrics_per_pod=4, spine_uplinks=8,
+                  duration_days=40, mttf_hours=800, seed=3)
+
+    def test_same_trace_for_both_policies(self, monkeypatch):
+        from repro.experiments import deployment
+
+        fed = []
+        replay = deployment.replay_corropt
+
+        def spy(trace, constraint, fraction, *args):
+            fed.append((fraction, trace))
+            return replay(trace, constraint, fraction, *args)
+
+        monkeypatch.setattr(deployment, "replay_corropt", spy)
+        comparison = run_deployment_comparison(**self.KWARGS)
+        (f0, vanilla_trace), (f1, combined_trace) = fed
+        assert (f0, f1) == (0.0, 1.0)
+        # §4.8: literally the same failure trace, event for event
+        assert vanilla_trace.events == combined_trace.events
+        assert len(vanilla_trace.events) >= comparison.vanilla.corruption_events > 0
         gain = comparison.penalty_gain()
         assert (gain >= 1.0 - 1e-9).mean() > 0.9  # LG ~never makes penalty worse
         snap = comparison.week_snapshot(start_day=10)
         assert len(snap["days"]) > 0
+
+    def test_same_seed_same_output(self):
+        first = run_deployment_comparison(**self.KWARGS)
+        second = run_deployment_comparison(**self.KWARGS)
+        assert first.summary() == second.summary()
+        assert (first.combined.total_penalty == second.combined.total_penalty).all()
+        other = run_deployment_comparison(**{**self.KWARGS, "seed": 4})
+        assert other.summary() != first.summary()
 
 
 class TestFigureModels:

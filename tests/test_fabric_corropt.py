@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.corropt.simulation import (
-    DeploymentConfig, DeploymentSimulation,
-    lg_effective_loss_rate, lg_effective_speed_fraction,
-)
 from repro.corropt.trace import LOSS_BUCKETS, sample_loss_rates
+from repro.experiments.deployment import replay_corropt
 from repro.fabric.topology import FabricTopology
+from repro.fleet.cost import (
+    FIG8_POINTS, lg_effective_loss_rate, lg_effective_speed_fraction,
+)
+from repro.fleet.topology import FleetSpec
+from repro.lifecycle import (
+    FailureEvent, LifecycleTrace, TraceSpec, generate_trace,
+)
+from repro.units import DAY_S, HOURS
 
 
 def small_topology():
@@ -173,19 +178,29 @@ class TestLgDeploymentModels:
         speeds = [lg_effective_speed_fraction(r) for r in rates]
         assert all(b <= a + 1e-12 for a, b in zip(speeds, speeds[1:]))
 
+    def test_figure8_points_pinned(self):
+        assert dict(FIG8_POINTS) == {
+            1e-6: 1.0, 1e-5: 0.998, 1e-4: 0.99, 1e-3: 0.92, 1e-2: 0.85}
+        for rate, speed in FIG8_POINTS:
+            assert lg_effective_speed_fraction(rate) == pytest.approx(speed, abs=1e-12)
+        assert lg_effective_speed_fraction(0.0) == 1.0
+        assert lg_effective_speed_fraction(1e-7) == 1.0
+        assert lg_effective_speed_fraction(0.5) == 0.85
+
+    def test_dead_link_has_no_capacity_and_no_protection(self):
+        assert lg_effective_speed_fraction(1.0) == 0.0
+        assert lg_effective_loss_rate(1.0) == 1.0
+
 
 class TestDeploymentSimulation:
-    def _run(self, use_lg, constraint=0.75, days=60, seed=11):
-        topo = small_topology()
-        config = DeploymentConfig(
-            capacity_constraint=constraint,
-            use_linkguardian=use_lg,
-            duration_s=days * 86_400.0,
-            sample_interval_s=6 * 3_600.0,
-            mttf_hours=500.0,  # accelerated aging for a fast test
-        )
-        rng = np.random.default_rng(seed)
-        return DeploymentSimulation(topo, config, rng).run()
+    """The §4.8 driver (``experiments.deployment.replay_corropt``)."""
+
+    TRACE = generate_trace(TraceSpec(   # accelerated aging for a fast test
+        FleetSpec(2, 8, 4, 8, mttf_hours=500.0), duration_days=60, seed=11))
+
+    def _run(self, use_lg, constraint=0.75):
+        return replay_corropt(self.TRACE, constraint, float(use_lg),
+                              sample_interval_s=6 * HOURS)
 
     def test_simulation_produces_samples(self):
         result = self._run(use_lg=False)
@@ -211,15 +226,78 @@ class TestDeploymentSimulation:
     def test_lg_costs_a_little_capacity(self):
         vanilla = self._run(use_lg=False)
         combined = self._run(use_lg=True)
-        # LG-enabled links run at reduced speed: on average the combined
-        # policy gives up only a small sliver of pod capacity.  (The two
-        # runs' traces diverge after the first policy decision, so the
-        # comparison is of time averages, not paired samples.)
-        diff = vanilla.least_capacity_fraction.mean() - combined.least_capacity_fraction.mean()
-        assert abs(diff) < 0.05
+        # LG-enabled links run at reduced speed: the combined policy
+        # gives up only a small sliver of pod capacity.  Both runs replay
+        # the same trace, so the samples are paired.
+        diff = vanilla.least_capacity_fraction - combined.least_capacity_fraction
+        assert abs(diff.mean()) < 0.05
+        assert diff.max() > 0
 
     def test_blocked_links_exist_under_tight_constraint(self):
-        result = self._run(use_lg=False, constraint=0.75)
-        assert result.constraint_blocked >= 0  # tight constraint may block
-        vanilla_loose = self._run(use_lg=False, constraint=0.5)
-        assert vanilla_loose.constraint_blocked <= result.constraint_blocked
+        tight = self._run(use_lg=False, constraint=0.75)
+        assert tight.constraint_blocked > 0
+        loose = self._run(use_lg=False, constraint=0.5)
+        assert loose.constraint_blocked <= tight.constraint_blocked
+
+    def test_lg_link_counters(self):
+        vanilla = self._run(use_lg=False)
+        combined = self._run(use_lg=True)
+        assert combined.max_concurrent_lg_links >= combined.max_lg_links_per_pod > 0
+        assert vanilla.max_concurrent_lg_links == vanilla.max_lg_links_per_pod == 0
+        # Same onsets offered to both; which blocked link an optimizer
+        # pass pulls first depends on the penalty order, so the repair
+        # windows (and the onsets they absorb) may differ by a few.
+        assert vanilla.corruption_events == pytest.approx(
+            combined.corruption_events, rel=0.05)
+
+
+class TestCorrOptRepairClock:
+    """Repair starts at *disable*: a blocked link is not on any timer."""
+
+    # one pod, 2 ToRs x 2 fabrics x 2 uplinks: a ToR has 4 paths, and
+    # pulling a ToR-fabric link (links 0..3) leaves it 2
+    FLEET = FleetSpec(n_pods=1, tors_per_pod=2, fabrics_per_pod=2,
+                      spine_uplinks=2)
+
+    def _trace(self, *onsets):
+        events = [FailureEvent(day * DAY_S, link, loss, 1.0, 0)
+                  for day, link, loss in onsets]
+        return LifecycleTrace(TraceSpec(self.FLEET, duration_days=30.0, seed=5),
+                              events)
+
+    def test_blocked_link_corrupts_until_the_window_ends(self):
+        # at 75% any ToR-fabric disable is refused, and with nothing out
+        # for repair no optimizer pass ever runs
+        result = replay_corropt(self._trace((1.0, 0, 1e-3)), 0.75, 0.0)
+        assert result.constraint_blocked == 1
+        assert result.disabled_by_optimizer == 0
+        after = result.times_s >= 1.0 * DAY_S
+        assert (result.total_penalty[after] == 1e-3).all()
+        assert (result.total_penalty[~after] == 0.0).all()
+        assert result.least_paths_fraction.min() == 1.0
+
+    def test_optimizer_pass_disables_it_when_a_repair_completes(self):
+        # at 50% ToR 0 can lose one uplink (day 1) but not both (day 1.5)
+        trace = self._trace((1.0, 0, 1e-4), (1.5, 1, 1e-3))
+        result = replay_corropt(trace, 0.5, 0.0)
+        assert (result.disabled_immediately, result.constraint_blocked,
+                result.disabled_by_optimizer) == (1, 1, 1)
+        corrupting = result.times_s[result.total_penalty > 0]
+        # exposed from its onset until the first link's repair (2 or 4
+        # days after *its* disable) - then pulled, never before
+        assert corrupting.min() == pytest.approx(1.5 * DAY_S, abs=HOURS)
+        assert corrupting.max() / DAY_S == pytest.approx(
+            1.0 + (corrupting.max() > 4 * DAY_S) * 2 + 2, abs=0.05)
+        assert set(result.total_penalty) == {0.0, 1e-3}
+
+    def test_linkguardian_masks_the_blocked_link_meanwhile(self):
+        trace = self._trace((1.0, 0, 1e-4), (1.5, 1, 1e-3))
+        result = replay_corropt(trace, 0.5, 1.0)
+        # protected, not repaired: the optimizer still pulls it later
+        assert result.disabled_by_optimizer == 1
+        assert set(result.total_penalty) == {0.0, lg_effective_loss_rate(1e-3)}
+        assert result.least_capacity_fraction.min() < 0.75
+
+    def test_repeat_onset_on_an_open_link_is_the_same_fault(self):
+        trace = self._trace((1.0, 0, 1e-3), (1.2, 0, 1e-4))
+        assert replay_corropt(trace, 0.75, 0.0).corruption_events == 1

@@ -14,6 +14,8 @@ Two kinds of pinning keep the vectorized models honest:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fastpath import fct as fctmod
 from repro.fastpath import model
@@ -40,6 +42,40 @@ class TestScalarAgreement:
     def test_retx_copies_degenerate(self):
         vec = model.retx_copies(np.array([0.0, 1e-9, 5e-9]), 1e-8)
         assert vec.tolist() == [1.0, 1.0, 1.0]
+
+    def test_one_implementation(self):
+        # Eq. 2 lives in linkguardian.config; the fastpath re-exports it
+        assert model.retx_copies is lgconfig.retx_copies
+        assert isinstance(lgconfig.retx_copies(1e-3), int)
+        for bad in (1.0, 1.5, np.array([1e-3, 1.0])):
+            with pytest.raises(ValueError):
+                lgconfig.retx_copies(bad)
+        for bad_target in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                lgconfig.retx_copies(1e-3, bad_target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.lists(st.floats(1e-12, 1.0, exclude_min=True, exclude_max=True),
+                   min_size=1, max_size=8),
+        target=st.floats(1e-12, 1e-2, exclude_min=True, exclude_max=True),
+    )
+    def test_scalar_and_array_agree(self, p, target):
+        """Eq. 1-2 give the same N and the same residual loss whether a
+        cell is priced alone (planner, packet tier) or in a grid."""
+        losses = np.asarray(p)
+        copies = lgconfig.retx_copies(losses, target)
+        residual = lgconfig.expected_effective_loss(losses, copies)
+        for loss, n, eff in zip(p, copies, residual):
+            scalar_n = lgconfig.retx_copies(loss, target)
+            assert scalar_n == n and scalar_n >= 1
+            # (libm's scalar pow and NumPy's vector pow may differ by an ulp)
+            assert lgconfig.expected_effective_loss(loss, scalar_n) \
+                == pytest.approx(eff, rel=1e-12)
+            # Eq. 1 holds, and N is the smallest count for which it does
+            assert eff <= max(target, loss ** 2) * (1 + 1e-9)
+            if scalar_n > 1:
+                assert loss ** scalar_n > target * (1 - 1e-9)
 
     def test_effective_loss_base_term(self):
         """Below the register-overflow regime the correction is tiny and

@@ -11,11 +11,12 @@ from repro.fleet.cost import (
     DISABLED, EXPOSED, PROTECTED, segment_cost, unprotected_goodput_fraction,
 )
 from repro.fleet.policies import TraceDrivenOptimizer
-from repro.fleet.topology import DAY_S, FleetSpec
+from repro.fleet.topology import FleetSpec
 from repro.lifecycle.replay import (
     arbitrate, chunk_sweep, run_chunk, run_replay, shard_bounds,
 )
 from repro.obs import Observability
+from repro.units import DAY_S
 
 
 def small_campaign(**overrides) -> FleetCampaignSpec:

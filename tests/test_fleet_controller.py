@@ -189,6 +189,78 @@ class TestControllerInvariants:
         assert controller.effective_loss(1e-3) < 1e-8
 
 
+class TestDisableProtectedLink:
+    """An optimizer pass may pull a link LinkGuardian is masking (the
+    §4.8 study policy does; masked is not repaired)."""
+
+    def _protected(self, obs=None):
+        topology = make_topology()
+        controller = FleetController(
+            topology, ControllerConfig(capacity_constraint=1.0),
+            IncrementalDeploymentPolicy(), obs=obs)
+        index = controller.stream_onset(episode(0, 10.0, float("inf")))
+        assert controller.lg_active_links() == [0]
+        return controller, topology.link(0), index
+
+    def test_closes_segment_frees_budget_and_state(self):
+        controller, link, index = self._protected()
+        controller.config = ControllerConfig(capacity_constraint=0.5,
+                                             activation_budget=1)
+        assert controller.try_disable(
+            link, controller.episodes[index], index, time_s=25.0)
+        segments = controller.outcome.segments[index]
+        assert [(s.state, s.start_s, s.end_s) for s in segments] == [
+            (PROTECTED, 10.0, 25.0), (DISABLED, 25.0, float("inf"))]
+        assert controller.lg_active_links() == []
+        assert controller.protected_worst_first() == []
+        assert (link.up, link.lg_enabled, link.speed_fraction) == (False, False, 1.0)
+        # the single budget slot is free again
+        other = controller.stream_onset(episode(20, 30.0, float("inf")))
+        assert [d.action for d in controller.outcome.decisions] == [
+            "activate", "disable", "disable"]
+        controller.stream_clear(index, 60.0)
+        assert segments[-1].end_s == 60.0
+        assert states(controller.outcome, other) == [DISABLED]
+
+    def test_refused_disable_leaves_protection_in_place(self):
+        controller, link, index = self._protected()
+        assert not controller.try_disable(
+            link, controller.episodes[index], index, time_s=25.0)
+        assert controller.lg_active_links() == [0]
+        assert states(controller.outcome, index) == [PROTECTED]
+        assert link.lg_enabled and link.up
+
+    def test_gauge_follows(self):
+        obs = Observability()
+        controller, link, index = self._protected(obs)
+        gauge = "fleet.controller.incremental.lg_active"
+        assert obs.snapshot()[gauge]["value"] == 1
+        controller.config = ControllerConfig(capacity_constraint=0.5)
+        controller.try_disable(link, controller.episodes[index], index, 25.0)
+        assert obs.snapshot()[gauge]["value"] == 0
+
+    def test_protected_worst_first_orders_by_effective_loss(self):
+        topology = make_topology()
+        controller = FleetController(
+            topology, ControllerConfig(capacity_constraint=1.0),
+            IncrementalDeploymentPolicy())
+        # Eq. 1 is a sawtooth: 1e-4 -> N=1 -> 1e-8, 2e-4 -> N=2 -> 8e-12
+        controller.stream_onset(episode(0, 1.0, float("inf"), loss=2e-4))
+        controller.stream_onset(episode(1, 2.0, float("inf"), loss=1e-4))
+        assert [e.link_id for _, e in controller.protected_worst_first()] == [1, 0]
+
+
+class TestDeadLink:
+    def test_zero_capacity_activation_is_refused(self):
+        config = ControllerConfig(capacity_constraint=1.0)
+        controller, outcome = run_policy(
+            IncrementalDeploymentPolicy(),
+            [episode(0, 10.0, 50.0, loss=1.0)], config)
+        assert (outcome.activations, outcome.blocked) == (0, 1)
+        assert states(outcome, 0) == [EXPOSED]
+        assert controller.effective_loss(1.0) == 1.0
+
+
 class TestControllerObservability:
     def test_decisions_counted_and_traced(self):
         obs = Observability()

@@ -5,12 +5,13 @@ import math
 import pytest
 
 from repro.core.rng import RngFactory
-from repro.fleet.topology import DAY_S, FleetSpec
+from repro.fleet.topology import FleetSpec
 from repro.lifecycle import (
     REPAIR_POLICIES, CorrOptRepairPolicy, ExponentialRepairPolicy,
     LifecycleTrace, SeverityTieredRepairPolicy, TraceSpec, apply_repair,
     generate_trace, link_failure_events, repair_policy,
 )
+from repro.units import DAY_S
 
 SMALL_FLEET = FleetSpec(n_pods=2, tors_per_pod=2, fabrics_per_pod=2,
                         spine_uplinks=2, mttf_hours=200.0)

@@ -149,6 +149,27 @@ class TestStreamingArbiter:
         assert arbiter.clears == 1
         assert arbiter.corrupting_links() == []
 
+    def test_dead_link_is_blocked_not_protected(self):
+        """A link losing every frame has nothing left to protect: pricing
+        it at Figure 8's 85% floor used to ``activate`` it (and
+        ``segment_cost(PROTECTED, 1.0)`` then raised inside Eq. 2)."""
+        from repro.fleet.cost import PROTECTED, segment_cost
+
+        topology = FleetTopology(SMALL_FLEET, seed=1)
+        arbiter = StreamingArbiter(
+            topology, ControllerConfig(capacity_constraint=1.0),
+            "incremental", window_frames=3000, onset_threshold=1e-3,
+            clear_hysteresis=0.1)
+        decisions = []
+        for tick in range(3):
+            decisions += self._feed(arbiter, 3, 60.0 * tick, 1000, 1000)
+        assert [(d["action"], d["loss_rate"]) for d in decisions] == [
+            ("blocked", 1.0)]
+        assert arbiter.controller.exposed_links() == [3]
+        assert arbiter.controller.lg_active_links() == []
+        assert topology.link(3).speed_fraction == 1.0
+        assert segment_cost(PROTECTED, 1.0) == (1.0, 1.0)
+
     def test_state_sharded_by_pod(self):
         arbiter = self._arbiter()
         pods = set()
