@@ -25,13 +25,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.rng import RngFactory
 from ..packets.seqno import SEQ_RANGE
+from ..runner import CellResult, ExperimentSpec, RunContext
 from ..units import US
 from .scenarios import CheckConfig, CheckOutcome, FaultScenario, run_scenario
 
 __all__ = [
     "ARTIFACT_VERSION", "FuzzResult", "ReplayResult",
     "random_scenario", "run_fuzz", "shrink_drops", "build_artifact",
-    "canonical_json", "replay_artifact",
+    "canonical_json", "replay_artifact", "checker_cell",
 ]
 
 ARTIFACT_VERSION = 1
@@ -310,3 +311,51 @@ def replay_artifact(artifact: Dict) -> ReplayResult:
         outcome=outcome, artifact=artifact, rebuilt=rebuilt,
         byte_identical=identical,
     )
+
+
+def checker_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """Conformance checking as a runner cell (the ``("checker", "packet")``
+    row of :data:`repro.runner.cells.CELLS`).
+
+    With ``spec.params["scenario"]`` present, runs that one fault
+    scenario under the invariant checker; otherwise fuzzes
+    ``spec.n_trials`` random scenarios from ``spec.seed``.  Base config
+    tweaks ride in ``spec.params["check"]``; ``spec.lg`` overrides the
+    LinkGuardian config either way.
+    """
+    check = dict(spec.params.get("check", {}))
+    if spec.lg:
+        check["lg"] = {**check.get("lg", {}), **spec.lg}
+    check.setdefault("rate_gbps", spec.rate_gbps)
+    base = CheckConfig.from_dict(check)
+
+    if "scenario" in spec.params:
+        scenario = FaultScenario.from_dict(spec.params["scenario"])
+        base.seed = spec.seed
+        outcome = run_scenario(scenario, base, obs=ctx.obs)
+        metrics = {
+            "ok": outcome.ok,
+            "completed": outcome.completed,
+            "violations": sum(outcome.counts.values()),
+            "invariants_breached": len(outcome.counts),
+            "n_copies": outcome.n_copies,
+        }
+        series = {"violations": [v.to_dict() for v in outcome.violations]}
+        return CellResult.for_spec(spec, metrics, series)
+
+    fuzz = run_fuzz(
+        seed=spec.seed,
+        trials=spec.n_trials,
+        base=base,
+        shrink=bool(spec.params.get("shrink", True)),
+    )
+    metrics = {
+        "ok": fuzz.ok,
+        "trials": fuzz.trials,
+        "failures": len(fuzz.failures),
+        "runs": fuzz.runs,
+    }
+    series = {"failures": fuzz.failures}
+    if fuzz.artifact is not None:
+        series["artifact"] = [fuzz.artifact]
+    return CellResult.for_spec(spec, metrics, series)

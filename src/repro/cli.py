@@ -429,8 +429,9 @@ def parse_axis(text: str):
 
 def _sweep_spec(args, name: str, backend: str):
     """The ``--kind/--axis/--trials/--loss-rate/--seed/--sweep-seed``
-    flags as a SweepSpec on ``backend``."""
-    from .runner import ExperimentSpec, SweepSpec
+    flags as a SweepSpec on ``backend``; a cell the table has no row for
+    (or an axis no spec has) is a usage error."""
+    from .runner import ExperimentSpec, SweepSpec, lookup
 
     base = ExperimentSpec(
         kind=args.kind, n_trials=args.trials, loss_rate=args.loss_rate,
@@ -438,20 +439,20 @@ def _sweep_spec(args, name: str, backend: str):
     )
     try:
         axes = dict(parse_axis(text) for text in (args.axis or []))
+        sweep = SweepSpec(name=name, base=base, axes=axes,
+                          seed=args.sweep_seed)
+        for cell in sweep.cells():
+            lookup(cell.kind, cell.backend)
     except ValueError as exc:
         _usage_error(str(exc))
-    return SweepSpec(name=name, base=base, axes=axes, seed=args.sweep_seed)
+    return sweep
 
 
 def _sweep(args) -> None:
     """Declarative sweep over experiment cells (the runner layer)."""
     from .analysis.report import cell_rows
-    from .runner import SweepRunner, experiment_kinds
+    from .runner import SweepRunner
 
-    if args.kind not in experiment_kinds():
-        _usage_error(
-            f"unknown --kind {args.kind!r}; known: {', '.join(experiment_kinds())}"
-        )
     sweep = _sweep_spec(args, args.kind, args.backend)
     runner = SweepRunner(sweep, workers=args.workers, checkpoint=args.checkpoint)
     results = runner.run(progress=_progress)
@@ -567,12 +568,8 @@ def _fastpath_scan(args) -> None:
     """Sweep a grid entirely on the vectorized models (the cheap wide
     pass of a two-tier campaign)."""
     from .analysis.report import cell_rows
-    from .fastpath import FASTPATH_KINDS
     from .runner import SweepRunner
 
-    if args.kind not in FASTPATH_KINDS:
-        _usage_error(f"--kind {args.kind!r} has no fastpath model; "
-                     f"known: {', '.join(FASTPATH_KINDS)}")
     sweep = _sweep_spec(args, f"fastpath-{args.kind}", "fastpath")
     _emit(cell_rows(SweepRunner(sweep).run()))
 
@@ -1120,8 +1117,10 @@ class Flag:
     The default implies the type (``False`` makes a switch), so a row
     says each thing once; ``**kwargs`` carries whatever else
     ``add_argument`` needs — ``metavar``, ``choices``, ``dest``, the
-    ``type`` of a flag whose default is None.  A name without dashes is
-    a positional.
+    ``type`` of a flag whose default is None.  ``choices`` may be a
+    zero-argument function, called when the flag joins a parser, so a
+    list owned by a library table is read there and only by the verbs
+    that take the flag.  A name without dashes is a positional.
     """
 
     def __init__(self, name: str, default: Any = None,
@@ -1139,6 +1138,8 @@ class Flag:
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         kwargs = dict(self.kwargs)
+        if callable(kwargs.get("choices")):
+            kwargs["choices"] = kwargs["choices"]()
         if kwargs["default"] is False:
             kwargs["action"] = "store_true"
         elif kwargs["default"] is not None:
@@ -1193,11 +1194,26 @@ SWEEP_SEED = Flag("--sweep-seed", type=int,
                   help="derive a deterministic per-cell seed from this "
                        "root (default: every cell keeps --seed, as in "
                        "the paper's figures)")
+
+
+def _cell_backends() -> List[str]:
+    """``--backend`` choices: the backends of the cell table."""
+    from .runner import backends
+
+    return backends()
+
+
+def _validation_backends() -> List[str]:
+    from .fastpath.validate import fast_backends
+
+    return fast_backends()
+
+
 BACKEND = Flag("--backend", "packet",
                "execution backend for every cell (fastpath = vectorized "
                "analytic models; hybrid = analytic between losses, "
                "packet windows around them)",
-               choices=["packet", "fastpath", "hybrid"])
+               choices=_cell_backends)
 WORKERS = Flag("--workers", 1, "worker processes (results are "
                                "bit-identical to --workers 1)")
 CHECKPOINT = Flag("--checkpoint", metavar="PATH",
@@ -1386,7 +1402,7 @@ FASTPATH = (
         Flag("--cells", 200, "approximate grid size"),
         SEED,
         WORKERS.but(help="worker processes for the packet cells"),
-        BACKEND.but(default="fastpath", choices=["fastpath", "hybrid"],
+        BACKEND.but(default="fastpath", choices=_validation_backends,
                     help="the fast side of the comparison (hybrid = "
                          "the splicing backend)"),
         OUT.but(help="write the full report JSON here"),

@@ -1,9 +1,11 @@
 """Experiment harness: one module per paper table/figure plus the testbed.
 
-Every experiment here is also registered as a runner *kind* (see
-``repro.runner.cells``), so each can run either directly through its
-``run_*`` function or declaratively as an
-:class:`~repro.runner.spec.ExperimentSpec` cell inside a sweep.
+Every experiment here is also a runner *kind*: next to its ``run_*``
+function each module carries a ``*_cell(spec, ctx) -> CellResult``
+adapter, and ``repro.runner.cells.CELLS`` has one row pointing at it.
+So each can run either directly through its ``run_*`` function or
+declaratively as an :class:`~repro.runner.spec.ExperimentSpec` cell
+inside a sweep.
 """
 
 from .deployment import DeploymentComparison, run_deployment_comparison

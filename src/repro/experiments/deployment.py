@@ -43,11 +43,12 @@ from ..fleet.policies import IncrementalDeploymentPolicy
 from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 from ..lifecycle.repair import CorrOptRepairPolicy, repair_delay_s
 from ..lifecycle.traces import LifecycleTrace, TraceSpec, generate_trace
+from ..runner import CellResult, ExperimentSpec, RunContext
 from ..units import DAY_S, HOURS
 
 __all__ = [
     "DeploymentResult", "DeploymentComparison", "replay_corropt",
-    "run_deployment_comparison",
+    "run_deployment_comparison", "deployment_cell",
 ]
 
 _PENALTY_FLOOR = 1e-12
@@ -257,3 +258,9 @@ def run_deployment_comparison(
                        sample_interval_hours * HOURS)
         for fraction in (0.0, 1.0))
     return DeploymentComparison(capacity_constraint, vanilla, combined)
+
+
+def deployment_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("deployment", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
+    comparison = run_deployment_comparison(seed=spec.seed, **spec.params)
+    return CellResult.for_spec(spec, comparison.summary())

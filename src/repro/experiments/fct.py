@@ -30,7 +30,9 @@ from ..analysis.classify import FlowClassification, classify_flows
 from ..analysis.stats import percentile
 from ..linkguardian.config import LinkGuardianConfig
 from ..obs.profile import PhaseTimer
-from ..runner.harness import TrialHarness
+from ..runner import (
+    CellResult, ExperimentSpec, RunContext, TrialHarness, lg_config,
+)
 from ..transport.congestion import BbrCC, CubicCC, DctcpCC
 from ..transport.flow import FlowRecord
 from ..transport.rdma import RdmaRequester, RdmaResponder
@@ -38,7 +40,7 @@ from ..transport.tcp import DEFAULT_MSS, TcpReceiver, TcpSender
 from ..units import MS
 from .testbed import build_testbed
 
-__all__ = ["SCENARIOS", "FctResult", "run_fct_experiment"]
+__all__ = ["SCENARIOS", "FctResult", "run_fct_experiment", "fct_cell"]
 
 SCENARIOS = ("noloss", "loss", "lg", "lgnb")
 
@@ -196,3 +198,26 @@ def run_fct_experiment(
         incomplete=harness.incomplete,
         timings=phases.timings(),
     )
+
+
+def fct_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("fct", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
+    result = run_fct_experiment(
+        transport=spec.transport,
+        flow_size=spec.flow_size,
+        n_trials=spec.n_trials,
+        scenario=spec.scenario,
+        rate_gbps=spec.rate_gbps,
+        loss_rate=spec.loss_rate,
+        seed=spec.seed,
+        lg_config=lg_config(spec),
+        obs=ctx.obs,
+        phases=ctx.phases,
+        **spec.params,
+    )
+    metrics = result.summary()
+    metrics["affected"] = sum(
+        1 for r in result.records if r.retransmissions or r.timeouts
+    )
+    return CellResult.for_spec(
+        spec, metrics, {"fcts_us": result.fcts_us.tolist()})

@@ -13,6 +13,7 @@ import numpy as np
 from ..core.rng import RngFactory
 from ..phy.attenuation import STANDARD_TRANSCEIVERS, attenuation_sweep
 from ..phy.loss import GilbertElliottLoss, burst_length_distribution
+from ..runner import CellResult, ExperimentSpec, RunContext
 from ..workloads.flowsizes import WORKLOADS
 from ..corropt.trace import LOSS_BUCKETS, sample_loss_rates
 
@@ -21,6 +22,7 @@ __all__ = [
     "figure2_flow_size_cdfs",
     "table1_loss_buckets",
     "figure20_consecutive_losses",
+    "fig01_cell", "fig02_cell", "tab01_cell", "fig20_cell",
 ]
 
 
@@ -90,3 +92,35 @@ def figure20_consecutive_losses(
             "five_register_coverage": cdf.get(5, 1.0),
         }
     return results
+
+
+# -- rows of repro.runner.cells.CELLS (all on the "packet" backend) ----------
+
+def fig01_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    series = figure1_attenuation_series(**spec.params)
+    return CellResult.for_spec(
+        spec, {"n_points": len(series["attenuation_db"])},
+        {k: list(v) for k, v in series.items()})
+
+
+def fig02_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    table = figure2_flow_size_cdfs(**spec.params)
+    return CellResult.for_spec(
+        spec, {"n_sizes": len(table["size_bytes"])},
+        {k: list(v) for k, v in table.items()})
+
+
+def tab01_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    rows = table1_loss_buckets(seed=spec.seed, **spec.params)
+    return CellResult.for_spec(spec, {"n_buckets": len(rows)}, {"rows": rows})
+
+
+def fig20_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    results = figure20_consecutive_losses(seed=spec.seed, **spec.params)
+    metrics = {}
+    series = {}
+    for rate, data in results.items():
+        metrics[f"coverage@{rate:g}"] = data["five_register_coverage"]
+        series[f"bursts@{rate:g}"] = data["bursts"].tolist()
+        series[f"cdf@{rate:g}"] = [data["cdf"][k] for k in sorted(data["cdf"])]
+    return CellResult.for_spec(spec, metrics, series)

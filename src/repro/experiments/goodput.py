@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..runner.harness import run_until_complete
+from ..runner import (
+    CellResult, ExperimentSpec, RunContext, run_until_complete,
+)
 from ..transport.congestion import CubicCC
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..units import MS, SEC
 from ..wharf.model import best_parameters
 from .testbed import build_testbed
 
-__all__ = ["GOODPUT_SCHEMES", "run_goodput"]
+__all__ = ["GOODPUT_SCHEMES", "run_goodput", "goodput_cell"]
 
 GOODPUT_SCHEMES = ("none", "wharf", "lg", "lgnb")
 
@@ -80,3 +82,16 @@ def run_goodput(
         "retransmissions": sender.flow.retransmissions,
         "timeouts": sender.flow.timeouts,
     }
+
+
+def goodput_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("goodput", "packet")`` row of :data:`repro.runner.cells.CELLS`
+    (``spec.scenario`` is the Table 3 scheme)."""
+    row = run_goodput(
+        scheme=spec.scenario,
+        loss_rate=spec.loss_rate,
+        rate_gbps=spec.rate_gbps,
+        seed=spec.seed,
+        **spec.params,
+    )
+    return CellResult.for_spec(spec, row)

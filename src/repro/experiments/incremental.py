@@ -16,9 +16,10 @@ import numpy as np
 
 from ..fleet.topology import FleetSpec
 from ..lifecycle.traces import TraceSpec, generate_trace
+from ..runner import CellResult, ExperimentSpec, RunContext
 from .deployment import replay_corropt
 
-__all__ = ["run_incremental_deployment"]
+__all__ = ["run_incremental_deployment", "incremental_cell"]
 
 
 def run_incremental_deployment(
@@ -48,3 +49,13 @@ def run_incremental_deployment(
             "blocked": result.constraint_blocked,
         })
     return rows
+
+
+def incremental_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("incremental", "packet")`` row of :data:`repro.runner.cells.CELLS`
+    (one deployment fraction, ``params.fraction``, per cell)."""
+    fraction = spec.params.get("fraction", 0.5)
+    params = {k: v for k, v in spec.params.items() if k != "fraction"}
+    rows = run_incremental_deployment(
+        fractions=(fraction,), seed=spec.seed, **params)
+    return CellResult.for_spec(spec, rows[0])

@@ -24,14 +24,14 @@ from ..hosts.host import Host
 from ..linkguardian.config import LinkGuardianConfig
 from ..linkguardian.protocol import ProtectedLink
 from ..phy.loss import BernoulliLoss
-from ..runner.harness import TrialHarness
+from ..runner import CellResult, ExperimentSpec, RunContext, TrialHarness
 from ..switchsim.switch import Switch
 from ..transport.congestion import DctcpCC
 from ..transport.rdma import RdmaRequester, RdmaResponder
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..units import MS, gbps
 
-__all__ = ["Chain", "build_chain", "run_multihop_fct"]
+__all__ = ["Chain", "build_chain", "run_multihop_fct", "multihop_cell"]
 
 
 @dataclass
@@ -151,3 +151,18 @@ def run_multihop_fct(
         "affected_fraction": affected / max(1, len(records)),
         "lg_effective_losses": chain.total_effective_losses(),
     }
+
+
+def multihop_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("multihop", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
+    row = run_multihop_fct(
+        transport=spec.transport,
+        flow_size=spec.flow_size,
+        n_trials=spec.n_trials,
+        loss_rate=spec.loss_rate,
+        lg_active=spec.scenario != "loss",
+        ordered=spec.scenario != "lgnb",
+        seed=spec.seed,
+        **spec.params,
+    )
+    return CellResult.for_spec(spec, row)

@@ -20,12 +20,15 @@ from typing import Dict
 
 import numpy as np
 
-from ..runner.harness import TrialHarness
+from ..runner import CellResult, ExperimentSpec, RunContext, TrialHarness
 from ..transport.rdma import RdmaRequester, RdmaResponder
 from ..units import MS
 from .testbed import build_testbed
 
-__all__ = ["RDMA_CASES", "run_rdma_case", "run_rdma_reordering_study"]
+__all__ = [
+    "RDMA_CASES", "run_rdma_case", "run_rdma_reordering_study",
+    "rdma_reorder_cell",
+]
 
 #: case label -> (ordered LinkGuardian, selective-repeat responder)
 RDMA_CASES = {
@@ -105,3 +108,16 @@ def run_rdma_reordering_study(
         )
         for case in RDMA_CASES
     }
+
+
+def rdma_reorder_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("rdma_reorder", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
+    row = run_rdma_case(
+        case=spec.params.get("case", "lgnb+sr"),
+        flow_size=spec.flow_size,
+        n_trials=spec.n_trials,
+        loss_rate=spec.loss_rate,
+        rate_gbps=spec.rate_gbps,
+        seed=spec.seed,
+    )
+    return CellResult.for_spec(spec, row)

@@ -25,10 +25,11 @@ from typing import List, Optional
 
 from ..linkguardian.config import LinkGuardianConfig, expected_effective_loss
 from ..packets.packet import Packet
+from ..runner import CellResult, ExperimentSpec, RunContext, lg_config
 from ..units import MTU_FRAME, MS, SEC, gbps, serialization_ns
 from .testbed import build_testbed
 
-__all__ = ["StressResult", "run_stress_test"]
+__all__ = ["StressResult", "run_stress_test", "stress_cell"]
 
 
 @dataclass
@@ -188,3 +189,26 @@ def run_stress_test(
     )
 
 
+def stress_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("stress", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
+    result = run_stress_test(
+        rate_gbps=spec.rate_gbps,
+        loss_rate=spec.loss_rate,
+        ordered=spec.scenario != "lgnb",
+        seed=spec.seed,
+        config=lg_config(spec),
+        obs=ctx.obs,
+        **spec.params,
+    )
+    metrics = dict(result.row())
+    metrics.update(
+        injected=result.injected,
+        delivered=result.delivered,
+        loss_events=result.loss_events,
+        recovered=result.recovered,
+        timeouts=result.timeouts,
+        recirc_tx_pct=result.recirc_overhead_tx_percent,
+        recirc_rx_pct=result.recirc_overhead_rx_percent,
+    )
+    return CellResult.for_spec(
+        spec, metrics, {"retx_delays_us": result.retx_delays_us})

@@ -32,12 +32,13 @@ import numpy as np
 from ..core.rng import RngFactory
 from ..linkguardian.config import LinkGuardianConfig
 from ..phy.loss import BernoulliLoss
+from ..runner import CellResult, ExperimentSpec, RunContext
 from ..transport.congestion import BbrCC, CubicCC, DctcpCC
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..units import MS, SEC
 from .testbed import build_testbed
 
-__all__ = ["TimelineResult", "run_timeline"]
+__all__ = ["TimelineResult", "run_timeline", "timeline_cell"]
 
 _CC_FACTORIES = {"dctcp": DctcpCC, "cubic": CubicCC, "bbr": BbrCC}
 
@@ -170,3 +171,32 @@ def run_timeline(
         overflow_drops=testbed.plink.receiver.stats.overflow_drops,
         completed_bytes=sender.snd_una,
     )
+
+
+def timeline_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """The ``("timeline", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
+    result = run_timeline(
+        transport=spec.transport,
+        rate_gbps=spec.rate_gbps,
+        loss_rate=spec.loss_rate,
+        seed=spec.seed,
+        obs=ctx.obs,
+        **spec.params,
+    )
+    metrics = {
+        "clean_gbps": result.phase_mean_rate(2, result.corruption_start_ms),
+        "loss_gbps": result.phase_mean_rate(
+            result.corruption_start_ms + 2, result.lg_start_ms),
+        "lg_gbps": result.phase_mean_rate(
+            result.lg_start_ms + 4, float(result.times_ms[-1])),
+        "overflow_drops": result.overflow_drops,
+        "completed_bytes": result.completed_bytes,
+    }
+    series = {
+        "times_ms": result.times_ms.tolist(),
+        "send_rate_gbps": result.send_rate_gbps.tolist(),
+        "qdepth_kb": result.qdepth_kb.tolist(),
+        "rx_buffer_kb": result.rx_buffer_kb.tolist(),
+        "e2e_retx": result.e2e_retx.tolist(),
+    }
+    return CellResult.for_spec(spec, metrics, series)

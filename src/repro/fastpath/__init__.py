@@ -9,14 +9,14 @@ M/D/1-style reordering-buffer and pause/resume model (§3.3), goodput
 overhead, and a DCTCP-style analytic FCT model — batched over arrays of
 thousands of cells at once.
 
-Three entry points:
+Entry points:
 
-* :func:`~repro.fastpath.backend.run_fastpath_cell` /
-  :func:`~repro.fastpath.backend.evaluate_specs` — the runner backend
-  (``ExperimentSpec(backend="fastpath")`` dispatches here);
-* :func:`~repro.fastpath.splice.run_hybrid_cell` — the hybrid splicing
-  backend (``backend="hybrid"``): analytic between corruption events,
-  snapshot-seeded packet-engine windows around them;
+* ``ExperimentSpec(backend="fastpath")`` / ``backend="hybrid"`` — the
+  backends are rows of the cell table (:data:`repro.runner.cells.CELLS`):
+  :mod:`~repro.fastpath.grid` owns the three vectorized ``batch`` rows,
+  :mod:`~repro.fastpath.splice` the three hybrid splicing rows (analytic
+  between corruption events, snapshot-seeded packet-engine windows
+  around them); ``run_cell`` / ``run_cells`` reach them like any cell;
 * :func:`~repro.fastpath.validate.run_validation` — the cross-validation
   harness: matched grids on both backends, per-metric relative-error
   distributions, loud failure beyond the documented tolerances (the
@@ -28,12 +28,20 @@ See DESIGN.md "Fastpath analytic backend" for the equations, the stated
 assumptions, and the known divergence regimes.
 """
 
-from .backend import FASTPATH_KINDS, evaluate_specs, run_fastpath_cell
-from .splice import HYBRID_KINDS, evaluate_hybrid_specs, run_hybrid_cell
+from ..runner.cells import experiment_kinds
 from .validate import ValidationReport, default_grid, run_validation
 
 __all__ = [
-    "FASTPATH_KINDS", "evaluate_specs", "run_fastpath_cell",
-    "HYBRID_KINDS", "evaluate_hybrid_specs", "run_hybrid_cell",
+    "FASTPATH_KINDS", "HYBRID_KINDS",
     "ValidationReport", "default_grid", "run_validation",
 ]
+
+_KIND_VIEWS = {"FASTPATH_KINDS": "fastpath", "HYBRID_KINDS": "hybrid"}
+
+
+def __getattr__(name: str):
+    """``FASTPATH_KINDS`` / ``HYBRID_KINDS``: the kinds each fast backend
+    has a table row for, read off the table at access time."""
+    if name in _KIND_VIEWS:
+        return tuple(experiment_kinds(_KIND_VIEWS[name]))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,41 +2,34 @@
 
 The grid layer is the glue between the runner's per-cell specs and the
 array-oriented models in :mod:`~repro.fastpath.model` /
-:mod:`~repro.fastpath.fct`: cells are grouped by ``(kind, transport,
-scenario)``, each group's knobs are packed into NumPy arrays, one model
-call evaluates the whole group, and the rows are unpacked back into
-:class:`~repro.runner.harness.CellResult` objects whose metric names
-mirror the packet backend's — the cross-validation harness and the
-report tables never need to know which backend produced a row.
+:mod:`~repro.fastpath.fct`.  Its three public functions are the
+``"fastpath"`` rows of :data:`repro.runner.cells.CELLS`, all marked
+``batch``: each takes every pending cell of its kind at once, groups
+them by ``(transport, scenario)``, packs each group's knobs into NumPy
+arrays, evaluates the group in one model call, and unpacks the rows
+back into :class:`~repro.runner.harness.CellResult` objects whose metric
+names mirror the packet backend's — the cross-validation harness and the
+report tables never need to know which backend produced a row.  A
+thousand-cell sweep is a handful of NumPy calls rather than a process
+pool.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..linkguardian.config import LinkGuardianConfig
-from ..runner.harness import CellResult
-from ..runner.spec import ExperimentSpec
+from ..runner import CellResult, ExperimentSpec, RunContext, lg_config
 from ..units import GBPS, MTU_FRAME, SEC
 from . import fct as fctmod
 from . import model
 
-__all__ = ["FASTPATH_KINDS", "evaluate_grid"]
-
-#: experiment kinds the analytic backend can evaluate.
-FASTPATH_KINDS = ("fct", "goodput", "stress")
-
-
-def _configs(specs: Sequence[ExperimentSpec]) -> List[LinkGuardianConfig]:
-    return [
-        LinkGuardianConfig.for_link_speed(s.rate_gbps, **s.lg) for s in specs
-    ]
+__all__ = ["fct_cells", "goodput_cells", "stress_cells"]
 
 
 def _config_arrays(specs: Sequence[ExperimentSpec]) -> Dict[str, np.ndarray]:
-    configs = _configs(specs)
+    configs = [lg_config(s) for s in specs]
     return {
         "recirc_loop_ns": np.array(
             [c.recirc_loop_ns for c in configs], dtype=np.float64),
@@ -120,9 +113,7 @@ def _eval_stress(specs: Sequence[ExperimentSpec]) -> List[Dict]:
     ordered = specs[0].scenario != "lgnb"
     loss = arrays["loss"]
     rate = arrays["rate_bps"]
-    target = np.array(
-        [s.params.get("target_loss_rate", c)
-         for s, c in zip(specs, cfg["target"])], dtype=np.float64)
+    target = cfg["target"]
     duration_ns = np.array(
         [s.params.get("duration_ms", 10.0) * 1e6 for s in specs],
         dtype=np.float64)
@@ -180,40 +171,52 @@ def _eval_stress(specs: Sequence[ExperimentSpec]) -> List[Dict]:
     return rows
 
 
-_EVALUATORS = {
-    "fct": _eval_fct,
-    "goodput": _eval_goodput,
-    "stress": _eval_stress,
-}
+def _analytic_timeline(result: CellResult) -> dict:
+    """A degenerate one-sample timeline for an analytic cell.
 
-
-def evaluate_grid(specs: Sequence[ExperimentSpec]) -> List[CellResult]:
-    """Evaluate a batch of fastpath-capable specs; results in input order.
-
-    Cells are grouped by ``(kind, transport, scenario)`` so each group is
-    one vectorized model call; any kind outside :data:`FASTPATH_KINDS`
-    raises ``ValueError`` — the analytic backend refuses rather than
-    silently approximating an experiment it has no model for.
+    The fastpath has no simulated clock to sample on, so the flight
+    recorder collapses to a single snapshot of the cell's scalar metrics
+    at t=0 — same schema as the packet backend's recorder, so downstream
+    timeline readers need no backend special-casing.
     """
-    groups: Dict[Tuple[str, str, str], List[int]] = {}
-    for index, spec in enumerate(specs):
-        if spec.kind not in _EVALUATORS:
-            raise ValueError(
-                f"kind {spec.kind!r} has no fastpath model; "
-                f"supported: {list(FASTPATH_KINDS)}")
-        groups.setdefault(
-            (spec.kind, spec.transport, spec.scenario), []).append(index)
+    metrics = {
+        name: [int(value) if isinstance(value, bool) else value]
+        for name, value in sorted(result.metrics.items())
+        if isinstance(value, (int, float))
+    }
+    return {
+        "interval_ns": 1,
+        "capacity": 1,
+        "sampled": 1,
+        "dropped": 0,
+        "run": [1],
+        "ts_ns": [0],
+        "metrics": metrics,
+    }
 
-    results: List[CellResult] = [None] * len(specs)  # type: ignore[list-item]
-    for (kind, _, _), indices in groups.items():
-        members = [specs[i] for i in indices]
-        for index, metrics in zip(indices, _EVALUATORS[kind](members)):
-            spec = specs[index]
-            results[index] = CellResult(
-                cell_id=spec.cell_id(),
-                spec=spec.to_dict(),
-                metrics=metrics,
-                series={},
-                backend="fastpath",
-            )
-    return results
+
+def _batch(evaluate: Callable[[Sequence[ExperimentSpec]], List[Dict]]):
+    """Lift a per-group evaluator to a ``batch`` cell function:
+    ``cell(specs, ctx) -> [CellResult]`` in input order, one vectorized
+    ``evaluate`` call per ``(transport, scenario)`` group."""
+    def cells(specs: Sequence[ExperimentSpec],
+              ctx: RunContext) -> List[CellResult]:
+        groups: Dict[Tuple[str, str], List[int]] = {}
+        for index, spec in enumerate(specs):
+            groups.setdefault(
+                (spec.transport, spec.scenario), []).append(index)
+        results: List[CellResult] = [None] * len(specs)  # type: ignore[list-item]
+        for indices in groups.values():
+            members = [specs[i] for i in indices]
+            for index, metrics in zip(indices, evaluate(members)):
+                result = CellResult.for_spec(specs[index], metrics)
+                if specs[index].obs.get("timeline"):
+                    result.artifacts["timeline"] = _analytic_timeline(result)
+                results[index] = result
+        return results
+    return cells
+
+
+fct_cells = _batch(_eval_fct)
+goodput_cells = _batch(_eval_goodput)
+stress_cells = _batch(_eval_stress)

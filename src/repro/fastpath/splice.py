@@ -5,8 +5,12 @@ around them.
 simulation) and ``fastpath`` (closed forms everywhere): flows advance
 analytically through the loss-free bulk of a cell, and the packet engine
 is instantiated only around the corruption events, seeded from the
-snapshot/restore machinery in :mod:`repro.core.state`.  The per-kind
-split:
+snapshot/restore machinery in :mod:`repro.core.state`.  The three
+``*_cell`` functions are the ``"hybrid"`` rows of
+:data:`repro.runner.cells.CELLS`; unlike the fastpath batch there is no
+cross-cell vectorization — each cell's windows are independent engine
+runs — so they are ordinary per-cell rows and ride the process pool.
+The per-kind split:
 
 * **fct** — per-trial conditioning.  A flow of ``n`` data frames is
   loss-touched with probability ``p_any = 1 - (1-p)**n``; the hybrid
@@ -48,25 +52,20 @@ both derive the same per-cell seed.
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence, Union
+from typing import List
 
 import numpy as np
 
 from ..core.rng import RngFactory
-from ..runner.harness import CellResult
-from ..runner.spec import ExperimentSpec
+from ..runner import CellResult, ExperimentSpec, RunContext, lg_config
+from ..runner.cells import resolve
 from ..units import GBPS, MS, MTU_FRAME, gbps, serialization_ns
 from . import fct as fctmod
 from . import model
 
 __all__ = [
-    "HYBRID_KINDS", "conditioned_placements", "run_hybrid_cell",
-    "evaluate_hybrid_specs",
+    "conditioned_placements", "fct_cell", "stress_cell", "goodput_cell",
 ]
-
-#: experiment kinds the hybrid backend accepts (same surface as fastpath).
-HYBRID_KINDS = ("fct", "goodput", "stress")
 
 #: stress params the window harness models; anything else → packet fallback.
 _STRESS_PARAMS = {
@@ -132,47 +131,20 @@ def conditioned_placements(
 
 # -- shared plumbing --------------------------------------------------------
 
-def _lg_config(spec: ExperimentSpec):
-    if not spec.lg:
-        return None
-    from ..linkguardian.config import LinkGuardianConfig
-
-    return LinkGuardianConfig.for_link_speed(spec.rate_gbps, **spec.lg)
-
-
-def _packet_fallback(spec: ExperimentSpec) -> CellResult:
-    """Run the cell on the packet backend, re-tagged as hybrid.
+def _packet_fallback(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """Run the cell's packet row, re-tagged as hybrid.
 
     ``grid_key`` excludes the backend, so the spec carries the exact
     seed a packet run of this cell would use — the metrics and series
     are byte-identical to ``backend="packet"``.
     """
-    from ..runner.cells import run_cell
-
-    result = run_cell(spec.with_(backend="packet"))
-    return CellResult(
-        cell_id=spec.cell_id(),
-        spec=spec.to_dict(),
-        metrics=result.metrics,
-        series=result.series,
-        backend="hybrid",
-    )
-
-
-def _result(spec: ExperimentSpec, metrics: dict,
-            series: Optional[dict] = None) -> CellResult:
-    return CellResult(
-        cell_id=spec.cell_id(),
-        spec=spec.to_dict(),
-        metrics=metrics,
-        series=series or {},
-        backend="hybrid",
-    )
+    result = resolve(spec.kind, "packet")(spec.with_(backend="packet"), ctx)
+    return CellResult.for_spec(spec, result.metrics, result.series)
 
 
 # -- fct: conditioned trials ------------------------------------------------
 
-def _splice_fct(spec: ExperimentSpec) -> CellResult:
+def fct_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     from ..analysis.stats import percentile
     from ..experiments.fct import run_fct_experiment
     from ..phy.loss import DataFrameLoss
@@ -181,7 +153,7 @@ def _splice_fct(spec: ExperimentSpec) -> CellResult:
         # Unprotected scenario: DataFrameLoss places drops on
         # LinkGuardian-stamped frames, which a dormant link never
         # produces — no conditioning handle, so simulate in full.
-        return _packet_fallback(spec)
+        return _packet_fallback(spec, ctx)
 
     loss_rate = spec.loss_rate if spec.scenario != "noloss" else 0.0
     n_frames = int(fctmod.segment_count(spec.flow_size, spec.transport))
@@ -189,7 +161,7 @@ def _splice_fct(spec: ExperimentSpec) -> CellResult:
     placements = conditioned_placements(
         n_frames, loss_rate, spec.n_trials, rng)
     if len(placements) > _MAX_AFFECTED:
-        return _packet_fallback(spec)
+        return _packet_fallback(spec, ctx)
 
     # Trial 0 (flow_id 1) is the clean template; affected trials follow
     # as flow_ids 2..n_affected+1, each with its conditioned placement.
@@ -205,15 +177,17 @@ def _splice_fct(spec: ExperimentSpec) -> CellResult:
         rate_gbps=spec.rate_gbps,
         loss_rate=spec.loss_rate,
         seed=spec.seed,
-        lg_config=_lg_config(spec),
+        lg_config=lg_config(spec),
         loss=DataFrameLoss(per_flow=per_flow, rate=loss_rate),
+        obs=ctx.obs,
+        phases=ctx.phases,
         **spec.params,
     )
     template = window.records[0]
     if not template.completed:
         # The clean template must complete; if it cannot, the cell is
         # not in the regime the splicer models.
-        return _packet_fallback(spec)
+        return _packet_fallback(spec, ctx)
 
     affected_records = window.records[1:]
     affected_fcts = [
@@ -235,7 +209,7 @@ def _splice_fct(spec: ExperimentSpec) -> CellResult:
             1 for r in affected_records if r.retransmissions or r.timeouts),
         "simulated_trials": len(placements) + 1,
     }
-    return _result(spec, metrics, {"fcts_us": fcts_us.tolist()})
+    return CellResult.for_spec(spec, metrics, {"fcts_us": fcts_us.tolist()})
 
 
 # -- stress: snapshot windows -----------------------------------------------
@@ -319,14 +293,13 @@ def _window_drops(loss_rate: float, mean_burst: float, recovery_slots: int,
     return drops
 
 
-def _splice_stress(spec: ExperimentSpec) -> CellResult:
+def stress_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     from ..analysis.stats import percentile
-    from ..linkguardian.config import LinkGuardianConfig
     from ..phy.loss import DataFrameLoss
     from .grid import _eval_stress
 
     if set(spec.params) - _STRESS_PARAMS:
-        return _packet_fallback(spec)
+        return _packet_fallback(spec, ctx)
 
     # Macro counters: the same closed forms as the fastpath backend (the
     # loss-free bulk *is* analytic — that is the splice).
@@ -335,12 +308,9 @@ def _splice_stress(spec: ExperimentSpec) -> CellResult:
     loss_rate = spec.loss_rate
     expected_events = metrics["loss_events"]
     if loss_rate <= 0.0 or expected_events < 1.0:
-        return _result(spec, metrics, {"retx_delays_us": []})
+        return CellResult.for_spec(spec, metrics, {"retx_delays_us": []})
 
-    overrides = {"ordered": ordered, **spec.lg}
-    if "target_loss_rate" in spec.params:
-        overrides["target_loss_rate"] = spec.params["target_loss_rate"]
-    config = LinkGuardianConfig.for_link_speed(spec.rate_gbps, **overrides)
+    config = lg_config(spec)
 
     rate_bps = spec.rate_gbps * GBPS
     spacing = serialization_ns(MTU_FRAME, gbps(spec.rate_gbps))
@@ -391,52 +361,14 @@ def _splice_stress(spec: ExperimentSpec) -> CellResult:
     if ordered and rx_peak > 0.0:
         metrics["rx_buf_max_KB"] = rx_peak / 1e3
     metrics["windows"] = n_windows
-    return _result(spec, metrics, {"retx_delays_us": delays_us})
+    return CellResult.for_spec(spec, metrics, {"retx_delays_us": delays_us})
 
 
 # -- goodput: analytic delegation -------------------------------------------
 
-def _splice_goodput(spec: ExperimentSpec) -> CellResult:
+def goodput_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     """Goodput delegates to the fastpath analytic (see module docstring:
     Table-3 transfers have no loss-free bulk to splice across)."""
-    from .backend import run_fastpath_cell
+    from .grid import _eval_goodput
 
-    result = run_fastpath_cell(spec.with_(backend="fastpath"))
-    return _result(spec, result.metrics, result.series)
-
-
-# -- backend entry points ---------------------------------------------------
-
-_SPLICERS = {
-    "fct": _splice_fct,
-    "goodput": _splice_goodput,
-    "stress": _splice_stress,
-}
-
-
-def run_hybrid_cell(spec: Union[ExperimentSpec, dict]) -> CellResult:
-    """One cell through the hybrid splicing backend."""
-    if isinstance(spec, dict):
-        spec = ExperimentSpec.from_dict(spec)
-    if spec.kind not in _SPLICERS:
-        raise ValueError(
-            f"kind {spec.kind!r} has no hybrid splicer; "
-            f"supported: {list(HYBRID_KINDS)}")
-    started = time.perf_counter()
-    result = _SPLICERS[spec.kind](spec)
-    result.wall_s = time.perf_counter() - started
-    result.timings = {"run_s": round(result.wall_s, 6)}
-    return result
-
-
-def evaluate_hybrid_specs(
-    specs: Sequence[Union[ExperimentSpec, dict]],
-) -> List[CellResult]:
-    """Evaluate a batch of cells on the hybrid backend, in input order.
-
-    Unlike the fastpath batch there is no cross-cell vectorization —
-    each cell's windows are independent engine runs — so this is a
-    convenience loop with per-cell wall clocks, pool-friendly through
-    ``run_cell`` when parallelism is wanted.
-    """
-    return [run_hybrid_cell(spec) for spec in specs]
+    return CellResult.for_spec(spec, _eval_goodput([spec])[0])

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,15 +35,13 @@ import numpy as np
 
 from ..analysis.stats import percentile as _percentile
 from ..core.rng import RngFactory
-from ..runner.harness import CellResult
-from ..runner.spec import ExperimentSpec
+from ..runner import CellResult, ExperimentSpec, backends, lg_config, run_cells
 from ..units import GBPS
 from . import fct as fctmod
-from .backend import evaluate_specs
 
 __all__ = [
     "TOLERANCES", "MetricSummary", "ValidationReport",
-    "default_grid", "run_validation",
+    "default_grid", "fast_backends", "run_validation",
 ]
 
 
@@ -254,26 +251,6 @@ def default_grid(n_cells: int = 200, seed: int = 1) -> List[ExperimentSpec]:
     return list(out.values())
 
 
-# -- execution --------------------------------------------------------------
-
-def _run_packet_json(spec_dict: dict) -> str:
-    from ..runner.cells import run_cell
-
-    return run_cell(spec_dict).to_json()
-
-
-def _run_packet_cells(specs: Sequence[ExperimentSpec],
-                      workers: int) -> List[CellResult]:
-    if workers <= 1 or len(specs) <= 1:
-        from ..runner.cells import run_cell
-
-        return [run_cell(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        lines = list(pool.map(
-            _run_packet_json, [s.to_dict() for s in specs], chunksize=1))
-    return [CellResult.from_json(line) for line in lines]
-
-
 # -- comparison -------------------------------------------------------------
 
 def _compare_cell(spec: ExperimentSpec, fast: CellResult,
@@ -293,7 +270,8 @@ def _compare_cell(spec: ExperimentSpec, fast: CellResult,
             margin = float(fctmod.quantile_margin(
                 spec.flow_size, spec.transport, spec.scenario,
                 spec.loss_rate if spec.scenario != "noloss" else 0.0,
-                spec.rate_gbps * GBPS, _recirc(spec), q, spec.n_trials))
+                spec.rate_gbps * GBPS, lg_config(spec).recirc_loop_ns, q,
+                spec.n_trials))
             expected_tail = spec.n_trials * (1.0 - q / 100.0)
             if margin < 3.0 or expected_tail < 1.0:
                 out.append((name, None))
@@ -344,11 +322,10 @@ def _compare_cell(spec: ExperimentSpec, fast: CellResult,
     raise ValueError(f"no comparison defined for kind {spec.kind!r}")
 
 
-def _recirc(spec: ExperimentSpec) -> float:
-    from ..linkguardian.config import LinkGuardianConfig
-
-    return LinkGuardianConfig.for_link_speed(
-        spec.rate_gbps, **spec.lg).recirc_loop_ns
+def fast_backends() -> List[str]:
+    """Backends that can be the fast side of a validation: every
+    backend of the cell table except the packet reference."""
+    return [name for name in backends() if name != "packet"]
 
 
 def run_validation(
@@ -370,23 +347,17 @@ def run_validation(
     :meth:`ValidationReport.raise_if_failed` or check ``report.ok`` for
     the verdict.
     """
-    if backend not in ("fastpath", "hybrid"):
+    if backend not in fast_backends():
         raise ValueError(
             f"unknown validation backend {backend!r}; "
-            f"known: fastpath, hybrid")
+            f"known: {', '.join(fast_backends())}")
     if specs is None:
         specs = default_grid(n_cells=n_cells, seed=seed)
     specs = [s.with_(backend="packet") for s in specs]
 
-    if backend == "hybrid":
-        from .splice import evaluate_hybrid_specs
-
-        fast_results = evaluate_hybrid_specs(
-            [s.with_(backend="hybrid") for s in specs])
-    else:
-        fast_results = evaluate_specs(
-            [s.with_(backend="fastpath") for s in specs])
-    packet_results = _run_packet_cells(specs, workers)
+    fast_results = run_cells(
+        [s.with_(backend=backend) for s in specs], workers=workers)
+    packet_results = run_cells(specs, workers=workers)
 
     summaries: Dict[str, MetricSummary] = {}
     for spec, fast, packet in zip(specs, fast_results, packet_results):

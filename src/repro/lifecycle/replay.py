@@ -47,8 +47,9 @@ from ..fleet.controller import (
     POLICIES, ControllerConfig, ControllerOutcome, FleetController,
 )
 from ..fleet.topology import FleetTopology, sample_affected_fraction
-from ..runner.spec import ExperimentSpec, SweepSpec
-from ..runner.sweep import SweepRunner
+from ..runner import (
+    CellResult, ExperimentSpec, RunContext, SweepRunner, SweepSpec,
+)
 from ..units import DAY_S
 from .repair import RepairedEpisode, apply_repair, repair_policy
 from .slo import LifecycleRollup, SloConfig, accumulate_days, summarize_days
@@ -56,7 +57,8 @@ from .traces import LifecycleTrace, TraceSpec
 
 __all__ = [
     "ReplaySpec", "HYBRID_EMPIRICAL_THRESHOLD", "shard_bounds", "arbitrate",
-    "chunk_sweep", "run_chunk", "run_chunks", "merge_chunks", "run_replay",
+    "chunk_sweep", "run_chunk", "lifecycle_chunk_cell", "run_chunks",
+    "merge_chunks", "run_replay",
 ]
 
 _BACKENDS = ("packet", "fastpath", "hybrid")
@@ -283,6 +285,23 @@ def run_chunk(replay: ReplaySpec, chunk: int) -> Dict[str, Any]:
             "empirical_evaluated": evaluator.empirical_evaluated,
         },
     }
+
+
+def lifecycle_chunk_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
+    """One time chunk of a lifecycle replay: its day range's SLO columns
+    (the ``("lifecycle_chunk", "packet")`` row of
+    :data:`repro.runner.cells.CELLS`).
+
+    ``spec.params`` carries the serialized replay plus the chunk index;
+    :func:`merge_chunks` merges the chunks' disjoint day ranges back
+    into one longitudinal series.  The replay-global audit counters ride
+    in ``series["counts"]`` — identical in every chunk, so the merge
+    reads them from any one.
+    """
+    replay = ReplaySpec.from_dict(spec.params["replay"])
+    out = run_chunk(replay, int(spec.params.get("chunk", 0)))
+    metrics = out.pop("chunk")
+    return CellResult.for_spec(spec, metrics, out)
 
 
 def chunk_sweep(replay: ReplaySpec) -> SweepSpec:

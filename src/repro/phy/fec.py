@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 __all__ = [
     "RsCode", "RS_KR4", "RS_KP4",
     "symbol_error_rate", "codeword_failure_prob", "frame_loss_rate",
@@ -66,8 +64,12 @@ def codeword_failure_prob(ber: float, code: RsCode) -> float:
     ser = symbol_error_rate(ber, code.symbol_bits)
     if ser <= 0.0:
         return 0.0
+    # Imported here, not at module top: scipy.stats costs ~1.3 s and
+    # ~80 MiB, and `import repro` reaches this module.
+    from scipy.stats import binom
+
     # P[X > t] with X ~ Binomial(n, ser)
-    return float(stats.binom.sf(code.t, code.n, ser))
+    return float(binom.sf(code.t, code.n, ser))
 
 
 def frame_loss_rate(ber: float, frame_bytes: int, code: RsCode = None) -> float:

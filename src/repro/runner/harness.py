@@ -71,6 +71,20 @@ class CellResult:
     #: serialized output when empty.
     artifacts: Dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def for_spec(cls, spec, metrics: Dict[str, Any],
+                 series: Optional[Dict[str, list]] = None) -> "CellResult":
+        """What a cell function returns: the result of running ``spec``
+        (an :class:`~repro.runner.spec.ExperimentSpec`), tagged with the
+        spec's own backend."""
+        return cls(
+            cell_id=spec.cell_id(),
+            spec=spec.to_dict(),
+            metrics=metrics,
+            series=series or {},
+            backend=spec.backend,
+        )
+
     def canonical_json(self) -> str:
         """Deterministic serialization: same seed ⇒ byte-identical."""
         # Diagnostics never perturb the canonical form: ``spec.obs`` is

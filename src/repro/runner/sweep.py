@@ -1,12 +1,14 @@
 """Layer 3 of the runner: parallel sweep execution with checkpoint/resume.
 
-A :class:`SweepRunner` fans the cells of a
-:class:`~repro.runner.spec.SweepSpec` out over a
+:func:`run_cells` is the one executor every batch of cells goes through
+(a :class:`SweepRunner` sweep, both sides of a cross-validation grid,
+the chunks of a lifecycle replay): rows the cell table marks ``batch``
+are evaluated in-process, one call per row; the rest fan out over a
 ``concurrent.futures.ProcessPoolExecutor``.  Cells are fully independent
 simulations with deterministic seeds baked into their specs, so the
 parallel results are bit-identical to a serial run — the executor only
 changes wall-clock time, never outcomes — and the result list is always
-returned in canonical sweep (cell-enumeration) order regardless of
+returned in input (for a sweep: cell-enumeration) order regardless of
 completion order.
 
 Checkpointing: every finished cell is appended to a JSONL file as soon
@@ -21,13 +23,13 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .cells import run_cell
+from .cells import Cell, lookup, run_batch, run_cell
 from .harness import CellResult
-from .spec import SweepSpec
+from .spec import ExperimentSpec, SweepSpec
 
-__all__ = ["SweepRunner", "load_checkpoint"]
+__all__ = ["run_cells", "SweepRunner", "load_checkpoint"]
 
 
 def _run_cell_json(spec_dict: dict) -> str:
@@ -57,8 +59,86 @@ def load_checkpoint(path: str) -> Dict[str, CellResult]:
     return done
 
 
+def run_cells(
+    specs: Sequence[ExperimentSpec],
+    workers: int = 1,
+    checkpoint: Optional[str] = None,
+    progress: Optional[Callable[[CellResult], None]] = None,
+) -> List[CellResult]:
+    """Run ``specs``; return their results in input order.
+
+    Cells already in ``checkpoint`` are re-used, every other result is
+    appended to it as it completes.  ``progress`` is called once per
+    newly executed cell (not for cells resumed from the checkpoint).  A
+    ``(kind, backend)`` pair without a table row raises before any cell
+    runs.
+    """
+    # cell_id() is a JSON dump + SHA-256: compute each exactly once.
+    ids = [spec.cell_id() for spec in specs]
+    known = set(ids)
+    done = {cid: r for cid, r in load_checkpoint(checkpoint).items()
+            if cid in known}
+
+    # ``batch`` rows are a single vectorized call, not pool work: one
+    # NumPy call evaluates all of a row's cells, so shipping them to
+    # worker processes would only add pickling overhead.  Everything
+    # else (hybrid cells included: their packet-engine windows are real
+    # per-cell work) benefits from the process pool.
+    batches: Dict[Cell, List[ExperimentSpec]] = {}
+    pending: List[ExperimentSpec] = []
+    for spec, cid in zip(specs, ids):
+        if cid not in done:
+            cell = lookup(spec.kind, spec.backend)
+            if cell.batch:
+                batches.setdefault(cell, []).append(spec)
+            else:
+                pending.append(spec)
+
+    sink = None
+    if checkpoint:
+        sink = open(checkpoint, "a")
+        # A kill can tear the final line mid-write; make sure appended
+        # results start on a fresh line rather than gluing onto it.
+        if sink.tell() > 0:
+            with open(checkpoint, "rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    sink.write("\n")
+
+    def finish(result: CellResult) -> None:
+        done[result.cell_id] = result
+        if sink is not None:
+            sink.write(result.to_json() + "\n")
+            sink.flush()
+        if progress is not None:
+            progress(result)
+
+    try:
+        for cell, members in batches.items():
+            for result in run_batch(cell, members):
+                finish(result)
+        if workers <= 1 or len(pending) <= 1:
+            for spec in pending:
+                finish(run_cell(spec))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    pool.submit(_run_cell_json, spec.to_dict())
+                    for spec in pending
+                }
+                while futures:
+                    ready, futures = wait(futures, return_when=FIRST_COMPLETED)
+                    for future in ready:
+                        finish(CellResult.from_json(future.result()))
+    finally:
+        if sink is not None:
+            sink.close()
+    return [done[cid] for cid in ids]
+
+
 class SweepRunner:
-    """Executes a sweep's cells, serially or over a process pool."""
+    """A :class:`SweepSpec` bound to how it runs: :func:`run_cells` over
+    the sweep's cells, remembering how many the checkpoint supplied."""
 
     def __init__(
         self,
@@ -84,61 +164,14 @@ class SweepRunner:
         completes (not for cells resumed from the checkpoint).
         """
         cells = self.sweep.cells()
-        # cell_id() is a JSON dump + SHA-256: compute each exactly once.
-        ids = [cell.cell_id() for cell in cells]
-        known = set(ids)
-        done = {cid: r for cid, r in load_checkpoint(self.checkpoint).items()
-                if cid in known}
-        self.resumed = len(done)
-        pending = [c for c, cid in zip(cells, ids) if cid not in done]
+        executed = 0
 
-        # Fastpath cells are a single vectorized batch, not pool work:
-        # one NumPy call evaluates all of them, so shipping them to
-        # worker processes would only add pickling overhead.  Hybrid
-        # cells stay in ``pending``: their packet-engine windows are
-        # real per-cell work that benefits from the process pool.
-        fastpath = [c for c in pending if c.backend == "fastpath"]
-        pending = [c for c in pending if c.backend != "fastpath"]
+        def note(result: CellResult) -> None:
+            nonlocal executed
+            executed += 1
+            if progress is not None:
+                progress(result)
 
-        sink = None
-        if self.checkpoint:
-            sink = open(self.checkpoint, "a")
-            # A kill can tear the final line mid-write; make sure appended
-            # results start on a fresh line rather than gluing onto it.
-            if sink.tell() > 0:
-                with open(self.checkpoint, "rb") as tail:
-                    tail.seek(-1, os.SEEK_END)
-                    if tail.read(1) != b"\n":
-                        sink.write("\n")
-        try:
-            if fastpath:
-                from ..fastpath.backend import evaluate_specs
-
-                for result in evaluate_specs(fastpath):
-                    self._finish(result, done, sink, progress)
-            if self.workers == 1 or len(pending) <= 1:
-                for spec in pending:
-                    self._finish(run_cell(spec), done, sink, progress)
-            else:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    futures = {
-                        pool.submit(_run_cell_json, spec.to_dict())
-                        for spec in pending
-                    }
-                    while futures:
-                        ready, futures = wait(futures, return_when=FIRST_COMPLETED)
-                        for future in ready:
-                            result = CellResult.from_json(future.result())
-                            self._finish(result, done, sink, progress)
-        finally:
-            if sink is not None:
-                sink.close()
-        return [done[cid] for cid in ids]
-
-    def _finish(self, result, done, sink, progress) -> None:
-        done[result.cell_id] = result
-        if sink is not None:
-            sink.write(result.to_json() + "\n")
-            sink.flush()
-        if progress is not None:
-            progress(result)
+        results = run_cells(cells, self.workers, self.checkpoint, note)
+        self.resumed = len(cells) - executed
+        return results

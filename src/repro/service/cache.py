@@ -29,6 +29,7 @@ import math
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
+from ..runner.cells import lookup
 from ..runner.spec import ExperimentSpec
 
 __all__ = ["QueryError", "WhatIfQuery", "quantize_loss", "WhatIfCache"]
@@ -64,8 +65,9 @@ class WhatIfQuery:
 
     Construction coerces numeric fields (JSON strings included) and
     rejects unknown fields, non-finite or out-of-range numbers, and
-    unknown backends *before* anything reaches a worker — admission
-    control should spend workers on queries that can run.
+    ``(kind, backend)`` pairs the cell table has no row for *before*
+    anything reaches a worker — admission control should spend workers
+    on queries that can run.
     """
 
     def __init__(self, body: Dict[str, Any], *,
@@ -111,15 +113,14 @@ class WhatIfQuery:
     def _build_spec(data: Dict[str, Any], default_backend: str) -> ExperimentSpec:
         data.setdefault("kind", "fct")
         data.setdefault("backend", default_backend)
-        if data["backend"] not in ("packet", "fastpath", "hybrid"):
-            # run_cell validates too, but by then a worker slot is spent.
-            raise QueryError(
-                f"unknown backend {data['backend']!r}; "
-                f"known: packet, fastpath, hybrid")
         try:
-            return ExperimentSpec.from_dict(data)
+            spec = ExperimentSpec.from_dict(data)
+            # run_cell looks the row up too, but by then a queue slot
+            # and a dispatcher turn are spent.
+            lookup(spec.kind, spec.backend)
         except (TypeError, ValueError) as exc:
             raise QueryError(str(exc)) from None
+        return spec
 
     def cache_key(self, loss_sigfigs: int = 3) -> str:
         """The canonical cell-grid key this query's result is filed under.

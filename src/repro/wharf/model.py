@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats
-
 __all__ = ["WharfFec", "best_parameters"]
 
 
@@ -43,9 +41,11 @@ class WharfFec:
         """
         if frame_loss_rate <= 0.0:
             return 0.0
+        from scipy.stats import binom  # deferred: see phy/fec.py
+
         n = self.k + self.r
         js = range(self.r + 1, n + 1)
-        pmf = stats.binom.pmf(list(js), n, frame_loss_rate)
+        pmf = binom.pmf(list(js), n, frame_loss_rate)
         return float(sum(p * j for p, j in zip(pmf, js)) / n)
 
     def effective_rate_bps(self, link_rate_bps: int) -> int:

@@ -475,6 +475,29 @@ class TestInputErrorsAreOneLine:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("repro: error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--kind", "multihop", "--backend", "fastpath",
+          "--axis", "loss_rate=1e-3"],
+         "kind 'multihop' has no fastpath backend; it runs on: packet"),
+        (["sweep", "--kind", "fct", "--axis", "backend=packet,gpu"],
+         "unknown backend 'gpu'; known: packet, fastpath, hybrid"),
+        (["sweep", "--kind", "nope"], "unknown experiment kind 'nope'"),
+        (["sweep", "--axis", "flavour=1"], "unknown axis 'flavour'"),
+        (["fastpath", "scan", "--kind", "multihop"],
+         "kind 'multihop' has no fastpath backend; it runs on: packet"),
+    ])
+    def test_cell_without_a_table_row_exits_two(self, argv, message, capsys):
+        """Was a traceback out of SweepRunner (``sweep --kind multihop
+        --backend fastpath``): the sweep's cells are looked up in the
+        cell table before any of them runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: {message}")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("mode", ["run", "replay"])
     def test_check_missing_file_exits_two(self, mode, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.fastpath.grid import FASTPATH_KINDS, evaluate_grid
+from repro.fastpath import FASTPATH_KINDS
 from repro.fleet.campaign import FleetCampaignSpec, run_fleet_campaign
 from repro.fleet.topology import FleetSpec
 from repro.obs import Observability
 from repro.runner.cells import run_cell
 from repro.runner.harness import CellResult
 from repro.runner.spec import ExperimentSpec, SweepSpec
-from repro.runner.sweep import SweepRunner, load_checkpoint
+from repro.runner.sweep import SweepRunner, load_checkpoint, run_cells
 
 FCT_SPEC = ExperimentSpec(kind="fct", transport="dctcp", scenario="lg",
                           flow_size=1460, loss_rate=1e-3, n_trials=50)
@@ -30,10 +30,10 @@ class TestRunCellDispatch:
 
     def test_fastpath_rejects_unmodeled_kind(self):
         spec = ExperimentSpec(kind="timeline", backend="fastpath")
-        with pytest.raises(ValueError, match="no fastpath model"):
+        with pytest.raises(ValueError, match="no fastpath backend"):
             run_cell(spec)
-        with pytest.raises(ValueError, match="no fastpath model"):
-            evaluate_grid([spec])
+        with pytest.raises(ValueError, match="no fastpath backend"):
+            run_cells([spec])
         assert "timeline" not in FASTPATH_KINDS
 
     def test_grid_key_excludes_backend_and_seed(self):

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import percentile
 from repro.core.rng import RngFactory
-from repro.fastpath.backend import evaluate_specs
 from repro.fastpath.validate import (
     TOLERANCES, default_grid, run_validation, write_report,
 )
+from repro.runner import run_cells
 from repro.runner.cells import run_cell
 from repro.runner.spec import ExperimentSpec
 
@@ -127,7 +127,7 @@ def test_validation_report_fails_loudly():
 
 def test_matched_grids_share_seeds():
     specs = default_grid(12, seed=9)
-    fast = evaluate_specs([s.with_(backend="fastpath") for s in specs])
+    fast = run_cells([s.with_(backend="fastpath") for s in specs])
     for spec, result in zip(specs, fast):
         assert result.backend == "fastpath"
         assert result.spec["seed"] == spec.seed

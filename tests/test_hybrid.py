@@ -21,9 +21,9 @@ import pytest
 
 from repro.analysis.stats import percentile
 from repro.core.rng import RngFactory
+from repro.fastpath import HYBRID_KINDS
 from repro.fastpath.splice import (
-    HYBRID_KINDS, _binomial_at_least_one, conditioned_placements,
-    run_hybrid_cell,
+    _binomial_at_least_one, conditioned_placements,
 )
 from repro.fastpath.validate import TOLERANCES, default_grid, run_validation
 from repro.fleet.campaign import run_fleet_campaign
@@ -182,7 +182,7 @@ class TestDispatch:
     def test_unknown_kind_rejected_with_supported_list(self):
         spec = _seeded(ExperimentSpec(kind="timeline", backend="hybrid"))
         with pytest.raises(ValueError, match="timeline"):
-            run_hybrid_cell(spec)
+            run_cell(spec)
         assert set(HYBRID_KINDS) == {"fct", "goodput", "stress"}
 
     def test_goodput_delegates_to_fastpath(self):

@@ -528,6 +528,46 @@ class TestServiceEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_unrunnable_whatif_is_400_at_admission(self):
+        """A kind the cell table has no row for on the asked (or the
+        default) backend used to pass admission, take a queue slot and a
+        dispatcher turn, and answer 500 ``query failed``."""
+        from repro.service.http import Request
+
+        async def ask(service, body):
+            response = await service.handle(Request(
+                "POST", "/whatif", {}, {}, json.dumps(body).encode()))
+            return response.status, json.loads(response.body)
+
+        async def scenario():
+            service = await _started(small_config())   # default: fastpath
+            try:
+                status, reply = await ask(
+                    service, {"loss_rate": 1e-3, "kind": "multihop"})
+                assert status == 400
+                assert reply["error"] == (
+                    "kind 'multihop' has no fastpath backend; "
+                    "it runs on: packet")
+                status, reply = await ask(service, {
+                    "loss_rate": 1e-3, "kind": "timeline",
+                    "backend": "hybrid"})
+                assert status == 400 and "it runs on: packet" in reply["error"]
+                status, reply = await ask(
+                    service, {"loss_rate": 1e-3, "kind": "nope"})
+                assert status == 400
+                assert "unknown experiment kind 'nope'" in reply["error"]
+                # nothing was queued, dispatched or cached for them
+                assert service._queue.qsize() == 0
+                assert service.cache.stats()["misses"] == 0
+                status, reply = await ask(
+                    service, {"loss_rate": 1e-3, "kind": "stress",
+                              "params": {"duration_ms": 1.0}})
+                assert status == 200 and reply["backend"] == "fastpath"
+            finally:
+                await service.begin_drain()
+
+        asyncio.run(scenario())
+
     def test_decision_preview_on_link_queries(self):
         async def scenario():
             service = await _started(small_config())
