@@ -109,6 +109,10 @@ class EventQueue:
     * ``peek_time()`` returns the timestamp the next ``pop_due`` would
       look at, discarding cancelled heads the same way, without
       consuming a live entry;
+    * ``earliest(skip)`` returns the timestamp of the earliest live
+      entry for which ``skip(entry)`` is false (``None`` when there is
+      none) and changes nothing — cancelled entries stay where they
+      are, so it is safe from inside a handler;
     * entries pushed *while draining* (zero-delay self-rescheduling)
       take their place in the same total order, as do entries pushed
       earlier than a head that ``pop_due``/``peek_time`` left pending;
@@ -144,6 +148,10 @@ class EventQueue:
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live entry, or None when empty."""
+        raise NotImplementedError
+
+    def earliest(self, skip: Callable[[Entry], bool]) -> Optional[int]:
+        """Time of the earliest live entry ``skip`` rejects; removes nothing."""
         raise NotImplementedError
 
     def compact(self) -> int:
@@ -192,6 +200,29 @@ class HeapEventQueue(EventQueue):
             heappop(heap)
             self.cancelled_pending -= 1
         return heap[0][0] if heap else None
+
+    def earliest(self, skip: Callable[[Entry], bool]) -> Optional[int]:
+        # Walk down from the root: a live, unskipped entry bounds its
+        # whole subtree, so only the children of cancelled or skipped
+        # entries (and nothing at or past the best time so far) are
+        # visited — a handful of entries however long the heap is.
+        heap = self._heap
+        size = len(heap)
+        best = None
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            if index >= size:
+                continue
+            entry = heap[index]
+            if best is not None and entry[0] >= best:
+                continue
+            if entry[2].cancelled or skip(entry):
+                stack.append(2 * index + 1)
+                stack.append(2 * index + 2)
+            else:
+                best = entry[0]
+        return best
 
     def compact(self) -> int:
         live = [entry for entry in self._heap if not entry[2].cancelled]
@@ -326,6 +357,15 @@ class CalendarEventQueue(EventQueue):
             self._len -= 1
             self.cancelled_pending -= 1
 
+    def earliest(self, skip: Callable[[Entry], bool]) -> Optional[int]:
+        best = None
+        for bucket in (self._cur[self._cur_idx:], *self._days.values()):
+            for entry in bucket:
+                if ((best is None or entry[0] < best)
+                        and not entry[2].cancelled and not skip(entry)):
+                    best = entry[0]
+        return best
+
     def compact(self) -> int:
         removed = 0
         live = [e for e in self._cur[self._cur_idx:] if not e[2].cancelled]
@@ -404,6 +444,20 @@ class Simulator:
         self._heap_high_watermark = 0
         self._wall_seconds = 0.0
         self._pool: List[Event] = []
+        #: idle loop -> its pending replenish entries (``schedule_idle``)
+        self._idle: Dict[Any, int] = {}
+        #: the one callback every idle entry carries, so the look-ahead
+        #: recognises one by identity
+        self._fire_idle = self._dispatch_idle
+        #: how far the running ``run()`` lets an idle loop look ahead
+        #: (its ``until``); 0 — not at all — outside a run and under
+        #: ``max_events``/``stop_when``, which count or poll every handler
+        self._horizon_cap = 0
+        #: per-frame events idle loops booked instead of dispatching, so
+        #: ``events_processed + events_elided`` is what the same run
+        #: dispatches with every frame observed.  Not in ``obs_snapshot``:
+        #: an attached registry pins the per-frame path and it reads 0.
+        self.events_elided = 0
         self.obs = obs
         if obs is not None:
             obs.registry.register_provider("engine", self.obs_snapshot)
@@ -506,6 +560,49 @@ class Simulator:
             raise SimError(f"cannot schedule at t={time} < now={self.now}")
         return self.schedule(time - self.now, callback, *args)
 
+    # -- idle loops ----------------------------------------------------------
+
+    def schedule_idle(self, delay: int, loop) -> Event:
+        """Schedule ``loop.replenish()`` as an *idle-loop* entry.
+
+        An idle loop is background chatter that re-arms itself forever
+        (LinkGuardian's dummy and explicit-ACK queues).  Its entries are
+        ordinary events — same ``(time, seq)`` order, same dispatch —
+        that :meth:`idle_horizon` may look past while
+        ``loop.coastable()`` holds.
+        """
+        self._idle[loop] = self._idle.get(loop, 0) + 1
+        return self.schedule(delay, self._fire_idle, loop)
+
+    def _dispatch_idle(self, loop) -> None:
+        self._idle[loop] -= 1
+        loop.replenish()
+
+    def idle_pending(self, loop) -> int:
+        """How many replenish entries ``loop`` has pending here."""
+        return self._idle.get(loop, 0)
+
+    def idle_horizon(self) -> int:
+        """The time before which nothing but idle chatter can happen.
+
+        That is the earliest live pending entry — not counting the
+        replenish of an idle loop that is coastable now, which would
+        only chatter too — capped by the running ``run(until=...)``.
+        Nothing is removed or reordered.  Returns 0, meaning "do not
+        look ahead", outside :meth:`run`, under ``max_events`` or
+        ``stop_when`` (both need every handler to really run), and when
+        neither a pending entry nor ``until`` bounds the answer.
+        """
+        cap = self._horizon_cap
+        if not cap:
+            return 0
+        fire = self._fire_idle
+        earliest = self._queue.earliest(
+            lambda entry: entry[3] is fire and entry[4][0].coastable())
+        if earliest is None:
+            return 0 if cap == _FOREVER else cap
+        return earliest if earliest < cap else cap
+
     # -- dispatch -------------------------------------------------------------
 
     def peek(self) -> Optional[int]:
@@ -557,6 +654,8 @@ class Simulator:
         self._stopped = False
         limit = _FOREVER if until is None else until
         budget = -1 if max_events is None else max_events
+        if max_events is None and stop_when is None:
+            self._horizon_cap = limit
         pop_due = self._queue.pop_due
         pool = self._pool
         pool_cap = self.POOL_CAP
@@ -586,6 +685,7 @@ class Simulator:
                     break
         finally:
             self._running = False
+            self._horizon_cap = 0
             self._wall_seconds += time.perf_counter() - wall_start
         if drained and until is not None and self.now < until:
             self.now = int(until)
@@ -610,9 +710,12 @@ class Simulator:
         for its current run, not its lifetime.  Dropped events are
         orphaned and pooled ones discarded, so no handle from before
         the clear can reach this simulator's accounting or a later
-        event."""
+        event.  The idle-loop registry goes with the queue: a loop whose
+        replenish was dropped has none pending and can be primed again."""
         self._queue.clear()
         self._pool.clear()
+        self._idle.clear()
+        self.events_elided = 0
         self._events_processed = 0
         self._events_cancelled = 0
         self._events_compacted = 0

@@ -141,14 +141,15 @@ def run_fct_experiment(
     src = testbed.add_host("h4", "tx", stack_delay_ns=stack_delay)
     dst = testbed.add_host("h8", "rx", stack_delay_ns=stack_delay)
 
-    # Observe corruption drops at the link to flag tail losses (Fig 13).
+    # Observe corruption drops at the link to flag tail losses (Fig 13);
+    # only the drops, so the quiet link between trials is free to coast.
     lost_seqs: Dict[int, List[int]] = {}
 
-    def tap(packet, corrupted):
-        if corrupted and packet.tcp is not None and not packet.tcp.is_ack:
+    def on_corrupt(packet):
+        if packet.tcp is not None and not packet.tcp.is_ack:
             lost_seqs.setdefault(packet.flow_id, []).append(packet.tcp.seq)
 
-    testbed.plink.forward_link.tap = tap
+    testbed.plink.forward_link.on_corrupt = on_corrupt
 
     def launch_trial(trial: int, finished) -> tuple:
         flow_id = trial + 1

@@ -229,16 +229,14 @@ class BidirectionalProtectedLink:
         self.b.port.egress.restore_state(state.b_port)
         self.link_ab.restore_state(state.link_ab, restore_loss=restore_loss)
         self.link_ba.restore_state(state.link_ba, restore_loss=restore_loss)
-        for endpoint in (self.a, self.b):
-            egress = endpoint.port.egress
+        for endpoint, port_state in ((self.a, state.a_port),
+                                     (self.b, state.b_port)):
+            # dummies and explicit ACKs share the port's lowest queue
+            queued = port_state.queues[LgSender.DUMMY_QUEUE].packets
             if endpoint.sender.active and self.config.tail_loss_detection:
-                dummy_queue = egress.queues[LgSender.DUMMY_QUEUE]
-                for _ in range(self.config.dummy_copies - len(dummy_queue)):
-                    endpoint.sender._enqueue_dummy()
+                endpoint.sender.dummy_loop.restored(queued)
             if endpoint.receiver.active:
-                ack_queue = egress.queues[LgReceiver.ACK_QUEUE]
-                if not len(ack_queue):
-                    endpoint.receiver._enqueue_explicit_ack()
+                endpoint.receiver.ack_loop.restored(queued)
 
     def summary(self) -> dict:
         return {

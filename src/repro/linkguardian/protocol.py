@@ -152,6 +152,14 @@ class ProtectedLink:
             sender_switch.pipeline_ns, self.sender.on_reverse_packet, packet
         )
 
+        # Each self-replenishing loop learns which endpoint its frames
+        # land on and how long after leaving, so a quiet link can coast
+        # (see linkguardian/replenish.py).
+        self.sender.dummy_loop.couple(
+            self.receiver, propagation_ns, receiver_switch.pipeline_ns)
+        self.receiver.ack_loop.couple(
+            self.sender, propagation_ns, sender_switch.pipeline_ns)
+
         self.forward_port_name = fwd_name
         self.reverse_port_name = rev_name
         self.sender.deactivate()
@@ -235,13 +243,11 @@ class ProtectedLink:
                                         restore_loss=restore_loss)
         self.reverse_link.restore_state(state.reverse_link)
         if self.sender.active and self.config.tail_loss_detection:
-            dummy_queue = self.sender_port.egress.queues[LgSender.DUMMY_QUEUE]
-            for _ in range(self.config.dummy_copies - len(dummy_queue)):
-                self.sender._enqueue_dummy()
+            self.sender.dummy_loop.restored(
+                state.sender_port.queues[LgSender.DUMMY_QUEUE].packets)
         if self.receiver.active:
-            ack_queue = self.receiver_port.egress.queues[LgReceiver.ACK_QUEUE]
-            if not len(ack_queue):
-                self.receiver._enqueue_explicit_ack()
+            self.receiver.ack_loop.restored(
+                state.receiver_port.queues[LgReceiver.ACK_QUEUE].packets)
 
     # -- measurement -------------------------------------------------------------------
 

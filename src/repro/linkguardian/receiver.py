@@ -38,6 +38,7 @@ from ..packets.seqno import SeqCounter, seq_compare, seq_distance
 from ..switchsim.port import EgressPort
 from ..units import gbps, serialization_ns
 from .config import LinkGuardianConfig
+from .replenish import ReplenishLoop
 
 __all__ = ["LgReceiver", "ReceiverStats"]
 
@@ -72,6 +73,33 @@ class ReceiverStats:
         }
         snap["retx_delay_samples"] = len(self.retx_delays_ns)
         return snap
+
+
+class _AckLoop(ReplenishLoop):
+    """The explicit-ACK queue (§3.1); ``peer`` is the link's LgSender."""
+
+    kind = PacketKind.LG_ACK
+
+    def __init__(self, receiver: "LgReceiver") -> None:
+        super().__init__(
+            receiver.sim, receiver.config, receiver.reverse_port,
+            receiver.ACK_QUEUE,
+            hooks=(receiver._on_reverse_dequeue,
+                   receiver._on_reverse_transmit))
+        self.receiver = receiver
+
+    def make_frame(self) -> Packet:
+        return self.receiver._make_explicit_ack()
+
+    def wanted(self) -> bool:
+        return self.receiver._active
+
+    def count_sent(self, n: int) -> None:
+        self.receiver.stats.explicit_acks += n
+
+    def carries_news(self) -> bool:
+        # an ackNo the sender already holds frees nothing
+        return self.receiver.next_rx != self.peer.acked_next
 
 
 class LgReceiver:
@@ -144,6 +172,8 @@ class LgReceiver:
         if manage_port_hooks:
             reverse_port.on_transmit = self._on_reverse_transmit
             reverse_port.on_dequeue = self._on_reverse_dequeue
+        #: the self-replenishing explicit-ACK queue; primed on activation
+        self.ack_loop = _AckLoop(self)
 
     # -- activation --------------------------------------------------------------
 
@@ -153,9 +183,8 @@ class LgReceiver:
 
     def activate(self) -> None:
         """Start the self-replenishing explicit-ACK queue (§3.1)."""
-        if not self._active:
-            self._active = True
-            self._enqueue_explicit_ack()
+        self._active = True
+        self.ack_loop.prime()
 
     def deactivate(self) -> None:
         """Dormant receivers send nothing and cost nothing."""
@@ -667,9 +696,6 @@ class LgReceiver:
         packet.lg_ack = LgAckHeader()
         return packet
 
-    def _enqueue_explicit_ack(self) -> None:
-        self.reverse_port.enqueue(self._make_explicit_ack(), self.ACK_QUEUE)
-
     def on_reverse_dequeue(self, packet: Packet, queue_index: int) -> None:
         """Egress-pipeline hook: refresh the ACK value just before the wire."""
         self._on_reverse_dequeue(packet, queue_index)
@@ -685,6 +711,4 @@ class LgReceiver:
 
     def _on_reverse_transmit(self, packet: Packet, queue_index: int) -> None:
         if packet.kind is PacketKind.LG_ACK:
-            self.stats.explicit_acks += 1
-            if self._active:
-                self.sim.schedule(self.config.replenish_delay_ns, self._enqueue_explicit_ack)
+            self.ack_loop.transmitted()

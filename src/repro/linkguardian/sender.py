@@ -41,6 +41,7 @@ from ..packets.packet import LG_HEADER_BYTES, LgDataHeader, Packet, PacketKind
 from ..packets.seqno import SeqCounter, seq_compare
 from ..switchsim.port import EgressPort
 from .config import LinkGuardianConfig
+from .replenish import ReplenishLoop
 
 __all__ = ["LgSender", "SenderStats"]
 
@@ -74,6 +75,35 @@ class _TxEntry:
         self.packet = packet
         self.mirrored_at = mirrored_at
         self.freed = False
+
+
+class _DummyLoop(ReplenishLoop):
+    """The dummy-packet queue (§3.2); ``peer`` is the link's LgReceiver."""
+
+    kind = PacketKind.LG_DUMMY
+
+    def __init__(self, sender: "LgSender") -> None:
+        super().__init__(
+            sender.sim, sender.config, sender.port, sender.DUMMY_QUEUE,
+            hooks=(sender._on_dequeue, sender._on_transmit),
+            copies=sender.config.dummy_copies)
+        self.sender = sender
+
+    def make_frame(self) -> Packet:
+        return self.sender._make_dummy()
+
+    def wanted(self) -> bool:
+        return self.sender._active and self.config.tail_loss_detection
+
+    def count_sent(self, n: int) -> None:
+        self.sender.stats.dummies_sent += n
+
+    def carries_news(self) -> bool:
+        # a frontier the receiver already expects detects no gap
+        return self.sender.send_frontier != self.peer.next_rx
+
+    def count_landed(self, n: int) -> None:
+        self.peer.stats.dummies_seen += n
 
 
 class LgSender:
@@ -133,8 +163,9 @@ class LgSender:
         if manage_port_hooks:
             port.on_transmit = self._on_transmit
             port.on_dequeue = self._on_dequeue
-        # The dummy queue is seeded on activation: a dormant LinkGuardian
-        # sends nothing and costs nothing (§3).
+        #: the self-replenishing dummy queue; primed on activation — a
+        #: dormant LinkGuardian sends nothing and costs nothing (§3)
+        self.dummy_loop = _DummyLoop(self)
 
     # -- activation -----------------------------------------------------------
 
@@ -164,9 +195,7 @@ class LgSender:
             self.n_copies = max(1, int(n_copies))
         self._active = True
         if self.config.tail_loss_detection:
-            dummy_queue = self.port.queues[self.DUMMY_QUEUE]
-            for _ in range(self.config.dummy_copies - len(dummy_queue)):
-                self._enqueue_dummy()
+            self.dummy_loop.prime()
 
     # -- forward datapath ------------------------------------------------------
 
@@ -343,9 +372,6 @@ class LgSender:
             priority=self.DUMMY_QUEUE,
         )
 
-    def _enqueue_dummy(self) -> None:
-        self.port.enqueue(self._make_dummy(), self.DUMMY_QUEUE)
-
     def on_port_dequeue(self, packet: Packet, queue_index: int) -> None:
         """Egress-pipeline hook: stamp seqNos / dummy frontiers."""
         self._on_dequeue(packet, queue_index)
@@ -364,11 +390,7 @@ class LgSender:
 
     def _on_transmit(self, packet: Packet, queue_index: int) -> None:
         if packet.kind is PacketKind.LG_DUMMY:
-            self.stats.dummies_sent += 1
-            if self._active and self.config.tail_loss_detection:
-                # Egress mirroring puts a replacement dummy back after one
-                # trip through the mirror path.
-                self.sim.schedule(self.config.replenish_delay_ns, self._enqueue_dummy)
+            self.dummy_loop.transmitted()
 
     # -- snapshot / restore -------------------------------------------------------
 
@@ -446,6 +468,11 @@ class LgSender:
     @property
     def buffer_packets(self) -> int:
         return len(self._buffer)
+
+    @property
+    def acked_next(self) -> tuple:
+        """(era, value): the receiver's ``next_rx`` as last ACKed here."""
+        return (self._acked_next[1], self._acked_next[0])
 
     @property
     def send_frontier(self) -> tuple:

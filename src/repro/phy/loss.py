@@ -18,7 +18,7 @@ corrupted (and therefore dropped by the receiving MAC)?
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -50,6 +50,18 @@ class LossProcess:
     def corrupts(self, packet=None) -> bool:
         raise NotImplementedError
 
+    def corrupts_idle(self, n: int) -> Optional[List[int]]:
+        """The next ``n`` frames at once, for ``n`` header-less control
+        frames (dummies, explicit ACKs): exactly what ``n`` calls of
+        :meth:`corrupts` would answer and leave behind, as the sorted
+        0-based indices of the corrupted ones.
+
+        ``None`` means "cannot say without seeing each frame" — the
+        default, so a process that targets particular traffic keeps
+        being asked frame by frame.
+        """
+        return None
+
     def snapshot_state(self):
         """Capture the process position (RNG + internal counters)."""
         from ..core.state import LossState, loss_fields
@@ -68,6 +80,9 @@ class NoLoss(LossProcess):
 
     def corrupts(self, packet=None) -> bool:
         return False
+
+    def corrupts_idle(self, n: int) -> List[int]:
+        return []
 
 
 class BernoulliLoss(LossProcess):
@@ -97,6 +112,19 @@ class BernoulliLoss(LossProcess):
             return True
         self._until_next -= 1
         return False
+
+    def corrupts_idle(self, n: int) -> List[int]:
+        # gap arithmetic: one draw per loss, none per clean frame —
+        # the same draws, in the same order, as n calls of corrupts()
+        lost: List[int] = []
+        at = self._until_next
+        if at < 0:
+            return lost
+        while at < n:
+            lost.append(at)
+            at += self._draw_gap() + 1
+        self._until_next = at - n
+        return lost
 
 
 class GilbertElliottLoss(LossProcess):
@@ -146,6 +174,9 @@ class GilbertElliottLoss(LossProcess):
                 self._bad = True
         return self._bad
 
+    def corrupts_idle(self, n: int) -> List[int]:
+        return [index for index in range(n) if self.corrupts()]
+
 
 class ScriptedLoss(LossProcess):
     """Drops exactly the frames whose 0-based transmission index is listed.
@@ -177,6 +208,12 @@ class ScriptedLoss(LossProcess):
     def corrupts(self, packet=None) -> bool:
         self._index += 1
         return self._index in self.drop_indices
+
+    def corrupts_idle(self, n: int) -> List[int]:
+        first = self._index + 1
+        self._index += n
+        return sorted(index - first for index in self.drop_indices
+                      if first <= index < first + n)
 
     @property
     def frames_seen(self) -> int:
@@ -227,6 +264,9 @@ class DataFrameLoss(LossProcess):
             self._flow_seen[packet.flow_id] = flow_index + 1
             drop = drop or flow_index in flow_drops
         return drop
+
+    def corrupts_idle(self, n: int) -> List[int]:
+        return []   # control frames carry no LinkGuardian data header
 
     @property
     def frames_seen(self) -> int:

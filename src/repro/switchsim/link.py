@@ -9,7 +9,7 @@ reaches the ingress pipeline.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from ..core.engine import Simulator
 from ..obs.spans import NULL_SPANS
@@ -39,8 +39,14 @@ class Link:
         self.loss = loss if loss is not None else NoLoss()
         self.name = name
         self.rx_counters = PortCounters()
-        #: optional hook observing (packet, corrupted) for instrumentation
+        #: optional hook observing (packet, corrupted) for every frame —
+        #: while set, every frame is really transmitted (``unobserved``)
         self.tap: Optional[Callable[[Packet, bool], None]] = None
+        #: optional hook called with each frame the receiving MAC drops,
+        #: and with nothing else: unlike ``tap`` it does not ask to see
+        #: clean frames, so idle control frames may still be booked in
+        #: bulk (``transmit_idle``)
+        self.on_corrupt: Optional[Callable[[Packet], None]] = None
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         self._spans = getattr(obs, "spans", NULL_SPANS) if obs is not None \
             else NULL_SPANS
@@ -88,6 +94,8 @@ class Link:
             self.tap(packet, corrupted)
         self.rx_counters.record_rx(packet.size, ok=not corrupted)
         if corrupted:
+            if self.on_corrupt is not None:
+                self.on_corrupt(packet)
             if self._tracer.enabled:
                 self._tracer.instant(self.sim.now, "link", "corruption_drop", {
                     "link": self.name, "size": packet.size,
@@ -97,6 +105,36 @@ class Link:
                 self._record_drop_span(packet)
             return  # dropped by the receiving MAC
         self.sim.schedule(self.propagation_ns, self.receiver, packet)
+
+    @property
+    def unobserved(self) -> bool:
+        """May idle control frames be booked in bulk (``transmit_idle``)?
+        Not while a ``tap`` or an enabled tracer wants to see every
+        frame, nor when the loss process has to."""
+        return (self.tap is None and not self._tracer.enabled
+                and self.loss.corrupts_idle(0) is not None)
+
+    def transmit_idle(self, n: int, size: int,
+                      frame: Callable[[], Packet]) -> List[int]:
+        """``n`` calls of :meth:`transmit` for header-less control
+        frames of ``size`` bytes on an :attr:`unobserved` link: the loss
+        process draws for all of them at once and the RX counters move;
+        nothing is delivered — the caller knows what arriving would do.
+
+        Returns the sorted 0-based indices of the corrupted frames;
+        ``frame()`` builds one for ``on_corrupt``, which is told *what*
+        was lost, ahead of *when*.
+        """
+        lost = self.loss.corrupts_idle(n)
+        counters = self.rx_counters
+        ok = n - len(lost)
+        counters.frames_rx_all += n
+        counters.frames_rx_ok += ok
+        counters.bytes_rx_ok += ok * size
+        if lost and self.on_corrupt is not None:
+            for _ in lost:
+                self.on_corrupt(frame())
+        return lost
 
     def _record_drop_span(self, packet: Packet) -> None:
         """A corrupted LG frame starts (or joins) a recovery episode.

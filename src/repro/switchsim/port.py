@@ -145,6 +145,33 @@ class EgressPort:
     def backlog_bytes(self) -> int:
         return sum(q.depth_bytes for q in self.queues)
 
+    @property
+    def idle(self) -> bool:
+        """Nothing on the serializer, nothing queued (paused or not) and
+        no residence histogram waiting to time each frame."""
+        if self._busy or self._residence_hist is not None:
+            return False
+        for queue in self.queues:
+            if queue._fifo:
+                return False
+        return True
+
+    def transmit_idle(self, queue_index: int, n: int, size: int,
+                      frame: Callable[[], Packet]) -> List[int]:
+        """Book ``n`` header-less control frames of ``size`` bytes, each
+        enqueued into the :attr:`idle` port, serialized and put on the
+        (``unobserved``) wire before the next: queue, TX and the link's
+        RX counters move as ``n`` trips through ``enqueue``/``_finish``
+        would move them, with no frame object and no event.  The port's
+        hooks are not called — the caller owns them.  Returns what
+        :meth:`Link.transmit_idle` does.
+        """
+        self.queues[queue_index].pass_idle(n, size)
+        counters = self.tx_counters
+        counters.frames_tx += n
+        counters.bytes_tx += n * size
+        return self.link.transmit_idle(n, size, frame)
+
     # -- serializer ----------------------------------------------------------
 
     def _kick(self) -> None:

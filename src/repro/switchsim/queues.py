@@ -111,6 +111,17 @@ class Queue:
         self.stats.dequeued += 1
         return packet
 
+    def pass_idle(self, n: int, size: int) -> None:
+        """Book ``n`` frames of ``size`` bytes that each entered this
+        queue while it was empty and left before the next arrived."""
+        stats = self.stats
+        stats.enqueued += n
+        stats.dequeued += n
+        if size > stats.max_bytes:
+            stats.max_bytes = size
+        if not stats.max_packets:
+            stats.max_packets = 1
+
     def peek(self) -> Optional[Packet]:
         return self._fifo[0] if self._fifo else None
 

@@ -17,6 +17,11 @@ from repro.runner import ExperimentSpec, run_cell
 
 FCT_LG = ExperimentSpec(kind="fct", transport="dctcp", scenario="lg",
                         loss_rate=1e-2, flow_size=24_387, n_trials=12, seed=5)
+#: a quiet-link cell: one-packet flows, so most of the run is the idle
+#: dummy/explicit-ACK loops — which coast (DESIGN §5a) to the same bytes
+FCT_LG_SMALL = ExperimentSpec(kind="fct", transport="dctcp", scenario="lg",
+                              loss_rate=5e-3, flow_size=143, n_trials=120,
+                              seed=8)
 FCT_RDMA = ExperimentSpec(kind="fct", transport="rdma", scenario="loss",
                           loss_rate=2e-2, flow_size=24_387, n_trials=20,
                           seed=6)
@@ -34,6 +39,9 @@ CASES = {
     "fct-dctcp-lg": (
         lambda: run_cell(FCT_LG).canonical_json(),
         "90c8ec710b4c8df646667af7278d33d17d53b6227f654dcec05f32d3b65f74ec"),
+    "fct-dctcp-lg-small": (
+        lambda: run_cell(FCT_LG_SMALL).canonical_json(),
+        "299357ec7e2d5b13442b03e043ccc5561e78895242abfb022c18a56556cd43ca"),
     "fct-rdma-loss": (
         lambda: run_cell(FCT_RDMA).canonical_json(),
         "bc7dd2d256c2b909c7c2b43da2601ee837f9e602262fa189382d582faf43816b"),

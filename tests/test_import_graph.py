@@ -38,6 +38,18 @@ def test_no_entry_point_imports_scipy_stats():
     assert _under(modules, "scipy.stats") == []
 
 
+def test_no_module_imports_networkx():
+    # dropped from the declared dependencies: nothing ever imported it
+    code = ("import importlib, pkgutil, sys, repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)\n"
+            "print('networkx' in sys.modules, len(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120)
+    imported, n_modules = out.stdout.split()
+    assert imported == "False" and int(n_modules) > 100
+
+
 def test_cli_and_runner_import_no_cell_owner():
     modules = _modules_after("repro.cli", "repro.runner")
     assert _under(modules, "repro.experiments", "repro.fastpath",
