@@ -29,11 +29,32 @@ LOSS_BUCKETS: Tuple[Tuple[float, float, float], ...] = (
 )
 
 
+#: The draw's tables, built the way ``Generator.choice(p=...)`` and
+#: ``Generator.uniform(lows, highs)`` build theirs internally (a
+#: normalized CDF searched from the right; ``low + (high - low) * u``),
+#: so ``sample_loss_rates`` consumes the same uniforms and returns the
+#: same values as those two calls would, without their per-call set-up.
+#:
+#: The second line spells out numpy's C ``random_uniform`` (``low +
+#: range * next_double``) as a Python multiply and add, which are never
+#: fused.  Verified equal to ``choice`` + ``uniform`` on value and
+#: ``bit_generator.state`` on numpy 2.4.6, x86-64 Linux (CPython 3.11)
+#: only.  A numpy build that contracts that C expression into an FMA
+#: (possible on aarch64) would round ``uniform`` differently in the last
+#: bit; ``tests/test_fabric_corropt.py::
+#: test_loss_rate_draws_are_stream_exact`` fails there.  The fallback is
+#: ``10.0 ** rng.uniform(_LOG_LOWS[buckets], _LOG_HIGHS[buckets])`` (the
+#: parent's form; 10 us a call slower at n = 1), which follows whatever
+#: numpy does.
+_PROBABILITIES = np.array([p for _, _, p in LOSS_BUCKETS])
+_CDF = (_PROBABILITIES / _PROBABILITIES.sum()).cumsum()
+_CDF /= _CDF[-1]
+_LOG_LOWS = np.array([np.log10(low) for low, _, _ in LOSS_BUCKETS])
+_LOG_HIGHS = np.array([np.log10(high) for _, high, _ in LOSS_BUCKETS])
+_LOG_WIDTHS = _LOG_HIGHS - _LOG_LOWS
+
+
 def sample_loss_rates(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` loss rates from the Table 1 bucket distribution."""
-    probabilities = np.array([p for _, _, p in LOSS_BUCKETS])
-    probabilities = probabilities / probabilities.sum()
-    buckets = rng.choice(len(LOSS_BUCKETS), size=n, p=probabilities)
-    lows = np.array([np.log10(LOSS_BUCKETS[b][0]) for b in buckets])
-    highs = np.array([np.log10(LOSS_BUCKETS[b][1]) for b in buckets])
-    return 10.0 ** rng.uniform(lows, highs)
+    buckets = _CDF.searchsorted(rng.random(n), side="right")
+    return 10.0 ** (_LOG_LOWS[buckets] + _LOG_WIDTHS[buckets] * rng.random(n))

@@ -122,6 +122,7 @@ def replay_corropt(
     # penalty and each pod's paths/capacity, update what the event's
     # decisions touched, and record one change-point per event.
     penalty_of: Dict[int, float] = {}
+    lg_active = [set() for _ in range(topology.n_pods)]    # per pod
     pod_paths = [1.0] * topology.n_pods
     pod_capacity = [1.0] * topology.n_pods
     points = [(-math.inf, 0.0, 1.0, 1.0)]
@@ -153,12 +154,12 @@ def replay_corropt(
             elif decision.action == "activate":
                 penalty_of[decision.link_id] = controller.effective_loss(
                     decision.loss_rate)
-                max_lg_per_pod = max(max_lg_per_pod, sum(
-                    topology.link(i).pod == pod
-                    for i in controller.lg_active_links()))
+                lg_active[pod].add(decision.link_id)
+                max_lg_per_pod = max(max_lg_per_pod, len(lg_active[pod]))
             else:   # disable: the crew's clock starts now; the delay is
                 # the draw the lifecycle replay makes for the same event
                 penalty_of.pop(decision.link_id, None)
+                lg_active[pod].discard(decision.link_id)
                 disabled[is_onset] += 1
                 clear_s = now_s + repair_delay_s(
                     topology.factory, _REPAIR, decision.link_id,

@@ -28,6 +28,8 @@ Model summary (assumptions in DESIGN.md "Fastpath analytic backend"):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..linkguardian.config import expected_effective_loss, retx_copies
@@ -207,17 +209,24 @@ def ge_affected_fraction(loss_rate, mean_burst, flow_packets):
     return -np.expm1((n + b - 1.0) * np.log1p(-start_rate))
 
 
+@lru_cache(maxsize=32)
+def _log_loss_table(points):
+    """``(log10 xs, ys, clip low, clip high)`` of one ``points`` tuple."""
+    xs = np.log10([x for x, _ in points])
+    ys = np.asarray([y for _, y in points], dtype=np.float64)
+    return xs, ys, 10.0 ** xs[0], 10.0 ** xs[-1]
+
+
 def interp_log_loss(loss_rate, points):
     """Piecewise-linear interpolation in log10(loss rate).
 
     ``points`` is a sequence of ``(loss_rate, value)`` pairs sorted by
     loss rate; values clamp at both ends and ``loss_rate <= 0`` maps to
     the first value.  The planner's Figure 8 capacity table
-    (``fleet.cost.FIG8_POINTS``) is read through this function too.
+    (``fleet.cost.FIG8_POINTS``) is read through this function too, once
+    per activation, so the log table is built once per distinct table.
     """
     p = np.asarray(loss_rate, dtype=np.float64)
-    xs = np.log10([x for x, _ in points])
-    ys = np.asarray([y for _, y in points], dtype=np.float64)
-    safe = np.log10(np.clip(p, 10.0 ** xs[0], 10.0 ** xs[-1]))
-    out = np.interp(safe, xs, ys)
+    xs, ys, low, high = _log_loss_table(tuple(map(tuple, points)))
+    out = np.interp(np.log10(np.clip(p, low, high)), xs, ys)
     return np.where(p <= 0.0, ys[0], out)

@@ -214,12 +214,10 @@ class _AffectedEvaluator:
         self.replay = replay
         self.episodes = episodes
         self.factory = RngFactory(replay.trace.seed)
-        self.analytic = [
-            float(ge_affected_fraction(
-                r.episode.loss_rate, r.episode.mean_burst,
-                replay.flow_packets))
-            for r in episodes
-        ]
+        self.analytic = ge_affected_fraction(
+            [r.episode.loss_rate for r in episodes],
+            [r.episode.mean_burst for r in episodes],
+            replay.flow_packets).tolist()
         self.flagged = _flagged_keys(replay, episodes, self.analytic)
         self.empirical_evaluated = 0
         self._cache: Dict[int, float] = {}

@@ -1,17 +1,26 @@
 """Tests for the fabric topology, CorrOpt checker/optimizer and traces."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.corropt.trace import LOSS_BUCKETS, sample_loss_rates
-from repro.experiments.deployment import replay_corropt
+from repro.experiments.deployment import (
+    replay_corropt, run_deployment_comparison,
+)
 from repro.fabric.topology import FabricTopology
 from repro.fleet.cost import (
     FIG8_POINTS, lg_effective_loss_rate, lg_effective_speed_fraction,
 )
 from repro.fleet.topology import FleetSpec
 from repro.lifecycle import (
-    FailureEvent, LifecycleTrace, TraceSpec, generate_trace,
+    FailureEvent, LifecycleTrace, ReplaySpec, TraceSpec, generate_trace,
+    run_replay,
 )
 from repro.units import DAY_S, HOURS
 
@@ -138,7 +147,153 @@ class TestFastChecker:
         assert link.up
 
 
+# -- the from-scratch recount, as the topology computed every query before
+# it kept books: the oracle the books are checked against ------------------
+
+def recount_fabric_up_spine_links(topo, pod, fabric, without=None):
+    return sum(
+        1
+        for port in range(topo.spine_uplinks)
+        if topo._fabric_spine[(pod, fabric, port)].up
+        and topo._fabric_spine[(pod, fabric, port)] is not without
+    )
+
+
+def recount_tor_paths(topo, pod, tor, without=None):
+    total = 0
+    for fabric in range(topo.fabrics_per_pod):
+        link = topo._tor_fabric[(pod, tor, fabric)]
+        if link.up and link is not without:
+            total += recount_fabric_up_spine_links(topo, pod, fabric, without)
+    return total
+
+
+def recount_pod_min_tor_paths(topo, pod):
+    return min(recount_tor_paths(topo, pod, tor)
+               for tor in range(topo.tors_per_pod))
+
+
+def recount_pod_capacity_fraction(topo, pod):
+    tor_stage = sum(
+        topo._tor_fabric[(pod, tor, fabric)].effective_capacity
+        for tor in range(topo.tors_per_pod)
+        for fabric in range(topo.fabrics_per_pod)
+    )
+    spine_stage = sum(
+        topo._fabric_spine[(pod, fabric, port)].effective_capacity
+        for fabric in range(topo.fabrics_per_pod)
+        for port in range(topo.spine_uplinks)
+    )
+    tor_max = topo.tors_per_pod * topo.fabrics_per_pod
+    spine_max = topo.fabrics_per_pod * topo.spine_uplinks
+    return min(tor_stage / tor_max, spine_stage / spine_max)
+
+
+def recount_can_disable(topo, link, capacity_constraint):
+    """The old checker took ``link`` down, recounted and put it back;
+    ``without`` recounts as if it were down and writes nothing."""
+    if not link.up:
+        return True
+    threshold = capacity_constraint * topo.max_paths_per_tor
+    tors = ([link.tor] if link.kind == "tor-fabric"
+            else range(topo.tors_per_pod))
+    return not any(recount_tor_paths(topo, link.pod, tor, without=link)
+                   < threshold for tor in tors)
+
+
+_LINK_IDS = st.integers(0, small_topology().n_links - 1)
+#: Figure 8's speeds plus arbitrary ones: the capacity sums must re-round
+#: exactly as the in-order recount does
+_SPEEDS = st.sampled_from([1.0, 0.998, 0.99, 0.92, 0.85]) | st.floats(0.0, 1.0)
+
+
+class FabricBooks(RuleBasedStateMachine):
+    """Random interleavings of ``up`` / ``speed_fraction`` writes (repeats
+    of the same value included); after every step every book the
+    topology keeps must equal the from-scratch recount."""
+
+    def __init__(self):
+        super().__init__()
+        self.topo = small_topology()
+        self.touched_pod = 0
+
+    # down-biased, several links a step: the checker's thresholds only
+    # bite once a pod has lost a quarter of some ToR's paths
+    @rule(link_ids=st.lists(_LINK_IDS, min_size=1, max_size=10),
+          up=st.sampled_from([False, False, True]))
+    def write_up(self, link_ids, up):
+        for link_id in link_ids:
+            self.topo.links[link_id].up = up
+        self.touched_pod = self.topo.links[link_ids[-1]].pod
+
+    @rule(link_id=_LINK_IDS, speed=_SPEEDS)
+    def write_speed_fraction(self, link_id, speed):
+        link = self.topo.links[link_id]
+        link.speed_fraction = speed
+        assert link.speed_fraction == speed
+        self.touched_pod = link.pod
+
+    @rule(pod=st.integers(0, 1), fabric=st.integers(0, 3))
+    def fail_a_fabric_switch_uplinks(self, pod, fabric):
+        for port in range(self.topo.spine_uplinks):
+            self.topo.fabric_spine_link(pod, fabric, port).up = False
+        self.touched_pod = pod
+
+    @invariant()
+    def books_equal_the_recount(self):
+        topo = self.topo
+        for pod in range(topo.n_pods):
+            for fabric in range(topo.fabrics_per_pod):
+                assert (topo.fabric_up_spine_links(pod, fabric)
+                        == recount_fabric_up_spine_links(topo, pod, fabric))
+            for tor in range(topo.tors_per_pod):
+                assert topo.tor_paths(pod, tor) == recount_tor_paths(
+                    topo, pod, tor)
+            assert (topo.pod_min_tor_paths(pod)
+                    == recount_pod_min_tor_paths(topo, pod))
+            # == on floats: the sum must round as the recount's does
+            assert (topo.pod_capacity_fraction(pod)
+                    == recount_pod_capacity_fraction(topo, pod))
+
+    @invariant()
+    def checker_agrees_and_writes_nothing(self):
+        topo = self.topo
+        before = [(link.up, link.speed_fraction) for link in topo.links]
+        for link in topo.pod_links(self.touched_pod):
+            for constraint in (0.5, 0.75):
+                assert (topo.can_disable(link, constraint)
+                        == recount_can_disable(topo, link, constraint))
+        assert before == [(link.up, link.speed_fraction)
+                          for link in topo.links]
+
+
+FabricBooks.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None)
+TestFabricBooks = FabricBooks.TestCase
+
+
 class TestTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_loss_rate_draws_are_stream_exact(self, seed):
+        """``sample_loss_rates`` against the ``Generator.choice`` +
+        ``Generator.uniform`` body it replaced: equal values *and* equal
+        generator state, so every draw after it is unmoved too."""
+        def choice_uniform_body(rng, n):
+            probabilities = np.array([p for _, _, p in LOSS_BUCKETS])
+            probabilities = probabilities / probabilities.sum()
+            buckets = rng.choice(len(LOSS_BUCKETS), size=n, p=probabilities)
+            lows = np.array([np.log10(LOSS_BUCKETS[b][0]) for b in buckets])
+            highs = np.array([np.log10(LOSS_BUCKETS[b][1]) for b in buckets])
+            return 10.0 ** rng.uniform(lows, highs)
+
+        for n in (1, 7, 1000):
+            ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+            got, want = sample_loss_rates(ours, n), choice_uniform_body(theirs, n)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_loss_rates_follow_table1_buckets(self):
         rng = np.random.default_rng(5)
         rates = sample_loss_rates(rng, 50_000)
@@ -301,3 +456,60 @@ class TestCorrOptRepairClock:
     def test_repeat_onset_on_an_open_link_is_the_same_fault(self):
         trace = self._trace((1.0, 0, 1e-3), (1.2, 0, 1e-4))
         assert replay_corropt(trace, 0.75, 0.0).corruption_events == 1
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedDigests:
+    """What "byte-identical" means for the planner tier: sha256 of the
+    canonical documents, recorded at commit 8c7755d (before the topology
+    kept books and before ``sample_loss_rates`` read tables).  A speed-up
+    below this line may not move one of them."""
+
+    FLEET = FleetSpec(n_pods=4)         # the bench replay: 256 links, 180 d
+    TRACES = {
+        7: "42df3907c1b87c42e5c0b4d5c210be8215957c1bb240e1b61a20453abcf29d75",
+        8: "d7672d029602aa2aab294484ea0f6cae14a7139b60bf3014c777a24f637ff2bc",
+        9: "c5e6b5bbe5f7b8b107bc609e52b4a98d3ba63b7ddfe0952caf06ad613db97dbf",
+    }
+    REPLAYS = {
+        (7, "incremental"):
+            "a5e8f5c3c9580018b1350ec6644015e8377ee81082dda44b07422bacbec720cd",
+        (7, "greedy-worst"):
+            "97333f6020f79b7b5de0dc8842796eec2782f3462dca652234b8dcc3b5d590cf",
+        (8, "incremental"):
+            "20189af114e1e35c07e5b47297985501c4d6c7023065311cb752c538a0b5e1e2",
+        (8, "greedy-worst"):
+            "15c4ddaa2e9fa4662e7199a29d72cc1907e1695ee2bcfc3368d68fc2cfeec0ab",
+        (9, "incremental"):
+            "c57143644186a21b80567b6d098ab1df4ec99ff654b7b1da8ec1c7b891ea9cb6",
+        (9, "greedy-worst"):
+            "3cacaa8a56861ab9e430895c7008e8665fd7ceb1bf27b7841138c743d23f2fdf",
+    }
+    DEPLOYMENTS = {
+        "default": (
+            {},
+            "3615a34fde62f6f8ec84d7490a843dbb6412ab95c3628ec2728b164d90fe1aa3"),
+        "paper-pods": (
+            dict(n_pods=2, tors_per_pod=48, fabrics_per_pod=4,
+                 spine_uplinks=48, duration_days=60.0),
+            "928dcf8ed31f435f8120f0808b040aa84c7deb6d2d29cd4b1c390ca07af2cf9e"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRACES))
+    def test_trace_and_replays(self, seed):
+        spec = TraceSpec(fleet=self.FLEET, duration_days=180.0, seed=seed)
+        assert _sha256(generate_trace(spec).to_json()) == self.TRACES[seed]
+        for policy in ("incremental", "greedy-worst"):
+            rollup = run_replay(ReplaySpec(
+                trace=spec, backend="hybrid", policy=policy))
+            assert (_sha256(rollup.canonical_json())
+                    == self.REPLAYS[seed, policy])
+
+    @pytest.mark.parametrize("shape", sorted(DEPLOYMENTS))
+    def test_deployment_summary(self, shape):
+        params, digest = self.DEPLOYMENTS[shape]
+        summary = run_deployment_comparison(**params).summary()
+        assert _sha256(json.dumps(summary, sort_keys=True)) == digest

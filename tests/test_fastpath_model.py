@@ -54,6 +54,46 @@ class TestScalarAgreement:
             with pytest.raises(ValueError):
                 lgconfig.retx_copies(1e-3, bad_target)
 
+    @pytest.mark.parametrize("n", [1, 7, 744, 20_000])
+    def test_ge_affected_array_call_equals_scalar_calls(self, n):
+        """The lifecycle replay evaluates every episode's analytic
+        fraction in one array call; the values are golden, so the array
+        form must equal the per-episode scalar calls bit for bit."""
+        rng = np.random.default_rng(16)
+        losses = np.clip(10.0 ** rng.uniform(-8, -1.8, size=n), 1e-7, 1e-2)
+        bursts = np.exp(rng.uniform(0.0, np.log(2.0), size=n))
+        for packets in (1, 100, 1460):
+            vec = model.ge_affected_fraction(
+                losses.tolist(), bursts.tolist(), packets).tolist()
+            assert vec == [
+                float(model.ge_affected_fraction(p, b, packets))
+                for p, b in zip(losses.tolist(), bursts.tolist())]
+
+    def test_interp_log_loss_table_is_built_once_and_changes_nothing(self):
+        def rebuilt_per_call(loss_rate, points):     # the pre-table body
+            p = np.asarray(loss_rate, dtype=np.float64)
+            xs = np.log10([x for x, _ in points])
+            ys = np.asarray([y for _, y in points], dtype=np.float64)
+            safe = np.log10(np.clip(p, 10.0 ** xs[0], 10.0 ** xs[-1]))
+            return np.where(p <= 0.0, ys[0], np.interp(safe, xs, ys))
+
+        from repro.fleet.cost import FIG8_POINTS
+
+        rng = np.random.default_rng(17)
+        rates = np.concatenate([10.0 ** rng.uniform(-9, 0, size=20_000),
+                                [0.0, -1.0, 1.0, 1e-6, 1e-3, 1e-2]])
+        for points in (FIG8_POINTS, fctmod.NONE_DEGRADATION,
+                       fctmod.LGNB_PENALTY, [[1e-3, 1.0], [1e-2, 0.5]]):
+            assert np.array_equal(model.interp_log_loss(rates, points),
+                                  rebuilt_per_call(rates, points))
+            for rate in rates[:500].tolist() + [0.0, -1.0, 1.0]:
+                got = model.interp_log_loss(rate, points)
+                want = rebuilt_per_call(rate, points)
+                assert got == want and got.shape == want.shape == ()
+        hits = model._log_loss_table.cache_info().hits
+        model.interp_log_loss(1e-4, FIG8_POINTS)
+        assert model._log_loss_table.cache_info().hits == hits + 1
+
     @settings(max_examples=200, deadline=None)
     @given(
         p=st.lists(st.floats(1e-12, 1.0, exclude_min=True, exclude_max=True),
