@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 __all__ = ["main", "build_parser", "VERBS", "Verb", "Flag", "parse_axis"]
@@ -147,237 +146,15 @@ def _progress(result) -> None:
 
 # -- paper figures and tables --------------------------------------------------
 
-def _fig01(args) -> None:
-    from .experiments.figures import figure1_attenuation_series
+def _figure(args) -> None:
+    """Every ``figNN``/``tabNN`` verb: the verb names its row of
+    ``experiments.figures.FIGURES``, its flags choose the row's cells,
+    the shared ``obs`` instruments them and the row shapes what is
+    printed."""
+    from .experiments.figures import FIGURES, run_figure
 
-    series = figure1_attenuation_series()
-    names = [k for k in series if k != "attenuation_db"]
-    rows = []
-    for index, atten in enumerate(series["attenuation_db"]):
-        if index % 4 == 0:
-            rows.append({"atten_dB": atten, **{n: series[n][index] for n in names}})
-    _emit(rows)
-
-
-def _fig02(args) -> None:
-    from .experiments.figures import figure2_flow_size_cdfs
-    from .workloads import WORKLOADS
-
-    cdfs = figure2_flow_size_cdfs()
-    rows = [
-        {"size_B": size, **{n: round(cdfs[n][i], 3) for n in WORKLOADS}}
-        for i, size in enumerate(cdfs["size_bytes"])
-    ]
-    _emit(rows)
-
-
-def _tab01(args) -> None:
-    from .experiments.figures import table1_loss_buckets
-
-    _emit(table1_loss_buckets())
-
-
-def _stress_grid(args, losses=(1e-5, 1e-4, 1e-3), modes=(True,)):
-    """The 25G/100G x loss x ordered stress grid behind Fig. 8/14/19 and
-    Tab. 4: ``(rate_gbps, loss, ordered, StressResult)`` per cell."""
-    from .experiments.stress import run_stress_test
-
-    for rate_gbps in (25, 100):
-        for loss in losses:
-            for ordered in modes:
-                yield rate_gbps, loss, ordered, run_stress_test(
-                    rate_gbps=rate_gbps, loss_rate=loss, ordered=ordered,
-                    duration_ms=args.duration_ms, seed=args.seed, obs=args.obs,
-                )
-
-
-def _fig08(args) -> None:
-    _emit([result.row()
-           for *_, result in _stress_grid(args, modes=(True, False))])
-
-
-def _fig09(args) -> None:
-    from .experiments.timeline import run_timeline
-    from .linkguardian.config import LinkGuardianConfig
-    from .units import KB
-
-    # The phases run ~1000x shorter than the paper's 14 s; scaling the
-    # resume threshold down likewise keeps the pause/resume dynamics of
-    # Figure 9a visible at sim scale (--resume-kb 0 for paper scale).
-    config = None
-    if args.resume_kb > 0:
-        config = LinkGuardianConfig.for_link_speed(
-            25, ordered=True, backpressure=True,
-            resume_threshold_bytes=int(args.resume_kb * KB),
-        )
-    result = run_timeline(
-        "dctcp", rate_gbps=25, loss_rate=1e-3,
-        clean_ms=args.duration_ms, loss_ms=2 * args.duration_ms,
-        lg_ms=2 * args.duration_ms, obs=args.obs, config=config,
-    )
-    rows = [
-        {"t_ms": round(t, 2), "send_Gbps": round(r, 2), "qdepth_KB": round(q, 1),
-         "rxbuf_KB": round(b, 2), "e2e_retx": int(x)}
-        for t, r, q, b, x in zip(
-            result.times_ms[::4], result.send_rate_gbps[::4],
-            result.qdepth_kb[::4], result.rx_buffer_kb[::4], result.e2e_retx[::4],
-        )
-    ]
-    _emit(rows)
-
-
-def _fct(transports, size, args, loss=None, max_trials=None) -> None:
-    """The transport x scenario FCT grid of Fig. 10/11/12 at one flow size."""
-    from .experiments.fct import run_fct_experiment
-
-    rows = []
-    for transport in transports:
-        for scenario in ("noloss", "loss", "lg", "lgnb"):
-            result = run_fct_experiment(
-                transport=transport, flow_size=size,
-                n_trials=min(args.trials, max_trials or args.trials),
-                scenario=scenario, loss_rate=loss or args.loss_rate,
-                seed=args.seed, obs=args.obs,
-            )
-            rows.append(result.summary())
-    _emit(rows)
-
-
-def _fig13(args) -> None:
-    from .experiments.fct import run_fct_experiment
-
-    result = run_fct_experiment(
-        transport="dctcp", flow_size=24_387, n_trials=args.trials,
-        scenario="lgnb", loss_rate=args.loss_rate, seed=args.seed,
-    )
-    _emit([result.classification().as_dict()])
-
-
-def _tab02(args) -> None:
-    from .experiments.mechanisms import run_mechanism_study
-
-    study = run_mechanism_study(n_trials=args.trials, loss_rate=args.loss_rate,
-                                seed=args.seed)
-    rows = [dict(variant=name, **vals) for name, vals in study.items()]
-    _emit(rows, ["variant", "p50", "p99", "p99.9", "p99.99", "trials"])
-
-
-def _tab03(args) -> None:
-    from .experiments.goodput import run_goodput
-
-    rows = []
-    for loss in (0.0, 1e-5, 1e-4, 1e-3, 1e-2):
-        row = {"loss": loss}
-        for scheme in ("none", "wharf", "lg", "lgnb"):
-            if scheme == "wharf" and loss == 0.0:
-                row[scheme] = "n/a"
-                continue
-            row[scheme] = round(run_goodput(scheme, loss_rate=loss,
-                                            seed=args.seed)["goodput_gbps"], 2)
-        rows.append(row)
-    _emit(rows)
-
-
-def _tab04(args) -> None:
-    _emit({
-        "link": f"{rate_gbps:g}G", "loss": loss,
-        "tx_%pipe": round(result.recirc_overhead_tx_percent, 4),
-        "rx_%pipe": round(result.recirc_overhead_rx_percent, 4),
-    } for rate_gbps, loss, _, result in _stress_grid(args))
-
-
-def _fig14(args) -> None:
-    grid = _stress_grid(args, modes=(True, False))
-    _emit({
-        "link": f"{rate_gbps:g}G", "loss": loss,
-        "mode": "LG" if ordered else "LG_NB",
-        "tx_max_KB": round(r.tx_buffer["max"] / 1e3, 1),
-        "rx_max_KB": round(r.rx_buffer["max"] / 1e3, 1),
-    } for rate_gbps, loss, ordered, r in grid)
-
-
-def _deployments(args):
-    """The deployment study at both capacity constraints of Fig. 15/16:
-    ``(constraint label, DeploymentComparison)``."""
-    from .experiments.deployment import run_deployment_comparison
-
-    for constraint in (0.50, 0.75):
-        yield f"{constraint:.0%}", run_deployment_comparison(
-            capacity_constraint=constraint, duration_days=args.days,
-            mttf_hours=args.mttf_hours, seed=args.seed,
-        )
-
-
-def _fig15(args) -> None:
-    _emit({"constraint": constraint, **comparison.summary()}
-          for constraint, comparison in _deployments(args))
-
-
-def _fig16(args) -> None:
-    import numpy as np
-
-    rows = []
-    for constraint, comparison in _deployments(args):
-        gain = comparison.penalty_gain()
-        rows.append({
-            "constraint": constraint,
-            "gain=1(%)": round(100 * float((gain <= 1 + 1e-9).mean()), 1),
-            "gain_p50": float(np.median(gain)),
-            "gain_p90": float(np.percentile(gain, 90)),
-            "cap_dec_p99_%": round(float(np.percentile(
-                comparison.capacity_decrease(), 99)), 3),
-        })
-    _emit(rows)
-
-
-def _fig19(args) -> None:
-    import numpy as np
-
-    delays: dict = {}
-    for rate_gbps, *_, result in _stress_grid(args, losses=(1e-3, 5e-3)):
-        delays.setdefault(rate_gbps, []).extend(result.retx_delays_us)
-    rows = []
-    for rate_gbps, samples in delays.items():
-        data = np.asarray(samples)
-        rows.append({
-            "link": f"{rate_gbps:g}G", "n": len(data),
-            "min_us": round(float(data.min()), 2),
-            "p50_us": round(float(np.median(data)), 2),
-            "max_us": round(float(data.max()), 2),
-        })
-    _emit(rows)
-
-
-def _fig20(args) -> None:
-    from .experiments.figures import figure20_consecutive_losses
-
-    results = figure20_consecutive_losses()
-    rows = []
-    for rate, data in results.items():
-        rows.append({"loss": rate,
-                     **{f"<={k}": round(v, 6) for k, v in data["cdf"].items()}})
-    _emit(rows)
-
-
-def _fig21(args) -> None:
-    from .experiments.timeline import run_timeline
-
-    rows = []
-    for transport, rate_gbps in (("cubic", 25), ("bbr", 10)):
-        result = run_timeline(transport, rate_gbps=rate_gbps, loss_rate=1e-3,
-                              clean_ms=args.duration_ms,
-                              loss_ms=2 * args.duration_ms,
-                              lg_ms=2 * args.duration_ms, obs=args.obs)
-        rows.append({
-            "transport": transport, "link": f"{rate_gbps}G",
-            "clean_Gbps": round(result.phase_mean_rate(
-                2, result.corruption_start_ms), 2),
-            "loss_Gbps": round(result.phase_mean_rate(
-                result.corruption_start_ms + 2, result.lg_start_ms), 2),
-            "lg_Gbps": round(result.phase_mean_rate(
-                result.lg_start_ms + 4, result.times_ms[-1]), 2),
-        })
-    _emit(rows)
+    row = FIGURES[args.verb]
+    _emit(row.shape(run_figure(row, vars(args), obs=args.obs)))
 
 
 def _export(args) -> None:
@@ -1508,12 +1285,12 @@ BLAME = (
 )
 
 VERBS: Tuple[Verb, ...] = (
-    Verb("fig01", "PLR vs optical attenuation per transceiver", _fig01),
-    Verb("fig02", "flow-size CDFs of six datacenter workloads", _fig02),
-    Verb("tab01", "corruption loss-rate buckets (trace model)", _tab01),
+    Verb("fig01", "PLR vs optical attenuation per transceiver", _figure),
+    Verb("fig02", "flow-size CDFs of six datacenter workloads", _figure),
+    Verb("tab01", "corruption loss-rate buckets (trace model)", _figure),
     Verb("fig08", "effective loss rate & link speed (stress test)",
-         _fig08, _STRESS),
-    Verb("fig09", "DCTCP timeline on 25G with 1e-3 loss", _fig09, (
+         _figure, _STRESS),
+    Verb("fig09", "DCTCP timeline on 25G with 1e-3 loss", _figure, (
         DURATION_MS,
         Flag("--resume-kb", 2.0,
              "fig09 backpressure resume threshold in KB, scaled down like "
@@ -1522,25 +1299,24 @@ VERBS: Tuple[Verb, ...] = (
         *OBS_OUT,
     )),
     Verb("fig10", "FCT of 143B single-packet flows",
-         partial(_fct, ("dctcp", "rdma"), 143), (*_FCT, *OBS_OUT)),
+         _figure, (*_FCT, *OBS_OUT)),
     Verb("fig11", "FCT of 24,387B flows (DCTCP/BBR/RDMA)",
-         partial(_fct, ("dctcp", "bbr", "rdma"), 24_387), (*_FCT, *OBS_OUT)),
+         _figure, (*_FCT, *OBS_OUT)),
     Verb("fig12", "FCT of 2MB DCTCP flows",
-         partial(_fct, ("dctcp",), 2_000_000, loss=1e-3, max_trials=200),
-         (TRIALS, SEED, *OBS_OUT)),
+         _figure, (TRIALS.but(default=200), SEED, *OBS_OUT)),
     Verb("fig13", "classification of affected flows under LG_NB",
-         _fig13, _FCT),
-    Verb("tab02", "mechanism-contribution ablation", _tab02, _FCT),
-    Verb("tab03", "CUBIC goodput: LinkGuardian vs Wharf", _tab03, (SEED,)),
-    Verb("tab04", "recirculation overhead", _tab04, _STRESS),
-    Verb("fig14", "TX/RX buffer usage", _fig14, _STRESS),
+         _figure, _FCT),
+    Verb("tab02", "mechanism-contribution ablation", _figure, _FCT),
+    Verb("tab03", "CUBIC goodput: LinkGuardian vs Wharf", _figure, (SEED,)),
+    Verb("tab04", "recirculation overhead", _figure, _STRESS),
+    Verb("fig14", "TX/RX buffer usage", _figure, _STRESS),
     Verb("fig15", "deployment-study snapshot (CorrOpt vs +LG)",
-         _fig15, _DEPLOYMENT),
+         _figure, _DEPLOYMENT),
     Verb("fig16", "deployment-study CDFs (gain & capacity cost)",
-         _fig16, _DEPLOYMENT),
-    Verb("fig19", "retransmission-delay distribution", _fig19, _STRESS),
-    Verb("fig20", "consecutive packets lost", _fig20),
-    Verb("fig21", "CUBIC and BBR timelines", _fig21,
+         _figure, _DEPLOYMENT),
+    Verb("fig19", "retransmission-delay distribution", _figure, _STRESS),
+    Verb("fig20", "consecutive packets lost", _figure),
+    Verb("fig21", "CUBIC and BBR timelines", _figure,
          (DURATION_MS, *OBS_OUT)),
     Verb("incremental", "partial-deployment sweep (§5)", _incremental,
          (DAYS, SEED)),
@@ -1606,7 +1382,7 @@ def _add_verbs(parser, verbs, argv) -> None:
             flags = {flag.name: flag for flag in (JSON, *verb.flag_rows())}
             for flag in flags.values():
                 flag.add_to(child)
-            child.set_defaults(run=verb.run)
+            child.set_defaults(run=verb.run, verb=verb.name)
 
 
 def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:

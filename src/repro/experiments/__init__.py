@@ -16,7 +16,9 @@ from .figures import (
 )
 from .goodput import GOODPUT_SCHEMES, run_goodput
 from .incremental import run_incremental_deployment
-from .mechanisms import MECHANISM_VARIANTS, mechanism_spec, run_mechanism_study
+from .mechanisms import (
+    MECHANISM_VARIANTS, mechanism_spec, mechanism_study, run_mechanism_study,
+)
 from .multihop import Chain, build_chain, run_multihop_fct
 from .rdma_future import RDMA_CASES, run_rdma_case, run_rdma_reordering_study
 from .stress import StressResult, run_stress_test
@@ -30,7 +32,8 @@ __all__ = [
     "figure20_consecutive_losses", "table1_loss_buckets",
     "GOODPUT_SCHEMES", "run_goodput",
     "run_incremental_deployment",
-    "MECHANISM_VARIANTS", "mechanism_spec", "run_mechanism_study",
+    "MECHANISM_VARIANTS", "mechanism_spec", "mechanism_study",
+    "run_mechanism_study",
     "Chain", "build_chain", "run_multihop_fct",
     "RDMA_CASES", "run_rdma_case", "run_rdma_reordering_study",
     "StressResult", "run_stress_test",

@@ -14,14 +14,15 @@ plus the No-Loss and Loss baselines, and reports the top-percentile FCTs.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..analysis.stats import tail_percentiles
-from ..runner import ExperimentSpec, run_cell
+from ..runner import CellResult, ExperimentSpec, run_cell
 
-__all__ = ["MECHANISM_VARIANTS", "mechanism_spec", "run_mechanism_study"]
+__all__ = ["MECHANISM_VARIANTS", "mechanism_spec", "mechanism_study",
+           "run_mechanism_study"]
 
 #: variant name -> (ordered, tail_loss_detection); None = baseline scenario
 MECHANISM_VARIANTS = {
@@ -65,25 +66,21 @@ def mechanism_spec(
     )
 
 
-def run_mechanism_study(
-    transport: str = "dctcp",
-    flow_size: int = 24_387,
-    n_trials: int = 1_000,
-    rate_gbps: float = 100,
-    loss_rate: float = 1e-3,
-    seed: int = 1,
-) -> Dict[str, dict]:
-    """Return {variant: {p50, p99, p99.9, ...}} as in Table 2."""
-    results: Dict[str, dict] = {}
-    for variant in MECHANISM_VARIANTS:
-        spec = mechanism_spec(
-            variant, transport=transport, flow_size=flow_size,
-            n_trials=n_trials, rate_gbps=rate_gbps, loss_rate=loss_rate,
-            seed=seed,
-        )
-        fcts = np.asarray(run_cell(spec).series["fcts_us"])
+def mechanism_study(results: Sequence[CellResult]) -> Dict[str, dict]:
+    """{variant: {p50, p99, p99.9, ...}} as in Table 2, from the results
+    of one :func:`mechanism_spec` cell per variant, in table order."""
+    study: Dict[str, dict] = {}
+    for variant, result in zip(MECHANISM_VARIANTS, results):
+        fcts = np.asarray(result.series["fcts_us"])
         row = tail_percentiles(fcts)
         row["std"] = float(np.std(fcts)) if len(fcts) else 0.0
         row["trials"] = len(fcts)
-        results[variant] = row
-    return results
+        study[variant] = row
+    return study
+
+
+def run_mechanism_study(**grid) -> Dict[str, dict]:
+    """Run every variant's cell (``grid``: :func:`mechanism_spec`'s
+    keywords) and tabulate them."""
+    return mechanism_study([run_cell(mechanism_spec(variant, **grid))
+                            for variant in MECHANISM_VARIANTS])

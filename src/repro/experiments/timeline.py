@@ -32,7 +32,7 @@ import numpy as np
 from ..core.rng import RngFactory
 from ..linkguardian.config import LinkGuardianConfig
 from ..phy.loss import BernoulliLoss
-from ..runner import CellResult, ExperimentSpec, RunContext
+from ..runner import CellResult, ExperimentSpec, RunContext, lg_config
 from ..transport.congestion import BbrCC, CubicCC, DctcpCC
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..units import MS, SEC
@@ -174,13 +174,19 @@ def run_timeline(
 
 
 def timeline_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
-    """The ``("timeline", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
+    """The ``("timeline", "packet")`` row of :data:`repro.runner.cells.CELLS`.
+
+    ``spec.lg``, when given, is the link's whole configuration (Figure
+    9's scaled resume threshold, 9b's backpressure-off buffer); without
+    it ``run_timeline`` builds its default from ``spec.params``.
+    """
     result = run_timeline(
         transport=spec.transport,
         rate_gbps=spec.rate_gbps,
         loss_rate=spec.loss_rate,
         seed=spec.seed,
         obs=ctx.obs,
+        config=lg_config(spec) if spec.lg else None,
         **spec.params,
     )
     metrics = {

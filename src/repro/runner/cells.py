@@ -184,8 +184,10 @@ def run_cell(spec: Union[ExperimentSpec, dict],
     """Run one cell and return its unified result (wall clock attached).
 
     ``(spec.kind, spec.backend)`` selects the row of :data:`CELLS`.
-    ``obs`` overrides the Observability built from ``spec.obs`` (CLI
-    use).
+    ``obs`` is the caller's Observability, used in place of one built
+    from ``spec.obs``: the cell records into it and the caller exports
+    it, so its timeline keeps running (the next cell of a figure shares
+    it) and no artifact is attached to the result.
     """
     if isinstance(spec, dict):
         spec = ExperimentSpec.from_dict(spec)
@@ -196,7 +198,7 @@ def run_cell(spec: Union[ExperimentSpec, dict],
     started = time.perf_counter()
     result = _load(cell.owner)(spec, ctx)
     result.wall_s = time.perf_counter() - started
-    _attach_diagnostics(result, ctx)
+    _attach_diagnostics(result, ctx, artifacts=obs is None)
     return result
 
 
@@ -221,8 +223,10 @@ def run_batch(cell: Cell, specs: Sequence[ExperimentSpec]) -> List[CellResult]:
     return results
 
 
-def _attach_diagnostics(result: CellResult, ctx: RunContext) -> None:
-    """Phase timings and obs artifacts onto the result (never canonical)."""
+def _attach_diagnostics(result: CellResult, ctx: RunContext,
+                        artifacts: bool) -> None:
+    """Phase timings and, for an obs the cell built itself, its
+    artifacts onto the result (never canonical)."""
     timings = ctx.phases.timings()
     timings["total_s"] = round(result.wall_s, 6)
     if ctx.obs is not None:
@@ -231,10 +235,10 @@ def _attach_diagnostics(result: CellResult, ctx: RunContext) -> None:
             # Wall-clock the kernel spent inside run() — the one
             # per-event loop, whichever driver started it.
             timings["engine_run_s"] = round(engine.get("wall_seconds", 0.0), 6)
-        if ctx.obs.timeline is not None:
+        if artifacts and ctx.obs.timeline is not None:
             ctx.obs.timeline.stop()
             result.artifacts["timeline"] = ctx.obs.timeline.series()
-        if ctx.obs.spans.enabled:
+        if artifacts and ctx.obs.spans.enabled:
             result.artifacts["spans"] = {
                 "started": ctx.obs.spans.started,
                 "dropped": ctx.obs.spans.dropped,

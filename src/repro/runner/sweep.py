@@ -64,6 +64,7 @@ def run_cells(
     workers: int = 1,
     checkpoint: Optional[str] = None,
     progress: Optional[Callable[[CellResult], None]] = None,
+    obs=None,
 ) -> List[CellResult]:
     """Run ``specs``; return their results in input order.
 
@@ -71,8 +72,12 @@ def run_cells(
     appended to it as it completes.  ``progress`` is called once per
     newly executed cell (not for cells resumed from the checkpoint).  A
     ``(kind, backend)`` pair without a table row raises before any cell
-    runs.
+    runs.  ``obs`` is the caller's Observability, handed to every cell
+    run here (:func:`~repro.runner.cells.run_cell`); a worker process
+    cannot record into it, so it is refused with ``workers > 1``.
     """
+    if obs is not None and workers > 1:
+        raise ValueError("obs= records in this process: workers must be 1")
     # cell_id() is a JSON dump + SHA-256: compute each exactly once.
     ids = [spec.cell_id() for spec in specs]
     known = set(ids)
@@ -119,7 +124,7 @@ def run_cells(
                 finish(result)
         if workers <= 1 or len(pending) <= 1:
             for spec in pending:
-                finish(run_cell(spec))
+                finish(run_cell(spec, obs))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {

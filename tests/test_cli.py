@@ -31,6 +31,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "affected" in out
 
+    def test_fig19_link_without_a_retransmission(self, capsys):
+        """A run too short to lose a frame has no delay to summarise: the
+        link's row says so (it used to die in ``min()`` of nothing)."""
+        import json
+
+        assert main(["fig19", "--duration-ms", "0.01", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"link": link, "n": 0, "min_us": "", "p50_us": "", "max_us": ""}
+            for link in ("25G", "100G")]
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
