@@ -1,4 +1,5 @@
-"""The claim gate: every figure and table of the paper's evaluation.
+"""The claim gate: every figure and table of the paper's evaluation, and
+the §5 studies beyond it.
 
 Each row of ``repro.experiments.figures.FIGURES`` is run at its pinned
 gate parameters (the simulator-scale substitutions EXPERIMENTS.md
@@ -24,11 +25,9 @@ WORKERS = min(4, len(os.sched_getaffinity(0)))
 
 
 @pytest.mark.parametrize("name", FIGURES)
-def test_paper_claims(name, benchmark):
+def test_paper_claims(name):
     row = FIGURES[name]
-    results = benchmark.pedantic(
-        run_figure, args=(row, row.gate), kwargs={"workers": WORKERS},
-        rounds=1, iterations=1)
+    results = run_figure(row, row.gate, workers=WORKERS)
     header(f"{name} at {row.gate or 'the model defaults'}")
     table(row.shape(results))
     save_json(row.results, row.record(results))
@@ -57,12 +56,11 @@ def _run_overhead():
     return run_cell(cell), run_cell(instrumented)
 
 
-def test_fig10_obs_overhead(benchmark):
+def test_fig10_obs_overhead():
     """Enabled-mode span+timeline overhead on the Figure 10 workload: an
     instrumentation check, not a paper claim.  It measures what turning
     the instrumentation *on* costs and records it beside the figures."""
-    plain, instrumented = benchmark.pedantic(_run_overhead, rounds=1,
-                                             iterations=1)
+    plain, instrumented = _run_overhead()
     plain_run = plain.timings["run"]
     instr_run = instrumented.timings["run"]
     overhead_pct = (instr_run - plain_run) / plain_run * 100.0

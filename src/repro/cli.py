@@ -8,9 +8,10 @@ Usage::
     python -m repro <verb> [<sub-verb>] -h     # the flags that verb reads
 
 Every table and figure of the paper (``fig01`` .. ``fig21``, ``tab01`` ..
-``tab04``) and every tier built on top (``sweep``, ``fleet``,
-``lifecycle``, ``blame``, ``serve``, plus the ``check`` / ``fastpath`` /
-``obs`` tooling) is one row of :data:`VERBS`: a name, a help line, the
+``tab04``), every §5 study (``sec5-*``, ``retx-copies``, ``incremental``)
+and every tier built on top (``sweep``, ``fleet``, ``lifecycle``,
+``blame``, ``serve``, plus the ``check`` / ``fastpath`` / ``obs``
+tooling) is one row of :data:`VERBS`: a name, a help line, the
 flags it reads and a handler returning an exit code.  Grouped verbs are
 rows that nest rows.  :func:`build_parser` turns the table into a single
 ``argparse`` tree and ``repro list`` prints it.  Flags shared between
@@ -147,9 +148,9 @@ def _progress(result) -> None:
 # -- paper figures and tables --------------------------------------------------
 
 def _figure(args) -> None:
-    """Every ``figNN``/``tabNN`` verb: the verb names its row of
-    ``experiments.figures.FIGURES``, its flags choose the row's cells,
-    the shared ``obs`` instruments them and the row shapes what is
+    """Every ``figNN``/``tabNN`` verb and §5 study: the verb names its
+    row of ``experiments.figures.FIGURES``, its flags choose the row's
+    cells, the shared ``obs`` instruments them and the row shapes what is
     printed."""
     from .experiments.figures import FIGURES, run_figure
 
@@ -164,13 +165,6 @@ def _export(args) -> None:
     for path in written:
         _print(path)
     _print(f"{len(written)} files written to {args.out_dir}")
-
-
-def _incremental(args) -> None:
-    from .experiments.incremental import run_incremental_deployment
-
-    _emit(run_incremental_deployment(
-        duration_days=args.days, seed=args.seed))
 
 
 def _list(args) -> None:
@@ -1318,7 +1312,14 @@ VERBS: Tuple[Verb, ...] = (
     Verb("fig20", "consecutive packets lost", _figure),
     Verb("fig21", "CUBIC and BBR timelines", _figure,
          (DURATION_MS, *OBS_OUT)),
-    Verb("incremental", "partial-deployment sweep (§5)", _incremental,
+    Verb("sec5-sr", "RoCE selective repeat vs go-back-N under LG_NB (§5)",
+         _figure),
+    Verb("sec5-tofino", "Tofino2 no-recirculation profile vs Tofino1 (§5)",
+         _figure),
+    Verb("sec5-400g", "ordered LG vs LG_NB at 400G (§5)", _figure),
+    Verb("retx-copies", "retransmit copies N vs effective loss (Eq. 2)",
+         _figure),
+    Verb("incremental", "partial-deployment sweep (§5)", _figure,
          (DAYS, SEED)),
     Verb("export", "convert benchmarks/results JSON to .dat/.csv", _export, (
         Flag("--results-dir", "benchmarks/results",

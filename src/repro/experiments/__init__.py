@@ -20,7 +20,7 @@ from .mechanisms import (
     MECHANISM_VARIANTS, mechanism_spec, mechanism_study, run_mechanism_study,
 )
 from .multihop import Chain, build_chain, run_multihop_fct
-from .rdma_future import RDMA_CASES, run_rdma_case, run_rdma_reordering_study
+from .rdma_future import RDMA_CASES, run_rdma_case
 from .stress import StressResult, run_stress_test
 from .testbed import Testbed, build_testbed
 from .timeline import TimelineResult, run_timeline
@@ -35,7 +35,7 @@ __all__ = [
     "MECHANISM_VARIANTS", "mechanism_spec", "mechanism_study",
     "run_mechanism_study",
     "Chain", "build_chain", "run_multihop_fct",
-    "RDMA_CASES", "run_rdma_case", "run_rdma_reordering_study",
+    "RDMA_CASES", "run_rdma_case",
     "StressResult", "run_stress_test",
     "Testbed", "build_testbed",
     "TimelineResult", "run_timeline",

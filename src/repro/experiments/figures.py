@@ -5,17 +5,19 @@ directly (no event simulation needed); their ``figure*``/``table*``
 functions and cells are the first half of this module.
 
 The second half is :data:`FIGURES`, the one definition of every
-evaluation figure and table: which cells it runs (one seed for all of
-them, as the paper's figures run), how their results become the rows
-``repro figNN`` prints and the document ``benchmarks/results/`` keeps,
-the pinned parameters the claim gate runs it at, and the paper's claims
-about it.  Three readers, no second definition: the CLI verb
-(``cli._figure``), the claim gate (``benchmarks/test_paper_claims.py``)
-and the generated tables of EXPERIMENTS.md (``benchmarks/_report.py``).
+evaluation figure and table, and of the §5 studies beyond them: which
+cells it runs (one seed for all of them, as the paper's figures run),
+how their results become the rows ``repro <id>`` prints and the
+document ``benchmarks/results/`` keeps, the pinned parameters the claim
+gate runs it at, and the paper's claims about it.  Three readers, no
+second definition: the CLI verb (``cli._figure``), the claim gate
+(``benchmarks/test_paper_claims.py``) and the generated tables of
+EXPERIMENTS.md (``benchmarks/_report.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from functools import partial
 from typing import (
     Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
@@ -28,13 +30,16 @@ from ..corropt.trace import LOSS_BUCKETS, sample_loss_rates
 from ..linkguardian.config import LinkGuardianConfig
 from ..phy.attenuation import STANDARD_TRANSCEIVERS, attenuation_sweep
 from ..phy.loss import GilbertElliottLoss, burst_length_distribution
-from ..runner import CellResult, ExperimentSpec, RunContext, run_cells
+from ..runner import (
+    CellResult, ExperimentSpec, RunContext, lg_config, run_cells,
+)
 from ..units import KB
 from ..workloads.flowsizes import WORKLOADS
 from .deployment import run_deployment_comparison
 from .fct import SCENARIOS, run_fct_experiment
 from .goodput import GOODPUT_SCHEMES
 from .mechanisms import MECHANISM_VARIANTS, mechanism_spec, mechanism_study
+from .rdma_future import RDMA_CASES
 from .stress import run_stress_test
 
 __all__ = [
@@ -312,7 +317,7 @@ def _stress_cells(p, losses=_STRESS_LOSSES, modes=("lg", "lgnb")):
 def _stress_direct(spec, obs):
     return run_stress_test(rate_gbps=spec.rate_gbps, loss_rate=spec.loss_rate,
                            ordered=spec.scenario != "lgnb", seed=spec.seed,
-                           obs=obs, **spec.params)
+                           config=lg_config(spec), obs=obs, **spec.params)
 
 
 def _fig08_cells(p):
@@ -745,6 +750,151 @@ def _fig16_capacity_p90(results):
                for c in results)
 
 
+# §5 and the design ablations: studies beyond the evaluation section.  All
+# but the incremental sweep are flag-less verbs: one scale, the gate's.
+
+def _pinned(build, gate):
+    """Cells that are always ``build(gate)``, whatever ``p`` holds."""
+    return lambda p: build(gate)
+
+
+_SR_GATE = {"trials": 350, "loss_rate": 1e-2, "seed": 26}
+_SR_ROW = ("case", "trials", "p50_us", "p99_us", "p99.9_us", "naks",
+           "timeouts", "e2e_retx")
+
+
+def _sr_cells(p):
+    return [ExperimentSpec(kind="rdma_reorder", flow_size=24_387,
+                           n_trials=p["trials"], loss_rate=p["loss_rate"],
+                           seed=p["seed"], params={"case": case})
+            for case in RDMA_CASES]
+
+
+def _sr_rows(results):
+    return [{k: r.metrics[k] for k in _SR_ROW} for r in results]
+
+
+def _sr_record(results):
+    return {row["case"]: row for row in _sr_rows(results)}
+
+
+def _sr_ratio(metric, top, bottom, results, floor=0):
+    """``metric`` of case ``top`` over that of ``bottom`` (at least
+    ``floor``)."""
+    cases = _sr_record(results)
+    return _ratio(cases[top][metric], max(cases[bottom][metric], floor))
+
+
+_TOFINO2_GATE = {"duration_ms": 4.0, "seed": 27}
+
+
+def _tofino2_cells(p):
+    """Ordered LG at 100G with Tofino1's recirculation loop, then with the
+    Tofino2 profile bound through ``spec.lg`` field for field."""
+    return [ExperimentSpec(kind="stress", rate_gbps=100, loss_rate=1e-3,
+                           seed=p["seed"], lg=lg,
+                           params={"duration_ms": p["duration_ms"]})
+            for lg in ({}, asdict(LinkGuardianConfig.tofino2(100)))]
+
+
+def _tofino2_rows(results):
+    return [{"impl": impl,
+             "retx_p50_us": round(float(np.median(r.retx_delays_us)), 2),
+             "retx_max_us": round(float(np.max(r.retx_delays_us)), 2),
+             "eff_speed_%": round(100 * r.effective_link_speed_fraction, 2),
+             "rx_buf_max_KB": round(r.rx_buffer["max"] / 1e3, 1),
+             "pauses": r.pauses}
+            for impl, r in zip(("tofino1", "tofino2"), results)]
+
+
+def _tofino2(of, results):
+    """``of(Tofino1 result, Tofino2 result)``."""
+    return of(*results)
+
+
+_400G_GATE = {"duration_ms": 1.5, "seed": 28}
+_400G_MODES = ("LG/100G-recirc", "LG/400G-recirc", "LG_NB")
+
+
+def _400g_cells(p):
+    """Ordered LG with a 100G and a 400G reordering-buffer drain, then
+    LG_NB (400G drain)."""
+    return [ExperimentSpec(kind="stress", rate_gbps=400, loss_rate=1e-3,
+                           scenario=mode, seed=p["seed"],
+                           params={"duration_ms": p["duration_ms"],
+                                   "recirc_drain_gbps": drain})
+            for mode, drain in (("lg", 100), ("lg", 400), ("lgnb", 400))]
+
+
+def _400g_metrics(results):
+    """The cells' metrics, ``mode`` naming the drain as well."""
+    return [{**r.metrics, "mode": mode}
+            for mode, r in zip(_400G_MODES, results)]
+
+
+def _400g_rows(results):
+    return [{"mode": m["mode"], "eff_speed_%": round(m["eff_speed_%"], 2),
+             "recovered": m["recovered"], "loss_events": m["loss_events"],
+             "timeouts": m["timeouts"],
+             "rx_buf_max_KB": round(m["rx_buf_max_KB"], 1)}
+            for m in _400g_metrics(results)]
+
+
+def _400g_unrecovered(mode, results):
+    return (_col(_400g_metrics, "loss_events", results, mode=mode)
+            - _col(_400g_metrics, "recovered", results, mode=mode))
+
+
+def _400g_nb_speed_lead(results):
+    lg, nb = (_col(_400g_metrics, "eff_speed_%", results, mode=mode)
+              for mode in _400G_MODES[1:])
+    return nb - lg
+
+
+_COPIES_GATE = {"loss_rate": 0.05, "duration_ms": 6.0, "seed": 33}
+
+
+def _copies_cells(p):
+    return [ExperimentSpec(kind="stress", rate_gbps=100,
+                           loss_rate=p["loss_rate"], seed=p["seed"],
+                           params={"duration_ms": p["duration_ms"],
+                                   "n_copies_override": n})
+            for n in (1, 2, 3)]
+
+
+def _copies_rows(results):
+    return [{"N": m["N"], "eff_loss_measured": m["eff_loss(meas)"],
+             "eff_loss_expected": m["eff_loss(expect)"],
+             "recovered_frac": m["loss_events"]
+             and round(m["recovered"] / m["loss_events"], 3)}
+            for m in (r.metrics for r in results)]
+
+
+def _copies_measured(of, results):
+    """``of(measured effective loss at N = 1, 2, 3)``."""
+    return of(*(row["eff_loss_measured"] for row in _copies_rows(results)))
+
+
+_INCREMENTAL_ROW = ("fraction", "mean_penalty", "p99_penalty", "blocked")
+
+
+def _incremental_cells(p):
+    """One cell per deployed fraction, all on one failure trace."""
+    return [ExperimentSpec(kind="incremental", seed=p["seed"],
+                           params={"fraction": fraction,
+                                   "duration_days": p["days"]})
+            for fraction in (0.0, 0.25, 0.5, 0.75, 1.0)]
+
+
+def _incremental_rows(results):
+    return [{k: r.metrics[k] for k in _INCREMENTAL_ROW} for r in results]
+
+
+def _incremental_penalties(of, results):
+    """``of(mean penalty per fraction, narrowest deployment first)``."""
+    return of([row["mean_penalty"] for row in _incremental_rows(results)])
+
+
 _STRESS_GATE = {"duration_ms": {25: 6.0, 100: 3.0}}
 _TIMELINE_GATE = {"clean_ms": 6.0, "loss_ms": 14.0, "lg_ms": 14.0,
                   "sample_interval_ns": 500_000}
@@ -1127,5 +1277,114 @@ FIGURES: Dict[str, Figure] = {
                   partial(_col, _fig21_rows, "lg_Gbps", over="loss_Gbps",
                           transport="bbr"),
                   "still improves slightly", at_least=0.95),
+        )),
+    "sec5-sr": Figure(
+        cells=_pinned(_sr_cells, _SR_GATE), shape=_sr_rows, gate=_SR_GATE,
+        results="sec5_rdma_selective_repeat", record=_sr_record,
+        claims=(
+            Claim("LG_NB end-to-end retransmissions, go-back-N / "
+                  "selective repeat",
+                  partial(_sr_ratio, "e2e_retx", "lgnb+gbn", "lgnb+sr",
+                          floor=1),
+                  "go-back-N pays for every reordered recovery (Fig. 11c)",
+                  at_least=5.0),
+            Claim("LG_NB p99, go-back-N / selective repeat",
+                  partial(_sr_ratio, "p99_us", "lgnb+gbn", "lgnb+sr"),
+                  "selective repeat is the fix §5 points to", at_least=1.3),
+            Claim("p99, LG_NB + selective repeat / LG + go-back-N",
+                  partial(_sr_ratio, "p99_us", "lgnb+sr", "lg+gbn"),
+                  "LG_NB then matches ordered LG, with no reordering buffer",
+                  at_most=1.2),
+            Claim("NAKs under ordered LG",
+                  partial(_col, _sr_rows, "naks", case="lg+gbn"),
+                  "ordered LG keeps the NIC unaware of the loss", equals=0),
+        )),
+    # records retransmission-delay percentiles and pauses, which no
+    # stress cell carries
+    "sec5-tofino": Figure(
+        cells=_pinned(_tofino2_cells, _TOFINO2_GATE), direct=_stress_direct,
+        shape=_tofino2_rows, gate=_TOFINO2_GATE,
+        results="sec5_tofino2", record=_tofino2_rows,
+        claims=(
+            Claim("median ReTx delay, Tofino2 / Tofino1",
+                  partial(_tofino2, lambda t1, t2: _ratio(
+                      float(np.median(t2.retx_delays_us)),
+                      float(np.median(t1.retx_delays_us)))),
+                  "no recirculation removes the dominant part of 2-6 us",
+                  at_most=0.7),
+            Claim("largest RX buffer, Tofino2 minus Tofino1 (KB)",
+                  partial(_tofino2, lambda t1, t2: (
+                      t2.rx_buffer["max"] - t1.rx_buffer["max"]) / 1e3),
+                  "smaller buffers", at_most=0),
+            Claim("effective speed, Tofino2 minus Tofino1 (points)",
+                  partial(_tofino2, lambda t1, t2: 100 * (
+                      t2.effective_link_speed_fraction
+                      - t1.effective_link_speed_fraction)),
+                  "a smaller pause cost", at_least=-0.2),
+            Claim("Tofino2 ackNoTimeout expiries",
+                  partial(_tofino2, lambda t1, t2: t2.timeouts),
+                  "the tighter ackNoTimeout still never fires", equals=0),
+        )),
+    "sec5-400g": Figure(
+        cells=_pinned(_400g_cells, _400G_GATE), shape=_400g_rows,
+        gate=_400G_GATE, results="sec5_400g", record=_400g_rows,
+        claims=(
+            Claim("LG, 100G drain: effective speed (%)",
+                  partial(_col, _400g_metrics, "eff_speed_%",
+                          mode="LG/100G-recirc"),
+                  "a proportionally lower effective link speed",
+                  at_most=50.0),
+            Claim("LG, 400G drain: loss events not recovered",
+                  partial(_400g_unrecovered, "LG/400G-recirc"),
+                  "a full-rate drain recovers every loss", equals=0),
+            Claim("LG_NB: loss events not recovered",
+                  partial(_400g_unrecovered, "LG_NB"),
+                  "LG_NB recovers every loss", equals=0),
+            Claim("LG, 400G drain: effective speed (%)",
+                  partial(_col, _400g_metrics, "eff_speed_%",
+                          mode="LG/400G-recirc"),
+                  "a visible pause cost (8% at 100G)", at_least=85.0),
+            Claim("LG_NB minus LG (400G drain) effective speed (points)",
+                  _400g_nb_speed_lead,
+                  "LG_NB works well at 400G and above", at_least=-0.1),
+            Claim("LG_NB largest RX buffer (KB)",
+                  partial(_col, _400g_metrics, "rx_buf_max_KB",
+                          mode="LG_NB"),
+                  "LG_NB needs no reordering buffer", equals=0),
+        )),
+    "retx-copies": Figure(
+        cells=_pinned(_copies_cells, _COPIES_GATE), shape=_copies_rows,
+        gate=_COPIES_GATE, results="ablation_retx_copies",
+        record=_copies_rows,
+        claims=(
+            Claim("measured effective loss, N = 2 / N = 1",
+                  partial(_copies_measured,
+                          lambda n1, n2, n3: _ratio(n2, n1)),
+                  "Eq. 1: each extra copy multiplies it by p = 0.05",
+                  at_most=0.5),
+            Claim("measured effective loss, N = 2 minus N = 3",
+                  partial(_copies_measured, lambda n1, n2, n3: n2 - n3),
+                  "more copies, lower effective loss", at_least=0),
+            Claim("measured / expected effective loss at N = 1",
+                  partial(_col, _copies_rows, "eff_loss_measured",
+                          over="eff_loss_expected", N=1),
+                  "Eq. 1: p^(N+1) = p^2 at N = 1", at_least=0.3, at_most=3.0,
+                  fidelity="F3"),
+        )),
+    "incremental": Figure(
+        cells=_incremental_cells, shape=_incremental_rows,
+        gate={"days": 120.0, "seed": 31},
+        results="ablation_incremental", record=_incremental_rows,
+        claims=(
+            Claim("mean penalty, full / no deployment",
+                  partial(_incremental_penalties,
+                          lambda p: _ratio(p[-1], p[0])),
+                  "needs only the two adjacent switches upgraded",
+                  at_most=0.01),
+            Claim("largest mean-penalty ratio, a wider deployment / the "
+                  "one before",
+                  partial(_incremental_penalties, lambda p: max(
+                      _ratio(b, a) for a, b in zip(p, p[1:]))),
+                  "penalty falls as the deployment widens", at_most=1.5),
         )),
 }

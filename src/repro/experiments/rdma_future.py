@@ -16,8 +16,6 @@ LinkGuardian for RDMA, at a fraction of the switch cost.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from ..runner import CellResult, ExperimentSpec, RunContext, TrialHarness
@@ -25,10 +23,7 @@ from ..transport.rdma import RdmaRequester, RdmaResponder
 from ..units import MS
 from .testbed import build_testbed
 
-__all__ = [
-    "RDMA_CASES", "run_rdma_case", "run_rdma_reordering_study",
-    "rdma_reorder_cell",
-]
+__all__ = ["RDMA_CASES", "run_rdma_case", "rdma_reorder_cell"]
 
 #: case label -> (ordered LinkGuardian, selective-repeat responder)
 RDMA_CASES = {
@@ -89,24 +84,6 @@ def run_rdma_case(
         "naks": naks["count"],
         "timeouts": sum(r.timeouts for r in records),
         "e2e_retx": sum(r.retransmissions for r in records),
-    }
-
-
-def run_rdma_reordering_study(
-    flow_size: int = 24_387,
-    n_trials: int = 400,
-    loss_rate: float = 5e-3,
-    rate_gbps: float = 100,
-    seed: int = 1,
-) -> Dict[str, dict]:
-    """FCT percentiles for {gbn, sr} responders under LG_NB (plus an
-    ordered-LG gbn reference)."""
-    return {
-        case: run_rdma_case(
-            case, flow_size=flow_size, n_trials=n_trials,
-            loss_rate=loss_rate, rate_gbps=rate_gbps, seed=seed,
-        )
-        for case in RDMA_CASES
     }
 
 

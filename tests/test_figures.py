@@ -1,7 +1,7 @@
 """The figure table is complete and honest.
 
 ``repro.experiments.figures.FIGURES`` is the one definition of every
-paper figure and table: the CLI verbs, the claim gate
+paper figure and table and of the §5 studies: the CLI verbs, the claim gate
 (``benchmarks/test_paper_claims.py``) and EXPERIMENTS.md's generated
 tables all read it.  The gate itself is minutes of simulation and runs
 in its own CI job; what tier-1 holds is that the table covers the verbs,
@@ -15,10 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import VERBS, build_parser
 from repro.experiments.figures import FIGURES, run_figure
+from repro.linkguardian.config import LinkGuardianConfig
 from repro.obs import Observability
-from repro.runner import ExperimentSpec, lookup, run_cells
+from repro.runner import ExperimentSpec, lg_config, lookup, run_cells
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 import _report  # noqa: E402  (the benchmark harness's reporter)
@@ -29,8 +31,13 @@ CLAIM_IDS = [f"{name}: {claim.name}" for name, claim in CLAIMS]
 
 
 def test_table_rows_are_the_figure_verbs():
-    assert {v.name for v in VERBS if v.name[:3] in ("fig", "tab")} \
-        == set(FIGURES)
+    assert {v.name for v in VERBS if v.run is cli._figure} == set(FIGURES)
+
+
+def test_tofino2_row_binds_the_profile_field_for_field():
+    tofino1, tofino2 = FIGURES["sec5-tofino"].cells({})
+    assert lg_config(tofino1) == LinkGuardianConfig.for_link_speed(100)
+    assert lg_config(tofino2) == LinkGuardianConfig.tofino2(100)
 
 
 @pytest.mark.parametrize("name", FIGURES)
