@@ -1,12 +1,12 @@
 """Shared reporting helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables/figures at
-simulator scale, prints the same rows/series the paper reports, and
-saves the raw numbers under ``benchmarks/results/``.  The claim gate
-(``test_paper_claims.py``) also records what each claim of
-``repro.experiments.figures.FIGURES`` measured; :func:`render_claims`
-turns the table plus that record into the paper-vs-reproduction tables
-of EXPERIMENTS.md (``python benchmarks/_report.py`` rewrites the block).
+The claim gate (``test_paper_claims.py``) runs each row of
+``repro.experiments.figures.FIGURES`` at simulator scale and keeps, per
+row, the rows ``repro <id>`` prints beside the gate parameters in
+``benchmarks/results/<id>.json`` (:func:`figure_document`).  It also
+records what each claim measured; :func:`render_claims` turns the table
+plus that record into the paper-vs-reproduction tables of EXPERIMENTS.md
+(``python benchmarks/_report.py`` rewrites the block).
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ def dump_json(payload) -> str:
 
 def results_path(name: str) -> str:
     return os.path.join(RESULTS_DIR, f"{name}.json")
+
+
+def figure_document(row, results) -> dict:
+    """What ``benchmarks/results/<id>.json`` keeps of a figure run at its
+    gate: the parameters and the printed rows."""
+    return {"gate": row.gate, "rows": row.shape(results)}
 
 
 def save_json(name: str, payload) -> str:
@@ -106,8 +112,8 @@ def render_claims(figures, measured) -> str:
     for name, row in figures.items():
         scale = ", ".join(f"{k}={v}" for k, v in row.gate.items())
         lines += [f"### {name} — {titles[name]}", "",
-                  f"Gate scale: {scale or 'the model defaults'}; series in "
-                  f"`benchmarks/results/{row.results}.json`.", "",
+                  f"Gate scale: {scale or 'the model defaults'}; rows in "
+                  f"`benchmarks/results/{name}.json`.", "",
                   "| claim | paper | measured | bound | note |",
                   "|---|---|---|---|---|"]
         for claim in row.claims:

@@ -16,7 +16,9 @@ Run:  python examples/datacenter_repair_planning.py
 
 import numpy as np
 
-from repro.experiments.deployment import run_deployment_comparison
+from repro.experiments.deployment import (
+    capacity_decrease, penalty_gain, run_deployment_comparison,
+)
 
 
 def main() -> None:
@@ -27,8 +29,8 @@ def main() -> None:
             duration_days=120, mttf_hours=2_000,  # accelerated aging
             seed=17,
         )
-        gain = comparison.penalty_gain()
-        decrease = comparison.capacity_decrease()
+        gain = penalty_gain(comparison.series())
+        decrease = capacity_decrease(comparison.series())
         summary = comparison.summary()
         print(f"capacity constraint {constraint:.0%}  "
               f"({comparison.vanilla.corruption_events} corruption events)")

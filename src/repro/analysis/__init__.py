@@ -1,7 +1,7 @@
 """Measurement, analysis, reporting and export helpers."""
 
 from .classify import FlowClassification, classify_flows
-from .export import export_results, write_csv, write_dat
+from .export import export_results, write_csv
 from .report import format_value, render_table
 from .stats import (
     OccupancyTracker, cdf_at, cdf_points, percentile, percentiles,
@@ -10,7 +10,7 @@ from .stats import (
 
 __all__ = [
     "FlowClassification", "classify_flows",
-    "export_results", "write_csv", "write_dat",
+    "export_results", "write_csv",
     "format_value", "render_table",
     "OccupancyTracker", "cdf_at", "cdf_points", "percentile",
     "percentiles", "tail_percentiles",

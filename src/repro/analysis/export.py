@@ -1,27 +1,21 @@
-"""Export benchmark results to plot-ready data files.
+"""Export the claim gate's figure documents to plot-ready CSV tables.
 
-The benchmark suite saves raw results as JSON under
-``benchmarks/results``; this module turns them into whitespace-separated
-``.dat`` series (gnuplot/pgfplots-ready) and ``.csv`` tables so the
-paper's figures can be re-plotted from the reproduction's numbers.
+The claim gate keeps one document per figure under
+``benchmarks/results``: ``{"gate": ..., "rows": [...]}``, the rows being
+what ``repro <id>`` prints.  This module writes each document's rows as
+one ``<id>.csv``, so the paper's figures can be re-plotted from the
+reproduction's numbers.
 """
 
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import os
-from typing import List, Optional
+from typing import List
 
-__all__ = ["export_results", "write_dat", "write_csv"]
-
-
-def write_dat(path: str, columns: List[str], rows: List[List]) -> None:
-    """Whitespace-separated series with a commented header row."""
-    with open(path, "w") as handle:
-        handle.write("# " + " ".join(str(c).replace(" ", "_") for c in columns) + "\n")
-        for row in rows:
-            handle.write(" ".join(_fmt(v) for v in row) + "\n")
+__all__ = ["export_results", "write_csv"]
 
 
 def write_csv(path: str, rows: List[dict]) -> None:
@@ -34,111 +28,22 @@ def write_csv(path: str, rows: List[dict]) -> None:
         writer.writerows(rows)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return f"{value:.8g}"
-    return str(value)
-
-
-def _load(results_dir: str, name: str) -> Optional[object]:
-    path = os.path.join(results_dir, f"{name}.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def export_results(results_dir: str, out_dir: str) -> List[str]:
-    """Convert every known results JSON into .dat/.csv files.
+    """Write one CSV per figure document in ``results_dir``.
 
-    Returns the list of files written.  Unknown/missing results are
-    skipped silently so the exporter works on partial benchmark runs.
+    Returns the list of files written, in file-name order.  A file with
+    no rows (the claim record, the obs-overhead record) is skipped, and
+    a missing directory exports nothing, so the exporter works on
+    partial gate runs.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
-
-    def out(name: str) -> str:
-        path = os.path.join(out_dir, name)
-        written.append(path)
-        return path
-
-    # Figure 1: one column per transceiver, x = attenuation.
-    fig01 = _load(results_dir, "fig01_attenuation")
-    if fig01:
-        names = [k for k in fig01 if k != "attenuation_db"]
-        rows = [
-            [atten] + [fig01[n][i] for n in names]
-            for i, atten in enumerate(fig01["attenuation_db"])
-        ]
-        write_dat(out("fig01_attenuation.dat"), ["attenuation_db"] + names, rows)
-
-    # Figure 2: one column per workload, x = size.
-    fig02 = _load(results_dir, "fig02_flowsizes")
-    if fig02:
-        names = [k for k in fig02 if k != "size_bytes"]
-        rows = [
-            [size] + [fig02[n][i] for n in names]
-            for i, size in enumerate(fig02["size_bytes"])
-        ]
-        write_dat(out("fig02_flowsizes.dat"), ["size_bytes"] + names, rows)
-
-    # Row-table results export directly to CSV.
-    for name in (
-        "tab01_loss_buckets", "fig08_effective_loss", "fig14_buffer_usage",
-        "tab03_wharf", "tab04_recirculation", "fig15_corropt_snapshot",
-        "fig16_corropt_cdf", "sec5_400g", "sec5_tofino2",
-        "ablation_retx_copies", "ablation_incremental", "fig21_cubic_bbr",
-    ):
-        data = _load(results_dir, name)
-        if isinstance(data, list) and data and isinstance(data[0], dict):
-            write_csv(out(f"{name}.csv"), data)
-
-    # FCT results: one CDF series per (transport, scenario) is heavy;
-    # export the percentile summaries instead.
-    for name in ("fig10_fct_single_packet", "fig11_fct_multi_packet",
-                 "fig12_fct_2mb", "tab02_mechanisms",
-                 "sec5_rdma_selective_repeat"):
-        data = _load(results_dir, name)
-        if isinstance(data, dict):
-            rows = []
-            for key, value in data.items():
-                row = {"case": key}
-                if isinstance(value, dict):
-                    row.update({k: v for k, v in value.items() if k != "case"})
-                rows.append(row)
-            write_csv(out(f"{name}.csv"), rows)
-
-    # Figure 19: raw delay samples as one column per link speed.
-    fig19 = _load(results_dir, "fig19_retx_delay")
-    if fig19:
-        for rate, samples in fig19.items():
-            ordered = sorted(samples)
-            rows = [[v, (i + 1) / len(ordered)] for i, v in enumerate(ordered)]
-            write_dat(out(f"fig19_retx_delay_{rate}g.dat"),
-                      ["delay_us", "cdf"], rows)
-
-    # Figure 9 timeline panels.
-    fig09 = _load(results_dir, "fig09_timeline")
-    if fig09:
-        for variant in ("with_bp", "without_bp"):
-            data = fig09.get(variant)
-            if not data:
-                continue
-            rows = list(zip(data["times_ms"], data["send_rate_gbps"],
-                            data["qdepth_kb"], data["rx_buffer_kb"],
-                            data["e2e_retx"]))
-            write_dat(out(f"fig09_timeline_{variant}.dat"),
-                      ["t_ms", "send_gbps", "qdepth_kb", "rxbuf_kb", "e2e_retx"],
-                      [list(r) for r in rows])
-
-    # Figure 20: burst-length CDFs.
-    fig20 = _load(results_dir, "fig20_consecutive_loss")
-    if fig20:
-        for rate, cdf in fig20.items():
-            rows = [[int(k), v] for k, v in sorted(cdf.items(), key=lambda kv: int(kv[0]))]
-            write_dat(out(f"fig20_consecutive_{rate.replace('.', 'p')}.dat"),
-                      ["burst_len", "cdf"], rows)
-
+    for source in sorted(glob.glob(os.path.join(results_dir, "*.json"))):
+        with open(source) as handle:
+            document = json.load(handle)
+        rows = document.get("rows") if isinstance(document, dict) else None
+        if rows:
+            stem = os.path.splitext(os.path.basename(source))[0]
+            written.append(os.path.join(out_dir, f"{stem}.csv"))
+            write_csv(written[-1], rows)
     return written

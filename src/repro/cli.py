@@ -1325,7 +1325,7 @@ VERBS: Tuple[Verb, ...] = (
         Flag("--results-dir", "benchmarks/results",
              "where the benchmark suite saved its JSON"),
         Flag("--out-dir", "figures",
-             "where to write .dat/.csv files (export)"),
+             "where to write one .csv file per figure (export)"),
     )),
     Verb("metrics", "instrumented run + metrics-registry summary",
          _metrics, _STRESS),

@@ -449,6 +449,8 @@ class Simulator:
         #: the one callback every idle entry carries, so the look-ahead
         #: recognises one by identity
         self._fire_idle = self._dispatch_idle
+        #: ingress handler -> "is this frame quiet chatter?" (``idle_landing``)
+        self._landings: Dict[Callable[..., Any], Callable[..., bool]] = {}
         #: how far the running ``run()`` lets an idle loop look ahead
         #: (its ``until``); 0 — not at all — outside a run and under
         #: ``max_events``/``stop_when``, which count or poll every handler
@@ -582,12 +584,23 @@ class Simulator:
         """How many replenish entries ``loop`` has pending here."""
         return self._idle.get(loop, 0)
 
+    def idle_landing(self, handler: Callable[..., Any],
+                     quiet: Callable[..., bool]) -> None:
+        """Declare ``handler`` the ingress an idle loop's frames land on.
+
+        A pending ``handler(*args)`` entry for which ``quiet(*args)``
+        holds is a frame that, when it lands, bumps a counter at most
+        and schedules nothing: chatter :meth:`idle_horizon` looks past.
+        """
+        self._landings[handler] = quiet
+
     def idle_horizon(self) -> int:
         """The time before which nothing but idle chatter can happen.
 
         That is the earliest live pending entry — not counting the
-        replenish of an idle loop that is coastable now, which would
-        only chatter too — capped by the running ``run(until=...)``.
+        replenish of an idle loop that is coastable now, nor the landing
+        of a quiet frame (:meth:`idle_landing`), which would only
+        chatter too — capped by the running ``run(until=...)``.
         Nothing is removed or reordered.  Returns 0, meaning "do not
         look ahead", outside :meth:`run`, under ``max_events`` or
         ``stop_when`` (both need every handler to really run), and when
@@ -596,9 +609,16 @@ class Simulator:
         cap = self._horizon_cap
         if not cap:
             return 0
-        fire = self._fire_idle
-        earliest = self._queue.earliest(
-            lambda entry: entry[3] is fire and entry[4][0].coastable())
+        fire, landings = self._fire_idle, self._landings
+
+        def chatter(entry) -> bool:
+            callback, args = entry[3], entry[4]
+            if callback is fire:
+                return args[0].coastable()
+            quiet = landings.get(callback)
+            return quiet is not None and quiet(*args)
+
+        earliest = self._queue.earliest(chatter)
         if earliest is None:
             return 0 if cap == _FOREVER else cap
         return earliest if earliest < cap else cap

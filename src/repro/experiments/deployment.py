@@ -4,7 +4,7 @@ Runs the CorrOpt-vs-(LinkGuardian+CorrOpt) comparison on the
 Facebook-fabric topology for both capacity constraints (50% and 75%)
 and post-processes the time series into:
 
-* a 1-week **snapshot** (Figure 15): total penalty, least paths per ToR
+* hourly **series** (Figure 15): total penalty, least paths per ToR
   and least capacity per pod versus time;
 * year-long **CDFs** (Figure 16): the gain in total penalty and the
   decrease in least capacity per pod of the combined policy relative to
@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -44,15 +44,20 @@ from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 from ..lifecycle.repair import CorrOptRepairPolicy, repair_delay_s
 from ..lifecycle.traces import LifecycleTrace, TraceSpec, generate_trace
 from ..runner import CellResult, ExperimentSpec, RunContext
-from ..units import DAY_S, HOURS
+from ..units import HOURS
 
 __all__ = [
     "DeploymentResult", "DeploymentComparison", "replay_corropt",
-    "run_deployment_comparison", "deployment_cell",
+    "penalty_gain", "capacity_decrease", "run_deployment_comparison",
+    "deployment_cell",
 ]
 
 _PENALTY_FLOOR = 1e-12
 _REPAIR = CorrOptRepairPolicy()
+#: a comparison's hourly series, each named ``<policy>_<name>``: name ->
+#: the DeploymentResult field it is
+_SERIES = {"penalty": "total_penalty", "least_paths": "least_paths_fraction",
+           "least_capacity": "least_capacity_fraction"}
 
 
 @dataclass
@@ -196,47 +201,42 @@ class DeploymentComparison:
     vanilla: DeploymentResult
     combined: DeploymentResult
 
-    def penalty_gain(self) -> np.ndarray:
-        """Per-sample gain in total penalty (Figure 16a), >= floor-limited."""
-        vanilla = np.maximum(self.vanilla.total_penalty, _PENALTY_FLOOR)
-        combined = np.maximum(self.combined.total_penalty, _PENALTY_FLOOR)
-        return vanilla / combined
-
-    def capacity_decrease(self) -> np.ndarray:
-        """Per-sample decrease in least capacity per pod (Figure 16b), in
-        normalized percent (positive = combined has less capacity)."""
-        return 100.0 * (
-            self.vanilla.least_capacity_fraction
-            - self.combined.least_capacity_fraction
-        )
-
-    def week_snapshot(self, start_day: float = 30.0) -> Dict[str, np.ndarray]:
-        """One week of the three Figure 15 panels for both policies."""
-        lo, hi = start_day * DAY_S, (start_day + 7) * DAY_S
-        mask = (self.vanilla.times_s >= lo) & (self.vanilla.times_s < hi)
-        return {
-            "days": (self.vanilla.times_s[mask] - lo) / DAY_S,
-            "vanilla_penalty": self.vanilla.total_penalty[mask],
-            "combined_penalty": self.combined.total_penalty[mask],
-            "vanilla_least_paths": self.vanilla.least_paths_fraction[mask],
-            "combined_least_paths": self.combined.least_paths_fraction[mask],
-            "vanilla_least_capacity": self.vanilla.least_capacity_fraction[mask],
-            "combined_least_capacity": self.combined.least_capacity_fraction[mask],
-        }
+    def series(self) -> Dict[str, np.ndarray]:
+        """Both policies' hourly series (the three Figure 15 panels),
+        ``vanilla_penalty`` .. ``combined_least_capacity``."""
+        return {f"{policy}_{name}": getattr(getattr(self, policy), field)
+                for policy in ("vanilla", "combined")
+                for name, field in _SERIES.items()}
 
     def summary(self) -> dict:
-        gain = self.penalty_gain()
+        series = self.series()
+        gain = penalty_gain(series)
         return {
             "constraint": self.capacity_constraint,
             "median_gain": float(np.median(gain)),
             "p90_gain": float(np.percentile(gain, 90)),
             "fraction_no_gain": float((gain <= 1.0 + 1e-9).mean()),
-            "max_capacity_decrease_%": float(self.capacity_decrease().max()),
+            "max_capacity_decrease_%": float(capacity_decrease(series).max()),
             "vanilla_blocked": self.vanilla.constraint_blocked,
             "combined_blocked": self.combined.constraint_blocked,
             "max_lg_links": self.combined.max_concurrent_lg_links,
             "max_lg_links_per_pod": self.combined.max_lg_links_per_pod,
         }
+
+
+def penalty_gain(series: Mapping[str, Sequence[float]]) -> np.ndarray:
+    """Per-sample gain in total penalty (Figure 16a), >= floor-limited,
+    from a comparison's :meth:`~DeploymentComparison.series` (or a
+    deployment cell's, which are the same lists)."""
+    return (np.maximum(series["vanilla_penalty"], _PENALTY_FLOOR)
+            / np.maximum(series["combined_penalty"], _PENALTY_FLOOR))
+
+
+def capacity_decrease(series: Mapping[str, Sequence[float]]) -> np.ndarray:
+    """Per-sample decrease in least capacity per pod (Figure 16b), in
+    normalized percent (positive = combined has less capacity)."""
+    return 100.0 * (np.asarray(series["vanilla_least_capacity"])
+                    - series["combined_least_capacity"])
 
 
 def run_deployment_comparison(
@@ -264,4 +264,5 @@ def run_deployment_comparison(
 def deployment_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     """The ``("deployment", "packet")`` row of :data:`repro.runner.cells.CELLS`."""
     comparison = run_deployment_comparison(seed=spec.seed, **spec.params)
-    return CellResult.for_spec(spec, comparison.summary())
+    return CellResult.for_spec(spec, comparison.summary(), {
+        name: values.tolist() for name, values in comparison.series().items()})

@@ -220,5 +220,14 @@ def fct_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     metrics["affected"] = sum(
         1 for r in result.records if r.retransmissions or r.timeouts
     )
+    # Figure 13: the decision tree over the flows that saw a SACK, and
+    # the flows an RTO reached
+    tree = result.classification()
+    metrics.update(
+        sack_flows=tree.affected, sack_le_2mss=tree.le_2mss,
+        group_a=tree.group_a, group_b=tree.group_b,
+        group_c=tree.group_c, group_d=tree.group_d,
+        rto_flows=sum(1 for r in result.records if r.timeouts),
+    )
     return CellResult.for_spec(
         spec, metrics, {"fcts_us": result.fcts_us.tolist()})

@@ -7,8 +7,8 @@ functions and cells are the first half of this module.
 The second half is :data:`FIGURES`, the one definition of every
 evaluation figure and table, and of the §5 studies beyond them: which
 cells it runs (one seed for all of them, as the paper's figures run),
-how their results become the rows ``repro <id>`` prints and the
-document ``benchmarks/results/`` keeps, the pinned parameters the claim
+how their results become the rows ``repro <id>`` prints (the rows
+``benchmarks/results/<id>.json`` keeps), the pinned parameters the claim
 gate runs it at, and the paper's claims about it.  Three readers, no
 second definition: the CLI verb (``cli._figure``), the claim gate
 (``benchmarks/test_paper_claims.py``) and the generated tables of
@@ -30,17 +30,14 @@ from ..corropt.trace import LOSS_BUCKETS, sample_loss_rates
 from ..linkguardian.config import LinkGuardianConfig
 from ..phy.attenuation import STANDARD_TRANSCEIVERS, attenuation_sweep
 from ..phy.loss import GilbertElliottLoss, burst_length_distribution
-from ..runner import (
-    CellResult, ExperimentSpec, RunContext, lg_config, run_cells,
-)
+from ..runner import CellResult, ExperimentSpec, RunContext, run_cells
 from ..units import KB
 from ..workloads.flowsizes import WORKLOADS
-from .deployment import run_deployment_comparison
-from .fct import SCENARIOS, run_fct_experiment
+from .deployment import capacity_decrease, penalty_gain
+from .fct import SCENARIOS
 from .goodput import GOODPUT_SCHEMES
 from .mechanisms import MECHANISM_VARIANTS, mechanism_spec, mechanism_study
 from .rdma_future import RDMA_CASES
-from .stress import run_stress_test
 
 __all__ = [
     "figure1_attenuation_series",
@@ -159,7 +156,8 @@ class Claim(NamedTuple):
 
     #: what must hold, in words (unique within its figure)
     name: str
-    #: results of the figure's cells -> the measured number
+    #: results of the figure's cells -> the measured number, read from
+    #: the printed rows or from the cells' own metrics and series
     measure: Callable[[list], float]
     #: what the paper reports for it
     paper: str
@@ -179,42 +177,41 @@ class Figure(NamedTuple):
     """One row of :data:`FIGURES`.  ``p`` below is a mapping of the
     verb's flag values (``vars(args)``) or the row's own ``gate``."""
 
-    #: p -> the cells to run, in the order ``shape``/``record``/claims
+    #: p -> the cells to run, in the order ``shape`` and the claims
     #: receive their results
     cells: Callable[[Mapping[str, Any]], List[ExperimentSpec]]
-    #: results -> the dict-rows ``repro <id>`` prints
+    #: results -> the dict-rows ``repro <id>`` prints, which the claim
+    #: gate keeps in ``benchmarks/results/<id>.json`` beside ``gate``
     shape: Callable[[list], List[dict]]
     #: the parameters the claim gate runs the row at
     gate: Dict[str, Any]
-    #: ``benchmarks/results/<results>.json`` and, from the results, the
-    #: document kept there
-    results: str
-    record: Callable[[list], Any]
     claims: Tuple[Claim, ...]
-    #: (spec, obs) -> the experiment's own result object, for the rows
-    #: that print what no cell carries; they run their cells' grid
-    #: through this in-process instead of through ``run_cells``, so the
-    #: pinned cell digests stay as they are.
-    direct: Optional[Callable[[ExperimentSpec, Any], Any]] = None
 
 
 def run_figure(row: Figure, p: Mapping[str, Any], obs=None,
                workers: int = 1) -> list:
     """The results of ``row``'s cells at ``p``, in cell order."""
-    cells = row.cells(p)
-    if row.direct is not None:
-        return [row.direct(spec, obs) for spec in cells]
-    return run_cells(cells, workers=workers, obs=obs)
+    return run_cells(row.cells(p), workers=workers, obs=obs)
 
 
 def _ratio(a: float, b: float) -> float:
     return a / b if b else float("inf")
 
 
+def _metrics(results):
+    """The cells' own metrics, one dict per cell."""
+    return [r.metrics for r in results]
+
+
+def _metric(name, cell, results):
+    """Metric ``name`` of the ``cell``-th cell."""
+    return results[cell].metrics[name]
+
+
 def _col(rows_of, column, results, pick=max, over=None, **where):
     """``pick`` of a column (or of its ratio to column ``over``) of the
-    rows ``rows_of(results)`` prints or records, among those whose cells
-    equal ``where``."""
+    rows ``rows_of(results)`` (the printed rows, or the cells' metrics),
+    among those whose cells equal ``where``."""
     return pick(_ratio(row[column], row[over]) if over else row[column]
                 for row in rows_of(results)
                 if all(row[k] == v for k, v in where.items()))
@@ -284,10 +281,6 @@ def _fig20_rows(results):
             for rate, cdf in _fig20_cdfs(results).items()]
 
 
-def _fig20_record(results):
-    return {str(rate): cdf for rate, cdf in _fig20_cdfs(results).items()}
-
-
 def _fig20_least(results, of):
     return min(of(cdf) for cdf in _fig20_cdfs(results).values())
 
@@ -312,12 +305,6 @@ def _stress_cells(p, losses=_STRESS_LOSSES, modes=("lg", "lgnb")):
                            params={"duration_ms": duration[rate]})
             for rate in (25, 100) for loss in losses
             for mode in p.get("modes", modes)]
-
-
-def _stress_direct(spec, obs):
-    return run_stress_test(rate_gbps=spec.rate_gbps, loss_rate=spec.loss_rate,
-                           ordered=spec.scenario != "lgnb", seed=spec.seed,
-                           config=lg_config(spec), obs=obs, **spec.params)
 
 
 def _fig08_cells(p):
@@ -368,34 +355,15 @@ def _tab04_rows(results):
             for r in results if r.spec["scenario"] == "lg"]
 
 
-def _tab04_record(results):
-    return [{"link": lg.metrics["link"], "loss": lg.metrics["loss"],
-             "tx_overhead_%": round(lg.metrics["recirc_tx_pct"], 4),
-             "rx_overhead_%": round(lg.metrics["recirc_rx_pct"], 4),
-             "nb_rx_overhead_%": round(nb.metrics["recirc_rx_pct"], 4)}
-            for lg, nb in zip(results[::2], results[1::2])]
-
-
 def _fig14_rows(results):
-    return [{"link": f"{r.rate_gbps:g}G", "loss": r.loss_rate,
-             "mode": "LG" if r.ordered else "LG_NB",
-             "tx_max_KB": round(r.tx_buffer["max"] / 1e3, 1),
-             "rx_max_KB": round(r.rx_buffer["max"] / 1e3, 1)}
-            for r in results]
-
-
-def _fig14_record(results):
-    return [{"link": f"{r.rate_gbps:g}G", "loss": r.loss_rate,
-             "mode": "LG" if r.ordered else "LG_NB",
-             "tx_p50_KB": r.tx_buffer["p50"] / 1e3,
-             "tx_max_KB": r.tx_buffer["max"] / 1e3,
-             "rx_p50_KB": r.rx_buffer["p50"] / 1e3,
-             "rx_max_KB": r.rx_buffer["max"] / 1e3}
-            for r in results]
+    return [{"link": m["link"], "loss": m["loss"], "mode": m["mode"],
+             "tx_max_KB": round(m["tx_buf_max_KB"], 1),
+             "rx_max_KB": round(m["rx_buf_max_KB"], 1)}
+            for m in _metrics(results)]
 
 
 def _fig14_tx_lead_100g(results):
-    lg, nb = (_col(_fig14_record, "tx_max_KB", results, link="100G",
+    lg, nb = (_col(_fig14_rows, "tx_max_KB", results, link="100G",
                    mode=mode) for mode in ("LG", "LG_NB"))
     return lg - nb
 
@@ -419,11 +387,6 @@ def _fig19_rows(results):
         rows.append({"link": f"{rate_gbps:g}G", "n": len(samples),
                      **dict(zip(("min_us", "p50_us", "max_us"), stats))})
     return rows
-
-
-def _fig19_record(results):
-    return {f"{rate:g}": samples
-            for rate, samples in _fig19_delays(results).items()}
 
 
 def _fig19_over_links(pick, of, results):
@@ -484,27 +447,9 @@ def _fig09_rows(results):
                                        for k in _TIMELINE_SERIES))]
 
 
-def _fig09_record(results):
-    def timeline(r):   # the fields of a TimelineResult, in its order
-        clean_ms = r.spec["params"]["clean_ms"]
-        return {"transport": r.spec["transport"],
-                "rate_gbps": r.spec["rate_gbps"],
-                "loss_rate": r.spec["loss_rate"],
-                **{k: r.series[k] for k in _TIMELINE_SERIES},
-                "corruption_start_ms": clean_ms,
-                "lg_start_ms": clean_ms + r.spec["params"]["loss_ms"],
-                "overflow_drops": r.metrics["overflow_drops"],
-                "completed_bytes": r.metrics["completed_bytes"]}
-    return dict(zip(("with_bp", "without_bp"), map(timeline, results)))
-
-
 def _phase_ratio(top, bottom, results, cell=0):
     metrics = results[cell].metrics
     return _ratio(metrics[f"{top}_gbps"], metrics[f"{bottom}_gbps"])
-
-
-def _fig09_overflows(cell, results):
-    return results[cell].metrics["overflow_drops"]
 
 
 def _fig09_extra_e2e_retx(results):
@@ -512,19 +457,21 @@ def _fig09_extra_e2e_retx(results):
     return without_bp - with_bp
 
 
-def _fig21_rows(results, e2e_retx=False):
+def _fig21_rows(results):
     return [{"transport": r.spec["transport"],
              "link": f"{r.spec['rate_gbps']:g}G",
              **{f"{phase}_Gbps": round(r.metrics[f"{phase}_gbps"], 2)
-                for phase in ("clean", "loss", "lg")},
-             **({"e2e_retx": int(r.series["e2e_retx"][-1])}
-                if e2e_retx else {})}
+                for phase in ("clean", "loss", "lg")}}
             for r in results]
 
 
 def _fig21_cubic_dent(results):
     row = _fig21_rows(results)[0]
     return row["clean_Gbps"] - row["loss_Gbps"]
+
+
+def _fig21_cubic_e2e_retx(results):
+    return int(results[0].series["e2e_retx"][-1])
 
 
 # Figures 10-13 and Table 2: flow completion times.
@@ -537,21 +484,13 @@ def _fct_cells(transports, flow_size, p, loss_rate=None):
             for transport in transports for scenario in SCENARIOS]
 
 
-#: FctResult.summary(); the cell adds "affected" (Figure 12's claim)
+#: FctResult.summary(), the printed columns of Figures 10-12
 _FCT_ROW = ("transport", "scenario", "size", "trials", "p50_us", "p99_us",
             "p99.9_us", "p99.99_us", "incomplete")
 
 
-def _fct_rows(results, columns=_FCT_ROW):
-    return [{k: r.metrics[k] for k in columns} for r in results]
-
-
-def _fct_metrics(results):
-    return _fct_rows(results, (*_FCT_ROW, "affected"))
-
-
-def _fct_record(results, key="{transport}-{scenario}"):
-    return {key.format(**row): row for row in _fct_metrics(results)}
+def _fct_rows(results):
+    return [{k: r.metrics[k] for k in _FCT_ROW} for r in results]
 
 
 def _fct_ratio(metric, top, bottom, transport, results):
@@ -570,30 +509,23 @@ def _fig11_rdma_extra_nb_penalty(results):
             - _fct_ratio("p99_us", "lgnb", "lg", "dctcp", results))
 
 
-def _fct_direct(spec, obs):
-    return run_fct_experiment(
-        transport=spec.transport, flow_size=spec.flow_size,
-        n_trials=spec.n_trials, scenario=spec.scenario,
-        loss_rate=spec.loss_rate, seed=spec.seed, obs=obs)
-
-
 def _fig13_cells(p):
     return [ExperimentSpec(kind="fct", transport="dctcp", scenario="lgnb",
                            flow_size=24_387, n_trials=p["trials"],
                            loss_rate=p["loss_rate"], seed=p["seed"])]
 
 
-def _fig13_tree(results):
-    return results[0].classification().as_dict()
+def _fig13_rows(results):
+    """The decision tree, from the fct cell's classification counts."""
+    m = results[0].metrics
+    return [{"total": m["trials"], "affected": m["sack_flows"],
+             "le_2mss": m["sack_le_2mss"],
+             "gt_2mss": m["sack_flows"] - m["sack_le_2mss"],
+             **{group.upper(): m[f"group_{group}"] for group in "abcd"}}]
 
 
 def _fig13(results, of):
-    return of(results[0].classification())
-
-
-def _fig13_rto_fraction(results):
-    records = results[0].records
-    return sum(1 for r in records if r.timeouts) / len(records)
+    return of(_fig13_rows(results)[0])
 
 
 def _tab02_cells(p):
@@ -609,7 +541,7 @@ def _tab02_rows(results):
 
 
 def _tab02(metric, variant, results, over=None):
-    study = mechanism_study(results)
+    study = {row["variant"]: row for row in _tab02_rows(results)}
     if over is None:
         return study[variant][metric]
     return _ratio(study[variant][metric], study[over][metric])
@@ -637,8 +569,8 @@ def _tab03_cells(p):
             if (scheme, loss) != ("wharf", 0.0)]
 
 
-def _tab03_rows(results, na="n/a"):
-    rows = {loss: {"loss": loss, **dict.fromkeys(GOODPUT_SCHEMES, na)}
+def _tab03_rows(results):
+    rows = {loss: {"loss": loss, **dict.fromkeys(GOODPUT_SCHEMES, "n/a")}
             for loss in _TAB03_LOSSES}
     for r in results:
         rows[r.spec["loss_rate"]][r.spec["scenario"]] = round(
@@ -647,14 +579,14 @@ def _tab03_rows(results, na="n/a"):
 
 
 def _tab03(pick, of, results, losses=_TAB03_LOSSES):
-    """``pick`` (min/max) of ``of(row)`` over the recorded rows at
+    """``pick`` (min/max) of ``of(row)`` over the printed rows at
     ``losses``."""
     return pick(of(row) for row in _tab03_rows(results)
                 if row["loss"] in losses)
 
 
 def _tab03_ratio(top, bottom, results):
-    """goodput[scheme @ loss] / goodput[scheme @ loss], as recorded."""
+    """goodput[scheme @ loss] / goodput[scheme @ loss], as printed."""
     rows = {row["loss"]: row for row in _tab03_rows(results)}
     (scheme_a, loss_a), (scheme_b, loss_b) = top, bottom
     return _ratio(rows[loss_a][scheme_a], rows[loss_b][scheme_b])
@@ -676,68 +608,51 @@ def _deployment_cells(p):
             for constraint in (0.50, 0.75)]
 
 
-def _deployment_direct(spec, obs):
-    return run_deployment_comparison(seed=spec.seed, **spec.params)
+#: DeploymentComparison.summary(), what ``repro fig15`` prints (named,
+#: not read off the metrics: a worker pool hands them back key-sorted)
+_FIG15_ROW = ("constraint", "median_gain", "p90_gain", "fraction_no_gain",
+              "max_capacity_decrease_%", "vanilla_blocked",
+              "combined_blocked", "max_lg_links", "max_lg_links_per_pod")
 
 
 def _fig15_rows(results):
-    return [comparison.summary() for comparison in results]
-
-
-def _fig15_record(results):
-    rows = []
-    for comparison in results:
-        week = comparison.week_snapshot(start_day=30.0)
-        rows.append({
-            "constraint": f"{comparison.capacity_constraint:.0%}",
-            "penalty(CorrOpt)": float(np.mean(week["vanilla_penalty"])),
-            "penalty(+LG)": float(np.mean(week["combined_penalty"])),
-            "least_paths(CorrOpt)": float(np.min(week["vanilla_least_paths"])),
-            "least_cap(CorrOpt)":
-                float(np.min(week["vanilla_least_capacity"])),
-            "least_cap(+LG)": float(np.min(week["combined_least_capacity"])),
-        })
-    return rows
+    return [{k: r.metrics[k] for k in _FIG15_ROW} for r in results]
 
 
 def _fig15_paths_margin(policy, results):
-    return min(getattr(c, policy).least_paths_fraction.min()
-               - c.capacity_constraint for c in results)
+    return min(min(r.series[f"{policy}_least_paths"]) - r.metrics["constraint"]
+               for r in results)
 
 
 def _fig15_penalty_left(results):
-    return max(_ratio(c.combined.total_penalty.mean(),
-                      c.vanilla.total_penalty.mean())
-               for c in results if c.vanilla.total_penalty.mean() > 0)
+    means = [[np.mean(r.series[f"{policy}_penalty"])
+              for policy in ("combined", "vanilla")] for r in results]
+    return max(_ratio(combined, vanilla)
+               for combined, vanilla in means if vanilla > 0)
 
 
 def _fig15_capacity_cost(results):
-    return max(abs(c.vanilla.least_capacity_fraction.mean()
-                   - c.combined.least_capacity_fraction.mean())
-               for c in results)
+    return max(abs(np.mean(r.series["vanilla_least_capacity"])
+                   - np.mean(r.series["combined_least_capacity"]))
+               for r in results)
 
 
-def _fig16_row(comparison, record=False):
-    gain = comparison.penalty_gain()
-    no_gain = round(100 * float((gain <= 1 + 1e-9).mean()), 1)
-    cap_p99 = round(float(np.percentile(
-        comparison.capacity_decrease(), 99)), 3)
-    row = {"constraint": f"{comparison.capacity_constraint:.0%}",
-           "gain=1 (%time)" if record else "gain=1(%)": no_gain,
-           "gain_p50": float(np.median(gain)),
-           "gain_p90": float(np.percentile(gain, 90))}
-    if record:
-        return {**row, "gain_max": float(gain.max()),
-                "cap_decrease_p99_%": cap_p99}
-    return {**row, "cap_dec_p99_%": cap_p99}
-
-
-def _fig16_rows(results, record=False):
-    return [_fig16_row(comparison, record) for comparison in results]
+def _fig16_rows(results):
+    rows = []
+    for r in results:
+        gain = penalty_gain(r.series)
+        rows.append({
+            "constraint": f"{r.metrics['constraint']:.0%}",
+            "gain=1(%)": round(100 * float((gain <= 1 + 1e-9).mean()), 1),
+            "gain_p50": float(np.median(gain)),
+            "gain_p90": float(np.percentile(gain, 90)),
+            "cap_dec_p99_%": round(float(np.percentile(
+                capacity_decrease(r.series), 99)), 3)})
+    return rows
 
 
 def _fig16_gaining(results, cell, above):
-    return float((results[cell].penalty_gain() > above).mean())
+    return float((penalty_gain(results[cell].series) > above).mean())
 
 
 def _fig16_more_often_at_75(results):
@@ -746,8 +661,8 @@ def _fig16_more_often_at_75(results):
 
 
 def _fig16_capacity_p90(results):
-    return max(float(np.percentile(np.abs(c.capacity_decrease()), 90))
-               for c in results)
+    return max(float(np.percentile(np.abs(capacity_decrease(r.series)), 90))
+               for r in results)
 
 
 # §5 and the design ablations: studies beyond the evaluation section.  All
@@ -774,14 +689,10 @@ def _sr_rows(results):
     return [{k: r.metrics[k] for k in _SR_ROW} for r in results]
 
 
-def _sr_record(results):
-    return {row["case"]: row for row in _sr_rows(results)}
-
-
 def _sr_ratio(metric, top, bottom, results, floor=0):
     """``metric`` of case ``top`` over that of ``bottom`` (at least
     ``floor``)."""
-    cases = _sr_record(results)
+    cases = {row["case"]: row for row in _sr_rows(results)}
     return _ratio(cases[top][metric], max(cases[bottom][metric], floor))
 
 
@@ -798,18 +709,21 @@ def _tofino2_cells(p):
 
 
 def _tofino2_rows(results):
-    return [{"impl": impl,
-             "retx_p50_us": round(float(np.median(r.retx_delays_us)), 2),
-             "retx_max_us": round(float(np.max(r.retx_delays_us)), 2),
-             "eff_speed_%": round(100 * r.effective_link_speed_fraction, 2),
-             "rx_buf_max_KB": round(r.rx_buffer["max"] / 1e3, 1),
-             "pauses": r.pauses}
-            for impl, r in zip(("tofino1", "tofino2"), results)]
+    rows = []
+    for impl, r in zip(("tofino1", "tofino2"), results):
+        delays = r.series["retx_delays_us"]
+        rows.append({"impl": impl,
+                     "retx_p50_us": round(float(np.median(delays)), 2),
+                     "retx_max_us": round(float(np.max(delays)), 2),
+                     "eff_speed_%": round(r.metrics["eff_speed_%"], 2),
+                     "rx_buf_max_KB": round(r.metrics["rx_buf_max_KB"], 1),
+                     "pauses": r.metrics["pauses"]})
+    return rows
 
 
-def _tofino2(of, results):
-    """``of(Tofino1 result, Tofino2 result)``."""
-    return of(*results)
+def _tofino2(of, column, results):
+    """``of(Tofino1's, Tofino2's)`` printed ``column``."""
+    return of(*(row[column] for row in _tofino2_rows(results)))
 
 
 _400G_GATE = {"duration_ms": 1.5, "seed": 28}
@@ -826,27 +740,22 @@ def _400g_cells(p):
             for mode, drain in (("lg", 100), ("lg", 400), ("lgnb", 400))]
 
 
-def _400g_metrics(results):
-    """The cells' metrics, ``mode`` naming the drain as well."""
-    return [{**r.metrics, "mode": mode}
-            for mode, r in zip(_400G_MODES, results)]
-
-
 def _400g_rows(results):
-    return [{"mode": m["mode"], "eff_speed_%": round(m["eff_speed_%"], 2),
+    """``mode`` names the drain as well."""
+    return [{"mode": mode, "eff_speed_%": round(m["eff_speed_%"], 2),
              "recovered": m["recovered"], "loss_events": m["loss_events"],
              "timeouts": m["timeouts"],
              "rx_buf_max_KB": round(m["rx_buf_max_KB"], 1)}
-            for m in _400g_metrics(results)]
+            for mode, m in zip(_400G_MODES, _metrics(results))]
 
 
 def _400g_unrecovered(mode, results):
-    return (_col(_400g_metrics, "loss_events", results, mode=mode)
-            - _col(_400g_metrics, "recovered", results, mode=mode))
+    return (_col(_400g_rows, "loss_events", results, mode=mode)
+            - _col(_400g_rows, "recovered", results, mode=mode))
 
 
 def _400g_nb_speed_lead(results):
-    lg, nb = (_col(_400g_metrics, "eff_speed_%", results, mode=mode)
+    lg, nb = (_col(_400g_rows, "eff_speed_%", results, mode=mode)
               for mode in _400G_MODES[1:])
     return nb - lg
 
@@ -903,7 +812,6 @@ _TIMELINE_GATE = {"clean_ms": 6.0, "loss_ms": 14.0, "lg_ms": 14.0,
 FIGURES: Dict[str, Figure] = {
     "fig01": Figure(
         cells=_static_cell("fig01"), shape=_fig01_rows, gate={},
-        results="fig01_attenuation", record=_series,
         claims=(
             Claim("loss rate never falls as attenuation grows (least step)",
                   _fig01_least_step, "all four curves monotone",
@@ -921,7 +829,6 @@ FIGURES: Dict[str, Figure] = {
         )),
     "fig02": Figure(
         cells=_static_cell("fig02"), shape=_fig02_rows, gate={},
-        results="fig02_flowsizes", record=_series,
         claims=(
             Claim("Google all-RPC flows that fit one packet",
                   partial(_fig02_single_packet, "Google all RPC"),
@@ -936,7 +843,6 @@ FIGURES: Dict[str, Figure] = {
     "tab01": Figure(
         cells=_static_cell("tab01", seed=5, n_samples=100_000),
         shape=_tab01_rows, gate={"n_samples": 200_000},
-        results="tab01_loss_buckets", record=_tab01_rows,
         claims=(
             Claim("worst bucket, sampled vs published share (points)",
                   _tab01_worst_bucket, "47.23 / 18.43 / 21.66 / 12.67 %",
@@ -946,7 +852,6 @@ FIGURES: Dict[str, Figure] = {
         cells=_fig08_cells, shape=_fig08_rows,
         gate={**_STRESS_GATE, "seed": 8,
               "validate_loss": 0.05, "validate_seed": 9},
-        results="fig08_effective_loss", record=_fig08_rows,
         claims=(
             Claim("cells whose N differs from Equation 2's 1, 1, 2",
                   _fig08_wrong_copies, "N = 1, 1, 2 at 1e-5, 1e-4, 1e-3",
@@ -979,7 +884,6 @@ FIGURES: Dict[str, Figure] = {
         cells=_fig09_cells, shape=_fig09_rows,
         gate={**_TIMELINE_GATE, "resume_kb": 0.0,
               "rx_buffer_without_bp": 12_000},
-        results="fig09_timeline", record=_fig09_record,
         claims=(
             Claim("throughput under loss / clean",
                   partial(_phase_ratio, "loss", "clean"),
@@ -992,10 +896,10 @@ FIGURES: Dict[str, Figure] = {
                   partial(_phase_ratio, "lg", "clean"),
                   "back to the effective link speed", at_least=0.9),
             Claim("Rx-buffer overflows with backpressure",
-                  partial(_fig09_overflows, 0), "Rx buffer stays small",
-                  equals=0),
+                  partial(_metric, "overflow_drops", 0),
+                  "Rx buffer stays small", equals=0),
             Claim("Rx-buffer overflows without backpressure",
-                  partial(_fig09_overflows, 1),
+                  partial(_metric, "overflow_drops", 1),
                   "the reordering buffer overflows", at_least=1),
             Claim("extra end-to-end retransmissions without backpressure",
                   _fig09_extra_e2e_retx,
@@ -1004,7 +908,6 @@ FIGURES: Dict[str, Figure] = {
     "fig10": Figure(
         cells=partial(_fct_cells, ("dctcp", "rdma"), 143), shape=_fct_rows,
         gate={"trials": 3_000, "loss_rate": 5e-3, "seed": 10},
-        results="fig10_fct_single_packet", record=_fct_record,
         claims=tuple(claim for transport, gain in (("dctcp", "51x"),
                                                    ("rdma", "66x"))
                      for claim in (
@@ -1027,7 +930,6 @@ FIGURES: Dict[str, Figure] = {
         cells=partial(_fct_cells, ("dctcp", "bbr", "rdma"), 24_387),
         shape=_fct_rows,
         gate={"trials": 900, "loss_rate": 5e-3, "seed": 12},
-        results="fig11_fct_multi_packet", record=_fct_record,
         claims=(*(claim for transport in ("dctcp", "bbr", "rdma")
                   for claim in (
             Claim(f"{transport}: p99 LG / no loss",
@@ -1046,11 +948,9 @@ FIGURES: Dict[str, Figure] = {
     "fig12": Figure(
         cells=partial(_fct_cells, ("dctcp",), 2_000_000, loss_rate=1e-3),
         shape=_fct_rows, gate={"trials": 120, "seed": 13},
-        results="fig12_fct_2mb",
-        record=partial(_fct_record, key="{scenario}"),
         claims=(
             Claim("unprotected flows hit by at least one loss",
-                  partial(_col, _fct_metrics, "affected", over="trials",
+                  partial(_col, _metrics, "affected", over="trials",
                           scenario="loss"),
                   "~80%", at_least=0.5),
             Claim("p99 LG / no loss",
@@ -1065,32 +965,28 @@ FIGURES: Dict[str, Figure] = {
                   "2x at p99.9: cwnd cuts with bytes pending",
                   at_least=0.95),
         )),
-    # prints FctResult.classification(), which no cell carries
     "fig13": Figure(
-        cells=_fig13_cells, direct=_fct_direct,
-        shape=lambda results: [_fig13_tree(results)],
+        cells=_fig13_cells, shape=_fig13_rows,
         gate={"trials": 1_500, "loss_rate": 1e-2, "seed": 14},
-        results="fig13_classification", record=_fig13_tree,
         claims=(
             Claim("affected flows (enough to classify)",
-                  partial(_fig13, of=lambda tree: tree.affected),
+                  partial(_fig13, of=lambda tree: tree["affected"]),
                   "2,950 of 300K at 1e-3", at_least=51),
             Claim("affected flows outside groups A-D",
-                  partial(_fig13, of=lambda tree: tree.affected - (
-                      tree.group_a + tree.group_b + tree.group_c
-                      + tree.group_d)),
+                  partial(_fig13, of=lambda tree: tree["affected"] - (
+                      tree["A"] + tree["B"] + tree["C"] + tree["D"])),
                   "the tree partitions the affected flows", equals=0),
             Claim("group D / affected",
-                  partial(_fig13, of=lambda tree: _ratio(tree.group_d,
-                                                         tree.affected)),
+                  partial(_fig13, of=lambda tree: _ratio(tree["D"],
+                                                         tree["affected"])),
                   "only the small group D pays", at_most=0.5),
-            Claim("flows that hit an RTO", _fig13_rto_fraction,
+            Claim("flows that hit an RTO",
+                  partial(_col, _metrics, "rto_flows", over="trials"),
                   "out-of-order recovery leaves no RTO tail", at_most=0.01),
         )),
     "tab02": Figure(
         cells=_tab02_cells, shape=_tab02_rows,
         gate={"trials": 700, "loss_rate": 5e-3, "seed": 15},
-        results="tab02_mechanisms", record=mechanism_study,
         claims=(
             Claim("Loss p99.99 (us)", partial(_tab02, "p99.99", "Loss"),
                   "RTO-scale (p99.9 = 3399 us)", at_least=900),
@@ -1115,7 +1011,6 @@ FIGURES: Dict[str, Figure] = {
         cells=_tab03_cells, shape=_tab03_rows,
         gate={"seed": 17, "transfer_bytes": (1_500_000, 4_000_000),
               "deadline_ms": 2_000},
-        results="tab03_wharf", record=partial(_tab03_rows, na=None),
         claims=(
             Claim("largest Wharf / LG goodput, 1e-5..1e-3",
                   partial(_tab03, max, lambda row: row["wharf"] / row["lg"],
@@ -1143,44 +1038,37 @@ FIGURES: Dict[str, Figure] = {
     "tab04": Figure(
         cells=partial(_stress_cells, modes=("lg",)), shape=_tab04_rows,
         gate={"duration_ms": 3.0, "seed": 18, "modes": ("lg", "lgnb")},
-        results="tab04_recirculation", record=_tab04_record,
         claims=(
             Claim("largest TX recirculation overhead (% of pipe)",
-                  partial(_col, _tab04_record, "tx_overhead_%"),
+                  partial(_col, _tab04_rows, "tx_%pipe"),
                   "0.45% (25G) / 0.66% (100G): always < 1%", at_most=1.0),
             Claim("largest RX recirculation overhead (% of pipe)",
-                  partial(_col, _tab04_record, "rx_overhead_%"),
+                  partial(_col, _tab04_rows, "rx_%pipe"),
                   "~0.66%: always < 1%", at_most=1.0),
             Claim("largest LG_NB RX recirculation overhead (% of pipe)",
-                  partial(_col, _tab04_record, "nb_rx_overhead_%"),
+                  partial(_col, _metrics, "recirc_rx_pct", mode="LG_NB"),
                   "LG_NB does no receiver recirculation", equals=0),
         )),
-    # records the time-weighted median occupancy, which no cell carries
     "fig14": Figure(
-        cells=_stress_cells, direct=_stress_direct, shape=_fig14_rows,
+        cells=_stress_cells, shape=_fig14_rows,
         gate={**_STRESS_GATE, "seed": 16},
-        results="fig14_buffer_usage", record=_fig14_record,
         claims=(
             Claim("largest TX buffer (KB)",
-                  partial(_col, _fig14_record, "tx_max_KB"),
+                  partial(_col, _fig14_rows, "tx_max_KB"),
                   "<= 3.6 KB at 25G, <= 90 KB at 100G (switches: 16-42 MB)",
                   at_most=200.0),
             Claim("largest RX buffer (KB)",
-                  partial(_col, _fig14_record, "rx_max_KB"),
+                  partial(_col, _fig14_rows, "rx_max_KB"),
                   "<= 60 KB at 25G, <= 90 KB at 100G", at_most=200.0),
             Claim("largest LG_NB RX buffer (KB)",
-                  partial(_col, _fig14_record, "rx_max_KB", mode="LG_NB"),
+                  partial(_col, _fig14_rows, "rx_max_KB", mode="LG_NB"),
                   "LG_NB never buffers", equals=0),
             Claim("100G largest TX buffer, LG minus LG_NB (KB)",
                   _fig14_tx_lead_100g, "90 KB vs 24.4 KB", at_least=0),
         )),
-    # Figures 15/16 read DeploymentComparison's hourly series; the
-    # deployment cell carries its summary() only
     "fig15": Figure(
-        cells=_deployment_cells, direct=_deployment_direct,
-        shape=_fig15_rows,
+        cells=_deployment_cells, shape=_fig15_rows,
         gate={"days": 120.0, "mttf_hours": 1_500.0, "seed": 23},
-        results="fig15_corropt_snapshot", record=_fig15_record,
         claims=(
             Claim("CorrOpt: least paths per ToR minus the constraint",
                   partial(_fig15_paths_margin, "vanilla"),
@@ -1196,11 +1084,8 @@ FIGURES: Dict[str, Figure] = {
                   _fig15_capacity_cost, "~0.22% worst case", at_most=0.03),
         )),
     "fig16": Figure(
-        cells=_deployment_cells, direct=_deployment_direct,
-        shape=_fig16_rows,
+        cells=_deployment_cells, shape=_fig16_rows,
         gate={"days": 365.0, "mttf_hours": 2_000.0, "seed": 24},
-        results="fig16_corropt_cdf",
-        record=partial(_fig16_rows, record=True),
         claims=(
             Claim("50%: share of time the gain exceeds 10x",
                   partial(_fig16_gaining, cell=0, above=10),
@@ -1216,7 +1101,6 @@ FIGURES: Dict[str, Figure] = {
     "fig19": Figure(
         cells=partial(_stress_cells, losses=(1e-3, 5e-3), modes=("lg",)),
         shape=_fig19_rows, gate={"duration_ms": 8.0, "seed": 19},
-        results="fig19_retx_delay", record=_fig19_record,
         claims=(
             Claim("fewest delay samples on a link",
                   partial(_fig19_over_links, min, lambda rate, d: len(d)),
@@ -1235,7 +1119,6 @@ FIGURES: Dict[str, Figure] = {
     "fig20": Figure(
         cells=_static_cell("fig20", seed=9, n_packets=400_000),
         shape=_fig20_rows, gate={"n_packets": 2_000_000},
-        results="fig20_consecutive_loss", record=_fig20_record,
         claims=(
             Claim("least share of loss events that are single packets",
                   partial(_fig20_least, of=lambda cdf: cdf[1]),
@@ -1250,8 +1133,6 @@ FIGURES: Dict[str, Figure] = {
     "fig21": Figure(
         cells=partial(_timeline_cells, (("cubic", 25), ("bbr", 10))),
         shape=_fig21_rows, gate=_TIMELINE_GATE,
-        results="fig21_cubic_bbr",
-        record=partial(_fig21_rows, e2e_retx=True),
         claims=(
             Claim("CUBIC: clean minus loss throughput (Gb/s)",
                   _fig21_cubic_dent,
@@ -1266,8 +1147,7 @@ FIGURES: Dict[str, Figure] = {
                           transport="cubic"),
                   "back to the effective link speed", at_least=0.9),
             Claim("CUBIC: end-to-end retransmissions",
-                  partial(_col, partial(_fig21_rows, e2e_retx=True),
-                          "e2e_retx", transport="cubic"),
+                  _fig21_cubic_e2e_retx,
                   "corruption reaches the transport", at_least=1),
             Claim("BBR: under loss / clean",
                   partial(_col, _fig21_rows, "loss_Gbps", over="clean_Gbps",
@@ -1280,7 +1160,6 @@ FIGURES: Dict[str, Figure] = {
         )),
     "sec5-sr": Figure(
         cells=_pinned(_sr_cells, _SR_GATE), shape=_sr_rows, gate=_SR_GATE,
-        results="sec5_rdma_selective_repeat", record=_sr_record,
         claims=(
             Claim("LG_NB end-to-end retransmissions, go-back-N / "
                   "selective repeat",
@@ -1299,38 +1178,31 @@ FIGURES: Dict[str, Figure] = {
                   partial(_col, _sr_rows, "naks", case="lg+gbn"),
                   "ordered LG keeps the NIC unaware of the loss", equals=0),
         )),
-    # records retransmission-delay percentiles and pauses, which no
-    # stress cell carries
     "sec5-tofino": Figure(
-        cells=_pinned(_tofino2_cells, _TOFINO2_GATE), direct=_stress_direct,
-        shape=_tofino2_rows, gate=_TOFINO2_GATE,
-        results="sec5_tofino2", record=_tofino2_rows,
+        cells=_pinned(_tofino2_cells, _TOFINO2_GATE), shape=_tofino2_rows,
+        gate=_TOFINO2_GATE,
         claims=(
             Claim("median ReTx delay, Tofino2 / Tofino1",
-                  partial(_tofino2, lambda t1, t2: _ratio(
-                      float(np.median(t2.retx_delays_us)),
-                      float(np.median(t1.retx_delays_us)))),
+                  partial(_tofino2, lambda t1, t2: _ratio(t2, t1),
+                          "retx_p50_us"),
                   "no recirculation removes the dominant part of 2-6 us",
                   at_most=0.7),
             Claim("largest RX buffer, Tofino2 minus Tofino1 (KB)",
-                  partial(_tofino2, lambda t1, t2: (
-                      t2.rx_buffer["max"] - t1.rx_buffer["max"]) / 1e3),
+                  partial(_tofino2, lambda t1, t2: t2 - t1, "rx_buf_max_KB"),
                   "smaller buffers", at_most=0),
             Claim("effective speed, Tofino2 minus Tofino1 (points)",
-                  partial(_tofino2, lambda t1, t2: 100 * (
-                      t2.effective_link_speed_fraction
-                      - t1.effective_link_speed_fraction)),
+                  partial(_tofino2, lambda t1, t2: t2 - t1, "eff_speed_%"),
                   "a smaller pause cost", at_least=-0.2),
             Claim("Tofino2 ackNoTimeout expiries",
-                  partial(_tofino2, lambda t1, t2: t2.timeouts),
+                  partial(_metric, "timeouts", 1),
                   "the tighter ackNoTimeout still never fires", equals=0),
         )),
     "sec5-400g": Figure(
         cells=_pinned(_400g_cells, _400G_GATE), shape=_400g_rows,
-        gate=_400G_GATE, results="sec5_400g", record=_400g_rows,
+        gate=_400G_GATE,
         claims=(
             Claim("LG, 100G drain: effective speed (%)",
-                  partial(_col, _400g_metrics, "eff_speed_%",
+                  partial(_col, _400g_rows, "eff_speed_%",
                           mode="LG/100G-recirc"),
                   "a proportionally lower effective link speed",
                   at_most=50.0),
@@ -1341,21 +1213,20 @@ FIGURES: Dict[str, Figure] = {
                   partial(_400g_unrecovered, "LG_NB"),
                   "LG_NB recovers every loss", equals=0),
             Claim("LG, 400G drain: effective speed (%)",
-                  partial(_col, _400g_metrics, "eff_speed_%",
+                  partial(_col, _400g_rows, "eff_speed_%",
                           mode="LG/400G-recirc"),
                   "a visible pause cost (8% at 100G)", at_least=85.0),
             Claim("LG_NB minus LG (400G drain) effective speed (points)",
                   _400g_nb_speed_lead,
                   "LG_NB works well at 400G and above", at_least=-0.1),
             Claim("LG_NB largest RX buffer (KB)",
-                  partial(_col, _400g_metrics, "rx_buf_max_KB",
+                  partial(_col, _400g_rows, "rx_buf_max_KB",
                           mode="LG_NB"),
                   "LG_NB needs no reordering buffer", equals=0),
         )),
     "retx-copies": Figure(
         cells=_pinned(_copies_cells, _COPIES_GATE), shape=_copies_rows,
-        gate=_COPIES_GATE, results="ablation_retx_copies",
-        record=_copies_rows,
+        gate=_COPIES_GATE,
         claims=(
             Claim("measured effective loss, N = 2 / N = 1",
                   partial(_copies_measured,
@@ -1374,7 +1245,6 @@ FIGURES: Dict[str, Figure] = {
     "incremental": Figure(
         cells=_incremental_cells, shape=_incremental_rows,
         gate={"days": 120.0, "seed": 31},
-        results="ablation_incremental", record=_incremental_rows,
         claims=(
             Claim("mean penalty, full / no deployment",
                   partial(_incremental_penalties,

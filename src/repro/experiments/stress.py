@@ -209,6 +209,7 @@ def stress_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
         timeouts=result.timeouts,
         recirc_tx_pct=result.recirc_overhead_tx_percent,
         recirc_rx_pct=result.recirc_overhead_rx_percent,
+        pauses=result.pauses,
     )
     return CellResult.for_spec(
         spec, metrics, {"retx_delays_us": result.retx_delays_us})

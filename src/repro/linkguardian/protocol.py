@@ -156,9 +156,11 @@ class ProtectedLink:
         # land on and how long after leaving, so a quiet link can coast
         # (see linkguardian/replenish.py).
         self.sender.dummy_loop.couple(
-            self.receiver, propagation_ns, receiver_switch.pipeline_ns)
+            self.receiver, propagation_ns, receiver_switch.pipeline_ns,
+            self.receiver.on_link_packet)
         self.receiver.ack_loop.couple(
-            self.sender, propagation_ns, sender_switch.pipeline_ns)
+            self.sender, propagation_ns, sender_switch.pipeline_ns,
+            self.sender.on_reverse_packet)
 
         self.forward_port_name = fwd_name
         self.reverse_port_name = rev_name

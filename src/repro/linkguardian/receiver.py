@@ -101,6 +101,14 @@ class _AckLoop(ReplenishLoop):
         # an ackNo the sender already holds frees nothing
         return self.receiver.next_rx != self.peer.acked_next
 
+    def lands_quietly(self, packet: Packet) -> bool:
+        # an ackNo at or below the sender's frees nothing
+        if packet.kind is not PacketKind.LG_ACK:
+            return False
+        ack = packet.lg_ack
+        era, value = self.peer.acked_next
+        return seq_compare(ack.ackno, ack.era, value, era) <= 0
+
 
 class LgReceiver:
     """Protocol endpoint on the receiver switch for one protected link."""

@@ -96,14 +96,24 @@ class ReplenishLoop:
     def count_landed(self, n: int) -> None:
         """``n`` no-op frames reached ``peer``'s ingress handler."""
 
+    def lands_quietly(self, packet: Packet) -> bool:
+        """Is ``packet``, arriving at ``peer``'s ingress handler, one of
+        this loop's frames (already stamped on the wire) that changes
+        nothing there but a counter?  Only called once coupled."""
+        raise NotImplementedError
+
     # -- lifecycle -----------------------------------------------------------------
 
-    def couple(self, peer, wire_ns: int, pipeline_ns: int) -> None:
+    def couple(self, peer, wire_ns: int, pipeline_ns: int,
+               landing) -> None:
         """Name the endpoint these frames land on, ``wire_ns`` after the
-        last bit leaves plus ``pipeline_ns`` in its ingress pipeline."""
+        last bit leaves plus ``pipeline_ns`` in its ingress pipeline,
+        where the pipeline calls ``landing(frame)``.  A quiet frame's
+        pending landing is idle chatter to ``Simulator.idle_horizon``."""
         self.peer = peer
         self._wire_ns = int(wire_ns)
         self._pipeline_ns = int(pipeline_ns)
+        self.sim.idle_landing(landing, self.lands_quietly)
 
     def prime(self) -> None:
         """Start the loop, or top it up to ``copies``: a frame it still
@@ -140,7 +150,10 @@ class ReplenishLoop:
         Also asked by ``Simulator.idle_horizon`` on behalf of *other*
         loops, which look past this one's pending replenish while it
         holds (the two loops of a link start phase-aligned; without that
-        each would pin the other to the per-frame path).
+        each would pin the other to the per-frame path) — as they look
+        past the landing of its frames in flight while
+        :meth:`lands_quietly` holds (after a recovery the loops can be
+        half a cycle apart, each landing just after the other decides).
         """
         port = self.port
         return (

@@ -38,7 +38,7 @@ from ..core.engine import Simulator
 from ..obs.spans import NULL_SPANS
 from ..obs.trace import NULL_TRACER
 from ..packets.packet import LG_HEADER_BYTES, LgDataHeader, Packet, PacketKind
-from ..packets.seqno import SeqCounter, seq_compare
+from ..packets.seqno import SeqCounter, seq_compare, seq_distance
 from ..switchsim.port import EgressPort
 from .config import LinkGuardianConfig
 from .replenish import ReplenishLoop
@@ -104,6 +104,16 @@ class _DummyLoop(ReplenishLoop):
 
     def count_landed(self, n: int) -> None:
         self.peer.stats.dummies_seen += n
+
+    def lands_quietly(self, packet: Packet) -> bool:
+        # a frontier the receiver has reached detects no gap
+        if packet.kind is not PacketKind.LG_DUMMY:
+            return False
+        frontier = packet.meta.get("lg_frontier")
+        if frontier is None:
+            return True
+        era, value = self.peer.next_rx
+        return seq_distance(frontier[1], frontier[0], value, era) <= 0
 
 
 class LgSender:

@@ -8,7 +8,10 @@ executor.  These tests pin the seam from both sides:
 * every digest in ``tests/data/cell_seam_digests.json`` was recorded at
   the commit *before* the table existed (``PYTHONPATH=src python
   tests/test_cell_seam.py`` re-records) — the refactor may not move a
-  canonical byte of any of them;
+  canonical byte of any of them.  They were re-recorded once since, when
+  the fct, stress and deployment cells gained the metrics and series the
+  figure rows read (Fig. 13's classification counts, ``pauses``, the
+  deployment study's hourly series); every other byte stayed put;
 * ``lg_config`` is compared against reference copies of the six
   bindings the parent carried, over hypothesis-drawn specs, minus the
   one documented drift (an ``fct`` cell with ``scenario="lgnb"`` and an

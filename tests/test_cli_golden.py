@@ -187,10 +187,10 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "checkpoint.jsonl").write_text(
         "".join(json.dumps(line) + "\n" for line in CHECKPOINT))
     (tmp / "results").mkdir()
-    (tmp / "results" / "tab01_loss_buckets.json").write_text(json.dumps(
-        [{"bucket": "1e-8..1e-5", "published_%": 47.23}]))
-    (tmp / "results" / "fig20_consecutive_loss.json").write_text(json.dumps(
-        {"0.01": {"1": 0.99, "2": 1.0}}))
+    (tmp / "results" / "tab01.json").write_text(json.dumps(
+        {"gate": {}, "rows": [{"bucket": "1e-8..1e-5", "published_%": 47.23}]}))
+    (tmp / "results" / "fig20.json").write_text(json.dumps(
+        {"gate": {}, "rows": [{"loss": 0.01, "<=1": 0.99, "<=2": 1.0}]}))
 
 
 class _Health(http.server.BaseHTTPRequestHandler):

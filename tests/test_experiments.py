@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.deployment import run_deployment_comparison
+from repro.experiments.deployment import (
+    penalty_gain, run_deployment_comparison,
+)
 from repro.experiments.fct import run_fct_experiment
 from repro.experiments.figures import (
     figure1_attenuation_series, figure2_flow_size_cdfs,
@@ -12,6 +14,7 @@ from repro.experiments.goodput import run_goodput
 from repro.experiments.mechanisms import MECHANISM_VARIANTS, run_mechanism_study
 from repro.experiments.stress import run_stress_test
 from repro.experiments.timeline import run_timeline
+from repro.runner import ExperimentSpec, run_cell
 
 
 class TestStressHarness:
@@ -149,10 +152,8 @@ class TestDeploymentComparison:
         # §4.8: literally the same failure trace, event for event
         assert vanilla_trace.events == combined_trace.events
         assert len(vanilla_trace.events) >= comparison.vanilla.corruption_events > 0
-        gain = comparison.penalty_gain()
+        gain = penalty_gain(comparison.series())
         assert (gain >= 1.0 - 1e-9).mean() > 0.9  # LG ~never makes penalty worse
-        snap = comparison.week_snapshot(start_day=10)
-        assert len(snap["days"]) > 0
 
     def test_same_seed_same_output(self):
         first = run_deployment_comparison(**self.KWARGS)
@@ -161,6 +162,53 @@ class TestDeploymentComparison:
         assert (first.combined.total_penalty == second.combined.total_penalty).all()
         other = run_deployment_comparison(**{**self.KWARGS, "seed": 4})
         assert other.summary() != first.summary()
+
+
+class TestCellsCarryWhatTheFiguresRead:
+    """Figures 13, 15/16 and the Tofino2 study read their cells' metrics
+    and series; each equals what the experiment's own result holds."""
+
+    @pytest.mark.parametrize("scenario, loss_rate",
+                             [("lgnb", 2e-2), ("loss", 5e-2)])
+    def test_fct_cell_carries_the_classification(self, scenario, loss_rate):
+        spec = ExperimentSpec(kind="fct", scenario=scenario, flow_size=24_387,
+                              n_trials=100, loss_rate=loss_rate, seed=6)
+        metrics = run_cell(spec).metrics
+        result = run_fct_experiment("dctcp", 24_387, 100, scenario,
+                                    loss_rate=loss_rate, seed=6)
+        tree = result.classification()
+        assert tree.affected > 0
+        assert {k: metrics[k] for k in (
+            "trials", "sack_flows", "sack_le_2mss", "group_a", "group_b",
+            "group_c", "group_d")} == {
+            "trials": tree.total, "sack_flows": tree.affected,
+            "sack_le_2mss": tree.le_2mss, "group_a": tree.group_a,
+            "group_b": tree.group_b, "group_c": tree.group_c,
+            "group_d": tree.group_d}
+        # LG_NB leaves no RTO tail; the unprotected link does
+        assert metrics["rto_flows"] == sum(
+            1 for r in result.records if r.timeouts)
+        assert (metrics["rto_flows"] > 0) == (scenario == "loss")
+
+    def test_stress_cell_carries_pauses(self):
+        spec = ExperimentSpec(kind="stress", loss_rate=5e-3, seed=27,
+                              params={"duration_ms": 1.0})
+        result = run_stress_test(rate_gbps=100, loss_rate=5e-3, seed=27,
+                                 duration_ms=1.0)
+        assert result.pauses > 0
+        assert run_cell(spec).metrics["pauses"] == result.pauses
+
+    def test_deployment_cell_carries_the_hourly_series(self):
+        kwargs = dict(TestDeploymentComparison.KWARGS)
+        seed = kwargs.pop("seed")
+        cell = run_cell(ExperimentSpec(kind="deployment", seed=seed,
+                                       params=kwargs))
+        comparison = run_deployment_comparison(seed=seed, **kwargs)
+        expected = comparison.series()
+        assert len(expected) == 6 and sorted(cell.series) == sorted(expected)
+        for name, values in expected.items():
+            assert cell.series[name] == values.tolist()
+        assert cell.metrics == comparison.summary()
 
 
 class TestFigureModels:

@@ -3,29 +3,27 @@
 import json
 import os
 
-from repro.analysis.export import export_results, write_csv, write_dat
+from repro.analysis.export import export_results, write_csv
 
 
 def _make_results(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
-    (results / "fig01_attenuation.json").write_text(json.dumps({
-        "attenuation_db": [9.0, 10.0],
-        "10GBASE-SR": [1e-12, 1e-10],
-        "25GBASE-SR": [1e-9, 1e-7],
+    (results / "tab01.json").write_text(json.dumps({
+        "gate": {"n_samples": 200_000},
+        "rows": [{"bucket": "[1e-08, 1e-05)", "published_%": 47.23,
+                  "sampled_%": 47.3}],
     }))
-    (results / "tab01_loss_buckets.json").write_text(json.dumps([
-        {"bucket": "[1e-8,1e-5)", "published_%": 47.23, "sampled_%": 47.3},
-    ]))
-    (results / "fig10_fct_single_packet.json").write_text(json.dumps({
-        "dctcp-lg": {"p50_us": 28.7, "p99.9_us": 33.2},
+    (results / "fig10.json").write_text(json.dumps({
+        "gate": {"trials": 3_000},
+        "rows": [{"transport": "dctcp", "scenario": "lg", "p50_us": 28.7},
+                 {"transport": "rdma", "scenario": "lg", "p50_us": 12.1}],
     }))
-    (results / "fig19_retx_delay.json").write_text(json.dumps({
-        "100": [3.0, 1.0, 2.0],
-    }))
-    (results / "fig20_consecutive_loss.json").write_text(json.dumps({
-        "0.05": {"1": 0.83, "2": 0.97},
-    }))
+    # the claim record and the obs-overhead record have no rows
+    (results / "paper_claims.json").write_text(json.dumps(
+        {"fig10": {"dctcp: p99.9 LG / no loss": 1.16}}))
+    (results / "fig10_obs_overhead.json").write_text(json.dumps(
+        {"trials": 1_500, "overhead_pct": 120.0}))
     return str(results)
 
 
@@ -34,22 +32,11 @@ class TestExport:
         results = _make_results(tmp_path)
         out = str(tmp_path / "figures")
         written = export_results(results, out)
-        names = {os.path.basename(p) for p in written}
-        assert "fig01_attenuation.dat" in names
-        assert "tab01_loss_buckets.csv" in names
-        assert "fig10_fct_single_packet.csv" in names
-        assert "fig19_retx_delay_100g.dat" in names
-        assert "fig20_consecutive_0p05.dat" in names
-        for path in written:
-            assert os.path.getsize(path) > 0
-
-    def test_dat_format(self, tmp_path):
-        path = str(tmp_path / "x.dat")
-        write_dat(path, ["a", "b c"], [[1, 2.5], [3, None]])
-        lines = open(path).read().splitlines()
-        assert lines[0] == "# a b_c"
-        assert lines[1] == "1 2.5"
-        assert lines[2] == "3 nan"
+        assert [os.path.basename(p) for p in written] == \
+            ["fig10.csv", "tab01.csv"]
+        lines = open(os.path.join(out, "fig10.csv")).read().splitlines()
+        assert lines == ["transport,scenario,p50_us", "dctcp,lg,28.7",
+                         "rdma,lg,12.1"]
 
     def test_csv_format(self, tmp_path):
         path = str(tmp_path / "x.csv")
@@ -58,16 +45,9 @@ class TestExport:
         assert lines[0] == "a,b"
         assert lines[1] == "1,x"
 
-    def test_fig19_cdf_is_sorted(self, tmp_path):
-        results = _make_results(tmp_path)
-        out = str(tmp_path / "figures")
-        export_results(results, out)
-        lines = open(os.path.join(out, "fig19_retx_delay_100g.dat")).read().splitlines()
-        values = [float(line.split()[0]) for line in lines[1:]]
-        assert values == sorted(values)
-
     def test_partial_results_ok(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         out = str(tmp_path / "figures")
         assert export_results(str(empty), out) == []
+        assert export_results(str(tmp_path / "missing"), out) == []

@@ -6,10 +6,13 @@ paper figure and table and of the §5 studies: the CLI verbs, the claim gate
 tables all read it.  The gate itself is minutes of simulation and runs
 in its own CI job; what tier-1 holds is that the table covers the verbs,
 its cells are runnable, its claims are well-formed and agree with the
-gate's tracked record, the documentation is the rendered table, and the
-four static rows still regenerate their tracked result files.
+gate's tracked record, the tracked result documents are the table's
+(one per row: its gate and its printed rows), the documentation is the
+rendered table, and the four static rows still regenerate their tracked
+result files.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -84,11 +87,26 @@ def test_experiments_md_is_the_rendered_table():
     assert block == _report.render_claims(FIGURES, _report.load_claims())
 
 
+def test_tracked_documents_are_the_table():
+    """``benchmarks/results/`` holds one document per row, named by the
+    row's id, with the row's gate and the rows it prints; beside them
+    only the claim record and the obs-overhead record."""
+    results = Path(_report.RESULTS_DIR)
+    assert sorted(path.name for path in results.iterdir()) == sorted(
+        [f"{name}.json" for name in FIGURES]
+        + ["paper_claims.json", "fig10_obs_overhead.json"])
+    for name, row in FIGURES.items():
+        document = json.loads((results / f"{name}.json").read_text())
+        assert sorted(document) == ["gate", "rows"], name
+        assert document["gate"] == json.loads(json.dumps(row.gate)), name
+
+
 @pytest.mark.parametrize("name", ["fig01", "fig02", "tab01", "fig20"])
 def test_static_rows_regenerate_their_tracked_results(name):
     row = FIGURES[name]
-    document = _report.dump_json(row.record(run_figure(row, row.gate)))
-    assert document == Path(_report.results_path(row.results)).read_text()
+    document = _report.figure_document(row, run_figure(row, row.gate))
+    assert _report.dump_json(document) \
+        == Path(_report.results_path(name)).read_text()
 
 
 class TestFig12Trials:

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.experiments.fct as fct_module
 import repro.experiments.stress as stress_module
@@ -23,7 +23,7 @@ from repro.core.state import loss_fields
 from repro.linkguardian.bidirectional import BidirectionalProtectedLink
 from repro.obs import Observability
 from repro.obs.trace import Tracer
-from repro.packets.packet import Packet
+from repro.packets.packet import LgAckHeader, Packet, PacketKind
 from repro.phy.loss import (
     BernoulliLoss, DataFrameLoss, GilbertElliottLoss, LossProcess, NoLoss,
     ScriptedLoss,
@@ -140,6 +140,11 @@ def test_fct_pinned_equals_coasting(monkeypatch, transport, scenario,
     mean_burst=st.sampled_from([1.0, 1.35, 3.0]),
     seed=st.integers(1, 10_000),
 )
+# one recovery leaves the two loops half a cycle apart, each one's frame
+# landing just after the other decides: they must still coast
+@example(ordered=False, loss_rate=1e-4, mean_burst=1.0, seed=1220)
+@example(ordered=False, loss_rate=1e-4, mean_burst=1.35, seed=2487)
+@example(ordered=True, loss_rate=1e-4, mean_burst=3.0, seed=77)
 def test_stress_pinned_equals_coasting(monkeypatch, ordered, loss_rate,
                                        mean_burst, seed):
     def run():
@@ -156,6 +161,35 @@ def test_stress_pinned_equals_coasting(monkeypatch, ordered, loss_rate,
     # at line rate the ACKs carry news and the forward port is never
     # idle; the post-injection drain is where this one coasts
     assert coasting_bed.sim.events_elided > 0
+
+
+def test_only_a_frame_without_news_lands_quietly():
+    testbed = build_testbed()
+    testbed.inject(5)
+    testbed.sim.run(until=300 * US)
+    plink = testbed.plink
+    assert plink.receiver.next_rx == plink.sender.acked_next == (0, 5)
+
+    def dummy(frontier):
+        frame = Packet(size=64, kind=PacketKind.LG_DUMMY)
+        if frontier is not None:
+            frame.meta["lg_frontier"] = (0, frontier)
+        return frame
+
+    def ack(ackno):
+        frame = Packet(size=64, kind=PacketKind.LG_ACK)
+        frame.lg_ack = LgAckHeader(ackno, 0)
+        return frame
+
+    dummies, acks = plink.sender.dummy_loop, plink.receiver.ack_loop
+    assert [dummies.lands_quietly(dummy(f)) for f in (None, 4, 5, 6)] == [
+        True, True, True, False]                # 6: a tail loss to detect
+    assert [acks.lands_quietly(ack(n)) for n in (4, 5, 6)] == [
+        True, True, False]                      # 6: frees buffered copies
+    data = Packet(size=1_500)
+    assert not dummies.lands_quietly(data)
+    assert not dummies.lands_quietly(ack(5))
+    assert not acks.lands_quietly(dummy(5))
 
 
 def test_corrupted_coasted_frames_reach_on_corrupt_and_nothing_else():
@@ -307,6 +341,31 @@ class TestHorizon:
         assert seen == [30]
         assert (calm.fired, busy.fired) == (1, 1)
         assert sim.idle_pending(calm) == sim.idle_pending(busy) == 0
+
+    def test_horizon_skips_quiet_landings_only(self, queue):
+        sim = Simulator(queue=queue)
+        landed = []
+
+        def land(frame):
+            landed.append(frame)
+
+        sim.idle_landing(land, lambda frame: frame == "quiet")
+        seen = []
+
+        def look():
+            seen.append(sim.idle_horizon() - sim.now)
+
+        sim.schedule(10, look)
+        sim.schedule(20, land, "quiet")
+        sim.schedule(30, land, "news")
+        sim.schedule(100, look)
+        sim.schedule(110, land, "quiet")
+        sim.schedule(120, lambda frame: None, "quiet")    # not registered
+        sim.schedule(200, look)
+        sim.schedule(210, land, "quiet")
+        sim.run(until=1_000)
+        assert seen == [20, 20, 800]
+        assert landed == ["quiet", "news", "quiet", "quiet"]
 
     def test_until_caps_the_horizon(self, queue):
         sim = Simulator(queue=queue)
