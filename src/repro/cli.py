@@ -476,7 +476,7 @@ def _obs_spans(args) -> None:
             offset_us = (span["start_ns"] - origin) / 1e3
             if span["end_ns"] is not None and span["end_ns"] > span["start_ns"]:
                 extent = f"dur={(span['end_ns'] - span['start_ns']) / 1e3:g}us"
-            elif span["end_ns"] is None and depth == 0:
+            elif span["end_ns"] is None:
                 extent = "open"
             else:
                 extent = "instant"

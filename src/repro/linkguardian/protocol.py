@@ -124,7 +124,7 @@ class ProtectedLink:
             name=f"lgs:{self.forward_link.name}",
             phase_rng=phase_rng,
             obs=obs,
-            span_scope=self.forward_link.name,
+            link_name=self.forward_link.name,
         )
         self.receiver = LgReceiver(
             sim, self.config,
@@ -133,7 +133,7 @@ class ProtectedLink:
             drain_rate_bps=recirc_drain_bps,
             name=f"lgr:{self.forward_link.name}",
             obs=obs,
-            span_scope=self.forward_link.name,
+            link_name=self.forward_link.name,
         )
         if obs is not None:
             # Queue-depth gauges and watermarks for both directions.

@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..analysis.stats import OccupancyTracker
 from ..core.engine import Simulator
-from ..obs.spans import NULL_SPANS
 from ..obs.trace import NULL_TRACER
 from ..packets.packet import (
     LG_HEADER_BYTES, LgAckHeader, Packet, PacketKind,
@@ -128,7 +127,7 @@ class LgReceiver:
         name: str = "lg-receiver",
         manage_port_hooks: bool = True,
         obs=None,
-        span_scope: Optional[str] = None,
+        link_name: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -138,12 +137,9 @@ class LgReceiver:
         self.name = name
         self.stats = ReceiverStats()
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._spans = getattr(obs, "spans", NULL_SPANS) if obs is not None \
-            else NULL_SPANS
-        #: correlation scope for causal spans: the forward link's name
-        #: (the link opens the episode root under that scope).
-        self.span_scope = span_scope if span_scope is not None else name
-        self._pause_span = None
+        #: the forward link's name: the ``link`` every trace event
+        #: carries, so episode events correlate across components
+        self.link_name = link_name if link_name is not None else name
         self._retx_delay_hist = None
         self._pause_hist = None
         self._paused_at = None
@@ -241,11 +237,7 @@ class LgReceiver:
                 self._paused_at = None
             if self._tracer.enabled:
                 self._tracer.end(self.sim.now, "lg.receiver", "pause",
-                                 {"buffer_bytes": 0})
-            if self._pause_span is not None:
-                self._spans.end(self._pause_span, self.sim.now,
-                                args={"nb_fallback": True})
-                self._pause_span = None
+                                 {"link": self.link_name, "nb_fallback": True})
             self._send_control(self._control_packet(PacketKind.LG_RESUME))
 
     # -- helpers ----------------------------------------------------------------
@@ -340,17 +332,10 @@ class LgReceiver:
         notification.meta["lg_next_rx"] = (self._next_rx.era, self._next_rx.value)
         self.stats.notifications += 1
         if self._tracer.enabled:
-            self._tracer.instant(self.sim.now, "lg.receiver", "loss_notification", {
-                "missing": len(missing_keys),
-                "first_seq": missing_keys[0][1], "era": missing_keys[0][0],
-            })
-        if self._spans.enabled:
             for era, seqno in missing_keys:
-                episode = self._spans.lookup((self.span_scope, era, seqno))
-                if episode is not None:
-                    self._spans.event(
-                        self.sim.now, "lg.receiver", "loss_notification",
-                        parent=episode, args={"seq": seqno, "era": era})
+                self._tracer.instant(
+                    self.sim.now, "lg.receiver", "loss_notification",
+                    {"link": self.link_name, "seq": seqno, "era": era})
         self._send_control(notification)
 
     def _record_retx_arrival(self, seqno: int, era: int) -> None:
@@ -364,15 +349,9 @@ class LgReceiver:
                 self._retx_delay_hist.observe(delay)
             if self._tracer.enabled:
                 self._tracer.instant(self.sim.now, "lg.receiver", "recovered", {
-                    "seq": seqno, "era": era, "delay_ns": delay,
+                    "link": self.link_name, "seq": seqno, "era": era,
+                    "delay_ns": delay,
                 })
-            if self._spans.enabled:
-                episode = self._spans.lookup((self.span_scope, era, seqno))
-                if episode is not None:
-                    self._spans.event(
-                        self.sim.now, "lg.receiver", "recovered",
-                        parent=episode,
-                        args={"seq": seqno, "era": era, "delay_ns": delay})
 
     # -- Algorithm 1: de-duplication & in-order recovery ---------------------------
 
@@ -399,15 +378,8 @@ class LgReceiver:
                 if self._tracer.enabled:
                     self._tracer.instant(
                         self.sim.now, "lg.receiver", "overflow_drop",
-                        {"seq": seqno, "era": era},
+                        {"link": self.link_name, "seq": seqno, "era": era},
                     )
-                if self._spans.enabled:
-                    episode = self._spans.lookup(
-                        (self.span_scope, era, seqno))
-                    if episode is not None:
-                        self._spans.event(
-                            self.sim.now, "lg.receiver", "overflow_drop",
-                            parent=episode, args={"seq": seqno, "era": era})
                 return
             self._buffer[key] = packet
             self._buffer_update(packet.size)
@@ -451,32 +423,22 @@ class LgReceiver:
         self._drain()
 
     def _deliver(self, packet: Packet) -> None:
-        if self._spans.enabled and packet.lg is not None:
-            # Closes the recovery episode, if this seqNo opened one; a
-            # plain dict lookup-miss for the (vast) majority of packets.
-            self._finish_episode(
-                packet.lg.seqno, packet.lg.era,
-                "in_order_release" if self.config.ordered
-                else "reordered_release")
-        packet.size -= LG_HEADER_BYTES
-        packet.lg = None
         if packet.kind is PacketKind.LG_RETX:
             packet.kind = PacketKind.DATA
+            if self._tracer.enabled:
+                # A retransmitted copy is the only delivery that can
+                # close a recovery episode.
+                self._tracer.instant(
+                    self.sim.now, "lg.receiver",
+                    "in_order_release" if self.config.ordered
+                    else "reordered_release",
+                    {"link": self.link_name, "seq": packet.lg.seqno,
+                     "era": packet.lg.era})
+        packet.size -= LG_HEADER_BYTES
+        packet.lg = None
         self.stats.delivered += 1
         self.stats.delivered_bytes += packet.size
         self.forward(packet)
-
-    def _finish_episode(self, seqno: int, era: int, release_name: str,
-                        outcome: str = "recovered") -> None:
-        """Close the causal recovery-episode span bound to this seqNo."""
-        key = (self.span_scope, era, seqno)
-        episode = self._spans.lookup(key)
-        if episode is None:
-            return
-        self._spans.event(self.sim.now, "lg.receiver", release_name,
-                          parent=episode, args={"seq": seqno, "era": era})
-        self._spans.end(episode, self.sim.now, args={"outcome": outcome})
-        self._spans.unbind(key)
 
     # -- non-blocking (LinkGuardianNB) delivery ------------------------------------
 
@@ -515,11 +477,8 @@ class LgReceiver:
         self.stats.timeouts += 1
         if self._tracer.enabled:
             self._tracer.instant(self.sim.now, "lg.receiver", "ack_no_timeout", {
-                "seq": key[1], "era": key[0],
+                "link": self.link_name, "seq": key[1], "era": key[0],
             })
-        if self._spans.enabled:
-            self._finish_episode(key[1], key[0], "ack_no_timeout",
-                                 outcome="timeout")
         if not self.config.ordered:
             return
         if key == self._key(self._ack_no):
@@ -547,10 +506,8 @@ class LgReceiver:
             if self._tracer.enabled:
                 self._tracer.instant(self.sim.now, "lg.receiver",
                                      "stall_advance",
-                                     {"seq": key[1], "era": key[0]})
-            if self._spans.enabled:
-                self._finish_episode(key[1], key[0], "stall_advance",
-                                     outcome="stalled")
+                                     {"link": self.link_name,
+                                      "seq": key[1], "era": key[0]})
             self._ack_no.advance()
             self._drain()
 
@@ -574,12 +531,8 @@ class LgReceiver:
             self._paused_at = self.sim.now
             if self._tracer.enabled:
                 self._tracer.begin(self.sim.now, "lg.receiver", "pause",
-                                   {"buffer_bytes": depth})
-            if self._spans.enabled:
-                episode = self._spans.current(self.span_scope)
-                self._pause_span = self._spans.begin(
-                    self.sim.now, "lg.receiver", "pause", parent=episode,
-                    args={"buffer_bytes": depth})
+                                   {"link": self.link_name,
+                                    "buffer_bytes": depth})
             self._send_control(self._control_packet(PacketKind.LG_PAUSE))
         elif depth <= self.config.resume_threshold_bytes and self._paused_sender:
             self._paused_sender = False
@@ -590,11 +543,8 @@ class LgReceiver:
                 self._paused_at = None
             if self._tracer.enabled:
                 self._tracer.end(self.sim.now, "lg.receiver", "pause",
-                                 {"buffer_bytes": depth})
-            if self._pause_span is not None:
-                self._spans.end(self._pause_span, self.sim.now,
-                                args={"resume_buffer_bytes": depth})
-                self._pause_span = None
+                                 {"link": self.link_name,
+                                  "resume_buffer_bytes": depth})
             self._send_control(self._control_packet(PacketKind.LG_RESUME))
 
     # -- snapshot / restore ----------------------------------------------------------

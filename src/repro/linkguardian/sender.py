@@ -35,7 +35,6 @@ from typing import Callable, Optional
 
 from ..analysis.stats import OccupancyTracker
 from ..core.engine import Simulator
-from ..obs.spans import NULL_SPANS
 from ..obs.trace import NULL_TRACER
 from ..packets.packet import LG_HEADER_BYTES, LgDataHeader, Packet, PacketKind
 from ..packets.seqno import SeqCounter, seq_compare, seq_distance
@@ -135,7 +134,7 @@ class LgSender:
         phase_rng=None,
         manage_port_hooks: bool = True,
         obs=None,
-        span_scope: Optional[str] = None,
+        link_name: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -145,12 +144,9 @@ class LgSender:
         self.name = name
         self.stats = SenderStats()
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._spans = getattr(obs, "spans", NULL_SPANS) if obs is not None \
-            else NULL_SPANS
-        #: correlation scope for causal spans: the forward link's name
-        #: (the link opens the episode root under that scope).
-        self.span_scope = span_scope if span_scope is not None else name
-        self._pause_span = None
+        #: the forward link's name: the ``link`` every trace event
+        #: carries, so episode events correlate across components
+        self.link_name = link_name if link_name is not None else name
         self._pause_hist = None
         self._paused_at: Optional[int] = None
         if obs is not None:
@@ -265,12 +261,7 @@ class LgSender:
                 self._paused_at = self.sim.now
                 if self._tracer.enabled:
                     self._tracer.begin(self.sim.now, "lg.sender", "pause",
-                                       {"link": self.name})
-                if self._spans.enabled:
-                    episode = self._spans.current(self.span_scope)
-                    self._pause_span = self._spans.begin(
-                        self.sim.now, "lg.sender", "pause", parent=episode,
-                        args={"link": self.name})
+                                       {"link": self.link_name})
             return
         if packet.kind is PacketKind.LG_RESUME:
             if self.port.is_paused(self.NORMAL_QUEUE):
@@ -282,10 +273,7 @@ class LgSender:
                     self._paused_at = None
                 if self._tracer.enabled:
                     self._tracer.end(self.sim.now, "lg.sender", "pause",
-                                     {"link": self.name})
-                if self._pause_span is not None:
-                    self._spans.end(self._pause_span, self.sim.now)
-                    self._pause_span = None
+                                     {"link": self.link_name})
             return
         # Normal reverse traffic: strip the piggybacked ACK header and
         # hand the packet back to the switch pipeline.
@@ -355,16 +343,9 @@ class LgSender:
         self.stats.retx_events += 1
         if self._tracer.enabled:
             self._tracer.instant(self.sim.now, "lg.sender", "retx_fire", {
-                "seq": entry.seqno, "era": entry.era, "copies": self.n_copies,
+                "link": self.link_name, "seq": entry.seqno, "era": entry.era,
+                "copies": self.n_copies,
             })
-        if self._spans.enabled:
-            episode = self._spans.lookup(
-                (self.span_scope, entry.era, entry.seqno))
-            if episode is not None:
-                self._spans.event(
-                    self.sim.now, "lg.sender", "retx_fire", parent=episode,
-                    args={"seq": entry.seqno, "era": entry.era,
-                          "copies": self.n_copies})
         for _ in range(self.n_copies):
             copy = entry.packet.copy()
             copy.kind = PacketKind.LG_RETX

@@ -12,7 +12,9 @@ discipline):
 
 * :class:`~repro.obs.spans.SpanTracer` (``spans=True``) — causal
   recovery-episode trees linking a corruption drop to its loss
-  notification, retransmissions, in-order release, and pause/resume;
+  notification, retransmissions, in-order release, and pause/resume,
+  read off the tracer's events through its ``sink`` (so spans imply an
+  enabled tracer);
 * :class:`~repro.obs.timeline.TimelineRecorder` (``timeline=...``) — a
   flight recorder sampling the registry on a simulated-time cadence.
 
@@ -39,7 +41,7 @@ from .metrics import (
     DEFAULT_NS_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry,
 )
 from .profile import PhaseTimer
-from .spans import NULL_SPANS, Span, SpanTracer
+from .spans import Span, SpanTracer
 from .timeline import TimelineRecorder
 from .trace import NULL_TRACER, TraceEvent, Tracer
 
@@ -47,7 +49,7 @@ __all__ = [
     "Observability",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_NS_BUCKETS",
     "Tracer", "TraceEvent", "NULL_TRACER",
-    "SpanTracer", "Span", "NULL_SPANS",
+    "SpanTracer", "Span",
     "TimelineRecorder", "PhaseTimer",
     "to_chrome_trace", "write_chrome_trace", "events_to_jsonl", "write_jsonl",
     "read_span_records",
@@ -61,15 +63,19 @@ class Observability:
 
     ``timeline`` accepts ``None`` (off), ``True`` (defaults), or a dict
     of :class:`TimelineRecorder` keyword arguments (``interval_ns``,
-    ``capacity``, ``include``).
+    ``capacity``, ``include``).  ``spans=True`` enables the tracer
+    whatever ``tracing`` says: spans are built from its events.
     """
 
     def __init__(self, tracing: bool = True, trace_capacity: int = 1 << 16,
                  spans: bool = False, span_capacity: int = 4096,
                  timeline: Union[None, bool, dict] = None) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(capacity=trace_capacity, enabled=tracing)
+        self.tracer = Tracer(capacity=trace_capacity,
+                             enabled=tracing or spans)
         self.spans = SpanTracer(capacity=span_capacity, enabled=spans)
+        if spans:
+            self.tracer.sink = self.spans.observe
         self.timeline: Optional[TimelineRecorder] = None
         if timeline:
             kwargs = dict(timeline) if isinstance(timeline, dict) else {}

@@ -205,8 +205,9 @@ def read_span_records(text: str, jsonl: bool = False) -> List[dict]:
             "cat": event.get("cat"),
             "name": event.get("name"),
             "start_ns": start_ns,
-            "end_ns": (start_ns + int(round(event.get("dur", 0) * 1000))
-                       if event.get("ph") == "X" else None),
+            # "B" is a still-open span; "i" an instant (no "dur")
+            "end_ns": (None if event.get("ph") == "B" else
+                       start_ns + int(round(event.get("dur", 0) * 1000))),
             "args": {k: v for k, v in meta.items() if k not in ids},
         })
     return spans

@@ -1,31 +1,55 @@
-"""Causal recovery-episode spans.
+"""Causal recovery-episode spans, read off the flat event stream.
 
 The flat event ring (:mod:`repro.obs.trace`) answers "what happened";
-spans answer "what caused what".  A :class:`SpanTracer` issues records
-with ``span_id`` / ``parent_id`` / ``trace_id`` so a corruption drop,
-the LinkGuardian loss notification, each retransmission copy, the
-reordering-buffer release, and any pause/resume it triggers link into
-one recovery-episode tree (one ``trace_id`` per episode).
+spans answer "what caused what".  A :class:`SpanTracer` turns those
+events into records with ``span_id`` / ``parent_id`` / ``trace_id`` so
+a corruption drop, the LinkGuardian loss notification, each
+retransmission copy, the reordering-buffer release, and any pause/resume
+it triggers link into one recovery-episode tree (one ``trace_id`` per
+episode).
 
 Design constraints:
 
-* The tracer's ``sink`` hook is owned by the checker (it chains it);
-  spans therefore keep their *own* bounded storage and never touch the
-  event ring.
-* Components correlate a retransmission back to its episode through a
-  key map: ``bind((scope, era, seqno), span)`` at the corruption drop,
-  ``lookup``/``unbind`` downstream.  ``scope`` is the forward-link name,
-  so parallel protected links never cross wires.
-* Everything is guarded by ``enabled`` — a disabled tracer costs one
-  attribute read per call site (the overhead budget in DESIGN §5h).
+* Spans chain the tracer's ``sink``: :class:`~repro.obs.Observability`
+  installs :meth:`SpanTracer.observe` there and the checker chains
+  whatever sink it finds, so spans see every event before the ring can
+  overwrite it and keep their *own* bounded storage.  Components emit
+  flat events only; no protocol code knows spans exist, and replaying a
+  run's events into a fresh reader rebuilds the same trees.
+* Every event that belongs to an episode carries ``link`` (the forward
+  link's name), ``era`` and ``seq``; the reader correlates on
+  ``(link, era, seq)``, so parallel protected links never cross wires.
+* :data:`EPISODE_EVENTS` is the whole mapping from events to spans; a
+  tier gets episode trees by adding rows to it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "SpanTracer", "NULL_SPANS"]
+__all__ = ["Span", "SpanTracer", "EPISODE_EVENTS"]
+
+
+#: event name -> (action, outcome).  ``open``: a corrupted original
+#: starts an episode, the event its first child; ``child``: an instant
+#: under the episode; ``close``: an instant, then the episode ends with
+#: ``outcome``; ``pause``: ``B`` begins a span under the link's newest
+#: open episode, ``E`` ends it.  A span's args are its event's args
+#: minus ``link``; an ``E`` merges its args into the pause span.
+EPISODE_EVENTS = {
+    "corruption_drop": ("open", None),
+    "retx_drop": ("child", None),
+    "loss_notification": ("child", None),
+    "retx_fire": ("child", None),
+    "recovered": ("child", None),
+    "overflow_drop": ("child", None),
+    "in_order_release": ("close", "recovered"),
+    "reordered_release": ("close", "recovered"),
+    "ack_no_timeout": ("close", "timeout"),
+    "stall_advance": ("close", "stalled"),
+    "pause": ("pause", None),
+}
 
 
 class Span:
@@ -77,7 +101,7 @@ class Span:
 
 
 class SpanTracer:
-    """Bounded store of causal spans plus the episode correlation map.
+    """Bounded store of causal spans, fed by :meth:`observe`.
 
     Completed spans live in a ring (oldest evicted first, counted in
     ``dropped``); open spans are pinned until finished so an episode
@@ -85,7 +109,8 @@ class SpanTracer:
     """
 
     __slots__ = ("enabled", "capacity", "started", "dropped",
-                 "_next_id", "_completed", "_open", "_binds", "_scope_roots")
+                 "_next_id", "_completed", "_open", "_binds", "_scope_roots",
+                 "_pauses")
 
     def __init__(self, capacity: int = 4096, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -95,18 +120,56 @@ class SpanTracer:
         self._next_id = 1
         self._completed: deque = deque()
         self._open: Dict[int, Span] = {}
-        self._binds: Dict[Hashable, Span] = {}
+        #: (link, era, seq) -> open episode root
+        self._binds: Dict[tuple, Span] = {}
+        #: link -> its newest still-open episode root (a pause's parent)
         self._scope_roots: Dict[str, Span] = {}
+        #: (link, category) -> open pause span
+        self._pauses: Dict[tuple, Span] = {}
+
+    # -- reading the event stream ----------------------------------------
+
+    def observe(self, event) -> None:
+        """Tracer sink: fold one flat event into the episode trees."""
+        row = EPISODE_EVENTS.get(event.name)
+        if row is None or not event.args or "link" not in event.args:
+            return
+        args = dict(event.args)
+        link = args.pop("link")
+        action, outcome = row
+        ts, category = event.ts, event.category
+        if action == "pause":
+            key = (link, category)
+            if event.phase == "B":
+                self._pauses[key] = self.begin(
+                    ts, category, event.name,
+                    parent=self._scope_roots.get(link), args=args)
+            elif key in self._pauses:
+                self.end(self._pauses.pop(key), ts, args=args)
+            return
+        if "era" not in args:
+            return  # a frame without a LinkGuardian header
+        key = (link, args["era"], args["seq"])
+        if action == "open":
+            episode = self.begin(ts, "episode", "recovery_episode", args={
+                "link": link, "seq": args["seq"], "era": args["era"]})
+            self._binds[key] = self._scope_roots[link] = episode
+        else:
+            episode = self._binds.get(key)
+            if episode is None:
+                return
+        self.event(ts, category, event.name, parent=episode, args=args)
+        if action == "close":
+            self.end(episode, ts, args={"outcome": outcome})
+            del self._binds[key]
 
     # -- recording -------------------------------------------------------
 
     def begin(self, ts: int, category: str, name: str,
-              parent: Optional[Span] = None, args: Optional[Dict] = None,
-              scope: Optional[str] = None) -> Span:
+              parent: Optional[Span] = None,
+              args: Optional[Dict] = None) -> Span:
         """Open a span.  With no ``parent`` it is an episode root (its
-        ``trace_id`` is its own id); with ``scope`` it also becomes the
-        scope's *current* root until finished (pause spans attach to
-        it)."""
+        ``trace_id`` is its own id)."""
         span_id = self._next_id
         self._next_id += 1
         trace_id = parent.trace_id if parent is not None else span_id
@@ -114,8 +177,6 @@ class SpanTracer:
         span = Span(span_id, parent_id, trace_id, category, name, ts, args)
         self.started += 1
         self._open[span_id] = span
-        if scope is not None and parent is None:
-            self._scope_roots[scope] = span
         return span
 
     def event(self, ts: int, category: str, name: str,
@@ -143,22 +204,6 @@ class SpanTracer:
             self._completed.popleft()
             self.dropped += 1
 
-    # -- correlation -----------------------------------------------------
-
-    def bind(self, key: Hashable, span: Span) -> None:
-        self._binds[key] = span
-
-    def lookup(self, key: Hashable) -> Optional[Span]:
-        return self._binds.get(key)
-
-    def unbind(self, key: Hashable) -> None:
-        self._binds.pop(key, None)
-
-    def current(self, scope: str) -> Optional[Span]:
-        """The most recent still-open episode root for ``scope`` (the
-        parent for pause/resume spans), or None."""
-        return self._scope_roots.get(scope)
-
     # -- reading ---------------------------------------------------------
 
     def spans(self) -> List[Span]:
@@ -183,10 +228,6 @@ class SpanTracer:
         self._open.clear()
         self._binds.clear()
         self._scope_roots.clear()
+        self._pauses.clear()
         self.started = 0
         self.dropped = 0
-
-
-#: Shared disabled instance — call sites hold a reference and check
-#: ``.enabled`` so the off path costs one attribute read.
-NULL_SPANS = SpanTracer(capacity=1, enabled=False)

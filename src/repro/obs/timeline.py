@@ -23,15 +23,11 @@ not, so overflow behaviour is a policy:
 * ``policy="decimate"`` halves the retained resolution instead: every
   other sample is discarded and the effective interval doubles, so the
   ring always spans the *whole* run at progressively coarser cadence —
-  the right trade for longitudinal SLO series;
-* ``spill=<path>`` (composable with ``policy="drop"``) appends each
-  evicted sample to a JSONL file, so nothing is lost even when the
-  in-memory ring is tight.
+  the right trade for longitudinal SLO series.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -72,14 +68,13 @@ class TimelineRecorder:
     """Bounded ring-of-snapshots sampler over a metrics registry."""
 
     __slots__ = ("registry", "interval_ns", "capacity", "enabled",
-                 "include", "policy", "spill", "runs", "sampled", "dropped",
-                 "decimations", "_samples", "_spill_handle")
+                 "include", "policy", "runs", "sampled", "dropped",
+                 "decimations", "_samples")
 
     def __init__(self, registry, interval_ns: int = 1_000_000,
                  capacity: int = 4096,
                  include: Optional[Sequence[str]] = None,
-                 policy: str = "drop",
-                 spill: Optional[str] = None) -> None:
+                 policy: str = "drop") -> None:
         if interval_ns <= 0:
             raise ValueError("timeline interval_ns must be positive")
         if capacity < 2:
@@ -92,7 +87,6 @@ class TimelineRecorder:
         self.capacity = int(capacity)
         self.include = tuple(include) if include else None
         self.policy = policy
-        self.spill = spill
         self.enabled = True
         self.runs = 0
         self.sampled = 0
@@ -101,7 +95,6 @@ class TimelineRecorder:
         self.decimations = 0
         #: ring of (run, ts_ns, {name: value}) tuples
         self._samples: deque = deque()
-        self._spill_handle = None
 
     # -- recording -------------------------------------------------------
 
@@ -140,17 +133,8 @@ class TimelineRecorder:
                 self._decimate()
         else:
             while len(self._samples) > self.capacity:
-                self._evict(self._samples.popleft())
-
-    def _evict(self, sample: Tuple[int, int, Dict[str, float]]) -> None:
-        self.dropped += 1
-        if self.spill is not None:
-            if self._spill_handle is None:
-                self._spill_handle = open(self.spill, "a")
-            run, ts_ns, flat = sample
-            self._spill_handle.write(json.dumps(
-                {"run": run, "ts_ns": ts_ns, "metrics": flat},
-                sort_keys=True, separators=(",", ":")) + "\n")
+                self._samples.popleft()
+                self.dropped += 1
 
     def _decimate(self) -> None:
         """Halve resolution: keep every other sample, double the interval.
@@ -170,9 +154,6 @@ class TimelineRecorder:
     def stop(self) -> None:
         """Disable further sampling; pending ticks become no-ops."""
         self.enabled = False
-        if self._spill_handle is not None:
-            self._spill_handle.close()
-            self._spill_handle = None
 
     # -- reading ---------------------------------------------------------
 

@@ -32,8 +32,10 @@ class Tracer:
 
     ``sink`` is the live-observation hook: when set to a callable it
     receives every emitted event *before* it can be overwritten by ring
-    wrap-around.  Runtime monitors (``repro.checker``) attach here so an
-    invariant check never depends on the ring being large enough.
+    wrap-around.  Runtime monitors (``repro.checker``) and the span
+    reader (:mod:`repro.obs.spans`) attach here — the checker chains
+    whatever sink it finds — so neither depends on the ring being large
+    enough.
     """
 
     __slots__ = ("enabled", "capacity", "_ring", "_head", "emitted", "sink")

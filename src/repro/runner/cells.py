@@ -165,8 +165,9 @@ def lg_config(spec: ExperimentSpec) -> LinkGuardianConfig:
 def _build_obs(options: Dict[str, Any]):
     """Materialise ``spec.obs`` into an Observability (None when empty).
 
-    Recognised keys: ``trace`` (bool, default True), ``spans`` (bool),
-    ``timeline`` (True or TimelineRecorder kwargs).
+    Recognised keys: ``trace`` (bool, default True), ``spans`` (bool;
+    spans are read off the tracer, so they trace whatever ``trace``
+    says), ``timeline`` (True or TimelineRecorder kwargs).
     """
     if not options:
         return None

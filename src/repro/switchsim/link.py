@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..core.engine import Simulator
-from ..obs.spans import NULL_SPANS
 from ..obs.trace import NULL_TRACER
 from ..packets.packet import Packet
 from ..phy.loss import LossProcess, NoLoss
@@ -48,8 +47,6 @@ class Link:
         #: bulk (``transmit_idle``)
         self.on_corrupt: Optional[Callable[[Packet], None]] = None
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._spans = getattr(obs, "spans", NULL_SPANS) if obs is not None \
-            else NULL_SPANS
         if obs is not None and name:
             obs.registry.register_provider(f"link.{name}", self.obs_snapshot)
 
@@ -97,12 +94,7 @@ class Link:
             if self.on_corrupt is not None:
                 self.on_corrupt(packet)
             if self._tracer.enabled:
-                self._tracer.instant(self.sim.now, "link", "corruption_drop", {
-                    "link": self.name, "size": packet.size,
-                    "seq": packet.lg.seqno if packet.lg is not None else None,
-                })
-            if self._spans.enabled and packet.lg is not None:
-                self._record_drop_span(packet)
+                self._trace_drop(packet)
             return  # dropped by the receiving MAC
         self.sim.schedule(self.propagation_ns, self.receiver, packet)
 
@@ -136,28 +128,19 @@ class Link:
                 self.on_corrupt(frame())
         return lost
 
-    def _record_drop_span(self, packet: Packet) -> None:
-        """A corrupted LG frame starts (or joins) a recovery episode.
-
-        Losing an *original* opens a new episode root bound under
-        ``(link, era, seqno)`` so the downstream loss notification,
-        retransmissions, and release can correlate back to it; losing a
-        retransmission copy attaches to the already-open episode.
-        """
-        spans = self._spans
-        now = self.sim.now
-        key = (self.name, packet.lg.era, packet.lg.seqno)
-        if packet.lg.is_retx:
-            episode = spans.lookup(key)
-            if episode is not None:
-                spans.event(now, "link", "retx_drop", parent=episode, args={
-                    "seq": packet.lg.seqno, "era": packet.lg.era})
-            return
-        episode = spans.begin(now, "episode", "recovery_episode",
-                              scope=self.name, args={
-                                  "link": self.name,
-                                  "seq": packet.lg.seqno,
-                                  "era": packet.lg.era})
-        spans.bind(key, episode)
-        spans.event(now, "link", "corruption_drop", parent=episode, args={
-            "seq": packet.lg.seqno, "size": packet.size})
+    def _trace_drop(self, packet: Packet) -> None:
+        """A corrupted LG original opens a recovery episode keyed by
+        ``(link, era, seq)``; a corrupted retransmission copy joins it as
+        ``retx_drop`` (see :data:`repro.obs.spans.EPISODE_EVENTS`)."""
+        lg = packet.lg
+        if lg is None:
+            name, args = "corruption_drop", {
+                "link": self.name, "size": packet.size, "seq": None}
+        elif lg.is_retx:
+            name, args = "retx_drop", {
+                "link": self.name, "seq": lg.seqno, "era": lg.era}
+        else:
+            name, args = "corruption_drop", {
+                "link": self.name, "seq": lg.seqno, "size": packet.size,
+                "era": lg.era}
+        self._tracer.instant(self.sim.now, "link", name, args)

@@ -3,15 +3,21 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.checker.scenarios import (
+    CheckConfig, FaultScenario, compile_forward, run_scenario,
+)
 from repro.obs import (
-    NULL_SPANS, MetricsRegistry, Observability, PhaseTimer, SpanTracer,
-    TimelineRecorder, Tracer, events_to_jsonl, to_chrome_trace,
+    MetricsRegistry, Observability, PhaseTimer, SpanTracer, TimelineRecorder,
+    TraceEvent, Tracer, events_to_jsonl, read_span_records, to_chrome_trace,
 )
 from repro.obs.schema import (
     validate_chrome_trace, validate_events_jsonl, validate_timeline,
 )
 from repro.obs.timeline import numeric_leaves
+from repro.packets.seqno import SEQ_RANGE
 
 
 class TestGaugeWatermark:
@@ -118,6 +124,10 @@ class TestTracerSinkAcrossWraparound:
             f"e{i}" for i in range(2, 10)]
 
 
+def _event(ts, category, name, phase="i", **args):
+    return TraceEvent(ts, category, name, phase, args or None)
+
+
 class TestSpanTracer:
     def test_root_and_children_share_trace_id(self):
         spans = SpanTracer()
@@ -147,23 +157,54 @@ class TestSpanTracer:
         assert root in retained  # open span survives eviction pressure
         assert len([s for s in retained if not s.open]) == 2
 
-    def test_bind_lookup_unbind(self):
+    def test_episodes_correlate_on_link_era_seq(self):
         spans = SpanTracer()
-        span = spans.begin(0, "episode", "r")
-        key = ("sw2->sw6", 0, 42)
-        spans.bind(key, span)
-        assert spans.lookup(key) is span
-        spans.unbind(key)
-        assert spans.lookup(key) is None
-        spans.unbind(key)  # idempotent
+        for link in ("link-a", "link-b"):
+            spans.observe(_event(0, "link", "corruption_drop",
+                                 link=link, seq=42, size=1521, era=0))
+        spans.observe(_event(5, "lg.receiver", "in_order_release",
+                             link="link-a", seq=42, era=0))
+        # the key is unbound once closed: a late copy's release is ignored
+        spans.observe(_event(9, "lg.receiver", "in_order_release",
+                             link="link-a", seq=42, era=0))
+        (a, b) = spans.trees().values()
+        assert [s.name for s in a] == [
+            "recovery_episode", "corruption_drop", "in_order_release"]
+        assert a[0].args == {"link": "link-a", "seq": 42, "era": 0,
+                             "outcome": "recovered"}
+        assert a[1].args == {"seq": 42, "size": 1521, "era": 0}
+        assert a[0].end_ns == 5
+        assert [s.name for s in b] == ["recovery_episode", "corruption_drop"]
+        assert b[0].open
 
-    def test_scope_current_cleared_on_end(self):
+    def test_events_outside_an_episode_are_ignored(self):
         spans = SpanTracer()
-        root = spans.begin(0, "episode", "r", scope="link-a")
-        assert spans.current("link-a") is root
-        assert spans.current("link-b") is None
-        spans.end(root, 5)
-        assert spans.current("link-a") is None
+        spans.observe(_event(0, "link", "corruption_drop",
+                             link="l", size=64, seq=None))   # no LG header
+        spans.observe(_event(1, "lg.sender", "retx_fire",
+                             link="l", seq=3, era=0, copies=2))  # no episode
+        spans.observe(_event(2, "engine", "tick"))
+        assert spans.spans() == []
+
+    def test_pause_parent_is_the_links_open_episode(self):
+        spans = SpanTracer()
+        spans.observe(_event(0, "link", "corruption_drop",
+                             link="l", seq=7, size=1521, era=0))
+        spans.observe(_event(1, "lg.receiver", "pause", "B",
+                             link="l", buffer_bytes=6084))
+        spans.observe(_event(2, "lg.receiver", "ack_no_timeout",
+                             link="l", seq=7, era=0))
+        spans.observe(_event(3, "lg.receiver", "pause", "E",
+                             link="l", resume_buffer_bytes=0))
+        spans.observe(_event(4, "lg.sender", "pause", "B", link="l"))
+        (episode, orphan) = spans.trees().values()
+        root, pause = episode[0], episode[2]
+        assert root.args["outcome"] == "timeout"
+        assert pause.parent_id == root.span_id
+        assert (pause.start_ns, pause.end_ns) == (1, 3)
+        assert pause.args == {"buffer_bytes": 6084, "resume_buffer_bytes": 0}
+        # no episode open on the link: the pause is a root of its own
+        assert orphan[0].parent_id is None and orphan[0].open
 
     def test_trees_groups_by_episode_root_first(self):
         spans = SpanTracer()
@@ -177,11 +218,11 @@ class TestSpanTracer:
         assert [s.name for s in trees[r1.trace_id]] == ["r1", "c1"]
 
     def test_disabled_instance_records_nothing_on_end(self):
-        assert not NULL_SPANS.enabled
-        # Call sites guard with .enabled; the instance itself must still
-        # be safe to query.
-        assert NULL_SPANS.spans() == []
-        assert NULL_SPANS.current("x") is None
+        obs = Observability()
+        assert not obs.spans.enabled and obs.tracer.sink is None
+        obs.tracer.instant(0, "link", "corruption_drop",
+                           {"link": "l", "seq": 1, "size": 64, "era": 0})
+        assert obs.spans.spans() == []
 
     def test_clear_resets_counters(self):
         spans = SpanTracer(capacity=1)
@@ -452,6 +493,209 @@ class TestSpanExportShapes:
                    for e in trace["traceEvents"])
 
 
+def _drops(*atoms):
+    return [{"kind": kind, "index": index} for kind, index in atoms]
+
+
+def _tree_dicts(spans):
+    return {trace_id: [span.to_dict() for span in group]
+            for trace_id, group in spans.trees().items()}
+
+
+def _replayed(events):
+    spans = SpanTracer()
+    for event in events:
+        spans.observe(event)
+    return spans
+
+
+#: a backpressure burst: five consecutive losses fill the reordering
+#: buffer past a 2 KB resume threshold, so both endpoints pause
+_BURST = [("data", index) for index in range(10, 15)]
+_BACKPRESSURE = {"resume_threshold_bytes": 2_000}
+
+
+@st.composite
+def _fault_runs(draw):
+    """A FaultScenario plus CheckConfig mixing every episode shape:
+    data drops, retx drops (both copies of one retx = an all-copies-lost
+    timeout), backpressure pauses, an overflow stall and an NB fallback."""
+    n_packets = draw(st.integers(40, 160))
+    atoms = {("data", index) for index in draw(st.lists(
+        st.integers(0, n_packets - 1), max_size=6))}
+    atoms |= {("retx", index) for index in draw(st.lists(
+        st.integers(0, 3), max_size=3))}
+    mode = draw(st.sampled_from(["plain", "backpressure", "stall"]))
+    lg = {}
+    if mode == "backpressure":
+        atoms |= set(_BURST)
+        lg = dict(_BACKPRESSURE)
+    elif mode == "stall":
+        lg = {"rx_buffer_capacity_bytes": 8_000}
+    ordered = mode != "plain" or draw(st.booleans())
+    nb_switch_ns = draw(st.sampled_from([None, 4_000, 12_000])) \
+        if ordered else None
+    scenario = FaultScenario(drops=_drops(*sorted(atoms)),
+                             nb_switch_ns=nb_switch_ns)
+    config = CheckConfig(
+        n_packets=max(n_packets, 60), ordered=ordered,
+        backpressure=mode != "stall", lg=lg,
+        seq_start=draw(st.sampled_from([0, SEQ_RANGE - 30])))
+    return scenario, config
+
+
+class TestSpansReadTheStream:
+    """Spans are a function of the flat event stream: the live reader
+    chained on the tracer's sink and a fresh reader fed the retained
+    events build the same trees, and a wrapping ring changes nothing."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(run=_fault_runs())
+    @example(run=(FaultScenario(drops=_drops(("data", 20), ("retx", 0),
+                                             ("retx", 1))),
+                  CheckConfig(n_packets=120)))
+    @example(run=(FaultScenario(drops=_drops(*_BURST)),
+                  CheckConfig(n_packets=120, lg=_BACKPRESSURE)))
+    @example(run=(FaultScenario(drops=_drops(*_BURST), nb_switch_ns=4_000),
+                  CheckConfig(n_packets=120, lg=_BACKPRESSURE)))
+    def test_replaying_the_events_rebuilds_the_trees(self, run):
+        scenario, config = run
+        full = Observability(spans=True)
+        run_scenario(scenario, config, obs=full)
+        assert full.tracer.dropped == 0
+        trees = _tree_dicts(full.spans)
+        assert _tree_dicts(_replayed(full.tracer.events())) == trees
+        # a one-event ring keeps nothing but the last event
+        wrapped = Observability(spans=True, trace_capacity=1)
+        run_scenario(scenario, config, obs=wrapped)
+        assert wrapped.tracer.dropped == max(0, full.tracer.emitted - 1)
+        assert _tree_dicts(wrapped.spans) == trees
+
+    @pytest.mark.parametrize("drops, config, outcome, children", [
+        ([("data", 20), ("retx", 0), ("retx", 1)], {}, "timeout",
+         ["retx_drop", "retx_drop", "pause", "pause", "ack_no_timeout"]),
+        ([("data", 20), ("retx", 0)], {"ordered": False}, "recovered",
+         ["retx_drop", "recovered", "reordered_release"]),
+        # the second loss's release overflows a tiny reordering buffer
+        # with backpressure off; only the stall watchdog moves ackNo on
+        ([("data", 5), ("data", 6)],
+         {"backpressure": False, "lg": {"rx_buffer_capacity_bytes": 8_000}},
+         "stalled", ["recovered", "overflow_drop", "overflow_drop",
+                     "stall_advance"]),
+    ])
+    def test_every_outcome_closes_its_episode(self, drops, config, outcome,
+                                              children):
+        obs = Observability(spans=True)
+        run_scenario(FaultScenario(drops=_drops(*drops)),
+                     CheckConfig(n_packets=120, **config), obs=obs)
+        tree = list(obs.spans.trees().values())[-1]
+        assert tree[0].args["outcome"] == outcome
+        assert [span.name for span in tree[1:4]] == [
+            "corruption_drop", "loss_notification", "retx_fire"]
+        assert [span.name for span in tree[4:]] == children
+
+    def test_pause_spans_hang_off_the_open_episode(self):
+        def pauses(nb_switch_ns):
+            obs = Observability(spans=True)
+            outcome = run_scenario(
+                FaultScenario(drops=_drops(*_BURST),
+                              nb_switch_ns=nb_switch_ns),
+                CheckConfig(n_packets=250, lg=_BACKPRESSURE), obs=obs)
+            assert outcome.ok
+            spans = {span.span_id: span for span in obs.spans.spans()}
+            found = {span.category: span for span in spans.values()
+                     if span.name == "pause"}
+            assert set(found) == {"lg.sender", "lg.receiver"}
+            for span in found.values():
+                parent = spans[span.parent_id]
+                assert parent.name == "recovery_episode"
+                assert parent.start_ns <= span.start_ns < parent.end_ns
+                assert not span.open
+            return found["lg.sender"], found["lg.receiver"]
+
+        sender, receiver = pauses(None)
+        assert receiver.start_ns < sender.start_ns < receiver.end_ns
+        assert set(receiver.args) == {"buffer_bytes", "resume_buffer_bytes"}
+        assert sender.args in (None, {})
+        # an NB fallback mid-pause closes the receiver's pause itself
+        _, receiver = pauses(4_000)
+        assert receiver.end_ns == 4_000
+        assert receiver.args["nb_fallback"] is True
+        assert "resume_buffer_bytes" not in receiver.args
+
+    def test_two_links_sharing_one_obs_keep_their_episodes_apart(self):
+        from repro.core.engine import Simulator
+        from repro.core.rng import RngFactory
+        from repro.linkguardian.protocol import ProtectedLink
+        from repro.packets.packet import Packet
+        from repro.switchsim.switch import Switch
+        from repro.units import MTU_FRAME
+
+        obs = Observability(spans=True)
+        sim = Simulator(obs=obs)
+        lose_sixth = FaultScenario(drops=_drops(("data", 5)))
+        for ends in ("ab", "cd"):
+            plink = ProtectedLink(
+                sim, Switch(sim, ends[0]), Switch(sim, ends[1]), obs=obs,
+                loss=compile_forward(lose_sixth, RngFactory(1)))
+            plink.activate(1e-3)
+            plink.receiver.forward = lambda packet: None
+            for index in range(20):
+                sim.schedule_at(index * 200, plink.sender.send,
+                                Packet(size=MTU_FRAME))
+        sim.run(until=30_000)
+        trees = list(obs.spans.trees().values())
+        assert [(tree[0].args["link"], tree[0].args["era"],
+                 tree[0].args["seq"], tree[0].args["outcome"])
+                for tree in trees] == [("a->b", 0, 5, "recovered"),
+                                       ("c->d", 0, 5, "recovered")]
+        assert [len(tree) for tree in trees] == [6, 6]
+
+    def test_spans_imply_a_tracer(self):
+        from repro.runner.cells import _build_obs
+
+        def trees(options):
+            obs = _build_obs(options)
+            assert obs.tracer.enabled
+            run_scenario(
+                FaultScenario(drops=_drops(("data", 5), ("retx", 0))),
+                CheckConfig(n_packets=40), obs=obs)
+            return _tree_dicts(obs.spans)
+
+        traced = trees({"trace": True, "spans": True})
+        assert traced
+        assert trees({"trace": False, "spans": True}) == traced
+
+    def test_chrome_and_jsonl_readbacks_agree(self, tmp_path):
+        from repro.obs import write_chrome_trace, write_jsonl
+
+        obs = Observability(spans=True)
+        run_scenario(FaultScenario(drops=_drops(*_BURST)),
+                     CheckConfig(n_packets=250, lg=_BACKPRESSURE), obs=obs)
+        # a pause still open at the end of a run
+        root = obs.spans.begin(10**6, "episode", "recovery_episode")
+        obs.spans.begin(10**6 + 1, "lg.sender", "pause", parent=root)
+        chrome_path = write_chrome_trace(str(tmp_path / "t.json"),
+                                         obs.tracer, spans=obs.spans)
+        jsonl_path = write_jsonl(str(tmp_path / "t.jsonl"), obs.tracer,
+                                 spans=obs.spans)
+
+        def records(path, jsonl=False):
+            with open(path) as handle:
+                found = read_span_records(handle.read(), jsonl=jsonl)
+            for record in found:
+                record.pop("kind", None)
+            return sorted(found, key=lambda record: record["span_id"])
+
+        from_chrome = records(chrome_path)
+        assert from_chrome == records(jsonl_path, jsonl=True)
+        assert from_chrome[-1]["name"] == "pause"
+        assert from_chrome[-1]["end_ns"] is None
+        assert all(record["end_ns"] == record["start_ns"]
+                   for record in from_chrome
+                   if record["name"] == "corruption_drop")
+
+
 class TestPhaseTimer:
     def test_accumulates_and_rounds(self):
         timer = PhaseTimer()
@@ -514,31 +758,3 @@ class TestTimelineOverflowPolicies:
         assert obs.timeline.interval_ns > 1_000
         assert obs.timeline.sampled < 41
         assert validate_timeline(series) == []
-
-    def test_drop_policy_spills_evicted_samples(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        reg = MetricsRegistry()
-        counter = reg.counter("x")
-        recorder = TimelineRecorder(reg, interval_ns=1, capacity=2,
-                                    policy="drop", spill=str(spill))
-        for ts in range(5):
-            counter.inc()
-            recorder.sample(ts, run=1)
-        recorder.stop()
-        rows = [json.loads(line)
-                for line in spill.read_text().splitlines()]
-        # The three evicted samples landed in the spill file, oldest
-        # first; the ring keeps the final two — nothing is lost.
-        assert [row["ts_ns"] for row in rows] == [0, 1, 2]
-        assert rows[0]["metrics"]["x.value"] == 1
-        assert recorder.series()["ts_ns"] == [3, 4]
-        assert recorder.dropped == 3
-
-    def test_no_spill_file_without_overflow(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        recorder = TimelineRecorder(MetricsRegistry(), interval_ns=1,
-                                    capacity=8, spill=str(spill))
-        for ts in range(4):
-            recorder.sample(ts, run=1)
-        recorder.stop()
-        assert not spill.exists()
