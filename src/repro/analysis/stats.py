@@ -25,6 +25,9 @@ __all__ = [
 class OccupancyTracker:
     """Time-weighted distribution of a piecewise-constant signal."""
 
+    #: what a snapshot captures (:mod:`repro.core.state`)
+    STATE = ("_last_time", "_value", "_samples", "max_value")
+
     def __init__(self, start_time: int = 0, initial: int = 0) -> None:
         self._last_time = int(start_time)
         self._value = int(initial)
@@ -51,24 +54,6 @@ class OccupancyTracker:
     def finish(self, now: int) -> None:
         """Close the last interval before reading statistics."""
         self.update(now, self._value)
-
-    def snapshot_state(self):
-        """Capture the tracker for mid-run materialization."""
-        from ..core.state import OccupancyState
-        return OccupancyState(
-            last_time=self._last_time,
-            value=self._value,
-            samples=list(self._samples),
-            max_value=self.max_value,
-        )
-
-    def restore_state(self, state) -> None:
-        from ..core.state import OccupancyState, check_version
-        check_version(state, OccupancyState)
-        self._last_time = state.last_time
-        self._value = state.value
-        self._samples = list(state.samples)
-        self.max_value = state.max_value
 
     def _arrays(self):
         if not self._samples:

@@ -1,383 +1,88 @@
-"""Versioned snapshot state for mid-run materialization.
+"""Snapshot capture for the hybrid splicer's recovery windows.
 
-Every stateful hot-path component — LinkGuardian endpoints, switchsim
-ports/queues/links, transport flows, RNG streams — exposes explicit
-``snapshot()``/``restore()`` (or ``snapshot_state()``/``restore_state()``
-where ``snapshot()`` was already taken by the obs layer).  The state
-dataclasses live here so their versions are centralized: a snapshot is
-plain data (ints, strings, lists, :class:`~repro.packets.packet.Packet`
-copies) — **never** scheduled events, callbacks, or anything pickled.
+:mod:`repro.fastpath.splice` warms one stress world, snapshots its
+:class:`~repro.linkguardian.protocol.ProtectedLink` once at a
+data-quiescent point and restores that snapshot into a fresh world for
+each recovery window, all in one process.  This module is what such a
+snapshot is made of.
 
-The separation this enforces is the contract the hybrid splicing backend
-(:mod:`repro.fastpath.splice`) is built on:
+Every stateful component names the attributes that are its protocol
+state once, as the class tuple ``STATE``.  :func:`capture` deep-copies
+those attributes and :func:`apply` deep-copies them back:
 
-* **protocol state** (sequence counters, buffers, scoreboards, counters,
-  RNG positions) is captured and restored verbatim;
-* **scheduled-event plumbing** (pending timers, in-flight frames,
-  serializer callbacks) is *not* captured — ``restore()`` re-arms what
-  protocol state implies (ackNoTimeout deadlines from stored detection
-  times, RTO/TLP from the estimator, self-replenishing ACK/dummy
-  cycles), exactly as activation would.
+* an attribute holding a component, or a list of them, is captured
+  recursively and applied in place, so whatever else refers to that
+  component keeps seeing it;
+* one memo per snapshot (and per apply) keeps aliasing intact — the
+  sender's Tx buffer and its by-key index hold the same entries;
+* applying copies again, so any number of windows can restore one
+  snapshot.
 
-Snapshots are therefore taken at *data-quiescent* points: no protected
-data/retx frames in flight and no mid-drain release pending.  Control
-cycles (dummies, explicit ACKs) may be mid-flight; restore re-primes
-them.
-
-Version bumps: change a dataclass's layout ⇒ bump its ``VERSION``;
-``check_version`` turns a stale snapshot into a loud
-:class:`SnapshotError` instead of a silently-wrong simulation.
+Scheduled-event plumbing (pending timers, in-flight frames, serializer
+callbacks) is never captured: the component re-arms what its restored
+state implies, by hand, next to its tuple.  Nothing persists a
+snapshot, so it carries no version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from copy import deepcopy
+from typing import Optional
 
-import numpy as np
-
-__all__ = [
-    "SnapshotError", "check_version",
-    "rng_state", "rng_restore",
-    "RngState", "SeqState", "OccupancyState", "CountersState",
-    "QueueState", "PortState", "LossState", "LinkState",
-    "TxEntryState", "SenderState", "ReceiverState",
-    "ProtectedLinkState", "BidirectionalLinkState",
-    "TcpSenderState", "TcpReceiverState",
-]
+__all__ = ["SnapshotError", "capture", "apply"]
 
 
 class SnapshotError(RuntimeError):
-    """A snapshot cannot be taken or restored (version skew, wrong type)."""
+    """A snapshot cannot be taken or applied."""
 
 
-def check_version(state: Any, cls: type) -> None:
-    """Validate ``state`` is a ``cls`` snapshot of the current version."""
-    if not isinstance(state, cls):
+class _State(dict):
+    """One component's captured attributes, by name; ``kind`` is the
+    component's class."""
+
+    def __init__(self, kind: type) -> None:
+        super().__init__()
+        self.kind = kind
+
+
+def _holds_components(value) -> bool:
+    """A non-empty list of components (an egress port's queues)."""
+    return (isinstance(value, list) and bool(value)
+            and all(hasattr(item, "STATE") for item in value))
+
+
+def capture(obj, memo: Optional[dict] = None) -> _State:
+    """Deep copies of ``obj``'s ``STATE`` attributes."""
+    memo = {} if memo is None else memo
+    state = _State(type(obj))
+    for name in obj.STATE:
+        value = getattr(obj, name)
+        if hasattr(value, "STATE"):
+            state[name] = capture(value, memo)
+        elif _holds_components(value):
+            state[name] = [capture(item, memo) for item in value]
+        else:
+            state[name] = deepcopy(value, memo)
+    return state
+
+
+def apply(obj, state: _State, memo: Optional[dict] = None) -> None:
+    """Write deep copies of a :func:`capture` of the same type into ``obj``."""
+    if getattr(state, "kind", None) is not type(obj):
         raise SnapshotError(
-            f"expected {cls.__name__}, got {type(state).__name__}")
-    if state.version != cls.VERSION:
-        raise SnapshotError(
-            f"{cls.__name__} version {state.version} != "
-            f"current {cls.VERSION}; snapshot is stale")
-
-
-# -- RNG streams ------------------------------------------------------------
-
-@dataclass
-class RngState:
-    """Full bit-generator state of a ``numpy.random.Generator`` stream."""
-
-    VERSION = 1
-    state: Dict[str, Any]
-    version: int = 1
-
-
-def rng_state(gen: np.random.Generator) -> RngState:
-    """Capture a generator's position (plain nested dicts, no pickling)."""
-    return RngState(state=gen.bit_generator.state)
-
-
-def rng_restore(gen: np.random.Generator, snap: RngState) -> None:
-    """Rewind/advance ``gen`` to the captured position."""
-    check_version(snap, RngState)
-    gen.bit_generator.state = snap.state
-
-
-# -- small building blocks --------------------------------------------------
-
-@dataclass
-class SeqState:
-    """An era'd 16-bit sequence counter position."""
-
-    VERSION = 1
-    value: int
-    era: int
-    version: int = 1
-
-
-@dataclass
-class OccupancyState:
-    """A time-weighted occupancy tracker (buffer-usage distributions)."""
-
-    VERSION = 1
-    last_time: int
-    value: int
-    samples: List[Tuple[int, int]]
-    max_value: int
-    version: int = 1
-
-
-@dataclass
-class CountersState:
-    """Port TX/RX frame+byte counters."""
-
-    VERSION = 1
-    frames_tx: int
-    bytes_tx: int
-    frames_rx_ok: int
-    frames_rx_all: int
-    bytes_rx_ok: int
-    version: int = 1
-
-
-@dataclass
-class QueueState:
-    """One egress queue: held frames (copies) plus lifetime counters."""
-
-    VERSION = 1
-    name: str
-    packets: List[Any]                 # Packet copies, in FIFO order
-    stats: Dict[str, int]
-    version: int = 1
-
-
-@dataclass
-class PortState:
-    """A strict-priority egress port: queues, pause bits, counters.
-
-    The serializer (``busy`` flag + in-flight frame) is event plumbing
-    and is not captured; ``restore_state`` re-kicks from queue content.
-    """
-
-    VERSION = 1
-    paused: List[bool]
-    counters: CountersState
-    queues: List[QueueState]
-    version: int = 1
-
-
-@dataclass
-class LossState:
-    """A corruption process: kind tag + per-kind fields + RNG position."""
-
-    VERSION = 1
-    kind: str
-    data: Dict[str, Any]
-    rng: Optional[RngState] = None
-    version: int = 1
-
-
-@dataclass
-class LinkState:
-    """One link direction: RX counters and the attached loss process."""
-
-    VERSION = 1
-    counters: CountersState
-    loss: Optional[LossState]
-    version: int = 1
-
-
-# -- LinkGuardian endpoints -------------------------------------------------
-
-@dataclass
-class TxEntryState:
-    """One mirrored Tx-buffer copy awaiting ACK or retransmission."""
-
-    VERSION = 1
-    seqno: int
-    era: int
-    packet: Any                        # Packet copy
-    mirrored_at: int
-    version: int = 1
-
-
-@dataclass
-class SenderState:
-    """LgSender protocol state (paper §3: seqNo space + Tx buffer)."""
-
-    VERSION = 1
-    stats: Dict[str, int]
-    seq: SeqState
-    acked_next: Tuple[int, int]
-    n_copies: int
-    active: bool
-    buffer: List[TxEntryState]
-    requested: List[Tuple[int, int]]
-    buffer_bytes: int
-    occupancy: OccupancyState
-    paused_at: Optional[int] = None
-    phase_rng: Optional[RngState] = None
-    version: int = 1
-
-
-@dataclass
-class ReceiverState:
-    """LgReceiver protocol state (§3.1–§3.5: frontier, reordering buffer,
-    outstanding losses, backpressure).  ``missing`` maps seqNo keys to
-    their detection times — ``restore`` re-arms each ackNoTimeout from
-    ``detection + ack_no_timeout`` rather than storing timer events."""
-
-    VERSION = 1
-    stats: Dict[str, Any]              # includes retx_delays_ns list copy
-    next_rx: SeqState
-    ack_no: SeqState
-    missing: Dict[Tuple[int, int], int]
-    gave_up: List[Tuple[int, int]]
-    buffer: List[Tuple[Tuple[int, int], Any]]   # (key, Packet copy)
-    buffer_bytes: int
-    paused_sender: bool
-    delivered_retx: List[Tuple[int, int]]
-    nb_floor: Optional[Tuple[int, int]]
-    nb_floor_expiry_ns: int
-    ordered: bool                      # config.ordered (mutated by NB fallback)
-    active: bool
-    occupancy: OccupancyState
-    paused_at: Optional[int] = None
-    stall_key: Optional[Tuple[int, int]] = None
-    version: int = 1
-
-
-@dataclass
-class ProtectedLinkState:
-    """A full ProtectedLink: both endpoints, both ports, both links, and
-    the capture-time clock (restore jumps a fresh simulator there)."""
-
-    VERSION = 1
-    sim_now: int
-    sender: SenderState
-    receiver: ReceiverState
-    sender_port: PortState
-    receiver_port: PortState
-    forward_link: LinkState
-    reverse_link: LinkState
-    version: int = 1
-
-
-@dataclass
-class BidirectionalLinkState:
-    """Both halves of a BidirectionalProtectedLink."""
-
-    VERSION = 1
-    sim_now: int
-    a_sender: SenderState
-    a_receiver: ReceiverState
-    b_sender: SenderState
-    b_receiver: ReceiverState
-    a_port: PortState
-    b_port: PortState
-    link_ab: LinkState
-    link_ba: LinkState
-    version: int = 1
-
-
-# -- transport flows --------------------------------------------------------
-
-@dataclass
-class TcpSenderState:
-    """A TCP flow's sender: SACK scoreboard, windows, RTT estimator and
-    congestion-controller state.  Timer events (RTO/TLP/RACK/pacing) are
-    plumbing — ``restore`` re-arms RTO and TLP from the estimator."""
-
-    VERSION = 1
-    flow: Dict[str, Any]               # FlowRecord fields
-    segments: List[Tuple[int, int, int, int, bool, bool]]
-    #                  (seq, length, last_tx_ns, tx_count, sacked, lost)
-    seq_queue: List[int]
-    snd_una: int
-    snd_nxt: int
-    sacked_bytes: int
-    lost_bytes: int
-    recovery_point: int
-    srtt: Optional[int]
-    rttvar: int
-    min_rtt: Optional[int]
-    reorder_wnd_ns: int
-    reorder_seen: bool
-    backoff: int
-    pacing_next_ns: int
-    tlp_fired: bool
-    last_delivery_ns: Optional[int]
-    done: bool
-    newest_sacked_tx: int
-    cc_class: str
-    cc: Dict[str, Any]
-    version: int = 1
-
-
-@dataclass
-class TcpReceiverState:
-    """A TCP flow's receiver: the cumulative/OOO reassembly state."""
-
-    VERSION = 1
-    rcv_nxt: int
-    bytes_received: int
-    ooo: List[Tuple[int, int]]
-    version: int = 1
-
-
-# -- loss-process helpers ---------------------------------------------------
-# Dispatch lives here (not on the classes) so LossState stays one tagged
-# shape; the phy layer calls these from its snapshot_state/restore_state.
-
-def loss_fields(process) -> Tuple[str, Dict[str, Any], Optional[RngState]]:
-    """(kind, fields, rng) for a known loss process."""
-    from ..phy.loss import (
-        BernoulliLoss, DataFrameLoss, GilbertElliottLoss, NoLoss,
-        ScriptedLoss,
-    )
-
-    if isinstance(process, NoLoss):
-        return "none", {}, None
-    if isinstance(process, BernoulliLoss):
-        return ("bernoulli",
-                {"rate": process.rate, "until_next": process._until_next},
-                rng_state(process._rng))
-    if isinstance(process, GilbertElliottLoss):
-        return ("gilbert-elliott",
-                {"rate": process.rate, "mean_burst": process.mean_burst,
-                 "bad": process._bad},
-                rng_state(process._rng))
-    if isinstance(process, ScriptedLoss):
-        return ("scripted",
-                {"drop_indices": sorted(process.drop_indices),
-                 "index": process._index},
-                None)
-    if isinstance(process, DataFrameLoss):
-        return ("data-frame",
-                {"drop_indices": sorted(process.drop_indices),
-                 "per_flow": {flow: sorted(indices)
-                              for flow, indices in process.per_flow.items()},
-                 "seen": process._seen,
-                 "flow_seen": dict(process._flow_seen),
-                 "rate": process.rate},
-                None)
-    raise SnapshotError(
-        f"no snapshot support for loss process {type(process).__name__}")
-
-
-def loss_apply(process, snap: LossState) -> None:
-    """Restore a loss process's position from its captured fields."""
-    from ..phy.loss import (
-        BernoulliLoss, DataFrameLoss, GilbertElliottLoss, NoLoss,
-        ScriptedLoss,
-    )
-
-    check_version(snap, LossState)
-    kind, data = snap.kind, snap.data
-    if kind == "none":
-        if not isinstance(process, NoLoss):
-            raise SnapshotError(f"snapshot is NoLoss, target is {type(process).__name__}")
-        return
-    if kind == "bernoulli" and isinstance(process, BernoulliLoss):
-        process._until_next = data["until_next"]
-        rng_restore(process._rng, snap.rng)
-        return
-    if kind == "gilbert-elliott" and isinstance(process, GilbertElliottLoss):
-        process._bad = data["bad"]
-        rng_restore(process._rng, snap.rng)
-        return
-    if kind == "scripted" and isinstance(process, ScriptedLoss):
-        process.drop_indices = set(data["drop_indices"])
-        process._index = data["index"]
-        return
-    if kind == "data-frame" and isinstance(process, DataFrameLoss):
-        process.drop_indices = set(data["drop_indices"])
-        process.per_flow = {flow: set(indices)
-                            for flow, indices in data["per_flow"].items()}
-        process._seen = data["seen"]
-        process._flow_seen = dict(data["flow_seen"])
-        process.rate = data.get("rate", 0.0)
-        return
-    raise SnapshotError(
-        f"loss snapshot kind {kind!r} does not match {type(process).__name__}")
+            f"not a snapshot of a {type(obj).__name__}: {type(state).__name__}"
+            f" of {getattr(state, 'kind', None)}")
+    memo = {} if memo is None else memo
+    for name in obj.STATE:
+        value, current = state[name], getattr(obj, name)
+        if hasattr(current, "STATE"):
+            apply(current, value, memo)
+        elif _holds_components(current):
+            if len(value) != len(current):
+                raise SnapshotError(
+                    f"{type(obj).__name__}.{name} holds {len(current)} "
+                    f"components, the snapshot {len(value)}")
+            for item, item_state in zip(current, value):
+                apply(item, item_state, memo)
+        else:
+            setattr(obj, name, deepcopy(value, memo))

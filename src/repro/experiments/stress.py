@@ -25,11 +25,16 @@ from typing import List, Optional
 
 from ..linkguardian.config import LinkGuardianConfig, expected_effective_loss
 from ..packets.packet import Packet
+from ..phy.loss import LossProcess
 from ..runner import CellResult, ExperimentSpec, RunContext, lg_config
+from ..switchsim.link import Link
 from ..units import MTU_FRAME, MS, SEC, gbps, serialization_ns
-from .testbed import build_testbed
+from .testbed import Testbed, build_testbed
 
-__all__ = ["StressResult", "run_stress_test", "stress_cell"]
+__all__ = [
+    "STRESS_DST", "StressResult", "stress_world", "run_stress_test",
+    "stress_cell",
+]
 
 
 @dataclass
@@ -72,6 +77,42 @@ class StressResult:
         }
 
 
+#: the destination a stress world routes over the protected link to its sink
+STRESS_DST = "stress-dst"
+
+
+def stress_world(
+    rate_gbps: float = 100,
+    ordered: bool = True,
+    seed: int = 1,
+    config: Optional[LinkGuardianConfig] = None,
+    loss_rate: float = 0.0,
+    mean_burst: float = 1.0,
+    loss: Optional[LossProcess] = None,
+    recirc_drain_gbps: Optional[float] = None,
+    obs=None,
+) -> Testbed:
+    """The stress-test testbed: built dormant, no ECN marking, and a
+    terminal sink directly on the receiver switch that frames addressed
+    to :data:`STRESS_DST` reach (the packet generator methodology: no
+    host stacks involved).  The sink link's RX counters count arrivals.
+
+    Each caller activates (or restores into) the link and runs its own
+    injection: their end conditions differ.
+    """
+    testbed = build_testbed(
+        rate_gbps=rate_gbps, loss_rate=loss_rate, ordered=ordered,
+        lg_active=False, seed=seed, loss=loss, config=config,
+        mean_burst=mean_burst, ecn_threshold_bytes=None,
+        recirc_drain_gbps=recirc_drain_gbps, obs=obs,
+    )
+    sink_link = Link(testbed.sim, 10, receiver=lambda packet: None)
+    testbed.receiver_switch.add_port("sink", gbps(rate_gbps), sink_link)
+    testbed.receiver_switch.set_route(STRESS_DST, "sink")
+    testbed.sender_switch.set_route(STRESS_DST, testbed.plink.forward_port_name)
+    return testbed
+
+
 def run_stress_test(
     rate_gbps: float = 100,
     loss_rate: float = 1e-3,
@@ -90,11 +131,9 @@ def run_stress_test(
         config = LinkGuardianConfig.for_link_speed(
             rate_gbps, ordered=ordered, target_loss_rate=target_loss_rate
         )
-    testbed = build_testbed(
-        rate_gbps=rate_gbps, loss_rate=loss_rate, ordered=ordered,
-        lg_active=False, seed=seed, config=config, mean_burst=mean_burst,
-        ecn_threshold_bytes=None, recirc_drain_gbps=recirc_drain_gbps,
-        obs=obs,
+    testbed = stress_world(
+        rate_gbps, ordered, seed, config, loss_rate=loss_rate,
+        mean_burst=mean_burst, recirc_drain_gbps=recirc_drain_gbps, obs=obs,
     )
     sim = testbed.sim
     plink = testbed.plink
@@ -103,17 +142,6 @@ def run_stress_test(
         plink.sender.n_copies = n_copies_override
         n_copies = n_copies_override
 
-    # Terminal sink directly on the receiver switch (the packet generator
-    # methodology: no host stacks involved).
-    delivered = {"count": 0}
-
-    from ..switchsim.link import Link
-
-    sink_link = Link(sim, 10, receiver=lambda p: delivered.__setitem__("count", delivered["count"] + 1))
-    testbed.receiver_switch.add_port("sink", gbps(rate_gbps), sink_link)
-    testbed.receiver_switch.set_route("stress-dst", "sink")
-    testbed.sender_switch.set_route("stress-dst", plink.forward_port_name)
-
     duration_ns = int(duration_ms * MS)
     spacing = serialization_ns(MTU_FRAME, gbps(rate_gbps))
     injected = {"count": 0}
@@ -121,7 +149,7 @@ def run_stress_test(
     def inject():
         if sim.now >= duration_ns:
             return
-        packet = Packet(size=MTU_FRAME, dst="stress-dst", flow_id=injected["count"])
+        packet = Packet(size=MTU_FRAME, dst=STRESS_DST, flow_id=injected["count"])
         injected["count"] += 1
         testbed.sender_switch.forward(packet)
         sim.schedule(spacing, inject)

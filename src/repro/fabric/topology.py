@@ -273,9 +273,6 @@ class FabricTopology:
                         for link in self._spine_stage[pod]])
         return min(tor_up / tor_max, spine_up / spine_max)
 
-    def least_pod_capacity_fraction(self) -> float:
-        return min(self.pod_capacity_fraction(pod) for pod in range(self.n_pods))
-
     # -- CorrOpt hooks -----------------------------------------------------------------
 
     def can_disable(self, link: FabricLink, capacity_constraint: float) -> bool:

@@ -4,8 +4,7 @@ around them.
 ``backend="hybrid"`` sits between ``packet`` (full event-driven
 simulation) and ``fastpath`` (closed forms everywhere): flows advance
 analytically through the loss-free bulk of a cell, and the packet engine
-is instantiated only around the corruption events, seeded from the
-snapshot/restore machinery in :mod:`repro.core.state`.  The three
+is instantiated only around the corruption events.  The three
 ``*_cell`` functions are the ``"hybrid"`` rows of
 :data:`repro.runner.cells.CELLS`; unlike the fastpath batch there is no
 cross-cell vectorization — each cell's windows are independent engine
@@ -25,10 +24,12 @@ The per-kind split:
   At fig10-style sparse-loss operating points (``p_any ~ 1e-3``) this
   simulates ~1 trial instead of hundreds.
 
-* **stress** — episode windows from a warm snapshot.  A template world
-  is warmed to steady state, quiesced, and snapshotted once; each
-  sampled loss episode restores that snapshot into a fresh world
-  (``restore_loss=False`` so the window keeps its own scripted drop),
+* **stress** — episode windows from a warm snapshot, the only restores
+  in the program (:mod:`repro.core.state`).  A template
+  :func:`~repro.experiments.stress.stress_world` is warmed to steady
+  state, quiesced, and snapshotted once; each sampled loss episode
+  builds a fresh world around its own scripted drop (a restore leaves
+  loss processes as built), restores that one snapshot into it,
   replays a line-rate injection window around the drop, and harvests
   the empirical retransmission delay and receiver-buffer peak.  Macro
   counters (N, effective loss/speed, event counts) come from the same
@@ -215,38 +216,19 @@ def fct_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
 # -- stress: snapshot windows -----------------------------------------------
 
 def _stress_world(spec: ExperimentSpec, config, loss=None):
-    """A stress-test world wired exactly like ``run_stress_test``'s.
+    """The packet stress harness's world for ``spec``, built dormant:
+    activation state rides in the template snapshot for window worlds;
+    the template activates explicitly."""
+    from ..experiments.stress import stress_world
 
-    Built dormant (activation state rides in the template snapshot for
-    window worlds; the template activates explicitly), with the same
-    direct-injection sink the packet stress harness uses.
-    """
-    from ..experiments.testbed import build_testbed
-    from ..switchsim.link import Link
-
-    testbed = build_testbed(
-        rate_gbps=spec.rate_gbps,
-        loss_rate=0.0,
-        ordered=spec.scenario != "lgnb",
-        lg_active=False,
-        seed=spec.seed,
-        loss=loss,
-        config=config,
-        ecn_threshold_bytes=None,
-        recirc_drain_gbps=spec.params.get("recirc_drain_gbps"),
-    )
-    sim, plink = testbed.sim, testbed.plink
-    delivered = {"count": 0}
-    sink_link = Link(sim, 10, receiver=lambda p: delivered.__setitem__(
-        "count", delivered["count"] + 1))
-    testbed.receiver_switch.add_port("sink", gbps(spec.rate_gbps), sink_link)
-    testbed.receiver_switch.set_route("stress-dst", "sink")
-    testbed.sender_switch.set_route("stress-dst", plink.forward_port_name)
-    return testbed
+    return stress_world(
+        spec.rate_gbps, spec.scenario != "lgnb", spec.seed, config,
+        loss=loss, recirc_drain_gbps=spec.params.get("recirc_drain_gbps"))
 
 
 def _inject(testbed, spec: ExperimentSpec, n_frames: int, spacing: int):
     """Arm a line-rate MTU injection of ``n_frames`` frames from now."""
+    from ..experiments.stress import STRESS_DST
     from ..packets.packet import Packet
 
     sim = testbed.sim
@@ -255,7 +237,7 @@ def _inject(testbed, spec: ExperimentSpec, n_frames: int, spacing: int):
     def fire():
         if state["sent"] >= n_frames:
             return
-        packet = Packet(size=MTU_FRAME, dst="stress-dst",
+        packet = Packet(size=MTU_FRAME, dst=STRESS_DST,
                         flow_id=state["sent"])
         state["sent"] += 1
         testbed.sender_switch.forward(packet)
@@ -326,7 +308,7 @@ def stress_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
     template.sim.run(until=template.sim.now + warm_frames * spacing)
     _quiesce_stress(template)
     snap = template.plink.snapshot()
-    delays_before = len(snap.receiver.stats["retx_delays_ns"])
+    delays_before = len(snap["receiver"]["stats"].retx_delays_ns)
 
     rng = RngFactory(spec.seed).stream("hybrid.stress")
     n_windows = min(_MAX_WINDOWS, max(6, int(round(expected_events))))
@@ -343,7 +325,7 @@ def stress_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
         world = _stress_world(
             spec, config,
             loss=DataFrameLoss(drop_indices=drops, rate=loss_rate))
-        world.plink.restore(snap, restore_loss=False)
+        world.plink.restore(snap)
         n_frames = max(drops) + 2 * recovery_slots + 16
         _inject(world, spec, n_frames, spacing)
         world.sim.run(until=world.sim.now + n_frames * spacing

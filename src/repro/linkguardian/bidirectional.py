@@ -197,47 +197,6 @@ class BidirectionalProtectedLink:
             endpoint.sender.deactivate()
             endpoint.receiver.deactivate()
 
-    # -- snapshot / restore --------------------------------------------------------
-
-    def snapshot(self):
-        """Capture both halves at a data-quiescent point."""
-        from ..core.state import BidirectionalLinkState
-        return BidirectionalLinkState(
-            sim_now=self.sim.now,
-            a_sender=self.a.sender.snapshot(),
-            a_receiver=self.a.receiver.snapshot(),
-            b_sender=self.b.sender.snapshot(),
-            b_receiver=self.b.receiver.snapshot(),
-            a_port=self.a.port.egress.snapshot_state(),
-            b_port=self.b.port.egress.snapshot_state(),
-            link_ab=self.link_ab.snapshot_state(),
-            link_ba=self.link_ba.snapshot_state(),
-        )
-
-    def restore(self, state, restore_loss: bool = True,
-                jump_clock: bool = True) -> None:
-        """Materialize a snapshot; re-primes both directions' control cycles."""
-        from ..core.state import BidirectionalLinkState, check_version
-        check_version(state, BidirectionalLinkState)
-        if jump_clock and self.sim.now < state.sim_now:
-            self.sim.jump_to(state.sim_now)
-        self.a.sender.restore(state.a_sender)
-        self.a.receiver.restore(state.a_receiver)
-        self.b.sender.restore(state.b_sender)
-        self.b.receiver.restore(state.b_receiver)
-        self.a.port.egress.restore_state(state.a_port)
-        self.b.port.egress.restore_state(state.b_port)
-        self.link_ab.restore_state(state.link_ab, restore_loss=restore_loss)
-        self.link_ba.restore_state(state.link_ba, restore_loss=restore_loss)
-        for endpoint, port_state in ((self.a, state.a_port),
-                                     (self.b, state.b_port)):
-            # dummies and explicit ACKs share the port's lowest queue
-            queued = port_state.queues[LgSender.DUMMY_QUEUE].packets
-            if endpoint.sender.active and self.config.tail_loss_detection:
-                endpoint.sender.dummy_loop.restored(queued)
-            if endpoint.receiver.active:
-                endpoint.receiver.ack_loop.restored(queued)
-
     def summary(self) -> dict:
         return {
             "a->b": {

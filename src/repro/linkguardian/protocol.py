@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.engine import Simulator
+from ..core.state import apply, capture
 from ..packets.packet import Packet
 from ..phy.loss import LossProcess
 from ..switchsim.link import Link
@@ -204,52 +205,50 @@ class ProtectedLink:
 
     # -- snapshot / restore ------------------------------------------------------------
 
-    def snapshot(self):
+    def snapshot(self) -> dict:
         """Capture the whole protected link at a data-quiescent point.
 
-        Endpoints, both egress ports, both link counters and the
-        capture-time clock are recorded; in-flight frames and scheduled
-        callbacks are not (see :mod:`repro.core.state`).
+        Endpoints, both egress ports, both links' RX counters and the
+        capture-time clock are recorded, with one memo (see
+        :mod:`repro.core.state`); loss processes, in-flight frames and
+        scheduled callbacks are not.
         """
-        from ..core.state import ProtectedLinkState
-        return ProtectedLinkState(
-            sim_now=self.sim.now,
-            sender=self.sender.snapshot(),
-            receiver=self.receiver.snapshot(),
-            sender_port=self.sender_port.egress.snapshot_state(),
-            receiver_port=self.receiver_port.egress.snapshot_state(),
-            forward_link=self.forward_link.snapshot_state(),
-            reverse_link=self.reverse_link.snapshot_state(),
-        )
+        memo: dict = {}
+        return {
+            "sim_now": self.sim.now,
+            "sender": self.sender.snapshot(memo),
+            "receiver": self.receiver.snapshot(memo),
+            "sender_port": capture(self.sender_port.egress, memo),
+            "receiver_port": capture(self.receiver_port.egress, memo),
+            "forward_link": capture(self.forward_link, memo),
+            "reverse_link": capture(self.reverse_link, memo),
+        }
 
-    def restore(self, state, restore_loss: bool = True,
-                jump_clock: bool = True) -> None:
+    def restore(self, state: dict) -> None:
         """Materialize a snapshot into this (freshly built) link.
 
-        Jumps the clock to the capture time, restores protocol state,
+        Jumps the clock to the capture time, applies protocol state,
         re-kicks both ports, and re-primes the self-replenishing dummy
         and explicit-ACK cycles exactly as activation would — a copy in
-        flight at capture time is simply replaced.  With
-        ``restore_loss=False`` the forward corruption position is left
-        alone so a splicing window can attach its own process.
+        flight at capture time is simply replaced.  Both loss processes
+        stay the ones this world was built with, so a splicing window
+        brings its own.
         """
-        from ..core.state import ProtectedLinkState, check_version
-        check_version(state, ProtectedLinkState)
-        if jump_clock and self.sim.now < state.sim_now:
-            self.sim.jump_to(state.sim_now)
-        self.sender.restore(state.sender)
-        self.receiver.restore(state.receiver)
-        self.sender_port.egress.restore_state(state.sender_port)
-        self.receiver_port.egress.restore_state(state.receiver_port)
-        self.forward_link.restore_state(state.forward_link,
-                                        restore_loss=restore_loss)
-        self.reverse_link.restore_state(state.reverse_link)
+        if self.sim.now < state["sim_now"]:
+            self.sim.jump_to(state["sim_now"])
+        memo: dict = {}
+        self.sender.restore(state["sender"], memo)
+        self.receiver.restore(state["receiver"], memo)
+        self.sender_port.egress.restore(state["sender_port"], memo)
+        self.receiver_port.egress.restore(state["receiver_port"], memo)
+        apply(self.forward_link, state["forward_link"], memo)
+        apply(self.reverse_link, state["reverse_link"], memo)
         if self.sender.active and self.config.tail_loss_detection:
             self.sender.dummy_loop.restored(
-                state.sender_port.queues[LgSender.DUMMY_QUEUE].packets)
+                state["sender_port"]["queues"][LgSender.DUMMY_QUEUE]["_fifo"])
         if self.receiver.active:
             self.receiver.ack_loop.restored(
-                state.receiver_port.queues[LgReceiver.ACK_QUEUE].packets)
+                state["receiver_port"]["queues"][LgReceiver.ACK_QUEUE]["_fifo"])
 
     # -- measurement -------------------------------------------------------------------
 

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..analysis.stats import OccupancyTracker
 from ..core.engine import Simulator
+from ..core.state import SnapshotError, apply, capture
 from ..obs.trace import NULL_TRACER
 from ..packets.packet import (
     LG_HEADER_BYTES, LgAckHeader, Packet, PacketKind,
@@ -549,73 +550,37 @@ class LgReceiver:
 
     # -- snapshot / restore ----------------------------------------------------------
 
-    def snapshot(self):
-        """Capture protocol state for mid-run materialization.
+    #: what a snapshot captures (:mod:`repro.core.state`): the frontier,
+    #: the reordering buffer, outstanding losses — each with its
+    #: *detection time*, from which ``restore`` re-arms its ackNoTimeout
+    #: — and backpressure.  ``_draining`` is always False in a snapshot.
+    STATE = (
+        "stats", "_next_rx", "_ack_no", "_missing", "_gave_up", "_buffer",
+        "_buffer_bytes", "_draining", "_paused_sender", "_delivered_retx",
+        "_nb_floor", "_nb_floor_expiry_ns", "_active", "rx_occupancy",
+        "_paused_at",
+    )
 
-        ``_missing`` is stored with each loss's *detection time*;
-        ``restore`` re-arms the corresponding ackNoTimeout deadlines
-        from those times instead of capturing timer events.  A snapshot
-        cannot be taken mid-release (``_draining``): the packet being
-        paced out lives only in a scheduled callback.
+    def snapshot(self, memo=None):
+        """Capture :attr:`STATE`, ``config.ordered`` (the NB fallback
+        flips it) and the stall watchdog's key.
+
+        Refused mid-release (``_draining``): the packet being paced out
+        lives only in a scheduled callback.
         """
-        from ..core.state import ReceiverState, SeqState, SnapshotError
         if self._draining:
             raise SnapshotError(
                 f"receiver {self.name!r} is mid-release; snapshot at a "
                 f"drain boundary (quiesce first)")
-        stats = {
-            name: getattr(self.stats, name)
-            for name in self.stats.__dataclass_fields__
-            if name != "retx_delays_ns"
-        }
-        stats["retx_delays_ns"] = list(self.stats.retx_delays_ns)
-        return ReceiverState(
-            stats=stats,
-            next_rx=SeqState(value=self._next_rx.value, era=self._next_rx.era),
-            ack_no=SeqState(value=self._ack_no.value, era=self._ack_no.era),
-            missing=dict(self._missing),
-            gave_up=sorted(self._gave_up),
-            buffer=[(key, packet.copy())
-                    for key, packet in sorted(self._buffer.items())],
-            buffer_bytes=self._buffer_bytes,
-            paused_sender=self._paused_sender,
-            delivered_retx=sorted(self._delivered_retx),
-            nb_floor=self._nb_floor,
-            nb_floor_expiry_ns=self._nb_floor_expiry_ns,
-            ordered=self.config.ordered,
-            active=self._active,
-            occupancy=self.rx_occupancy.snapshot_state(),
-            paused_at=self._paused_at,
-            stall_key=self._stall_key,
-        )
+        state = capture(self, memo)
+        state["ordered"] = self.config.ordered
+        state["stall_key"] = self._stall_key
+        return state
 
-    def restore(self, state) -> None:
-        """Materialize captured state; re-arms ackNoTimeout + stall timers."""
-        from ..core.state import ReceiverState, check_version
-        check_version(state, ReceiverState)
-        for name, value in state.stats.items():
-            if name == "retx_delays_ns":
-                self.stats.retx_delays_ns = list(value)
-            else:
-                setattr(self.stats, name, value)
-        self._next_rx = SeqCounter(state.next_rx.value, state.next_rx.era)
-        self._ack_no = SeqCounter(state.ack_no.value, state.ack_no.era)
-        self._missing = {tuple(key): detected
-                         for key, detected in state.missing.items()}
-        self._gave_up = {tuple(key) for key in state.gave_up}
-        self._buffer = {tuple(key): packet.copy()
-                        for key, packet in state.buffer}
-        self._buffer_bytes = state.buffer_bytes
-        self._draining = False
-        self._paused_sender = state.paused_sender
-        self._delivered_retx = {tuple(key) for key in state.delivered_retx}
-        self._nb_floor = (tuple(state.nb_floor)
-                          if state.nb_floor is not None else None)
-        self._nb_floor_expiry_ns = state.nb_floor_expiry_ns
-        self.config.ordered = state.ordered
-        self._active = state.active
-        self.rx_occupancy.restore_state(state.occupancy)
-        self._paused_at = state.paused_at
+    def restore(self, state, memo=None) -> None:
+        """Apply a snapshot; re-arms ackNoTimeout + stall timers."""
+        apply(self, state, memo)
+        self.config.ordered = state["ordered"]
         self._stall_key = None
         # Re-arm plumbing implied by the restored state: one ackNoTimeout
         # per outstanding loss (from its original detection time) and the
@@ -625,8 +590,8 @@ class LgReceiver:
                 detected + self.config.ack_no_timeout_ns)
             self.sim.schedule_at(max(deadline, self.sim.now),
                                  self._ack_no_timeout, key)
-        if state.stall_key is not None:
-            self._arm_stall_watchdog(tuple(state.stall_key))
+        if state["stall_key"] is not None:
+            self._arm_stall_watchdog(state["stall_key"])
 
     # -- reverse direction: ACKs (§3.1) --------------------------------------------------
 

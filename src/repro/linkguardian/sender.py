@@ -35,6 +35,7 @@ from typing import Callable, Optional
 
 from ..analysis.stats import OccupancyTracker
 from ..core.engine import Simulator
+from ..core.state import apply, capture
 from ..obs.trace import NULL_TRACER
 from ..packets.packet import LG_HEADER_BYTES, LgDataHeader, Packet, PacketKind
 from ..packets.seqno import SeqCounter, seq_compare, seq_distance
@@ -385,63 +386,31 @@ class LgSender:
 
     # -- snapshot / restore -------------------------------------------------------
 
-    def snapshot(self):
-        """Capture protocol state for mid-run materialization.
+    #: what a snapshot captures (:mod:`repro.core.state`): the seqNo
+    #: space, the Tx buffer (packet copies + mirror times) and its index,
+    #: outstanding ``reTxReqs`` and counters.  Pending ``_fire_retx``
+    #: events are plumbing — snapshot at data-quiescent points (empty
+    #: ``_requested``, no retx in flight), as :mod:`repro.fastpath.splice`
+    #: does.
+    STATE = (
+        "stats", "_seq", "_acked_next", "n_copies", "_active", "_buffer",
+        "_entries", "_requested", "_buffer_bytes", "tx_occupancy",
+        "_paused_at",
+    )
 
-        Captures the seqNo space, the Tx buffer (packet copies + mirror
-        times), outstanding ``reTxReqs`` and counters.  Pending
-        ``_fire_retx`` events are scheduled-event plumbing and are *not*
-        captured — take snapshots at data-quiescent points (empty
-        ``_requested``, no retx in flight); :mod:`repro.fastpath.splice`
-        quiesces before snapshotting.
-        """
-        from ..core.state import SenderState, SeqState, TxEntryState, rng_state
-        return SenderState(
-            stats=self.stats.snapshot(),
-            seq=SeqState(value=self._seq.value, era=self._seq.era),
-            acked_next=tuple(self._acked_next),
-            n_copies=self.n_copies,
-            active=self._active,
-            buffer=[
-                TxEntryState(seqno=entry.seqno, era=entry.era,
-                             packet=entry.packet.copy(),
-                             mirrored_at=entry.mirrored_at)
-                for entry in self._buffer
-            ],
-            requested=sorted(self._requested),
-            buffer_bytes=self._buffer_bytes,
-            occupancy=self.tx_occupancy.snapshot_state(),
-            paused_at=self._paused_at,
-            phase_rng=rng_state(self._phase_rng) if self._phase_rng is not None
-            else None,
-        )
+    def snapshot(self, memo=None):
+        """Capture :attr:`STATE` and the recirculation-phase RNG position."""
+        state = capture(self, memo)
+        if self._phase_rng is not None:
+            state["phase_rng"] = self._phase_rng.bit_generator.state
+        return state
 
-    def restore(self, state) -> None:
-        """Materialize captured protocol state into this (fresh) sender."""
-        from ..core.state import (
-            SenderState, check_version, rng_restore,
-        )
-        check_version(state, SenderState)
-        for field_name, value in state.stats.items():
-            setattr(self.stats, field_name, value)
-        self._seq = SeqCounter(state.seq.value, state.seq.era)
-        self._acked_next = tuple(state.acked_next)
-        self.n_copies = state.n_copies
-        self._active = state.active
-        self._buffer = deque()
-        self._entries = {}
-        for entry_state in state.buffer:
-            entry = _TxEntry(entry_state.seqno, entry_state.era,
-                             entry_state.packet.copy(),
-                             entry_state.mirrored_at)
-            self._buffer.append(entry)
-            self._entries[(entry.era, entry.seqno)] = entry
-        self._requested = {tuple(key) for key in state.requested}
-        self._buffer_bytes = state.buffer_bytes
-        self.tx_occupancy.restore_state(state.occupancy)
-        self._paused_at = state.paused_at
-        if state.phase_rng is not None and self._phase_rng is not None:
-            rng_restore(self._phase_rng, state.phase_rng)
+    def restore(self, state, memo=None) -> None:
+        """Apply a snapshot; the RNG position goes into this world's own
+        generator."""
+        apply(self, state, memo)
+        if "phase_rng" in state and self._phase_rng is not None:
+            self._phase_rng.bit_generator.state = state["phase_rng"]
 
     # -- introspection ------------------------------------------------------------
 

@@ -62,16 +62,6 @@ class LossProcess:
         """
         return None
 
-    def snapshot_state(self):
-        """Capture the process position (RNG + internal counters)."""
-        from ..core.state import LossState, loss_fields
-        kind, data, rng = loss_fields(self)
-        return LossState(kind=kind, data=data, rng=rng)
-
-    def restore_state(self, state) -> None:
-        from ..core.state import loss_apply
-        loss_apply(self, state)
-
 
 class NoLoss(LossProcess):
     """A healthy link."""

@@ -104,7 +104,9 @@ class ServiceSnapshot:
 
 
 def load_snapshot(path: str) -> ServiceSnapshot:
-    """Read back a shutdown snapshot, version-checked core.state-style."""
+    """Read back a shutdown snapshot.  The file comes from outside this
+    process (an earlier run, maybe an older version), so its version is
+    checked: a stale one raises :class:`SnapshotError`."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):

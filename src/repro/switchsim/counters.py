@@ -16,6 +16,8 @@ class PortCounters:
     __slots__ = (
         "frames_tx", "bytes_tx", "frames_rx_ok", "frames_rx_all", "bytes_rx_ok",
     )
+    #: what a snapshot captures (:mod:`repro.core.state`): every counter
+    STATE = __slots__
 
     def __init__(self) -> None:
         self.frames_tx = 0
@@ -52,23 +54,3 @@ class PortCounters:
             "frames_rx_all": self.frames_rx_all,
             "bytes_rx_ok": self.bytes_rx_ok,
         }
-
-    def snapshot_state(self):
-        """Capture counter values for mid-run materialization."""
-        from ..core.state import CountersState
-        return CountersState(
-            frames_tx=self.frames_tx,
-            bytes_tx=self.bytes_tx,
-            frames_rx_ok=self.frames_rx_ok,
-            frames_rx_all=self.frames_rx_all,
-            bytes_rx_ok=self.bytes_rx_ok,
-        )
-
-    def restore_state(self, state) -> None:
-        from ..core.state import CountersState, check_version
-        check_version(state, CountersState)
-        self.frames_tx = state.frames_tx
-        self.bytes_tx = state.bytes_tx
-        self.frames_rx_ok = state.frames_rx_ok
-        self.frames_rx_all = state.frames_rx_all
-        self.bytes_rx_ok = state.bytes_rx_ok

@@ -58,27 +58,10 @@ class Link:
         snap["rx_loss_rate"] = self.rx_counters.rx_loss_rate
         return snap
 
-    def snapshot_state(self):
-        """Capture RX counters and the loss process position.
-
-        Frames already in flight on the wire (scheduled ``receiver``
-        callbacks) are event plumbing and are not captured.
-        """
-        from ..core.state import LinkState, LossState, loss_fields
-        kind, data, rng = loss_fields(self.loss)
-        return LinkState(
-            counters=self.rx_counters.snapshot_state(),
-            loss=LossState(kind=kind, data=data, rng=rng),
-        )
-
-    def restore_state(self, state, restore_loss: bool = True) -> None:
-        """Restore counters (and, unless the caller swaps in its own loss
-        process for a splicing window, the corruption position too)."""
-        from ..core.state import LinkState, check_version, loss_apply
-        check_version(state, LinkState)
-        self.rx_counters.restore_state(state.counters)
-        if restore_loss and state.loss is not None:
-            loss_apply(self.loss, state.loss)
+    #: what a snapshot captures (:mod:`repro.core.state`): the RX
+    #: counters.  Not the loss process (a restored world keeps the one it
+    #: was built with) nor frames on the wire (scheduled callbacks).
+    STATE = ("rx_counters",)
 
     def set_loss(self, loss: Optional[LossProcess]) -> None:
         """Swap the corruption process at runtime (VOA dial, link repair)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..core.engine import Simulator
+from ..core.state import apply
 from ..packets.packet import Packet
 from ..units import serialization_ns
 from .counters import PortCounters
@@ -77,44 +78,19 @@ class EgressPort:
 
     # -- snapshot / restore --------------------------------------------------
 
-    def snapshot_state(self):
-        """Capture pause bits, counters and queue contents.
+    #: what a snapshot captures (:mod:`repro.core.state`).  The
+    #: serializer (``_busy`` + the in-flight frame's ``_finish`` event)
+    #: is plumbing: snapshot between frames or while the frame on it is
+    #: expendable (dummies, stale control).
+    STATE = ("_paused", "tx_counters", "queues")
 
-        The serializer (``_busy`` + the in-flight frame's ``_finish``
-        event) is scheduled-event plumbing and is not captured; a
-        snapshot should be taken when the port is between frames or the
-        in-flight frame is expendable (dummies, stale control).
-        """
-        from ..core.state import PortState
-        return PortState(
-            paused=list(self._paused),
-            counters=self.tx_counters.snapshot_state(),
-            queues=[queue.snapshot_state() for queue in self.queues],
-        )
-
-    def restore_state(self, state) -> None:
-        """Restore queue contents and counters, then re-kick the serializer."""
-        from ..core.state import PortState, check_version
-        check_version(state, PortState)
-        if len(state.queues) != len(self.queues):
-            from ..core.state import SnapshotError
-            raise SnapshotError(
-                f"port {self.name!r} has {len(self.queues)} queues, "
-                f"snapshot has {len(state.queues)}")
-        self._paused = list(state.paused)
-        self.tx_counters.restore_state(state.counters)
-        for queue, queue_state in zip(self.queues, state.queues):
-            queue.restore_state(queue_state)
+    def restore(self, state, memo=None) -> None:
+        """Apply a snapshot, then re-kick the serializer from queue content."""
+        apply(self, state, memo)
         self._busy = False
         self._kick()
 
     # -- queue management ---------------------------------------------------
-
-    def add_queue(self, queue: Queue) -> int:
-        """Append a (lowest-priority) queue; returns its index."""
-        self.queues.append(queue)
-        self._paused.append(False)
-        return len(self.queues) - 1
 
     def enqueue(self, packet: Packet, queue_index: int = 0) -> bool:
         """Push into a queue and kick the serializer.  False on tail drop."""
@@ -141,9 +117,6 @@ class EgressPort:
     @property
     def busy(self) -> bool:
         return self._busy
-
-    def backlog_bytes(self) -> int:
-        return sum(q.depth_bytes for q in self.queues)
 
     @property
     def idle(self) -> bool:

@@ -45,6 +45,10 @@ class Queue:
         on_drop: optional callback invoked with each dropped packet.
     """
 
+    #: what a snapshot captures (:mod:`repro.core.state`): held frames
+    #: and lifetime counters
+    STATE = ("_fifo", "_bytes", "stats")
+
     def __init__(
         self,
         capacity_bytes: Optional[int] = None,
@@ -90,12 +94,6 @@ class Queue:
         self.stats.enqueued += 1
         self._note_watermarks()
         return True
-
-    def push_front(self, packet: Packet) -> None:
-        """Requeue at the head (used for replenishing self-refilling queues)."""
-        self._fifo.appendleft(packet)
-        self._bytes += packet.size
-        self._note_watermarks()
 
     def _note_watermarks(self) -> None:
         if self._bytes > self.stats.max_bytes:
@@ -146,22 +144,3 @@ class Queue:
             "depth_high_watermark_bytes": self.stats.max_bytes,
             "depth_high_watermark_packets": self.stats.max_packets,
         }
-
-    def snapshot_state(self):
-        """Capture held frames + lifetime counters for materialization."""
-        from ..core.state import QueueState
-        return QueueState(
-            name=self.name,
-            packets=[packet.copy() for packet in self._fifo],
-            stats={slot: getattr(self.stats, slot) for slot in QueueStats.__slots__},
-        )
-
-    def restore_state(self, state) -> None:
-        # Writes _fifo/_bytes directly rather than push()ing, which would
-        # re-run drop/ECN logic and perturb the restored counters.
-        from ..core.state import QueueState, check_version
-        check_version(state, QueueState)
-        self._fifo = deque(packet.copy() for packet in state.packets)
-        self._bytes = sum(packet.size for packet in self._fifo)
-        for slot, value in state.stats.items():
-            setattr(self.stats, slot, value)

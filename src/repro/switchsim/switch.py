@@ -77,9 +77,6 @@ class Switch:
             raise KeyError(f"{self.name} has no port {port_name!r}")
         self._routes[dst] = port_name
 
-    def route_for(self, dst: str) -> Optional[str]:
-        return self._routes.get(dst)
-
     # -- datapath ---------------------------------------------------------------
 
     def receive(self, packet: Packet, from_port: str) -> None:

@@ -48,20 +48,6 @@ class CongestionControl:
     def pacing_rate_bps(self, now_ns: int) -> Optional[int]:
         return None
 
-    # -- snapshot / restore ----------------------------------------------------------
-    # Controllers hold only plain scalars and tuples-in-lists, so a generic
-    # attribute copy covers every subclass without per-CC versioning.
-
-    def snapshot_state(self) -> dict:
-        return {
-            key: list(value) if isinstance(value, list) else value
-            for key, value in vars(self).items()
-        }
-
-    def restore_state(self, state: dict) -> None:
-        for key, value in state.items():
-            setattr(self, key, list(value) if isinstance(value, list) else value)
-
     # -- shared machinery -----------------------------------------------------------
 
     @property

@@ -44,7 +44,3 @@ class FlowRecord:
         if self.start_ns is None or self.end_ns is None:
             raise ValueError(f"flow {self.flow_id} has not completed")
         return self.end_ns - self.start_ns
-
-    @property
-    def fct_us(self) -> float:
-        return self.fct_ns / 1_000.0

@@ -413,87 +413,6 @@ class TcpSender:
         self._send_available()
         self._arm_rto()
 
-    # -- snapshot / restore ----------------------------------------------------------------------------
-
-    def snapshot(self):
-        """Capture the flow's sender state for mid-run materialization.
-
-        Timer events (RTO, TLP, RACK, pacing) are scheduled-event
-        plumbing and are not captured; ``restore`` re-arms RTO and TLP
-        from the restored estimator, and the RACK timer re-establishes
-        itself on the next ACK's ``_detect_losses`` pass.
-        """
-        from ..core.state import TcpSenderState
-        return TcpSenderState(
-            flow={name: getattr(self.flow, name)
-                  for name in self.flow.__dataclass_fields__},
-            segments=[
-                (s.seq, s.length, s.last_tx_ns, s.tx_count, s.sacked, s.lost)
-                for s in (self.segments[seq] for seq in self._seq_queue)
-            ],
-            seq_queue=list(self._seq_queue),
-            snd_una=self.snd_una,
-            snd_nxt=self.snd_nxt,
-            sacked_bytes=self._sacked_bytes,
-            lost_bytes=self._lost_bytes,
-            recovery_point=self._recovery_point,
-            srtt=self._srtt,
-            rttvar=self._rttvar,
-            min_rtt=self._min_rtt,
-            reorder_wnd_ns=self._reorder_wnd_ns,
-            reorder_seen=self._reorder_seen,
-            backoff=self._backoff,
-            pacing_next_ns=self._pacing_next_ns,
-            tlp_fired=self._tlp_fired,
-            last_delivery_ns=self._last_delivery_ns,
-            done=self._done,
-            newest_sacked_tx=self._newest_sacked_tx,
-            cc_class=type(self.cc).__name__,
-            cc=self.cc.snapshot_state(),
-        )
-
-    def restore(self, state) -> None:
-        """Materialize a captured flow into this (freshly built) sender."""
-        from ..core.state import SnapshotError, TcpSenderState, check_version
-        check_version(state, TcpSenderState)
-        if state.cc_class != type(self.cc).__name__:
-            raise SnapshotError(
-                f"snapshot used {state.cc_class}, sender has "
-                f"{type(self.cc).__name__}")
-        for name, value in state.flow.items():
-            setattr(self.flow, name, value)
-        self.segments = {}
-        for seq, length, last_tx_ns, tx_count, sacked, lost in state.segments:
-            segment = _SegmentState(seq, length)
-            segment.last_tx_ns = last_tx_ns
-            segment.tx_count = tx_count
-            segment.sacked = sacked
-            segment.lost = lost
-            self.segments[seq] = segment
-        self._seq_queue = deque(state.seq_queue)
-        self.snd_una = state.snd_una
-        self.snd_nxt = state.snd_nxt
-        self._sacked_bytes = state.sacked_bytes
-        self._lost_bytes = state.lost_bytes
-        self._recovery_point = state.recovery_point
-        self._srtt = state.srtt
-        self._rttvar = state.rttvar
-        self._min_rtt = state.min_rtt
-        self._reorder_wnd_ns = state.reorder_wnd_ns
-        self._reorder_seen = state.reorder_seen
-        self._backoff = state.backoff
-        self._pacing_next_ns = state.pacing_next_ns
-        self._pacing_scheduled = False
-        self._tlp_fired = state.tlp_fired
-        self._last_delivery_ns = state.last_delivery_ns
-        self._done = state.done
-        self._newest_sacked_tx = state.newest_sacked_tx
-        self.cc.restore_state(state.cc)
-        if not self._done:
-            self._arm_rto()
-            if self.snd_una < self.snd_nxt:
-                self._arm_tlp()
-
     # -- completion ------------------------------------------------------------------------------------
 
     def _complete(self) -> None:
@@ -547,35 +466,10 @@ class TcpReceiver:
                 merged.append((s, e))
         self._ooo = merged
 
-    def _normalize(self) -> None:
-        result = []
-        for s, e in sorted(self._ooo):
-            if result and s <= result[-1][1]:
-                result[-1] = (result[-1][0], max(result[-1][1], e))
-            else:
-                result.append((s, e))
-        self._ooo = result
-
     def _merge_ooo(self) -> None:
         while self._ooo and self._ooo[0][0] <= self.rcv_nxt:
             _, e = self._ooo.pop(0)
             self.rcv_nxt = max(self.rcv_nxt, e)
-
-    def snapshot(self):
-        """Capture the reassembly state (frontier + OOO ranges)."""
-        from ..core.state import TcpReceiverState
-        return TcpReceiverState(
-            rcv_nxt=self.rcv_nxt,
-            bytes_received=self.bytes_received,
-            ooo=list(self._ooo),
-        )
-
-    def restore(self, state) -> None:
-        from ..core.state import TcpReceiverState, check_version
-        check_version(state, TcpReceiverState)
-        self.rcv_nxt = state.rcv_nxt
-        self.bytes_received = state.bytes_received
-        self._ooo = [tuple(r) for r in state.ooo]
 
     def _send_ack(self, ts_val: int, ece: bool, recent: Tuple[int, int]) -> None:
         blocks = []

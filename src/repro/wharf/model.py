@@ -48,9 +48,6 @@ class WharfFec:
         pmf = binom.pmf(list(js), n, frame_loss_rate)
         return float(sum(p * j for p, j in zip(pmf, js)) / n)
 
-    def effective_rate_bps(self, link_rate_bps: int) -> int:
-        return int(link_rate_bps * self.code_rate)
-
 
 def best_parameters(loss_rate: float) -> WharfFec:
     """Wharf's best-goodput parameters per loss rate (cf. Figure 8 in [20]).

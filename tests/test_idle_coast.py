@@ -19,11 +19,10 @@ import repro.experiments.fct as fct_module
 import repro.experiments.stress as stress_module
 from repro.core.engine import CalendarEventQueue, HeapEventQueue, Simulator
 from repro.core.rng import RngFactory
-from repro.core.state import loss_fields
 from repro.linkguardian.bidirectional import BidirectionalProtectedLink
 from repro.obs import Observability
 from repro.obs.trace import Tracer
-from repro.packets.packet import LgAckHeader, Packet, PacketKind
+from repro.packets.packet import LgAckHeader, LgDataHeader, Packet, PacketKind
 from repro.phy.loss import (
     BernoulliLoss, DataFrameLoss, GilbertElliottLoss, LossProcess, NoLoss,
     ScriptedLoss,
@@ -44,6 +43,13 @@ def _pin(plink):
     plink.reverse_link.tap = _noop_tap
 
 
+def _position(process) -> tuple:
+    """A loss process's counters and its generator's position."""
+    fields = dict(vars(process))
+    rng = fields.pop("_rng", None)
+    return fields, (rng.bit_generator.state if rng is not None else None)
+
+
 def _everything(testbed) -> dict:
     """Every counter a run leaves on the protected link, the loss
     processes' positions and the clock."""
@@ -58,8 +64,8 @@ def _everything(testbed) -> dict:
         "receiver_port": plink.receiver_port.egress.snapshot(),
         "forward_link": plink.forward_link.rx_counters.snapshot(),
         "reverse_link": plink.reverse_link.rx_counters.snapshot(),
-        "forward_loss": repr(loss_fields(plink.forward_link.loss)),
-        "reverse_loss": repr(loss_fields(plink.reverse_link.loss)),
+        "forward_loss": _position(plink.forward_link.loss),
+        "reverse_loss": _position(plink.reverse_link.loss),
         "now": sim.now,
     }
 
@@ -238,10 +244,35 @@ def test_corrupts_idle_is_n_calls_of_corrupts(name, chunks, seed):
     for n in chunks:
         expected = [i for i in range(n) if single.corrupts(frame)]
         assert bulk.corrupts_idle(n) == expected
-        assert repr(loss_fields(bulk)) == repr(loss_fields(single))
+        assert _position(bulk) == _position(single)
     # and the streams stay in step afterwards
     assert ([bulk.corrupts(frame) for _ in range(50)]
             == [single.corrupts(frame) for _ in range(50)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: BernoulliLoss(0.05, rng),
+    lambda rng: GilbertElliottLoss(0.05, mean_burst=2.0, rng=rng),
+    lambda rng: ScriptedLoss({3, 17, 40}),
+    lambda rng: DataFrameLoss({2, 9}, per_flow={7: {0}}),
+], ids=["bernoulli", "gilbert-elliott", "scripted", "dataframe"])
+def test_idle_runs_between_data_frames_keep_the_position(make):
+    """A coasting link interleaves protected data (asked one by one)
+    with runs of control frames (asked in bulk): the process must end
+    each step where the frame-by-frame one does, and keep deciding the
+    same afterwards."""
+    data = Packet(size=1_500, flow_id=7)
+    data.lg = LgDataHeader(seqno=0, era=0)
+    control = Packet(size=64)
+    bulk = make(RngFactory(3).stream("loss"))
+    single = make(RngFactory(3).stream("loss"))
+    for idle in (3, 0, 11, 1, 25):
+        assert bulk.corrupts(data) == single.corrupts(data)
+        assert bulk.corrupts_idle(idle) == [
+            i for i in range(idle) if single.corrupts(control)]
+        assert _position(bulk) == _position(single)
+    assert ([bulk.corrupts(data) for _ in range(60)]
+            == [single.corrupts(data) for _ in range(60)])
 
 
 def test_a_process_that_must_see_frames_is_asked_frame_by_frame():

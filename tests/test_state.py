@@ -1,89 +1,29 @@
 """Snapshot/restore contracts for the state layer.
 
-Round-trips every snapshottable component, checks version guarding, and
-— the load-bearing test — materializes a warmed-up protected link into a
-fresh simulator mid-run and shows the continuation behaves exactly like
-the original under identical scripted loss.
+Round-trips the components a snapshot is made of, checks that a
+snapshot refuses the wrong target, and — the load-bearing tests —
+materializes a warmed-up protected link into a fresh simulator mid-run
+and shows the continuation behaves exactly like the original under
+identical scripted loss, and that restoring one snapshot many times
+gives the same world every time (the hybrid splicer's windows).
 """
-
-import dataclasses
 
 import pytest
 
-from repro.core.rng import RngFactory
-from repro.core.state import (
-    LossState,
-    QueueState,
-    RngState,
-    SnapshotError,
-    rng_restore,
-    rng_state,
-)
-from repro.experiments.testbed import build_testbed
-from repro.packets.packet import Packet, PacketKind
-from repro.phy.loss import (
-    BernoulliLoss,
-    DataFrameLoss,
-    GilbertElliottLoss,
-    NoLoss,
-    ScriptedLoss,
-)
+from repro.analysis.stats import OccupancyTracker
+from repro.core.engine import Simulator
+from repro.core.state import SnapshotError, apply, capture
+from repro.experiments.stress import STRESS_DST, stress_world
+from repro.packets.packet import Packet
+from repro.phy.loss import DataFrameLoss
 from repro.switchsim.counters import PortCounters
+from repro.switchsim.link import Link
+from repro.switchsim.port import EgressPort
 from repro.switchsim.queues import Queue
 from repro.units import MTU_FRAME, gbps, serialization_ns
 
 
 # -- building blocks ---------------------------------------------------------
-
-
-def test_rng_stream_round_trip():
-    gen = RngFactory(7).stream("test")
-    gen.random(10)
-    snap = rng_state(gen)
-    expected = gen.random(20).tolist()
-    gen.random(100)  # wander off
-    rng_restore(gen, snap)
-    assert gen.random(20).tolist() == expected
-
-
-def test_rng_version_guard():
-    gen = RngFactory(7).stream("test")
-    snap = rng_state(gen)
-    snap = dataclasses.replace(snap, version=99)
-    with pytest.raises(SnapshotError):
-        rng_restore(gen, snap)
-    with pytest.raises(SnapshotError):
-        rng_restore(gen, QueueState(name="q", packets=[], stats={}))
-
-
-@pytest.mark.parametrize("make", [
-    lambda rng: BernoulliLoss(0.05, rng),
-    lambda rng: GilbertElliottLoss(0.05, mean_burst=2.0, rng=rng),
-    lambda rng: ScriptedLoss({3, 17, 40}),
-    lambda rng: DataFrameLoss({2, 9}, per_flow={7: {0}}),
-])
-def test_loss_process_round_trip(make):
-    def decisions(process, n=60):
-        packet = Packet(size=100, flow_id=7)
-        from repro.packets.packet import LgDataHeader
-        packet.lg = LgDataHeader(seqno=0, era=0)
-        return [process.corrupts(packet) for _ in range(n)]
-
-    rng = RngFactory(3).stream("loss")
-    process = make(rng)
-    decisions(process, 25)             # advance into the sequence
-    snap = process.snapshot_state()
-    expected = decisions(process)
-    # A fresh twin restored from the snapshot continues identically.
-    twin = make(RngFactory(3).stream("loss"))
-    twin.restore_state(snap)
-    assert decisions(twin) == expected
-
-
-def test_loss_kind_mismatch_raises():
-    snap = BernoulliLoss(0.1).snapshot_state()
-    with pytest.raises(SnapshotError):
-        NoLoss().restore_state(snap)
 
 
 def test_counters_round_trip():
@@ -92,7 +32,7 @@ def test_counters_round_trip():
     counters.record_rx(100, ok=True)
     counters.record_rx(80, ok=False)
     twin = PortCounters()
-    twin.restore_state(counters.snapshot_state())
+    apply(twin, capture(counters))
     assert twin.snapshot() == counters.snapshot()
 
 
@@ -101,48 +41,104 @@ def test_queue_round_trip_preserves_contents_and_stats():
     for i in range(5):
         queue.push(Packet(size=1_000, flow_id=i))
     queue.pop()
-    snap = queue.snapshot_state()
+    snap = capture(queue)
     twin = Queue(capacity_bytes=10_000, name="normal")
-    twin.restore_state(snap)
+    apply(twin, snap)
     assert twin.snapshot() == queue.snapshot()
     assert [p.flow_id for p in twin._fifo] == [p.flow_id for p in queue._fifo]
     # Restored packets are copies: draining the twin leaves the original.
     twin.pop()
     assert queue.depth_packets == 4
+    assert not {id(p) for p in twin._fifo} & {id(p) for p in queue._fifo}
 
 
 def test_occupancy_round_trip():
-    from repro.analysis.stats import OccupancyTracker
     tracker = OccupancyTracker(0)
     tracker.update(10, 5)
     tracker.update(30, 2)
     twin = OccupancyTracker(0)
-    twin.restore_state(tracker.snapshot_state())
+    apply(twin, capture(tracker))
     tracker.finish(100)
     twin.finish(100)
     assert twin.summary() == tracker.summary()
 
 
-def test_loss_state_version_guard():
-    process = BernoulliLoss(0.1)
-    snap = process.snapshot_state()
-    snap = dataclasses.replace(snap, version=42)
+def test_apply_refuses_a_state_of_another_type():
     with pytest.raises(SnapshotError):
-        process.restore_state(snap)
-    assert LossState.VERSION == 1
+        apply(Queue(), capture(PortCounters()))
+    with pytest.raises(SnapshotError):
+        apply(Queue(), {"_fifo": [], "_bytes": 0, "stats": None})
+
+
+def test_port_refuses_a_snapshot_with_another_queue_count():
+    sim = Simulator()
+    link = Link(sim, 10, receiver=lambda packet: None)
+    three = EgressPort(sim, gbps(100), link, [Queue(), Queue(), Queue()])
+    one = EgressPort(sim, gbps(100), link, [Queue()])
+    with pytest.raises(SnapshotError):
+        one.restore(capture(three))
+
+
+def _port_world(delivered):
+    sim = Simulator()
+    link = Link(sim, 10, receiver=delivered.append)
+    return sim, EgressPort(sim, gbps(100), link, [Queue(), Queue()])
+
+
+def test_port_restore_rekicks_the_serializer():
+    # Queue content rides in the snapshot, the serializer does not: the
+    # restored port must start draining on its own.
+    _, port = _port_world([])
+    for i in range(5):
+        port.queues[1].push(Packet(size=MTU_FRAME, flow_id=i))
+    state = capture(port)
+
+    delivered = []
+    sim, twin = _port_world(delivered)
+    twin.restore(state)
+    sim.run()
+    assert [p.flow_id for p in delivered] == list(range(5))
+    assert twin.tx_counters.frames_tx == 5
+    assert twin.link.rx_counters.frames_rx_ok == 5
+    assert port.queues[1].depth_packets == 5
+
+
+def test_apply_writes_nested_components_in_place():
+    # Whatever else holds a port's queues or counters keeps seeing the
+    # restored values, not a stale object.
+    _, port = _port_world([])
+    port.queues[0].push(Packet(size=1_000, flow_id=7))
+    port.tx_counters.record_tx(1_000)
+    port.pause(1)
+
+    _, twin = _port_world([])
+    queues, queue0, counters = twin.queues, twin.queues[0], twin.tx_counters
+    apply(twin, capture(port))
+    assert twin.queues is queues and twin.queues[0] is queue0
+    assert twin.tx_counters is counters
+    assert counters.snapshot() == port.tx_counters.snapshot()
+    assert [p.flow_id for p in queue0._fifo] == [7]
+    assert twin.is_paused(1) and not twin.is_paused(0)
 
 
 # -- protected-link materialization ------------------------------------------
 
 
-def _quiesce(testbed, sink_counts, injected):
-    """Run until every injected frame is delivered and nothing is pending."""
+def _delivered(testbed) -> int:
+    """Frames that reached the stress world's sink."""
+    sink = testbed.receiver_switch.ports["sink"].egress.link
+    return sink.rx_counters.frames_rx_ok
+
+
+def _quiesce(testbed, injected):
+    """Run until ``injected`` frames reached the sink and nothing is
+    pending on the protected link."""
     sim, plink = testbed.sim, testbed.plink
     deadline = sim.now + 50_000_000
     while sim.now < deadline:
         sim.run(until=sim.now + 50_000)
         if (
-            sink_counts["count"] >= injected
+            _delivered(testbed) >= injected
             and plink.sender.buffer_packets == 0
             and not plink.receiver._missing
             and not plink.receiver._buffer
@@ -153,27 +149,16 @@ def _quiesce(testbed, sink_counts, injected):
 
 
 def _stress_world(seed=1, activate=True):
-    """A tiny stress-style testbed: direct injection, terminal sink.
+    """The stress harness's world at 100G.
 
     A world built to *receive* a snapshot is left dormant
     (``activate=False``): activation state rides in the snapshot, and
     restore requires an idle simulator (no pre-existing control events).
     """
-    testbed = build_testbed(
-        rate_gbps=100, loss_rate=0.0, ordered=True, lg_active=False,
-        seed=seed, ecn_threshold_bytes=None,
-    )
-    sim, plink = testbed.sim, testbed.plink
-    delivered = {"count": 0}
-    from repro.switchsim.link import Link
-    sink_link = Link(sim, 10, receiver=lambda p: delivered.__setitem__(
-        "count", delivered["count"] + 1))
-    testbed.receiver_switch.add_port("sink", gbps(100), sink_link)
-    testbed.receiver_switch.set_route("dst", "sink")
-    testbed.sender_switch.set_route("dst", plink.forward_port_name)
+    testbed = stress_world(100, seed=seed)
     if activate:
-        plink.activate(1e-3)
-    return testbed, delivered
+        testbed.plink.activate(1e-3)
+    return testbed
 
 
 def _inject_burst(testbed, count, start_flow=0):
@@ -181,64 +166,97 @@ def _inject_burst(testbed, count, start_flow=0):
     spacing = serialization_ns(MTU_FRAME, gbps(100))
     for i in range(count):
         sim.schedule(i * spacing, testbed.sender_switch.forward,
-                     Packet(size=MTU_FRAME, dst="dst", flow_id=start_flow + i))
+                     Packet(size=MTU_FRAME, dst=STRESS_DST,
+                            flow_id=start_flow + i))
+
+
+def _warm_template(count=40):
+    testbed = _stress_world()
+    _inject_burst(testbed, count)
+    _quiesce(testbed, count)
+    return testbed
+
+
+def _continuation(testbed):
+    """30 more frames, the 5th and 6th dropped: a 2-frame burst
+    exercising detection, notification and retx."""
+    plink = testbed.plink
+    plink.set_loss(DataFrameLoss({4, 5}))
+    base = _delivered(testbed)
+    _inject_burst(testbed, 30, start_flow=1_000)
+    _quiesce(testbed, base + 30)
+    return plink.summary()
 
 
 def test_protected_link_restore_continues_like_the_original():
     # World A: warm up, quiesce, snapshot — then continue under scripted
     # loss.  World B: fresh build, restore the snapshot, continue under
     # the same scripted loss.  Protocol outcomes must match exactly.
-    testbed_a, delivered_a = _stress_world()
-    _inject_burst(testbed_a, 40)
-    _quiesce(testbed_a, delivered_a, 40)
+    testbed_a = _warm_template()
     snap = testbed_a.plink.snapshot()
-    assert snap.sim_now == testbed_a.sim.now
-    assert snap.sender.stats["protected"] == 40
+    assert snap["sim_now"] == testbed_a.sim.now
+    assert snap["sender"]["stats"].protected == 40
 
-    def continuation(testbed, delivered, base_delivered):
-        plink = testbed.plink
-        # Drop the 5th and 6th protected data frames of the continuation:
-        # a 2-frame burst exercising detection, notification and retx.
-        plink.set_loss(DataFrameLoss({4, 5}))
-        _inject_burst(testbed, 30, start_flow=1_000)
-        _quiesce(testbed, delivered, base_delivered + 30)
-        summary = plink.summary()
-        summary.pop("tx_buffer")
-        summary.pop("rx_buffer")
-        return summary
-
-    testbed_b, delivered_b = _stress_world(activate=False)
+    testbed_b = _stress_world(activate=False)
     testbed_b.plink.restore(snap)
-    assert testbed_b.sim.now == snap.sim_now
+    assert testbed_b.sim.now == snap["sim_now"]
     # The restored world starts from the captured counters...
     assert testbed_b.plink.sender.stats.protected == 40
     assert testbed_b.plink.receiver.stats.delivered == \
         testbed_a.plink.receiver.stats.delivered
-    delivered_b["count"] = delivered_a["count"]
 
-    summary_a = continuation(testbed_a, delivered_a, delivered_a["count"])
-    summary_b = continuation(testbed_b, delivered_b, delivered_b["count"])
+    summary_a = _continuation(testbed_a)
+    summary_b = _continuation(testbed_b)
+    for summary in (summary_a, summary_b):
+        summary.pop("tx_buffer")
+        summary.pop("rx_buffer")
     assert summary_a == summary_b
-    assert summary_a["loss_events"] == snap.receiver.stats["loss_events"] + 2
-    assert summary_a["recovered"] == snap.receiver.stats["recovered"] + 2
-    assert summary_a["timeouts"] == snap.receiver.stats["timeouts"]
+    captured = snap["receiver"]["stats"]
+    assert summary_a["loss_events"] == captured.loss_events + 2
+    assert summary_a["recovered"] == captured.recovered + 2
+    assert summary_a["timeouts"] == captured.timeouts
+
+
+def test_one_snapshot_restores_the_same_world_every_time():
+    # The splicer restores one snapshot into many windows: a restored
+    # world running, and the template moving on, must leave the snapshot
+    # as captured.  (An ``apply`` that assigned without copying would
+    # hand world A the snapshot's own counters, and B would start from
+    # A's end state.)
+    template = _warm_template()
+    snap = template.plink.snapshot()
+    never_used = template.plink.snapshot()
+    at_capture = template.plink.summary()
+
+    world_a = _stress_world(activate=False)
+    world_a.plink.restore(snap)
+    _continuation(world_a)
+    _inject_burst(template, 25, start_flow=500)
+    _quiesce(template, _delivered(template) + 25)
+
+    world_b = _stress_world(activate=False)
+    world_b.plink.restore(snap)
+    world_c = _stress_world(activate=False)
+    world_c.plink.restore(never_used)
+    assert world_b.plink.summary() == world_c.plink.summary() == at_capture
+    assert world_b.plink.summary() != world_a.plink.summary()
+    assert (_continuation(world_b)
+            == _continuation(world_c))
 
 
 def test_restore_excluding_loss_keeps_window_process():
-    testbed_a, delivered_a = _stress_world()
-    _inject_burst(testbed_a, 10)
-    _quiesce(testbed_a, delivered_a, 10)
+    testbed_a = _warm_template(10)
     snap = testbed_a.plink.snapshot()
 
-    testbed_b, _ = _stress_world(activate=False)
+    testbed_b = _stress_world(activate=False)
     window_loss = DataFrameLoss({0})
     testbed_b.plink.set_loss(window_loss)
-    testbed_b.plink.restore(snap, restore_loss=False)
+    testbed_b.plink.restore(snap)
     assert testbed_b.plink.forward_link.loss is window_loss
 
 
 def test_receiver_snapshot_mid_drain_raises():
-    testbed, delivered = _stress_world()
+    testbed = _stress_world()
     receiver = testbed.plink.receiver
     receiver._draining = True
     with pytest.raises(SnapshotError):
@@ -248,135 +266,81 @@ def test_receiver_snapshot_mid_drain_raises():
 def test_receiver_restore_rearms_ack_no_timeout():
     # A snapshot with an outstanding loss must time out in the restored
     # world at the deadline its detection time implies.
-    testbed_a, delivered_a = _stress_world()
-    _inject_burst(testbed_a, 10)
-    _quiesce(testbed_a, delivered_a, 10)
+    testbed_a = _warm_template(10)
     snap = testbed_a.plink.snapshot()
     detected = testbed_a.sim.now
-    snap.receiver.missing[(0, 9_999)] = detected  # fabricated stuck loss
-    snap.receiver.stats["loss_events"] += 1
+    captured = snap["receiver"]
+    captured["_missing"][(0, 9_999)] = detected  # fabricated stuck loss
+    captured["stats"].loss_events += 1
 
-    testbed_b, _ = _stress_world(activate=False)
+    testbed_b = _stress_world(activate=False)
     testbed_b.plink.restore(snap)
     receiver = testbed_b.plink.receiver
     assert (0, 9_999) in receiver._missing
     timeout_ns = testbed_b.plink.config.ack_no_timeout_ns
     testbed_b.sim.run(until=detected + 2 * timeout_ns + 100_000)
     assert (0, 9_999) not in receiver._missing
-    assert receiver.stats.timeouts == snap.receiver.stats["timeouts"] + 1
+    assert receiver.stats.timeouts == captured["stats"].timeouts + 1
 
 
-# -- transport flows ---------------------------------------------------------
+def test_restore_carries_the_nb_fallback():
+    # The NB fallback flips ``config.ordered`` at runtime; a world built
+    # ordered must continue non-blocking after restoring such a snapshot.
+    testbed_a = _warm_template(10)
+    testbed_a.plink.receiver.switch_to_non_blocking()
+    snap = testbed_a.plink.snapshot()
+    assert snap["receiver"]["ordered"] is False
+
+    testbed_b = _stress_world(activate=False)
+    assert testbed_b.plink.receiver.config.ordered
+    testbed_b.plink.restore(snap)
+    assert testbed_b.plink.receiver.config.ordered is False
+    assert testbed_b.plink.receiver._nb_floor == \
+        testbed_a.plink.receiver._nb_floor
+
+    summary_a = _continuation(testbed_a)
+    summary_b = _continuation(testbed_b)
+    for summary in (summary_a, summary_b):
+        summary.pop("tx_buffer")
+        summary.pop("rx_buffer")
+    assert summary_a == summary_b
+    assert summary_a["recovered"] == snap["receiver"]["stats"].recovered + 2
 
 
-def _fct_world(seed=1):
-    # LinkGuardian dormant: a healthy link keeps the event queue empty at
-    # build time, which is what restoring into a fresh world requires.
-    testbed = build_testbed(rate_gbps=100, loss_rate=0.0, lg_active=False,
-                            seed=seed)
-    src = testbed.add_host("h4", "tx")
-    dst = testbed.add_host("h8", "rx")
-    return testbed, src, dst
+def test_sender_buffer_and_index_share_entries_after_restore():
+    # One memo per snapshot: the Tx buffer and its by-key index hold the
+    # same entries in the restored sender, none of them the original's.
+    testbed = _stress_world()
+    _inject_burst(testbed, 20)
+    testbed.sim.run(until=testbed.sim.now + 1_000)
+    sender = testbed.plink.sender
+    assert sender.buffer_packets > 0
+    state = sender.snapshot()
+
+    twin_bed = _stress_world(activate=False)
+    twin = twin_bed.plink.sender
+    twin.restore(state)
+    assert ([(e.era, e.seqno) for e in twin._buffer]
+            == [(e.era, e.seqno) for e in sender._buffer])
+    assert len(twin._entries) == len(twin._buffer)
+    for entry in twin._buffer:
+        assert twin._entries[(entry.era, entry.seqno)] is entry
+    assert not {id(e) for e in twin._buffer} & {id(e) for e in sender._buffer}
 
 
-def test_tcp_sender_round_trip_mid_flow():
-    from repro.transport.congestion import DctcpCC
-    from repro.transport.tcp import TcpReceiver, TcpSender
+def test_rng_stream_round_trip():
+    # The recirculation-phase position rides in the sender's snapshot
+    # and is written into the restoring world's own generator.
+    testbed = _stress_world()
+    _inject_burst(testbed, 10)
+    testbed.sim.run(until=testbed.sim.now + 2_000)
+    sender = testbed.plink.sender
+    state = sender.snapshot()
+    expected = sender._phase_rng.random(20).tolist()
 
-    testbed, src, dst = _fct_world()
-    done = []
-    sender = TcpSender(testbed.sim, src, "h8", 1, 200_000, cc=DctcpCC(),
-                       on_complete=done.append)
-    receiver = TcpReceiver(testbed.sim, dst, "h4", 1)
-    sender.start()
-    # Run to roughly mid-flow.
-    while not done and sender.snd_una < 100_000:
-        if not testbed.sim.step():
-            break
-    assert not done
-    snap = sender.snapshot()
-    rsnap = receiver.snapshot()
-    assert snap.snd_una == sender.snd_una
-    assert snap.cc_class == "DctcpCC"
-
-    # A twin sender/receiver pair restored from the snapshots reports
-    # identical protocol state (timers re-armed, not copied).
-    testbed2, src2, dst2 = _fct_world()
-    done2 = []
-    twin = TcpSender(testbed2.sim, src2, "h8", 1, 200_000, cc=DctcpCC(),
-                     on_complete=done2.append)
-    twin_rx = TcpReceiver(testbed2.sim, dst2, "h4", 1)
-    testbed2.sim.jump_to(testbed.sim.now)
-    twin.restore(snap)
-    twin_rx.restore(rsnap)
-    assert twin.snd_una == sender.snd_una
-    assert twin.snd_nxt == sender.snd_nxt
-    assert twin.cc.cwnd == sender.cc.cwnd
-    assert twin._srtt == sender._srtt
-    assert sorted(twin.segments) == sorted(sender.segments)
-    assert twin_rx.rcv_nxt == receiver.rcv_nxt
-    assert twin._rto_event is not None  # re-armed, not pickled
-
-    # In-flight packets are not part of a snapshot, so the twin recovers
-    # via its re-armed timers: the flow still completes.
-    testbed2.sim.run(until=testbed2.sim.now + 500_000_000)
-    assert done2 and done2[0].end_ns > 0
-
-
-def test_tcp_sender_cc_mismatch_raises():
-    from repro.transport.congestion import CubicCC, DctcpCC
-    from repro.transport.tcp import TcpSender
-
-    testbed, src, dst = _fct_world()
-    sender = TcpSender(testbed.sim, src, "h8", 1, 10_000, cc=DctcpCC())
-    snap = sender.snapshot()
-    testbed2, src2, dst2 = _fct_world()
-    twin = TcpSender(testbed2.sim, src2, "h8", 1, 10_000, cc=CubicCC())
-    with pytest.raises(SnapshotError):
-        twin.restore(snap)
-
-
-# -- bidirectional -----------------------------------------------------------
-
-
-def test_bidirectional_snapshot_round_trip():
-    from repro.core.engine import Simulator
-    from repro.linkguardian.bidirectional import BidirectionalProtectedLink
-    from repro.linkguardian.config import LinkGuardianConfig
-    from repro.switchsim.link import Link
-    from repro.switchsim.switch import Switch
-
-    def world(active):
-        sim = Simulator()
-        sw_a, sw_b = Switch(sim, "swA"), Switch(sim, "swB")
-        link = BidirectionalProtectedLink(
-            sim, sw_a, sw_b, config=LinkGuardianConfig(control_copies=2))
-        sink_a, sink_b = [], []
-        sw_a.add_port("sinkA", gbps(100), Link(sim, 10, receiver=sink_a.append))
-        sw_b.add_port("sinkB", gbps(100), Link(sim, 10, receiver=sink_b.append))
-        sw_a.set_route("hostA", "sinkA")
-        sw_b.set_route("hostB", "sinkB")
-        sw_a.set_route("hostB", link.port_ab_name)
-        sw_b.set_route("hostA", link.port_ba_name)
-        if active:
-            link.activate(1e-3)
-        return sim, sw_a, sw_b, link
-
-    sim, sw_a, sw_b, link = world(active=True)
-    spacing = serialization_ns(MTU_FRAME, gbps(100))
-    for i in range(10):
-        sim.schedule_at(i * spacing, sw_a.forward,
-                        Packet(size=MTU_FRAME, dst="hostB", flow_id=i))
-        sim.schedule_at(i * spacing, sw_b.forward,
-                        Packet(size=MTU_FRAME, dst="hostA", flow_id=100 + i))
-    sim.run(until=2_000_000)
-    snap = link.snapshot()
-    assert snap.a_sender.stats["protected"] == 10
-    assert snap.b_sender.stats["protected"] == 10
-
-    sim2, _, _, link2 = world(active=False)
-    link2.restore(snap)
-    assert sim2.now == snap.sim_now
-    assert link2.a.sender.stats.protected == 10
-    assert link2.a.sender.active and link2.b.receiver.active
-    assert link2.summary() == link.summary()
+    twin_bed = _stress_world(seed=2, activate=False)
+    twin = twin_bed.plink.sender
+    generator = twin._phase_rng
+    twin.restore(state)
+    assert twin._phase_rng is generator
+    assert generator.random(20).tolist() == expected
