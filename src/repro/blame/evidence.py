@@ -29,9 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
+from ..core.spec import Spec
 from ..fabric.topology import FabricTopology
 from ..fleet.topology import CorruptionEpisode, FleetSpec
 from .paths import ecmp_path, flow_endpoints
@@ -84,7 +85,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EvidenceSpec:
+class EvidenceSpec(Spec):
     """Shape of one fleet's flow-evidence stream."""
 
     #: aggregate flow arrival rate across the fleet
@@ -107,17 +108,6 @@ class EvidenceSpec:
             raise ValueError("coverage must be in (0, 1]")
         if not 0.0 <= self.base_retx_prob < 1.0:
             raise ValueError("base_retx_prob must be in [0, 1)")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EvidenceSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown EvidenceSpec fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ acceptance bar and CI assert on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.rng import RngFactory
+from ..core.spec import Spec
 from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 from .evidence import EvidenceSpec, FlowReport, LossOracle, harvest_evidence
 
@@ -205,7 +206,7 @@ def tally_votes(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BlameEvalSpec:
+class BlameEvalSpec(Spec):
     """One blame-accuracy experiment: evidence shape x ground truth.
 
     ``mode="trials"`` runs synthetic single-bad-link windows: trial k
@@ -252,11 +253,6 @@ class BlameEvalSpec:
             flows_per_s=self.flows_per_s, flow_packets=self.flow_packets,
             coverage=self.coverage, base_retx_prob=self.base_retx_prob,
             seed=seed)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["fleet"] = self.fleet.to_dict()
-        return out
 
 
 def _score_window(report: BlameReport, truth: List[int],

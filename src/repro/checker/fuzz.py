@@ -32,7 +32,7 @@ from .scenarios import CheckConfig, CheckOutcome, FaultScenario, run_scenario
 __all__ = [
     "ARTIFACT_VERSION", "FuzzResult", "ReplayResult",
     "random_scenario", "run_fuzz", "shrink_drops", "build_artifact",
-    "canonical_json", "replay_artifact", "checker_cell",
+    "canonical_json", "artifact_inputs", "replay_artifact", "checker_cell",
 ]
 
 ARTIFACT_VERSION = 1
@@ -292,14 +292,22 @@ def run_fuzz(
     return result
 
 
-def replay_artifact(artifact: Dict) -> ReplayResult:
-    """Re-run a stored counterexample and check byte-identity."""
+def artifact_inputs(artifact: Dict) -> Tuple[CheckConfig, FaultScenario]:
+    """The config and scenario a stored counterexample re-runs; a foreign
+    or malformed artifact raises ``ValueError``."""
+    if not isinstance(artifact, dict):
+        raise ValueError("a checker artifact is a JSON object")
     if artifact.get("version") != ARTIFACT_VERSION:
         raise ValueError(
             f"unsupported artifact version {artifact.get('version')!r}"
         )
-    config = CheckConfig.from_dict(artifact["config"])
-    scenario = FaultScenario.from_dict(artifact["scenario"])
+    return (CheckConfig.from_dict(artifact["config"]),
+            FaultScenario.from_dict(artifact["scenario"]))
+
+
+def replay_artifact(artifact: Dict) -> ReplayResult:
+    """Re-run a stored counterexample and check byte-identity."""
+    config, scenario = artifact_inputs(artifact)
     outcome = run_scenario(scenario, config)
     rebuilt = build_artifact(
         artifact["seed"], artifact["trial"], config, scenario, outcome,

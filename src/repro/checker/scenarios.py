@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.engine import Simulator
 from ..core.rng import RngFactory
+from ..core.spec import Spec
 from ..linkguardian.config import LinkGuardianConfig
 from ..linkguardian.protocol import ProtectedLink
 from ..obs import Observability
@@ -84,7 +85,7 @@ def _classify(packet) -> Optional[str]:
 
 
 @dataclass
-class FaultScenario:
+class FaultScenario(Spec):
     """One declarative fault schedule for a protected link."""
 
     name: str = "scenario"
@@ -127,29 +128,13 @@ class FaultScenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "drops": [
-                {"kind": k, "index": i} for k, i in self.drop_atoms()
-            ],
-            "flaps": [dict(f) for f in self.flaps],
-            "ge": dict(self.ge) if self.ge else None,
-            "nb_switch_ns": self.nb_switch_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultScenario":
-        return cls(
-            name=data.get("name", "scenario"),
-            drops=[dict(d) for d in data.get("drops", [])],
-            flaps=[dict(f) for f in data.get("flaps", [])],
-            ge=dict(data["ge"]) if data.get("ge") else None,
-            nb_switch_ns=data.get("nb_switch_ns"),
-        )
+        # sorted drop atoms keep fuzz artifacts byte-identical
+        return {**super().to_dict(), "drops": [
+            {"kind": k, "index": i} for k, i in self.drop_atoms()]}
 
 
 @dataclass
-class CheckConfig:
+class CheckConfig(Spec):
     """Everything besides the fault schedule that defines one check run."""
 
     n_packets: int = 300
@@ -166,24 +151,6 @@ class CheckConfig:
     defect: Optional[str] = None
     #: extra ``LinkGuardianConfig.for_link_speed`` overrides
     lg: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_packets": self.n_packets,
-            "rate_gbps": self.rate_gbps,
-            "seq_start": self.seq_start,
-            "ordered": self.ordered,
-            "backpressure": self.backpressure,
-            "control_copies": self.control_copies,
-            "loss_rate_hint": self.loss_rate_hint,
-            "seed": self.seed,
-            "defect": self.defect,
-            "lg": dict(self.lg),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckConfig":
-        return cls(**data)
 
 
 @dataclass

@@ -405,11 +405,14 @@ def _check_fuzz(args) -> int:
 def _check_run(args) -> int:
     from .checker import CheckConfig, FaultScenario, run_scenario
 
-    data = _load(args.scenario)
-    if "scenario" not in data:
-        _usage_error(f"{args.scenario}: no 'scenario' key")
-    scenario = FaultScenario.from_dict(data["scenario"])
-    config = CheckConfig.from_dict(data.get("config", {}))
+    def parse(text: str):
+        data = json.loads(text)
+        if "scenario" not in data:
+            _usage_error(f"{args.scenario}: no 'scenario' key")
+        return (FaultScenario.from_dict(data["scenario"]),
+                CheckConfig.from_dict(data.get("config", {})))
+
+    scenario, config = _load(args.scenario, parse)
     outcome = run_scenario(scenario, config)
     rows = [v.to_dict() for v in outcome.violations]
     if _JSON_MODE:
@@ -425,9 +428,14 @@ def _check_run(args) -> int:
 
 
 def _check_replay(args) -> int:
-    from .checker import replay_artifact
+    from .checker.fuzz import artifact_inputs, replay_artifact
 
-    replay = replay_artifact(_load(args.artifact))
+    def parse(text: str):
+        artifact = json.loads(text)
+        artifact_inputs(artifact)  # refuse a malformed file before running
+        return artifact
+
+    replay = replay_artifact(_load(args.artifact, parse))
     if _JSON_MODE:
         _print_json(replay.to_dict())
     else:

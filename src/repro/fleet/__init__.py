@@ -27,13 +27,11 @@ Quickstart::
 from .campaign import (
     FleetCampaignResult, FleetCampaignSpec, run_fleet_campaign,
 )
-from .controller import (
-    POLICIES, ControllerConfig, FleetController, FleetPolicy,
-    GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
-)
+from .controller import ControllerConfig, FleetController
 from .cost import unprotected_goodput_fraction
 from .monitor import Estimator, EvidenceMonitor
 from .policies import (
+    POLICIES, FleetPolicy, GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
     PolicyCandidate, TraceDrivenOptimizer, default_candidates, fleet_policy,
     optimize_policies, register_policy,
 )

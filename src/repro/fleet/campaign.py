@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from ..core.spec import Spec
 from ..units import DAY_S
 from .controller import ControllerConfig, ControllerOutcome
 from .cost import EXPOSED_FCT_INFLATION, LG_FCT_INFLATION
@@ -33,7 +34,7 @@ __all__ = ["FleetCampaignSpec", "FleetCampaignResult", "run_fleet_campaign"]
 
 
 @dataclass(frozen=True)
-class FleetCampaignSpec:
+class FleetCampaignSpec(Spec):
     """Everything one fleet campaign needs; maps onto a replay spec."""
 
     fleet: FleetSpec = field(default_factory=FleetSpec)
@@ -83,25 +84,6 @@ class FleetCampaignSpec:
             sample_flows=self.sample_flows,
             resim_fraction=self.resim_fraction,
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["fleet"] = self.fleet.to_dict()
-        out["controller"] = self.controller.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FleetCampaignSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown FleetCampaignSpec fields: {sorted(unknown)}")
-        data = dict(data)
-        data["fleet"] = FleetSpec.from_dict(data.get("fleet", {}))
-        data["controller"] = ControllerConfig.from_dict(
-            data.get("controller", {}))
-        return cls(**data)
 
 
 @dataclass

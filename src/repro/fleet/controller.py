@@ -24,29 +24,27 @@ the event trace under the ``fleet`` category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
+from ..core.spec import Spec
 from ..fabric.topology import FabricLink
 from ..obs.trace import NULL_TRACER
 from .cost import (
     DISABLED, EXPOSED, PROTECTED, lg_effective_loss_rate,
     lg_effective_speed_fraction,
 )
-from .policies import (
-    POLICIES, FleetPolicy, GreedyWorstLinkPolicy,
-    IncrementalDeploymentPolicy,
-)
+from .policies import FleetPolicy
 from .topology import CorruptionEpisode, FleetTopology
 
 __all__ = [
     "ControllerConfig", "Decision", "EpisodeSegment", "ControllerOutcome",
-    "FleetPolicy", "IncrementalDeploymentPolicy", "GreedyWorstLinkPolicy",
-    "FleetController", "POLICIES",
+    "FleetController",
 ]
 
+
 @dataclass(frozen=True)
-class ControllerConfig:
+class ControllerConfig(Spec):
     """Fleet-wide knobs of the arbitration loop."""
 
     #: CorrOpt fast-checker floor: min fraction of valley-free ToR paths
@@ -59,17 +57,6 @@ class ControllerConfig:
     #: fraction of links whose endpoints are LG-capable (§6 incremental)
     lg_deployment_fraction: float = 1.0
     lg_target_loss: float = 1e-8
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ControllerConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ControllerConfig fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -112,11 +99,6 @@ class ControllerOutcome:
             "preemptions": self.preemptions,
             "max_concurrent_lg": self.max_concurrent_lg,
         }
-
-
-# FleetPolicy, IncrementalDeploymentPolicy, GreedyWorstLinkPolicy, and
-# the POLICIES registry live in repro.fleet.policies; they are
-# re-exported here (see the imports above) for backward compatibility.
 
 
 class FleetController:

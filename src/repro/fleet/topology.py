@@ -12,13 +12,12 @@ streams, so a link's history is identical however a replay is chunked.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.rng import RngFactory
+from ..core.spec import Spec
 from ..fabric.topology import FabricTopology
 
 __all__ = [
@@ -26,13 +25,9 @@ __all__ = [
     "sample_affected_fraction",
 ]
 
-#: format tag carried by FleetSpec.to_json documents (2: repair and
-#: loss-distribution knobs moved out — repair is a lifecycle policy)
-FLEET_SPEC_VERSION = 2
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(Spec):
     """Shape and stochastic parameters of one simulated fleet."""
 
     n_pods: int = 4
@@ -64,55 +59,9 @@ class FleetSpec:
                    + self.fabrics_per_pod * self.spine_uplinks)
         return self.n_pods * per_pod
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FleetSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FleetSpec fields: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_json(self) -> str:
-        """Canonical one-document form for saving a topology to disk.
-
-        Carries a format tag so a trace or replay started elsewhere can
-        verify it is binding to a fleet spec (and not some other JSON) —
-        :meth:`from_json` round-trips byte-identically.
-        """
-        return json.dumps({"fleet_spec": FLEET_SPEC_VERSION, **self.to_dict()},
-                          sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetSpec":
-        """Parse and validate a :meth:`to_json` document.
-
-        Validation is the full constructor path: the version tag must
-        match, field names must be known, and ``__post_init__`` range
-        checks run — a corrupted or hand-edited file fails loudly here
-        rather than as a mis-shaped fleet three layers down.
-        """
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError("fleet spec JSON must be an object")
-        version = data.pop("fleet_spec", None)
-        if version != FLEET_SPEC_VERSION:
-            raise ValueError(
-                f"not a fleet spec document (fleet_spec tag {version!r}, "
-                f"expected {FLEET_SPEC_VERSION})")
-        return cls.from_dict(data)
-
-    def with_(self, **overrides: Any) -> "FleetSpec":
-        return replace(self, **overrides)
-
 
 @dataclass(frozen=True)
-class CorruptionEpisode:
+class CorruptionEpisode(Spec):
     """One corruption event on one link: onset until repair completion."""
 
     link_id: int
@@ -123,20 +72,6 @@ class CorruptionEpisode:
     #: empirical fraction of flows crossing the link during the episode
     #: that would see >= 1 corruption loss if left unprotected
     affected_fraction: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "link_id": self.link_id,
-            "onset_s": self.onset_s,
-            "clear_s": self.clear_s,
-            "loss_rate": self.loss_rate,
-            "mean_burst": self.mean_burst,
-            "affected_fraction": self.affected_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CorruptionEpisode":
-        return cls(**data)
 
 
 def sample_affected_fraction(

@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.rng import RngFactory
+from ..core.spec import Spec
 from ..fleet.controller import (
-    POLICIES, ControllerConfig, ControllerOutcome, FleetController,
+    ControllerConfig, ControllerOutcome, FleetController,
 )
+from ..fleet.policies import POLICIES
 from ..fleet.topology import FleetTopology, sample_affected_fraction
 from ..runner import (
     CellResult, ExperimentSpec, RunContext, SweepRunner, SweepSpec,
@@ -81,12 +83,12 @@ def shard_bounds(n_items: int, n_shards: int, shard: int) -> Tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class ReplaySpec:
+class ReplaySpec(Spec):
     """Everything one lifecycle replay needs, serializable for chunk cells."""
 
     trace: TraceSpec = field(default_factory=TraceSpec)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    #: fleet arbitration policy (see repro.fleet.controller.POLICIES)
+    #: fleet arbitration policy (see repro.fleet.policies.POLICIES)
     policy: str = "incremental"
     #: repair policy name + parameters (see repro.lifecycle.repair)
     repair: str = "corropt"
@@ -134,27 +136,6 @@ class ReplaySpec:
     def chunk_days(self, chunk: int) -> Tuple[int, int]:
         """The ``[day_lo, day_hi)`` range of one chunk (balanced)."""
         return shard_bounds(self.n_days, self.n_chunks, chunk)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["trace"] = self.trace.to_dict()
-        out["controller"] = self.controller.to_dict()
-        out["repair_params"] = dict(self.repair_params)
-        out["slo"] = self.slo.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ReplaySpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ReplaySpec fields: {sorted(unknown)}")
-        data = dict(data)
-        data["trace"] = TraceSpec.from_dict(data.get("trace", {}))
-        data["controller"] = ControllerConfig.from_dict(
-            data.get("controller", {}))
-        data["slo"] = SloConfig.from_dict(data.get("slo", {}))
-        return cls(**data)
 
 
 def arbitrate(

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
+from ..core.spec import Spec
 from ..fleet.controller import ControllerOutcome
 from ..fleet.cost import DISABLED, EXPOSED, PROTECTED, segment_cost
 from ..units import DAY_S
@@ -45,7 +46,7 @@ ROLLUP_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SloConfig:
+class SloConfig(Spec):
     """Availability targets the per-day series are scored against."""
 
     #: a day meets the goodput SLO when fleet goodput fraction >= this
@@ -58,17 +59,6 @@ class SloConfig:
             raise ValueError("goodput_target must be in (0, 1]")
         if not 0.0 <= self.affected_target <= 1.0:
             raise ValueError("affected_target must be in [0, 1]")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SloConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown SloConfig fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 #: the aligned per-day columns every chunk emits, in canonical order

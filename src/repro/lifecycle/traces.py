@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List
+from dataclasses import dataclass, field
+from typing import List
 
 from ..core.rng import RngFactory
+from ..core.spec import Spec
 from ..corropt.trace import sample_loss_rates
 from ..fleet.topology import FleetSpec
 from ..units import DAY_S, HOURS
@@ -51,7 +52,7 @@ TRACE_VERSION = 2
 
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(Spec):
     """Everything that determines a failure trace, and nothing else.
 
     Repair is deliberately *not* here: a trace is the raw arrival
@@ -78,24 +79,9 @@ class TraceSpec:
     def n_days(self) -> int:
         return max(1, math.ceil(self.duration_days))
 
-    def to_dict(self) -> Dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["fleet"] = self.fleet.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TraceSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown TraceSpec fields: {sorted(unknown)}")
-        data = dict(data)
-        data["fleet"] = FleetSpec.from_dict(data.get("fleet", {}))
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FailureEvent:
+class FailureEvent(Spec):
     """One corruption onset: a link starts corrupting at a loss rate.
 
     ``event_index`` is the event's ordinal on its own link — the index
@@ -109,19 +95,6 @@ class FailureEvent:
     loss_rate: float
     mean_burst: float
     event_index: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time_s": self.time_s,
-            "link_id": self.link_id,
-            "loss_rate": self.loss_rate,
-            "mean_burst": self.mean_burst,
-            "event_index": self.event_index,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FailureEvent":
-        return cls(**data)
 
 
 def link_failure_events(spec: TraceSpec, factory: RngFactory,

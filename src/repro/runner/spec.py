@@ -24,12 +24,13 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional
 
 from ..core.rng import RngFactory
+from ..core.spec import Spec
 
 __all__ = ["ExperimentSpec", "SweepSpec"]
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Spec):
     """One cell of an evaluation grid.
 
     The first-class fields are the knobs shared by (nearly) every
@@ -60,30 +61,10 @@ class ExperimentSpec:
     obs: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "kind": self.kind,
-            "transport": self.transport,
-            "scenario": self.scenario,
-            "loss_rate": self.loss_rate,
-            "flow_size": self.flow_size,
-            "n_trials": self.n_trials,
-            "rate_gbps": self.rate_gbps,
-            "seed": self.seed,
-            "backend": self.backend,
-            "lg": dict(self.lg),
-            "params": dict(self.params),
-        }
-        if self.obs:
-            data["obs"] = dict(self.obs)
+        data = super().to_dict()
+        if not self.obs:
+            del data["obs"]  # keeps the cell ids of uninstrumented runs
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ExperimentSpec fields: {sorted(unknown)}")
-        return cls(**data)
 
     def canonical_json(self) -> str:
         """Deterministic serialization (sorted keys, no whitespace).
@@ -135,7 +116,7 @@ class ExperimentSpec:
 
 
 @dataclass
-class SweepSpec:
+class SweepSpec(Spec):
     """A named cartesian product of axes over a base spec.
 
     ``axes`` maps an axis name (spec field, or dotted ``params.x`` /
@@ -166,20 +147,3 @@ class SweepSpec:
                 )
             out.append(spec)
         return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": {k: list(v) for k, v in self.axes.items()},
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepSpec":
-        return cls(
-            name=data["name"],
-            base=ExperimentSpec.from_dict(data["base"]),
-            axes={k: list(v) for k, v in data.get("axes", {}).items()},
-            seed=data.get("seed"),
-        )

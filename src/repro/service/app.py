@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..core.spec import Spec
 from ..core.state import SnapshotError
 from ..fleet.cost import lg_effective_loss_rate, lg_effective_speed_fraction
 from ..fleet.topology import FleetTopology
@@ -78,7 +79,7 @@ def _whatif_worker(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @dataclass
-class ServiceSnapshot:
+class ServiceSnapshot(Spec):
     """The durable state flushed at graceful shutdown."""
 
     VERSION = SNAPSHOT_VERSION
@@ -90,17 +91,6 @@ class ServiceSnapshot:
     decisions: List[dict] = field(default_factory=list)
     episodes: List[dict] = field(default_factory=list)
     state: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "counts": self.counts,
-            "cache": self.cache,
-            "decisions": self.decisions,
-            "episodes": self.episodes,
-            "state": self.state,
-        }
 
 
 def load_snapshot(path: str) -> ServiceSnapshot:
@@ -116,20 +106,19 @@ def load_snapshot(path: str) -> ServiceSnapshot:
         raise SnapshotError(
             f"ServiceSnapshot version {version} != "
             f"current {SNAPSHOT_VERSION}; snapshot is stale")
-    return ServiceSnapshot(**data)
+    return ServiceSnapshot.from_dict(data)
 
 
 class _Job:
     """One admitted query waiting for (or on) a dispatcher."""
 
-    __slots__ = ("query", "key", "future", "admitted_at")
+    __slots__ = ("query", "key", "future")
 
     def __init__(self, query: WhatIfQuery, key: str,
                  future: "asyncio.Future[dict]") -> None:
         self.query = query
         self.key = key
         self.future = future
-        self.admitted_at = time.perf_counter()
 
 
 class ControlPlaneService:

@@ -12,12 +12,14 @@ differently per ``evidence`` kind is one :data:`EVIDENCE` row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
 from ..blame.adapter import BlameMonitor
-from ..fleet.controller import POLICIES, ControllerConfig
+from ..core.spec import Spec
+from ..fleet.controller import ControllerConfig
 from ..fleet.monitor import EvidenceMonitor
+from ..fleet.policies import POLICIES
 from ..fleet.topology import FleetSpec
 from ..lifecycle.traces import TraceSpec
 from .arbiter import StreamingArbiter
@@ -72,7 +74,7 @@ EXECUTOR_KINDS = ("process", "thread", "inline")
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(Spec):
     """Everything that determines one service instance's behaviour."""
 
     # -- HTTP front end -------------------------------------------------------
@@ -193,27 +195,3 @@ class ServiceConfig:
         spec = TraceSpec(fleet=self.fleet, duration_days=self.synthetic_days,
                          seed=self.seed)
         return EVIDENCE[self.evidence].synthetic(self, spec)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["fleet"] = self.fleet.to_dict()
-        out["controller"] = self.controller.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServiceConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ServiceConfig fields: {sorted(unknown)}")
-        data = dict(data)
-        if "fleet" in data:
-            data["fleet"] = FleetSpec.from_dict(data["fleet"])
-        if "controller" in data:
-            data["controller"] = ControllerConfig.from_dict(data["controller"])
-        return cls(**data)
-
-    def with_(self, **overrides: Any) -> "ServiceConfig":
-        from dataclasses import replace
-
-        return replace(self, **overrides)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["CongestionControl", "RenoCC", "DctcpCC", "CubicCC", "BbrCC"]
+__all__ = ["CongestionControl", "DctcpCC", "CubicCC", "BbrCC"]
 
 
 class CongestionControl:
@@ -62,10 +62,6 @@ class CongestionControl:
         if self._acked_since_growth >= self.cwnd:
             self._acked_since_growth -= self.cwnd
             self.cwnd += self.mss
-
-
-class RenoCC(CongestionControl):
-    """Plain NewReno — the baseline the others specialize."""
 
 
 class DctcpCC(CongestionControl):

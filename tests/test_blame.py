@@ -20,11 +20,9 @@ from repro.blame import (
     iter_reports, parse_flow_report, run_oracle, run_voting, tally_votes,
 )
 from repro.core.rng import RngFactory
-from repro.fleet.controller import (
-    ControllerConfig, FleetController, GreedyWorstLinkPolicy,
-    IncrementalDeploymentPolicy, POLICIES,
-)
+from repro.fleet.controller import ControllerConfig, FleetController
 from repro.fleet.policies import (
+    POLICIES, GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
     PolicyCandidate, TraceDrivenOptimizer, default_candidates, fleet_policy,
     optimize_policies, register_policy,
 )

@@ -523,6 +523,44 @@ class TestInputErrorsAreOneLine:
         assert captured.out == ""
         assert captured.err.startswith(f"repro: error: {bad}: ")
 
+    @pytest.mark.parametrize("document, message", [
+        ({"scenario": {"drop": [{"kind": "data", "index": 3}]}},
+         "ValueError: unknown FaultScenario fields: ['drop']"),
+        ({"scenario": {}, "config": {"n_packet": 10}},
+         "ValueError: unknown CheckConfig fields: ['n_packet']"),
+        ({"scenario": [{"kind": "data", "index": 3}]},
+         "ValueError: FaultScenario must be an object"),
+    ])
+    def test_check_run_refuses_a_bad_spec(self, tmp_path, capsys, document,
+                                          message):
+        """A key the spec class does not declare is refused before the
+        run: one stderr line, never a run of the defaults or a traceback."""
+        import json
+
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(document))
+        assert main(["check", "run", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: {bad}: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_check_replay_refuses_an_unknown_config_key(self, tmp_path,
+                                                        capsys):
+        import json
+        from pathlib import Path
+
+        stored = Path(__file__).parent / "data" / "checker_era_bit_repro.json"
+        artifact = json.loads(stored.read_text())
+        artifact["config"]["bogus"] = 1
+        bad = tmp_path / "artifact.json"
+        bad.write_text(json.dumps(artifact))
+        assert main(["check", "replay", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"repro: error: {bad}: ValueError: "
+                                "unknown CheckConfig fields: ['bogus']\n")
+
     def test_obs_top_malformed_checkpoint_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "checkpoint.jsonl"
         bad.write_text('{"cell_id": "a", "spec": {}}\n{torn line\n')

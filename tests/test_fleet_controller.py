@@ -4,8 +4,10 @@ import pytest
 
 from repro.obs import Observability
 from repro.fleet.controller import (
-    DISABLED, EXPOSED, PROTECTED, POLICIES, ControllerConfig, FleetController,
-    GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
+    DISABLED, EXPOSED, PROTECTED, ControllerConfig, FleetController,
+)
+from repro.fleet.policies import (
+    POLICIES, GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
 )
 from repro.fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 

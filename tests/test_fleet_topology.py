@@ -172,42 +172,3 @@ class TestFleetTopology:
         assert topo.n_links == topo.spec.n_links
         assert topo.pod_capacity_fraction(0) == 1.0
         assert len(topo.links_for_tor(1, 2)) == 4
-
-
-class TestFleetSpecJson:
-    def test_json_roundtrip_byte_identical(self):
-        spec = FleetSpec(n_pods=2, loss_cap=5e-3, mttf_hours=900.0)
-        text = spec.to_json()
-        assert FleetSpec.from_json(text) == spec
-        assert FleetSpec.from_json(text).to_json() == text
-
-    def test_json_carries_version_tag(self):
-        import json as _json
-
-        from repro.fleet.topology import FLEET_SPEC_VERSION
-
-        doc = _json.loads(FleetSpec().to_json())
-        assert doc["fleet_spec"] == FLEET_SPEC_VERSION
-
-    def test_rejects_untagged_and_mistagged_documents(self):
-        with pytest.raises(ValueError, match="fleet spec"):
-            FleetSpec.from_json('{"n_pods": 2}')
-        with pytest.raises(ValueError, match="fleet spec"):
-            FleetSpec.from_json('{"fleet_spec": 99, "n_pods": 2}')
-        # v1 documents (repair / loss-distribution fields) name the skew.
-        with pytest.raises(ValueError, match="tag 1, expected 2"):
-            FleetSpec.from_json('{"fleet_spec": 1, "n_pods": 2}')
-
-    def test_rejects_malformed_json_and_non_objects(self):
-        with pytest.raises(ValueError, match="not valid JSON"):
-            FleetSpec.from_json("{torn")
-        with pytest.raises(ValueError, match="object"):
-            FleetSpec.from_json("[1, 2]")
-
-    def test_validation_runs_on_load(self):
-        # The full constructor path: unknown fields and range checks
-        # must fail a hand-edited document loudly.
-        with pytest.raises(ValueError, match="unknown FleetSpec"):
-            FleetSpec.from_json('{"fleet_spec": 2, "bogus": 3}')
-        with pytest.raises(ValueError, match="dimensions"):
-            FleetSpec.from_json('{"fleet_spec": 2, "n_pods": 0}')

@@ -1,6 +1,7 @@
 """repro.lifecycle traces + repair: determinism, addressing, policies."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -207,7 +208,7 @@ class TestApplyRepair:
         # A hot fleet (tiny MTTF) must coalesce same-link arrivals that
         # land before the previous repair completes.
         hot = TraceSpec(
-            fleet=SMALL_FLEET.with_(mttf_hours=12.0),
+            fleet=replace(SMALL_FLEET, mttf_hours=12.0),
             duration_days=10.0, seed=3)
         episodes, coalesced = apply_repair(
             generate_trace(hot), repair_policy("corropt"))
@@ -238,7 +239,7 @@ class TestApplyRepair:
 
     def test_mean_repair_delay_matches_corropt_model(self):
         trace = generate_trace(small_spec(
-            fleet=SMALL_FLEET.with_(mttf_hours=50.0), duration_days=60.0))
+            fleet=replace(SMALL_FLEET, mttf_hours=50.0), duration_days=60.0))
         episodes, _ = apply_repair(trace, repair_policy("corropt"))
         assert len(episodes) > 50
         mean_days = (sum(r.repair_delay_s for r in episodes)
