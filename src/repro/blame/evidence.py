@@ -44,10 +44,12 @@ class _FlowStream:
     Keyed by the same ``f"{seed}:{name}#{index}"`` scheme
     :meth:`~repro.core.rng.RngFactory.child_seed` uses, but expanded
     directly from sha256 blocks (four 64-bit draws per digest) instead
-    of constructing a ``numpy`` generator — a flow needs ~5 draws, and
-    generator construction alone costs ~30x more than the draws.  Same
-    addressing guarantee: draws at index ``k`` depend only on
-    ``(seed, name, k)``, never on other flows or window boundaries.
+    of a ``numpy`` generator.  Same addressing guarantee: draws at index
+    ``k`` depend only on ``(seed, name, k)``, never on other flows or
+    window boundaries.  :meth:`~repro.core.rng.RngFactory.streams` now
+    seeds numpy streams in bulk at a few draws' cost, but this scheme
+    stays: its values are the harvested evidence, and every blame
+    golden pins them.
     """
 
     __slots__ = ("_key", "_block", "_words", "_cursor")

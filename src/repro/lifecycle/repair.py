@@ -172,12 +172,17 @@ class RepairedEpisode:
     repair_delay_s: float
 
 
+def _repair_stream(link_id: int, event_index: int) -> Tuple[str, int]:
+    """The ``(name, index)`` key of one failure event's repair stream."""
+    return f"lifecycle.link.{link_id}.repair", event_index
+
+
 def repair_delay_s(factory: RngFactory, policy: RepairPolicy, link_id: int,
                    event_index: int, loss_rate: float) -> float:
     """Failure event ``(link_id, event_index)``'s repair delay: one draw
     from the event's own addressed stream, so it is the same whoever asks
     and whenever the crew's clock starts."""
-    rng = factory.stream(f"lifecycle.link.{link_id}.repair", index=event_index)
+    rng = factory.stream(*_repair_stream(link_id, event_index))
     return float(policy.delay_s(rng, loss_rate))
 
 
@@ -192,19 +197,26 @@ def apply_repair(
     (dropped; counted).  Clear times are clipped to the trace duration so
     segment arithmetic stays within the replay window; the raw delay is
     kept on the :class:`RepairedEpisode` for repair-queue series.
+
+    Every event's delay is drawn up front, its stream seeded in one batch
+    with the rest (a coalesced event's draw goes unused): the same value
+    :func:`repair_delay_s` returns for that event.
     """
     factory = RngFactory(trace.spec.seed)
+    delays = [
+        float(policy.delay_s(rng, event.loss_rate))
+        for event, rng in zip(trace.events, factory.streams(
+            _repair_stream(event.link_id, event.event_index)
+            for event in trace.events))]
     duration_s = trace.spec.duration_s
     episodes: List[RepairedEpisode] = []
     coalesced = 0
     open_until: Dict[int, float] = {}
     # Trace events are (time, link)-sorted; per-link order follows.
-    for event in trace.events:
+    for event, delay_s in zip(trace.events, delays):
         if event.time_s < open_until.get(event.link_id, 0.0):
             coalesced += 1
             continue
-        delay_s = repair_delay_s(factory, policy, event.link_id,
-                                 event.event_index, event.loss_rate)
         clear_s = event.time_s + delay_s
         open_until[event.link_id] = clear_s
         episodes.append(RepairedEpisode(

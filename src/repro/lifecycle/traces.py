@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import Iterable, List
 
 from ..core.rng import RngFactory
 from ..core.spec import Spec
@@ -106,23 +106,40 @@ def link_failure_events(spec: TraceSpec, factory: RngFactory,
     list is a pure function of ``(spec.seed, link_id)`` prefix-stable
     under any duration change.
     """
+    return _failure_events(spec, factory, [link_id])
+
+
+def _failure_events(spec: TraceSpec, factory: RngFactory,
+                    link_ids: Iterable[int]) -> List[FailureEvent]:
+    """:func:`link_failure_events` of every link in ``link_ids``, drawn in
+    rounds of event index k over the links still inside the horizon, so
+    each round's streams are seeded in one batch
+    (:meth:`~repro.core.rng.RngFactory.streams`).  Events come out in
+    (k, link) order; a link's own events in k order."""
     fleet = spec.fleet
+    mean_gap_s = fleet.mttf_hours * HOURS
     log_lo = math.log(fleet.mean_burst_min)
     log_hi = math.log(fleet.mean_burst_max)
     events: List[FailureEvent] = []
-    now = 0.0
+    now = dict.fromkeys(link_ids, 0.0)
     for k in range(_MAX_EVENTS_PER_LINK):
-        rng = factory.stream(f"lifecycle.link.{link_id}.event", index=k)
-        now += float(rng.exponential(fleet.mttf_hours * HOURS))
-        if now >= spec.duration_s:
+        if not now:
             break
-        rate = float(sample_loss_rates(rng, 1)[0])
-        rate = min(max(rate, fleet.loss_floor), fleet.loss_cap)
-        mean_burst = math.exp(float(rng.uniform(log_lo, log_hi)))
-        events.append(FailureEvent(
-            time_s=now, link_id=link_id, loss_rate=rate,
-            mean_burst=mean_burst, event_index=k,
-        ))
+        links = list(now)
+        keys = [(f"lifecycle.link.{link_id}.event", k) for link_id in links]
+        for link_id, rng in zip(links, factory.streams(keys)):
+            time_s = now[link_id] + float(rng.exponential(mean_gap_s))
+            if time_s >= spec.duration_s:
+                del now[link_id]
+                continue
+            now[link_id] = time_s
+            rate = float(sample_loss_rates(rng, 1)[0])
+            rate = min(max(rate, fleet.loss_floor), fleet.loss_cap)
+            mean_burst = math.exp(float(rng.uniform(log_lo, log_hi)))
+            events.append(FailureEvent(
+                time_s=time_s, link_id=link_id, loss_rate=rate,
+                mean_burst=mean_burst, event_index=k,
+            ))
     return events
 
 
@@ -141,10 +158,8 @@ class LifecycleTrace:
     @classmethod
     def generate(cls, spec: TraceSpec) -> "LifecycleTrace":
         """Deterministically generate the fleet's full failure history."""
-        factory = RngFactory(spec.seed)
-        events: List[FailureEvent] = []
-        for link_id in range(spec.fleet.n_links):
-            events.extend(link_failure_events(spec, factory, link_id))
+        events = _failure_events(spec, RngFactory(spec.seed),
+                                 range(spec.fleet.n_links))
         events.sort(key=lambda e: (e.time_s, e.link_id))
         return cls(spec=spec, events=events)
 

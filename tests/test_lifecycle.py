@@ -1,17 +1,19 @@
 """repro.lifecycle traces + repair: determinism, addressing, policies."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.core.rng import RngFactory
-from repro.fleet.topology import FleetSpec
+from repro.fleet.topology import FleetSpec, FleetTopology
 from repro.lifecycle import (
     REPAIR_POLICIES, CorrOptRepairPolicy, ExponentialRepairPolicy,
     LifecycleTrace, SeverityTieredRepairPolicy, TraceSpec, apply_repair,
-    generate_trace, link_failure_events, repair_policy,
+    generate_trace, link_failure_events, repair_policy, traces,
 )
+from repro.lifecycle.repair import repair_delay_s
 from repro.units import DAY_S
 
 SMALL_FLEET = FleetSpec(n_pods=2, tors_per_pod=2, fabrics_per_pod=2,
@@ -110,6 +112,26 @@ class TestTraceGeneration:
         for link_id in range(spec.fleet.n_links):
             events = link_failure_events(spec, RngFactory(spec.seed), link_id)
             assert [e.event_index for e in events] == list(range(len(events)))
+
+    @pytest.mark.parametrize("seed", [7, 8, 21])
+    def test_fleet_trace_is_the_union_of_link_traces(self, seed):
+        # generate() draws in rounds of event index over every link; one
+        # link at a time must give the same events
+        spec = small_spec(seed=seed)
+        factory = RngFactory(seed)
+        union = [event for link_id in range(spec.fleet.n_links)
+                 for event in link_failure_events(spec, factory, link_id)]
+        union.sort(key=lambda e: (e.time_s, e.link_id))
+        assert generate_trace(spec).events == union
+
+    def test_event_backstop_stops_a_link(self, monkeypatch):
+        monkeypatch.setattr(traces, "_MAX_EVENTS_PER_LINK", 3)
+        spec = small_spec(fleet=replace(SMALL_FLEET, mttf_hours=1.0))
+        events = generate_trace(spec).events
+        per_link = Counter(e.link_id for e in events)
+        assert per_link == {link: 3 for link in range(spec.fleet.n_links)}
+        assert max(e.event_index for e in events) == 2
+        assert len(link_failure_events(spec, RngFactory(spec.seed), 0)) == 3
 
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValueError):
@@ -221,6 +243,23 @@ class TestApplyRepair:
             assert episode.onset_s >= open_until.get(episode.link_id, 0.0)
             open_until[episode.link_id] = min(
                 episode.onset_s + repaired.repair_delay_s, hot.duration_s)
+
+    @pytest.mark.parametrize("name", sorted(REPAIR_POLICIES))
+    def test_bulk_delays_equal_one_off_draws(self, name):
+        # apply_repair seeds every repair stream in one batch; the
+        # deployment study draws one event's delay at a time through
+        # repair_delay_s(topology.factory, ...): the same value.
+        hot = TraceSpec(fleet=replace(SMALL_FLEET, mttf_hours=12.0),
+                        duration_days=10.0, seed=3)
+        policy = repair_policy(name)
+        episodes, coalesced = apply_repair(generate_trace(hot), policy)
+        assert episodes and coalesced > 0
+        factory = FleetTopology(hot.fleet, hot.seed).factory
+        for repaired in episodes:
+            episode = repaired.episode
+            assert repaired.repair_delay_s == repair_delay_s(
+                factory, policy, episode.link_id, repaired.event_index,
+                episode.loss_rate)
 
     def test_policy_change_keeps_arrivals(self):
         trace = generate_trace(small_spec())
