@@ -27,7 +27,6 @@ from ..linkguardian.config import LinkGuardianConfig, expected_effective_loss
 from ..packets.packet import Packet
 from ..phy.loss import LossProcess
 from ..runner import CellResult, ExperimentSpec, RunContext, lg_config
-from ..switchsim.link import Link
 from ..units import MTU_FRAME, MS, SEC, gbps, serialization_ns
 from .testbed import Testbed, build_testbed
 
@@ -77,8 +76,14 @@ class StressResult:
         }
 
 
-#: the destination a stress world routes over the protected link to its sink
+#: the destination a stress world routes over the protected link
 STRESS_DST = "stress-dst"
+
+
+def _frame_ends(packet: Packet) -> None:
+    """Where a delivered stress frame goes after the receiver counts it:
+    nowhere — every number the harness reports is read off the
+    LinkGuardian endpoints."""
 
 
 def stress_world(
@@ -92,10 +97,12 @@ def stress_world(
     recirc_drain_gbps: Optional[float] = None,
     obs=None,
 ) -> Testbed:
-    """The stress-test testbed: built dormant, no ECN marking, and a
-    terminal sink directly on the receiver switch that frames addressed
-    to :data:`STRESS_DST` reach (the packet generator methodology: no
-    host stacks involved).  The sink link's RX counters count arrivals.
+    """The stress-test testbed: built dormant, no ECN marking, and frames
+    addressed to :data:`STRESS_DST` end at the protected link's receiver
+    (the packet generator methodology: no host stacks involved).  There
+    is no sink port or wire behind it: the receiver's delivery counters
+    (``plink.receiver.stats``) count arrivals, and a delivered frame
+    takes no further hop through the receiver switch.
 
     Each caller activates (or restores into) the link and runs its own
     injection: their end conditions differ.
@@ -106,9 +113,7 @@ def stress_world(
         mean_burst=mean_burst, ecn_threshold_bytes=None,
         recirc_drain_gbps=recirc_drain_gbps, obs=obs,
     )
-    sink_link = Link(testbed.sim, 10, receiver=lambda packet: None)
-    testbed.receiver_switch.add_port("sink", gbps(rate_gbps), sink_link)
-    testbed.receiver_switch.set_route(STRESS_DST, "sink")
+    testbed.plink.receiver.forward = _frame_ends
     testbed.sender_switch.set_route(STRESS_DST, testbed.plink.forward_port_name)
     return testbed
 

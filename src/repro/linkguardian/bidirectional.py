@@ -94,7 +94,6 @@ class BidirectionalProtectedLink:
         loss_ba: Optional[LossProcess] = None,
         normal_queue_capacity: int = 2_000 * KB,
         ecn_threshold_bytes: Optional[int] = 100 * KB,
-        phase_rng=None,
     ) -> None:
         self.sim = sim
         self.rate_bps = int(rate_bps)
@@ -138,7 +137,7 @@ class BidirectionalProtectedLink:
             endpoint.sender = LgSender(
                 sim, config, endpoint.port.egress, n_copies=1,
                 forward_reverse=None,
-                name=f"lgs2:{switch.name}", phase_rng=phase_rng,
+                name=f"lgs2:{switch.name}",
                 manage_port_hooks=False,
             )
             endpoint.receiver = LgReceiver(

@@ -45,6 +45,9 @@ from .replenish import ReplenishLoop
 
 __all__ = ["LgSender", "SenderStats"]
 
+#: recirculation phases drawn per numpy call (see ``LgSender._draw_phases``)
+PHASE_BLOCK = 256
+
 
 @dataclass
 class SenderStats:
@@ -67,14 +70,13 @@ class SenderStats:
 
 
 class _TxEntry:
-    __slots__ = ("seqno", "era", "packet", "mirrored_at", "freed")
+    __slots__ = ("seqno", "era", "packet", "mirrored_at")
 
     def __init__(self, seqno: int, era: int, packet: Packet, mirrored_at: int) -> None:
         self.seqno = seqno
         self.era = era
         self.packet = packet
         self.mirrored_at = mirrored_at
-        self.freed = False
 
 
 class _DummyLoop(ReplenishLoop):
@@ -164,6 +166,11 @@ class LgSender:
         #: loop is not synchronized to packet arrivals in hardware, so the
         #: wait until a copy next "comes around" is uniform over the loop.
         self._phase_rng = phase_rng
+        #: phases drawn ahead of use, how many are used, and the
+        #: generator state before their draw (see ``_draw_phases``)
+        self._phases: list = []
+        self._phase_next = 0
+        self._phase_start = None
         self.tx_occupancy = OccupancyTracker(sim.now)
         self._active = True
 
@@ -237,12 +244,40 @@ class LgSender:
         copy = packet.copy()
         mirrored_at = self.sim.now
         if self._phase_rng is not None:
-            mirrored_at -= int(self._phase_rng.integers(0, self.config.recirc_loop_ns))
+            if self._phase_next == len(self._phases):
+                self._draw_phases()
+            mirrored_at -= self._phases[self._phase_next]
+            self._phase_next += 1
         entry = _TxEntry(assigned.value, assigned.era, copy, mirrored_at)
         self._buffer.append(entry)
         self._entries[(assigned.era, assigned.value)] = entry
         self._buffer_bytes += copy.size
         self.tx_occupancy.update(self.sim.now, self._buffer_bytes)
+
+    def _draw_phases(self) -> None:
+        """Draw the next :data:`PHASE_BLOCK` recirculation phases at once.
+
+        Below 2**32 numpy's bounded draw reads the bit generator's
+        buffered 32-bit output, so one draw of k values yields the same
+        values, and leaves the same ``bit_generator.state``, as k scalar
+        draws: the block changes what a phase costs, not which phase a
+        frame gets.  The state before the draw is kept so a snapshot can
+        rewind to the scalar position (:meth:`_rewind_phases`).
+        """
+        self._phase_start = self._phase_rng.bit_generator.state
+        self._phases = self._phase_rng.integers(
+            0, self.config.recirc_loop_ns, size=PHASE_BLOCK).tolist()
+        self._phase_next = 0
+
+    def _rewind_phases(self) -> None:
+        """Put the generator where per-frame draws would have left it —
+        the block's start plus the phases used — and drop the block."""
+        if self._phases:
+            self._phase_rng.bit_generator.state = self._phase_start
+            self._phase_rng.integers(
+                0, self.config.recirc_loop_ns, size=self._phase_next)
+        self._phases = []
+        self._phase_next = 0
 
     # -- reverse datapath ------------------------------------------------------
 
@@ -321,7 +356,6 @@ class LgSender:
                 self._requested.discard(key)
                 self._schedule_retx(entry)
             else:
-                entry.freed = True
                 self._buffer_bytes -= entry.packet.size
                 self.stats.freed += 1
                 self.tx_occupancy.update(self.sim.now, self._buffer_bytes)
@@ -338,7 +372,6 @@ class LgSender:
         self.sim.schedule(wait, self._fire_retx, entry)
 
     def _fire_retx(self, entry: _TxEntry) -> None:
-        entry.freed = True
         self._buffer_bytes -= entry.packet.size
         self.tx_occupancy.update(self.sim.now, self._buffer_bytes)
         self.stats.retx_events += 1
@@ -399,9 +432,11 @@ class LgSender:
     )
 
     def snapshot(self, memo=None):
-        """Capture :attr:`STATE` and the recirculation-phase RNG position."""
+        """Capture :attr:`STATE` and the recirculation-phase RNG position
+        (the per-frame position: phases drawn ahead are given back)."""
         state = capture(self, memo)
         if self._phase_rng is not None:
+            self._rewind_phases()
             state["phase_rng"] = self._phase_rng.bit_generator.state
         return state
 
@@ -410,6 +445,8 @@ class LgSender:
         generator."""
         apply(self, state, memo)
         if "phase_rng" in state and self._phase_rng is not None:
+            self._phases = []
+            self._phase_next = 0
             self._phase_rng.bit_generator.state = state["phase_rng"]
 
     # -- introspection ------------------------------------------------------------

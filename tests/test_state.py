@@ -14,6 +14,7 @@ from repro.analysis.stats import OccupancyTracker
 from repro.core.engine import Simulator
 from repro.core.state import SnapshotError, apply, capture
 from repro.experiments.stress import STRESS_DST, stress_world
+from repro.linkguardian.sender import PHASE_BLOCK
 from repro.packets.packet import Packet
 from repro.phy.loss import DataFrameLoss
 from repro.switchsim.counters import PortCounters
@@ -125,13 +126,12 @@ def test_apply_writes_nested_components_in_place():
 
 
 def _delivered(testbed) -> int:
-    """Frames that reached the stress world's sink."""
-    sink = testbed.receiver_switch.ports["sink"].egress.link
-    return sink.rx_counters.frames_rx_ok
+    """Frames the stress world's receiver delivered."""
+    return testbed.plink.receiver.stats.delivered
 
 
 def _quiesce(testbed, injected):
-    """Run until ``injected`` frames reached the sink and nothing is
+    """Run until ``injected`` frames were delivered and nothing is
     pending on the protected link."""
     sim, plink = testbed.sim, testbed.plink
     deadline = sim.now + 50_000_000
@@ -344,3 +344,36 @@ def test_rng_stream_round_trip():
     twin.restore(state)
     assert twin._phase_rng is generator
     assert generator.random(20).tolist() == expected
+
+
+def test_snapshot_mid_phase_block_keeps_the_per_frame_position():
+    # The sender draws recirculation phases PHASE_BLOCK at a time; after
+    # 300 mirrored frames (one whole block and 44 of the next) a snapshot
+    # must carry the generator where 300 per-frame draws leave it, and a
+    # world restored from it must continue exactly like a world that was
+    # never snapshotted — phases decide when each retx fires.
+    count = PHASE_BLOCK + 44
+    uninterrupted = _warm_template(count)
+    template = _warm_template(count)
+    sender = template.plink.sender
+    assert sender.stats.protected - sender.stats.unprotected == count
+    snap = template.plink.snapshot()
+
+    scalar = _stress_world(activate=False).plink.sender._phase_rng
+    loop = template.plink.config.recirc_loop_ns
+    for _ in range(count):
+        scalar.integers(0, loop)
+    assert snap["sender"]["phase_rng"] == scalar.bit_generator.state
+
+    restored = _stress_world(activate=False)
+    restored.plink.restore(snap)
+    for world in (uninterrupted, template, restored):
+        _continuation(world)
+    # taking the snapshot left the live world's run untouched ...
+    assert (uninterrupted.plink.sender.stats
+            == template.plink.sender.stats)
+    # ... and the restored world draws the same phases: the two
+    # continuation losses wait as long for their copies to come around
+    delays = [world.plink.receiver.stats.retx_delays_ns[-2:]
+              for world in (uninterrupted, template, restored)]
+    assert delays[0] == delays[1] == delays[2]
