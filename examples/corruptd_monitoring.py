@@ -4,8 +4,8 @@
 An operator never flips LinkGuardian on by hand: the corruptd daemon
 (paper Appendix C) polls port counters every second, estimates the loss
 rate over a moving window of frames, and — when the link crosses the
-healthy-BER threshold — publishes a notification that activates
-LinkGuardian on the upstream switch, sized by Equation 2.
+healthy-BER threshold — notifies the upstream switch, which activates
+LinkGuardian sized by Equation 2.
 
 This example dials corruption onto a healthy link mid-run (the VOA in
 the paper's testbed) and watches the control loop close.
@@ -16,7 +16,7 @@ Run:  python examples/corruptd_monitoring.py
 import numpy as np
 
 from repro.experiments.testbed import build_testbed
-from repro.monitor.corruptd import Corruptd, PubSubBus
+from repro.monitor.corruptd import Corruptd
 from repro.packets.packet import Packet
 from repro.phy.loss import BernoulliLoss
 from repro.units import MS, MTU_FRAME
@@ -26,9 +26,8 @@ def main() -> None:
     testbed = build_testbed(rate_gbps=100, lg_active=False)
     sim = testbed.sim
 
-    bus = PubSubBus(sim)
     daemon = Corruptd(
-        sim, testbed.plink, bus,
+        sim, testbed.plink,
         poll_interval_ns=2 * MS,          # accelerated from 1 s
         window_frames=20_000,
     )
@@ -63,9 +62,10 @@ def main() -> None:
     sim.schedule_at(30 * MS, start_corrupting)
     sim.run(until=125 * MS)
 
-    notice = daemon.notices[0] if daemon.notices else None
-    print(f"t={notice.detected_at_ns / MS:6.1f} ms  corruptd detected loss rate "
-          f"{notice.loss_rate:.2e} and published to {daemon.channel!r}")
+    detected_ns, loss_rate = daemon.detected
+    print(f"t={detected_ns / MS:6.1f} ms  corruptd detected loss rate "
+          f"{loss_rate:.2e} and notified "
+          f"{testbed.plink.sender_switch.name!r}")
     print(f"          LinkGuardian active: {testbed.plink.active} "
           f"(N={testbed.plink.sender.n_copies} retx copies)")
     stats = testbed.plink.summary()

@@ -15,8 +15,8 @@ import numpy as np
 from repro.experiments.testbed import build_testbed
 from repro.transport.congestion import DctcpCC
 from repro.transport.tcp import TcpReceiver, TcpSender
-from repro.units import MS
-from repro.workloads import GOOGLE_ALL_RPC, PoissonFlowGenerator
+from repro.units import MS, SEC
+from repro.workloads import GOOGLE_ALL_RPC
 
 N_FLOWS = 600
 LOAD = 0.25
@@ -29,21 +29,21 @@ def run_case(lg_active: bool, seed: int = 8):
     )
     src = testbed.add_host("h4", "tx")
     dst = testbed.add_host("h8", "rx")
-    generator = PoissonFlowGenerator(
-        GOOGLE_ALL_RPC, testbed.plink.rate_bps, LOAD,
-        testbed.rng.stream("workload"),
-    )
-    arrivals = generator.generate(N_FLOWS, start_id=1)
+    # Poisson arrivals at LOAD of the link: exponential gaps whose mean
+    # is the time the link takes to carry one mean-sized flow at LOAD.
+    rng = testbed.rng.stream("workload")
+    flows_per_s = LOAD * testbed.plink.rate_bps / 8.0 / GOOGLE_ALL_RPC.mean()
+    times = np.cumsum(rng.exponential(SEC / flows_per_s, N_FLOWS))
+    sizes = dict(enumerate(GOOGLE_ALL_RPC.sample(rng, N_FLOWS), start=1))
     done = []
-    sizes = {a.flow_id: a.size_bytes for a in arrivals}
-    for arrival in arrivals:
+    for (flow_id, size), time_ns in zip(sizes.items(), times.astype(np.int64)):
         sender = TcpSender(
-            testbed.sim, src, "h8", arrival.flow_id, arrival.size_bytes,
+            testbed.sim, src, "h8", flow_id, int(size),
             cc=DctcpCC(), on_complete=done.append,
         )
-        TcpReceiver(testbed.sim, dst, "h4", arrival.flow_id)
-        testbed.sim.schedule_at(arrival.time_ns, sender.start)
-    testbed.sim.run(until=arrivals[-1].time_ns + 400 * MS)
+        TcpReceiver(testbed.sim, dst, "h4", flow_id)
+        testbed.sim.schedule_at(int(time_ns), sender.start)
+    testbed.sim.run(until=int(times[-1]) + 400 * MS)
     fcts = np.array([r.fct_ns / 1e3 for r in done if r.completed])
     # FCT slowdown: completion time relative to a loss-free ideal for the
     # flow's size (base RTT + serialization), the standard workload metric.

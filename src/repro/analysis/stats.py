@@ -3,11 +3,10 @@
 * :class:`OccupancyTracker` — time-weighted statistics of a quantity that
   changes at discrete instants (queue/buffer occupancy).  Figure 14's
   buffer-usage whiskers are time-weighted percentiles of exactly this.
-* :func:`percentile` / :func:`cdf_points` — plain empirical percentiles
-  and CDF series for FCT plots.
-* :func:`percentiles` / :func:`cdf_at` — the vectorized forms: one sort,
-  one NumPy call, arrays in and arrays out.  The scalar helpers and the
-  report tables are built on these.
+* :func:`percentile` — plain empirical percentiles of FCTs.
+* :func:`percentiles` — the vectorized form: one sort, one NumPy call,
+  arrays in and arrays out.  The scalar helper and the report tables
+  are built on it.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "OccupancyTracker", "percentile", "percentiles", "cdf_points",
-    "cdf_at", "tail_percentiles",
+    "OccupancyTracker", "percentile", "percentiles", "tail_percentiles",
 ]
 
 
@@ -117,24 +115,3 @@ def tail_percentiles(values: Sequence[float]) -> dict:
     cut_values = percentiles(values, TAIL_CUTS)
     return {f"p{q:g}": float(v) for q, v in zip(TAIL_CUTS, cut_values)}
 
-
-def cdf_points(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted values and cumulative fractions for plotting a CDF."""
-    data = np.sort(np.asarray(values, dtype=np.float64))
-    if data.size == 0:
-        return data, data
-    fractions = np.arange(1, data.size + 1, dtype=np.float64) / data.size
-    return data, fractions
-
-
-def cdf_at(values: Sequence[float], thresholds: Sequence[float]) -> np.ndarray:
-    """Empirical CDF evaluated at each threshold: P(value <= t).
-
-    Vectorized (one sort, one searchsorted); empty input yields NaN per
-    threshold.
-    """
-    cuts = np.asarray(thresholds, dtype=np.float64)
-    data = np.sort(np.asarray(values, dtype=np.float64))
-    if data.size == 0:
-        return np.full(cuts.shape, np.nan)
-    return np.searchsorted(data, cuts, side="right") / data.size

@@ -16,9 +16,7 @@ from .figures import (
 )
 from .goodput import GOODPUT_SCHEMES, run_goodput
 from .incremental import run_incremental_deployment
-from .mechanisms import (
-    MECHANISM_VARIANTS, mechanism_spec, mechanism_study, run_mechanism_study,
-)
+from .mechanisms import MECHANISM_VARIANTS, mechanism_spec, mechanism_study
 from .multihop import Chain, build_chain, run_multihop_fct
 from .rdma_future import RDMA_CASES, run_rdma_case
 from .stress import StressResult, run_stress_test
@@ -33,7 +31,6 @@ __all__ = [
     "GOODPUT_SCHEMES", "run_goodput",
     "run_incremental_deployment",
     "MECHANISM_VARIANTS", "mechanism_spec", "mechanism_study",
-    "run_mechanism_study",
     "Chain", "build_chain", "run_multihop_fct",
     "RDMA_CASES", "run_rdma_case",
     "StressResult", "run_stress_test",

@@ -19,10 +19,9 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..analysis.stats import tail_percentiles
-from ..runner import CellResult, ExperimentSpec, run_cell
+from ..runner import CellResult, ExperimentSpec
 
-__all__ = ["MECHANISM_VARIANTS", "mechanism_spec", "mechanism_study",
-           "run_mechanism_study"]
+__all__ = ["MECHANISM_VARIANTS", "mechanism_spec", "mechanism_study"]
 
 #: variant name -> (ordered, tail_loss_detection); None = baseline scenario
 MECHANISM_VARIANTS = {
@@ -77,10 +76,3 @@ def mechanism_study(results: Sequence[CellResult]) -> Dict[str, dict]:
         row["trials"] = len(fcts)
         study[variant] = row
     return study
-
-
-def run_mechanism_study(**grid) -> Dict[str, dict]:
-    """Run every variant's cell (``grid``: :func:`mechanism_spec`'s
-    keywords) and tabulate them."""
-    return mechanism_study([run_cell(mechanism_spec(variant, **grid))
-                            for variant in MECHANISM_VARIANTS])

@@ -26,13 +26,12 @@ from .repair import (
 from .replay import ReplaySpec, chunk_sweep, run_chunk, run_replay
 from .slo import DAY_COLUMNS, LifecycleRollup, SloConfig, summarize_days
 from .traces import (
-    FailureEvent, LifecycleTrace, TraceSpec, generate_trace,
-    link_failure_events,
+    FailureEvent, LifecycleTrace, TraceSpec, failure_events, generate_trace,
 )
 
 __all__ = [
     "TraceSpec", "FailureEvent", "LifecycleTrace", "generate_trace",
-    "link_failure_events",
+    "failure_events",
     "RepairPolicy", "CorrOptRepairPolicy", "ExponentialRepairPolicy",
     "SeverityTieredRepairPolicy", "REPAIR_POLICIES", "repair_policy",
     "RepairedEpisode", "apply_repair", "corruption_episodes",

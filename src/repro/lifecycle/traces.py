@@ -43,7 +43,7 @@ from ..units import DAY_S, HOURS
 
 __all__ = [
     "TRACE_VERSION", "TraceSpec", "FailureEvent", "LifecycleTrace",
-    "link_failure_events", "generate_trace",
+    "failure_events", "generate_trace",
 ]
 
 #: format tag carried by LifecycleTrace.to_json documents (2: the
@@ -97,23 +97,17 @@ class FailureEvent(Spec):
     event_index: int
 
 
-def link_failure_events(spec: TraceSpec, factory: RngFactory,
-                        link_id: int) -> List[FailureEvent]:
-    """Every failure onset of one link within ``[0, duration_s)``.
+def failure_events(spec: TraceSpec, factory: RngFactory,
+                   link_ids: Iterable[int]) -> List[FailureEvent]:
+    """Every failure onset of each link in ``link_ids`` within
+    ``[0, duration_s)``.
 
     Event k's three draws — inter-arrival gap, Table 1 loss rate, burst
-    length — all come from the link's event stream *at index k*, so the
-    list is a pure function of ``(spec.seed, link_id)`` prefix-stable
-    under any duration change.
-    """
-    return _failure_events(spec, factory, [link_id])
-
-
-def _failure_events(spec: TraceSpec, factory: RngFactory,
-                    link_ids: Iterable[int]) -> List[FailureEvent]:
-    """:func:`link_failure_events` of every link in ``link_ids``, drawn in
-    rounds of event index k over the links still inside the horizon, so
-    each round's streams are seeded in one batch
+    length — all come from the link's event stream *at index k*, so a
+    link's events are a pure function of ``(spec.seed, link_id)``,
+    whichever other links are asked for, and prefix-stable under any
+    duration change.  Draws go in rounds of k over the links still
+    inside the horizon, so each round's streams are seeded in one batch
     (:meth:`~repro.core.rng.RngFactory.streams`).  Events come out in
     (k, link) order; a link's own events in k order."""
     fleet = spec.fleet
@@ -158,8 +152,8 @@ class LifecycleTrace:
     @classmethod
     def generate(cls, spec: TraceSpec) -> "LifecycleTrace":
         """Deterministically generate the fleet's full failure history."""
-        events = _failure_events(spec, RngFactory(spec.seed),
-                                 range(spec.fleet.n_links))
+        events = failure_events(spec, RngFactory(spec.seed),
+                                range(spec.fleet.n_links))
         events.sort(key=lambda e: (e.time_s, e.link_id))
         return cls(spec=spec, events=events)
 

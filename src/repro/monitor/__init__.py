@@ -1,5 +1,5 @@
-"""Control-plane link monitoring (corruptd)."""
+"""Control-plane link monitoring: corruptd and the §5 automatic fallback."""
 
-from .corruptd import Corruptd, CorruptionNotice, LossWindow, PubSubBus
+from .corruptd import Corruptd, LossWindow
 
-__all__ = ["Corruptd", "CorruptionNotice", "LossWindow", "PubSubBus"]
+__all__ = ["Corruptd", "LossWindow"]

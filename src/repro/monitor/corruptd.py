@@ -4,27 +4,26 @@ Each switch runs a ``corruptd`` daemon that polls its ports' RX counters
 (``framesRxOk`` / ``framesRxAll``) every second, estimates the loss rate
 over a moving window of frames, and — when the loss rate crosses the
 activation threshold (1e-8, a healthy link's BER floor) — notifies the
-*upstream* switch through a publish-subscribe bus so that LinkGuardian
-is activated on the corrupting link, sized by Equation 2 for the
-measured loss rate.
-
-The bus is an in-process stand-in for the Redis PubSub deployment the
-paper describes; the daemon logic (polling, windowing, thresholding,
-activation) is the same.
+*upstream* switch so that LinkGuardian is activated on the corrupting
+link, sized by Equation 2 for the measured loss rate.  The notification
+is one scheduled call :data:`NOTIFY_DELAY_NS` after detection.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Optional, Tuple
 
-from ..core.engine import Simulator
+from ..core.engine import Event, Simulator
 from ..linkguardian.protocol import ProtectedLink
 from ..obs.trace import NULL_TRACER
-from ..units import SEC
+from ..units import MS, SEC
 
-__all__ = ["PubSubBus", "Corruptd", "CorruptionNotice", "LossWindow"]
+__all__ = ["Corruptd", "LinkPoller", "LossWindow", "NOTIFY_DELAY_NS"]
+
+#: detection to activation: the notice's hop to the upstream switch
+#: (Appendix C runs it over Redis PubSub)
+NOTIFY_DELAY_NS = 1 * MS
 
 
 class LossWindow:
@@ -83,206 +82,109 @@ class LossWindow:
         return 1.0 - (newest_ok - base_ok) / frames
 
 
-class PubSubBus:
-    """Minimal in-process publish-subscribe bus (the Redis stand-in).
+class LinkPoller:
+    """The poll loop corruptd and :class:`~repro.monitor.fallback.AutoFallback`
+    share: every ``poll_interval_ns`` read one protected link's RX
+    counters into a :class:`LossWindow` and hand each estimate to
+    :meth:`_on_estimate`.
 
-    Deliveries ride the simulator's event queue after ``delivery_delay_ns``;
-    at most ``max_pending`` may be in flight at once — beyond that the bus
-    drops, like a Redis client whose output buffer limit is hit.  Drops and
-    deliveries are counted and surfaced through the metrics registry when
-    an ``obs`` is supplied.
+    ``stop()`` cancels the pending poll and ``start()`` on a running
+    loop does nothing, so a restart never leaves two poll chains alive.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        delivery_delay_ns: int = 1_000_000,
-        max_pending: int = 1024,
-        obs=None,
-    ) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self.sim = sim
-        self.delivery_delay_ns = delivery_delay_ns
-        self.max_pending = int(max_pending)
-        self._subscribers: Dict[str, List[Callable]] = {}
-        self._pending = 0
-        self.published = 0
-        self.delivered = 0
-        self.dropped = 0
-        if obs is not None:
-            obs.registry.register_provider("corruptd.bus", self.obs_snapshot)
-
-    def obs_snapshot(self) -> dict:
-        return {
-            "published": self.published,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "pending": self._pending,
-            "channels": len(self._subscribers),
-        }
-
-    @property
-    def pending(self) -> int:
-        """Messages scheduled but not yet handed to their callbacks."""
-        return self._pending
-
-    def subscribe(self, channel: str, callback: Callable) -> None:
-        self._subscribers.setdefault(channel, []).append(callback)
-
-    def unsubscribe(self, channel: str, callback: Callable) -> bool:
-        """Detach one subscription; True if it existed.
-
-        Messages already in flight to ``callback`` still deliver — like
-        the real bus, unsubscribing stops future fan-out, it does not
-        recall the wire.
-        """
-        callbacks = self._subscribers.get(channel)
-        if callbacks is None or callback not in callbacks:
-            return False
-        callbacks.remove(callback)
-        if not callbacks:
-            del self._subscribers[channel]
-        return True
-
-    def publish(self, channel: str, message) -> int:
-        """Fan out to the channel; returns how many deliveries were queued."""
-        self.published += 1
-        queued = 0
-        for callback in self._subscribers.get(channel, []):
-            if self._pending >= self.max_pending:
-                self.dropped += 1
-                continue
-            self._pending += 1
-            self.sim.schedule(self.delivery_delay_ns, self._deliver,
-                              callback, message)
-            queued += 1
-        return queued
-
-    def _deliver(self, callback: Callable, message) -> None:
-        self._pending -= 1
-        self.delivered += 1
-        callback(message)
-
-
-@dataclass(frozen=True)
-class CorruptionNotice:
-    """Published when a receiving switch sees a corrupting ingress link."""
-
-    link_name: str
-    loss_rate: float
-    detected_at_ns: int
-    cleared: bool = False
-
-
-class Corruptd:
-    """One switch's monitoring daemon, watching one protected link's RX side.
-
-    The daemon runs at the *receiver* switch (where corrupted frames are
-    dropped by the MAC and visible in the counters) and publishes to the
-    upstream switch's channel; an activator subscribed there flips
-    LinkGuardian on.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        plink: ProtectedLink,
-        bus: PubSubBus,
-        poll_interval_ns: int = 1 * SEC,
-        window_frames: int = 100_000_000,
-        activation_threshold: float = 1e-8,
-        deactivation: bool = False,
-        obs=None,
-    ) -> None:
+    def __init__(self, sim: Simulator, plink: ProtectedLink,
+                 poll_interval_ns: int, window_frames: int) -> None:
         self.sim = sim
         self.plink = plink
-        self.bus = bus
         self.poll_interval_ns = int(poll_interval_ns)
-        self.window_frames = int(window_frames)
-        self.activation_threshold = float(activation_threshold)
-        self.deactivation = deactivation
-        self.channel = f"corruptd:{plink.sender_switch.name}"
-        self.notices: List[CorruptionNotice] = []
-        self._window = LossWindow(self.window_frames)
-        self._notified = False
-        self._running = False
         self.polls = 0
-        self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        if obs is not None:
-            obs.registry.register_provider(
-                f"corruptd.{plink.forward_link.name}", self.obs_snapshot
-            )
-        bus.subscribe(self.channel, self._on_notice)
+        self._window = LossWindow(window_frames)
+        self._next_poll: Optional[Event] = None
 
-    def obs_snapshot(self) -> dict:
-        loss = self.window_loss_rate()
-        return {
-            "polls": self.polls,
-            "notices": len(self.notices),
-            "notified": self._notified,
-            "running": self._running,
-            "window_loss_rate": loss if loss is not None else 0.0,
-        }
-
-    # -- polling loop -------------------------------------------------------------
+    @property
+    def running(self) -> bool:
+        return self._next_poll is not None
 
     def start(self) -> None:
-        self._running = True
-        self.sim.schedule(self.poll_interval_ns, self._poll)
+        if self._next_poll is None:
+            self._next_poll = self.sim.schedule(self.poll_interval_ns,
+                                                self._poll)
 
     def stop(self) -> None:
-        self._running = False
+        if self._next_poll is not None:
+            self._next_poll.cancel()
+            self._next_poll = None
 
     def window_loss_rate(self) -> Optional[float]:
         """Loss rate over (up to) the last ``window_frames`` frames."""
         return self._window.loss_rate()
 
     def _poll(self) -> None:
-        if not self._running:
-            return
         self.polls += 1
         counters = self.plink.forward_link.rx_counters
         self._window.observe(counters.frames_rx_all, counters.frames_rx_ok)
-        loss = self.window_loss_rate()
+        loss = self._window.loss_rate()
         if loss is not None:
-            if loss >= self.activation_threshold and not self._notified:
-                self._notified = True
-                notice = CorruptionNotice(
-                    self.plink.forward_link.name, loss, self.sim.now
-                )
-                self.notices.append(notice)
-                if self._tracer.enabled:
-                    self._tracer.instant(self.sim.now, "corruptd", "corruption_notice", {
-                        "link": notice.link_name, "loss_rate": loss,
-                    })
-                self.bus.publish(self.channel, notice)
-            elif self.deactivation and self._notified and loss < self.activation_threshold:
-                self._notified = False
-                notice = CorruptionNotice(
-                    self.plink.forward_link.name, loss, self.sim.now, cleared=True
-                )
-                self.notices.append(notice)
-                if self._tracer.enabled:
-                    self._tracer.instant(self.sim.now, "corruptd", "corruption_cleared", {
-                        "link": notice.link_name, "loss_rate": loss,
-                    })
-                self.bus.publish(self.channel, notice)
-        self.sim.schedule(self.poll_interval_ns, self._poll)
+            self._on_estimate(loss)
+        self._next_poll = self.sim.schedule(self.poll_interval_ns, self._poll)
 
-    # -- activation at the upstream switch --------------------------------------------
+    def _on_estimate(self, loss: float) -> None:
+        raise NotImplementedError
 
-    def _on_notice(self, notice: CorruptionNotice) -> None:
-        """The upstream corruptd pushes dataplane entries (activation)."""
-        if notice.cleared:
-            if self._tracer.enabled:
-                self._tracer.instant(self.sim.now, "corruptd", "lg_deactivate",
-                                     {"link": notice.link_name})
-            self.plink.deactivate()
-        else:
-            n_copies = self.plink.activate(notice.loss_rate)
-            if self._tracer.enabled:
-                self._tracer.instant(self.sim.now, "corruptd", "lg_activate", {
-                    "link": notice.link_name, "n_copies": n_copies,
-                    "loss_rate": notice.loss_rate,
-                })
+
+class Corruptd(LinkPoller):
+    """One switch's monitoring daemon, watching one protected link's RX side.
+
+    The daemon runs at the *receiver* switch (where corrupted frames are
+    dropped by the MAC and visible in the counters).  The first estimate
+    at or above ``activation_threshold`` is latched in ``detected`` as
+    ``(time_ns, loss_rate)`` and, :data:`NOTIFY_DELAY_NS` later, the
+    upstream switch activates LinkGuardian sized for that loss rate.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        plink: ProtectedLink,
+        poll_interval_ns: int = 1 * SEC,
+        window_frames: int = 100_000_000,
+        activation_threshold: float = 1e-8,
+        obs=None,
+    ) -> None:
+        super().__init__(sim, plink, poll_interval_ns, window_frames)
+        self.activation_threshold = float(activation_threshold)
+        self.detected: Optional[Tuple[int, float]] = None
+        self._tracer = obs.tracer if obs is not None else NULL_TRACER
+        if obs is not None:
+            obs.registry.register_provider(
+                f"corruptd.{plink.forward_link.name}", self.obs_snapshot
+            )
+
+    def obs_snapshot(self) -> dict:
+        loss = self.window_loss_rate()
+        return {
+            "polls": self.polls,
+            "notices": int(self.detected is not None),
+            "notified": self.detected is not None,
+            "running": self.running,
+            "window_loss_rate": loss if loss is not None else 0.0,
+        }
+
+    def _on_estimate(self, loss: float) -> None:
+        if self.detected is not None or loss < self.activation_threshold:
+            return
+        self.detected = (self.sim.now, loss)
+        if self._tracer.enabled:
+            self._tracer.instant(self.sim.now, "corruptd", "corruption_notice", {
+                "link": self.plink.forward_link.name, "loss_rate": loss,
+            })
+        self.sim.schedule(NOTIFY_DELAY_NS, self._activate, loss)
+
+    def _activate(self, loss: float) -> None:
+        """The upstream switch pushes the dataplane entries."""
+        n_copies = self.plink.activate(loss)
+        if self._tracer.enabled:
+            self._tracer.instant(self.sim.now, "corruptd", "lg_activate", {
+                "link": self.plink.forward_link.name, "n_copies": n_copies,
+                "loss_rate": loss,
+            })

@@ -6,8 +6,8 @@ buffer pressure degrade the link badly.  The paper proposes extending
 the corruptd monitoring to detect this and automatically fall back to
 LinkGuardianNB, or disable LinkGuardian entirely on the affected link.
 
-:class:`AutoFallback` implements that policy as a control-plane loop on
-top of the same windowed loss estimate corruptd uses:
+:class:`AutoFallback` implements that policy on corruptd's poll loop
+(:class:`~repro.monitor.corruptd.LinkPoller`) and windowed loss estimate:
 
 * loss < ``nb_threshold``       -> full ordered LinkGuardian;
 * loss in [nb, disable)         -> LinkGuardianNB (ordering dropped);
@@ -22,12 +22,12 @@ from typing import List, Optional
 from ..core.engine import Simulator
 from ..linkguardian.protocol import ProtectedLink
 from ..units import MS
-from .corruptd import LossWindow
+from .corruptd import LinkPoller
 
 __all__ = ["AutoFallback"]
 
 
-class AutoFallback:
+class AutoFallback(LinkPoller):
     """Watches one protected link and demotes its mode under heavy loss.
 
     Demotions are debounced: a target mode must be confirmed by
@@ -53,9 +53,7 @@ class AutoFallback:
             raise ValueError("need 0 < nb_threshold < disable_threshold")
         if confirm_windows < 1:
             raise ValueError("confirm_windows must be >= 1")
-        self.sim = sim
-        self.plink = plink
-        self.poll_interval_ns = int(poll_interval_ns)
+        super().__init__(sim, plink, poll_interval_ns, window_frames)
         self.nb_threshold = nb_threshold
         self.disable_threshold = disable_threshold
         #: hysteresis: a demotion fires only after this many *consecutive*
@@ -64,10 +62,8 @@ class AutoFallback:
         #: single noisy window.
         self.confirm_windows = int(confirm_windows)
         self.transitions: List[tuple] = []  # (time_ns, from_mode, to_mode)
-        self._window = LossWindow(window_frames)
         self._pending_target: Optional[str] = None
         self._pending_count = 0
-        self._running = False
 
     @property
     def mode(self) -> str:
@@ -75,24 +71,7 @@ class AutoFallback:
             return "off"
         return "ordered" if self.plink.config.ordered else "non-blocking"
 
-    def start(self) -> None:
-        self._running = True
-        self.sim.schedule(self.poll_interval_ns, self._poll)
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _poll(self) -> None:
-        if not self._running:
-            return
-        counters = self.plink.forward_link.rx_counters
-        self._window.observe(counters.frames_rx_all, counters.frames_rx_ok)
-        loss = self._window.loss_rate()
-        if loss is not None:
-            self._apply_policy(loss)
-        self.sim.schedule(self.poll_interval_ns, self._poll)
-
-    def _apply_policy(self, loss: float) -> None:
+    def _on_estimate(self, loss: float) -> None:
         current = self.mode
         if loss >= self.disable_threshold:
             target = "off"

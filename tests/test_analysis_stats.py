@@ -1,13 +1,23 @@
 """Tests for time-weighted occupancy tracking and percentile helpers."""
 
 import math
+from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import OccupancyTracker, cdf_points, percentile, tail_percentiles
+from repro.analysis.stats import OccupancyTracker, percentile, tail_percentiles
+
+
+def cdf_points(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted values and cumulative fractions for plotting a CDF."""
+    data = np.sort(np.asarray(values, dtype=np.float64))
+    if data.size == 0:
+        return data, data
+    fractions = np.arange(1, data.size + 1, dtype=np.float64) / data.size
+    return data, fractions
 
 
 class TestOccupancyTracker:

@@ -11,7 +11,9 @@ from repro.experiments.figures import (
     figure20_consecutive_losses, table1_loss_buckets,
 )
 from repro.experiments.goodput import run_goodput
-from repro.experiments.mechanisms import MECHANISM_VARIANTS, run_mechanism_study
+from repro.experiments.mechanisms import (
+    MECHANISM_VARIANTS, mechanism_spec, mechanism_study,
+)
 from repro.experiments.stress import run_stress_test
 from repro.experiments.timeline import run_timeline
 from repro.runner import ExperimentSpec, run_cell
@@ -124,7 +126,10 @@ class TestGoodputHarness:
 
 class TestMechanismStudy:
     def test_all_variants_present(self):
-        study = run_mechanism_study(n_trials=60, loss_rate=1e-2, seed=2)
+        study = mechanism_study([
+            run_cell(mechanism_spec(variant, n_trials=60, loss_rate=1e-2,
+                                    seed=2))
+            for variant in MECHANISM_VARIANTS])
         assert set(study) == set(MECHANISM_VARIANTS)
         for row in study.values():
             assert row["trials"] > 0

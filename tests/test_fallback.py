@@ -88,7 +88,7 @@ class _StubReceiver:
 
 
 class _StubLink:
-    """Just enough ProtectedLink surface to drive _apply_policy directly."""
+    """Just enough ProtectedLink surface to drive _on_estimate directly."""
 
     def __init__(self):
         self.active = True
@@ -113,47 +113,47 @@ class TestHysteresis:
 
     def test_single_noisy_window_does_not_demote(self):
         watchdog = self._watchdog()
-        watchdog._apply_policy(1e-2)   # one window above nb_threshold
-        watchdog._apply_policy(1e-4)   # back below: pending resets
-        watchdog._apply_policy(1e-2)   # another isolated spike
+        watchdog._on_estimate(1e-2)   # one window above nb_threshold
+        watchdog._on_estimate(1e-4)   # back below: pending resets
+        watchdog._on_estimate(1e-2)   # another isolated spike
         assert watchdog.mode == "ordered"
         assert watchdog.transitions == []
 
     def test_consecutive_windows_demote(self):
         watchdog = self._watchdog()
-        watchdog._apply_policy(1e-2)
+        watchdog._on_estimate(1e-2)
         assert watchdog.mode == "ordered"   # first window only arms
-        watchdog._apply_policy(1e-2)
+        watchdog._on_estimate(1e-2)
         assert watchdog.mode == "non-blocking"
         assert len(watchdog.transitions) == 1
 
     def test_oscillation_around_threshold_never_demotes(self):
         watchdog = self._watchdog()
         for _ in range(50):
-            watchdog._apply_policy(1e-2)
-            watchdog._apply_policy(1e-4)
+            watchdog._on_estimate(1e-2)
+            watchdog._on_estimate(1e-4)
         assert watchdog.mode == "ordered"
         assert watchdog.transitions == []
 
     def test_harsher_target_counts_as_confirmation(self):
         watchdog = self._watchdog()
-        watchdog._apply_policy(1e-2)    # asks for non-blocking
-        watchdog._apply_policy(1e-1)    # worse: asks for off — confirms
+        watchdog._on_estimate(1e-2)    # asks for non-blocking
+        watchdog._on_estimate(1e-1)    # worse: asks for off — confirms
         assert watchdog.mode == "non-blocking"
 
     def test_escalation_to_off_needs_its_own_confirmation(self):
         watchdog = self._watchdog()
-        watchdog._apply_policy(1e-2)
-        watchdog._apply_policy(1e-2)
+        watchdog._on_estimate(1e-2)
+        watchdog._on_estimate(1e-2)
         assert watchdog.mode == "non-blocking"
-        watchdog._apply_policy(1e-1)
+        watchdog._on_estimate(1e-1)
         assert watchdog.mode == "non-blocking"  # armed, not yet confirmed
-        watchdog._apply_policy(1e-1)
+        watchdog._on_estimate(1e-1)
         assert watchdog.mode == "off"
 
     def test_confirm_windows_one_demotes_immediately(self):
         watchdog = self._watchdog(confirm_windows=1)
-        watchdog._apply_policy(1e-2)
+        watchdog._on_estimate(1e-2)
         assert watchdog.mode == "non-blocking"
 
     def test_confirm_windows_validation(self):

@@ -10,15 +10,14 @@ from repro.fleet.topology import (
     sample_affected_fraction,
 )
 from repro.lifecycle import (
-    LifecycleTrace, TraceSpec, apply_repair, link_failure_events,
-    repair_policy,
+    LifecycleTrace, TraceSpec, apply_repair, failure_events, repair_policy,
 )
 
 
 def link_events(fleet, seed, link_id, days=30.0):
     """One link's failure events — its whole stochastic character."""
     spec = TraceSpec(fleet=fleet, duration_days=days, seed=seed)
-    return link_failure_events(spec, RngFactory(seed), link_id)
+    return failure_events(spec, RngFactory(seed), [link_id])
 
 
 class TestFleetSpec:
@@ -122,11 +121,11 @@ class TestEpisodes:
         (seed, link_id), never on which other links were generated."""
         spec = TraceSpec(fleet=FleetSpec(mttf_hours=500.0),
                          duration_days=60.0, seed=7)
-        alone = link_failure_events(spec, RngFactory(7), 11)
+        alone = failure_events(spec, RngFactory(7), [11])
         factory = RngFactory(7)
         for other in range(11):
-            link_failure_events(spec, factory, other)
-        assert alone and link_failure_events(spec, factory, 11) == alone
+            failure_events(spec, factory, [other])
+        assert alone and failure_events(spec, factory, [11]) == alone
 
     def test_episode_roundtrips_through_dict(self):
         ep = CorruptionEpisode(link_id=4, onset_s=10.5, clear_s=99.25,

@@ -1,4 +1,4 @@
-"""Tests for the host/NIC model and the UDP source/sink."""
+"""Tests for the host/NIC model."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.core.engine import Simulator
 from repro.experiments.testbed import build_testbed
 from repro.hosts.host import Host
 from repro.packets.packet import Packet
-from repro.transport.udp import UdpSink, UdpSource
-from repro.units import MS, gbps
+from repro.units import MS
 
 
 class TestHost:
@@ -60,43 +59,3 @@ class TestHost:
         assert got == []
         assert h2.received == 1  # counted, just not dispatched
 
-
-class TestUdp:
-    def test_source_rate_accuracy(self):
-        testbed = build_testbed(lg_active=False)
-        h1 = testbed.add_host("h1", "tx", stack_delay_ns=0)
-        h2 = testbed.add_host("h2", "rx", stack_delay_ns=0)
-        sink = UdpSink(testbed.sim, h2, flow_id=1)
-        source = UdpSource(testbed.sim, h1, "h2", flow_id=1,
-                           rate_bps=gbps(10), frame_bytes=1518)
-        source.start()
-        testbed.sim.schedule(2 * MS, source.stop)
-        testbed.sim.run(until=3 * MS)
-        assert sink.received == source.sent
-        # 10G of 1538 B wire frames for 2 ms: ~1626 packets.
-        assert source.sent == pytest.approx(1626, rel=0.02)
-        assert sink.goodput_bps() == pytest.approx(
-            10e9 * 1518 / 1538, rel=0.02)
-
-    def test_goodput_zero_without_traffic(self):
-        testbed = build_testbed(lg_active=False)
-        h2 = testbed.add_host("h2", "rx")
-        sink = UdpSink(testbed.sim, h2, flow_id=1)
-        assert sink.goodput_bps() == 0.0
-
-    def test_udp_measures_effective_link_speed_under_lg(self):
-        """The paper's Figure 9 methodology: a line-rate UDP flow reads
-        the effective link speed of an LG-protected corrupting link."""
-        testbed = build_testbed(rate_gbps=10, loss_rate=1e-3, lg_active=True,
-                                seed=5)
-        h1 = testbed.add_host("h1", "tx", stack_delay_ns=0,
-                              rate_bps=gbps(20))
-        h2 = testbed.add_host("h2", "rx", stack_delay_ns=0)
-        sink = UdpSink(testbed.sim, h2, flow_id=1)
-        source = UdpSource(testbed.sim, h1, "h2", flow_id=1,
-                           rate_bps=gbps(10), frame_bytes=1518)
-        source.start()
-        testbed.sim.schedule(4 * MS, source.stop)
-        testbed.sim.run(until=6 * MS)
-        delivered_fraction = sink.received / source.sent
-        assert delivered_fraction > 0.97  # losses masked, minor pause cost

@@ -11,7 +11,7 @@ from repro.fleet.topology import FleetSpec, FleetTopology
 from repro.lifecycle import (
     REPAIR_POLICIES, CorrOptRepairPolicy, ExponentialRepairPolicy,
     LifecycleTrace, SeverityTieredRepairPolicy, TraceSpec, apply_repair,
-    generate_trace, link_failure_events, repair_policy, traces,
+    failure_events, generate_trace, repair_policy, traces,
 )
 from repro.lifecycle.repair import repair_delay_s
 from repro.units import DAY_S
@@ -110,7 +110,7 @@ class TestTraceGeneration:
     def test_per_link_event_indices_are_ordinals(self):
         spec = small_spec()
         for link_id in range(spec.fleet.n_links):
-            events = link_failure_events(spec, RngFactory(spec.seed), link_id)
+            events = failure_events(spec, RngFactory(spec.seed), [link_id])
             assert [e.event_index for e in events] == list(range(len(events)))
 
     @pytest.mark.parametrize("seed", [7, 8, 21])
@@ -120,7 +120,7 @@ class TestTraceGeneration:
         spec = small_spec(seed=seed)
         factory = RngFactory(seed)
         union = [event for link_id in range(spec.fleet.n_links)
-                 for event in link_failure_events(spec, factory, link_id)]
+                 for event in failure_events(spec, factory, [link_id])]
         union.sort(key=lambda e: (e.time_s, e.link_id))
         assert generate_trace(spec).events == union
 
@@ -131,7 +131,7 @@ class TestTraceGeneration:
         per_link = Counter(e.link_id for e in events)
         assert per_link == {link: 3 for link in range(spec.fleet.n_links)}
         assert max(e.event_index for e in events) == 2
-        assert len(link_failure_events(spec, RngFactory(spec.seed), 0)) == 3
+        assert len(failure_events(spec, RngFactory(spec.seed), [0])) == 3
 
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,16 @@ def test_mtu_wire_size_matches_paper():
     assert units.MTU_WIRE == 1538
 
 
+def test_unit_scales():
+    assert units.US == 1_000 * units.NS and units.SEC == 1_000 * units.MS
+    assert units.MB == 1_000 * units.KB
+
+
+def test_mtu_frame_carries_the_ip_mtu():
+    # 14 B Ethernet header + 4 B FCS around the 1500 B IP MTU.
+    assert units.MTU_FRAME - units.MTU_PAYLOAD == 18
+
+
 def test_min_frame_padding():
     # Even a tiny control frame occupies 64 + 20 bytes of wire time.
     assert units.wire_bytes(1) == 84

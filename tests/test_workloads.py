@@ -1,14 +1,13 @@
-"""Tests for the Figure 2 workload distributions and flow generation."""
+"""Tests for the Figure 2 workload distributions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.units import gbps
 from repro.workloads import (
     ALIBABA_STORAGE, DCTCP_WEB_SEARCH, GOOGLE_ALL_RPC, META_KEY_VALUE,
-    WORKLOADS, FlowSizeDistribution, PoissonFlowGenerator,
+    WORKLOADS, FlowSizeDistribution,
 )
 
 
@@ -72,23 +71,3 @@ class TestDistributions:
             value = dist.quantile(fraction)
             assert dist.min_size <= value <= dist.max_size
 
-
-class TestPoissonGenerator:
-    def test_load_sets_mean_interarrival(self):
-        gen = PoissonFlowGenerator(GOOGLE_ALL_RPC, gbps(10), load=0.5, rng=_rng())
-        flows = gen.generate(5_000)
-        total_bytes = sum(f.size_bytes for f in flows)
-        duration_s = flows[-1].time_ns / 1e9
-        offered_bps = total_bytes * 8 / duration_s
-        assert offered_bps == pytest.approx(0.5 * 10e9, rel=0.25)
-
-    def test_arrival_times_increase(self):
-        gen = PoissonFlowGenerator(META_KEY_VALUE, gbps(10), load=0.3, rng=_rng())
-        flows = gen.generate(100)
-        times = [f.time_ns for f in flows]
-        assert times == sorted(times)
-        assert [f.flow_id for f in flows] == list(range(100))
-
-    def test_invalid_load_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonFlowGenerator(META_KEY_VALUE, gbps(10), load=1.5, rng=_rng())
