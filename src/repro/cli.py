@@ -872,9 +872,12 @@ def _blame_optimize(args) -> None:
     except ValueError:
         _usage_error("--budgets must be comma-separated integers")
     episodes = _trace_episodes(args)
-    results = optimize_policies(
-        _fleet_spec(args), episodes, seed=args.seed,
-        candidates=default_candidates(budgets))
+    try:
+        results = optimize_policies(
+            _fleet_spec(args), episodes, seed=args.seed,
+            candidates=default_candidates(budgets))
+    except ValueError as exc:
+        _usage_error(str(exc))
     rows = [{
         "rank": rank,
         "candidate": row["label"],

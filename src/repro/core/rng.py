@@ -133,7 +133,3 @@ class RngFactory:
                 "has_uint32": 0, "uinteger": 0,
             }
             yield rng
-
-    def spawn(self, name: str) -> "RngFactory":
-        """A child factory whose streams are independent of the parent's."""
-        return RngFactory(self.child_seed(name))

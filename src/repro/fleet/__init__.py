@@ -32,8 +32,8 @@ from .cost import unprotected_goodput_fraction
 from .monitor import Estimator, EvidenceMonitor
 from .policies import (
     POLICIES, FleetPolicy, GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
-    PolicyCandidate, TraceDrivenOptimizer, default_candidates, fleet_policy,
-    optimize_policies, register_policy,
+    PolicyCandidate, default_candidates, fleet_policy, optimize_policies,
+    register_policy,
 )
 from .topology import (
     CorruptionEpisode, FleetSpec, FleetTopology, sample_affected_fraction,
@@ -44,8 +44,8 @@ __all__ = [
     "unprotected_goodput_fraction", "Estimator", "EvidenceMonitor",
     "POLICIES", "ControllerConfig", "FleetController", "FleetPolicy",
     "GreedyWorstLinkPolicy", "IncrementalDeploymentPolicy",
-    "PolicyCandidate", "TraceDrivenOptimizer", "default_candidates",
-    "fleet_policy", "optimize_policies", "register_policy",
+    "PolicyCandidate", "default_candidates", "fleet_policy",
+    "optimize_policies", "register_policy",
     "CorruptionEpisode", "FleetSpec", "FleetTopology",
     "sample_affected_fraction",
 ]

@@ -58,6 +58,16 @@ class ControllerConfig(Spec):
     lg_deployment_fraction: float = 1.0
     lg_target_loss: float = 1e-8
 
+    def __post_init__(self) -> None:
+        if self.activation_budget < 0:
+            raise ValueError("activation_budget must be >= 0")
+        for name in ("capacity_constraint", "pod_capacity_floor",
+                     "lg_deployment_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 < self.lg_target_loss < 1.0:
+            raise ValueError("lg_target_loss must be in (0, 1)")
+
 
 @dataclass(frozen=True)
 class Decision:

@@ -1,4 +1,4 @@
-"""First-class activation policies: registry + trace-driven optimizer.
+"""First-class activation policies: registry + trace-replay optimizer.
 
 The arbitration strategies the :class:`~repro.fleet.controller.
 FleetController` delegates to were born as two hard-wired classes
@@ -9,32 +9,28 @@ registry — :data:`POLICIES` plus :func:`register_policy` /
 replay, the blame adapter) name policies by string and new strategies
 plug in without touching the controller.
 
-On top sits :class:`TraceDrivenOptimizer`: given a window of corruption
-episodes (a lifecycle trace with repair applied, or a live stream), it
-replays every candidate ``(policy, ControllerConfig)`` pair against its
-own private topology copy and scores the SLO damage — lost
-link-seconds, weighting an exposed link by its Mathis goodput collapse,
-an LG-protected link by the Figure 8 speed tax, and a disabled link by
-its full capacity.  The recomputation is **incremental per event**:
-each onset/clear updates only the per-candidate cost *rate* by the
-delta of new controller decisions (O(decisions changed), never O(links)),
-so sweeping candidates over an O(100k)-link fleet stays interactive and
-:meth:`TraceDrivenOptimizer.best` is readable between any two events.
+On top sits :func:`optimize_policies`: given a window of repaired
+corruption episodes (a lifecycle trace), it replays every candidate
+``(policy, ControllerConfig)`` pair through
+:meth:`FleetController.run` on its own topology copy and prices the
+segments the run leaves with :func:`~repro.fleet.cost.segment_cost` —
+lost link-seconds, weighting an exposed link by its Mathis goodput
+collapse, an LG-protected link by the Figure 8 speed tax, and a
+disabled link by its full capacity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
-from .cost import DISABLED, EXPOSED, PROTECTED, segment_cost
+from .cost import segment_cost
 
 __all__ = [
     "POLICIES", "FleetPolicy", "IncrementalDeploymentPolicy",
     "GreedyWorstLinkPolicy", "register_policy", "fleet_policy",
-    "PolicyCandidate", "TraceDrivenOptimizer", "default_candidates",
-    "optimize_policies",
+    "PolicyCandidate", "default_candidates", "optimize_policies",
 ]
 
 
@@ -155,187 +151,56 @@ class PolicyCandidate:
     def config(self, base) -> Any:
         if not self.overrides:
             return base
-        from dataclasses import replace
         return replace(base, **dict(self.overrides))
-
-
-#: the state a controller decision leaves its link in
-_ACTION_STATE = {"disable": DISABLED, "activate": PROTECTED}
-
-
-class _CandidateState:
-    """One candidate's controller, its private fleet, and its cost."""
-
-    __slots__ = ("candidate", "controller", "topology", "cost_rate",
-                 "weights", "open_index", "cursor", "cost", "last_s")
-
-    def __init__(self, candidate, controller, topology) -> None:
-        self.candidate = candidate
-        self.controller = controller
-        self.topology = topology
-        self.cost_rate = 0.0          # lost link-capacity per second, now
-        self.weights: Dict[int, float] = {}   # link_id -> current weight
-        self.open_index: Dict[int, int] = {}  # link_id -> episode index
-        self.cursor = 0               # consumed controller decisions
-        self.cost = 0.0               # accumulated lost link-seconds
-        self.last_s = 0.0
-
-
-class TraceDrivenOptimizer:
-    """Score policy/config candidates over one episode stream.
-
-    Feed it a merged episode timeline (:meth:`run`), or stream events
-    one at a time (:meth:`feed_onset` / :meth:`feed_clear`) and read
-    :meth:`best` whenever a verdict is needed — per-event work is
-    proportional to the decisions the event caused, not to fleet size.
-    """
-
-    def __init__(self, fleet, base_config=None, seed: int = 0,
-                 candidates: Optional[Sequence[PolicyCandidate]] = None,
-                 obs=None) -> None:
-        from .controller import ControllerConfig, FleetController
-        from .topology import FleetTopology
-
-        self.fleet = fleet
-        self.base_config = (base_config if base_config is not None
-                            else ControllerConfig())
-        if candidates is None:
-            candidates = default_candidates()
-        if not candidates:
-            raise ValueError("need at least one candidate")
-        self._states: List[_CandidateState] = []
-        for candidate in candidates:
-            config = candidate.config(self.base_config)
-            topology = FleetTopology(fleet, seed=seed)
-            controller = FleetController(
-                topology, config, fleet_policy(candidate.policy))
-            self._states.append(
-                _CandidateState(candidate, controller, topology))
-        self.events_seen = 0
-        self._gauge = None
-        if obs is not None:
-            obs.registry.register_provider(
-                "blame.optimizer", self._obs_snapshot)
-
-    def _obs_snapshot(self) -> Dict[str, Any]:
-        leader = self.best()
-        return {
-            "events": self.events_seen,
-            "candidates": len(self._states),
-            "best_label": leader["label"],
-            "best_cost": leader["cost_link_seconds"],
-        }
-
-    # -- incremental cost accounting ------------------------------------------
-
-    @staticmethod
-    def _weight(action: str, loss_rate: float) -> float:
-        """Lost capacity (0..1 of one link) while the state persists."""
-        # blocked / preempted-back-to-exposed: flows eat the loss
-        state = _ACTION_STATE.get(action, EXPOSED)
-        return segment_cost(state, loss_rate)[0]
-
-    def _advance(self, state: _CandidateState, now_s: float) -> None:
-        if now_s > state.last_s:
-            state.cost += state.cost_rate * (now_s - state.last_s)
-            state.last_s = now_s
-
-    def _absorb_decisions(self, state: _CandidateState) -> None:
-        """Fold fresh controller decisions into the cost rate — the
-        incremental step: O(new decisions), independent of fleet size."""
-        log = state.controller.outcome.decisions
-        while state.cursor < len(log):
-            decision = log[state.cursor]
-            state.cursor += 1
-            if decision.action == "clear":
-                continue
-            old = state.weights.pop(decision.link_id, 0.0)
-            new = self._weight(decision.action, decision.loss_rate)
-            state.weights[decision.link_id] = new
-            state.cost_rate += new - old
-
-    def feed_onset(self, episode) -> None:
-        """One live onset, fanned out to every candidate."""
-        self.events_seen += 1
-        for state in self._states:
-            self._advance(state, episode.onset_s)
-            index = state.controller.stream_onset(episode)
-            state.open_index[episode.link_id] = index
-            self._absorb_decisions(state)
-
-    def feed_clear(self, link_id: int, clear_s: float) -> None:
-        """The matching clear; unknown link ids are ignored."""
-        self.events_seen += 1
-        for state in self._states:
-            index = state.open_index.pop(link_id, None)
-            if index is None:
-                continue
-            self._advance(state, clear_s)
-            state.cost_rate -= state.weights.pop(link_id, 0.0)
-            state.controller.stream_clear(index, clear_s)
-            # The policy's on_clear pass may have re-homed exposed links.
-            self._absorb_decisions(state)
-
-    # -- batch convenience ------------------------------------------------------
-
-    def run(self, episodes: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Replay a merged timeline; returns :meth:`results`.
-
-        Event order matches :meth:`FleetController.run` — ``(time,
-        kind)`` with clears first on ties, so a repaired link frees
-        budget before a same-instant onset claims it.
-        """
-        events: List[Tuple[float, int, int, int]] = []
-        for index, episode in enumerate(episodes):
-            events.append((episode.onset_s, 1, episode.link_id, index))
-            if math.isfinite(episode.clear_s):
-                events.append((episode.clear_s, 0, episode.link_id, index))
-        events.sort()
-        for time_s, kind, link_id, index in events:
-            if kind == 1:
-                self.feed_onset(episodes[index])
-            else:
-                self.feed_clear(link_id, time_s)
-        return self.results()
-
-    # -- verdicts ---------------------------------------------------------------
-
-    def results(self) -> List[Dict[str, Any]]:
-        """Every candidate's score so far, cheapest damage first."""
-        rows = []
-        for state in self._states:
-            counts = state.controller.outcome.counts()
-            rows.append({
-                "label": state.candidate.label,
-                "policy": state.candidate.policy,
-                "overrides": dict(state.candidate.overrides),
-                "cost_link_seconds": state.cost,
-                "cost_rate_now": state.cost_rate,
-                **counts,
-            })
-        rows.sort(key=lambda row: (row["cost_link_seconds"], row["label"]))
-        return rows
-
-    def best(self) -> Dict[str, Any]:
-        return self.results()[0]
 
 
 def default_candidates(
         budgets: Sequence[int] = (8, 64)) -> List[PolicyCandidate]:
-    """The stock sweep: every registered policy x activation budgets."""
-    out = []
-    for name in sorted(POLICIES):
-        for budget in budgets:
-            out.append(PolicyCandidate(
-                name, (("activation_budget", int(budget)),)))
-    return out
+    """The stock sweep: every registered policy x activation budgets
+    (a repeated budget counts once, first-seen order kept)."""
+    budgets = dict.fromkeys(int(budget) for budget in budgets)
+    return [PolicyCandidate(name, (("activation_budget", budget),))
+            for name in sorted(POLICIES) for budget in budgets]
 
 
 def optimize_policies(fleet, episodes, base_config=None, seed: int = 0,
                       candidates: Optional[Sequence[PolicyCandidate]] = None,
-                      obs=None) -> List[Dict[str, Any]]:
-    """One-shot: replay ``episodes`` over candidates, ranked results."""
-    optimizer = TraceDrivenOptimizer(
-        fleet, base_config=base_config, seed=seed, candidates=candidates,
-        obs=obs)
-    return optimizer.run(episodes)
+                      ) -> List[Dict[str, Any]]:
+    """Replay ``episodes`` once per candidate; rows cheapest damage first.
+
+    Each candidate runs :meth:`FleetController.run` on its own topology
+    copy, and its cost is the link-seconds of capacity its segments
+    lose, priced by :func:`~repro.fleet.cost.segment_cost`.
+    """
+    from .controller import ControllerConfig, FleetController
+    from .topology import FleetTopology
+
+    episodes = list(episodes)
+    if not all(math.isfinite(episode.clear_s) for episode in episodes):
+        raise ValueError("every episode needs a finite clear_s")
+    if base_config is None:
+        base_config = ControllerConfig()
+    if candidates is None:
+        candidates = default_candidates()
+    if not candidates:
+        raise ValueError("need at least one candidate")
+    configs = [candidate.config(base_config) for candidate in candidates]
+    rows = []
+    for candidate, config in zip(candidates, configs):
+        outcome = FleetController(
+            FleetTopology(fleet, seed=seed), config,
+            fleet_policy(candidate.policy)).run(episodes)
+        cost = sum(
+            (segment.end_s - segment.start_s) * segment_cost(
+                segment.state, episodes[index].loss_rate)[0]
+            for index, segments in outcome.segments.items()
+            for segment in segments)
+        rows.append({
+            "label": candidate.label,
+            "policy": candidate.policy,
+            "overrides": dict(candidate.overrides),
+            "cost_link_seconds": cost,
+            **outcome.counts(),
+        })
+    rows.sort(key=lambda row: (row["cost_link_seconds"], row["label"]))
+    return rows

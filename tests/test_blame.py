@@ -5,7 +5,7 @@ harvester's windowing invariance and telemetry-loss model, the 007 vote
 (explain-away, noise bar, loss inversion), the accuracy evaluation at
 three telemetry-coverage levels against ground truth, the BlameMonitor
 driving FleetController to the same decisions as the counter oracle,
-and the activation-policy registry + trace-driven optimizer that rode
+and the activation-policy registry + trace-replay optimizer that rode
 along in ``repro.fleet.policies``.
 """
 
@@ -21,10 +21,11 @@ from repro.blame import (
 )
 from repro.core.rng import RngFactory
 from repro.fleet.controller import ControllerConfig, FleetController
+from repro.fleet.cost import segment_cost
 from repro.fleet.policies import (
     POLICIES, GreedyWorstLinkPolicy, IncrementalDeploymentPolicy,
-    PolicyCandidate, TraceDrivenOptimizer, default_candidates, fleet_policy,
-    optimize_policies, register_policy,
+    PolicyCandidate, default_candidates, fleet_policy, optimize_policies,
+    register_policy,
 )
 from repro.fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 from repro.monitor.corruptd import LossWindow
@@ -394,7 +395,7 @@ class TestPolicyRegistry:
             del POLICIES["null-test"]
 
 
-class TestTraceDrivenOptimizer:
+class TestOptimizePolicies:
     EPISODES = [
         CorruptionEpisode(link_id=3, onset_s=0.0, clear_s=400.0,
                           loss_rate=2e-3, mean_burst=1.0),
@@ -413,32 +414,43 @@ class TestTraceDrivenOptimizer:
         labels = {row["label"] for row in results}
         assert "incremental(activation_budget=8)" in labels
 
-    def test_incremental_feed_matches_batch_run(self):
-        batch = TraceDrivenOptimizer(SMALL_FLEET, seed=1)
-        batch_rows = batch.run(list(self.EPISODES))
-        fed = TraceDrivenOptimizer(SMALL_FLEET, seed=1)
-        events = []
-        for index, item in enumerate(self.EPISODES):
-            events.append((item.onset_s, 1, item.link_id, index))
-            events.append((item.clear_s, 0, item.link_id, index))
-        events.sort()
-        for time_s, kind, link_id, index in events:
-            if kind == 1:
-                fed.feed_onset(self.EPISODES[index])
-            else:
-                fed.feed_clear(link_id, time_s)
-        assert fed.results() == batch_rows
-
-    def test_custom_candidates_and_best(self):
+    def test_custom_candidates(self):
         candidates = [PolicyCandidate("incremental",
                                       (("activation_budget", 2),)),
                       PolicyCandidate("greedy-worst", ())]
-        optimizer = TraceDrivenOptimizer(
-            SMALL_FLEET, seed=1, candidates=candidates)
-        rows = optimizer.run(list(self.EPISODES))
+        rows = optimize_policies(SMALL_FLEET, self.EPISODES, seed=1,
+                                 candidates=candidates)
         assert {row["label"] for row in rows} == {
             "incremental(activation_budget=2)", "greedy-worst"}
-        assert optimizer.best() == rows[0]
+
+    def test_cost_prices_the_replayed_segments(self):
+        """A candidate's cost is its own FleetController.run outcome
+        priced segment by segment with the shared cost model."""
+        candidate = PolicyCandidate("incremental",
+                                    (("activation_budget", 2),))
+        [row] = optimize_policies(SMALL_FLEET, self.EPISODES, seed=1,
+                                  candidates=[candidate])
+        outcome = FleetController(
+            make_topology(), candidate.config(ControllerConfig()),
+            fleet_policy("incremental")).run(list(self.EPISODES))
+        assert row["cost_link_seconds"] == sum(
+            (seg.end_s - seg.start_s) * segment_cost(
+                seg.state, self.EPISODES[index].loss_rate)[0]
+            for index, segments in outcome.segments.items()
+            for seg in segments)
+        assert {key: row[key] for key in outcome.counts()} == \
+            outcome.counts()
+
+    def test_open_episode_is_refused(self):
+        open_ended = [episode(3, 0.0, float("inf"))]
+        with pytest.raises(ValueError, match="finite clear_s"):
+            optimize_policies(SMALL_FLEET, open_ended, seed=1)
+
+    def test_repeated_budget_is_one_candidate(self):
+        assert default_candidates([4, 8, 4]) == default_candidates([4, 8])
+        assert [c.label for c in default_candidates([8, 4])][:2] == [
+            "greedy-worst(activation_budget=8)",
+            "greedy-worst(activation_budget=4)"]
 
     def test_doing_nothing_costs_more(self):
         """Any active policy beats a zero-budget controller that can
@@ -457,3 +469,76 @@ class TestTraceDrivenOptimizer:
         hamstrung = [cost for label, cost in by_label.items()
                      if label != "incremental"][0]
         assert stock < hamstrung
+
+
+class TestOptimizerPins:
+    """``optimize_policies`` rows recorded before the optimizer became a
+    plain replay priced by ``segment_cost``: labels, order and counts
+    exactly, costs to 1e-12 relative."""
+
+    INCREMENTAL_2 = [PolicyCandidate("incremental",
+                                     (("activation_budget", 2),)),
+                     PolicyCandidate("greedy-worst", ())]
+    HAMSTRUNG = [PolicyCandidate("incremental", ()),
+                 PolicyCandidate("incremental", (
+                     ("activation_budget", 0), ("capacity_constraint", 1.0)))]
+    # (label, cost_link_seconds, activations, disables, blocked,
+    #  preemptions, max_concurrent_lg)
+    THREE_EPISODES = [
+        ("greedy-worst(activation_budget=64)", 112.85767975718292,
+         3, 0, 0, 0, 3),
+        ("greedy-worst(activation_budget=8)", 112.85767975718292,
+         3, 0, 0, 0, 3),
+        ("incremental(activation_budget=64)", 112.85767975718292,
+         3, 0, 0, 0, 3),
+        ("incremental(activation_budget=8)", 112.85767975718292,
+         3, 0, 0, 0, 3),
+    ]
+    THREE_EPISODES_INCREMENTAL_2 = [
+        ("greedy-worst", 112.85767975718292, 3, 0, 0, 0, 3),
+        ("incremental(activation_budget=2)", 262.9018970287508,
+         3, 0, 1, 0, 2),
+    ]
+    THREE_EPISODES_HAMSTRUNG = [
+        ("incremental", 112.85767975718292, 3, 0, 0, 0, 3),
+        ("incremental(activation_budget=0,capacity_constraint=1.0)",
+         869.6558948865543, 0, 0, 3, 0, 0),
+    ]
+    TRACE_30_DAYS = [
+        ("greedy-worst(activation_budget=64)", 396796.22742418037,
+         78, 0, 0, 0, 13),
+        ("greedy-worst(activation_budget=8)", 624962.7600967732,
+         83, 3, 1, 10, 8),
+        ("incremental(activation_budget=64)", 6686281.71648351,
+         46, 32, 0, 0, 10),
+        ("incremental(activation_budget=8)", 6709248.574755399,
+         46, 32, 2, 0, 8),
+    ]
+
+    @staticmethod
+    def assert_rows(rows, pinned):
+        assert [row["label"] for row in rows] == [pin[0] for pin in pinned]
+        for row, (_, cost, *counts) in zip(rows, pinned):
+            assert row["cost_link_seconds"] == pytest.approx(cost, rel=1e-12)
+            assert [row[key] for key in (
+                "activations", "disables", "blocked", "preemptions",
+                "max_concurrent_lg")] == counts
+
+    @pytest.mark.parametrize("candidates,pinned", [
+        (None, THREE_EPISODES),
+        (INCREMENTAL_2, THREE_EPISODES_INCREMENTAL_2),
+        (HAMSTRUNG, THREE_EPISODES_HAMSTRUNG),
+    ], ids=["default", "incremental-2", "hamstrung"])
+    def test_three_episodes(self, candidates, pinned):
+        rows = optimize_policies(SMALL_FLEET, TestOptimizePolicies.EPISODES,
+                                 seed=1, candidates=candidates)
+        self.assert_rows(rows, pinned)
+
+    def test_lifecycle_trace(self):
+        from repro.lifecycle import corruption_episodes
+        from repro.lifecycle.traces import TraceSpec
+
+        episodes = corruption_episodes(TraceSpec(SMALL_FLEET, 30.0, 7))
+        assert len(episodes) == 78
+        self.assert_rows(optimize_policies(SMALL_FLEET, episodes, seed=7),
+                         self.TRACE_30_DAYS)

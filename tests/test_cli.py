@@ -485,6 +485,32 @@ class TestInputErrorsAreOneLine:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("repro: error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--activation-budget", "-2", "--days", "1"],
+        ["blame", "optimize", "--budgets", "-1", "--days", "1"],
+        ["serve", "--activation-budget", "-2", "--port", "0"],
+    ], ids=["fleet", "blame-optimize", "serve"])
+    def test_negative_activation_budget_exits_two(self, argv, capsys):
+        """Was accepted: ``fleet`` ran, and ``blame optimize`` ranked,
+        a controller with a budget of -2 / -1."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: activation_budget must be >= 0\n")
+
+    def test_blame_optimize_ranks_a_repeated_budget_once(self, capsys):
+        import json
+
+        assert main(["blame", "optimize", "--budgets", "4,4", "--days", "2",
+                     "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert sorted(row["candidate"] for row in rows) == [
+            "greedy-worst(activation_budget=4)",
+            "incremental(activation_budget=4)"]
+
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--kind", "multihop", "--backend", "fastpath",
           "--axis", "loss_rate=1e-3"],

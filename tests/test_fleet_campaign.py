@@ -7,10 +7,7 @@ import pytest
 
 from repro.fleet.campaign import FleetCampaignSpec, run_fleet_campaign
 from repro.fleet.controller import ControllerConfig
-from repro.fleet.cost import (
-    DISABLED, EXPOSED, PROTECTED, segment_cost, unprotected_goodput_fraction,
-)
-from repro.fleet.policies import TraceDrivenOptimizer
+from repro.fleet.cost import segment_cost, unprotected_goodput_fraction
 from repro.fleet.topology import FleetSpec
 from repro.lifecycle.replay import (
     arbitrate, chunk_sweep, run_chunk, run_replay, shard_bounds,
@@ -236,12 +233,3 @@ class TestViewOfReplay:
             for seg in segments)
         assert result.slos["fleet_goodput_fraction"] == pytest.approx(
             1.0 - lost / (campaign.fleet.n_links * duration_s), abs=1e-9)
-
-    @pytest.mark.parametrize("action,state", [
-        ("disable", DISABLED), ("activate", PROTECTED),
-        ("blocked", EXPOSED), ("preempt", EXPOSED),
-    ])
-    def test_optimizer_weight_is_the_shared_cost(self, action, state):
-        for loss_rate in (1e-7, 3e-5, 1e-3, 1e-2):
-            assert TraceDrivenOptimizer._weight(action, loss_rate) == \
-                segment_cost(state, loss_rate)[0]

@@ -47,6 +47,33 @@ class TestPolicyRegistry:
             assert cls.name == name
 
 
+class TestControllerConfigBounds:
+    @pytest.mark.parametrize("field,value", [
+        ("activation_budget", -1),
+        ("capacity_constraint", -0.1), ("capacity_constraint", 1.5),
+        ("pod_capacity_floor", -0.5), ("pod_capacity_floor", 2.0),
+        ("lg_deployment_fraction", -0.01), ("lg_deployment_fraction", 7.0),
+        ("lg_target_loss", 0.0), ("lg_target_loss", 1.0),
+    ])
+    def test_out_of_range_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ControllerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_closed_unit_interval_ends_are_accepted(self, value):
+        ControllerConfig(activation_budget=0, capacity_constraint=value,
+                         pod_capacity_floor=value,
+                         lg_deployment_fraction=value)
+
+    def test_service_config_document_is_refused(self):
+        from repro.service import ServiceConfig
+
+        with pytest.raises(ValueError):
+            ServiceConfig.from_dict({"controller": {
+                "activation_budget": -5, "lg_deployment_fraction": 7.0,
+                "lg_target_loss": 0.0}})
+
+
 class TestIncrementalDeploymentPolicy:
     def test_disables_first_when_capacity_allows(self):
         _, outcome = run_policy(
