@@ -223,8 +223,8 @@ def interp_log_loss(loss_rate, points):
     ``points`` is a sequence of ``(loss_rate, value)`` pairs sorted by
     loss rate; values clamp at both ends and ``loss_rate <= 0`` maps to
     the first value.  The planner's Figure 8 capacity table
-    (``fleet.cost.FIG8_POINTS``) is read through this function too, once
-    per activation, so the log table is built once per distinct table.
+    (``fleet.cost.FIG8_POINTS``) is read through this function too, so
+    the log table is built once per distinct table.
     """
     p = np.asarray(loss_rate, dtype=np.float64)
     xs, ys, low, high = _log_loss_table(tuple(map(tuple, points)))

@@ -1,9 +1,9 @@
 """What a corrupting link costs while it sits in one controller state.
 
 The planner's single cost model: the lifecycle per-day rollup, the
-one-shot fleet campaign, the trace-driven policy optimizer, the
-controller's activation check and the service's what-if preview all read
-their numbers here, and so does the §4.8 deployment study.
+one-shot fleet campaign, the policy optimizer, the controller's
+activation check and the service's what-if preview all read their
+numbers here, and so does the §4.8 deployment study.
 :func:`segment_cost` is the only place the EXPOSED / PROTECTED / DISABLED
 branch exists; :func:`lg_effective_loss_rate` and
 :func:`lg_effective_speed_fraction` are the one ``loss rate -> (effective
@@ -63,9 +63,13 @@ def lg_effective_loss_rate(loss_rate: float, target: float = 1e-8) -> float:
     return expected_effective_loss(loss_rate, retx_copies(loss_rate, target))
 
 
+@lru_cache(maxsize=4096)
 def lg_effective_speed_fraction(loss_rate: float) -> float:
     """Effective link speed under ordered LinkGuardian: log-linear
-    interpolation of :data:`FIG8_POINTS`; a dead link carries nothing."""
+    interpolation of :data:`FIG8_POINTS`; a dead link carries nothing.
+    Memoized like :func:`lg_effective_loss_rate`: the controller's
+    activation check and the PROTECTED segment price ask for the same
+    episode's rate."""
     if loss_rate >= 1.0:
         return 0.0
     return float(interp_log_loss(loss_rate, FIG8_POINTS))

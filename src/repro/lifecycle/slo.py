@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
+import numpy as np
+
 from ..core.spec import Spec
 from ..fleet.controller import ControllerOutcome
 from ..fleet.cost import DISABLED, EXPOSED, PROTECTED, segment_cost
@@ -81,6 +83,25 @@ DAY_COLUMNS = (
 )
 
 
+def _day_windows(starts, ends, day_lo: int, day_hi: int):
+    """Every ``[start, end)`` row's overlap with the days of
+    ``[day_lo, day_hi)`` as aligned ``(row, local day, seconds)`` arrays:
+    rows in input order, days ascending within a row, empty overlaps
+    dropped — the order a per-row loop over the days visits them."""
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+    first = np.maximum((starts / DAY_S).astype(np.int64), day_lo)
+    last = np.minimum((ends / DAY_S).astype(np.int64), day_hi - 1)
+    count = np.where(ends > starts, np.maximum(last - first + 1, 0), 0)
+    row = np.repeat(np.arange(len(starts)), count)
+    day = (first[row] + np.arange(len(row))
+           - np.repeat(np.cumsum(count) - count, count))
+    span = (np.minimum(ends[row], (day + 1) * DAY_S)
+            - np.maximum(starts[row], day * DAY_S))
+    keep = span > 0
+    return row[keep], day[keep] - day_lo, span[keep]
+
+
 def accumulate_days(
     replay,
     day_lo: int,
@@ -113,43 +134,42 @@ def accumulate_days(
         for d in range(n_days)
     ]
 
-    state_s = {state: [0.0] * n_days
-               for state in (EXPOSED, PROTECTED, DISABLED)}
-    affected = [0.0] * n_days
-    affected_exposed = [0.0] * n_days
-    goodput_delta = [0.0] * n_days
-    pod_lost = [[0.0] * n_pods for _ in range(n_days)]
+    def fold(day, weights, minlength=n_days):
+        """Per-day sums: ``bincount`` adds each bin's weights in input
+        order from 0.0, the per-row loop's own summation.  An empty input
+        comes back int64, hence the cast."""
+        return np.bincount(day, weights, minlength).astype(np.float64)
 
-    def day_windows(start_s: float, end_s: float):
-        """(local day index, overlap seconds) for the chunk's day range."""
-        if end_s <= start_s:
-            return
-        first = max(int(start_s / DAY_S), day_lo)
-        last = min(int(end_s / DAY_S), day_hi - 1)
-        for day in range(first, last + 1):
-            span = min(end_s, (day + 1) * DAY_S) - max(start_s, day * DAY_S)
-            if span > 0:
-                yield day - day_lo, span
-
+    # -- segment pricing: one segment_cost call per controller segment ----
+    states: List[str] = []
+    rows: List[Tuple[float, float, int, float, float]] = []
     for index, segments in sorted(outcome.segments.items()):
         episode = episodes[index].episode
         pod = min(episode.link_id // links_per_pod, n_pods - 1)
         for segment in segments:
-            exposed = segment.state == EXPOSED
             cost, fraction = segment_cost(
                 segment.state, episode.loss_rate, replay.flow_packets,
                 replay.controller.lg_target_loss,
-                affected_of(index) if exposed else 0.0)
-            for day, span in day_windows(segment.start_s, segment.end_s):
-                flows = flows_per_link_per_s * span * fraction
-                state_s[segment.state][day] += span
-                affected[day] += flows
-                goodput_delta[day] += span * cost
-                if exposed:
-                    affected_exposed[day] += flows
-                else:
-                    # exposed links still carry traffic at full capacity
-                    pod_lost[day][pod] += span * cost
+                affected_of(index) if segment.state == EXPOSED else 0.0)
+            states.append(segment.state)
+            rows.append((segment.start_s, segment.end_s, pod, cost, fraction))
+    start, end, pod, cost, fraction = np.array(
+        rows, dtype=np.float64).reshape(-1, 5).T
+    row, day, span = _day_windows(start, end, day_lo, day_hi)
+    state = np.array(states, dtype=str)[row]
+    exposed = state == EXPOSED
+    flows = flows_per_link_per_s * span * fraction[row]
+    lost = span * cost[row]
+    state_s = {name: fold(day[state == name], span[state == name])
+               for name in (EXPOSED, PROTECTED, DISABLED)}
+    affected = fold(day, flows)
+    affected_exposed = fold(day[exposed], flows[exposed])
+    goodput_delta = fold(day, lost)
+    # exposed links still carry traffic at full capacity
+    carried = ~exposed
+    pod_lost = fold(
+        day[carried] * n_pods + pod[row][carried].astype(np.int64),
+        lost[carried], n_days * n_pods).reshape(n_days, n_pods)
 
     # Clamp instants landing exactly on the trace end into the (global)
     # final day — never into the *chunk's* final day, which would pull
@@ -160,61 +180,58 @@ def accumulate_days(
     decisions = {name: [0] * n_days
                  for name in ("activate", "disable", "blocked", "preempt")}
     for decision in outcome.decisions:
-        day = min(int(decision.time_s / DAY_S), last_day)
-        if day_lo <= day < day_hi and decision.action in decisions:
-            decisions[decision.action][day - day_lo] += 1
+        day_of = min(int(decision.time_s / DAY_S), last_day)
+        if day_lo <= day_of < day_hi and decision.action in decisions:
+            decisions[decision.action][day_of - day_lo] += 1
 
     # -- repair-queue occupancy (global sweep, day-range projection) ------
-    queue_events: List[Tuple[float, int]] = []
-    onsets = [0] * n_days
-    for repaired in episodes:
-        onset = repaired.episode.onset_s
-        clear = min(onset + repaired.repair_delay_s, duration_s)
-        queue_events.append((onset, 1))
-        if clear > onset:
-            queue_events.append((clear, -1))
-        day = min(int(onset / DAY_S), last_day)
-        if day_lo <= day < day_hi:
-            onsets[day - day_lo] += 1
-    queue_events.sort()
-    depth_max = [0] * n_days
-    depth_weight = [0.0] * n_days
-    depth, cursor = 0, 0.0
-    for time_s, delta in queue_events:
-        for day, span in day_windows(cursor, min(time_s, duration_s)):
-            depth_weight[day] += span * depth
-            depth_max[day] = max(depth_max[day], depth)
-        cursor = min(time_s, duration_s)
-        depth += delta
-        day = int(min(time_s, duration_s - 1e-9) / DAY_S)
-        if day_lo <= day < day_hi:
-            depth_max[day - day_lo] = max(depth_max[day - day_lo], depth)
-    for day, span in day_windows(cursor, duration_s):
-        depth_weight[day] += span * depth
-        depth_max[day] = max(depth_max[day], depth)
+    onset = np.array([r.episode.onset_s for r in episodes], dtype=np.float64)
+    clear = np.minimum(
+        onset + np.array([r.repair_delay_s for r in episodes],
+                         dtype=np.float64), duration_s)
+    onset_day = np.minimum((onset / DAY_S).astype(np.int64), last_day)
+    in_range = (day_lo <= onset_day) & (onset_day < day_hi)
+    onsets = np.bincount(onset_day[in_range] - day_lo, minlength=n_days)
+    # +1 at every onset, -1 at every clear after it, in (time, delta) order
+    times = np.concatenate([onset, clear[clear > onset]])
+    deltas = np.concatenate([np.ones(len(onset), dtype=np.int64),
+                             np.full(len(times) - len(onset), -1)])
+    order = np.lexsort((deltas, times))
+    times = times[order]
+    depth = np.cumsum(deltas[order])
+    # the queue sits at depth[k] over the gap [c_k, c_{k+1})
+    cursor = np.minimum(times, duration_s)
+    level = np.concatenate([[0], depth])
+    row, day, span = _day_windows(np.concatenate([[0.0], cursor]),
+                                  np.concatenate([cursor, [duration_s]]),
+                                  day_lo, day_hi)
+    depth_weight = fold(day, span * level[row])
+    depth_max = np.zeros(n_days, dtype=np.int64)
+    np.maximum.at(depth_max, day, level[row])
+    instant = (np.minimum(times, duration_s - 1e-9) / DAY_S).astype(np.int64)
+    in_range = (day_lo <= instant) & (instant < day_hi)
+    np.maximum.at(depth_max, instant[in_range] - day_lo, depth[in_range])
 
     # -- capacity-floor violations (pod-days below the floor) -------------
-    violations = [0] * n_days
-    for d in range(n_days):
-        for pod in range(n_pods):
-            capacity = 1.0 - pod_lost[d][pod] / (links_per_pod * day_span[d])
-            if capacity < replay.controller.pod_capacity_floor:
-                violations[d] += 1
+    capacity = 1.0 - pod_lost / (links_per_pod * np.array(day_span))[:, None]
+    violations = (capacity < replay.controller.pod_capacity_floor).sum(axis=1)
 
+    # Python floats from here on: numpy's round() is not Python's.
     link_day = [n_links * span for span in day_span]
     flow_day = [n_links * flows_per_link_per_s * span for span in day_span]
     days = {
         "day": list(range(day_lo, day_hi)),
         "goodput_fraction": [
-            round(1.0 - goodput_delta[d] / link_day[d], 12)
-            for d in range(n_days)
+            round(1.0 - delta / link, 12)
+            for delta, link in zip(goodput_delta.tolist(), link_day)
         ],
         "affected_flow_fraction": [
-            round(affected[d] / flow_day[d], 12) for d in range(n_days)
+            round(flows / total, 12)
+            for flows, total in zip(affected.tolist(), flow_day)
         ],
-        "exposed_link_s": [round(v, 6) for v in state_s[EXPOSED]],
-        "protected_link_s": [round(v, 6) for v in state_s[PROTECTED]],
-        "disabled_link_s": [round(v, 6) for v in state_s[DISABLED]],
+        "exposed_link_s": [round(v, 6) for v in state_s[EXPOSED].tolist()],
+        "protected_link_s": [round(v, 6) for v in state_s[PROTECTED].tolist()],
+        "disabled_link_s": [round(v, 6) for v in state_s[DISABLED].tolist()],
         "activations": decisions["activate"],
         "disables": decisions["disable"],
         "blocked": decisions["blocked"],
@@ -223,15 +240,16 @@ def accumulate_days(
             decisions["activate"][d] + decisions["preempt"][d]
             for d in range(n_days)
         ],
-        "capacity_floor_violations": violations,
-        "repair_queue_depth_max": depth_max,
+        "capacity_floor_violations": violations.tolist(),
+        "repair_queue_depth_max": depth_max.tolist(),
         "repair_queue_depth_mean": [
-            round(depth_weight[d] / day_span[d], 6) for d in range(n_days)
+            round(weight / span, 6)
+            for weight, span in zip(depth_weight.tolist(), day_span)
         ],
-        "episode_onsets": onsets,
+        "episode_onsets": onsets.tolist(),
     }
-    return days, [round(affected_exposed[d] / flow_day[d], 12)
-                  for d in range(n_days)]
+    return days, [round(flows / total, 12)
+                  for flows, total in zip(affected_exposed.tolist(), flow_day)]
 
 
 def summarize_days(days: Dict[str, list], slo: SloConfig) -> Dict[str, float]:

@@ -141,8 +141,9 @@ async def write_response(writer: asyncio.StreamWriter,
             "Connection: close"]
     for name, value in response.headers.items():
         head.append(f"{name}: {value}")
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-    writer.write(response.body)
+    # head and body in one write: a small reply leaves in one send
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+                 + response.body)
     await writer.drain()
 
 
