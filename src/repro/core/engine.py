@@ -16,12 +16,31 @@ Two implementations ship:
   ``bisect`` insert; pushes into future buckets are plain appends with
   one day-heap operation per *distinct* bucket, not per event.
 
-Both hold ``(time, seq, event, callback, args)`` tuples — ``seq`` the
-simulator's insertion counter, unique, so ``heapq``/``bisect``/``sort``
-order two entries in C on two ints and never look past them — and so
-both maintain the same total order: dispatch is bit-identical between
-them (guaranteed by tests, relied on by every "same seed ⇒ same bytes"
-claim in the repo).
+Both hold ``(time, caused_at, seq, event, callback, args)`` tuples and
+order them by ``(time, caused_at, seq)``: when an event is due, then
+when what it stands for was caused, then the simulator's insertion
+counter — unique, so ``heapq``/``bisect``/``sort`` order two entries in
+C on three ints and never look past them.  Both therefore maintain the
+same total order: dispatch is bit-identical between them (guaranteed by
+tests, relied on by every "same seed ⇒ same bytes" claim in the repo).
+
+``schedule`` keys ``caused_at = now``, so among its entries
+``(caused_at, seq)`` sorts exactly as ``seq`` alone.  Two kinds of entry
+carry an earlier key than their push would draw:
+
+* a *hop* (:meth:`Simulator.schedule_via`): a frame's wire time plus the
+  fixed latency behind it (a switch pipeline, a host stack) is one
+  event, keyed ``caused_at = now + hop`` with a ``seq`` drawn at
+  transmit — the instant and the counter position of the arrival event
+  it replaces;
+* a :class:`Timer` re-armed to a later deadline keeps its pending entry,
+  which wakes at the old deadline and re-enters under the key the
+  re-arm drew.
+
+One order of simultaneous events differs from the two-event hop: an
+event already pending when a frame left, firing at the nanosecond it
+arrives and scheduling a child for the nanosecond its handler runs —
+the hop's handler now runs before that child.
 
 :meth:`Simulator.run` is the only per-event loop in the tree: one
 ``pop_due`` and one handler call per event, nothing else.  A driver
@@ -46,12 +65,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "Event", "EventQueue", "HeapEventQueue", "CalendarEventQueue",
-    "Simulator", "SimError",
+    "Simulator", "SimError", "Timer",
 ]
 
-#: one pending-set entry: ``(time, seq, event, callback, args)`` — what
-#: orders it, the handle that can cancel it, what to call when it is due
-Entry = Tuple[int, int, "Event", Callable[..., Any], Tuple]
+#: one pending-set entry: ``(time, caused_at, seq, event, callback,
+#: args)`` — what orders it, the handle that can cancel it, what to call
+#: when it is due
+Entry = Tuple[int, int, int, "Event", Callable[..., Any], Tuple]
 
 #: ``pop_due`` bound meaning "whatever is next" (integer time never gets here)
 _FOREVER = sys.maxsize
@@ -93,8 +113,9 @@ class Event:
 
 
 class EventQueue:
-    """The pending-event set: a strict ``(time, seq)`` priority queue
-    of ``(time, seq, event, callback, args)`` entries.
+    """The pending-event set: a strict ``(time, caused_at, seq)``
+    priority queue of ``(time, caused_at, seq, event, callback, args)``
+    entries.
 
     The contract every implementation must honor (and that
     ``tests/test_engine.py`` locks in):
@@ -104,8 +125,8 @@ class EventQueue:
       (whatever their time), then removes and returns the next live
       entry if its time is ``<= until``, else returns ``None`` and
       leaves it pending.  Successive calls return entries in ascending
-      ``(time, seq)`` order — same-time events fire FIFO in insertion
-      order;
+      ``(time, caused_at, seq)`` order — same-time events caused at the
+      same instant fire FIFO in insertion order;
     * ``peek_time()`` returns the timestamp the next ``pop_due`` would
       look at, discarding cancelled heads the same way, without
       consuming a live entry;
@@ -124,9 +145,9 @@ class EventQueue:
       touch this queue's accounting.
 
     Implementations order entries by comparing the tuples — ``seq`` is
-    unique, so the comparison is decided on two ints and never reaches
+    unique, so the comparison is decided on three ints and never reaches
     the event or the callback — and otherwise read only
-    ``entry[2].cancelled``.  That is what makes dispatch order
+    ``entry[3].cancelled``.  That is what makes dispatch order
     bit-identical across implementations.
     """
 
@@ -185,7 +206,7 @@ class HeapEventQueue(EventQueue):
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2].cancelled:
+            if entry[3].cancelled:
                 heappop(heap)
                 self.cancelled_pending -= 1
             elif entry[0] > until:
@@ -196,7 +217,7 @@ class HeapEventQueue(EventQueue):
 
     def peek_time(self) -> Optional[int]:
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][3].cancelled:
             heappop(heap)
             self.cancelled_pending -= 1
         return heap[0][0] if heap else None
@@ -217,7 +238,7 @@ class HeapEventQueue(EventQueue):
             entry = heap[index]
             if best is not None and entry[0] >= best:
                 continue
-            if entry[2].cancelled or skip(entry):
+            if entry[3].cancelled or skip(entry):
                 stack.append(2 * index + 1)
                 stack.append(2 * index + 2)
             else:
@@ -225,7 +246,7 @@ class HeapEventQueue(EventQueue):
         return best
 
     def compact(self) -> int:
-        live = [entry for entry in self._heap if not entry[2].cancelled]
+        live = [entry for entry in self._heap if not entry[3].cancelled]
         removed = len(self._heap) - len(live)
         heapify(live)
         self._heap = live
@@ -234,7 +255,7 @@ class HeapEventQueue(EventQueue):
 
     def clear(self) -> None:
         for entry in self._heap:
-            entry[2].owner = None
+            entry[3].owner = None
         self._heap.clear()
         self.cancelled_pending = 0
 
@@ -277,9 +298,10 @@ class CalendarEventQueue(EventQueue):
         day = entry[0] // self._bucket_ns
         self._len = pending = self._len + 1
         if day == self._cur_day:
-            # Into the day being drained: keep (time, seq) order.  New
-            # entries sort at/after the cursor (time >= now), so the
-            # search range starts there.
+            # Into the day being drained: keep (time, caused_at, seq)
+            # order.  New entries sort at/after the cursor (a key drawn
+            # now, or a re-entering timer's, is past every popped one),
+            # so the search range starts there.
             insort(self._cur, entry, self._cur_idx)
             return pending
         if day < self._cur_day and self._cur_idx < len(self._cur):
@@ -326,7 +348,7 @@ class CalendarEventQueue(EventQueue):
                     return None
                 continue
             entry = cur[index]
-            if entry[2].cancelled:
+            if entry[3].cancelled:
                 self._cur_idx = index + 1
                 self._len -= 1
                 self.cancelled_pending -= 1
@@ -351,7 +373,7 @@ class CalendarEventQueue(EventQueue):
                     return None
                 continue
             entry = self._cur[index]
-            if not entry[2].cancelled:
+            if not entry[3].cancelled:
                 return entry[0]
             self._cur_idx = index + 1
             self._len -= 1
@@ -362,18 +384,18 @@ class CalendarEventQueue(EventQueue):
         for bucket in (self._cur[self._cur_idx:], *self._days.values()):
             for entry in bucket:
                 if ((best is None or entry[0] < best)
-                        and not entry[2].cancelled and not skip(entry)):
+                        and not entry[3].cancelled and not skip(entry)):
                     best = entry[0]
         return best
 
     def compact(self) -> int:
         removed = 0
-        live = [e for e in self._cur[self._cur_idx:] if not e[2].cancelled]
+        live = [e for e in self._cur[self._cur_idx:] if not e[3].cancelled]
         removed += len(self._cur) - self._cur_idx - len(live)
         self._cur = live
         self._cur_idx = 0
         for day in list(self._days):
-            bucket = [e for e in self._days[day] if not e[2].cancelled]
+            bucket = [e for e in self._days[day] if not e[3].cancelled]
             removed += len(self._days[day]) - len(bucket)
             if bucket:
                 self._days[day] = bucket
@@ -386,7 +408,7 @@ class CalendarEventQueue(EventQueue):
     def clear(self) -> None:
         for bucket in (self._cur[self._cur_idx:], *self._days.values()):
             for entry in bucket:
-                entry[2].owner = None
+                entry[3].owner = None
         self._days.clear()
         self._day_heap.clear()
         self._cur_day = -1
@@ -549,11 +571,63 @@ class Simulator:
             event = Event(self)
         if delay.__class__ is not int:
             delay = int(delay)
+        now = self.now
         pending = self._push(
-            (self.now + delay, next(self._seq), event, callback, args))
+            (now + delay, now, next(self._seq), event, callback, args))
         if pending > self._heap_high_watermark:
             self._heap_high_watermark = pending
         return event
+
+    def schedule_via(self, hop: int, delay: int,
+                     callback: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` ``delay`` ns after a ``hop`` that
+        starts now — a frame's wire time, then the pipeline or stack
+        behind it — as one event.
+
+        It is keyed as if ``hop`` were an event of its own that
+        schedules the callback when it fires: ``caused_at = now + hop``
+        with a ``seq`` drawn now, exactly where that arrival event would
+        sort.  (The one order this does not reproduce is in the module
+        docstring.)
+        """
+        if hop < 0 or delay < 0:
+            raise SimError(
+                f"cannot schedule in the past (hop={hop}, delay={delay})")
+        pool = self._pool
+        if pool:
+            event = pool.pop()
+            event.cancelled = False
+            event.owner = self
+        else:
+            event = Event(self)
+        arrival = self.now + hop
+        pending = self._push(
+            (arrival + delay, arrival, next(self._seq), event, callback, args))
+        if pending > self._heap_high_watermark:
+            self._heap_high_watermark = pending
+        return event
+
+    def _enter(self, time: int, caused_at: int, seq: int,
+               callback: Callable[..., Any], args: Tuple) -> Event:
+        """Push an entry under a key drawn elsewhere (a :class:`Timer`'s).
+        ``schedule`` and ``schedule_via`` spell this out inline: one
+        Python frame per scheduled event, not two."""
+        pool = self._pool
+        if pool:
+            event = pool.pop()
+            event.cancelled = False
+            event.owner = self
+        else:
+            event = Event(self)
+        pending = self._push((time, caused_at, seq, event, callback, args))
+        if pending > self._heap_high_watermark:
+            self._heap_high_watermark = pending
+        return event
+
+    def timer(self, callback: Callable[[], Any]) -> "Timer":
+        """A re-armable one-shot timer calling ``callback()`` (see
+        :class:`Timer`)."""
+        return Timer(self, callback)
 
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute time (ns)."""
@@ -569,8 +643,8 @@ class Simulator:
 
         An idle loop is background chatter that re-arms itself forever
         (LinkGuardian's dummy and explicit-ACK queues).  Its entries are
-        ordinary events — same ``(time, seq)`` order, same dispatch —
-        that :meth:`idle_horizon` may look past while
+        ordinary events — same ``(time, caused_at, seq)`` order, same
+        dispatch — that :meth:`idle_horizon` may look past while
         ``loop.coastable()`` holds.
         """
         self._idle[loop] = self._idle.get(loop, 0) + 1
@@ -612,7 +686,7 @@ class Simulator:
         fire, landings = self._fire_idle, self._landings
 
         def chatter(entry) -> bool:
-            callback, args = entry[3], entry[4]
+            callback, args = entry[4], entry[5]
             if callback is fire:
                 return args[0].coastable()
             quiet = landings.get(callback)
@@ -640,7 +714,7 @@ class Simulator:
 
         Later events stay pending and the clock stays at the current
         event's time, so a following ``run()`` resumes at the next
-        ``(time, seq)``.  Outside a run this does nothing.
+        ``(time, caused_at, seq)``.  Outside a run this does nothing.
         """
         self._stopped = True
 
@@ -689,7 +763,7 @@ class Simulator:
                 if entry is None:
                     drained = True
                     break
-                self.now, _, event, callback, args = entry
+                self.now, _, _, event, callback, args = entry
                 self._events_processed += 1
                 dispatched += 1
                 event.owner = None
@@ -730,8 +804,10 @@ class Simulator:
         for its current run, not its lifetime.  Dropped events are
         orphaned and pooled ones discarded, so no handle from before
         the clear can reach this simulator's accounting or a later
-        event.  The idle-loop registry goes with the queue: a loop whose
-        replenish was dropped has none pending and can be primed again."""
+        event (a :class:`Timer` whose entry was dropped pushes a new one
+        when next armed).  The idle-loop registry goes with the queue: a
+        loop whose replenish was dropped has none pending and can be
+        primed again."""
         self._queue.clear()
         self._pool.clear()
         self._idle.clear()
@@ -741,3 +817,72 @@ class Simulator:
         self._events_compacted = 0
         self._heap_high_watermark = 0
         self._wall_seconds = 0.0
+
+
+class Timer:
+    """A one-shot timer that is re-armed far more often than it fires.
+
+    A transport's retransmission and probe timers move out on every
+    send and every ACK.  :meth:`arm` keys the deadline exactly as
+    ``cancel()`` + ``schedule(delay, callback)`` would — ``(now + delay,
+    now, seq)`` with a ``seq`` drawn now — but only pushes when it has to:
+
+    * while the pending entry is due at or before the new deadline,
+      ``arm`` just records the new key.  The entry wakes at its own
+      time, sees that it is stale and re-enters under the recorded key
+      (no new ``seq``), so the callback runs where a fresh push would
+      have run it.  A re-arm to the *same* deadline is stale too: what
+      decides is the recorded key, not the time;
+    * a deadline earlier than the pending entry cancels it and pushes.
+
+    A wake that re-enters is a dispatched event: one per time the
+    deadline outlives the pending entry, not one cancel and push per
+    re-arm.
+    """
+
+    __slots__ = ("_sim", "_callback", "_fire", "_key", "_pushed", "_event")
+
+    def __init__(self, sim: Simulator, callback: Callable[[], Any]) -> None:
+        self._sim = sim
+        self._callback = callback
+        self._fire = self._wake
+        #: ``(deadline, caused_at, seq)`` armed, or None
+        self._key: Optional[Tuple[int, int, int]] = None
+        #: the key the pending entry was pushed under
+        self._pushed: Optional[Tuple[int, int, int]] = None
+        #: the pending entry's handle, or None
+        self._event: Optional[Event] = None
+
+    def arm(self, delay: int) -> None:
+        """(Re)start the timer to fire ``delay`` ns from now."""
+        sim = self._sim
+        if delay < 0:
+            raise SimError(f"cannot schedule in the past (delay={delay})")
+        now = sim.now
+        self._key = key = (now + int(delay), now, next(sim._seq))
+        event = self._event
+        if event is not None:
+            if event.owner is not None and self._pushed[0] <= key[0]:
+                return
+            event.cancel()
+        self._push(key)
+
+    def cancel(self) -> None:
+        """Disarm; nothing fires until the next :meth:`arm`."""
+        self._key = None
+        event = self._event
+        if event is not None:
+            self._event = None
+            event.cancel()
+
+    def _push(self, key: Tuple[int, int, int]) -> None:
+        self._pushed = key
+        self._event = self._sim._enter(*key, self._fire, ())
+
+    def _wake(self) -> None:
+        key = self._key
+        if key is not self._pushed:
+            self._push(key)
+            return
+        self._key = self._event = None
+        self._callback()

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.engine import Simulator
 from ..packets.packet import Packet
-from ..switchsim.link import Link
+from ..switchsim.link import Ingress, Link
 from ..switchsim.port import EgressPort
 from ..switchsim.queues import Queue
 from ..switchsim.switch import Switch
@@ -58,7 +58,7 @@ class Host:
         """Cable this host to ``switch`` (both directions) and install routes."""
         uplink = Link(
             self.sim, propagation_ns,
-            receiver=switch.receiver_for(self.name),
+            receiver=switch.ingress(),
             name=f"{self.name}->{switch.name}",
             obs=self.obs,
         )
@@ -68,7 +68,7 @@ class Host:
         )
         downlink = Link(
             self.sim, propagation_ns,
-            receiver=self._on_wire_packet,
+            receiver=Ingress(self.stack_delay_ns, self._dispatch),
             name=f"{switch.name}->{self.name}",
             obs=self.obs,
         )
@@ -82,9 +82,6 @@ class Host:
         if self.nic is None:
             raise RuntimeError(f"host {self.name} is not attached to a switch")
         self.sim.schedule(self.stack_delay_ns, self.nic.enqueue, packet, 0)
-
-    def _on_wire_packet(self, packet: Packet) -> None:
-        self.sim.schedule(self.stack_delay_ns, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet) -> None:
         self.received += 1

@@ -108,11 +108,11 @@ class BidirectionalProtectedLink:
         port_ba = f"lg2:{switch_a.name}"
 
         self.link_ab = Link(
-            sim, propagation_ns, receiver=switch_b.receiver_for(port_ba),
+            sim, propagation_ns, receiver=switch_b.ingress(),
             loss=loss_ab, name=f"{switch_a.name}->{switch_b.name}",
         )
         self.link_ba = Link(
-            sim, propagation_ns, receiver=switch_a.receiver_for(port_ab),
+            sim, propagation_ns, receiver=switch_a.ingress(),
             loss=loss_ba, name=f"{switch_b.name}->{switch_a.name}",
         )
 
@@ -133,7 +133,8 @@ class BidirectionalProtectedLink:
             endpoint.port = port
             endpoint.switch = switch
 
-        for endpoint, switch in ((self.a, switch_a), (self.b, switch_b)):
+        for endpoint, switch, link in ((self.a, switch_a, self.link_ba),
+                                       (self.b, switch_b, self.link_ab)):
             endpoint.sender = LgSender(
                 sim, config, endpoint.port.egress, n_copies=1,
                 forward_reverse=None,
@@ -156,7 +157,7 @@ class BidirectionalProtectedLink:
             egress.on_dequeue = endpoint.on_dequeue
             egress.on_transmit = endpoint.on_transmit
             endpoint.port.egress_handler = endpoint.egress_handler
-            endpoint.port.ingress_handler = self._pipelined(switch, endpoint.ingress_handler)
+            link.ingress.handler = endpoint.ingress_handler
 
         self.port_ab_name = port_ab
         self.port_ba_name = port_ba
@@ -173,9 +174,6 @@ class BidirectionalProtectedLink:
         return lambda packet: self.sim.schedule(
             switch.pipeline_ns, switch.forward, packet
         )
-
-    def _pipelined(self, switch: Switch, handler):
-        return lambda packet: self.sim.schedule(switch.pipeline_ns, handler, packet)
 
     # -- control plane -----------------------------------------------------------
 

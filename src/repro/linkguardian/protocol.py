@@ -75,7 +75,7 @@ class ProtectedLink:
         # Forward direction: sender switch -> (corrupting) -> receiver switch.
         self.forward_link = Link(
             sim, propagation_ns,
-            receiver=receiver_switch.receiver_for(rev_name),
+            receiver=receiver_switch.ingress(),
             loss=loss,
             name=f"{sender_switch.name}->{receiver_switch.name}",
             obs=obs,
@@ -97,7 +97,7 @@ class ProtectedLink:
         # Reverse direction: receiver switch -> sender switch.
         self.reverse_link = Link(
             sim, propagation_ns,
-            receiver=sender_switch.receiver_for(fwd_name),
+            receiver=sender_switch.ingress(),
             loss=reverse_loss,
             name=f"{receiver_switch.name}->{sender_switch.name}",
             obs=obs,
@@ -142,16 +142,13 @@ class ProtectedLink:
             self.receiver_port.egress.attach_obs(obs)
 
         # Hook the endpoints into the switch datapaths.  Ingress-side LG
-        # processing (loss detection, notification/ACK handling) happens
-        # one pipeline pass after the frame leaves the wire, as on Tofino.
+        # processing (loss detection, notification/ACK handling) takes
+        # the place of forwarding, one pipeline pass after the frame
+        # leaves the wire, as on Tofino.
         self.sender_port.egress_handler = self.sender.send
-        self.receiver_port.ingress_handler = lambda packet: sim.schedule(
-            receiver_switch.pipeline_ns, self.receiver.on_link_packet, packet
-        )
+        self.forward_link.ingress.handler = self.receiver.on_link_packet
         self.receiver_port.egress_handler = self.receiver.on_reverse_data
-        self.sender_port.ingress_handler = lambda packet: sim.schedule(
-            sender_switch.pipeline_ns, self.sender.on_reverse_packet, packet
-        )
+        self.reverse_link.ingress.handler = self.sender.on_reverse_packet
 
         # Each self-replenishing loop learns which endpoint its frames
         # land on and how long after leaving, so a quiet link can coast

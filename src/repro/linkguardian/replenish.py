@@ -21,12 +21,12 @@ that is provably so (:meth:`coastable`), the loop books every cycle
 whose last bit leaves before anything else in the simulation can happen
 (``Simulator.idle_horizon``) in one step — queue, port, link and
 endpoint counters, the loss process's draws — and schedules its next
-replenish after them: no frame object, no serialization, wire or
-pipeline event.  A frame still in flight at the horizon keeps its
-far-end events, so every counter is right at every handler.  Anything
-that wants to see frames — a ``Link.tap``, an enabled tracer, an
-attached ``Observability``, foreign port hooks — pins the per-frame
-path, which is the parent's, event for event.
+replenish after them: no frame object, no serialization or landing
+event.  A frame still in flight at the horizon keeps its landing (wire
+and pipeline are one event, ``Simulator.schedule_via``), so every
+counter is right at every handler.  Anything that wants to see frames —
+a ``Link.tap``, an enabled tracer, an attached ``Observability``,
+foreign port hooks — pins the per-frame path, event for event.
 """
 
 from __future__ import annotations
@@ -206,23 +206,17 @@ class ReplenishLoop:
         delivered = landed - bisect_left(lost, landed)
         if delivered:
             self.count_landed(delivered)
-        # ... and one still in flight keeps its far-end events, allocated
-        # where the per-frame path allocates them (ahead of the successor
-        # replenish): the landing alone if the arrival, too, is certain
-        # to come before anything else happens, else both.
-        elided = 2 * cycles - 1 + 2 * delivered
+        # ... and one still in flight keeps its landing, keyed where the
+        # per-frame path keys it: caused at its arrival, with a seq
+        # allocated ahead of the successor replenish.
         for index in range(landed, cycles):
             if index not in lost:
-                arrives = first_out + index * period + self._wire_ns
-                if arrives < horizon:
-                    elided += 1
-                    sim.schedule(arrives + self._pipeline_ns - sim.now,
-                                 self._land)
-                else:
-                    sim.schedule(arrives - sim.now, self._arrive)
+                sim.schedule_via(
+                    first_out + index * period + self._wire_ns - sim.now,
+                    self._pipeline_ns, self._land)
         # elided: every enqueue but this event, every serializer finish,
-        # and the far-end events counted above
-        sim.events_elided += elided
+        # and the landings booked above
+        sim.events_elided += 2 * cycles - 1 + delivered
         sim.schedule_idle(cycles * period, self)
 
     def _frame_on_wire(self) -> Packet:
@@ -230,9 +224,6 @@ class ReplenishLoop:
         frame = self.make_frame()
         self.port.on_dequeue(frame, self.queue_index)
         return frame
-
-    def _arrive(self) -> None:
-        self.sim.schedule(self._pipeline_ns, self._land)
 
     def _land(self) -> None:
         self.count_landed(1)

@@ -1,15 +1,16 @@
 """Unidirectional link with corruption injection.
 
 A :class:`Link` carries already-serialized frames from an egress port to
-a receiver callback.  Corruption (per the attached loss process) drops a
-frame at the receiving MAC, exactly as an FCS failure would: the frame
-still consumed wire time and still shows up in ``framesRxAll``, but never
-reaches the ingress pipeline.
+its :class:`Ingress` — what runs at the receiving end, and how long
+after the last bit lands.  Corruption (per the attached loss process)
+drops a frame at the receiving MAC, exactly as an FCS failure would: the
+frame still consumed wire time and still shows up in ``framesRxAll``,
+but never reaches the ingress pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from ..core.engine import Simulator
 from ..obs.trace import NULL_TRACER
@@ -17,7 +18,23 @@ from ..packets.packet import Packet
 from ..phy.loss import LossProcess, NoLoss
 from .counters import PortCounters
 
-__all__ = ["Link"]
+__all__ = ["Ingress", "Link"]
+
+
+class Ingress:
+    """The receiving end of a link: ``handler(frame)`` runs
+    ``delay_ns`` after the frame's last bit lands — a switch port's
+    ingress pipeline, a host's stack, or nothing at all.
+
+    Mutable, so a protocol can take over a port's ingress after the
+    cable is built (LinkGuardian rebinds ``handler``).
+    """
+
+    __slots__ = ("delay_ns", "handler")
+
+    def __init__(self, delay_ns: int, handler: Callable[[Packet], None]) -> None:
+        self.delay_ns = int(delay_ns)
+        self.handler = handler
 
 
 class Link:
@@ -27,14 +44,16 @@ class Link:
         self,
         sim: Simulator,
         propagation_ns: int,
-        receiver: Callable[[Packet], None],
+        receiver: Union[Ingress, Callable[[Packet], None]],
         loss: Optional[LossProcess] = None,
         name: str = "",
         obs=None,
     ) -> None:
         self.sim = sim
         self.propagation_ns = int(propagation_ns)
-        self.receiver = receiver
+        #: where frames land; a plain callable is called on arrival
+        self.ingress = (receiver if isinstance(receiver, Ingress)
+                        else Ingress(0, receiver))
         self.loss = loss if loss is not None else NoLoss()
         self.name = name
         self.rx_counters = PortCounters()
@@ -79,7 +98,10 @@ class Link:
             if self._tracer.enabled:
                 self._trace_drop(packet)
             return  # dropped by the receiving MAC
-        self.sim.schedule(self.propagation_ns, self.receiver, packet)
+        # wire and ingress latency are one event (Simulator.schedule_via)
+        ingress = self.ingress
+        self.sim.schedule_via(self.propagation_ns, ingress.delay_ns,
+                              ingress.handler, packet)
 
     @property
     def unobserved(self) -> bool:

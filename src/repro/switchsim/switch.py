@@ -1,8 +1,9 @@
 """Output-queued switch model.
 
-A :class:`Switch` receives frames from its links, applies a fixed
-pipeline latency, consults a destination-based forwarding table and
-enqueues into the chosen egress port's normal queue.
+A :class:`Switch` receives frames from its links (:meth:`Switch.ingress`:
+a fixed pipeline latency, then :meth:`Switch.forward`), consults a
+destination-based forwarding table and enqueues into the chosen egress
+port's normal queue.
 
 Protocol machinery hooks in at two points, mirroring where LinkGuardian
 sits in the Tofino pipeline:
@@ -10,9 +11,10 @@ sits in the Tofino pipeline:
 * an **egress handler** on a port sees every frame *before* it is
   enqueued toward that port (the LinkGuardian sender stamps seqNos and
   mirrors Tx-buffer copies here);
-* an **ingress handler** on a port sees every frame arriving *from* that
-  port's link before forwarding (the LinkGuardian receiver runs loss
-  detection and the reordering buffer here).
+* the **ingress** of the link feeding a port: its handler sees every
+  frame arriving *from* that link, one pipeline pass after the wire,
+  instead of ``forward`` (the LinkGuardian receiver runs loss detection
+  and the reordering buffer here).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.engine import Simulator
 from ..packets.packet import Packet
-from .link import Link
+from .link import Ingress, Link
 from .port import EgressPort
 from .queues import Queue
 
@@ -40,7 +42,6 @@ class SwitchPort:
     name: str
     egress: EgressPort
     normal_queue_index: int = 0
-    ingress_handler: Optional[Callable[[Packet], None]] = None
     egress_handler: Optional[Callable[[Packet], None]] = None
 
 
@@ -79,17 +80,10 @@ class Switch:
 
     # -- datapath ---------------------------------------------------------------
 
-    def receive(self, packet: Packet, from_port: str) -> None:
-        """Entry point wired as the link receiver callback for ``from_port``."""
-        port = self.ports[from_port]
-        if port.ingress_handler is not None:
-            port.ingress_handler(packet)
-            return
-        self.sim.schedule(self.pipeline_ns, self.forward, packet)
-
-    def receiver_for(self, port_name: str) -> Callable[[Packet], None]:
-        """A bound callback suitable as a :class:`Link` receiver."""
-        return lambda packet: self.receive(packet, port_name)
+    def ingress(self) -> Ingress:
+        """The receiving end for a :class:`Link` into this switch: one
+        pipeline pass, then :meth:`forward`."""
+        return Ingress(self.pipeline_ns, self.forward)
 
     def forward(self, packet: Packet) -> None:
         """Route and enqueue toward the destination (post-pipeline)."""

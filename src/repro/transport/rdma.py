@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..core.engine import Event, Simulator
+from ..core.engine import Simulator
 from ..packets.packet import Packet, RdmaHeader
 from ..units import MS
 from .flow import FlowRecord
@@ -65,7 +65,7 @@ class RdmaRequester:
         self.n_packets = max(1, -(-size_bytes // mtu))
         self.next_psn = 0            # next new PSN to send
         self.acked_psn = -1          # highest cumulatively acked PSN
-        self._rto_event: Optional[Event] = None
+        self._rto = sim.timer(self._on_rto)
         self._done = False
         self._last_goback_psn = -1
         host.register_handler(flow_id, self._on_packet)
@@ -145,12 +145,9 @@ class RdmaRequester:
             self._complete()
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(self.rto_ns, self._on_rto)
+        self._rto.arm(self.rto_ns)
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self._done:
             return
         self.flow.timeouts += 1
@@ -160,8 +157,7 @@ class RdmaRequester:
     def _complete(self) -> None:
         self._done = True
         self.flow.end_ns = self.sim.now
-        if self._rto_event is not None:
-            self._rto_event.cancel()
+        self._rto.cancel()
         self.host.unregister_handler(self.flow.flow_id)
         if self.on_complete is not None:
             self.on_complete(self.flow)

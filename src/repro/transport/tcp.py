@@ -89,8 +89,8 @@ class TcpSender:
         self._min_rtt: Optional[int] = None
         self._reorder_wnd_ns = 0       # RACK window; adapts upward
         self._reorder_seen = False
-        self._rto_event: Optional[Event] = None
-        self._tlp_event: Optional[Event] = None
+        self._rto = sim.timer(self._on_rto)
+        self._tlp = sim.timer(self._on_tlp)
         self._rack_event: Optional[Event] = None
         self._backoff = 1
         self._pacing_next_ns = 0
@@ -351,26 +351,30 @@ class TcpSender:
     #: short flows RACK-TLP does not have a reliable estimate").
     WCDELACK_NS = 200 * MS
 
-    def _outstanding_segments(self) -> int:
-        return sum(1 for s in self.segments.values() if not s.sacked)
+    def _one_unsacked_at_most(self) -> bool:
+        """At most one segment in flight unSACKed?  Stops at the second."""
+        seen = False
+        for segment in self.segments.values():
+            if not segment.sacked:
+                if seen:
+                    return False
+                seen = True
+        return True
 
     def _tlp_timeout_ns(self) -> int:
         if self._srtt is None:
             return 2 * self.rto_min_ns
         pto = 2 * self._srtt + max(2 * self._rttvar, 1_000)
-        if self._outstanding_segments() <= 1:
+        if self._one_unsacked_at_most():
             pto += self.WCDELACK_NS
         return pto
 
     def _arm_tlp(self) -> None:
         if self._tlp_fired:
             return  # one probe per flight: the RTO takes over from here
-        if self._tlp_event is not None:
-            self._tlp_event.cancel()
-        self._tlp_event = self.sim.schedule(self._tlp_timeout_ns(), self._on_tlp)
+        self._tlp.arm(self._tlp_timeout_ns())
 
     def _on_tlp(self) -> None:
-        self._tlp_event = None
         if self._done or self.snd_una >= self.snd_nxt:
             return
         # Probe with the highest outstanding unSACKed segment.
@@ -390,15 +394,12 @@ class TcpSender:
         return base * self._backoff
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
         if self.snd_una >= self.flow.size_bytes:
-            self._rto_event = None
+            self._rto.cancel()
             return
-        self._rto_event = self.sim.schedule(self._rto_ns(), self._on_rto)
+        self._rto.arm(self._rto_ns())
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self._done or self.snd_una >= self.snd_nxt:
             return
         self.flow.timeouts += 1
@@ -418,9 +419,10 @@ class TcpSender:
     def _complete(self) -> None:
         self._done = True
         self.flow.end_ns = self.sim.now
-        for event in (self._rto_event, self._tlp_event, self._rack_event):
-            if event is not None:
-                event.cancel()
+        self._rto.cancel()
+        self._tlp.cancel()
+        if self._rack_event is not None:
+            self._rack_event.cancel()
         self.host.unregister_handler(self.flow.flow_id)
         if self.on_complete is not None:
             self.on_complete(self.flow)

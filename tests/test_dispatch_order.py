@@ -1,6 +1,6 @@
 """Dispatch order, end to end: a whole packet-tier cell dispatches the
-same ``(time, seq, handler)`` sequence on either event queue, and its
-result equals the one the commit *before* the kernel's fast path
+same ``(time, caused_at, seq, handler)`` sequence on either event queue,
+and its result equals the one the commit *before* the kernel's fast path
 produced (digests computed there once and pinned here) — the fast path
 changed how fast events are dispatched, not which or in what order.
 The three fct digests were re-pinned once since, when the fct cell
@@ -53,6 +53,17 @@ CASES = {
         "21fff71cb742b26a7ee6b2a1ad53c8ef894defeda45e7482791785cc9c5672f9"),
 }
 
+#: name -> events the heap trace holds: each case dispatches exactly this
+#: many (with each hop and pipeline pass two events and each timer
+#: re-arm a cancel plus a push, the parent commit dispatched the count
+#: in the comment)
+DISPATCHED = {
+    "fct-dctcp-lg": 4_544,          # 6_217
+    "fct-dctcp-lg-small": 6_142,    # 8_003
+    "fct-rdma-loss": 5_935,         # 8_146
+    "stress-bursty": 10_698,        # 13_526
+}
+
 
 def _run_traced(monkeypatch, kind, run):
     """Run with every testbed simulator on queue ``kind``, recording
@@ -67,8 +78,8 @@ def _run_traced(monkeypatch, kind, run):
             def recording(until):
                 entry = pop_due(until)
                 if entry is not None:
-                    callback = entry[3]
-                    trace.append((entry[0], entry[1], getattr(
+                    callback = entry[4]
+                    trace.append((entry[0], entry[1], entry[2], getattr(
                         callback, "__qualname__", type(callback).__name__)))
                 return entry
 
@@ -84,9 +95,10 @@ def test_same_dispatch_trace_and_pinned_result_on_both_queues(
     run, pinned = CASES[name]
     heap_text, heap_trace = _run_traced(monkeypatch, "heap", run)
     calendar_text, calendar_trace = _run_traced(monkeypatch, "calendar", run)
-    assert len(heap_trace) > 5_000
+    assert len(heap_trace) == DISPATCHED[name]
     assert heap_trace == calendar_trace
-    # (time, seq) strictly ascending: the order is the kernel contract's
-    assert all(a[:2] < b[:2] for a, b in zip(heap_trace, heap_trace[1:]))
+    # (time, caused_at, seq) strictly ascending: the order is the kernel
+    # contract's
+    assert all(a[:3] < b[:3] for a, b in zip(heap_trace, heap_trace[1:]))
     assert heap_text == calendar_text
     assert hashlib.sha256(heap_text.encode()).hexdigest() == pinned

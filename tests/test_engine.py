@@ -307,15 +307,16 @@ def _queue(impl):
 
 
 def _entry(time, seq):
-    """A queue entry the way the Simulator builds one."""
-    return (time, seq, Event(None), print, (seq,))
+    """A queue entry the way ``Simulator.schedule`` builds one
+    (``caused_at`` is 0: every entry here was pushed at t=0)."""
+    return (time, 0, seq, Event(None), print, (seq,))
 
 
 @pytest.mark.parametrize("impl", QUEUES)
 def test_pop_due_never_returns_a_later_event(impl):
     # Randomized schedule, drained in randomly sized time slices: every
-    # entry comes out inside the slice that covers it, in (time, seq)
-    # order, and what is not due stays pending.
+    # entry comes out inside the slice that covers it, in
+    # (time, caused_at, seq) order, and what is not due stays pending.
     rng = random.Random(99)
     queue = _queue(impl)
     entries = [_entry(rng.randrange(0, 50_000), seq) for seq in range(400)]
@@ -333,7 +334,7 @@ def test_pop_due_never_returns_a_later_event(impl):
             popped.append(entry)
         head = queue.peek_time()
         assert head is None or head > until
-    assert popped == sorted(entries, key=lambda e: (e[0], e[1]))
+    assert popped == sorted(entries, key=lambda e: (e[0], e[1], e[2]))
 
 
 @pytest.mark.parametrize("impl", QUEUES)
@@ -346,7 +347,7 @@ def test_pop_due_discards_cancelled_heads(impl):
     for entry in entries:
         queue.push(entry)
     for index in (0, 1, 3):
-        entries[index][2].cancelled = True
+        entries[index][3].cancelled = True
         queue.cancelled_pending += 1
     assert queue.pop_due(5) is None          # heads at 10, 20 discarded
     assert (len(queue), queue.cancelled_pending) == (4, 1)
@@ -366,10 +367,10 @@ def test_pop_due_same_time_fifo_and_push_while_draining(impl):
     queue = _queue(impl)
     for seq in range(4):
         queue.push(_entry(100, seq))
-    assert queue.pop_due(100)[1] == 0
+    assert queue.pop_due(100)[2] == 0
     queue.push(_entry(100, 4))
     queue.push(_entry(100, 5))
-    assert [queue.pop_due(100)[1] for _ in range(5)] == [1, 2, 3, 4, 5]
+    assert [queue.pop_due(100)[2] for _ in range(5)] == [1, 2, 3, 4, 5]
     assert queue.pop_due(100) is None
 
 
@@ -389,7 +390,7 @@ def test_push_earlier_than_a_head_pop_due_left_pending(impl):
         queue.push(entry)
     order = []
     while (entry := queue.pop_due(20_000)) is not None:
-        order.append(entry[1])
+        order.append(entry[2])
     assert order == [3, 5, 0, 1, 4, 2]
 
 

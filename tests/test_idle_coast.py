@@ -345,7 +345,7 @@ class TestHorizon:
         for time in (25, 40, 12_000):
             sim.schedule(time, lambda: None)
         assert sim.queue.earliest(
-            lambda entry: entry[2] in skipped) == min(child_times)
+            lambda entry: entry[3] in skipped) == min(child_times)
 
     def test_skipped_and_cancelled_chain(self, queue):
         sim = Simulator(queue=queue)
@@ -358,7 +358,7 @@ class TestHorizon:
                 skipped.add(event)
         sim.schedule(9, lambda: None)
         sim.schedule(5_000, lambda: None)
-        assert sim.queue.earliest(lambda entry: entry[2] in skipped) == 9
+        assert sim.queue.earliest(lambda entry: entry[3] in skipped) == 9
 
     def test_horizon_skips_coastable_loops_only(self, queue):
         sim = Simulator(queue=queue)
@@ -461,7 +461,7 @@ def test_both_queue_kinds_agree_on_earliest():
                 event.cancel()
 
     def skip(entry):
-        return entry[4][0] == 1
+        return entry[5][0] == 1
 
     assert queues[0].earliest(skip) == queues[1].earliest(skip) is not None
     for sim in sims:
@@ -482,11 +482,14 @@ def _quiet_link_events(observe=None, **config) -> Simulator:
     return testbed.sim
 
 
-#: ``events_processed`` of ``_quiet_link_events`` at the parent commit,
-#: where every frame was four events
-PARENT_EVENTS = 2_425
-PARENT_EVENTS_TWO_DUMMIES = 3_615
-PARENT_EVENTS_BIDIRECTIONAL = 4_798
+#: ``events_processed`` of ``_quiet_link_events`` on the per-frame path,
+#: where every frame is three events: its enqueue, its serializer finish
+#: and its landing (wire and pipeline are one hop).  Before hops were
+#: folded every frame was four events and these read 2,425 / 3,615 /
+#: 4,798.
+PARENT_EVENTS = 1_823
+PARENT_EVENTS_TWO_DUMMIES = 2_715
+PARENT_EVENTS_BIDIRECTIONAL = 3_601
 
 
 def _enable_link_tracers(plink):

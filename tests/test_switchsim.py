@@ -144,7 +144,7 @@ class TestSwitch:
         switch.add_port("east", gbps(100), out_link)
         switch.set_route("hostB", "east")
 
-        in_link = Link(sim, 10, receiver=switch.receiver_for("west"))
+        in_link = Link(sim, 10, receiver=switch.ingress())
         west_port_link = Link(sim, 10, receiver=lambda p: None)
         switch.add_port("west", gbps(100), west_port_link)
 
@@ -165,7 +165,8 @@ class TestSwitch:
         switch = Switch(sim, "sw1", pipeline_ns=400)
         switch.add_port("out", gbps(100), Link(sim, 0, receiver=sink.append))
         switch.set_route("h", "out")
-        switch.receive(make_packet(100, dst="h"), "out")
+        Link(sim, 0, receiver=switch.ingress()).transmit(
+            make_packet(100, dst="h"))
         sim.run()
         assert sim.now >= 400
 
@@ -179,11 +180,12 @@ class TestSwitch:
         sim = Simulator()
         seen = []
         switch = Switch(sim, "sw1")
-        switch.add_port("in", gbps(100), Link(sim, 0, receiver=lambda p: None))
-        switch.ports["in"].ingress_handler = seen.append
-        switch.receive(make_packet(dst="h"), "in")
+        in_link = Link(sim, 0, receiver=switch.ingress())
+        in_link.ingress.handler = seen.append
+        in_link.transmit(make_packet(dst="h"))
         sim.run()
         assert len(seen) == 1 and switch.unrouted == 0
+        assert sim.now == switch.pipeline_ns      # still one pipeline pass
 
     def test_egress_handler_intercepts(self):
         sim = Simulator()
