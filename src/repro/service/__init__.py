@@ -10,7 +10,7 @@ Layers (each its own module, composed by :mod:`repro.service.app`):
 ==============  ==========================================================
 ``config``      :class:`ServiceConfig` — every knob, one frozen dataclass;
                 the evidence table (parser, demo feed, monitor per kind)
-``telemetry``   record parsing + file/TCP/synthetic sources
+``telemetry``   record parsing, line splitting, file/synthetic sources
 ``arbiter``     :class:`StreamingArbiter` — the evidence monitor on counters
 ``cache``       :class:`WhatIfQuery` canonicalization + counting LRU
 ``http``        stdlib asyncio HTTP/1.1 server + test client
@@ -26,7 +26,7 @@ from .cache import QueryError, WhatIfCache, WhatIfQuery, quantize_loss
 from .config import EXECUTOR_KINDS, TELEMETRY_KINDS, ServiceConfig
 from .telemetry import (
     SyntheticTelemetry, TelemetryError, TelemetryRecord, file_source,
-    parse_record, stream_source,
+    parse_record,
 )
 
 __all__ = [
@@ -36,5 +36,5 @@ __all__ = [
     "WhatIfQuery", "WhatIfCache", "QueryError", "quantize_loss",
     "ServiceConfig", "TELEMETRY_KINDS", "EXECUTOR_KINDS",
     "TelemetryRecord", "TelemetryError", "parse_record",
-    "file_source", "stream_source", "SyntheticTelemetry",
+    "file_source", "SyntheticTelemetry",
 ]

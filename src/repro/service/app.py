@@ -3,9 +3,9 @@
 :class:`ControlPlaneService` is what ``repro serve`` runs — one asyncio
 process hosting three loops over shared fleet state:
 
-* the **ingestion loop** pulls telemetry records from the configured
-  source (synthetic lifecycle replay, JSONL file tail, or TCP ingest
-  connections) through a bounded queue and folds them into the
+* the **ingestion loop** folds each read of the configured source
+  (synthetic lifecycle replay, JSONL file tail, or TCP ingest
+  connections), where it is read, into the
   :class:`~repro.fleet.monitor.EvidenceMonitor` the evidence table
   (:data:`repro.service.config.EVIDENCE`) binds for ``config.evidence``;
 * the **HTTP front end** serves ``/metrics`` (Prometheus text
@@ -21,9 +21,9 @@ draining service refuses with 503.  Nothing ever blocks the event loop
 on a worker, so ``/metrics`` stays scrapeable at any load.
 
 Graceful shutdown (SIGTERM/SIGINT) runs :meth:`begin_drain`: stop
-admitting, cancel ingestion, answer every *queued* query 503, let
-*in-flight* queries finish (bounded by ``drain_timeout_s``), flush a
-versioned state snapshot, exit 0.
+admitting, stop ingestion (nothing is folded after), answer every
+*queued* query 503, let *in-flight* queries finish (bounded by
+``drain_timeout_s``), flush a versioned state snapshot, exit 0.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
-import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ..core.spec import Spec
 from ..core.state import SnapshotError
@@ -47,7 +46,7 @@ from .cache import QueryError, WhatIfCache, WhatIfQuery
 from .config import EVIDENCE, ServiceConfig
 from .http import HttpError, Request, Response, json_response, serve
 from .telemetry import (
-    TelemetryError, file_source, paced_source, stream_source,
+    READ_BYTES, LineSplitter, TelemetryError, file_source,
 )
 
 __all__ = [
@@ -146,7 +145,7 @@ class ControlPlaneService:
         self._server: Optional[asyncio.base_events.Server] = None
         self._ingest_server: Optional[asyncio.base_events.Server] = None
         self._queue: Optional[asyncio.Queue] = None
-        self._ingest_queue: Optional[asyncio.Queue] = None
+        self._connections: Set[asyncio.StreamWriter] = set()  # TCP ingest
         self._tasks: List[asyncio.Task] = []
         self._pool = None
         self._inflight = 0
@@ -167,7 +166,6 @@ class ControlPlaneService:
         return {
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "inflight_queries": self._inflight,
-            "ingest_lag": self._ingest_queue.qsize() if self._ingest_queue else 0,
             "cache_hit_rate": self.cache.hit_rate(),
             "cache_size": len(self.cache),
             "rejected_429": self._rejected_429,
@@ -204,7 +202,6 @@ class ControlPlaneService:
         """Bind, spin up workers and ingestion; returns once listening."""
         config = self.config
         self._queue = asyncio.Queue(maxsize=config.queue_limit)
-        self._ingest_queue = asyncio.Queue(maxsize=config.ingest_queue)
         if config.executor == "process":
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=config.workers)
@@ -222,10 +219,9 @@ class ControlPlaneService:
         if config.telemetry == "none":
             self._ingest_done.set()
             return
-        self._tasks.append(asyncio.create_task(self._ingest_consumer()))
         if config.telemetry == "synthetic":
-            self._tasks.append(asyncio.create_task(self._pump_records(
-                paced_source(config.synthetic_feed(), config.interval_s))))
+            self._tasks.append(asyncio.create_task(
+                self._pump_records(config.synthetic_feed())))
         elif config.telemetry == "file":
             self._tasks.append(asyncio.create_task(
                 self._pump_lines(file_source(
@@ -236,49 +232,59 @@ class ControlPlaneService:
             self.ingest_port = (
                 self._ingest_server.sockets[0].getsockname()[1])
 
-    async def _pump_records(self, source) -> None:
-        try:
-            async for record in source:
-                await self._ingest_queue.put(record)
-        finally:
-            self._ingest_done.set()
-
-    async def _ingest_lines(self, source) -> None:
-        async for line in source:
+    def _fold_lines(self, lines: Iterable[str]) -> None:
+        """Parse and fold one read's lines; junk counts as a bad line."""
+        parse, observe = self._parse_line, self.arbiter.observe
+        for line in lines:
             if not line.strip():
                 continue
             try:
-                record = self._parse_line(line)
+                record = parse(line)
             except TelemetryError:
                 self._bad_lines += 1
                 continue
-            await self._ingest_queue.put(record)
+            observe(record)
+
+    async def _pump_records(self, records: Iterable[Any]) -> None:
+        """Observe the synthetic feed, paced by ``interval_s`` or else
+        yielding to the loop every 64 records (HTTP is never starved)."""
+        interval_s = self.config.interval_s
+        try:
+            for count, record in enumerate(records, start=1):
+                self.arbiter.observe(record)
+                if interval_s > 0 or count % 64 == 0:
+                    await asyncio.sleep(interval_s)
+        finally:
+            self._ingest_done.set()
 
     async def _pump_lines(self, source) -> None:
         try:
-            await self._ingest_lines(source)
+            async for lines in source:
+                self._fold_lines(lines)
         finally:
             self._ingest_done.set()
 
     async def _ingest_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        """Fold a read at a time until EOF or a drain, which closes us."""
+        self._connections.add(writer)
+        splitter = LineSplitter()
         try:
-            await self._ingest_lines(stream_source(reader))
+            while not self.draining:
+                chunk = await reader.read(READ_BYTES)
+                if self.draining:
+                    break
+                if not chunk:
+                    self._fold_lines(splitter.close())
+                    break
+                self._fold_lines(splitter.feed(chunk))
         finally:
+            self._connections.discard(writer)
             writer.close()
 
-    async def _ingest_consumer(self) -> None:
-        while True:
-            record = await self._ingest_queue.get()
-            try:
-                self.arbiter.observe(record)
-            finally:
-                self._ingest_queue.task_done()
-
     async def wait_ingest_idle(self) -> None:
-        """Until the non-tailing source is exhausted *and* folded in."""
+        """Until the non-tailing source has finished (and so is folded)."""
         await self._ingest_done.wait()
-        await self._ingest_queue.join()
 
     # -- query dispatch --------------------------------------------------------
 
@@ -459,15 +465,17 @@ class ControlPlaneService:
             await self.drained.wait()
             return
         self.draining = True
-        # 1. Stop ingestion: cancel pumps and the consumer; the HTTP
-        #    front end stays up so clients get 503s, not resets.
+        # 1. Stop ingestion before the first await, so nothing is folded
+        #    from here on; the HTTP front end stays up so clients get
+        #    503s, not resets.
+        for task in self._tasks:
+            if task.get_coro().__name__ in ("_pump_records", "_pump_lines"):
+                task.cancel()
         if self._ingest_server is not None:
             self._ingest_server.close()
+            for writer in self._connections:
+                writer.close()
             await self._ingest_server.wait_closed()
-        for task in self._tasks:
-            if task.get_coro().__name__ in (
-                    "_pump_records", "_pump_lines", "_ingest_consumer"):
-                task.cancel()
         # Evidence at the tail of the stream still reaches a verdict.
         self.arbiter.flush()
         # 2. Reject every *queued* (not yet started) query with 503:
@@ -516,20 +524,3 @@ class ControlPlaneService:
             json.dump(self.snapshot().to_dict(), handle, sort_keys=True)
             handle.write("\n")
         return path
-
-    async def run(self, install_signals: bool = True) -> int:
-        """Serve until SIGTERM/SIGINT, then drain; returns exit code 0."""
-        await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self.request_shutdown)
-        try:
-            await self._shutdown.wait()
-        finally:
-            await self.begin_drain()
-            if install_signals:
-                loop = asyncio.get_running_loop()
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    loop.remove_signal_handler(signum)
-        return 0

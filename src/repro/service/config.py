@@ -118,11 +118,9 @@ class ServiceConfig(Spec):
     telemetry_file: Optional[str] = None
     #: keep tailing the file for appends instead of stopping at EOF
     follow: bool = False
-    #: TCP ingest listener port (telemetry="tcp"; 0 = ephemeral)
+    #: TCP ingest listener port (telemetry="tcp"; 0 = ephemeral); reads
+    #: are folded as they arrive, so TCP flow control is the backpressure
     ingest_port: int = 0
-    #: bounded ingest queue; a full queue backpressures the source and
-    #: its depth is the exported ingest-lag gauge
-    ingest_queue: int = 4096
     #: synthetic source: simulated fleet days the generated trace covers
     synthetic_days: float = 30.0
     #: synthetic source: stop after this many records (0 = whole trace)

@@ -9,8 +9,7 @@ pair corruptd polls in-sim::
 Three sources produce that stream:
 
 * :func:`file_source` — read (and optionally tail) a JSONL file;
-* :func:`stream_source` — decode lines from an asyncio reader (the
-  service's TCP ingest listener hands each client connection here);
+* the service's TCP ingest listener, one JSONL connection per switch;
 * :class:`SyntheticTelemetry` — a deterministic generator driven by a
   :mod:`repro.lifecycle` failure trace: it applies the repair loop to
   get per-link corrupting intervals, then walks simulated time in fixed
@@ -18,8 +17,9 @@ Three sources produce that stream:
   current state.  This is the demo/test source — the fleet's month of
   failures replayed as a live counter feed.
 
-All sources are async iterators of :class:`TelemetryRecord`; malformed
-lines are counted and skipped, never fatal to the loop.
+Byte streams are cut into lines by one :class:`LineSplitter`, a read
+at a time; malformed lines (and lines over :data:`MAX_LINE_BYTES`) are
+counted and skipped, never fatal to the loop.
 
 When the service runs with ``evidence="voting"`` the stream carries
 *flow reports* instead (:class:`~repro.blame.evidence.FlowReport` JSONL,
@@ -34,9 +34,7 @@ import asyncio
 import json
 import math
 from dataclasses import dataclass
-from typing import (
-    Any, AsyncIterator, Callable, Dict, Iterable, Iterator, List, Tuple,
-)
+from typing import Any, AsyncIterator, Callable, Dict, Iterator, List, Tuple
 
 from ..blame.evidence import (
     FlowReport, LossOracle, default_fleet_evidence, iter_reports,
@@ -48,8 +46,8 @@ from ..lifecycle.traces import TraceSpec
 
 __all__ = [
     "TelemetryRecord", "TelemetryError", "parse_record",
-    "parse_evidence_line", "file_source", "stream_source", "paced_source",
-    "SyntheticTelemetry", "SyntheticFlowEvidence",
+    "parse_evidence_line", "READ_BYTES", "MAX_LINE_BYTES", "LineSplitter",
+    "file_source", "SyntheticTelemetry", "SyntheticFlowEvidence",
 ]
 
 
@@ -119,54 +117,60 @@ def parse_evidence_line(line: str) -> FlowReport:
     return _parse_line(line, "flow report", parse_flow_report)
 
 
+#: bytes one read takes from an ingest stream
+READ_BYTES = 64 * 1024
+#: longest ingest line (newline not counted); a longer one is one bad
+#: line, never buffered whole
+MAX_LINE_BYTES = 64 * 1024
+#: stands in for an overlong line; not JSON, so it counts as a bad line
+OVERLONG_LINE = "<line over MAX_LINE_BYTES>"
+
+
+class LineSplitter:
+    """Cuts a byte stream, read in chunks of any size, into lines.
+
+    Whole lines are decoded with ``errors="replace"`` (``b"\\n"`` is never
+    inside a UTF-8 character, so where the stream splits changes
+    nothing); the partial last line waits for the next chunk.
+    """
+
+    def __init__(self) -> None:
+        self._tail = b""
+
+    def feed(self, chunk: bytes) -> List[str]:
+        """The lines ``chunk`` completes, in stream order."""
+        parts = (self._tail + chunk).split(b"\n")
+        # An overlong partial line keeps only enough bytes to stay overlong.
+        self._tail = parts.pop()[:MAX_LINE_BYTES + 1]
+        return [part.decode("utf-8", "replace")
+                if len(part) <= MAX_LINE_BYTES else OVERLONG_LINE
+                for part in parts]
+
+    def close(self) -> List[str]:
+        """At end of stream: the unterminated last line, if any."""
+        return self.feed(b"\n") if self._tail else []
+
+
 async def file_source(path: str, follow: bool = False,
-                      poll_s: float = 0.05) -> AsyncIterator[str]:
-    """Yield lines from a JSONL file; with ``follow``, tail for appends.
+                      poll_s: float = 0.05) -> AsyncIterator[List[str]]:
+    """Yield batches of lines from a JSONL file; with ``follow``, tail it.
 
     A tailing source never terminates on its own — the ingest task is
-    cancelled at drain.  Without ``follow``, iteration stops at EOF
-    (replay-a-capture mode).
+    cancelled at drain — and holds a partial last line back until its
+    newline is appended.  Without ``follow``, iteration stops at EOF
+    (replay-a-capture mode) and a partial last line is the last line.
     """
-    with open(path) as handle:
+    splitter = LineSplitter()
+    with open(path, "rb") as handle:
         while True:
-            line = handle.readline()
-            if line:
-                if line.endswith("\n"):
-                    yield line
-                    continue
-                # A partial last line: only mid-append under follow.
-                if not follow:
-                    yield line
-                    return
-                handle.seek(handle.tell() - len(line))
-            elif not follow:
+            chunk = handle.read(READ_BYTES)
+            if chunk:
+                yield splitter.feed(chunk)
+            elif follow:
+                await asyncio.sleep(poll_s)
+            else:
+                yield splitter.close()
                 return
-            await asyncio.sleep(poll_s)
-
-
-async def stream_source(reader: asyncio.StreamReader) -> AsyncIterator[str]:
-    """Yield lines from one ingest connection until the peer closes."""
-    while True:
-        line = await reader.readline()
-        if not line:
-            return
-        yield line.decode("utf-8", errors="replace")
-
-
-async def paced_source(records: Iterable[Any], interval_s: float = 0.0,
-                       yield_every: int = 64) -> AsyncIterator[Any]:
-    """A synthetic record sequence as an async iterator.
-
-    ``interval_s`` paces emission in real time (demos); at 0 the loop
-    still yields to the event loop every ``yield_every`` records so
-    ingestion never starves the HTTP front end.
-    """
-    for count, record in enumerate(records, start=1):
-        yield record
-        if interval_s > 0:
-            await asyncio.sleep(interval_s)
-        elif count % yield_every == 0:
-            await asyncio.sleep(0)
 
 
 class SyntheticTelemetry:

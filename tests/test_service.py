@@ -69,7 +69,8 @@ class TestTelemetryRecords:
 
         async def read_all():
             return [parse_record(line)
-                    async for line in file_source(str(path))]
+                    async for lines in file_source(str(path))
+                    for line in lines]
 
         assert asyncio.run(read_all()) == records
 
@@ -486,7 +487,6 @@ class TestServiceEndToEnd:
                     assert validate_prometheus(body) == []
                     assert "service_queue_depth" in body
                     assert "service_cache_hit_rate" in body
-                    assert "service_ingest_lag" in body
                     assert "service_inflight_queries" in body
             finally:
                 await service.begin_drain()
@@ -606,14 +606,11 @@ class TestServiceEndToEnd:
                         60.0 * tick, 2, 1000 * tick, 1000 * tick - lost)
                     writer.write((record.to_json() + "\n").encode())
                 writer.write(b"this is not telemetry\n")
-                await writer.drain()
+                writer.write_eof()
+                # the service closes its end once every line is folded
+                assert await asyncio.wait_for(reader.read(), 10.0) == b""
                 writer.close()
                 await writer.wait_closed()
-                for _ in range(200):
-                    if service.arbiter.records_seen >= 5:
-                        break
-                    await asyncio.sleep(0.01)
-                await service._ingest_queue.join()
                 assert service.arbiter.records_seen == 5
                 assert service._bad_lines == 1
                 assert service.arbiter.onsets >= 1
