@@ -30,7 +30,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple,
+)
 
 from ..core.spec import Spec
 from ..fabric.topology import FabricTopology
@@ -81,8 +83,8 @@ class _FlowStream:
 
 __all__ = [
     "EvidenceSpec", "FlowReport", "LossOracle", "default_fleet_evidence",
-    "flow_flag_probability", "harvest_evidence", "iter_reports",
-    "parse_flow_report",
+    "finite_time", "flow_flag_probability", "harvest_evidence",
+    "iter_reports", "parse_flow_report",
 ]
 
 
@@ -112,8 +114,7 @@ class EvidenceSpec(Spec):
             raise ValueError("base_retx_prob must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(NamedTuple):
     """One flow's evidence: where it went and whether it retransmitted."""
 
     time_s: float
@@ -137,22 +138,49 @@ class FlowReport:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
+_INTS = frozenset((int,))
+#: builds a record from its field tuple without a Python-level ``__new__``
+_new = tuple.__new__
+
+
+def finite_time(value: Any) -> float:
+    """A decoded JSON timestamp as seconds: an int or float (never a
+    bool), finite.  A non-finite clock would wedge every time-driven
+    window downstream (it never compares ``>=`` again)."""
+    if type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError("t is out of range") from None
+    elif type(value) is not float:
+        raise TypeError("t must be a number")
+    if not -math.inf < value < math.inf:
+        raise ValueError("t must be finite")
+    return value
+
+
 def parse_flow_report(data: Dict[str, Any]) -> FlowReport:
-    """Build a :class:`FlowReport` from its ``to_dict`` form; raises
-    ``ValueError`` on a mis-shaped document."""
+    """Build a :class:`FlowReport` from its decoded ``to_dict`` form;
+    raises ``ValueError`` on a mis-shaped or mistyped document."""
     try:
-        src = data["src"]
-        dst = data["dst"]
-        return FlowReport(
-            time_s=float(data["t"]),
-            flow_id=int(data["flow"]),
-            src_pod=int(src[0]), src_tor=int(src[1]),
-            dst_pod=int(dst[0]), dst_tor=int(dst[1]),
-            path=tuple(int(link) for link in data["path"]),
-            retx=bool(data["retx"]),
-        )
-    except (KeyError, IndexError, TypeError) as exc:
+        # Unpacking takes exactly two items; a JSON string or object
+        # unpacks to strings, which the int checks below refuse.
+        src_pod, src_tor = data["src"]
+        dst_pod, dst_tor = data["dst"]
+        flow_id, path, retx = data["flow"], data["path"], data["retx"]
+        time_s = finite_time(data["t"])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"mis-shaped flow report: {exc}") from None
+    if (type(flow_id) is not int or type(src_pod) is not int
+            or type(src_tor) is not int or type(dst_pod) is not int
+            or type(dst_tor) is not int):
+        raise ValueError("flow, src and dst must hold integers")
+    if type(path) is not list or not _INTS.issuperset(map(type, path)):
+        raise ValueError("path must be a list of integer link ids")
+    if type(retx) is not bool:
+        raise ValueError("retx must be true or false")
+    return _new(FlowReport, (time_s, flow_id, src_pod, src_tor,
+                             dst_pod, dst_tor, tuple(path), retx))
 
 
 class LossOracle:

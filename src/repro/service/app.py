@@ -233,15 +233,15 @@ class ControlPlaneService:
                 self._ingest_server.sockets[0].getsockname()[1])
 
     def _fold_lines(self, lines: Iterable[str]) -> None:
-        """Parse and fold one read's lines; junk counts as a bad line."""
+        """Parse and fold one read's lines; junk counts as a bad line,
+        a blank one (which never parses) as nothing."""
         parse, observe = self._parse_line, self.arbiter.observe
         for line in lines:
-            if not line.strip():
-                continue
             try:
                 record = parse(line)
             except TelemetryError:
-                self._bad_lines += 1
+                if line.strip():
+                    self._bad_lines += 1
                 continue
             observe(record)
 

@@ -63,8 +63,9 @@ def quantize_loss(loss_rate: float, sigfigs: int) -> float:
 class WhatIfQuery:
     """One validated, canonicalized what-if question.
 
-    Construction coerces numeric fields (JSON strings included) and
-    rejects unknown fields, non-finite or out-of-range numbers, and
+    Construction coerces numeric fields (JSON strings included, never a
+    boolean; an integer field takes only an integral number or string)
+    and rejects unknown fields, non-finite or out-of-range numbers, and
     ``(kind, backend)`` pairs the cell table has no row for *before*
     anything reaches a worker — admission control should spend workers
     on queries that can run.
@@ -93,6 +94,8 @@ class WhatIfQuery:
 
     @staticmethod
     def _to_float(name: str, value: Any) -> float:
+        if isinstance(value, bool):      # float() would read true as 1.0
+            raise QueryError(f"{name} must be a number")
         try:
             out = float(value)
         except (TypeError, ValueError):
@@ -103,11 +106,14 @@ class WhatIfQuery:
 
     @staticmethod
     def _to_int(name: str, value: Any) -> int:
+        # int() would read true as 1 and truncate 3.7 to 3
+        if isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer()):
+            raise QueryError(f"{name} must be an integer")
         try:
-            out = int(value)
+            return int(value)
         except (TypeError, ValueError):
             raise QueryError(f"{name} must be an integer") from None
-        return out
 
     @staticmethod
     def _build_spec(data: Dict[str, Any], default_backend: str) -> ExperimentSpec:

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
-from dataclasses import dataclass
-from typing import Any, AsyncIterator, Callable, Dict, Iterator, List, Tuple
+from typing import (
+    Any, AsyncIterator, Callable, Dict, Iterator, List, NamedTuple, Tuple,
+)
 
 from ..blame.evidence import (
-    FlowReport, LossOracle, default_fleet_evidence, iter_reports,
-    parse_flow_report,
+    FlowReport, LossOracle, default_fleet_evidence, finite_time,
+    iter_reports, parse_flow_report,
 )
 from ..fleet.topology import FleetTopology
 from ..lifecycle.repair import corruption_episodes
@@ -55,8 +55,7 @@ class TelemetryError(ValueError):
     """A record line that cannot be parsed into a counter snapshot."""
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
+class TelemetryRecord(NamedTuple):
     """One port-counter snapshot for one link."""
 
     time_s: float
@@ -72,39 +71,49 @@ class TelemetryRecord:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
+#: JSON's whitespace; ``str.strip()`` would also take ``\x0b``, ``\xa0``, ...
+_JSON_WS = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+#: builds a record from its field tuple without a Python-level ``__new__``
+_new = tuple.__new__
+
+
 def _parse_line(line: str, what: str,
                 build: Callable[[dict], Any]) -> Any:
     """The shared ingest boundary: a JSON-object line in, a record with
-    a finite timestamp out, :class:`TelemetryError` on anything else."""
+    a finite timestamp out, :class:`TelemetryError` on anything else.
+
+    One C decode per line: the line is accepted exactly when
+    ``json.loads`` takes it (one value, JSON whitespace around it and
+    nothing else) and ``build`` takes the object it decodes to.
+    """
+    text = line.strip(_JSON_WS)
     try:
-        data = json.loads(line)
+        data, end = _raw_decode(text)
     except ValueError as exc:
         raise TelemetryError(f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
+    if end != len(text):
+        raise TelemetryError(f"not valid JSON: extra data at {end}")
+    if type(data) is not dict:
         raise TelemetryError(f"{what} is not an object")
     try:
-        record = build(data)
+        return build(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise TelemetryError(f"bad {what}: {exc}") from None
-    # json.loads accepts NaN/Infinity; a non-finite clock would wedge
-    # every time-driven window downstream (it never compares >= again).
-    if not math.isfinite(record.time_s):
-        raise TelemetryError(f"{what} has a non-finite timestamp")
-    return record
 
 
 def _counter_record(data: dict) -> TelemetryRecord:
-    record = TelemetryRecord(
-        time_s=float(data["t"]),
-        link_id=int(data["link"]),
-        rx_all=int(data["rx_all"]),
-        rx_ok=int(data["rx_ok"]),
-    )
-    if record.link_id < 0 or record.rx_all < 0 or record.rx_ok < 0:
+    time_s, link_id = data["t"], data["link"]
+    rx_all, rx_ok = data["rx_all"], data["rx_ok"]
+    if (type(link_id) is not int or type(rx_all) is not int
+            or type(rx_ok) is not int):
+        raise TypeError("link, rx_all and rx_ok must be integers")
+    if link_id < 0 or rx_all < 0 or rx_ok < 0:
         raise ValueError("counters and link id must be non-negative")
-    if record.rx_ok > record.rx_all:
+    if rx_ok > rx_all:
         raise ValueError("rx_ok exceeds rx_all")
-    return record
+    return _new(TelemetryRecord,
+                (finite_time(time_s), link_id, rx_all, rx_ok))
 
 
 def parse_record(line: str) -> TelemetryRecord:

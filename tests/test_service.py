@@ -56,10 +56,37 @@ class TestTelemetryRecords:
         '{"t": NaN, "link": 2, "rx_all": 10, "rx_ok": 9}',      # json.loads
         '{"t": Infinity, "link": 2, "rx_all": 10, "rx_ok": 9}',  # takes both
         '{"t": -Infinity, "link": 2, "rx_all": 10, "rx_ok": 9}',
+        # mistyped fields are refused, not coerced
+        '{"t": true, "link": 2, "rx_all": 10, "rx_ok": 9}',      # t = 1.0
+        '{"t": "1", "link": 2, "rx_all": 10, "rx_ok": 9}',
+        '{"t": 1%s, "link": 2, "rx_all": 10, "rx_ok": 9}' % ("0" * 400),
+        '{"t": 1, "link": 17.9, "rx_all": 10, "rx_ok": 9}',      # link 17
+        '{"t": 1, "link": true, "rx_all": 10, "rx_ok": 9}',
+        '{"t": 1, "link": 2, "rx_all": 1000, "rx_ok": "999"}',
+        '{"t": 1, "link": 2, "rx_all": 10.0, "rx_ok": 9}',
+        # exactly what json.loads takes: JSON whitespace, one value
+        '{"t": 1, "link": 2, "rx_all": 10, "rx_ok": 9} x',
+        '{"t": 1, "link": 2, "rx_all": 10, "rx_ok": 9}{}',
+        '\x0b{"t": 1, "link": 2, "rx_all": 10, "rx_ok": 9}',
+        '{"t": 1, "link": 2, "rx_all": 10, "rx_ok": 9}\xa0',
+        '\ufeff{"t": 1, "link": 2, "rx_all": 10, "rx_ok": 9}',
     ])
     def test_rejects_junk(self, line):
         with pytest.raises(TelemetryError):
             parse_record(line)
+
+    def test_json_whitespace_and_integral_time_accepted(self):
+        record = parse_record(
+            ' \t{"t": 3, "link": 2, "rx_all": 10, "rx_ok": 9}\r\n')
+        assert record == TelemetryRecord(3.0, 2, 10, 9)
+        assert type(record.time_s) is float
+
+    def test_record_is_an_immutable_hashable_tuple(self):
+        record = TelemetryRecord(12.5, 7, 1000, 990)
+        with pytest.raises(AttributeError):
+            record.link_id = 8
+        assert {record: 1}[TelemetryRecord(12.5, 7, 1000, 990)] == 1
+        assert record._fields == ("time_s", "link_id", "rx_all", "rx_ok")
 
     def test_file_source_reads_jsonl(self, tmp_path):
         path = tmp_path / "feed.jsonl"
@@ -190,11 +217,36 @@ class TestVotingEvidenceService:
 
         report = FlowReport(2.5, 7, 0, 1, 1, 2, (3, 12, 30, 21), True)
         assert parse_evidence_line(report.to_json()) == report
-        for line in ("junk", "[1]", '{"t": 1.0, "flow": 2}',
-                     report.to_json().replace("2.5", "Infinity"),
-                     report.to_json().replace("2.5", "NaN")):
+        line = report.to_json()
+        mistyped = [
+            line.replace("true", '"false"'),          # retx would be True
+            line.replace("true", "1"),
+            line.replace("[3,12", "[3.9,12"),         # path link 3
+            line.replace('"path":[3,12,30,21]', '"path":"3"'),
+            line.replace('"path":[3,12,30,21]', '"path":{}'),
+            line.replace('"src":[0,1]', '"src":"01"'),  # pod 0, ToR 1
+            line.replace('"src":[0,1]', '"src":[0,1,2]'),
+            line.replace('"dst":[1,2]', '"dst":[1]'),
+            line.replace('"dst":[1,2]', '"dst":[1,true]'),
+            line.replace('"flow":7', '"flow":7.0'),
+            line.replace('"flow":7', '"flow":false'),
+            line.replace("2.5", "true"),              # t would be 1.0
+            line.replace("2.5", '"2.5"'),
+        ]
+        assert all(bad != line for bad in mistyped)
+        for bad in ("junk", "[1]", '{"t": 1.0, "flow": 2}',
+                    line.replace("2.5", "Infinity"),
+                    line.replace("2.5", "NaN"),
+                    line + " {}", *mistyped):
             with pytest.raises(TelemetryError):
-                parse_evidence_line(line)
+                parse_evidence_line(bad)
+        # an empty path and an integral time are well-typed
+        empty = parse_evidence_line(
+            line.replace("2.5", "2").replace("[3,12,30,21]", "[]"))
+        assert empty == report._replace(time_s=2.0, path=())
+        with pytest.raises(AttributeError):
+            report.retx = False
+        assert hash(report) == hash(parse_evidence_line(line))
 
     def test_monitor_keeps_revoting_after_a_bad_line(self, tmp_path):
         """One non-finite timestamp must not wedge the re-vote cadence
@@ -327,11 +379,21 @@ class TestWhatIfCanonicalization:
         ({"loss_rate": float("nan")}, "finite"),
         ({"loss_rate": 1e-3, "bogus": 1}, "unknown query fields"),
         ({"loss_rate": 1e-3, "n_trials": "many"}, "integer"),
+        ({"loss_rate": 1e-3, "n_trials": 1e400}, "integer"),   # inf
+        ({"loss_rate": False}, "number"),                      # read 0.0
+        ({"loss_rate": 1e-3, "rate_gbps": True}, "number"),    # read 1.0
         ({"loss_rate": 1e-3, "backend": "abacus"}, "backend"),
     ])
     def test_invalid_queries_rejected(self, body, match):
         with pytest.raises(QueryError, match=match):
             WhatIfQuery(body)
+
+    def test_integer_fields_keep_integral_spellings(self):
+        query = WhatIfQuery({"loss_rate": 1e-3, "link": "3", "n_trials": 50.0,
+                             "flow_size": " 1460 ", "seed": 2})
+        assert query.link == 3
+        assert (query.spec.n_trials, query.spec.flow_size,
+                query.spec.seed) == (50, 1460, 2)
 
     def test_lru_counts_and_evicts(self):
         cache = WhatIfCache(maxsize=2)
@@ -563,6 +625,30 @@ class TestServiceEndToEnd:
                     service, {"loss_rate": 1e-3, "kind": "stress",
                               "params": {"duration_ms": 1.0}})
                 assert status == 200 and reply["backend"] == "fastpath"
+            finally:
+                await service.begin_drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("field, value", [
+        ("link", 3.7),             # int() read link 3
+        ("n_trials", True),        # int() read 1 trial
+        ("flow_size", 1460.5),
+        ("seed", False),
+    ])
+    def test_mistyped_integer_field_is_400(self, field, value):
+        from repro.service.http import Request
+
+        async def scenario():
+            service = await _started(small_config())
+            try:
+                response = await service.handle(Request(
+                    "POST", "/whatif", {}, {},
+                    json.dumps({"loss_rate": 1e-3, field: value}).encode()))
+                assert response.status == 400
+                assert json.loads(response.body)["error"] == (
+                    f"{field} must be an integer")
+                assert service.cache.stats()["misses"] == 0
             finally:
                 await service.begin_drain()
 

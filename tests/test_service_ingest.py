@@ -3,9 +3,11 @@
 Every ingest byte stream — a TCP connection, a JSONL file — is cut into
 lines by one :class:`~repro.service.telemetry.LineSplitter`, and each
 read's lines are parsed and folded in the coroutine that read them.
-These tests hold that path to three promises: where the stream is split
+These tests hold that path to four promises: where the stream is split
 never changes what is folded; a line over ``MAX_LINE_BYTES`` costs one
-bad line, not the connection; and nothing is folded once a drain starts.
+bad line, not the connection; nothing is folded once a drain starts;
+and a line is accepted exactly when ``json.loads`` takes it and its
+fields have their JSON types.
 
 No pytest-asyncio here: every async scenario runs under its own
 ``asyncio.run``.
@@ -14,6 +16,7 @@ No pytest-asyncio here: every async scenario runs under its own
 import asyncio
 import functools
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -366,3 +369,168 @@ def test_config_naming_the_ingest_queue_is_refused():
     """There is no ingest queue to size any more."""
     with pytest.raises(ValueError, match="ingest_queue"):
         ServiceConfig.from_dict({"ingest_queue": 4096})
+
+
+# -- the decode: exactly what json.loads and the field rules accept ----------
+
+FIELDS = {"port_counters": ("t", "link", "rx_all", "rx_ok"),
+          "voting": ("t", "flow", "src", "dst", "path", "retx")}
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def expected_parse(evidence: str, line: str):
+    """The record ``line`` must parse to, or None if it must be a bad
+    line: ``json.loads``, then the field rules, spelled out the slow way."""
+    try:
+        data = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(data, dict) or any(
+            name not in data for name in FIELDS[evidence]):
+        return None
+    time_s = data["t"]
+    if isinstance(time_s, bool) or not isinstance(time_s, (int, float)):
+        return None
+    try:
+        time_s = float(time_s)
+    except OverflowError:
+        return None
+    if not math.isfinite(time_s):
+        return None
+    if evidence == "port_counters":
+        fields = [data["link"], data["rx_all"], data["rx_ok"]]
+        if (not all(map(is_int, fields)) or min(fields) < 0
+                or fields[2] > fields[1]):
+            return None
+        return TelemetryRecord(time_s, *fields)
+    src, dst, path = data["src"], data["dst"], data["path"]
+    pairs_ok = all(isinstance(pair, list) and len(pair) == 2
+                   and all(map(is_int, pair)) for pair in (src, dst))
+    if not (pairs_ok and is_int(data["flow"]) and isinstance(path, list)
+            and all(map(is_int, path)) and isinstance(data["retx"], bool)):
+        return None
+    return FlowReport(time_s, data["flow"], *src, *dst, tuple(path),
+                      data["retx"])
+
+
+#: any JSON value, NaN and the infinities included
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3)
+    | st.integers(-3, 10 ** 6) | st.just(10 ** 400) | st.floats(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+
+_PAIR = st.lists(st.integers(0, 3), min_size=2, max_size=2)
+#: per field: well-typed values, and near misses of the wrong JSON type
+#: (hypothesis favours the front of a sampled list: the subtlest go first)
+FIELD_VALUES = {
+    "t": (st.floats(0, 1e7) | st.integers(0, 10 ** 7),
+          st.sampled_from([True, 10 ** 400, math.nan, math.inf, -math.inf,
+                           False, "1.5", None, [1.0]])),
+    "link": (st.integers(0, 40), st.sampled_from(
+        [17.9, 3.0, True, "3", -1, None, [3]])),
+    "rx_all": (st.integers(500, 10 ** 6), st.sampled_from(
+        [600.0, False, "999", -1, None])),
+    "rx_ok": (st.integers(0, 1000), st.sampled_from(
+        [1.0, True, "999", 10 ** 7, None])),
+    "flow": (st.integers(0, 10 ** 6), st.sampled_from([7.0, True, "7", None, [7]])),
+    "src": (_PAIR, st.sampled_from(
+        ["01", [0, 1.0], [True, 1], [0, 1, 2], [0], ["0", "1"],
+         {"a": 1, "b": 2}, [], None])),
+    "dst": (_PAIR, st.sampled_from(
+        [[1, 2.5], [1.5, 2], [1, False], [1], [1, 2, 3], "12", 12])),
+    "path": (st.lists(st.integers(0, 40), max_size=5), st.sampled_from(
+        [[3.9, 12], [3, True], "3", {}, {"3": 1}, [None], [[3]], 3])),
+    "retx": (st.booleans(), st.sampled_from(
+        ["false", 0, 1, "true", None, [], 0.0])),
+}
+
+
+def escaped(key: str) -> str:
+    return '"' + "".join("\\u%04x" % ord(char) for char in key) + '"'
+
+
+@st.composite
+def ingest_lines(draw):
+    """A line of either kind: mostly well-formed records, at most one
+    field of the wrong type, fields sometimes missing, arbitrary,
+    duplicated or spelled with ``\\u`` escapes; sometimes not an object
+    at all; padded with whitespace JSON does and does not take;
+    sometimes followed by more data."""
+    evidence = draw(st.sampled_from(KINDS))
+    names = FIELDS[evidence]
+    # sampled_from lists put the common case first: hypothesis draws
+    # small integers far more often than uniformly
+    if draw(st.sampled_from([False] * 9 + [True])):
+        body = json.dumps(draw(st.lists(ANY_VALUE, max_size=2)
+                               | st.integers() | st.text(max_size=3)))
+    else:
+        wrong = draw(st.sampled_from((None, None, None) + names))
+        items = []
+        for name in names:
+            good, near_miss = FIELD_VALUES[name]
+            choice = draw(st.sampled_from(
+                ["good"] * 37 + ["missing", "any", "duplicate"]))
+            if choice == "missing":
+                continue
+            value = draw(near_miss if name == wrong
+                         else ANY_VALUE if choice == "any" else good)
+            if choice == "duplicate":        # the last one wins
+                items.append((name, draw(ANY_VALUE)))
+            items.append((name, value))
+        if draw(st.booleans()):
+            items.append(("note", draw(st.text(max_size=3))))
+        ascii_only = draw(st.booleans())
+        body = "{" + draw(st.sampled_from([",", ", ", " ,\t"])).join(
+            (escaped(key) if draw(st.sampled_from([False] * 4 + [True]))
+             else json.dumps(key)) + ":"
+            + json.dumps(value, ensure_ascii=ascii_only)
+            for key, value in items) + "}"
+    pad = st.text(" \t\r\n", max_size=3)
+    junk = st.sampled_from([""] * 12 + ["\x0b", "\xa0", "\ufeff", "\x0c"])
+    tail = draw(st.sampled_from([""] * 15 + ["x", ",", "]", " 1", "{}"]))
+    if tail == "{}" and draw(st.booleans()):
+        tail = body                      # two objects on one line
+    line = (draw(junk) + draw(pad) + body + draw(pad) + tail + draw(pad)
+            + draw(junk))
+    return evidence, line
+
+
+class TestDecodeMatchesJsonLoads:
+    @settings(max_examples=1000, deadline=None)
+    @given(ingest_lines())
+    def test_accepts_exactly_json_loads_plus_field_rules(self, drawn):
+        evidence, line = drawn
+        parse = EVIDENCE[evidence].parse_line
+        expected = expected_parse(evidence, line)
+        if expected is None:
+            with pytest.raises(TelemetryError):
+                parse(line)
+        else:
+            record = parse(line)
+            assert record == expected
+            assert type(record) is type(expected)
+            assert type(record.time_s) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(
+        lambda t, link, rx_ok, more: TelemetryRecord(t, link, rx_ok + more,
+                                                     rx_ok),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(0, 10 ** 6), st.integers(0, 10 ** 12),
+        st.integers(0, 10 ** 12)))
+    def test_counter_record_round_trips(self, record):
+        assert EVIDENCE["port_counters"].parse_line(record.to_json()) == record
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(
+        FlowReport, st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(), st.integers(), st.integers(), st.integers(),
+        st.integers(), st.lists(st.integers(0, 10 ** 6)).map(tuple),
+        st.booleans()))
+    def test_flow_report_round_trips(self, report):
+        assert EVIDENCE["voting"].parse_line(report.to_json()) == report
