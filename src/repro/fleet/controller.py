@@ -24,6 +24,7 @@ the event trace under the ``fleet`` category.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -92,7 +93,7 @@ class EpisodeSegment:
 class ControllerOutcome:
     """What the arbitration loop decided, episode by episode."""
 
-    #: episode index (in the merged, sorted episode list) -> state slices
+    #: episode index -> state slices (a stream drops a cleared episode's)
     segments: Dict[int, List[EpisodeSegment]] = field(default_factory=dict)
     decisions: List[Decision] = field(default_factory=list)
     activations: int = 0
@@ -128,7 +129,10 @@ class FleetController:
         self._active: Dict[int, int] = {}    # link_id -> episode index (LG on)
         self._exposed: Dict[int, int] = {}   # link_id -> episode index
         self._lg_capable: Dict[int, bool] = {}
-        self._episodes: List[CorruptionEpisode] = []
+        #: episode index -> episode: a replay's whole timeline, or the
+        #: streamed episodes still open (keyed by ``_stream_index``)
+        self._episodes: Dict[int, CorruptionEpisode] = {}
+        self._stream_index = itertools.count()
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         self._counters = None
         if obs is not None:
@@ -288,7 +292,9 @@ class FleetController:
     # time (+inf) that is filled in when the link recovers.  Both paths
     # share the same policy hooks and state transitions, so a streamed
     # sequence of onset/clear pairs reaches the same verdicts as a batch
-    # replay of the equivalent timeline.
+    # replay of the equivalent timeline.  A streamed episode is forgotten
+    # once it clears — with its segments — so an always-on controller
+    # holds only what is open.
 
     def stream_onset(self, episode: CorruptionEpisode) -> int:
         """Arbitrate one live onset; returns its episode index.
@@ -296,8 +302,8 @@ class FleetController:
         The episode's ``clear_s`` is typically ``inf`` — pass the index
         to :meth:`stream_clear` when telemetry shows the link healthy.
         """
-        index = len(self._episodes)
-        self._episodes.append(episode)
+        index = next(self._stream_index)
+        self._episodes[index] = episode
         link = self.topology.link(episode.link_id)
         link.corrupting = True
         link.loss_rate = episode.loss_rate
@@ -305,18 +311,21 @@ class FleetController:
         return index
 
     def stream_clear(self, index: int, clear_s: float) -> CorruptionEpisode:
-        """Close a streamed episode at its observed clear time."""
+        """Close a streamed episode at its observed clear time, then
+        drop it and its segments."""
         episode = replace(self._episodes[index], clear_s=clear_s)
         self._episodes[index] = episode
         link = self.topology.link(episode.link_id)
         self._clear(link, episode, index)
         self.policy.on_clear(self, link, episode, index)
+        del self._episodes[index]
+        del self.outcome.segments[index]
         return episode
 
     @property
-    def episodes(self) -> List[CorruptionEpisode]:
-        """Episodes seen so far (streamed or replayed), index-aligned
-        with ``outcome.segments``."""
+    def episodes(self) -> Dict[int, CorruptionEpisode]:
+        """Episodes by index, the keys of ``outcome.segments``: every
+        replayed one, or the streamed ones still open."""
         return self._episodes
 
     def lg_active_links(self) -> List[int]:
@@ -337,7 +346,7 @@ class FleetController:
         before a same-instant onset claims it — is what makes the outcome
         independent of how episodes were sharded for generation.
         """
-        self._episodes = episodes
+        self._episodes = dict(enumerate(episodes))
         events: List[Tuple[float, int, int, int]] = []
         for index, episode in enumerate(episodes):
             events.append((episode.onset_s, 1, episode.link_id, index))

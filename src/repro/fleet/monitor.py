@@ -95,7 +95,6 @@ class EvidenceMonitor:
         self._open: Dict[int, int] = {}     # link_id -> open episode index
         self._estimates: Dict[int, float] = {}   # open link -> latest estimate
         self.decisions: Deque[dict] = deque(maxlen=int(decision_log))
-        self._decision_cursor = 0
         self.records_seen = self.rejected = self.onsets = self.clears = 0
         self.last_record_s = 0.0
         prefix = self.estimator.obs_prefix
@@ -177,13 +176,14 @@ class EvidenceMonitor:
                                  name, {"link": link_id, **args})
 
     def _drain_decisions(self) -> List[dict]:
-        """New controller decisions since the last drain, as dicts."""
+        """The controller's decisions since the last drain, as dicts;
+        its list is emptied, so only ``decisions`` keeps them."""
         log = self.controller.outcome.decisions
-        if self._decision_cursor == len(log):
+        if not log:
             return []
         fresh = [{**asdict(decision), "evidence": self.evidence}
-                 for decision in log[self._decision_cursor:]]
-        self._decision_cursor = len(log)
+                 for decision in log]
+        log.clear()
         self.decisions.extend(fresh)
         return fresh
 

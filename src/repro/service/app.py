@@ -514,8 +514,8 @@ class ControlPlaneService:
             counts=self.arbiter.counts(),
             cache=self.cache.stats(),
             decisions=list(self.arbiter.decisions),
-            episodes=[episode.to_dict()
-                      for episode in self.arbiter.controller.episodes],
+            episodes=[episode.to_dict() for episode
+                      in self.arbiter.controller.episodes.values()],
             state=self.arbiter.state_dict(),
         )
 

@@ -1,8 +1,9 @@
-"""Dispatch order, end to end: a whole packet-tier cell dispatches the
-same ``(time, caused_at, seq, handler)`` sequence on either event queue,
-and its result equals the one the commit *before* the kernel's fast path
-produced (digests computed there once and pinned here) — the fast path
-changed how fast events are dispatched, not which or in what order.
+"""Dispatch order, end to end: a whole packet-tier cell dispatches a
+strictly ascending ``(time, caused_at, seq)`` sequence of exactly the
+pinned number of events, and its result equals the one the commit
+*before* the kernel's fast path produced (digests computed there once
+and pinned here) — the fast path changed how fast events are
+dispatched, not which or in what order.
 The three fct digests were re-pinned once since, when the fct cell
 gained Fig. 13's classification counts and ``rto_flows``: their text
 minus those seven metrics is the earlier text byte for byte."""
@@ -53,7 +54,7 @@ CASES = {
         "21fff71cb742b26a7ee6b2a1ad53c8ef894defeda45e7482791785cc9c5672f9"),
 }
 
-#: name -> events the heap trace holds: each case dispatches exactly this
+#: name -> events the trace holds: each case dispatches exactly this
 #: many (with each hop and pipeline pass two events and each timer
 #: re-arm a cancel plus a push, the parent commit dispatched the count
 #: in the comment)
@@ -65,22 +66,20 @@ DISPATCHED = {
 }
 
 
-def _run_traced(monkeypatch, kind, run):
-    """Run with every testbed simulator on queue ``kind``, recording
-    what ``pop_due`` hands the loop."""
+def _run_traced(monkeypatch, run):
+    """Run with every testbed simulator recording the key of each entry
+    ``pop_due`` hands the loop."""
     trace = []
 
     class Traced(Simulator):
-        def __init__(self, obs=None, queue="heap"):
-            super().__init__(obs=obs, queue=kind)
+        def __init__(self, obs=None):
+            super().__init__(obs=obs)
             pop_due = self.queue.pop_due
 
             def recording(until):
                 entry = pop_due(until)
                 if entry is not None:
-                    callback = entry[4]
-                    trace.append((entry[0], entry[1], entry[2], getattr(
-                        callback, "__qualname__", type(callback).__name__)))
+                    trace.append(entry[:3])
                 return entry
 
             self.queue.pop_due = recording
@@ -90,15 +89,11 @@ def _run_traced(monkeypatch, kind, run):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_same_dispatch_trace_and_pinned_result_on_both_queues(
-        monkeypatch, name):
+def test_dispatch_trace_and_pinned_result(monkeypatch, name):
     run, pinned = CASES[name]
-    heap_text, heap_trace = _run_traced(monkeypatch, "heap", run)
-    calendar_text, calendar_trace = _run_traced(monkeypatch, "calendar", run)
-    assert len(heap_trace) == DISPATCHED[name]
-    assert heap_trace == calendar_trace
+    text, trace = _run_traced(monkeypatch, run)
+    assert len(trace) == DISPATCHED[name]
     # (time, caused_at, seq) strictly ascending: the order is the kernel
     # contract's
-    assert all(a[:3] < b[:3] for a, b in zip(heap_trace, heap_trace[1:]))
-    assert heap_text == calendar_text
-    assert hashlib.sha256(heap_text.encode()).hexdigest() == pinned
+    assert all(a < b for a, b in zip(trace, trace[1:]))
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned

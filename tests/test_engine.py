@@ -1,29 +1,23 @@
 """Unit tests for the discrete-event kernel.
 
-Every ordering-contract test runs against both :class:`EventQueue`
-implementations — the reference heap and the calendar queue — because
-the repo's "same seed ⇒ same bytes" claims assume dispatch order is a
-property of the kernel contract, not of the queue structure behind it.
+The repo's "same seed ⇒ same bytes" claims rest on the dispatch order
+being the :class:`EventQueue` contract's ``(time, caused_at, seq)``
+order; the randomized tests check a run against that contract itself
+(``queue_contract.QueueLog``).
 """
 
 import random
 
 import pytest
 
-from repro.core.engine import (
-    CalendarEventQueue,
-    Event,
-    HeapEventQueue,
-    SimError,
-    Simulator,
-)
+from repro.core.engine import Event, EventQueue, SimError, Simulator
 
-QUEUES = ["heap", "calendar"]
+from queue_contract import QueueLog
 
 
-@pytest.fixture(params=QUEUES)
-def sim(request):
-    return Simulator(queue=request.param)
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 def test_events_fire_in_time_order(sim):
@@ -42,17 +36,6 @@ def test_same_time_events_fire_fifo(sim):
         sim.schedule(100, order.append, tag)
     sim.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_same_time_fifo_across_bucket_boundaries():
-    # Ties on a calendar bucket boundary must still break on insertion
-    # order, exactly as in the heap.
-    sim = Simulator(queue=CalendarEventQueue(bucket_ns=64))
-    order = []
-    for tag in range(8):
-        sim.schedule(64, order.append, tag)   # first tick of bucket 1
-    sim.run()
-    assert order == list(range(8))
 
 
 def test_run_until_advances_clock_even_when_idle(sim):
@@ -74,8 +57,7 @@ def test_run_until_does_not_fire_later_events(sim):
 def test_schedule_after_idle_run_until_stays_ordered(sim):
     # run(until=) advances the clock without dispatching; scheduling
     # afterwards (earlier than already-pending events) must still
-    # dispatch in time order.  This is the peek-opens-ahead case the
-    # calendar queue has to re-stash for.
+    # dispatch in time order.
     fired = []
     sim.schedule(500_000, fired.append, "far")
     sim.run(until=10)
@@ -172,47 +154,41 @@ def test_peek_skips_cancelled(sim):
     assert sim.peek() == 20
 
 
-def test_step_returns_false_when_empty(sim):
-    assert sim.step() is False
+@pytest.mark.parametrize("seed", range(4))
+def test_randomized_dispatch_honours_the_contract(monkeypatch, seed):
+    # A randomized workload of schedules, chained reschedules and
+    # cancellations, drained in slices and then to the end: the popped
+    # keys ascend, every popped entry was pushed and live, and nothing
+    # live and due is left behind.
+    log = QueueLog(monkeypatch)
+    rng = random.Random(1234 + seed)
+    sim = Simulator()
+    handles = []
+    fired = []
+
+    def fire(tag):
+        fired.append(tag)
+        if rng.random() < 0.4:
+            handles.append(sim.schedule(rng.randrange(0, 3000), fire,
+                                        tag + 1000))
+        if handles and rng.random() < 0.3:
+            handles.pop(rng.randrange(len(handles))).cancel()
+
+    for tag in range(200):
+        handles.append(sim.schedule(rng.randrange(0, 20_000), fire, tag))
+    for until in (5_000, 12_000):
+        sim.run(until=until)
+        log.check(until)
+    sim.run()
+    log.check(float("inf"))
+    assert len(fired) == len(log.popped) > 200
+    assert sim.events_cancelled > 0 and len(sim.queue) == 0
 
 
-def test_unknown_queue_name_raises():
-    with pytest.raises(SimError):
-        Simulator(queue="fibonacci")
-
-
-@pytest.mark.parametrize("impl", QUEUES)
-def test_dispatch_order_bit_identical_to_reference(impl):
-    # The cross-implementation contract: a randomized workload of
-    # schedules, chained reschedules and cancellations dispatches in
-    # exactly the same order on every queue implementation.
-    def trace(queue_name):
-        rng = random.Random(1234)
-        sim = Simulator(queue=queue_name)
-        order = []
-        handles = []
-
-        def fire(tag):
-            order.append((sim.now, tag))
-            if rng.random() < 0.4:
-                handles.append(sim.schedule(rng.randrange(0, 3000), fire,
-                                            tag + 1000))
-            if handles and rng.random() < 0.3:
-                handles.pop(rng.randrange(len(handles))).cancel()
-
-        for tag in range(200):
-            handles.append(sim.schedule(rng.randrange(0, 20_000), fire, tag))
-        sim.run()
-        return order
-
-    assert trace(impl) == trace("heap")
-
-
-@pytest.mark.parametrize("impl", QUEUES)
-def test_eager_compaction_keeps_queue_small(impl):
+def test_eager_compaction_keeps_queue_small():
     # Satellite: cancelled events must not linger until the pop path
     # reaches their timestamps once they exceed half the pending set.
-    sim = Simulator(queue=impl)
+    sim = Simulator()
     events = [sim.schedule(1_000_000 + i, lambda: None) for i in range(200)]
     assert len(sim.queue) == 200
     for event in events[:150]:
@@ -230,10 +206,9 @@ def test_eager_compaction_keeps_queue_small(impl):
     assert sim.events_processed == 50
 
 
-@pytest.mark.parametrize("impl", QUEUES)
-def test_clear_resets_per_run_stats_and_pool(impl):
+def test_clear_resets_per_run_stats_and_pool():
     # Satellite: a reused simulator reports per-run stats.
-    sim = Simulator(queue=impl)
+    sim = Simulator()
     for i in range(10):
         sim.schedule(i, lambda: None)
     sim.schedule(100, lambda: None).cancel()
@@ -289,22 +264,7 @@ def test_jump_to_advances_idle_clock(sim):
         sim.jump_to(5_000)  # would jump past a pending event
 
 
-@pytest.mark.parametrize("impl", QUEUES)
-def test_queue_instance_can_be_passed_directly(impl):
-    queue = _queue(impl)
-    sim = Simulator(queue=queue)
-    assert sim.queue is queue
-    fired = []
-    sim.schedule(1, fired.append, 1)
-    sim.run()
-    assert fired == [1]
-
-
 # -- the queue contract: pop_due -------------------------------------------------
-
-def _queue(impl):
-    return {"heap": HeapEventQueue, "calendar": CalendarEventQueue}[impl]()
-
 
 def _entry(time, seq):
     """A queue entry the way ``Simulator.schedule`` builds one
@@ -312,13 +272,12 @@ def _entry(time, seq):
     return (time, 0, seq, Event(None), print, (seq,))
 
 
-@pytest.mark.parametrize("impl", QUEUES)
-def test_pop_due_never_returns_a_later_event(impl):
+def test_pop_due_never_returns_a_later_event():
     # Randomized schedule, drained in randomly sized time slices: every
     # entry comes out inside the slice that covers it, in
     # (time, caused_at, seq) order, and what is not due stays pending.
     rng = random.Random(99)
-    queue = _queue(impl)
+    queue = EventQueue()
     entries = [_entry(rng.randrange(0, 50_000), seq) for seq in range(400)]
     for pending, entry in enumerate(entries, start=1):
         assert queue.push(entry) == pending
@@ -337,12 +296,11 @@ def test_pop_due_never_returns_a_later_event(impl):
     assert popped == sorted(entries, key=lambda e: (e[0], e[1], e[2]))
 
 
-@pytest.mark.parametrize("impl", QUEUES)
-def test_pop_due_discards_cancelled_heads(impl):
+def test_pop_due_discards_cancelled_heads():
     # Cancelled heads go whatever their time — also those past `until`,
     # which is what the peek()+pop() pair it replaces did — and each
     # discard is taken off cancelled_pending.
-    queue = _queue(impl)
+    queue = EventQueue()
     entries = [_entry(10 * (seq + 1), seq) for seq in range(6)]
     for entry in entries:
         queue.push(entry)
@@ -360,11 +318,10 @@ def test_pop_due_discards_cancelled_heads(impl):
     assert len(queue) == 0
 
 
-@pytest.mark.parametrize("impl", QUEUES)
-def test_pop_due_same_time_fifo_and_push_while_draining(impl):
+def test_pop_due_same_time_fifo_and_push_while_draining():
     # Same-time entries leave in seq order; an entry pushed at the time
     # being drained (a zero-delay reschedule) leaves after its peers.
-    queue = _queue(impl)
+    queue = EventQueue()
     for seq in range(4):
         queue.push(_entry(100, seq))
     assert queue.pop_due(100)[2] == 0
@@ -374,13 +331,11 @@ def test_pop_due_same_time_fifo_and_push_while_draining(impl):
     assert queue.pop_due(100) is None
 
 
-@pytest.mark.parametrize("impl", QUEUES)
-def test_push_earlier_than_a_head_pop_due_left_pending(impl):
-    # pop_due(until) that finds nothing due may have opened a calendar
-    # day far ahead of the clock; entries pushed before that day (and
-    # into it, and between) must still come out in order.
-    queue = CalendarEventQueue(bucket_ns=64) if impl == "calendar" \
-        else HeapEventQueue()
+def test_push_earlier_than_a_head_pop_due_left_pending():
+    # pop_due(until) that finds nothing due leaves its head pending;
+    # entries pushed before that head (and at it, and between) must
+    # still come out in order.
+    queue = EventQueue()
     far = [_entry(10_000 + i, i) for i in range(3)]
     for entry in far:
         queue.push(entry)
@@ -446,15 +401,16 @@ def test_stop_when_is_asked_after_every_handler(sim):
     assert fired == [10, 20, 30, 40]
 
 
-def test_step_and_run_share_one_dispatch_path(sim):
+def test_a_one_event_run_dispatches_one_event(sim):
+    assert sim.run(max_events=1) == 0 and sim.events_processed == 0
     fired = []
     sim.schedule(10, fired.append, "a")
     handle = sim.schedule(20, fired.append, "b")
-    assert sim.step() is True
-    assert (fired, sim.now, sim.events_processed) == (["a"], 10, 1)
+    assert sim.run(max_events=1) == 10
+    assert (fired, sim.events_processed) == (["a"], 1)
     handle.cancel()
-    assert sim.step() is False
-    assert sim.now == 10
+    assert sim.run(max_events=1) == 10      # only a cancelled entry left
+    assert (fired, sim.events_processed) == (["a"], 1)
 
 
 def test_clock_is_monotone_across_a_capped_run(sim):
@@ -479,7 +435,7 @@ def test_clear_orphans_the_handles_it_drops(sim):
     # cancel() counted a cancellation against an empty queue and skewed
     # the eager-compaction test from then on.
     stale = [sim.schedule(1_000 + i, lambda: None) for i in range(10)]
-    sim.run(until=5)            # calendar: the day is opened, cursor at 0
+    sim.run(until=5)
     sim.clear()
     for handle in stale:
         handle.cancel()
@@ -496,5 +452,4 @@ def test_clear_orphans_the_handles_it_drops(sim):
         return (len(simulator.queue), simulator.queue.cancelled_pending,
                 snap["events_cancelled"], snap["events_compacted"])
 
-    assert arm_and_cancel(sim) == arm_and_cancel(
-        Simulator(queue=type(sim.queue)()))
+    assert arm_and_cancel(sim) == arm_and_cancel(Simulator())

@@ -28,7 +28,7 @@ from repro.core.engine import SimError, Simulator
 from repro.experiments.stress import run_stress_test
 from repro.runner import ExperimentSpec, run_cell
 
-QUEUES = ("heap", "calendar")
+from queue_contract import QueueLog
 
 #: name -> zero-arg run returning the canonical text
 CELLS = {}
@@ -180,17 +180,15 @@ def _tie_script(sim, send):
     return log
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_a_hop_equals_the_two_event_pair_on_same_nanosecond_ties(queue):
+def test_a_hop_equals_the_two_event_pair_on_same_nanosecond_ties():
     expected = [(900, tag) for tag in (
         "pending-before", "pushed-after", "caused-before-arrival", "frame",
         "caused-at-arrival", "caused-after-arrival", "late-arriving-frame")]
-    assert _tie_script(Simulator(queue=queue), _two_events) == expected
-    assert _tie_script(Simulator(queue=queue), _one_event) == expected
+    assert _tie_script(Simulator(), _two_events) == expected
+    assert _tie_script(Simulator(), _one_event) == expected
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_the_residual_tie_runs_the_hop_first(queue):
+def test_the_residual_tie_runs_the_hop_first():
     # An event already pending when the frame left fires at the arrival
     # instant and schedules a child for the instant the frame's handler
     # runs.  Two events ran the child first (its seq was drawn before the
@@ -198,7 +196,7 @@ def test_the_residual_tie_runs_the_hop_first(queue):
     # hop now runs first.  Documented, not an accident: a change to the
     # key shows up here.
     def run(send):
-        sim = Simulator(queue=queue)
+        sim = Simulator()
         log = []
         sim.schedule(HOP, lambda: sim.schedule(DELAY, log.append, "child"))
         send(sim, HOP, DELAY, log.append, "frame")
@@ -244,9 +242,8 @@ def _fired(sim, log, tag="timer"):
     return lambda: log.append((sim.now, tag))
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_a_later_rearm_pushes_nothing(queue):
-    sim = Simulator(queue=queue)
+def test_a_later_rearm_pushes_nothing():
+    sim = Simulator()
     log = []
     timer = sim.timer(_fired(sim, log))
     timer.arm(100)
@@ -259,9 +256,8 @@ def test_a_later_rearm_pushes_nothing(queue):
     assert sim.events_cancelled == 0
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_an_earlier_rearm_pushes(queue):
-    sim = Simulator(queue=queue)
+def test_an_earlier_rearm_pushes():
+    sim = Simulator()
     log = []
     timer = sim.timer(_fired(sim, log))
     timer.arm(200)
@@ -274,13 +270,11 @@ def test_an_earlier_rearm_pushes(queue):
 
 
 @pytest.mark.parametrize("rearm_at", [0, 50])
-@pytest.mark.parametrize("queue", QUEUES)
-def test_a_same_deadline_rearm_fires_after_an_event_keyed_between(
-        queue, rearm_at):
+def test_a_same_deadline_rearm_fires_after_an_event_keyed_between(rearm_at):
     # the recorded key decides, not the deadline: a re-arm to the same
     # deadline moves the timer behind what was scheduled in between
     def run(rearm):
-        sim = Simulator(queue=queue)
+        sim = Simulator()
         log = []
         timer = sim.timer(_fired(sim, log))
         timer.arm(100)
@@ -298,9 +292,8 @@ def test_a_same_deadline_rearm_fires_after_an_event_keyed_between(
     assert run(rearm=True) == [(100, "between"), (100, "timer")]
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_a_cancel_after_a_lazy_rearm_fires_nothing(queue):
-    sim = Simulator(queue=queue)
+def test_a_cancel_after_a_lazy_rearm_fires_nothing():
+    sim = Simulator()
     log = []
     timer = sim.timer(_fired(sim, log))
     timer.arm(100)
@@ -315,9 +308,8 @@ def test_a_cancel_after_a_lazy_rearm_fires_nothing(queue):
     assert len(sim.queue) == 0
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_a_timer_rearmed_from_its_own_callback_fires_again(queue):
-    sim = Simulator(queue=queue)
+def test_a_timer_rearmed_from_its_own_callback_fires_again():
+    sim = Simulator()
     log = []
 
     def tick():
@@ -345,11 +337,11 @@ def test_a_cleared_simulator_does_not_strand_a_timer():
 DELAYS = (0, 5, 10, 10, 20, 40)
 
 
-def _random_run(queue, make_timer, seed, hops=False):
+def _random_run(make_timer, seed, hops=False):
     """Timers and plain events (and, with ``hops``, one-event hops)
     re-arming, cancelling and scheduling each other at random, ties
     everywhere; returns the dispatch log."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     rng = random.Random(seed)
     log = []
 
@@ -383,17 +375,21 @@ def _random_run(queue, make_timer, seed, hops=False):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_timers_dispatch_as_cancel_and_push_did(seed):
-    pushed = _random_run("heap", _CancelAndPush, seed)
+    pushed = _random_run(_CancelAndPush, seed)
     assert len(pushed) > 50
-    for queue in QUEUES:
-        assert _random_run(queue, Simulator.timer, seed) == pushed
+    assert _random_run(Simulator.timer, seed) == pushed
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_heap_and_calendar_agree_on_hops_and_timers(seed):
-    heap = _random_run("heap", Simulator.timer, seed, hops=True)
-    assert len(heap) > 50
-    assert _random_run("calendar", Simulator.timer, seed, hops=True) == heap
+def test_hops_and_timers_dispatch_in_contract_order(monkeypatch, seed):
+    # every entry a hop, a timer (fresh or re-entering) or a plain event
+    # pushes comes out in (time, caused_at, seq) order, live, and all
+    # that is due by the run's end
+    log = QueueLog(monkeypatch)
+    dispatched = _random_run(Simulator.timer, seed, hops=True)
+    assert len(dispatched) > 50
+    assert any(tag.startswith("hop") for _, tag in dispatched)
+    log.check(5_000)
 
 
 if __name__ == "__main__":  # pragma: no cover - the recorder

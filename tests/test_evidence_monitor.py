@@ -208,3 +208,26 @@ class TestMonitorContract:
                     for event in obs.tracer.events()
                     if event.category == category]
         assert instants == [("onset", 3), ("clear", 3)]
+
+    def test_a_long_stream_holds_only_what_is_open(self, kind):
+        # The controller forgets a cleared episode with its segments, and
+        # the monitor empties the controller's decision list as it drains
+        # it: pass after pass of onsets and clears, each of the three
+        # stays within the open count.
+        monitor = kind.make()
+        controller = monitor.controller
+        time_s = 0.0
+        for _ in range(4):
+            for link in (3, 5, 7):
+                kind.show(monitor, link, time_s := time_s + 20.0, HIGH)
+                kind.show(monitor, link, time_s := time_s + 20.0, LOW)
+            kind.show(monitor, 9, time_s := time_s + 20.0, HIGH)
+            open_now = monitor.counts()["open_episodes"]
+            assert open_now == 1
+            assert len(controller.episodes) == open_now
+            assert len(controller.outcome.segments) == open_now
+            assert controller.outcome.decisions == []
+            assert [episode.link_id
+                    for episode in controller.episodes.values()] == [9]
+        assert monitor.onsets >= 13 and monitor.clears >= 12
+        assert len(monitor.decisions) >= 13

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.experiments.fct as fct_module
 import repro.experiments.stress as stress_module
-from repro.core.engine import CalendarEventQueue, HeapEventQueue, Simulator
+from repro.core.engine import Simulator
 from repro.core.rng import RngFactory
 from repro.linkguardian.bidirectional import BidirectionalProtectedLink
 from repro.obs import Observability
@@ -32,6 +32,7 @@ from repro.switchsim.switch import Switch
 from repro.units import US, gbps
 
 from lg_fixtures import build_testbed
+from queue_contract import QueueLog, linear_earliest
 
 
 def _noop_tap(packet, corrupted):
@@ -312,11 +313,9 @@ def _never(entry):
     return False
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 class TestHorizon:
-    def test_earliest_looks_past_cancelled_heads_and_removes_nothing(
-            self, queue):
-        sim = Simulator(queue=queue)
+    def test_earliest_looks_past_cancelled_heads_and_removes_nothing(self):
+        sim = Simulator()
         doomed = [sim.schedule(10 + i, lambda: None) for i in range(3)]
         sim.schedule(50, lambda: None)
         for event in doomed:
@@ -327,17 +326,16 @@ class TestHorizon:
         assert sim.queue.cancelled_pending == 3
         assert sim.peek() == 50          # the destructive one agrees
 
-    def test_empty_and_all_skipped_is_none(self, queue):
-        sim = Simulator(queue=queue)
+    def test_empty_and_all_skipped_is_none(self):
+        sim = Simulator()
         assert sim.queue.earliest(_never) is None
         sim.schedule(5, lambda: None)
         assert sim.queue.earliest(lambda entry: True) is None
 
     @pytest.mark.parametrize("child_times", [
         (20, 30), (30, 20), (20, 20), (15, 10_000), (10_000, 15)])
-    def test_skipped_head_with_earlier_and_later_children(
-            self, queue, child_times):
-        sim = Simulator(queue=queue)
+    def test_skipped_head_with_earlier_and_later_children(self, child_times):
+        sim = Simulator()
         skipped = {sim.schedule(10, lambda: None)}   # the root
         for time in child_times:
             sim.schedule(time, lambda: None)
@@ -347,8 +345,8 @@ class TestHorizon:
         assert sim.queue.earliest(
             lambda entry: entry[3] in skipped) == min(child_times)
 
-    def test_skipped_and_cancelled_chain(self, queue):
-        sim = Simulator(queue=queue)
+    def test_skipped_and_cancelled_chain(self):
+        sim = Simulator()
         skipped = set()
         for time in range(1, 9):
             event = sim.schedule(time, lambda: None)
@@ -360,8 +358,8 @@ class TestHorizon:
         sim.schedule(5_000, lambda: None)
         assert sim.queue.earliest(lambda entry: entry[3] in skipped) == 9
 
-    def test_horizon_skips_coastable_loops_only(self, queue):
-        sim = Simulator(queue=queue)
+    def test_horizon_skips_coastable_loops_only(self):
+        sim = Simulator()
         calm, busy = _Loop(True), _Loop(False)
         seen = []
         sim.schedule(10, lambda: seen.append(sim.idle_horizon()))
@@ -373,8 +371,8 @@ class TestHorizon:
         assert (calm.fired, busy.fired) == (1, 1)
         assert sim.idle_pending(calm) == sim.idle_pending(busy) == 0
 
-    def test_horizon_skips_quiet_landings_only(self, queue):
-        sim = Simulator(queue=queue)
+    def test_horizon_skips_quiet_landings_only(self):
+        sim = Simulator()
         landed = []
 
         def land(frame):
@@ -398,8 +396,8 @@ class TestHorizon:
         assert seen == [20, 20, 800]
         assert landed == ["quiet", "news", "quiet", "quiet"]
 
-    def test_until_caps_the_horizon(self, queue):
-        sim = Simulator(queue=queue)
+    def test_until_caps_the_horizon(self):
+        sim = Simulator()
         seen = []
         sim.schedule(10, lambda: seen.append(sim.idle_horizon()))
         sim.schedule_idle(20, _Loop())
@@ -410,16 +408,16 @@ class TestHorizon:
         sim.run(until=9_000)
         assert seen == [700, 5_000]
 
-    def test_no_look_ahead_without_a_bound(self, queue):
-        sim = Simulator(queue=queue)
+    def test_no_look_ahead_without_a_bound(self):
+        sim = Simulator()
         seen = []
         sim.schedule(10, lambda: seen.append(sim.idle_horizon()))
         sim.schedule_idle(20, _Loop())
         sim.run()                          # no until, nothing else pending
         assert seen == [0]
 
-    def test_max_events_and_stop_when_mean_no_look_ahead(self, queue):
-        sim = Simulator(queue=queue)
+    def test_max_events_and_stop_when_mean_no_look_ahead(self):
+        sim = Simulator()
         seen = []
         for time in (10, 20):
             sim.schedule(time, lambda: seen.append(sim.idle_horizon()))
@@ -428,15 +426,15 @@ class TestHorizon:
         sim.run(until=1_000, stop_when=lambda: len(seen) == 2)
         assert seen == [0, 0]
 
-    def test_outside_run_is_zero(self, queue):
-        sim = Simulator(queue=queue)
+    def test_outside_run_is_zero(self):
+        sim = Simulator()
         sim.schedule(500, lambda: None)
         assert sim.idle_horizon() == 0
         sim.run(until=100)
         assert sim.idle_horizon() == 0
 
-    def test_clear_drops_the_registry_and_the_elided_count(self, queue):
-        sim = Simulator(queue=queue)
+    def test_clear_drops_the_registry_and_the_elided_count(self):
+        sim = Simulator()
         loop = _Loop()
         sim.schedule_idle(20, loop)
         sim.schedule_idle(30, loop)
@@ -449,24 +447,24 @@ class TestHorizon:
         assert loop.fired == 0
 
 
-def test_both_queue_kinds_agree_on_earliest():
-    rng = np.random.default_rng(11)
-    queues = [HeapEventQueue(), CalendarEventQueue(bucket_ns=64)]
-    sims = [Simulator(queue=queue) for queue in queues]
+@pytest.mark.parametrize("seed", range(4))
+def test_earliest_equals_a_linear_scan(monkeypatch, seed):
+    log = QueueLog(monkeypatch)
+    rng = np.random.default_rng(11 + seed)
+    sim = Simulator()
     for _ in range(300):
         delay, fate = int(rng.integers(0, 2_000)), int(rng.integers(0, 4))
-        for sim in sims:
-            event = sim.schedule(delay, lambda fate: None, fate)
-            if fate == 0:
-                event.cancel()
+        event = sim.schedule(delay, lambda fate: None, fate)
+        if fate == 0:
+            event.cancel()
 
     def skip(entry):
         return entry[5][0] == 1
 
-    assert queues[0].earliest(skip) == queues[1].earliest(skip) is not None
-    for sim in sims:
-        sim.run(until=700)       # part-drained: the calendar has a cursor
-    assert queues[0].earliest(skip) == queues[1].earliest(skip) is not None
+    assert sim.queue.earliest(skip) == linear_earliest(log, skip) is not None
+    sim.run(until=700)           # part-drained
+    assert log.popped
+    assert sim.queue.earliest(skip) == linear_earliest(log, skip) is not None
 
 
 # -- (d) observers pin the per-frame path: exactly the parent's event count ---------

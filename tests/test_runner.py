@@ -204,14 +204,14 @@ class TestDriversRideTheKernelLoop:
     ``stop()``.  Their limits keep the rule the hand-rolled loops had —
     the first event past the limit ends the run, and the clock stays at
     that event — checked here against those loops, rebuilt from the
-    public ``peek()``/``step()``."""
+    public ``peek()`` and ``run(max_events=1)``."""
 
     @staticmethod
-    def _world(queue, n_trials, safety_ns, trial_ns=1_000, deadline_ns=None):
+    def _world(n_trials, safety_ns, trial_ns=1_000, deadline_ns=None):
         from repro.core.engine import Simulator
         from repro.runner.harness import TrialHarness
 
-        sim = Simulator(queue=queue)
+        sim = Simulator()
 
         def tick():     # LinkGuardian-style self-replenishing background
             sim.schedule(70, tick)
@@ -233,7 +233,7 @@ class TestDriversRideTheKernelLoop:
         while not harness._done and sim.peek() is not None:
             if harness.safety_ns is not None and sim.now > harness.safety_ns:
                 break
-            sim.step()
+            sim.run(max_events=1)
         return harness.records
 
     @staticmethod
@@ -245,7 +245,7 @@ class TestDriversRideTheKernelLoop:
 
         guard = sim.schedule(int(deadline_ns), watchdog)
         while not is_done() and not state["stop"] and sim.peek() is not None:
-            sim.step()
+            sim.run(max_events=1)
         guard.cancel()
         return is_done()
 
@@ -255,20 +255,17 @@ class TestDriversRideTheKernelLoop:
                 sim.now, sim.events_processed, sim.events_cancelled,
                 len(sim.queue))
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
     @pytest.mark.parametrize("safety_ns,deadline_ns", [
         (3_500, None),        # trips mid-campaign: 3 of 10 trials done
         (3_500, 400),         # ... with every trial given up on
         (1_000_000, None),    # never trips: the last launch stops the run
         (None, None),         # no guard at all
     ])
-    def test_harness_matches_the_loop_it_replaced(self, queue, safety_ns,
+    def test_harness_matches_the_loop_it_replaced(self, safety_ns,
                                                   deadline_ns):
-        sim, harness = self._world(queue, 10, safety_ns,
-                                   deadline_ns=deadline_ns)
+        sim, harness = self._world(10, safety_ns, deadline_ns=deadline_ns)
         harness.run()
-        ref_sim, ref = self._world(queue, 10, safety_ns,
-                                   deadline_ns=deadline_ns)
+        ref_sim, ref = self._world(10, safety_ns, deadline_ns=deadline_ns)
         self._old_harness_run(ref)
         assert self._outcome(sim, harness) == self._outcome(ref_sim, ref)
         if safety_ns == 3_500:
@@ -281,7 +278,6 @@ class TestDriversRideTheKernelLoop:
             assert harness._done and len(harness.records) == 10
         assert sim.wall_seconds > 0.0     # it really ran inside run()
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
     @pytest.mark.parametrize("settle_ns,left,deadline_ns", [
         (2_000, 25, 10_000),  # done at the first event past the settle time
         (0, 25, 10_000),      # done when the state gets there
@@ -289,12 +285,12 @@ class TestDriversRideTheKernelLoop:
         (0, 40, 10_000),      # done before the first event
     ])
     def test_run_until_complete_matches_the_loop_it_replaced(
-            self, queue, settle_ns, left, deadline_ns):
+            self, settle_ns, left, deadline_ns):
         from repro.core.engine import Simulator
         from repro.runner.harness import run_until_complete
 
         def world():
-            sim = Simulator(queue=queue)
+            sim = Simulator()
             busy = {"left": 40}
 
             def work():

@@ -722,6 +722,8 @@ class TestServiceEndToEnd:
         assert snapshot.version == 1
         assert snapshot.counts["records_seen"] == 100
         assert snapshot.config["policy"] == "incremental"
+        # the controller keeps (and the snapshot lists) open episodes only
+        assert len(snapshot.episodes) == snapshot.counts["open_episodes"]
 
     def test_stale_snapshot_rejected(self, tmp_path):
         from repro.core.state import SnapshotError
