@@ -19,15 +19,15 @@ out of the evidence window after the link actually heals.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..fleet.controller import ControllerConfig, FleetController
 from ..fleet.monitor import Estimator, EvidenceMonitor, Verdict
 from ..fleet.policies import fleet_policy
 from ..fleet.topology import FleetSpec, FleetTopology
 from .evidence import FlowReport
-from .voting import BlameReport, tally_votes
+from .voting import BlameReport, VoteWindow
 
 __all__ = [
     "BlameMonitor", "VotingEstimator", "decision_signature", "run_oracle",
@@ -36,7 +36,12 @@ __all__ = [
 
 
 class VotingEstimator(Estimator):
-    """A sliding window of flow reports, re-voted every ``eval_interval_s``."""
+    """A sliding window of flow reports, re-voted every ``eval_interval_s``.
+
+    The window is a :class:`~repro.blame.voting.VoteWindow`: crossing
+    counts move as reports enter and expire, so a re-vote costs the
+    flagged flows in the window, not the window.
+    """
 
     evidence = "voting"
     obs_prefix = "blame.monitor"
@@ -57,7 +62,10 @@ class VotingEstimator(Estimator):
             raise ValueError("window_s and eval_interval_s must be positive")
         self.flow_packets = int(flow_packets)
         self.min_votes = float(min_votes)
-        self._reports: Deque[FlowReport] = deque()
+        self.window = VoteWindow()
+        #: the window's reports, oldest first (the deque it owns)
+        self._reports = self.window.reports
+        self._newest_s = -math.inf
         self._next_eval_s: Optional[float] = None
         self.last_verdict: Optional[BlameReport] = None
         self.flagged_seen = 0
@@ -76,25 +84,31 @@ class VotingEstimator(Estimator):
             self._counters["reports"].inc()
             if report.retx:
                 self._counters["flagged"].inc()
-        self._reports.append(report)
-        horizon = report.time_s - self.window_s
-        while self._reports and self._reports[0].time_s < horizon:
-            self._reports.popleft()
+        # The window ends at the newest time it has seen: a report that
+        # arrives already older than that horizon never enters, and one
+        # far-future report cannot pin the rest in place.
+        time_s = report.time_s
+        if time_s > self._newest_s:
+            self._newest_s = time_s
+        horizon = self._newest_s - self.window_s
+        window = self.window
+        if time_s >= horizon:
+            window.add(report)
+        window.expire(horizon)
         if self._next_eval_s is None:
-            self._next_eval_s = report.time_s + self.eval_interval_s
-        if report.time_s < self._next_eval_s:
+            self._next_eval_s = time_s + self.eval_interval_s
+        if time_s < self._next_eval_s:
             return None
-        self._next_eval_s = report.time_s + self.eval_interval_s
-        return self.flush(report.time_s)
+        self._next_eval_s = time_s + self.eval_interval_s
+        return self.flush(time_s)
 
     def flush(self, now_s: float) -> Verdict:
         """Re-run the vote over the current window."""
         self.evaluations += 1
         if self._counters is not None:
             self._counters["evaluations"].inc()
-        self.last_verdict = verdict = tally_votes(
-            self._reports, flow_packets=self.flow_packets,
-            min_votes=self.min_votes)
+        self.last_verdict = verdict = self.window.tally(
+            self.flow_packets, self.min_votes)
         estimates = {
             score.link_id: score.loss_estimate for score in verdict.ranked}
         return {link_id: estimates.get(link_id, 0.0)
@@ -107,7 +121,7 @@ class VotingEstimator(Estimator):
     def shard_sizes(self) -> Dict[int, int]:
         """Links under evidence in the current window, grouped by pod."""
         by_pod: Dict[int, int] = {}
-        for link_id in set().union(*(r.path for r in self._reports)):
+        for link_id in self.window.crossings:
             pod = self.topology.link(link_id).pod
             by_pod[pod] = by_pod.get(pod, 0) + 1
         return dict(sorted(by_pod.items()))

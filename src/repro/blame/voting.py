@@ -20,8 +20,10 @@ acceptance bar and CI assert on.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..core.rng import RngFactory
 from ..core.spec import Spec
@@ -29,7 +31,8 @@ from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 from .evidence import EvidenceSpec, FlowReport, LossOracle, harvest_evidence
 
 __all__ = [
-    "LinkScore", "BlameReport", "tally_votes", "invert_flow_loss",
+    "LinkScore", "BlameReport", "VoteWindow", "tally_votes",
+    "invert_flow_loss",
     "BlameEvalSpec", "evaluate_blame",
 ]
 
@@ -89,6 +92,9 @@ class BlameReport:
         }
 
 
+_time_of = attrgetter("time_s")
+
+
 def invert_flow_loss(flagged_fraction: float, flow_packets: int) -> float:
     """Per-packet loss from the flagged fraction of a link's crossings.
 
@@ -97,6 +103,145 @@ def invert_flow_loss(flagged_fraction: float, flow_packets: int) -> float:
     """
     p_flow = min(max(flagged_fraction, 0.0), 1.0 - 1e-12)
     return 1.0 - (1.0 - p_flow) ** (1.0 / max(flow_packets, 1))
+
+
+class VoteWindow:
+    """The reports of one voting window, tallied as they enter and leave.
+
+    Three things are kept up to date on :meth:`add` and :meth:`expire`:
+    the report deque, the flagged subset (``retx`` with a non-empty
+    path) in window order, and a per-link crossing count — exact
+    integers, a link counted once per appearance on a path.  A
+    :meth:`tally` then reads crossings from the running map and touches
+    only the flagged flows, not the whole window; the keys of
+    ``crossings`` are exactly the links some report in the window
+    crossed.
+    """
+
+    __slots__ = ("reports", "flagged", "crossings")
+
+    def __init__(self, reports: Iterable[FlowReport] = ()) -> None:
+        self.reports: Deque[FlowReport] = deque()
+        self.flagged: Deque[FlowReport] = deque()
+        self.crossings: Dict[int, int] = {}
+        for report in reports:
+            self.add(report)
+
+    def add(self, report: FlowReport) -> None:
+        """Append one report on the right."""
+        self.reports.append(report)
+        crossings = self.crossings
+        path = report.path
+        for link in path:
+            crossings[link] = crossings.get(link, 0) + 1
+        if report.retx and path:
+            self.flagged.append(report)
+
+    def expire(self, horizon_s: float) -> None:
+        """Drop reports from the left while the oldest is before
+        ``horizon_s``; a report behind a newer one waits its turn."""
+        reports, crossings = self.reports, self.crossings
+        while reports and reports[0].time_s < horizon_s:
+            report = reports.popleft()
+            path = report.path
+            for link in path:
+                left = crossings[link] - 1
+                if left:
+                    crossings[link] = left
+                else:
+                    del crossings[link]
+            if report.retx and path:
+                # the flagged subset is in window order: this is its head
+                self.flagged.popleft()
+
+    def tally(self, flow_packets: int = 100, min_votes: float = 2.0,
+              max_rounds: int = 32) -> BlameReport:
+        """The window's :class:`BlameReport`; see :func:`tally_votes`."""
+        reports, crossings = self.reports, self.crossings
+        # Vote mass and flagged counts are summed over the flagged flows
+        # in window order, so every float addition happens in the order
+        # a full pass over the window would make it.
+        flagged_by_link: Dict[int, int] = {}
+        votes: Dict[int, float] = {}
+        flagged_flows = list(self.flagged)
+        for report in flagged_flows:
+            share = 1.0 / len(report.path)
+            for link in report.path:
+                votes[link] = votes.get(link, 0.0) + share
+                flagged_by_link[link] = flagged_by_link.get(link, 0) + 1
+        if reports:
+            t_lo = min(map(_time_of, reports))
+            t_hi = max(map(_time_of, reports))
+        else:
+            t_lo = t_hi = 0.0
+
+        total_votes = float(len(flagged_flows))
+        out = BlameReport(
+            t_lo=t_lo, t_hi=t_hi,
+            n_reports=len(reports), n_flagged=len(flagged_flows),
+        )
+
+        def score_of(link: int, vote_mass: float, flows: int) -> LinkScore:
+            n_cross = crossings.get(link, 0)
+            fraction = flows / n_cross if n_cross else 0.0
+            return LinkScore(
+                link_id=link, votes=vote_mass, flagged=flows,
+                crossings=n_cross,
+                loss_estimate=invert_flow_loss(fraction, flow_packets),
+                confidence=vote_mass / total_votes if total_votes else 0.0,
+            )
+
+        # Explain-away rounds over the flagged flows.  A link is blamed
+        # only while it carries ``min_votes`` of vote mass AND its flagged
+        # count clears the binomial noise bar: against the *residual*
+        # background flag rate (recomputed each round, so one severe link
+        # does not inflate the bar for milder ones), the expected chance
+        # flags on its crossings plus four standard deviations.
+        # Background retransmissions (congestion, timeouts) therefore
+        # stop promoting innocent links into the blamed set as windows
+        # grow.
+        n_total = max(len(reports), 1)
+        remaining = list(flagged_flows)
+        live_votes = dict(votes)
+        live_flagged = dict(flagged_by_link)
+        for _ in range(max_rounds):
+            if not remaining:
+                break
+            top_link = max(live_votes,
+                           key=lambda link: (live_votes[link], -link))
+            if live_votes[top_link] < min_votes:
+                break
+            noise_rate = len(remaining) / n_total
+            noise_mean = noise_rate * crossings.get(top_link, 0)
+            noise_bar = noise_mean + 4.0 * math.sqrt(noise_mean) + 2.0
+            if live_flagged[top_link] < noise_bar:
+                break
+            out.ranked.append(score_of(
+                top_link, live_votes[top_link], live_flagged[top_link]))
+            out.blamed.append(top_link)
+            survivors = []
+            for report in remaining:
+                if top_link in report.path:
+                    share = 1.0 / len(report.path)
+                    for link in report.path:
+                        live_votes[link] -= share
+                        live_flagged[link] -= 1
+                        if live_flagged[link] <= 0:
+                            live_votes.pop(link, None)
+                            live_flagged.pop(link, None)
+                else:
+                    survivors.append(report)
+            remaining = survivors
+
+        # Residuals: everything not blamed, by leftover vote mass.
+        blamed_set = set(out.blamed)
+        residual = sorted(
+            ((mass, link) for link, mass in live_votes.items()
+             if link not in blamed_set),
+            key=lambda item: (-item[0], item[1]))
+        for mass, link in residual:
+            out.ranked.append(score_of(link, mass, live_flagged.get(link, 0)))
+        return out
 
 
 def tally_votes(
@@ -113,92 +258,7 @@ def tally_votes(
     those rounds form ``blamed``.  Remaining links are appended to the
     ranking by residual votes so the report is a total order.
     """
-    crossings: Dict[int, int] = {}
-    flagged_by_link: Dict[int, int] = {}
-    votes: Dict[int, float] = {}
-    flagged_flows: List[FlowReport] = []
-    t_lo = math.inf
-    t_hi = -math.inf
-    for report in reports:
-        t_lo = min(t_lo, report.time_s)
-        t_hi = max(t_hi, report.time_s)
-        for link in report.path:
-            crossings[link] = crossings.get(link, 0) + 1
-        if report.retx and report.path:
-            flagged_flows.append(report)
-            share = 1.0 / len(report.path)
-            for link in report.path:
-                votes[link] = votes.get(link, 0.0) + share
-                flagged_by_link[link] = flagged_by_link.get(link, 0) + 1
-    if not reports:
-        t_lo = t_hi = 0.0
-
-    total_votes = float(len(flagged_flows))
-    out = BlameReport(
-        t_lo=t_lo, t_hi=t_hi,
-        n_reports=len(reports), n_flagged=len(flagged_flows),
-    )
-
-    def score_of(link: int, vote_mass: float, flows: int) -> LinkScore:
-        n_cross = crossings.get(link, 0)
-        fraction = flows / n_cross if n_cross else 0.0
-        return LinkScore(
-            link_id=link, votes=vote_mass, flagged=flows,
-            crossings=n_cross,
-            loss_estimate=invert_flow_loss(fraction, flow_packets),
-            confidence=vote_mass / total_votes if total_votes else 0.0,
-        )
-
-    # Explain-away rounds over the flagged flows.  A link is blamed only
-    # while it carries ``min_votes`` of vote mass AND its flagged count
-    # clears the binomial noise bar: against the *residual* background
-    # flag rate (recomputed each round, so one severe link does not
-    # inflate the bar for milder ones), the expected chance flags on its
-    # crossings plus four standard deviations.  Background
-    # retransmissions (congestion, timeouts) therefore stop promoting
-    # innocent links into the blamed set as windows grow.
-    n_total = max(len(reports), 1)
-    remaining = list(flagged_flows)
-    live_votes = dict(votes)
-    live_flagged = dict(flagged_by_link)
-    for _ in range(max_rounds):
-        if not remaining:
-            break
-        top_link = max(live_votes,
-                       key=lambda link: (live_votes[link], -link))
-        if live_votes[top_link] < min_votes:
-            break
-        noise_rate = len(remaining) / n_total
-        noise_mean = noise_rate * crossings.get(top_link, 0)
-        noise_bar = noise_mean + 4.0 * math.sqrt(noise_mean) + 2.0
-        if live_flagged[top_link] < noise_bar:
-            break
-        out.ranked.append(score_of(
-            top_link, live_votes[top_link], live_flagged[top_link]))
-        out.blamed.append(top_link)
-        survivors = []
-        for report in remaining:
-            if top_link in report.path:
-                share = 1.0 / len(report.path)
-                for link in report.path:
-                    live_votes[link] -= share
-                    live_flagged[link] -= 1
-                    if live_flagged[link] <= 0:
-                        live_votes.pop(link, None)
-                        live_flagged.pop(link, None)
-            else:
-                survivors.append(report)
-        remaining = survivors
-
-    # Residuals: everything not blamed, by leftover vote mass.
-    blamed_set = set(out.blamed)
-    residual = sorted(
-        ((mass, link) for link, mass in live_votes.items()
-         if link not in blamed_set),
-        key=lambda item: (-item[0], item[1]))
-    for mass, link in residual:
-        out.ranked.append(score_of(link, mass, live_flagged.get(link, 0)))
-    return out
+    return VoteWindow(reports).tally(flow_packets, min_votes, max_rounds)
 
 
 # ---------------------------------------------------------------------------

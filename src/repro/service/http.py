@@ -120,7 +120,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         length = int(length_text)
     except ValueError:
         raise HttpError(400, "bad Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
+    if length < 0:
+        raise HttpError(400, "bad Content-Length")
+    if length > MAX_BODY_BYTES:
         raise HttpError(413, "request body too large")
     body = b""
     if length:
