@@ -13,6 +13,7 @@ from repro.corropt.trace import LOSS_BUCKETS, sample_loss_rates
 from repro.experiments.deployment import (
     replay_corropt, run_deployment_comparison,
 )
+from repro.experiments.incremental import run_incremental_deployment
 from repro.fabric.topology import FabricTopology
 from repro.fleet.cost import (
     FIG8_POINTS, lg_effective_loss_rate, lg_effective_speed_fraction,
@@ -462,6 +463,13 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _result_sha256(result):
+    """sha256 over every series array and counter of a DeploymentResult."""
+    return _sha256(json.dumps({
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in vars(result).items()}, sort_keys=True))
+
+
 class TestPinnedDigests:
     """What "byte-identical" means for the planner tier: sha256 of the
     canonical documents, recorded at commit 8c7755d (before the topology
@@ -498,6 +506,21 @@ class TestPinnedDigests:
             "928dcf8ed31f435f8120f0808b040aa84c7deb6d2d29cd4b1c390ca07af2cf9e"),
     }
 
+    #: the full study, not only its summary: (vanilla, combined) digests
+    #: of :func:`_result_sha256`, recorded before the study ran on the
+    #: controller's own event loop
+    DEPLOYMENT_SERIES = {
+        "default": (
+            "38430cdbc81fd937b7607720935082b40dcfc1dd32f822f31c3eb7adf7e246d4",
+            "0104c522bd8c88b35a167be4d9a9dd9308f9dc75aab5ba5976b94e8a8a8eeb0f"),
+        "paper-pods": (
+            "1482d8338774e3ee63399cd85c5dbb4edda357dc16539e7a328cefc48738db10",
+            "53b3b2fbbc6d8f99f00240543e33321358f45fe11b1ce0225b48e1937c3d9dfc"),
+    }
+    #: one ``incremental`` fraction (0.5) on its default trace
+    INCREMENTAL_SERIES = (
+        "aefbe99b3ae9d2115d5b4c804a695827f0e95bec5bcb545660effa43e0c6fd51")
+
     @pytest.mark.parametrize("seed", sorted(TRACES))
     def test_trace_and_replays(self, seed):
         spec = TraceSpec(fleet=self.FLEET, duration_days=180.0, seed=seed)
@@ -511,5 +534,19 @@ class TestPinnedDigests:
     @pytest.mark.parametrize("shape", sorted(DEPLOYMENTS))
     def test_deployment_summary(self, shape):
         params, digest = self.DEPLOYMENTS[shape]
-        summary = run_deployment_comparison(**params).summary()
+        comparison = run_deployment_comparison(**params)
+        summary = comparison.summary()
         assert _sha256(json.dumps(summary, sort_keys=True)) == digest
+        assert (_result_sha256(comparison.vanilla),
+                _result_sha256(comparison.combined)
+                ) == self.DEPLOYMENT_SERIES[shape]
+
+    def test_incremental_fraction_series(self):
+        defaults = run_incremental_deployment.__defaults__
+        (_, constraint, n_pods, tors, fabrics, uplinks, days, mttf,
+         seed) = defaults
+        trace = generate_trace(TraceSpec(
+            FleetSpec(n_pods, tors, fabrics, uplinks, mttf_hours=mttf),
+            days, seed))
+        result = replay_corropt(trace, constraint, 0.5)
+        assert _result_sha256(result) == self.INCREMENTAL_SERIES
