@@ -12,15 +12,15 @@ and post-processes the time series into:
 
 Following the authors' simulator, every solution replays one fixed
 failure trace (:func:`repro.lifecycle.generate_trace`) through the one
-arbitration engine (:class:`~repro.fleet.controller.FleetController`)
+arbitration loop (:meth:`~repro.fleet.controller.FleetController.run`)
 and prices LinkGuardian with the one cost model (:mod:`repro.fleet.cost`).
 What stays local is CorrOpt's **repair clock**: the 2-or-4-day repair
-starts when a link is *disabled*, not when it starts corrupting, so a
-link the fast checker blocks keeps corrupting until an optimizer pass
-(run at every repair completion) finds room to disable it.  That is why
-this is not a view over :mod:`repro.lifecycle.replay`, whose tickets
-open at onset — a blocked link there clears itself in 2-4 days, which
-would erase exactly the penalty Figure 16 measures.
+starts when a link is *disabled* (the study schedules its clear then),
+so a link the fast checker blocks keeps corrupting until an optimizer
+pass (run at every repair completion) finds room to disable it.  That
+is why this is not a view over :mod:`repro.lifecycle.replay`, whose
+tickets open at onset — a blocked link there clears itself in 2-4
+days, which would erase exactly the penalty Figure 16 measures.
 
 The topology scale is configurable; the paper's ~100K-link fabric is
 ``n_pods=260`` with 48/4/48 — the defaults here are a smaller fabric
@@ -30,7 +30,6 @@ while keeping the simulation seconds-fast in Python.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
@@ -83,20 +82,63 @@ class _CorrOptStudyPolicy(IncrementalDeploymentPolicy):
     pass at every repair completion that revisits LG-protected links as
     well — masking a link is not repairing it.  Deliberately not in the
     ``POLICIES`` registry: it only makes sense on the disable-then-repair
-    clock :func:`replay_corropt` keeps."""
+    clock it keeps.  It is also the study's reader: each event's
+    decisions become metric change-points; a disable schedules a repair."""
 
     name = "corropt-study"
 
+    def __init__(self, trace: LifecycleTrace, n_pods: int) -> None:
+        self.trace_events = trace.events
+        self.max_lg_per_pod = self._cursor = 0
+        self.disabled = [0, 0]                  # [by the optimizer, at onset]
+        # Metrics only move at events: keep each corrupting-and-up link's
+        # penalty and each pod's paths/capacity, one change-point an event
+        self._penalty_of: Dict[int, float] = {}
+        self._pod_paths, self._pod_capacity = [1.0] * n_pods, [1.0] * n_pods
+        self.points = [(-math.inf, 0.0, 1.0, 1.0)]
+
+    def on_onset(self, controller, link, episode, index) -> None:
+        super().on_onset(controller, link, episode, index)
+        self._read(controller, link.pod, episode.onset_s, at_onset=True)
+
     def on_clear(self, controller, link, episode, index) -> None:
-        held = (controller.exposed_worst_first()
-                + controller.protected_worst_first())
-        for other_index, other in held:
-            other_link = controller.topology.link(other.link_id)
-            # the checker's verdict is per pod: only the repaired link's
-            # pod has gained room since these links were last tried
-            if other_link.pod == link.pod:
-                controller.try_disable(other_link, other, other_index,
-                                       episode.clear_s)
+        # the checker's verdict is per pod: only the repaired link's pod
+        # has gained room since its held links were last tried
+        pod = link.pod
+        for other_index, other in (controller.exposed_worst_first(pod)
+                                   + controller.protected_worst_first(pod)):
+            controller.try_disable(controller.topology.link(other.link_id),
+                                   other, other_index, episode.clear_s)
+        self._read(controller, pod, episode.clear_s, at_onset=False)
+
+    def _read(self, controller, pod, now_s, at_onset) -> None:
+        """Fold one event's decisions, all in the event link's ``pod``."""
+        decisions = controller.outcome.decisions
+        penalty_of, topology = self._penalty_of, controller.topology
+        for decision in decisions[self._cursor:]:
+            link_id = decision.link_id
+            if decision.action == "blocked":
+                penalty_of[link_id] = decision.loss_rate
+            elif decision.action == "activate":
+                penalty_of[link_id] = controller.effective_loss(
+                    decision.loss_rate)
+                self.max_lg_per_pod = max(
+                    self.max_lg_per_pod,
+                    len(controller.protected_worst_first(pod)))
+            else:   # disable: the crew's clock starts now; the delay is
+                # the draw the lifecycle replay makes for the same event
+                penalty_of.pop(link_id, None)
+                self.disabled[at_onset] += 1
+                event = self.trace_events[controller.open_episodes[link_id]]
+                controller.schedule_clear(link_id, now_s + repair_delay_s(
+                    topology.factory, _REPAIR, link_id, event.event_index,
+                    decision.loss_rate))
+        self._cursor = len(decisions)
+        self._pod_paths[pod] = (topology.pod_min_tor_paths(pod)
+                                / topology.max_paths_per_tor)
+        self._pod_capacity[pod] = topology.pod_capacity_fraction(pod)
+        self.points.append((now_s, sum(penalty_of.values()),
+                            min(self._pod_paths), min(self._pod_capacity)))
 
 
 def replay_corropt(
@@ -110,88 +152,36 @@ def replay_corropt(
     ``lg_deployment_fraction`` 0 is vanilla CorrOpt, 1 the fleet-wide
     upgrade.  LinkGuardian is bounded only by where it is deployed (no
     activation budget, no pod floor), as in the paper's study.  An onset
-    on a link that is still corrupting or out for repair is the same
-    physical fault and is dropped.
+    on a link still corrupting or out for repair is the same fault.
     """
-    spec = trace.spec
-    duration_s = spec.duration_s
-    topology = FleetTopology(spec.fleet, seed=spec.seed)
+    duration_s = trace.spec.duration_s
+    topology = FleetTopology(trace.spec.fleet, seed=trace.spec.seed)
+    study = _CorrOptStudyPolicy(trace, topology.n_pods)
     controller = FleetController(topology, ControllerConfig(
         capacity_constraint=capacity_constraint, pod_capacity_floor=0.0,
         activation_budget=topology.n_links,
         lg_deployment_fraction=lg_deployment_fraction,
-    ), _CorrOptStudyPolicy())
-    decisions = controller.outcome.decisions
-
-    # Metrics only move at events: keep each corrupting-and-up link's
-    # penalty and each pod's paths/capacity, update what the event's
-    # decisions touched, and record one change-point per event.
-    penalty_of: Dict[int, float] = {}
-    lg_active = [set() for _ in range(topology.n_pods)]    # per pod
-    pod_paths = [1.0] * topology.n_pods
-    pod_capacity = [1.0] * topology.n_pods
-    points = [(-math.inf, 0.0, 1.0, 1.0)]
-
-    # (time, is_onset, link_id, FailureEvent | None): clears sort before
-    # same-instant onsets, as in FleetController.run.
-    heap = [(e.time_s, 1, e.link_id, e) for e in trace.events]
-    open_episodes: Dict[int, tuple] = {}    # link -> (index, event_index)
-    events = max_lg_per_pod = 0
-    disabled = [0, 0]                       # [by the optimizer, at onset]
-    while heap:
-        now_s, is_onset, link_id, event = heapq.heappop(heap)
-        cursor = len(decisions)
-        dirty = {topology.link(link_id).pod}
-        if not is_onset:
-            controller.stream_clear(open_episodes.pop(link_id)[0], now_s)
-        elif link_id in open_episodes:
-            continue
-        else:
-            events += 1
-            index = controller.stream_onset(CorruptionEpisode(
-                link_id, now_s, math.inf, event.loss_rate, event.mean_burst))
-            open_episodes[link_id] = (index, event.event_index)
-        for decision in decisions[cursor:]:
-            pod = topology.link(decision.link_id).pod
-            dirty.add(pod)
-            if decision.action == "blocked":
-                penalty_of[decision.link_id] = decision.loss_rate
-            elif decision.action == "activate":
-                penalty_of[decision.link_id] = controller.effective_loss(
-                    decision.loss_rate)
-                lg_active[pod].add(decision.link_id)
-                max_lg_per_pod = max(max_lg_per_pod, len(lg_active[pod]))
-            else:   # disable: the crew's clock starts now; the delay is
-                # the draw the lifecycle replay makes for the same event
-                penalty_of.pop(decision.link_id, None)
-                lg_active[pod].discard(decision.link_id)
-                disabled[is_onset] += 1
-                clear_s = now_s + repair_delay_s(
-                    topology.factory, _REPAIR, decision.link_id,
-                    open_episodes[decision.link_id][1], decision.loss_rate)
-                if clear_s <= duration_s:
-                    heapq.heappush(heap, (clear_s, 0, decision.link_id, None))
-        for pod in dirty:
-            pod_paths[pod] = (topology.pod_min_tor_paths(pod)
-                              / topology.max_paths_per_tor)
-            pod_capacity[pod] = topology.pod_capacity_fraction(pod)
-        points.append((now_s, sum(penalty_of.values()),
-                       min(pod_paths), min(pod_capacity)))
+    ), study)
+    controller.run([
+        CorruptionEpisode(e.link_id, e.time_s, math.inf, e.loss_rate,
+                          e.mean_burst)
+        for e in trace.events], until_s=duration_s)
+    onsets = len(controller.outcome.segments)   # the onsets not dropped
 
     times = sample_interval_s * np.arange(int(duration_s // sample_interval_s) + 1)
-    series = np.asarray(points)
+    series = np.asarray(study.points)
     series = series[np.searchsorted(series[:, 0], times, side="right") - 1]
     return DeploymentResult(
         times_s=times,
         total_penalty=series[:, 1],
         least_paths_fraction=series[:, 2],
         least_capacity_fraction=series[:, 3],
-        corruption_events=events,
-        disabled_immediately=disabled[1],
-        disabled_by_optimizer=disabled[0],
-        constraint_blocked=events - disabled[1],
+        corruption_events=onsets,
+        disabled_immediately=study.disabled[1],
+        disabled_by_optimizer=study.disabled[0],
+        constraint_blocked=onsets - study.disabled[1],
         max_concurrent_lg_links=controller.outcome.max_concurrent_lg,
-        max_lg_links_per_pod=max_lg_per_pod,
+        max_lg_links_per_pod=study.max_lg_per_pod,
     )
 
 

@@ -11,20 +11,23 @@ deployment story needs a second, global decision per corrupting link:
   resources are finite) and a per-pod capacity floor, or
 * leave it **exposed** (blocked) when neither is possible.
 
-The arbitration loop replays the fleet's merged corruption-episode
-timeline in deterministic ``(time, link_id)`` order, delegating each
-onset to a pluggable :class:`FleetPolicy` from the
-:mod:`repro.fleet.policies` registry.  Two policies ship: the paper's
-incremental-deployment policy (disable-first, LG as the relief valve
-when capacity is tight) and a greedy-worst-link baseline (LG-first on
-the highest loss rates, preempting milder links when the budget is
-full).  Every decision is counted in the metrics registry and emitted on
-the event trace under the ``fleet`` category.
+The arbitration loop pops one event heap (a replay, a live evidence
+stream and the §4.8 study's repair clock all feed it) in deterministic
+``(time, link_id)`` order, delegating each onset to a pluggable
+:class:`FleetPolicy` from the :mod:`repro.fleet.policies` registry.
+Two policies ship: the paper's incremental-deployment policy
+(disable-first, LG as the relief valve when capacity is tight) and a
+greedy-worst-link baseline (LG-first on the highest loss rates,
+preempting milder links when the budget is full).  Every decision is
+counted in the metrics registry and emitted on the event trace under
+the ``fleet`` category.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +45,8 @@ __all__ = [
     "ControllerConfig", "Decision", "EpisodeSegment", "ControllerOutcome",
     "FleetController",
 ]
+#: (episode index, episode) pairs, worst first
+_Held = List[Tuple[int, CorruptionEpisode]]
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ class ControllerOutcome:
 
 
 class FleetController:
-    """Replays a merged episode timeline and arbitrates each onset."""
+    """Arbitrates each onset of an event timeline, batch or streamed."""
 
     def __init__(
         self,
@@ -133,6 +138,11 @@ class FleetController:
         #: streamed episodes still open (keyed by ``_stream_index``)
         self._episodes: Dict[int, CorruptionEpisode] = {}
         self._stream_index = itertools.count()
+        self.open_episodes: Dict[int, int] = {}  # link_id -> episode index
+        #: pod -> its open links, so one pod's held links are read alone
+        self._open_by_pod = [set() for _ in range(topology.n_pods)]
+        self._events: List[Tuple[float, int, int, int]] = []    # the heap
+        self._retain = False    # a replay keeps cleared episodes; a stream not
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         self._counters = None
         if obs is not None:
@@ -266,61 +276,25 @@ class FleetController:
             key=lambda item: (self._episodes[item[1]].loss_rate, item[0]),
         )
 
-    def _worst_first(self, held: Dict[int, int], penalty,
-                     ) -> List[Tuple[int, CorruptionEpisode]]:
-        ordered = sorted(
-            held.items(),
-            key=lambda item: (-penalty(self._episodes[item[1]].loss_rate),
-                              item[0]),
-        )
-        return [(index, self._episodes[index]) for _, index in ordered]
+    def _worst_first(self, held: Dict[int, int], penalty, pod) -> _Held:
+        links = held if pod is None else self._open_by_pod[pod] & held.keys()
+        if not links:
+            return []
+        episodes = self._episodes
+        ranked = sorted((-penalty(episodes[held[link_id]].loss_rate), link_id)
+                        for link_id in links)
+        return [(held[link_id], episodes[held[link_id]])
+                for _, link_id in ranked]
 
-    def exposed_worst_first(self) -> List[Tuple[int, CorruptionEpisode]]:
-        """Still-exposed episodes, highest loss rate first (ties by link)."""
-        return self._worst_first(self._exposed, float)
+    def exposed_worst_first(self, pod: Optional[int] = None) -> _Held:
+        """Still-exposed episodes (of ``pod``, or fleet-wide), highest
+        loss rate first (ties by link)."""
+        return self._worst_first(self._exposed, float, pod)
 
-    def protected_worst_first(self) -> List[Tuple[int, CorruptionEpisode]]:
-        """LG-protected episodes, highest *effective* loss first (Eq. 1 is
-        a sawtooth in the actual loss rate; ties by link)."""
-        return self._worst_first(self._active, self.effective_loss)
-
-    # -- streaming arbitration (the always-on service) ---------------------------
-    #
-    # ``run`` below replays a complete, pre-generated timeline.  The
-    # control-plane service instead discovers onsets and clears one at a
-    # time from live telemetry, so episodes arrive with an unknown clear
-    # time (+inf) that is filled in when the link recovers.  Both paths
-    # share the same policy hooks and state transitions, so a streamed
-    # sequence of onset/clear pairs reaches the same verdicts as a batch
-    # replay of the equivalent timeline.  A streamed episode is forgotten
-    # once it clears — with its segments — so an always-on controller
-    # holds only what is open.
-
-    def stream_onset(self, episode: CorruptionEpisode) -> int:
-        """Arbitrate one live onset; returns its episode index.
-
-        The episode's ``clear_s`` is typically ``inf`` — pass the index
-        to :meth:`stream_clear` when telemetry shows the link healthy.
-        """
-        index = next(self._stream_index)
-        self._episodes[index] = episode
-        link = self.topology.link(episode.link_id)
-        link.corrupting = True
-        link.loss_rate = episode.loss_rate
-        self.policy.on_onset(self, link, episode, index)
-        return index
-
-    def stream_clear(self, index: int, clear_s: float) -> CorruptionEpisode:
-        """Close a streamed episode at its observed clear time, then
-        drop it and its segments."""
-        episode = replace(self._episodes[index], clear_s=clear_s)
-        self._episodes[index] = episode
-        link = self.topology.link(episode.link_id)
-        self._clear(link, episode, index)
-        self.policy.on_clear(self, link, episode, index)
-        del self._episodes[index]
-        del self.outcome.segments[index]
-        return episode
+    def protected_worst_first(self, pod: Optional[int] = None) -> _Held:
+        """LG-protected episodes (of ``pod``, or fleet-wide), highest
+        *effective* loss first (Eq. 1 is a sawtooth in the loss rate)."""
+        return self._worst_first(self._active, self.effective_loss, pod)
 
     @property
     def episodes(self) -> Dict[int, CorruptionEpisode]:
@@ -337,50 +311,87 @@ class FleetController:
         return sorted(self._exposed)
 
     # -- the arbitration loop ----------------------------------------------------
+    #
+    # One heap of (time, 0 clear | 1 onset, link_id, index) events: a
+    # repaired link frees budget before a same-instant onset claims it,
+    # and a replay's outcome does not depend on how it was sharded.
+    # ``run`` replays a timeline, a live feed schedules and advances to now,
+    # and a repair clock (the §4.8 study) schedules clears from the loop.
 
-    def run(self, episodes: List[CorruptionEpisode]) -> ControllerOutcome:
-        """Replay ``episodes`` (the fleet's merged timeline) to a verdict.
-
-        The event order — onsets and clears interleaved by ``(time,
-        link_id)``, clears first on ties so a repaired link frees budget
-        before a same-instant onset claims it — is what makes the outcome
-        independent of how episodes were sharded for generation.
-        """
+    def run(self, episodes: List[CorruptionEpisode],
+            until_s: float = math.inf) -> ControllerOutcome:
+        """Replay ``episodes`` (the fleet's merged timeline) to a verdict;
+        events later than ``until_s`` never fire."""
+        self._retain = True
         self._episodes = dict(enumerate(episodes))
-        events: List[Tuple[float, int, int, int]] = []
+        events = self._events = []
         for index, episode in enumerate(episodes):
             events.append((episode.onset_s, 1, episode.link_id, index))
             events.append((episode.clear_s, 0, episode.link_id, index))
-        events.sort()
+        events.sort()       # a sorted list is a heap
+        self.advance(until_s)
+        return self.outcome
 
-        for time_s, kind, link_id, index in events:
-            episode = episodes[index]
-            link = self.topology.link(link_id)
-            if kind == 1:
+    def schedule_onset(self, episode: CorruptionEpisode) -> int:
+        """Queue a live onset (not its clear); returns its episode index."""
+        index = next(self._stream_index)
+        self._episodes[index] = episode
+        heapq.heappush(self._events,
+                       (episode.onset_s, 1, episode.link_id, index))
+        return index
+
+    def schedule_clear(self, link_id: int, clear_s: float) -> None:
+        """Queue a clear of the episode open on ``link_id`` now (a no-op
+        if that episode closes first)."""
+        heapq.heappush(self._events, (
+            clear_s, 0, link_id, self.open_episodes.get(link_id, -1)))
+
+    def advance(self, until_s: float) -> None:
+        """Fire every queued event up to and including ``until_s``."""
+        events, episodes = self._events, self._episodes
+        open_episodes, open_by_pod = self.open_episodes, self._open_by_pod
+        while events and events[0][0] <= until_s:
+            time_s, is_onset, link_id, index = heapq.heappop(events)
+            if not is_onset:
+                if open_episodes.get(link_id) == index:
+                    self._clear(link_id, index, time_s)
+            elif link_id in open_episodes:
+                # still corrupting or out for repair: the same fault
+                if not self._retain:
+                    del episodes[index]
+            else:
+                open_episodes[link_id] = index
+                episode = episodes[index]
+                link = self.topology.link(link_id)
+                open_by_pod[link.pod].add(link_id)
                 link.corrupting = True
                 link.loss_rate = episode.loss_rate
                 self.policy.on_onset(self, link, episode, index)
-            else:
-                self._clear(link, episode, index)
-                self.policy.on_clear(self, link, episode, index)
-        return self.outcome
 
-    def _clear(self, link: FabricLink, episode: CorruptionEpisode,
-               index: int) -> None:
+    def _clear(self, link_id: int, index: int, time_s: float) -> None:
+        del self.open_episodes[link_id]
+        episode = self._episodes[index]
+        if episode.clear_s != time_s:
+            episode = self._episodes[index] = replace(episode, clear_s=time_s)
+        link = self.topology.link(link_id)
+        self._open_by_pod[link.pod].discard(link_id)
         link.up = True
         link.corrupting = False
         link.loss_rate = 0.0
         link.lg_enabled = False
         link.speed_fraction = 1.0
-        self._active.pop(link.link_id, None)
-        self._exposed.pop(link.link_id, None)
+        self._active.pop(link_id, None)
+        self._exposed.pop(link_id, None)
         if self._counters is not None:
             self._lg_gauge.set(len(self._active))
-        self._close_segment(index, episode.clear_s)
+        self._close_segment(index, time_s)
         if self._tracer.enabled:
-            self._tracer.instant(int(episode.clear_s * 1e9), "fleet", "clear", {
-                "link": link.link_id,
-            })
+            self._tracer.instant(int(time_s * 1e9), "fleet", "clear",
+                                 {"link": link_id})
+        self.policy.on_clear(self, link, episode, index)
+        if not self._retain:
+            del self._episodes[index]
+            del self.outcome.segments[index]
 
     def effective_loss(self, loss_rate: float) -> float:
         return lg_effective_loss_rate(loss_rate, self.config.lg_target_loss)

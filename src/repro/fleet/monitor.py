@@ -5,7 +5,7 @@ stream becomes a windowed loss estimate, a threshold crossing opens a
 corruption episode (the policy runs right there), a later crossing
 closes it.  What the estimate is *built from* — port counters, or 007
 per-flow retransmission votes — changes nothing about that loop, so it
-lives here once, next to the streaming API it drives.
+lives here once, feeding the controller's own event heap.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .topology import CorruptionEpisode, FleetTopology
 
 __all__ = ["Estimator", "EvidenceMonitor", "Verdict"]
 
-#: link_id -> loss estimate, in the order onsets should be arbitrated
+#: link_id -> loss estimate, for the links one verdict speaks for
 Verdict = Mapping[int, float]
 
 
@@ -92,7 +92,6 @@ class EvidenceMonitor:
         self.onset_threshold = float(onset_threshold)
         self.clear_threshold = float(onset_threshold) * float(clear_hysteresis)
         self.mean_burst = float(mean_burst)
-        self._open: Dict[int, int] = {}     # link_id -> open episode index
         self._estimates: Dict[int, float] = {}   # open link -> latest estimate
         self.decisions: Deque[dict] = deque(maxlen=int(decision_log))
         self.records_seen = self.rejected = self.onsets = self.clears = 0
@@ -135,35 +134,35 @@ class EvidenceMonitor:
         return self._apply(self.estimator.flush(now_s), now_s)
 
     def _apply(self, verdict: Optional[Verdict], now_s: float) -> List[dict]:
-        """The one transition function: onsets in verdict order, then
-        clears in open order; returns the decisions they caused."""
+        """The one transition function: schedule onsets and clears, run
+        the controller to ``now_s``; returns the decisions they caused."""
         if verdict is None:
             return []
-        open_episodes, estimates = self._open, self._estimates
+        open_links, estimates = self.controller.open_episodes, self._estimates
         onset_threshold = self.onset_threshold
         for link_id, estimate in verdict.items():
-            if link_id in open_episodes:
+            if link_id in open_links:
                 estimates[link_id] = estimate
             elif estimate >= onset_threshold:
-                episode = CorruptionEpisode(
+                self.controller.schedule_onset(CorruptionEpisode(
                     link_id=link_id, onset_s=now_s, clear_s=math.inf,
-                    loss_rate=estimate, mean_burst=self.mean_burst)
-                open_episodes[link_id] = self.controller.stream_onset(episode)
+                    loss_rate=estimate, mean_burst=self.mean_burst))
                 estimates[link_id] = estimate
                 self.onsets += 1
                 self._emit("onset", link_id, now_s, {
                     "loss_estimate": estimate,
                     **self.estimator.explain(link_id)})
         clear_threshold = self.clear_threshold
-        for link_id in (list(open_episodes) if self.estimator.complete
+        for link_id in (list(open_links) if self.estimator.complete
                         else verdict):
             # a link a complete verdict dropped reads -inf: always clears
-            if (link_id in open_episodes
+            if (link_id in open_links
                     and verdict.get(link_id, -math.inf) < clear_threshold):
-                self.controller.stream_clear(open_episodes.pop(link_id), now_s)
+                self.controller.schedule_clear(link_id, now_s)
                 self.clears += 1
                 self._emit("clear", link_id, now_s, {
                     "loss_estimate": estimates.pop(link_id)})
+        self.controller.advance(now_s)
         return self._drain_decisions()
 
     def _emit(self, name: str, link_id: int, now_s: float,
@@ -197,7 +196,7 @@ class EvidenceMonitor:
             "onsets": self.onsets,
             "clears": self.clears,
             "tracked_links": self.tracked_links(),
-            "open_episodes": len(self._open),
+            "open_episodes": len(self.controller.open_episodes),
             **self.estimator.counts(),
         }
 

@@ -1,6 +1,17 @@
 """Tests for the fleet-wide arbitration loop and its two policies."""
 
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.experiments import deployment
+from repro.lifecycle import FailureEvent, LifecycleTrace, TraceSpec
+from repro.lifecycle.repair import CorrOptRepairPolicy, repair_delay_s
+from repro.units import DAY_S
 
 from repro.obs import Observability
 from repro.fleet.controller import (
@@ -34,6 +45,18 @@ def run_policy(policy, episodes, config=None, topology=None, obs=None):
     outcome = controller.run(sorted(episodes,
                                     key=lambda e: (e.onset_s, e.link_id)))
     return controller, outcome
+
+
+def stream_onset(controller, episode):
+    """A live onset: schedule it and advance the loop to it."""
+    index = controller.schedule_onset(episode)
+    controller.advance(episode.onset_s)
+    return index
+
+
+def stream_clear(controller, link_id, clear_s):
+    controller.schedule_clear(link_id, clear_s)
+    controller.advance(clear_s)
 
 
 def states(outcome, index):
@@ -227,7 +250,7 @@ class TestDisableProtectedLink:
         controller = FleetController(
             topology, ControllerConfig(capacity_constraint=1.0),
             IncrementalDeploymentPolicy(), obs=obs)
-        index = controller.stream_onset(episode(0, 10.0, float("inf")))
+        index = stream_onset(controller, episode(0, 10.0, float("inf")))
         assert controller.lg_active_links() == [0]
         return controller, topology.link(0), index
 
@@ -244,10 +267,10 @@ class TestDisableProtectedLink:
         assert controller.protected_worst_first() == []
         assert (link.up, link.lg_enabled, link.speed_fraction) == (False, False, 1.0)
         # the single budget slot is free again
-        other = controller.stream_onset(episode(20, 30.0, float("inf")))
+        other = stream_onset(controller, episode(20, 30.0, float("inf")))
         assert [d.action for d in controller.outcome.decisions] == [
             "activate", "disable", "disable"]
-        controller.stream_clear(index, 60.0)
+        stream_clear(controller, 0, 60.0)
         assert segments[-1].end_s == 60.0
         assert states(controller.outcome, other) == [DISABLED]
 
@@ -274,8 +297,8 @@ class TestDisableProtectedLink:
             topology, ControllerConfig(capacity_constraint=1.0),
             IncrementalDeploymentPolicy())
         # Eq. 1 is a sawtooth: 1e-4 -> N=1 -> 1e-8, 2e-4 -> N=2 -> 8e-12
-        controller.stream_onset(episode(0, 1.0, float("inf"), loss=2e-4))
-        controller.stream_onset(episode(1, 2.0, float("inf"), loss=1e-4))
+        stream_onset(controller, episode(0, 1.0, float("inf"), loss=2e-4))
+        stream_onset(controller, episode(1, 2.0, float("inf"), loss=1e-4))
         assert [e.link_id for _, e in controller.protected_worst_first()] == [1, 0]
 
 
@@ -323,3 +346,197 @@ class TestConfig:
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             ControllerConfig.from_dict({"budget": 3})
+
+
+# -- one loop: the rules every driver of the controller shares ---------------
+#
+# The controller is driven three ways: a batch ``run`` over a timeline, a
+# streamed feed (what the evidence monitor does: schedule what telemetry
+# shows at each instant, then advance), and the §4.8 study
+# (``replay_corropt``: onsets only, clears on CorrOpt's repair clock).
+
+DRIVERS = ("batch", "stream", "study")
+
+
+def arbitrate(driver, episodes, config=None, policy=None, until_s=math.inf,
+              topology=None):
+    """``episodes`` through the batch loop or a streamed feed."""
+    controller = FleetController(
+        topology or make_topology(), config or ControllerConfig(),
+        policy or IncrementalDeploymentPolicy())
+    if driver == "batch":
+        controller.run(sorted(episodes, key=lambda e: (e.onset_s, e.link_id)),
+                       until_s)
+        return controller
+    # the feed learns of an onset at its onset and of a clear at its clear
+    feed = sorted([(e.onset_s, 1, i) for i, e in enumerate(episodes)]
+                  + [(e.clear_s, 0, i) for i, e in enumerate(episodes)
+                     if e.clear_s <= until_s])
+    for time_s in sorted({t for t, _, _ in feed}):
+        # onsets scheduled before clears: the heap, not the feed, orders them
+        for _, _, i in sorted(item for item in feed
+                              if item[0] == time_s and item[1] == 1):
+            controller.schedule_onset(replace(episodes[i], clear_s=math.inf))
+        for _, _, i in (item for item in feed
+                        if item[0] == time_s and item[1] == 0):
+            controller.schedule_clear(episodes[i].link_id, time_s)
+        controller.advance(time_s)
+    controller.advance(until_s)
+    return controller
+
+
+#: one pod, 2 ToRs x 2 fabrics x 2 uplinks: pulling a ToR-fabric link
+#: (links 0..3) leaves its ToR half its paths
+STUDY_FLEET = FleetSpec(n_pods=1, tors_per_pod=2, fabrics_per_pod=2,
+                        spine_uplinks=2)
+
+
+def study(*onsets, days=30.0, constraint=0.5):
+    """``replay_corropt`` over onsets ``(time_s, link, loss)``."""
+    events, seen = [], {}
+    for time_s, link, loss in onsets:
+        events.append(FailureEvent(time_s, link, loss, 1.0,
+                                   seen.setdefault(link, 0)))
+        seen[link] += 1
+    trace = LifecycleTrace(TraceSpec(STUDY_FLEET, days, seed=5), events)
+    return deployment.replay_corropt(trace, constraint, 0.0)
+
+
+def study_repair_s(link, event_index, loss):
+    """The repair delay the study draws for one of its events."""
+    return repair_delay_s(FleetTopology(STUDY_FLEET, seed=5).factory,
+                          CorrOptRepairPolicy(), link, event_index, loss)
+
+
+class RepairClock(IncrementalDeploymentPolicy):
+    """``incremental`` on a repair clock: a link disabled at onset is
+    repaired ``delay_s`` later, whatever its episode's own clear."""
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+
+    def on_onset(self, controller, link, episode, index):
+        super().on_onset(controller, link, episode, index)
+        if not link.up:
+            controller.schedule_clear(link.link_id,
+                                      episode.onset_s + self.delay_s)
+
+
+class TestOneLoopContract:
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_onset_on_an_open_link_is_dropped(self, driver):
+        if driver == "study":
+            # the repeat lands while link 0 is exposed (75 % blocks it)
+            alone = study((DAY_S, 0, 1e-3), constraint=0.75)
+            repeat = study((DAY_S, 0, 1e-3), (1.2 * DAY_S, 0, 1e-4),
+                           constraint=0.75)
+            assert repeat.corruption_events == alone.corruption_events == 1
+            for name, value in vars(alone).items():
+                np.testing.assert_array_equal(getattr(repeat, name), value)
+            return
+        config = ControllerConfig(capacity_constraint=1.0)
+        first = episode(0, 10.0, 50.0, loss=1e-3)
+        alone = arbitrate(driver, [first], config)
+        repeat = arbitrate(driver, [first, episode(0, 20.0, 50.0, loss=1e-2)],
+                           config)
+        assert repeat.outcome.counts() == alone.outcome.counts()
+        assert repeat.outcome.decisions == alone.outcome.decisions
+        assert repeat.open_episodes == alone.open_episodes == {}
+        if driver == "batch":
+            # the dropped episode has no segments
+            assert list(repeat.outcome.segments) == [0]
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_same_instant_clear_fires_before_the_onset(self, driver):
+        # the link clears and corrupts again at one instant: a new episode
+        # only if the clear went first
+        if driver == "study":
+            repaired_s = DAY_S + study_repair_s(0, 0, 1e-3)
+            result = study((DAY_S, 0, 1e-3), (repaired_s, 0, 1e-4))
+            assert result.corruption_events == 2
+            assert result.disabled_immediately == 2
+            return
+        controller = arbitrate(driver, [episode(0, 10.0, 40.0),
+                                        episode(0, 40.0, 60.0)])
+        assert controller.outcome.disables == 2
+        assert [d.time_s for d in controller.outcome.decisions] == [10.0, 40.0]
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_repair_past_the_horizon_never_fires(self, driver):
+        if driver == "study":
+            days = 30.0
+            onset_s = days * DAY_S - 1.0    # repairs take days
+            result = study((onset_s, 0, 1e-3), days=days)
+            assert result.disabled_immediately == 1
+            assert result.least_paths_fraction[-1] == 0.5
+            return
+        for delay_s, up in ((50.0, False), (30.0, True)):
+            topology = make_topology()
+            controller = arbitrate(
+                driver, [episode(0, 10.0, math.inf)],
+                policy=RepairClock(delay_s), until_s=45.0, topology=topology)
+            assert topology.link(0).up is up
+            assert controller.open_episodes == ({} if up else {0: 0})
+            if driver == "batch":
+                assert states(controller.outcome, 0) == [DISABLED]
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pod_views_are_the_fleet_view_filtered(self, driver, data):
+        n_links = make_topology().n_links
+        onsets = data.draw(st.lists(st.tuples(
+            st.integers(0, 40), st.integers(0, n_links - 1),
+            st.sampled_from([1e-5, 1e-4, 2e-4, 1e-3, 1e-2]),
+            st.integers(1, 10)), min_size=1, max_size=30))
+        checked = []
+
+        def check(controller):
+            topology = controller.topology
+            for view in (controller.exposed_worst_first,
+                         controller.protected_worst_first):
+                fleet = view()
+                for pod in range(topology.n_pods):
+                    assert view(pod) == [
+                        item for item in fleet
+                        if topology.link(item[1].link_id).pod == pod]
+            checked.append(len(controller.exposed_links())
+                           + len(controller.lg_active_links()))
+
+        def checking(cls, *args):
+            class Checking(cls):
+                def on_onset(self, controller, *rest):
+                    super().on_onset(controller, *rest)
+                    check(controller)
+
+                def on_clear(self, controller, *rest):
+                    super().on_clear(controller, *rest)
+                    check(controller)
+            return Checking(*args)
+
+        if driver == "study":
+            fleet = FleetSpec(n_pods=2, tors_per_pod=4, fabrics_per_pod=4,
+                              spine_uplinks=4)
+            events, seen = [], {}
+            for day, link, loss, _ in sorted(onsets, key=lambda o: o[:2]):
+                events.append(FailureEvent(day * DAY_S / 2, link, loss, 1.0,
+                                           seen.setdefault(link, 0)))
+                seen[link] += 1
+            trace = LifecycleTrace(TraceSpec(fleet, 30.0, seed=1), events)
+            study_cls = deployment._CorrOptStudyPolicy
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(deployment, "_CorrOptStudyPolicy",
+                              lambda *args: checking(study_cls, *args))
+                deployment.replay_corropt(
+                    trace, 0.75, data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+        else:
+            policy = data.draw(st.sampled_from(sorted(POLICIES)))
+            constraint = data.draw(st.sampled_from([0.5, 0.75, 1.0]))
+            config = ControllerConfig(
+                capacity_constraint=constraint,
+                activation_budget=data.draw(st.integers(0, 4)))
+            arbitrate(driver, [
+                episode(link, float(t), float(t + span), loss=loss)
+                for t, link, loss, span in onsets],
+                config, checking(POLICIES[policy]))
+        assert checked
