@@ -594,8 +594,7 @@ def _lifecycle_generate(args) -> None:
 
 def _lifecycle_replay(args) -> int:
     """Push a trace (or a spec built from flags) through repair + fleet
-    arbitration into per-day SLO series, time-chunked through the sweep
-    runner."""
+    arbitration into per-day SLO series, in time chunks."""
     from .lifecycle import LifecycleTrace, ReplaySpec, SloConfig, run_replay
     from .obs import Observability
 
@@ -998,6 +997,9 @@ BACKEND = Flag("--backend", "packet",
                choices=_cell_backends)
 WORKERS = Flag("--workers", 1, "worker processes (results are "
                                "bit-identical to --workers 1)")
+#: a replay's chunks share one arbitration, so no pool can pay for itself
+REPLAY_WORKERS = WORKERS.but(help="checked (>= 1) and kept for scripts; a "
+                                  "replay starts no worker processes")
 CHECKPOINT = Flag("--checkpoint", metavar="PATH",
                   help="JSONL checkpoint; completed cells (or replay "
                        "chunks) are appended as they finish and skipped "
@@ -1228,9 +1230,9 @@ LIFECYCLE = (
         Flag("--repair-param", action="append", metavar="K=V",
              help="one repair-policy parameter (repeatable)"),
         BACKEND.but(default="hybrid", help="affected-flow evaluation tier"),
-        Flag("--chunks", 1, "time chunks executed through the sweep runner "
-                            "(bit-identical to --chunks 1)"),
-        WORKERS, CHECKPOINT, RESIM_FRACTION,
+        Flag("--chunks", 1, "time chunks, evaluated in process from one "
+                            "arbitration (bit-identical to --chunks 1)"),
+        REPLAY_WORKERS, CHECKPOINT, RESIM_FRACTION,
         Flag("--goodput-target", 0.97, "per-day fleet goodput SLO target"),
         Flag("--affected-target", 1e-3,
              "per-day affected-flow-fraction SLO target"),
@@ -1347,9 +1349,9 @@ VERBS: Tuple[Verb, ...] = (
          _fleet, (
         *FLEET_SHAPE, DAYS, SEED, POLICY, ACTIVATION_BUDGET,
         Flag("--shards", 1,
-             "time shards (day ranges, at most --days) executed through "
-             "the sweep runner (bit-identical to --shards 1)"),
-        BACKEND, RESIM_FRACTION, WORKERS, CHECKPOINT, *OBS_OUT,
+             "time shards (day ranges, at most --days), evaluated in "
+             "process from one arbitration (bit-identical to --shards 1)"),
+        BACKEND, RESIM_FRACTION, REPLAY_WORKERS, CHECKPOINT, *OBS_OUT,
     )),
     Verb("check", "conformance checker: invariants, fault scenarios, "
                   "fuzzing ('repro check -h')", subs=CHECK,

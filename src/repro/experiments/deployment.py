@@ -40,7 +40,7 @@ from ..corropt.trace import MTTF_HOURS
 from ..fleet.controller import ControllerConfig, FleetController
 from ..fleet.policies import IncrementalDeploymentPolicy
 from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
-from ..lifecycle.repair import CorrOptRepairPolicy, repair_delay_s
+from ..lifecycle.repair import CorrOptRepairPolicy, repair_delays
 from ..lifecycle.traces import LifecycleTrace, TraceSpec, generate_trace
 from ..runner import CellResult, ExperimentSpec, RunContext
 from ..units import HOURS
@@ -87,8 +87,12 @@ class _CorrOptStudyPolicy(IncrementalDeploymentPolicy):
 
     name = "corropt-study"
 
-    def __init__(self, trace: LifecycleTrace, n_pods: int) -> None:
-        self.trace_events = trace.events
+    def __init__(self, trace: LifecycleTrace, topology: FleetTopology) -> None:
+        # The delay a disable starts: ``_REPAIR``'s draw ignores the loss
+        # rate, so every event's is drawn up front, the streams seeded in
+        # one batch — the draw the lifecycle replay makes for that event.
+        self.repair_s = repair_delays(topology.factory, _REPAIR, trace.events)
+        n_pods = topology.n_pods
         self.max_lg_per_pod = self._cursor = 0
         self.disabled = [0, 0]                  # [by the optimizer, at onset]
         # Metrics only move at events: keep each corrupting-and-up link's
@@ -125,14 +129,11 @@ class _CorrOptStudyPolicy(IncrementalDeploymentPolicy):
                 self.max_lg_per_pod = max(
                     self.max_lg_per_pod,
                     len(controller.protected_worst_first(pod)))
-            else:   # disable: the crew's clock starts now; the delay is
-                # the draw the lifecycle replay makes for the same event
+            else:   # disable: the crew's clock starts now
                 penalty_of.pop(link_id, None)
                 self.disabled[at_onset] += 1
-                event = self.trace_events[controller.open_episodes[link_id]]
-                controller.schedule_clear(link_id, now_s + repair_delay_s(
-                    topology.factory, _REPAIR, link_id, event.event_index,
-                    decision.loss_rate))
+                controller.schedule_clear(link_id, now_s + self.repair_s[
+                    controller.open_episodes[link_id]])
         self._cursor = len(decisions)
         self._pod_paths[pod] = (topology.pod_min_tor_paths(pod)
                                 / topology.max_paths_per_tor)
@@ -156,7 +157,7 @@ def replay_corropt(
     """
     duration_s = trace.spec.duration_s
     topology = FleetTopology(trace.spec.fleet, seed=trace.spec.seed)
-    study = _CorrOptStudyPolicy(trace, topology.n_pods)
+    study = _CorrOptStudyPolicy(trace, topology)
     controller = FleetController(topology, ControllerConfig(
         capacity_constraint=capacity_constraint, pod_capacity_floor=0.0,
         activation_budget=topology.n_links,

@@ -41,7 +41,7 @@ from . import fct as fctmod
 
 __all__ = [
     "TOLERANCES", "MetricSummary", "ValidationReport",
-    "default_grid", "fast_backends", "run_validation",
+    "default_grid", "fast_backends", "run_validation", "compare_validation",
 ]
 
 
@@ -358,7 +358,20 @@ def run_validation(
     fast_results = run_cells(
         [s.with_(backend=backend) for s in specs], workers=workers)
     packet_results = run_cells(specs, workers=workers)
+    return compare_validation(specs, fast_results, packet_results, backend,
+                              progress)
 
+
+def compare_validation(
+    specs: Sequence[ExperimentSpec],
+    fast_results: Sequence[CellResult],
+    packet_results: Sequence[CellResult],
+    backend: str = "fastpath",
+    progress=None,
+) -> ValidationReport:
+    """The comparing half of :func:`run_validation`: the matched results
+    of ``specs`` on the fast ``backend`` and on the packet reference,
+    held to :data:`TOLERANCES` metric by metric."""
     summaries: Dict[str, MetricSummary] = {}
     for spec, fast, packet in zip(specs, fast_results, packet_results):
         for metric, error in _compare_cell(spec, fast, packet):
@@ -376,14 +389,13 @@ def run_validation(
         if progress is not None:
             progress(spec, fast, packet)
 
-    report = ValidationReport(
+    return ValidationReport(
         n_cells=len(specs),
         summaries=summaries,
         packet_wall_s=sum(r.wall_s for r in packet_results),
         fastpath_wall_s=sum(r.wall_s for r in fast_results),
         backend=backend,
     )
-    return report
 
 
 def write_report(report: ValidationReport, path: str) -> None:

@@ -9,8 +9,10 @@ There is one planner engine — the lifecycle pipeline of
 :mod:`repro.lifecycle.replay` (failure trace → repair → controller
 arbitration → tiered affected-flow evaluation → per-day segment rollup).
 A :class:`FleetCampaignSpec` is a :class:`~repro.lifecycle.replay.
-ReplaySpec` with CorrOpt repair and ``n_shards`` time chunks; the
-campaign's SLOs are horizon-wide aggregates of the replay's per-day
+ReplaySpec` with CorrOpt repair and ``n_shards`` time chunks, evaluated
+in process from one arbitration (which ``obs`` instruments: decision
+counters and trace instants land in the caller's registry and tracer);
+the campaign's SLOs are horizon-wide aggregates of the replay's per-day
 columns, so they inherit its guarantee: the same seed yields a
 byte-identical :meth:`FleetCampaignResult.canonical_json` for any
 ``(n_shards, workers)`` combination.
@@ -122,12 +124,14 @@ def run_fleet_campaign(
     obs=None,
     progress=None,
 ) -> FleetCampaignResult:
-    """Run the campaign's replay and fold its days into one-shot SLOs."""
-    from ..lifecycle.replay import arbitrate, merge_chunks, run_chunks
+    """Run the campaign's replay and fold its days into one-shot SLOs.
+    ``workers`` is validated but starts no pool (see
+    :func:`~repro.lifecycle.replay.evaluate_chunks`)."""
+    from ..lifecycle.replay import evaluate_chunks, merge_chunks
 
     started = time.perf_counter()
     replay = campaign.replay_spec()
-    results = run_chunks(replay, workers, checkpoint, progress)
+    results = evaluate_chunks(replay, workers, checkpoint, progress, obs)
     rollup = merge_chunks(replay, results)
     days = rollup.days
 
@@ -175,10 +179,6 @@ def run_fleet_campaign(
         wall_s=time.perf_counter() - started,
     )
     if obs is not None:
-        # Chunk cells arbitrate uninstrumented (possibly in pool workers);
-        # replay the same verdicts once here so decision counters and
-        # trace instants land in the caller's registry and tracer.
-        arbitrate(replay, obs=obs)
         registry = obs.registry
         registry.register_provider(
             f"fleet.rollup.{campaign.policy}", result.summary)

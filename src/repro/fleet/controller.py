@@ -174,8 +174,9 @@ class FleetController:
 
     def _is_lg_capable(self, link_id: int) -> bool:
         fraction = self.config.lg_deployment_fraction
-        if fraction >= 1.0:
-            return True
+        if fraction >= 1.0 or fraction <= 0.0:
+            # no coin needed: a draw in [0, 1) is always < 1, never < 0
+            return fraction >= 1.0
         cached = self._lg_capable.get(link_id)
         if cached is None:
             # A deterministic per-link coin from the fleet's own seed stream.

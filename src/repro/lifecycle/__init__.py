@@ -12,7 +12,7 @@ Quick start::
     from repro.lifecycle import TraceSpec, ReplaySpec, run_replay
 
     replay = ReplaySpec(trace=TraceSpec(duration_days=30.0, seed=1))
-    rollup = run_replay(replay, workers=4)
+    rollup = run_replay(replay)
     print(rollup.summary())
 
 CLI: ``repro lifecycle generate|replay|report``.
@@ -23,7 +23,7 @@ from .repair import (
     RepairPolicy, RepairedEpisode, SeverityTieredRepairPolicy, apply_repair,
     corruption_episodes, repair_policy,
 )
-from .replay import ReplaySpec, chunk_sweep, run_chunk, run_replay
+from .replay import ReplaySpec, run_chunk, run_replay
 from .slo import DAY_COLUMNS, LifecycleRollup, SloConfig, summarize_days
 from .traces import (
     FailureEvent, LifecycleTrace, TraceSpec, failure_events, generate_trace,
@@ -36,5 +36,5 @@ __all__ = [
     "SeverityTieredRepairPolicy", "REPAIR_POLICIES", "repair_policy",
     "RepairedEpisode", "apply_repair", "corruption_episodes",
     "SloConfig", "DAY_COLUMNS", "summarize_days", "LifecycleRollup",
-    "ReplaySpec", "chunk_sweep", "run_chunk", "run_replay",
+    "ReplaySpec", "run_chunk", "run_replay",
 ]

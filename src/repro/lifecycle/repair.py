@@ -25,19 +25,19 @@ counted so the rollup can report how often the model saturated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.rng import RngFactory
 from ..fleet.topology import CorruptionEpisode
 from ..units import DAY_S, HOURS
-from .traces import LifecycleTrace, TraceSpec, generate_trace
+from .traces import FailureEvent, LifecycleTrace, TraceSpec, generate_trace
 
 __all__ = [
     "RepairPolicy", "CorrOptRepairPolicy", "ExponentialRepairPolicy",
     "SeverityTieredRepairPolicy", "REPAIR_POLICIES", "repair_policy",
-    "RepairedEpisode", "repair_delay_s", "apply_repair",
+    "RepairedEpisode", "repair_delays", "apply_repair",
     "corruption_episodes",
 ]
 
@@ -177,13 +177,16 @@ def _repair_stream(link_id: int, event_index: int) -> Tuple[str, int]:
     return f"lifecycle.link.{link_id}.repair", event_index
 
 
-def repair_delay_s(factory: RngFactory, policy: RepairPolicy, link_id: int,
-                   event_index: int, loss_rate: float) -> float:
-    """Failure event ``(link_id, event_index)``'s repair delay: one draw
-    from the event's own addressed stream, so it is the same whoever asks
-    and whenever the crew's clock starts."""
-    rng = factory.stream(*_repair_stream(link_id, event_index))
-    return float(policy.delay_s(rng, loss_rate))
+def repair_delays(factory: RngFactory, policy: RepairPolicy,
+                  events: Sequence[FailureEvent]) -> List[float]:
+    """Each failure event's repair delay: one draw from the event's own
+    addressed ``(link_id, event_index)`` stream, so it is the same whoever
+    asks and whenever the crew's clock starts.  The streams are seeded in
+    one batch (:meth:`~repro.core.rng.RngFactory.streams`)."""
+    return [float(policy.delay_s(rng, event.loss_rate))
+            for event, rng in zip(events, factory.streams(
+                _repair_stream(event.link_id, event.event_index)
+                for event in events))]
 
 
 def apply_repair(
@@ -198,16 +201,10 @@ def apply_repair(
     segment arithmetic stays within the replay window; the raw delay is
     kept on the :class:`RepairedEpisode` for repair-queue series.
 
-    Every event's delay is drawn up front, its stream seeded in one batch
-    with the rest (a coalesced event's draw goes unused): the same value
-    :func:`repair_delay_s` returns for that event.
+    Every event's delay is drawn up front by :func:`repair_delays` (a
+    coalesced event's draw goes unused).
     """
-    factory = RngFactory(trace.spec.seed)
-    delays = [
-        float(policy.delay_s(rng, event.loss_rate))
-        for event, rng in zip(trace.events, factory.streams(
-            _repair_stream(event.link_id, event.event_index)
-            for event in trace.events))]
+    delays = repair_delays(RngFactory(trace.spec.seed), policy, trace.events)
     duration_s = trace.spec.duration_s
     episodes: List[RepairedEpisode] = []
     coalesced = 0

@@ -8,21 +8,23 @@ fleet history needs to become the per-day series of
 :mod:`repro.lifecycle.slo`.
 
 Execution is **time-chunked**, not link-sharded: the month is split into
-contiguous day ranges, each a ``lifecycle_chunk`` runner cell executed
-through :class:`~repro.runner.sweep.SweepRunner` (process pool, JSONL
-checkpoint/resume for free).  Chunks cannot share state, so each one
-regenerates the (cheap, deterministic) global pipeline — trace, repair
-draws, serial arbitration — and then evaluates only its own day range.
-That works because every expensive or random quantity is addressed, not
+contiguous day ranges, each evaluated as a ``lifecycle_chunk`` cell
+result (JSONL checkpoint/resume through
+:func:`~repro.runner.sweep.run_cells`).  The global serial pipeline —
+trace, repair draws, arbitration (:func:`arbitrate`) — is most of a
+replay's cost, so it runs **once**, in the calling process, and every
+pending chunk evaluates its own day range from that one arbitration,
+also in process: a worker pool would only repeat the arbitration and
+add its start-up.  Chunk evaluation is independent of the chunking
+because every expensive or random quantity is addressed, not
 sequential:
 
-* failure and repair draws come from ``(link_id, event_index)`` streams,
-  so regeneration is byte-identical in every chunk;
+* failure and repair draws come from ``(link_id, event_index)`` streams;
 * per-episode affected-flow fractions are pure functions of the same
   event key (``lifecycle.link.<id>.flows`` at ``index=event_index``), so
   a boundary-spanning episode evaluates identically in both chunks;
-* the flagged-for-resim set ranks the *fleet-wide* episode list inside
-  each chunk (closed-form, cheap), so flagging is chunking-independent.
+* the flagged-for-resim set ranks the *fleet-wide* episode list
+  (closed-form, cheap), so flagging is chunking-independent.
 
 Hence :meth:`~repro.lifecycle.slo.LifecycleRollup.canonical_json` is
 byte-identical for any ``(n_chunks, workers)`` — the acceptance bar this
@@ -49,9 +51,7 @@ from ..fleet.controller import (
 )
 from ..fleet.policies import POLICIES
 from ..fleet.topology import FleetTopology, sample_affected_fraction
-from ..runner import (
-    CellResult, ExperimentSpec, RunContext, SweepRunner, SweepSpec,
-)
+from ..runner import CellResult, ExperimentSpec, run_cells
 from ..units import DAY_S
 from .repair import RepairedEpisode, apply_repair, repair_policy
 from .slo import LifecycleRollup, SloConfig, accumulate_days, summarize_days
@@ -59,8 +59,7 @@ from .traces import LifecycleTrace, TraceSpec
 
 __all__ = [
     "ReplaySpec", "HYBRID_EMPIRICAL_THRESHOLD", "shard_bounds", "arbitrate",
-    "chunk_sweep", "run_chunk", "lifecycle_chunk_cell", "run_chunks",
-    "merge_chunks", "run_replay",
+    "run_chunk", "evaluate_chunks", "merge_chunks", "run_replay",
 ]
 
 _BACKENDS = ("packet", "fastpath", "hybrid")
@@ -84,7 +83,8 @@ def shard_bounds(n_items: int, n_shards: int, shard: int) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class ReplaySpec(Spec):
-    """Everything one lifecycle replay needs, serializable for chunk cells."""
+    """Everything one lifecycle replay needs, serializable (it rides in
+    every chunk result)."""
 
     trace: TraceSpec = field(default_factory=TraceSpec)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -112,7 +112,7 @@ class ReplaySpec(Spec):
             raise ValueError(
                 f"unknown policy {self.policy!r}; known: {sorted(POLICIES)}")
         # Validate the repair (name, params) combination eagerly so a bad
-        # spec fails at construction, not inside a worker process.
+        # spec fails at construction, not mid-replay.
         repair_policy(self.repair, self.repair_params)
         if self.backend not in _BACKENDS:
             raise ValueError(
@@ -234,17 +234,20 @@ class _AffectedEvaluator:
         return value
 
 
-def run_chunk(replay: ReplaySpec, chunk: int) -> Dict[str, Any]:
-    """One chunk's day-range columns plus the global audit counters.
+def _evaluate_chunk(
+    replay: ReplaySpec, chunk: int,
+    arbitration: Tuple[List[RepairedEpisode], int, ControllerOutcome],
+) -> Dict[str, Any]:
+    """One chunk's day-range columns plus the global audit counters,
+    evaluated from ``arbitration`` (what :func:`arbitrate` returned).
 
     ``days`` holds only the chunk's ``[day_lo, day_hi)`` rows (with the
     exposed share of each day's affected-flow fraction alongside, for
     the one-shot campaign view); ``counts`` are the replay-global
-    controller/repair counters, identical in every chunk (each
-    regenerates the same global pipeline), so the merge can take them
-    from any one chunk.
+    controller/repair counters, identical in every chunk, so the merge
+    can take them from any one chunk.
     """
-    episodes, coalesced, outcome = arbitrate(replay)
+    episodes, coalesced, outcome = arbitration
     evaluator = _AffectedEvaluator(replay, episodes)
     day_lo, day_hi = replay.chunk_days(chunk)
     days, exposed_affected = accumulate_days(
@@ -266,49 +269,43 @@ def run_chunk(replay: ReplaySpec, chunk: int) -> Dict[str, Any]:
     }
 
 
-def lifecycle_chunk_cell(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
-    """One time chunk of a lifecycle replay: its day range's SLO columns
-    (the ``("lifecycle_chunk", "packet")`` row of
-    :data:`repro.runner.cells.CELLS`).
+def run_chunk(replay: ReplaySpec, chunk: int) -> Dict[str, Any]:
+    """One chunk on its own: :func:`arbitrate`, then that chunk's days."""
+    return _evaluate_chunk(replay, chunk, arbitrate(replay))
 
-    ``spec.params`` carries the serialized replay plus the chunk index;
-    :func:`merge_chunks` merges the chunks' disjoint day ranges back
-    into one longitudinal series.  The replay-global audit counters ride
-    in ``series["counts"]`` — identical in every chunk, so the merge
-    reads them from any one.
+
+def evaluate_chunks(replay: ReplaySpec, workers: int = 1,
+                    checkpoint: Optional[str] = None, progress=None,
+                    obs=None) -> List[CellResult]:
+    """The replay's chunks as ``lifecycle_chunk`` cell results, in order.
+
+    Chunks already in ``checkpoint`` are re-used; the rest are evaluated
+    here, from one :func:`arbitrate` (instrumented by ``obs``, and run
+    under ``obs`` even when nothing is pending, so its counters are
+    always recorded), and appended to it.  ``progress`` sees each newly
+    evaluated chunk.  ``workers`` is validated and starts no pool: the
+    arbitration every chunk needs is most of a replay (DESIGN §5j).
     """
-    replay = ReplaySpec.from_dict(spec.params["replay"])
-    out = run_chunk(replay, int(spec.params.get("chunk", 0)))
-    metrics = out.pop("chunk")
-    return CellResult.for_spec(spec, metrics, out)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    base = ExperimentSpec(kind="lifecycle_chunk", scenario=replay.policy,
+                          n_trials=1, seed=replay.trace.seed,
+                          params={"replay": replay.to_dict()})
 
+    def execute(pending):
+        if pending or obs is not None:
+            arbitration = arbitrate(replay, obs=obs)
+        for spec in pending:
+            started = time.perf_counter()
+            out = _evaluate_chunk(replay, spec.params["chunk"], arbitration)
+            result = CellResult.for_spec(spec, out.pop("chunk"), out)
+            result.wall_s = time.perf_counter() - started
+            result.timings = {"total_s": round(result.wall_s, 6)}
+            yield result
 
-def chunk_sweep(replay: ReplaySpec) -> SweepSpec:
-    """The replay's time chunks as one runner sweep (kind
-    ``lifecycle_chunk``).  The cell backend stays ``"packet"`` — the
-    lifecycle tier rides inside the replay dict, because the runner's
-    ``backend`` field selects the FCT-level execution engine."""
-    base = ExperimentSpec(
-        kind="lifecycle_chunk",
-        scenario=replay.policy,
-        n_trials=1,
-        seed=replay.trace.seed,
-        params={"replay": replay.to_dict()},
-    )
-    return SweepSpec(
-        name=(f"lifecycle-{replay.policy}-{replay.trace.fleet.n_links}links"
-              f"-{replay.n_days}d"),
-        base=base,
-        axes={"params.chunk": list(range(replay.n_chunks))},
-    )
-
-
-def run_chunks(replay: ReplaySpec, workers: int = 1,
-               checkpoint: Optional[str] = None, progress=None) -> list:
-    """The replay's chunk cells, executed, in canonical sweep order."""
-    runner = SweepRunner(chunk_sweep(replay), workers=workers,
-                         checkpoint=checkpoint)
-    return runner.run(progress=progress)
+    return run_cells(
+        [base.with_axis("params.chunk", c) for c in range(replay.n_chunks)],
+        checkpoint=checkpoint, progress=progress, execute=execute)
 
 
 def merge_chunks(replay: ReplaySpec, results) -> LifecycleRollup:
@@ -335,9 +332,11 @@ def run_replay(
     obs=None,
     progress=None,
 ) -> LifecycleRollup:
-    """Run the full replay: chunked evaluation, merge, SLO rollup."""
+    """Run the full replay: one arbitration, chunked evaluation, merge,
+    SLO rollup.  ``workers`` is validated but starts no pool (see
+    :func:`evaluate_chunks`)."""
     started = time.perf_counter()
-    results = run_chunks(replay, workers, checkpoint, progress)
+    results = evaluate_chunks(replay, workers, checkpoint, progress)
     rollup = merge_chunks(replay, results)
     rollup.wall_s = time.perf_counter() - started
     if obs is not None:

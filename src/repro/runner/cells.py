@@ -4,10 +4,10 @@ The paper's evaluation is one grid of cells and the repo answers a cell
 on up to three backends.  :data:`CELLS` is the only place that says
 which kind runs on which backend and who owns it: one row per pair,
 pointing at a function in the module that implements the experiment
-(``experiments/*.py``, ``lifecycle/replay.py``, ``checker/fuzz.py``,
-``fastpath/grid.py``, ``fastpath/splice.py``).  Owners are named by
-dotted path and imported on first use, so importing ``repro.runner``
-never drags in (or cycles with) an owner.
+(``experiments/*.py``, ``checker/fuzz.py``, ``fastpath/grid.py``,
+``fastpath/splice.py``).  Owners are named by dotted path and imported
+on first use, so importing ``repro.runner`` never drags in (or cycles
+with) an owner.
 
 Every cell has the one signature ``cell(spec, ctx) -> CellResult``
 (:class:`~repro.runner.spec.ExperimentSpec`, :class:`RunContext`); a row
@@ -90,8 +90,6 @@ CELLS: Dict[Tuple[str, str], Cell] = {
         Cell("repro.experiments.deployment:deployment_cell"),
     ("incremental", "packet"):
         Cell("repro.experiments.incremental:incremental_cell"),
-    ("lifecycle_chunk", "packet"):
-        Cell("repro.lifecycle.replay:lifecycle_chunk_cell"),
     ("checker", "packet"): Cell("repro.checker.fuzz:checker_cell"),
     ("fig01", "packet"): Cell("repro.experiments.figures:fig01_cell"),
     ("fig02", "packet"): Cell("repro.experiments.figures:fig02_cell"),

@@ -2,8 +2,9 @@
 
 :func:`run_cells` is the one executor every batch of cells goes through
 (a :class:`SweepRunner` sweep, both sides of a cross-validation grid,
-the chunks of a lifecycle replay): rows the cell table marks ``batch``
-are evaluated in-process, one call per row; the rest fan out over a
+the chunks of a lifecycle replay, which bring their own ``execute``):
+rows the cell table marks ``batch`` are evaluated in-process, one call
+per row; the rest fan out over a
 ``concurrent.futures.ProcessPoolExecutor``.  Cells are fully independent
 simulations with deterministic seeds baked into their specs, so the
 parallel results are bit-identical to a serial run — the executor only
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .cells import Cell, lookup, run_batch, run_cell
 from .harness import CellResult
@@ -65,6 +66,8 @@ def run_cells(
     checkpoint: Optional[str] = None,
     progress: Optional[Callable[[CellResult], None]] = None,
     obs=None,
+    execute: Optional[Callable[[List[ExperimentSpec]],
+                               Iterable[CellResult]]] = None,
 ) -> List[CellResult]:
     """Run ``specs``; return their results in input order.
 
@@ -75,6 +78,9 @@ def run_cells(
     runs.  ``obs`` is the caller's Observability, handed to every cell
     run here (:func:`~repro.runner.cells.run_cell`); a worker process
     cannot record into it, so it is refused with ``workers > 1``.
+    ``execute``, when given, runs the pending specs in place of the
+    table: it yields their results in order (a lifecycle replay's chunks
+    share one arbitration, so they are not independent cells).
     """
     if obs is not None and workers > 1:
         raise ValueError("obs= records in this process: workers must be 1")
@@ -93,8 +99,8 @@ def run_cells(
     pending: List[ExperimentSpec] = []
     for spec, cid in zip(specs, ids):
         if cid not in done:
-            cell = lookup(spec.kind, spec.backend)
-            if cell.batch:
+            cell = None if execute else lookup(spec.kind, spec.backend)
+            if cell is not None and cell.batch:
                 batches.setdefault(cell, []).append(spec)
             else:
                 pending.append(spec)
@@ -122,7 +128,10 @@ def run_cells(
         for cell, members in batches.items():
             for result in run_batch(cell, members):
                 finish(result)
-        if workers <= 1 or len(pending) <= 1:
+        if execute is not None:
+            for result in execute(pending):
+                finish(result)
+        elif workers <= 1 or len(pending) <= 1:
             for spec in pending:
                 finish(run_cell(spec, obs))
         else:

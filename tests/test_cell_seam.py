@@ -96,18 +96,6 @@ _MATRIX = {
 }
 
 
-def _lifecycle_chunk() -> ExperimentSpec:
-    from repro.fleet import FleetCampaignSpec, FleetSpec
-
-    campaign = FleetCampaignSpec(
-        fleet=FleetSpec(n_pods=1, tors_per_pod=4, fabrics_per_pod=4,
-                        spine_uplinks=4, mttf_hours=300.0),
-        duration_days=10.0, seed=3)
-    return ExperimentSpec(
-        kind="lifecycle_chunk", scenario="incremental", n_trials=1, seed=3,
-        params={"replay": campaign.replay_spec().to_dict(), "chunk": 0})
-
-
 def _other_packet_kinds():
     small_fleet = {"n_pods": 2, "tors_per_pod": 4, "fabrics_per_pod": 2,
                    "spine_uplinks": 4, "duration_days": 20.0,
@@ -125,7 +113,6 @@ def _other_packet_kinds():
         "incremental": ExperimentSpec(
             kind="incremental", seed=3,
             params={**small_fleet, "fraction": 0.5}),
-        "lifecycle_chunk": _lifecycle_chunk(),
         "checker": ExperimentSpec(kind="checker", n_trials=2, seed=7),
         "fig01": ExperimentSpec(kind="fig01"),
         "fig02": ExperimentSpec(kind="fig02"),
@@ -379,8 +366,8 @@ def _toy_cell(spec, ctx):
 
 class TestOneTable:
     def test_runnable_pairs_are_exactly_the_parents(self):
-        assert len(CELLS) == 20
-        assert len(experiment_kinds("packet")) == 14
+        assert len(CELLS) == 19
+        assert len(experiment_kinds("packet")) == 13
         assert experiment_kinds() == experiment_kinds("packet")
         assert experiment_kinds("fastpath") == ["fct", "goodput", "stress"]
         assert experiment_kinds("hybrid") == ["fct", "goodput", "stress"]

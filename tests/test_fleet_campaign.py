@@ -10,7 +10,7 @@ from repro.fleet.controller import ControllerConfig
 from repro.fleet.cost import segment_cost, unprotected_goodput_fraction
 from repro.fleet.topology import FleetSpec
 from repro.lifecycle.replay import (
-    arbitrate, chunk_sweep, run_chunk, run_replay, shard_bounds,
+    arbitrate, evaluate_chunks, run_chunk, run_replay, shard_bounds,
 )
 from repro.obs import Observability
 from repro.units import DAY_S
@@ -76,11 +76,11 @@ class TestShardDeterminism:
             assert [v for c in chunks for v in c["days"][name]] == column
         assert all(c["counts"] == serial["counts"] for c in chunks)
 
-    def test_sweep_has_one_cell_per_shard(self):
-        sweep = chunk_sweep(small_campaign(n_shards=4).replay_spec())
-        cells = list(sweep.cells())
-        assert len(cells) == 4
-        assert {cell.kind for cell in cells} == {"lifecycle_chunk"}
+    def test_one_chunk_result_per_shard(self):
+        results = evaluate_chunks(small_campaign(n_shards=4).replay_spec())
+        assert [r.metrics["chunk"] for r in results] == [0, 1, 2, 3]
+        assert {r.spec["kind"] for r in results} == {"lifecycle_chunk"}
+        assert len({r.cell_id for r in results}) == 4
 
 
 class TestCampaignRollup:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.experiments import deployment
 from repro.lifecycle import FailureEvent, LifecycleTrace, TraceSpec
-from repro.lifecycle.repair import CorrOptRepairPolicy, repair_delay_s
+from repro.lifecycle.repair import CorrOptRepairPolicy
 from repro.units import DAY_S
 
 from repro.obs import Observability
@@ -125,8 +125,12 @@ class TestIncrementalDeploymentPolicy:
     def test_lg_deployment_fraction_zero_means_no_activation(self):
         config = ControllerConfig(capacity_constraint=1.0,
                                   lg_deployment_fraction=0.0)
+        topology = make_topology()
+        # no coin is tossed: a draw in [0, 1) is never below 0
+        topology.factory.stream = None
         _, outcome = run_policy(
-            IncrementalDeploymentPolicy(), [episode(0, 10.0, 50.0)], config)
+            IncrementalDeploymentPolicy(), [episode(0, 10.0, 50.0)], config,
+            topology)
         assert outcome.activations == 0
         assert outcome.blocked == 1
 
@@ -403,9 +407,11 @@ def study(*onsets, days=30.0, constraint=0.5):
 
 
 def study_repair_s(link, event_index, loss):
-    """The repair delay the study draws for one of its events."""
-    return repair_delay_s(FleetTopology(STUDY_FLEET, seed=5).factory,
-                          CorrOptRepairPolicy(), link, event_index, loss)
+    """The repair delay the study draws for one of its events: one draw
+    from the event's own repair stream."""
+    rng = FleetTopology(STUDY_FLEET, seed=5).factory.stream(
+        f"lifecycle.link.{link}.repair", index=event_index)
+    return CorrOptRepairPolicy().delay_s(rng, loss)
 
 
 class RepairClock(IncrementalDeploymentPolicy):

@@ -280,8 +280,8 @@ class TestHybridValidation:
         assert report.n_cells == len(specs)
 
     @pytest.mark.slow
-    def test_acceptance_200_cell_hybrid_validation(self):
-        report = run_validation(n_cells=200, seed=1, backend="hybrid",
-                                workers=4)
+    def test_acceptance_200_cell_hybrid_validation(
+            self, acceptance_validation):
+        report = acceptance_validation("hybrid")
         report.raise_if_failed()
         assert report.n_cells >= 200

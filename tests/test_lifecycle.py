@@ -13,7 +13,6 @@ from repro.lifecycle import (
     LifecycleTrace, SeverityTieredRepairPolicy, TraceSpec, apply_repair,
     failure_events, generate_trace, repair_policy, traces,
 )
-from repro.lifecycle.repair import repair_delay_s
 from repro.units import DAY_S
 
 SMALL_FLEET = FleetSpec(n_pods=2, tors_per_pod=2, fabrics_per_pod=2,
@@ -246,9 +245,9 @@ class TestApplyRepair:
 
     @pytest.mark.parametrize("name", sorted(REPAIR_POLICIES))
     def test_bulk_delays_equal_one_off_draws(self, name):
-        # apply_repair seeds every repair stream in one batch; the
-        # deployment study draws one event's delay at a time through
-        # repair_delay_s(topology.factory, ...): the same value.
+        # apply_repair seeds every repair stream in one batch; a one-off
+        # draw from the event's own stream off topology.factory (the
+        # deployment study's factory) is the same value.
         hot = TraceSpec(fleet=replace(SMALL_FLEET, mttf_hours=12.0),
                         duration_days=10.0, seed=3)
         policy = repair_policy(name)
@@ -257,9 +256,10 @@ class TestApplyRepair:
         factory = FleetTopology(hot.fleet, hot.seed).factory
         for repaired in episodes:
             episode = repaired.episode
-            assert repaired.repair_delay_s == repair_delay_s(
-                factory, policy, episode.link_id, repaired.event_index,
-                episode.loss_rate)
+            rng = factory.stream(f"lifecycle.link.{episode.link_id}.repair",
+                                 index=repaired.event_index)
+            assert repaired.repair_delay_s == policy.delay_s(
+                rng, episode.loss_rate)
 
     def test_policy_change_keeps_arrivals(self):
         trace = generate_trace(small_spec())

@@ -1,14 +1,27 @@
-"""repro.lifecycle replay: chunking invariance, resume, SLO rollup."""
+"""repro.lifecycle replay: chunking invariance, one arbitration, resume,
+SLO rollup."""
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.fleet import FleetCampaignSpec, run_fleet_campaign
+from repro.fleet.controller import FleetController
 from repro.fleet.topology import FleetSpec
 from repro.lifecycle import (
     DAY_COLUMNS, LifecycleRollup, ReplaySpec, SloConfig, TraceSpec,
     run_chunk, run_replay,
 )
+from repro.lifecycle.replay import evaluate_chunks
+from repro.obs import Observability
+
+#: ``small_replay(n_chunks=3)``'s three chunk lines, as the process-pool
+#: runner wrote them before chunks shared one arbitration
+PARENT_CHECKPOINT = (Path(__file__).parent / "data"
+                     / "lifecycle_chunk_checkpoint.jsonl")
 
 SMALL_FLEET = FleetSpec(n_pods=2, tors_per_pod=2, fabrics_per_pod=2,
                         spine_uplinks=2, mttf_hours=200.0)
@@ -67,6 +80,18 @@ class TestChunkInvariance:
                              workers=2)
         assert chunked.canonical_json() == serial.canonical_json()
 
+    def test_chunk_result_is_the_cell_it_was(self):
+        """A chunk's canonical cell result is the one the process-pool
+        runner's ``lifecycle_chunk`` cell produced (digest recorded then)."""
+        campaign = FleetCampaignSpec(
+            fleet=FleetSpec(n_pods=1, tors_per_pod=4, fabrics_per_pod=4,
+                            spine_uplinks=4, mttf_hours=300.0),
+            duration_days=10.0, seed=3)
+        [chunk] = evaluate_chunks(campaign.replay_spec())
+        assert chunk.cell_id.startswith("lifecycle_chunk-")
+        assert hashlib.sha256(chunk.canonical_json().encode()).hexdigest() \
+            == "cc2bad5e94510d841a3994e1e4e49f3e2e4d22e62afd04b8e1d02ab8d39f4a74"
+
     def test_chunk_counts_are_global(self):
         replay = small_replay(n_chunks=3)
         counts = [run_chunk(replay, c)["counts"] for c in range(3)]
@@ -77,6 +102,62 @@ class TestChunkInvariance:
         days = [day for c in range(3)
                 for day in run_chunk(replay, c)["days"]["day"]]
         assert days == list(range(replay.n_days))
+
+
+@pytest.fixture
+def arbitrations(monkeypatch):
+    """Every ``FleetController.run`` call made while the test runs."""
+    calls = []
+    real = FleetController.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FleetController, "run", counted)
+    return calls
+
+
+class TestOneArbitration:
+    @pytest.mark.parametrize("n_chunks, workers",
+                             [(1, 1), (3, 1), (4, 2), (12, 2)])
+    def test_replay_arbitrates_once(self, arbitrations, n_chunks, workers):
+        run_replay(small_replay(n_chunks=n_chunks), workers=workers)
+        assert len(arbitrations) == 1
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_campaign_arbitrates_once(self, arbitrations, instrumented):
+        campaign = FleetCampaignSpec(
+            fleet=SMALL_FLEET, duration_days=12.0, seed=5, n_shards=4)
+        obs = Observability() if instrumented else None
+        run_fleet_campaign(campaign, workers=2, obs=obs)
+        assert len(arbitrations) == 1
+        if instrumented:    # the one arbitration is the instrumented one
+            assert "fleet.controller.incremental.disable" in obs.snapshot()
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_campaign_resumed_in_full(self, tmp_path, arbitrations,
+                                      instrumented):
+        """Nothing pending needs no arbitration, except the instrumented
+        one that puts the decision counters in the caller's registry."""
+        campaign = FleetCampaignSpec(
+            fleet=SMALL_FLEET, duration_days=12.0, seed=5, n_shards=4)
+        checkpoint = str(tmp_path / "fleet.jsonl")
+        first = run_fleet_campaign(campaign, checkpoint=checkpoint)
+        del arbitrations[:]
+        obs = Observability() if instrumented else None
+        again = run_fleet_campaign(campaign, checkpoint=checkpoint, obs=obs)
+        assert again.canonical_json() == first.canonical_json()
+        assert len(arbitrations) == instrumented
+        if instrumented:
+            assert "fleet.controller.incremental.disable" in obs.snapshot()
+
+    def test_workers_are_checked(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_replay(small_replay(), workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            run_fleet_campaign(FleetCampaignSpec(
+                fleet=SMALL_FLEET, duration_days=12.0), workers=0)
 
 
 class TestCheckpointResume:
@@ -91,17 +172,44 @@ class TestCheckpointResume:
         assert len(lines) == 4
 
         # Simulate a mid-replay kill: two finished chunks survive plus a
-        # line torn mid-write; the resumed run must skip the survivors
-        # and still roll up byte-identically.
+        # line torn mid-write; the resumed run must evaluate only the
+        # other two and still roll up byte-identically.
         checkpoint.write_text("\n".join(lines[:2]) + "\n" + lines[2][:37])
-        from repro.lifecycle.replay import chunk_sweep
-        from repro.runner.sweep import SweepRunner
-
-        runner = SweepRunner(chunk_sweep(replay), checkpoint=str(checkpoint))
-        runner.run()
-        assert runner.resumed == 2
-        resumed = run_replay(replay, checkpoint=str(checkpoint))
+        evaluated = []
+        resumed = run_replay(replay, checkpoint=str(checkpoint),
+                             progress=evaluated.append)
+        assert [r.metrics["chunk"] for r in evaluated] == [2, 3]
         assert resumed.canonical_json() == reference.canonical_json()
+
+    def test_complete_checkpoint_needs_no_arbitration(
+            self, tmp_path, arbitrations):
+        replay = small_replay(n_chunks=3)
+        checkpoint = str(tmp_path / "lifecycle.jsonl")
+        first = run_replay(replay, checkpoint=checkpoint)
+        del arbitrations[:]
+        again = run_replay(replay, checkpoint=checkpoint)
+        assert arbitrations == []
+        assert again.canonical_json() == first.canonical_json()
+
+    def test_parent_checkpoint_lines_still_resume(
+            self, tmp_path, arbitrations):
+        replay = small_replay(n_chunks=3)
+        reference = run_replay(small_replay()).canonical_json()
+        checkpoint = tmp_path / "lifecycle.jsonl"
+        shutil.copy(PARENT_CHECKPOINT, checkpoint)
+        del arbitrations[:]
+        assert run_replay(replay, checkpoint=str(checkpoint)
+                          ).canonical_json() == reference
+        assert arbitrations == []
+
+        # one surviving line: the other two chunks are evaluated
+        checkpoint.write_text(PARENT_CHECKPOINT.read_text().splitlines()[0])
+        evaluated = []
+        assert run_replay(replay, checkpoint=str(checkpoint),
+                          progress=evaluated.append
+                          ).canonical_json() == reference
+        assert [r.metrics["chunk"] for r in evaluated] == [1, 2]
+        assert len(arbitrations) == 1
 
 
 class TestSloRollup:

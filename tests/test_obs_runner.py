@@ -107,23 +107,21 @@ class TestFastpathDiagnostics:
 
 
 class TestFleetShardTimeline:
-    """A campaign shard is a ``lifecycle_chunk`` cell: its per-day
-    timeline rides in the cell's series, one row per day of the chunk."""
+    """A campaign shard is a ``lifecycle_chunk`` cell result: its per-day
+    timeline rides in the result's series, one row per day of the chunk."""
 
     @pytest.fixture(scope="class")
     def shard_result(self):
         from repro.fleet import FleetCampaignSpec, FleetSpec
+        from repro.lifecycle.replay import evaluate_chunks
 
         campaign = FleetCampaignSpec(
             fleet=FleetSpec(n_pods=1, tors_per_pod=4, fabrics_per_pod=4,
                             spine_uplinks=4, mttf_hours=300.0),
             duration_days=20.0, seed=3,
         )
-        spec = ExperimentSpec(kind="lifecycle_chunk", scenario="incremental",
-                              n_trials=1, seed=3,
-                              params={"replay": campaign.replay_spec().to_dict(),
-                                      "chunk": 0})
-        return campaign, run_cell(spec)
+        [result] = evaluate_chunks(campaign.replay_spec())
+        return campaign, result
 
     def test_artifact_shape(self, shard_result):
         from repro.lifecycle import DAY_COLUMNS
