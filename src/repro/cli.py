@@ -262,6 +262,8 @@ def _fleet(args) -> None:
         )
     except ValueError as exc:
         _usage_error(str(exc))
+    if args.workers < 1:
+        _usage_error("--workers must be >= 1")
 
     # The campaign publishes its summary through the metrics registry;
     # make sure one exists even without --trace-out/--metrics-out.
@@ -625,6 +627,8 @@ def _lifecycle_replay(args) -> int:
         )
     except (TypeError, ValueError) as exc:
         _usage_error(str(exc))
+    if args.workers < 1:
+        _usage_error("--workers must be >= 1")
 
     rollup = run_replay(replay, workers=args.workers,
                         checkpoint=args.checkpoint, obs=Observability(),

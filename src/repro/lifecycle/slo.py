@@ -8,8 +8,8 @@ owns the arithmetic:
 * :func:`accumulate_days` turns controller segments + decisions +
   repair-queue occupancy into aligned per-day columns (goodput fraction,
   affected-flow fraction, LG activation churn, capacity-floor
-  violations, repair-queue depth, link-state seconds) for any day range
-  — the unit of work one replay chunk computes;
+  violations, repair-queue depth, link-state seconds) for every day of
+  a replay, computed once per replay and sliced into its chunks;
 * :class:`SloConfig` names the availability targets;
 * :class:`LifecycleRollup` is the merged result: day columns
   concatenated across chunks, summary SLOs recomputed from the merged
@@ -18,15 +18,13 @@ owns the arithmetic:
   replay is byte-identical to the serial run.
 
 Every quantity here is closed-form over the segment lists — no
-randomness — so chunk boundaries can never change a value: a day's
-column entry is computed from the same globally-sorted inputs whichever
-chunk computes it.
+randomness — and a chunk is a slice of the one evaluation, so chunk
+boundaries can never change a value.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -83,15 +81,15 @@ DAY_COLUMNS = (
 )
 
 
-def _day_windows(starts, ends, day_lo: int, day_hi: int):
-    """Every ``[start, end)`` row's overlap with the days of
-    ``[day_lo, day_hi)`` as aligned ``(row, local day, seconds)`` arrays:
-    rows in input order, days ascending within a row, empty overlaps
-    dropped — the order a per-row loop over the days visits them."""
+def _day_windows(starts, ends):
+    """Every ``[start, end)`` row's overlap with each day as aligned
+    ``(row, day, seconds)`` arrays: rows in input order, days ascending
+    within a row, empty overlaps dropped — the order a per-row loop over
+    the days visits them."""
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
-    first = np.maximum((starts / DAY_S).astype(np.int64), day_lo)
-    last = np.minimum((ends / DAY_S).astype(np.int64), day_hi - 1)
+    first = (starts / DAY_S).astype(np.int64)
+    last = (ends / DAY_S).astype(np.int64)
     count = np.where(ends > starts, np.maximum(last - first + 1, 0), 0)
     row = np.repeat(np.arange(len(starts)), count)
     day = (first[row] + np.arange(len(row))
@@ -99,18 +97,16 @@ def _day_windows(starts, ends, day_lo: int, day_hi: int):
     span = (np.minimum(ends[row], (day + 1) * DAY_S)
             - np.maximum(starts[row], day * DAY_S))
     keep = span > 0
-    return row[keep], day[keep] - day_lo, span[keep]
+    return row[keep], day[keep], span[keep]
 
 
 def accumulate_days(
     replay,
-    day_lo: int,
-    day_hi: int,
     episodes: List[RepairedEpisode],
     outcome: ControllerOutcome,
     affected_of: Callable[[int], float],
 ) -> Tuple[Dict[str, list], List[float]]:
-    """Per-day columns for days ``[day_lo, day_hi)`` of ``replay`` (a
+    """Per-day columns for every day of ``replay`` (a
     :class:`~repro.lifecycle.replay.ReplaySpec`), plus the exposed
     (unprotected) share of each day's affected-flow fraction — what the
     one-shot campaign view needs to place its p99 FCT level, kept out of
@@ -118,21 +114,18 @@ def accumulate_days(
 
     ``affected_of(episode_index)`` supplies the (tier-evaluated)
     affected-flow fraction of an episode; everything else is closed-form
-    over the controller's segments and decisions.  Inputs are always the
-    *full* replay's globally-sorted structures — a chunk restricts the
-    day range, never the inputs — which is what makes the output
-    independent of how the replay was chunked.
+    over the controller's segments and decisions.  A replay chunk is a
+    slice of these columns, so the output cannot depend on how the
+    replay was chunked.
     """
     fleet = replay.trace.fleet
     duration_s = replay.trace.duration_s
     n_links, n_pods = fleet.n_links, fleet.n_pods
     links_per_pod = n_links // n_pods
     flows_per_link_per_s = replay.flows_per_link_per_s
-    n_days = day_hi - day_lo
-    day_span = [
-        min(duration_s, (day_lo + d + 1) * DAY_S) - (day_lo + d) * DAY_S
-        for d in range(n_days)
-    ]
+    n_days = replay.n_days
+    day_span = [min(duration_s, (d + 1) * DAY_S) - d * DAY_S
+                for d in range(n_days)]
 
     def fold(day, weights, minlength=n_days):
         """Per-day sums: ``bincount`` adds each bin's weights in input
@@ -155,7 +148,7 @@ def accumulate_days(
             rows.append((segment.start_s, segment.end_s, pod, cost, fraction))
     start, end, pod, cost, fraction = np.array(
         rows, dtype=np.float64).reshape(-1, 5).T
-    row, day, span = _day_windows(start, end, day_lo, day_hi)
+    row, day, span = _day_windows(start, end)
     state = np.array(states, dtype=str)[row]
     exposed = state == EXPOSED
     flows = flows_per_link_per_s * span * fraction[row]
@@ -171,27 +164,24 @@ def accumulate_days(
         day[carried] * n_pods + pod[row][carried].astype(np.int64),
         lost[carried], n_days * n_pods).reshape(n_days, n_pods)
 
-    # Clamp instants landing exactly on the trace end into the (global)
-    # final day — never into the *chunk's* final day, which would pull
-    # later-day events into whichever chunk is being computed.
-    last_day = max(0, math.ceil(duration_s / DAY_S) - 1)
+    # Clamp instants landing exactly on the trace end into the final day.
+    last_day = n_days - 1
 
     # -- decision buckets (LG activation churn) ---------------------------
     decisions = {name: [0] * n_days
                  for name in ("activate", "disable", "blocked", "preempt")}
     for decision in outcome.decisions:
-        day_of = min(int(decision.time_s / DAY_S), last_day)
-        if day_lo <= day_of < day_hi and decision.action in decisions:
-            decisions[decision.action][day_of - day_lo] += 1
+        if decision.action in decisions:
+            decisions[decision.action][
+                min(int(decision.time_s / DAY_S), last_day)] += 1
 
-    # -- repair-queue occupancy (global sweep, day-range projection) ------
+    # -- repair-queue occupancy (one sweep over every onset and clear) -----
     onset = np.array([r.episode.onset_s for r in episodes], dtype=np.float64)
     clear = np.minimum(
         onset + np.array([r.repair_delay_s for r in episodes],
                          dtype=np.float64), duration_s)
     onset_day = np.minimum((onset / DAY_S).astype(np.int64), last_day)
-    in_range = (day_lo <= onset_day) & (onset_day < day_hi)
-    onsets = np.bincount(onset_day[in_range] - day_lo, minlength=n_days)
+    onsets = np.bincount(onset_day, minlength=n_days)
     # +1 at every onset, -1 at every clear after it, in (time, delta) order
     times = np.concatenate([onset, clear[clear > onset]])
     deltas = np.concatenate([np.ones(len(onset), dtype=np.int64),
@@ -203,14 +193,12 @@ def accumulate_days(
     cursor = np.minimum(times, duration_s)
     level = np.concatenate([[0], depth])
     row, day, span = _day_windows(np.concatenate([[0.0], cursor]),
-                                  np.concatenate([cursor, [duration_s]]),
-                                  day_lo, day_hi)
+                                  np.concatenate([cursor, [duration_s]]))
     depth_weight = fold(day, span * level[row])
     depth_max = np.zeros(n_days, dtype=np.int64)
     np.maximum.at(depth_max, day, level[row])
-    instant = (np.minimum(times, duration_s - 1e-9) / DAY_S).astype(np.int64)
-    in_range = (day_lo <= instant) & (instant < day_hi)
-    np.maximum.at(depth_max, instant[in_range] - day_lo, depth[in_range])
+    instant = np.minimum((times / DAY_S).astype(np.int64), last_day)
+    np.maximum.at(depth_max, instant, depth)
 
     # -- capacity-floor violations (pod-days below the floor) -------------
     capacity = 1.0 - pod_lost / (links_per_pod * np.array(day_span))[:, None]
@@ -220,7 +208,7 @@ def accumulate_days(
     link_day = [n_links * span for span in day_span]
     flow_day = [n_links * flows_per_link_per_s * span for span in day_span]
     days = {
-        "day": list(range(day_lo, day_hi)),
+        "day": list(range(n_days)),
         "goodput_fraction": [
             round(1.0 - delta / link, 12)
             for delta, link in zip(goodput_delta.tolist(), link_day)

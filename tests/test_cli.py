@@ -501,6 +501,19 @@ class TestInputErrorsAreOneLine:
         assert captured.err == (
             "repro: error: activation_budget must be >= 0\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["lifecycle", "replay", "--workers", "0", "--days", "1"],
+        ["fleet", "--workers", "0", "--days", "1"],
+    ], ids=["lifecycle-replay", "fleet"])
+    def test_zero_workers_exits_two(self, argv, capsys):
+        """Was a ``ValueError`` traceback out of the replay, exit 1."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: error: --workers must be >= 1\n"
+
     def test_blame_optimize_ranks_a_repeated_budget_once(self, capsys):
         import json
 

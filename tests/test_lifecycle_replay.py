@@ -1,5 +1,5 @@
-"""repro.lifecycle replay: chunking invariance, one arbitration, resume,
-SLO rollup."""
+"""repro.lifecycle replay: chunking invariance, one arbitration and one
+evaluation, resume, SLO rollup."""
 
 import hashlib
 import json
@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import FleetCampaignSpec, run_fleet_campaign
-from repro.fleet.controller import FleetController
+from repro.fleet.controller import ControllerConfig, FleetController
 from repro.fleet.topology import FleetSpec
 from repro.lifecycle import (
     DAY_COLUMNS, LifecycleRollup, ReplaySpec, SloConfig, TraceSpec,
     run_chunk, run_replay,
 )
+from repro.lifecycle import replay as replay_module
 from repro.lifecycle.replay import evaluate_chunks
 from repro.obs import Observability
 
@@ -158,6 +159,70 @@ class TestOneArbitration:
         with pytest.raises(ValueError, match="workers"):
             run_fleet_campaign(FleetCampaignSpec(
                 fleet=SMALL_FLEET, duration_days=12.0), workers=0)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every ``accumulate_days`` call a replay makes while the test runs."""
+    calls = []
+    real = replay_module.accumulate_days
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(replay_module, "accumulate_days", counted)
+    return calls
+
+
+class TestOneEvaluation:
+    """A replay's days are evaluated once and each chunk is a slice of
+    that evaluation, whatever the chunking."""
+
+    @pytest.mark.parametrize("n_chunks", [1, 3, 12])
+    def test_replay_evaluates_once(self, evaluations, n_chunks):
+        run_replay(small_replay(n_chunks=n_chunks))
+        assert len(evaluations) == 1
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_campaign_evaluates_once(self, evaluations, instrumented):
+        campaign = FleetCampaignSpec(
+            fleet=SMALL_FLEET, duration_days=12.0, seed=5, n_shards=4)
+        run_fleet_campaign(
+            campaign, obs=Observability() if instrumented else None)
+        assert len(evaluations) == 1
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_complete_checkpoint_needs_no_evaluation(
+            self, tmp_path, evaluations, arbitrations, instrumented):
+        """Under ``obs`` the resumed campaign still arbitrates (for the
+        decision counters), but evaluates nothing."""
+        campaign = FleetCampaignSpec(
+            fleet=SMALL_FLEET, duration_days=12.0, seed=5, n_shards=4)
+        checkpoint = str(tmp_path / "fleet.jsonl")
+        run_fleet_campaign(campaign, checkpoint=checkpoint)
+        del evaluations[:], arbitrations[:]
+        run_fleet_campaign(campaign, checkpoint=checkpoint,
+                           obs=Observability() if instrumented else None)
+        assert evaluations == []
+        assert len(arbitrations) == instrumented
+
+    def test_empirical_counter_counts_each_episode_once(self):
+        """``lifecycle.replay.empirical`` is the replay's sampled
+        episodes, not that count once per chunk."""
+        def counter(n_chunks):
+            obs = Observability()
+            run_replay(small_replay(
+                backend="packet", n_chunks=n_chunks,
+                controller=ControllerConfig(activation_budget=1)), obs=obs)
+            return obs.registry.snapshot()["lifecycle.replay.empirical"][
+                "value"]
+
+        sampled = run_chunk(small_replay(
+            backend="packet", controller=ControllerConfig(activation_budget=1)),
+            0)["chunk"]["empirical_evaluated"]
+        assert sampled > 0
+        assert counter(1) == counter(4) == sampled
 
 
 class TestCheckpointResume:

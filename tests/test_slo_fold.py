@@ -108,19 +108,19 @@ class TestPinnedFold:
             assert all(type(v) is int for v in days[name]), name
 
 
-def _windows_loop(starts, ends, day_lo, day_hi):
+def _windows_loop(starts, ends):
     """Per-row reference: each ``[start, end)`` row's overlap with every
-    day of ``[day_lo, day_hi)``, rows in order, days ascending."""
+    day it touches, rows in order, days ascending."""
     out = []
     for row, (start_s, end_s) in enumerate(zip(starts, ends)):
         if end_s <= start_s:
             continue
-        first = max(int(start_s / DAY_S), day_lo)
-        last = min(int(end_s / DAY_S), day_hi - 1)
+        first = int(start_s / DAY_S)
+        last = int(end_s / DAY_S)
         for day in range(first, last + 1):
             span = min(end_s, (day + 1) * DAY_S) - max(start_s, day * DAY_S)
             if span > 0:
-                out.append((row, day - day_lo, span))
+                out.append((row, day, span))
     return out
 
 
@@ -137,28 +137,21 @@ class TestDayWindows:
         (0.0, 0.0),
     ]
 
-    def _check(self, rows, day_lo, day_hi):
+    def _check(self, rows):
         starts = [s for s, _ in rows]
         ends = [e for _, e in rows]
-        row, day, span = _day_windows(starts, ends, day_lo, day_hi)
+        row, day, span = _day_windows(starts, ends)
         got = list(zip(row.tolist(), day.tolist(), span.tolist()))
-        assert got == _windows_loop(starts, ends, day_lo, day_hi)
+        assert got == _windows_loop(starts, ends)
         return got
 
     def test_full_range(self):
-        got = self._check(self.ROWS, 0, 6)
+        got = self._check(self.ROWS)
         assert [d for r, d, _ in got if r == 3] == [0, 1, 2, 3]
         assert not [r for r, _, _ in got if r in (1, 5, 6)]
 
-    def test_chunk_window(self):
-        got = self._check(self.ROWS, 2, 4)
-        assert {d for _, d, _ in got} == {0, 1}
-
-    def test_past_the_chunk(self):
-        assert self._check(self.ROWS, 5, 6) == [(2, 0, 0.5 * DAY_S)]
-
     def test_empty(self):
-        row, day, span = _day_windows([], [], 0, 3)
+        row, day, span = _day_windows([], [])
         assert row.size == day.size == span.size == 0
 
     def test_random_rows(self):
@@ -169,9 +162,7 @@ class TestDayWindows:
         # a few rows pinned to whole-day edges
         starts[:20] = np.floor(starts[:20] / DAY_S) * DAY_S
         ends[20:40] = np.ceil(ends[20:40] / DAY_S) * DAY_S
-        rows = list(zip(starts.tolist(), ends.tolist()))
-        for day_lo, day_hi in ((0, 6), (1, 3), (3, 6), (5, 6)):
-            self._check(rows, day_lo, day_hi)
+        self._check(list(zip(starts.tolist(), ends.tolist())))
 
 
 class TestMemoizedSpeedLookup:
