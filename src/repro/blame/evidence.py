@@ -26,12 +26,14 @@ still localizes the corrupting link from the surviving fraction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
+from hashlib import sha256
+from itertools import repeat
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple,
 )
 
 from ..core.spec import Spec
@@ -40,46 +42,63 @@ from ..fleet.topology import CorruptionEpisode, FleetSpec
 from .paths import ecmp_path, flow_endpoints
 
 
+#: one sha256 block as its four draws: little-endian u64 words, in order
+_WORDS = struct.Struct("<4Q").unpack
+
+
 class _FlowStream:
     """Counter-expanded uniform draws addressed like an RNG stream.
 
-    Keyed by the same ``f"{seed}:{name}#{index}"`` scheme
-    :meth:`~repro.core.rng.RngFactory.child_seed` uses, but expanded
-    directly from sha256 blocks (four 64-bit draws per digest) instead
-    of a ``numpy`` generator.  Same addressing guarantee: draws at index
-    ``k`` depend only on ``(seed, name, k)``, never on other flows or
-    window boundaries.  :meth:`~repro.core.rng.RngFactory.streams` now
-    seeds numpy streams in bulk at a few draws' cost, but this scheme
-    stays: its values are the harvested evidence, and every blame
-    golden pins them.
+    The pinned format: block ``b`` of flow ``index`` is sha256 of
+    ``f"{seed}:{name}#{index}:{b}"`` — the ``f"{seed}:{name}#{index}"``
+    key :meth:`~repro.core.rng.RngFactory.child_seed` uses, plus the
+    block counter — and yields four little-endian u64 words, used in
+    order, blocks ``0, 1, 2, ...``.  Same addressing guarantee as an
+    RNG stream: draws at index ``k`` depend only on ``(seed, name, k)``,
+    never on other flows or window boundaries.  Every harvested flow
+    takes at least five draws (two endpoints, label, two coins), so the
+    first two blocks are hashed up front; a third only when the
+    destination is redrawn often enough.
+    :meth:`~repro.core.rng.RngFactory.streams` seeds numpy streams in
+    bulk at a few draws' cost, but this scheme stays: its values are
+    the harvested evidence, and every blame golden pins them.
     """
 
-    __slots__ = ("_key", "_block", "_words", "_cursor")
+    __slots__ = ("_key", "_words", "_cursor")
 
-    def __init__(self, seed: int, name: str, index: int) -> None:
-        self._key = f"{seed}:{name}#{index}".encode()
-        self._block = 0
-        self._words: Tuple[int, ...] = ()
+    def __init__(self, key: bytes) -> None:
+        """``key`` is the stream's ``f"{seed}:{name}#{index}:"`` prefix."""
+        self._key = key
+        self._words = (_WORDS(sha256(key + b"0").digest())
+                       + _WORDS(sha256(key + b"1").digest()))
         self._cursor = 0
 
     def _next_word(self) -> int:
-        if self._cursor >= len(self._words):
-            digest = hashlib.sha256(
-                self._key + b":" + str(self._block).encode()).digest()
-            self._block += 1
-            self._words = tuple(
-                int.from_bytes(digest[i:i + 8], "little")
-                for i in range(0, 32, 8))
-            self._cursor = 0
-        word = self._words[self._cursor]
-        self._cursor += 1
-        return word
+        """The next word once the cursor may be past the hashed blocks:
+        block ``cursor // 4`` is hashed when the cursor reaches it."""
+        cursor = self._cursor
+        words = self._words
+        if cursor == len(words):
+            block = str(cursor >> 2).encode()
+            words = self._words = words + _WORDS(
+                sha256(self._key + block).digest())
+        self._cursor = cursor + 1
+        return words[cursor]
 
     def integers(self, n: int) -> int:
-        return self._next_word() % int(n)
+        cursor = self._cursor
+        if cursor < 8:   # inside the two blocks hashed up front
+            self._cursor = cursor + 1
+            return self._words[cursor] % n
+        return self._next_word() % n
 
     def random(self) -> float:
+        cursor = self._cursor
+        if cursor < 8:
+            self._cursor = cursor + 1
+            return self._words[cursor] / 2.0 ** 64
         return self._next_word() / 2.0 ** 64
+
 
 __all__ = [
     "EvidenceSpec", "FlowReport", "LossOracle", "default_fleet_evidence",
@@ -104,8 +123,8 @@ class EvidenceSpec(Spec):
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.flows_per_s <= 0:
-            raise ValueError("flows_per_s must be positive")
+        if not 0.0 < self.flows_per_s < math.inf:
+            raise ValueError("flows_per_s must be positive and finite")
         if self.flow_packets < 1:
             raise ValueError("flow_packets must be >= 1")
         if not 0.0 < self.coverage <= 1.0:
@@ -216,7 +235,7 @@ class LossOracle:
                    for onset, clear, loss in spans))
 
 
-def flow_flag_probability(path_losses: Sequence[float], flow_packets: int,
+def flow_flag_probability(path_losses: Iterable[float], flow_packets: int,
                           base_retx_prob: float = 0.0) -> float:
     """P(flow retransmits) crossing links with the given loss rates.
 
@@ -250,29 +269,30 @@ def iter_reports(
     rate = spec.flows_per_s
     first = math.floor(t_lo * rate)
     last = math.ceil(t_hi * rate)
+    seed, coverage = spec.seed, spec.coverage
+    flow_packets, base_retx_prob = spec.flow_packets, spec.base_retx_prob
+    n_pods, tors_per_pod = topology.n_pods, topology.tors_per_pod
+    prefix = f"{seed}:blame.flow#".encode()
     for k in range(max(first, 0), last):
         time_s = (k + 0.5) / rate
         if not t_lo <= time_s < t_hi:
             continue
-        rng = _FlowStream(spec.seed, "blame.flow", k)
+        rng = _FlowStream(b"%s%d:" % (prefix, k))
         src_pod, src_tor, dst_pod, dst_tor = flow_endpoints(
-            rng, topology.n_pods, topology.tors_per_pod)
-        label = int(rng.integers(1 << 16))
-        path = ecmp_path(topology, src_pod, src_tor, dst_pod, dst_tor,
-                         label, seed=spec.seed)
-        p_flag = flow_flag_probability(
-            [loss_at(link, time_s) for link in path],
-            spec.flow_packets, spec.base_retx_prob)
-        retx = bool(rng.random() < p_flag)
-        surviving = bool(rng.random() < spec.coverage)
-        if not surviving:
+            rng, n_pods, tors_per_pod)
+        label = rng.integers(1 << 16)
+        # Both coins are drawn in their pinned order (retransmission,
+        # then coverage); a dropped flow's path and flag probability are
+        # never read, so they are not worked out.
+        retx_draw = rng.random()
+        if not rng.random() < coverage:
             continue
-        yield FlowReport(
-            time_s=time_s, flow_id=k,
-            src_pod=src_pod, src_tor=src_tor,
-            dst_pod=dst_pod, dst_tor=dst_tor,
-            path=path, retx=retx,
-        )
+        path = ecmp_path(topology, src_pod, src_tor, dst_pod, dst_tor,
+                         label, seed)
+        p_flag = flow_flag_probability(
+            map(loss_at, path, repeat(time_s)), flow_packets, base_retx_prob)
+        yield _new(FlowReport, (time_s, k, src_pod, src_tor, dst_pod,
+                                dst_tor, path, retx_draw < p_flag))
 
 
 def harvest_evidence(

@@ -22,24 +22,21 @@ Path shapes over a :class:`~repro.fabric.topology.FabricTopology`:
 
 from __future__ import annotations
 
-import hashlib
+import struct
+from hashlib import sha256
 from typing import Tuple
 
 from ..fabric.topology import FabricTopology
 
 __all__ = ["ecmp_path", "flow_endpoints"]
 
+_first_word = struct.Struct("<Q").unpack_from
 
-def _hash_choice(seed: int, parts: Tuple[int, ...], salt: str, n: int) -> int:
-    """A deterministic ECMP choice in ``[0, n)`` keyed by flow identity.
 
-    sha256 rather than ``hash()`` so the choice is stable across
-    processes and Python builds (the same property the RNG factory's
-    addressed streams rely on).
-    """
-    key = f"{seed}:ecmp:{salt}:" + ":".join(str(p) for p in parts)
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "little") % n
+def _choice(key: bytes, n: int) -> int:
+    """One ECMP choice in ``[0, n)``: the first little-endian u64 of
+    sha256 of ``key``, modulo ``n``."""
+    return _first_word(sha256(key).digest())[0] % n
 
 
 def ecmp_path(
@@ -57,25 +54,44 @@ def ecmp_path(
     flows between the same ToRs with different labels may hash onto
     different planes, exactly the ECMP spreading the voting scheme
     counts on for coverage of every link.
+
+    Each ECMP choice (``plane``, then ``up`` and ``down`` for an
+    inter-pod flow) is :func:`_choice` over ``f"{seed}:ecmp:{choice}"``
+    followed by the flow's identity,
+    ``f":{src_pod}:{src_tor}:{dst_pod}:{dst_tor}:{flow_label}"`` —
+    sha256 rather than ``hash()`` so the choice is stable across
+    processes and Python builds (the same property the RNG factory's
+    addressed streams rely on).
     """
-    identity = (src_pod, src_tor, dst_pod, dst_tor, flow_label)
+    if src_pod == dst_pod and src_tor == dst_tor:
+        return ()
+    n_pods, tors = topology.n_pods, topology.tors_per_pod
+    if not (0 <= src_pod < n_pods and 0 <= dst_pod < n_pods
+            and 0 <= src_tor < tors and 0 <= dst_tor < tors):
+        raise ValueError(
+            f"endpoints ({src_pod}, {src_tor}) -> ({dst_pod}, {dst_tor}) "
+            f"out of range for this {n_pods}-pod, {tors}-ToR topology")
+    # the flow's identity, built once, follows each choice's salt
+    identity = f":{src_pod}:{src_tor}:{dst_pod}:{dst_tor}:{flow_label}"
+    fabric = _choice(f"{seed}:ecmp:plane{identity}".encode(),
+                     topology.fabrics_per_pod)
+    # Every index below is in range — the endpoints were checked above
+    # and each choice is reduced modulo its fan-out — so the hops come
+    # straight from the topology's lookup tables, without the per-call
+    # checks of ``tor_fabric_link``/``fabric_spine_link``.
+    tor_fabric = topology._tor_fabric
     if src_pod == dst_pod:
-        if src_tor == dst_tor:
-            return ()
-        fabric = _hash_choice(seed, identity, "plane",
-                              topology.fabrics_per_pod)
-        return (
-            topology.tor_fabric_link(src_pod, src_tor, fabric).link_id,
-            topology.tor_fabric_link(dst_pod, dst_tor, fabric).link_id,
-        )
-    fabric = _hash_choice(seed, identity, "plane", topology.fabrics_per_pod)
-    up_port = _hash_choice(seed, identity, "up", topology.spine_uplinks)
-    down_port = _hash_choice(seed, identity, "down", topology.spine_uplinks)
+        return (tor_fabric[(src_pod, src_tor, fabric)].link_id,
+                tor_fabric[(dst_pod, dst_tor, fabric)].link_id)
+    spines = topology.spine_uplinks
+    up_port = _choice(f"{seed}:ecmp:up{identity}".encode(), spines)
+    down_port = _choice(f"{seed}:ecmp:down{identity}".encode(), spines)
+    fabric_spine = topology._fabric_spine
     return (
-        topology.tor_fabric_link(src_pod, src_tor, fabric).link_id,
-        topology.fabric_spine_link(src_pod, fabric, up_port).link_id,
-        topology.fabric_spine_link(dst_pod, fabric, down_port).link_id,
-        topology.tor_fabric_link(dst_pod, dst_tor, fabric).link_id,
+        tor_fabric[(src_pod, src_tor, fabric)].link_id,
+        fabric_spine[(src_pod, fabric, up_port)].link_id,
+        fabric_spine[(dst_pod, fabric, down_port)].link_id,
+        tor_fabric[(dst_pod, dst_tor, fabric)].link_id,
     )
 
 
@@ -85,8 +101,11 @@ def flow_endpoints(rng, n_pods: int, tors_per_pod: int
 
     Rejection-samples the destination until it differs from the source
     ToR — an intra-ToR flow crosses no fabric link and carries no
-    evidence.  Uses exactly one ``rng.integers`` call per attempt so
-    the draw count is bounded and the stream stays addressable.
+    evidence.  Uses exactly one ``rng.integers`` call per attempt, so
+    the stream stays addressable; the number of attempts is unbounded
+    but geometric, ``total / (total - 1)`` destination draws in
+    expectation over ``total = n_pods * tors_per_pod`` ToRs (two per
+    flow on a two-ToR fleet).
     """
     total = n_pods * tors_per_pod
     src = int(rng.integers(total))

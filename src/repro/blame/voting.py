@@ -307,6 +307,7 @@ class BlameEvalSpec(Spec):
             raise ValueError("window_s must be positive")
         if not 0 < self.loss_lo <= self.loss_hi <= 1:
             raise ValueError("need 0 < loss_lo <= loss_hi <= 1")
+        self.evidence(self.seed)   # flow rate, packets, coverage, noise
 
     def evidence(self, seed: int) -> EvidenceSpec:
         return EvidenceSpec(

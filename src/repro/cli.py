@@ -775,6 +775,13 @@ def _blame_report(args) -> None:
     if args.window <= 0:
         _usage_error("--window must be > 0")
     fleet = _fleet_spec(args)
+    overrides = {"coverage": args.coverage}
+    if args.flows_per_s != 0:   # 0 = fleet-sized; the spec refuses the rest
+        overrides["flows_per_s"] = args.flows_per_s
+    try:
+        evidence = default_fleet_evidence(fleet, seed=args.seed, **overrides)
+    except ValueError as exc:
+        _usage_error(str(exc))
     episodes = _trace_episodes(args)
     oracle = LossOracle(episodes)
     t_lo = args.at
@@ -785,10 +792,6 @@ def _blame_report(args) -> None:
             if oracle.corrupting_at(t_lo + args.window / 2):
                 break
             t_lo += args.window
-    overrides = {"coverage": args.coverage}
-    if args.flows_per_s > 0:
-        overrides["flows_per_s"] = args.flows_per_s
-    evidence = default_fleet_evidence(fleet, seed=args.seed, **overrides)
     topology = FleetTopology(fleet, seed=args.seed)
     reports = harvest_evidence(
         evidence, topology, episodes, t_lo, t_lo + args.window)
@@ -839,7 +842,7 @@ def _blame_eval(args) -> int:
             trace_days=args.trace_days,
             detectable_loss=args.detectable_loss,
             repair=args.repair, seed=args.seed)
-        if args.flows_per_s > 0:
+        if args.flows_per_s != 0:
             spec_kwargs["flows_per_s"] = args.flows_per_s
         try:
             spec = BlameEvalSpec(**spec_kwargs)

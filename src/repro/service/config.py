@@ -12,6 +12,7 @@ differently per ``evidence`` kind is one :data:`EVIDENCE` row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
@@ -169,8 +170,9 @@ class ServiceConfig(Spec):
                 f"known: {', '.join(EVIDENCE_KINDS)}")
         if self.blame_window_s <= 0:
             raise ValueError("blame_window_s must be positive")
-        if self.flows_per_s < 0:
-            raise ValueError("flows_per_s must be >= 0")
+        if not 0.0 <= self.flows_per_s < math.inf:
+            raise ValueError("flows_per_s must be finite and >= 0 "
+                             "(0 = sized to the fleet)")
         if not 0.0 < self.coverage <= 1.0:
             raise ValueError("coverage must be in (0, 1]")
         if self.telemetry == "file" and not self.telemetry_file:

@@ -67,6 +67,12 @@ class TestEcmpPaths:
                  for label in range(64)}
         assert len(paths) > 1          # hashing actually spreads load
 
+    def test_out_of_range_endpoints_are_refused(self):
+        topology = make_topology()
+        for endpoints in [(0, 4, 1, 0), (2, 0, 0, 1), (0, 0, -1, 2)]:
+            with pytest.raises(ValueError, match="out of range"):
+                ecmp_path(topology, *endpoints, flow_label=3)
+
     def test_intra_pod_path_kinds(self):
         topology = make_topology()
         path = ecmp_path(topology, 1, 0, 1, 2, flow_label=5)

@@ -514,6 +514,29 @@ class TestInputErrorsAreOneLine:
         assert captured.out == ""
         assert captured.err == "repro: error: --workers must be >= 1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["blame", "eval", "--coverage", "2", "--trials", "2"],
+         "coverage must be in (0, 1]"),
+        (["blame", "eval", "--flows-per-s", "inf", "--trials", "2"],
+         "flows_per_s must be positive and finite"),
+        (["blame", "report", "--flows-per-s", "inf"],
+         "flows_per_s must be positive and finite"),
+        (["blame", "report", "--flows-per-s", "nan"],
+         "flows_per_s must be positive and finite"),
+    ], ids=["eval-coverage-2", "eval-rate-inf", "report-rate-inf",
+            "report-rate-nan"])
+    def test_blame_evidence_flags_exit_two(self, argv, message, capsys):
+        """Were a ``ValueError`` traceback (``eval --coverage 2``, ``eval
+        --flows-per-s inf``), an ``OverflowError`` traceback (``report
+        --flows-per-s inf``), or a run at the fleet-sized rate, exit 0
+        (``report --flows-per-s nan``: ``nan > 0`` is false)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {message}\n"
+
     def test_blame_optimize_ranks_a_repeated_budget_once(self, capsys):
         import json
 

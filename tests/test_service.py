@@ -12,6 +12,7 @@ No pytest-asyncio here: every async scenario runs under its own
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -288,6 +289,11 @@ class TestVotingEvidenceService:
             small_config(evidence="rumor")
         with pytest.raises(ValueError):
             small_config(evidence="voting", coverage=0.0)
+        # a non-finite synthetic flow rate used to be accepted and fail
+        # only once the voting feed started
+        for rate in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="flows_per_s"):
+                small_config(evidence="voting", flows_per_s=rate)
 
     def test_file_fed_voting_service_reaches_oracle_decisions(self, tmp_path):
         """Flow-report JSONL in, voting-labeled decisions out — and the
