@@ -303,8 +303,8 @@ class BlameEvalSpec(Spec):
             raise ValueError(f"unknown eval mode {self.mode!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not 0 < self.window_s < math.inf:
+            raise ValueError("window_s must be positive and finite")
         if not 0 < self.loss_lo <= self.loss_hi <= 1:
             raise ValueError("need 0 < loss_lo <= loss_hi <= 1")
         self.evidence(self.seed)   # flow rate, packets, coverage, noise

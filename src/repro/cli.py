@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
@@ -772,8 +773,10 @@ def _blame_report(args) -> None:
     )
     from .fleet.topology import FleetTopology
 
-    if args.window <= 0:
-        _usage_error("--window must be > 0")
+    if not 0 < args.window < math.inf:
+        _usage_error("--window must be > 0 and finite")
+    if args.at is not None and not math.isfinite(args.at):
+        _usage_error("--at must be finite")
     fleet = _fleet_spec(args)
     overrides = {"coverage": args.coverage}
     if args.flows_per_s != 0:   # 0 = fleet-sized; the spec refuses the rest

@@ -168,8 +168,8 @@ class ServiceConfig(Spec):
             raise ValueError(
                 f"unknown evidence {self.evidence!r}; "
                 f"known: {', '.join(EVIDENCE_KINDS)}")
-        if self.blame_window_s <= 0:
-            raise ValueError("blame_window_s must be positive")
+        if not 0 < self.blame_window_s < math.inf:
+            raise ValueError("blame_window_s must be positive and finite")
         if not 0.0 <= self.flows_per_s < math.inf:
             raise ValueError("flows_per_s must be finite and >= 0 "
                              "(0 = sized to the fleet)")

@@ -271,7 +271,7 @@ class SyntheticFlowEvidence:
         self.limit = int(limit)
         self.topology = FleetTopology(spec.fleet, seed=spec.seed)
         overrides: Dict[str, float] = {"coverage": float(coverage)}
-        if flows_per_s > 0:
+        if flows_per_s != 0:   # 0 = fleet-sized; the spec refuses the rest
             overrides["flows_per_s"] = float(flows_per_s)
         self.evidence = default_fleet_evidence(
             spec.fleet, seed=spec.seed, **overrides)

@@ -523,13 +523,20 @@ class TestInputErrorsAreOneLine:
          "flows_per_s must be positive and finite"),
         (["blame", "report", "--flows-per-s", "nan"],
          "flows_per_s must be positive and finite"),
+        (["blame", "report", "--window", "inf"],
+         "--window must be > 0 and finite"),
+        (["blame", "report", "--at", "nan"], "--at must be finite"),
+        (["blame", "eval", "--window", "inf", "--trials", "2"],
+         "window_s must be positive and finite"),
     ], ids=["eval-coverage-2", "eval-rate-inf", "report-rate-inf",
-            "report-rate-nan"])
+            "report-rate-nan", "report-window-inf", "report-at-nan",
+            "eval-window-inf"])
     def test_blame_evidence_flags_exit_two(self, argv, message, capsys):
         """Were a ``ValueError`` traceback (``eval --coverage 2``, ``eval
-        --flows-per-s inf``), an ``OverflowError`` traceback (``report
-        --flows-per-s inf``), or a run at the fleet-sized rate, exit 0
-        (``report --flows-per-s nan``: ``nan > 0`` is false)."""
+        --flows-per-s inf``, ``report --at nan``), an ``OverflowError``
+        traceback (``report --flows-per-s inf``, ``--window inf`` on
+        both verbs), or a run at the fleet-sized rate, exit 0 (``report
+        --flows-per-s nan``: ``nan > 0`` is false)."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

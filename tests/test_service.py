@@ -294,6 +294,16 @@ class TestVotingEvidenceService:
         for rate in (math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match="flows_per_s"):
                 small_config(evidence="voting", flows_per_s=rate)
+        for window in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="blame_window_s"):
+                small_config(evidence="voting", blame_window_s=window)
+        # the feed itself: a nan rate used to mean fleet-sized
+        from repro.lifecycle import TraceSpec
+        from repro.service.telemetry import SyntheticFlowEvidence
+
+        with pytest.raises(ValueError, match="flows_per_s"):
+            SyntheticFlowEvidence(TraceSpec(fleet=SMALL_FLEET),
+                                  flows_per_s=math.nan)
 
     def test_file_fed_voting_service_reaches_oracle_decisions(self, tmp_path):
         """Flow-report JSONL in, voting-labeled decisions out — and the
