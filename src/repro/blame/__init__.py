@@ -27,8 +27,8 @@ Quickstart::
 
 from .adapter import BlameMonitor, decision_signature, run_oracle, run_voting
 from .evidence import (
-    EvidenceSpec, FlowReport, LossOracle, default_fleet_evidence,
-    flow_flag_probability, harvest_evidence, iter_reports, parse_flow_report,
+    EvidenceSpec, FlowReport, LossOracle, flow_flag_probability,
+    harvest_evidence, iter_reports, parse_flow_report,
 )
 from .paths import ecmp_path, flow_endpoints
 from .voting import (
@@ -38,7 +38,7 @@ from .voting import (
 
 __all__ = [
     "BlameMonitor", "decision_signature", "run_oracle", "run_voting",
-    "EvidenceSpec", "FlowReport", "LossOracle", "default_fleet_evidence",
+    "EvidenceSpec", "FlowReport", "LossOracle",
     "flow_flag_probability", "harvest_evidence", "iter_reports",
     "parse_flow_report",
     "ecmp_path", "flow_endpoints",

@@ -36,9 +36,9 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple,
 )
 
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..fabric.topology import FabricTopology
-from ..fleet.topology import CorruptionEpisode, FleetSpec
+from ..fleet.topology import CorruptionEpisode
 from .paths import ecmp_path, flow_endpoints
 
 
@@ -101,7 +101,7 @@ class _FlowStream:
 
 
 __all__ = [
-    "EvidenceSpec", "FlowReport", "LossOracle", "default_fleet_evidence",
+    "EvidenceSpec", "FlowReport", "LossOracle",
     "finite_time", "flow_flag_probability", "harvest_evidence",
     "iter_reports", "parse_flow_report",
 ]
@@ -111,26 +111,18 @@ __all__ = [
 class EvidenceSpec(Spec):
     """Shape of one fleet's flow-evidence stream."""
 
-    #: aggregate flow arrival rate across the fleet
-    flows_per_s: float = 400.0
+    #: aggregate flow arrival rate across the fleet; 0 sizes it to the
+    #: fleet the reports are harvested on: 50 flows/s per ToR, since
+    #: per-link crossing counts, not fleet size, set voting confidence
+    flows_per_s: float = ranged(0.0, "[0, inf)")
     #: packets per flow; sets how likely a lossy link flags a crossing
-    flow_packets: int = 100
+    flow_packets: int = ranged(100, "[1, inf)")
     #: fraction of reports that survive telemetry loss
-    coverage: float = 1.0
+    coverage: float = ranged(1.0, "(0, 1]")
     #: background retransmission probability of a clean flow (timeouts,
     #: congestion) — the noise floor voting must rise above
-    base_retx_prob: float = 0.002
+    base_retx_prob: float = ranged(0.002, "[0, 1)")
     seed: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.flows_per_s < math.inf:
-            raise ValueError("flows_per_s must be positive and finite")
-        if self.flow_packets < 1:
-            raise ValueError("flow_packets must be >= 1")
-        if not 0.0 < self.coverage <= 1.0:
-            raise ValueError("coverage must be in (0, 1]")
-        if not 0.0 <= self.base_retx_prob < 1.0:
-            raise ValueError("base_retx_prob must be in [0, 1)")
 
 
 class FlowReport(NamedTuple):
@@ -266,12 +258,12 @@ def iter_reports(
     """
     if t_hi <= t_lo:
         return
-    rate = spec.flows_per_s
+    n_pods, tors_per_pod = topology.n_pods, topology.tors_per_pod
+    rate = spec.flows_per_s or 50.0 * n_pods * tors_per_pod
     first = math.floor(t_lo * rate)
     last = math.ceil(t_hi * rate)
     seed, coverage = spec.seed, spec.coverage
     flow_packets, base_retx_prob = spec.flow_packets, spec.base_retx_prob
-    n_pods, tors_per_pod = topology.n_pods, topology.tors_per_pod
     prefix = f"{seed}:blame.flow#".encode()
     for k in range(max(first, 0), last):
         time_s = (k + 0.5) / rate
@@ -305,17 +297,3 @@ def harvest_evidence(
     """All surviving reports of ``[t_lo, t_hi)`` against episode truth."""
     oracle = LossOracle(episodes)
     return list(iter_reports(spec, topology, oracle.loss_at, t_lo, t_hi))
-
-
-def default_fleet_evidence(fleet: FleetSpec, seed: int = 1,
-                           **overrides: Any) -> EvidenceSpec:
-    """An evidence spec sized so voting has signal on ``fleet``.
-
-    The aggregate flow rate scales with the ToR count — per-link
-    crossing counts, not fleet size, are what set voting confidence —
-    while everything else keeps the defaults unless overridden.
-    """
-    tors = fleet.n_pods * fleet.tors_per_pod
-    params: Dict[str, Any] = {"flows_per_s": 50.0 * tors, "seed": seed}
-    params.update(overrides)
-    return EvidenceSpec(**params)

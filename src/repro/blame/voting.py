@@ -26,7 +26,7 @@ from operator import attrgetter
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..core.rng import RngFactory
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 from .evidence import EvidenceSpec, FlowReport, LossOracle, harvest_evidence
 
@@ -281,33 +281,30 @@ class BlameEvalSpec(Spec):
     fleet: FleetSpec = field(default_factory=lambda: FleetSpec(
         n_pods=2, tors_per_pod=4, fabrics_per_pod=2, spine_uplinks=4))
     mode: str = "trials"
-    n_trials: int = 20
-    window_s: float = 60.0
+    n_trials: int = ranged(20, "[1, inf)")
+    window_s: float = ranged(60.0, "(0, inf)")
+    #: the evidence shape (see :class:`EvidenceSpec`, which checks it)
     coverage: float = 1.0
-    flows_per_s: float = 400.0
+    flows_per_s: float = 0.0
     flow_packets: int = 100
     base_retx_prob: float = 0.002
-    min_votes: float = 2.0
+    min_votes: float = ranged(2.0, "[0, inf)")
     #: trials mode: planted loss rates, log-uniform in [lo, hi]
-    loss_lo: float = 5e-4
-    loss_hi: float = 5e-3
+    loss_lo: float = ranged(5e-4, "(0, 1]")
+    loss_hi: float = ranged(5e-3, "(0, 1]")
     #: trace mode: days of lifecycle time to window over
-    trace_days: float = 10.0
+    trace_days: float = ranged(10.0, "(0, inf)")
     #: trace mode: truth is links corrupting at or above this rate
-    detectable_loss: float = 1e-4
+    detectable_loss: float = ranged(1e-4, "[0, 1]")
     repair: str = "corropt"
     seed: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ("trials", "trace"):
             raise ValueError(f"unknown eval mode {self.mode!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if not 0 < self.window_s < math.inf:
-            raise ValueError("window_s must be positive and finite")
-        if not 0 < self.loss_lo <= self.loss_hi <= 1:
-            raise ValueError("need 0 < loss_lo <= loss_hi <= 1")
-        self.evidence(self.seed)   # flow rate, packets, coverage, noise
+        if not self.loss_lo <= self.loss_hi:
+            raise ValueError("need loss_lo <= loss_hi")
+        self.evidence(self.seed)
 
     def evidence(self, seed: int) -> EvidenceSpec:
         return EvidenceSpec(

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.engine import Simulator
 from ..core.rng import RngFactory
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..linkguardian.config import LinkGuardianConfig
 from ..linkguardian.protocol import ProtectedLink
 from ..obs import Observability
@@ -137,15 +137,15 @@ class FaultScenario(Spec):
 class CheckConfig(Spec):
     """Everything besides the fault schedule that defines one check run."""
 
-    n_packets: int = 300
-    rate_gbps: float = 100.0
+    n_packets: int = ranged(300, "[1, inf)")
+    rate_gbps: float = ranged(100.0, "(0, inf)")
     #: starting seqNo — place it near ``SEQ_RANGE`` to cross the era wrap
-    seq_start: int = 0
+    seq_start: int = ranged(0, "[0, inf)")
     ordered: bool = True
     backpressure: bool = True
-    control_copies: int = 1
+    control_copies: int = ranged(1, "[1, inf)")
     #: loss rate handed to ``ProtectedLink.activate`` — sets N via Eq. 2
-    loss_rate_hint: float = 1e-3
+    loss_rate_hint: float = ranged(1e-3, "[0, 1)")
     seed: int = 1
     #: deliberate protocol break from ``DEFECTS`` (None = conformant code)
     defect: Optional[str] = None

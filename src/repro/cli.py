@@ -15,13 +15,15 @@ tooling) is one row of :data:`VERBS`: a name, a help line, the
 flags it reads and a handler returning an exit code.  Grouped verbs are
 rows that nest rows.  :func:`build_parser` turns the table into a single
 ``argparse`` tree and ``repro list`` prints it.  Flags shared between
-verbs are declared once and a row carries only its own defaults and help
-(``DAYS.but(default=30.0)``).  A verb rejects flags it does not read.
+verbs are declared once and a row carries only its own help and any
+default that differs (``DAYS.but(default=10.0)``).  A knob's default and
+range live on the spec field its flag names (``field=``, see
+:class:`Flag`), never here.  A verb rejects flags it does not read.
 
 Exit codes: 0 success; 1 the run finished and the answer is "no" (a
 violated invariant, a missed ``--fail-under`` gate, an artifact whose
 content is invalid, an unreachable server); 2 the command line is wrong
-(unknown flag or value, missing input file).
+(unknown flag or value, a number out of range, missing input file).
 
 Observability: ``--json`` switches every verb to machine-readable output
 (a JSON array of row objects, one parseable document per table).  On the
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
@@ -263,8 +264,6 @@ def _fleet(args) -> None:
         )
     except ValueError as exc:
         _usage_error(str(exc))
-    if args.workers < 1:
-        _usage_error("--workers must be >= 1")
 
     # The campaign publishes its summary through the metrics registry;
     # make sure one exists even without --trace-out/--metrics-out.
@@ -294,8 +293,6 @@ def _metrics(args) -> None:
     from .experiments.timeline import run_timeline
     from .obs import Observability
 
-    if args.duration_ms <= 0:
-        _usage_error("--duration-ms must be > 0")
     obs = args.obs if args.obs is not None else Observability()
     args.obs = obs  # so --trace-out/--metrics-out pick the run up too
     run_timeline(
@@ -534,8 +531,6 @@ def _obs_top(args) -> None:
     """Rank the cells of a sweep checkpoint by wall-clock cost."""
     from .runner.harness import CellResult
 
-    if args.limit <= 0:
-        _usage_error("--limit must be > 0")
     results = _load(args.checkpoint, lambda text: [
         CellResult.from_json(line) for line in text.splitlines()
         if line.strip()])
@@ -562,11 +557,8 @@ def _trace_spec(args):
     """The fleet-shape / ``--days`` / ``--seed`` flags as a TraceSpec."""
     from .lifecycle import TraceSpec
 
-    try:
-        return TraceSpec(fleet=_fleet_spec(args), duration_days=args.days,
-                         seed=args.seed)
-    except ValueError as exc:
-        _usage_error(str(exc))
+    return TraceSpec(fleet=_fleet_spec(args), duration_days=args.days,
+                     seed=args.seed)
 
 
 def _slo_verdict(rollup, fail_under) -> int:
@@ -628,8 +620,6 @@ def _lifecycle_replay(args) -> int:
         )
     except (TypeError, ValueError) as exc:
         _usage_error(str(exc))
-    if args.workers < 1:
-        _usage_error("--workers must be >= 1")
 
     rollup = run_replay(replay, workers=args.workers,
                         checkpoint=args.checkpoint, obs=Observability(),
@@ -768,23 +758,13 @@ def _trace_episodes(args):
 def _blame_report(args) -> None:
     """Harvest one window of flow evidence against a lifecycle trace and
     print the ranked 007 vote."""
-    from .blame import (
-        LossOracle, default_fleet_evidence, harvest_evidence, tally_votes,
-    )
+    from .blame import EvidenceSpec, LossOracle, harvest_evidence, tally_votes
     from .fleet.topology import FleetTopology
 
-    if not 0 < args.window < math.inf:
-        _usage_error("--window must be > 0 and finite")
-    if args.at is not None and not math.isfinite(args.at):
-        _usage_error("--at must be finite")
     fleet = _fleet_spec(args)
-    overrides = {"coverage": args.coverage}
-    if args.flows_per_s != 0:   # 0 = fleet-sized; the spec refuses the rest
-        overrides["flows_per_s"] = args.flows_per_s
-    try:
-        evidence = default_fleet_evidence(fleet, seed=args.seed, **overrides)
-    except ValueError as exc:
-        _usage_error(str(exc))
+    evidence = EvidenceSpec(flows_per_s=args.flows_per_s,
+                            flow_packets=args.flow_packets,
+                            coverage=args.coverage, seed=args.seed)
     episodes = _trace_episodes(args)
     oracle = LossOracle(episodes)
     t_lo = args.at
@@ -835,25 +815,22 @@ def _blame_eval(args) -> int:
             _usage_error("--coverages must be comma-separated floats")
     else:
         coverages = [args.coverage]
-    rows = []
-    for coverage in coverages:
-        spec_kwargs = dict(
+    try:
+        specs = [BlameEvalSpec(
             fleet=_fleet_spec(args), mode=args.mode, n_trials=args.trials,
             window_s=args.window, coverage=coverage,
-            flow_packets=args.flow_packets, min_votes=args.min_votes,
-            loss_lo=args.loss_lo, loss_hi=args.loss_hi,
-            trace_days=args.trace_days,
-            detectable_loss=args.detectable_loss,
-            repair=args.repair, seed=args.seed)
-        if args.flows_per_s != 0:
-            spec_kwargs["flows_per_s"] = args.flows_per_s
-        try:
-            spec = BlameEvalSpec(**spec_kwargs)
-        except ValueError as exc:
-            _usage_error(str(exc))
+            flows_per_s=args.flows_per_s, flow_packets=args.flow_packets,
+            min_votes=args.min_votes, loss_lo=args.loss_lo,
+            loss_hi=args.loss_hi, trace_days=args.trace_days,
+            detectable_loss=args.detectable_loss, repair=args.repair,
+            seed=args.seed) for coverage in coverages]
+    except ValueError as exc:
+        _usage_error(str(exc))
+    rows = []
+    for spec in specs:
         metrics = evaluate_blame(spec)
         rows.append({
-            "coverage": coverage,
+            "coverage": spec.coverage,
             "windows": metrics["windows"],
             "top1": round(metrics["top1_accuracy"], 4),
             "single_top1": round(metrics["single_top1_accuracy"], 4),
@@ -902,16 +879,35 @@ def _blame_optimize(args) -> None:
 
 # -- flags: each spelling declared once ----------------------------------------
 
+def _checked(name: str, cast: Callable, bounds) -> Callable:
+    """``cast``, refusing a value outside ``bounds`` as a usage error."""
+    def parse(text: str):
+        value = cast(text)
+        refusal = bounds.refusal(name, value)
+        if refusal:
+            _usage_error(refusal)
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid <type> value"
+    return parse
+
+
 class Flag:
     """One command-line flag: spelling, default, help.
 
     The default implies the type (``False`` makes a switch), so a row
     says each thing once; ``**kwargs`` carries whatever else
     ``add_argument`` needs — ``metavar``, ``choices``, ``dest``, the
-    ``type`` of a flag whose default is None.  ``choices`` may be a
-    zero-argument function, called when the flag joins a parser, so a
-    list owned by a library table is read there and only by the verbs
-    that take the flag.  A name without dashes is a positional.
+    ``type`` of a flag whose default is None.  ``choices`` may name a
+    library table (or a function returning one), ``"<module under
+    repro>:<name>"``, read when the flag joins a parser and only by the
+    verbs that take the flag.  A name without dashes is a positional.
+
+    A flag that sets a spec field names it the same lazy way, ``field=
+    "<module>:<Class>.<field>"`` (:func:`repro.core.spec.knob`), and
+    takes its default (unless the row gives another) and range from
+    the field; any other flag may state a ``range="(0, inf)"``.  A value
+    out of range exits 2 with one ``repro: error:`` line.
     """
 
     def __init__(self, name: str, default: Any = None,
@@ -924,39 +920,61 @@ class Flag:
         return self.kwargs.get("dest") or self.name.lstrip("-").replace("-", "_")
 
     def but(self, **kwargs: Any) -> "Flag":
-        """This flag with a verb's own default, help or choices."""
+        """This flag with a verb's own default, help, choices or field."""
         return Flag(self.name, **{**self.kwargs, **kwargs})
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
+        from .core.spec import Range, knob, lookup
+
         kwargs = dict(self.kwargs)
-        if callable(kwargs.get("choices")):
-            kwargs["choices"] = kwargs["choices"]()
+        path, bounds = kwargs.pop("field", None), kwargs.pop("range", None)
+        if path:
+            default, bounds = knob(path)
+            if kwargs["default"] is None:
+                kwargs["default"] = default
+        elif bounds:
+            bounds = Range.parse(bounds)
+        if isinstance(kwargs.get("choices"), str):
+            choices = lookup(kwargs["choices"])
+            kwargs["choices"] = choices() if callable(choices) else choices
         if kwargs["default"] is False:
             kwargs["action"] = "store_true"
         elif kwargs["default"] is not None:
             kwargs.setdefault("type", type(kwargs["default"]))
+        if bounds:
+            kwargs["type"] = _checked(self.name, kwargs["type"], bounds)
         parser.add_argument(self.name, **kwargs)
 
 
-def _defaults(group: Tuple[Flag, ...], **defaults: Any) -> Tuple[Flag, ...]:
-    """``group`` with the defaults of the named dests replaced."""
-    return tuple(flag.but(default=defaults[flag.dest])
-                 if flag.dest in defaults else flag for flag in group)
-
+#: the spec classes flags name their fields in (module under ``repro``)
+_CELL = "runner.spec:ExperimentSpec."
+_FLEET = "fleet.topology:FleetSpec."
+_TRACE = "lifecycle.traces:TraceSpec."
+_REPLAY = "lifecycle.replay:ReplaySpec."
+_EVIDENCE = "blame.evidence:EvidenceSpec."
+_EVAL = "blame.voting:BlameEvalSpec."
+_SERVICE = "service.config:ServiceConfig."
+_FINITE = "(-inf, inf)"
 
 JSON = Flag("--json", False, "machine-readable output: JSON rows, not tables")
-SEED = Flag("--seed", 1)
-TRIALS = Flag("--trials", 1_000, "FCT trials per scenario")
+SEED = Flag("--seed", field=_CELL + "seed")
+TRIALS = Flag("--trials", help="FCT trials per scenario",
+              field=_CELL + "n_trials")
 LOSS_RATE = Flag("--loss-rate", 5e-3,
-                 "corruption loss rate for FCT experiments")
+                 "corruption loss rate for FCT experiments",
+                 field=_CELL + "loss_rate")
 DURATION_MS = Flag("--duration-ms", 4.0,
-                   "stress/timeline phase duration (simulated ms)")
-DAYS = Flag("--days", 120.0, "deployment-study duration (simulated days)")
-MTTF_HOURS = Flag("--mttf-hours", 1_500.0,
-                  "link mean-time-to-failure for deployment study")
+                   "stress/timeline phase duration (simulated ms)",
+                   range="(0, inf)")
+DAYS = Flag("--days", 120.0, "deployment-study duration (simulated days)",
+            field=_TRACE + "duration_days")
+MTTF_HOURS = Flag("--mttf-hours",
+                  help="link mean-time-to-failure for deployment study",
+                  field=_FLEET + "mttf_hours")
 OUT = Flag("--out", metavar="PATH")
 FAIL_UNDER = Flag("--fail-under", type=float, metavar="FRACTION",
-                  help="exit 1 if goodput SLO attainment < FRACTION")
+                  help="exit 1 if goodput SLO attainment < FRACTION",
+                  range=_FINITE)
 
 #: obs-output group: the verbs that instrument a simulation
 OBS_OUT = (
@@ -973,7 +991,8 @@ OBS_OUT = (
          help="write the flight-recorder timeline JSON "
               "(inspected with 'repro obs timeline')"),
     Flag("--timeline-interval-us", 100.0,
-         "flight-recorder sampling cadence in simulated microseconds"),
+         "flight-recorder sampling cadence in simulated microseconds",
+         range="(0, inf)"),
 )
 
 #: sweep/runner group
@@ -985,28 +1004,14 @@ SWEEP_SEED = Flag("--sweep-seed", type=int,
                   help="derive a deterministic per-cell seed from this "
                        "root (default: every cell keeps --seed, as in "
                        "the paper's figures)")
-
-
-def _cell_backends() -> List[str]:
-    """``--backend`` choices: the backends of the cell table."""
-    from .runner import backends
-
-    return backends()
-
-
-def _validation_backends() -> List[str]:
-    from .fastpath.validate import fast_backends
-
-    return fast_backends()
-
-
-BACKEND = Flag("--backend", "packet",
-               "execution backend for every cell (fastpath = vectorized "
-               "analytic models; hybrid = analytic between losses, "
-               "packet windows around them)",
-               choices=_cell_backends)
+BACKEND = Flag("--backend",
+               help="execution backend for every cell (fastpath = "
+                    "vectorized analytic models; hybrid = analytic between "
+                    "losses, packet windows around them)",
+               choices="runner:backends", field=_CELL + "backend")
 WORKERS = Flag("--workers", 1, "worker processes (results are "
-                               "bit-identical to --workers 1)")
+                               "bit-identical to --workers 1)",
+               range="[1, inf)")
 #: a replay's chunks share one arbitration, so no pool can pay for itself
 REPLAY_WORKERS = WORKERS.but(help="checked (>= 1) and kept for scripts; a "
                                   "replay starts no worker processes")
@@ -1015,44 +1020,63 @@ CHECKPOINT = Flag("--checkpoint", metavar="PATH",
                        "chunks) are appended as they finish and skipped "
                        "on rerun")
 
-#: fleet-shape group: the generated Clos fabric and its failure rate
-FLEET_SHAPE = (
-    Flag("--fleet-pods", 4, "pods in the generated Clos fabric"),
-    Flag("--fleet-tors", 8, "ToR switches per pod"),
-    Flag("--fleet-fabrics", 4, "fabric switches per pod"),
-    Flag("--fleet-spines", 8, "spine uplinks per fabric switch"),
-    MTTF_HOURS.but(help="per-link mean time between corruption onsets"),
-)
-POLICY = Flag("--policy", "incremental",
-              "fleet arbitration policy (incremental | greedy-worst)")
+
+def _fleet_shape(fleet: str, mttf_hours: Optional[float] = None
+                 ) -> Tuple[Flag, ...]:
+    """The fleet-shape group — the generated Clos fabric and its failure
+    rate — defaulted from the fleet spec whose field path is ``fleet``."""
+    return (
+        Flag("--fleet-pods", help="pods in the generated Clos fabric",
+             field=fleet + "n_pods"),
+        Flag("--fleet-tors", help="ToR switches per pod",
+             field=fleet + "tors_per_pod"),
+        Flag("--fleet-fabrics", help="fabric switches per pod",
+             field=fleet + "fabrics_per_pod"),
+        Flag("--fleet-spines", help="spine uplinks per fabric switch",
+             field=fleet + "spine_uplinks"),
+        MTTF_HOURS.but(default=mttf_hours, field=fleet + "mttf_hours",
+                       help="per-link mean time between corruption onsets"),
+    )
+
+
+FLEET_SHAPE = _fleet_shape(_FLEET)
+POLICY = Flag("--policy",
+              help="fleet arbitration policy (incremental | greedy-worst)",
+              field=_REPLAY + "policy")
 ACTIVATION_BUDGET = Flag(
-    "--activation-budget", 64,
-    "max concurrent LinkGuardian activations fleet-wide")
+    "--activation-budget",
+    help="max concurrent LinkGuardian activations fleet-wide",
+    field="fleet.controller:ControllerConfig.activation_budget")
 RESIM_FRACTION = Flag(
-    "--resim-fraction", 0.05,
-    "with --backend fastpath, the worst fraction of episodes "
-    "re-simulated with the packet sampler")
-REPAIR = Flag("--repair", "corropt", "repair policy applied to the trace "
-                                     "(corropt | exponential | severity)")
+    "--resim-fraction",
+    help="with --backend fastpath, the worst fraction of episodes "
+         "re-simulated with the packet sampler",
+    field=_REPLAY + "resim_fraction")
+REPAIR = Flag("--repair", help="repair policy applied to the trace "
+                               "(corropt | exponential | severity)",
+              field=_REPLAY + "repair")
 
 #: blame-evidence group: the flow-report window a vote runs over
-COVERAGE = Flag("--coverage", 1.0,
-                "fraction of flow reports surviving telemetry loss")
-FLOWS_PER_S = Flag("--flows-per-s", 0.0,
-                   "aggregate flow rate (0 = sized to fleet)")
+COVERAGE = Flag("--coverage",
+                help="fraction of flow reports surviving telemetry loss",
+                field=_EVIDENCE + "coverage")
+FLOWS_PER_S = Flag("--flows-per-s",
+                   help="aggregate flow rate (0 = sized to fleet)",
+                   field=_EVIDENCE + "flows_per_s")
 BLAME_EVIDENCE = (
-    Flag("--window", 60.0, "evidence window the vote runs over",
-         metavar="S"),
+    Flag("--window", help="evidence window the vote runs over",
+         metavar="S", field=_EVAL + "window_s"),
     COVERAGE, FLOWS_PER_S,
-    Flag("--flow-packets", 100),
-    Flag("--min-votes", 2.0, "votes below this never enter the blamed set"),
+    Flag("--flow-packets", field=_EVIDENCE + "flow_packets"),
+    Flag("--min-votes", help="votes below this never enter the blamed set",
+         field=_EVAL + "min_votes"),
 )
 #: blame runs on a small, failure-dense fleet so a short window has signal
-BLAME_FLEET = (*_defaults(FLEET_SHAPE, fleet_pods=2, fleet_tors=4,
-                          fleet_fabrics=2, fleet_spines=4, mttf_hours=300.0),
-               SEED)
-LIFECYCLE_FLEET = (DAYS.but(default=30.0, help="simulated fleet time (days)"),
-                   SEED, *FLEET_SHAPE)
+BLAME_FLEET = (*_fleet_shape(_EVAL + "fleet.", mttf_hours=300.0),
+               SEED.but(field=_EVAL + "seed"))
+LIFECYCLE_FLEET = (DAYS.but(default=None,
+                            help="simulated fleet time (days)"),
+                   SEED.but(field=_TRACE + "seed"), *FLEET_SHAPE)
 
 
 def _fuzz_flags() -> Tuple[Flag, ...]:
@@ -1071,10 +1095,9 @@ def _fuzz_flags() -> Tuple[Flag, ...]:
              help="write the shrunk counterexample artifact here"))
 
 
-#: ``repro serve``: flags whose dest names the ServiceConfig field they
-#: set; _serve_flags() reads each one's default (hence type) and choices
-#: off the dataclass.
-SERVE = (
+#: ``repro serve``: the flags whose dest names the ServiceConfig field
+#: they set, then the rest
+SERVE = (*(flag.but(field=_SERVICE + flag.dest) for flag in (
     Flag("--host"),
     Flag("--port", help="HTTP port (0 = ephemeral; see --port-file)"),
     Flag("--queue-limit", help="pending what-if queries before 429"),
@@ -1083,12 +1106,12 @@ SERVE = (
          help="per-query server-side deadline"),
     Flag("--drain-timeout", dest="drain_timeout_s", metavar="S",
          help="SIGTERM: in-flight queries get this long"),
-    Flag("--executor"),
-    WORKERS.but(help="what-if worker pool size"),
+    Flag("--executor", choices="service.config:EXECUTOR_KINDS"),
+    WORKERS.but(default=None, help="what-if worker pool size"),
     BACKEND.but(help="default what-if execution backend"),
     Flag("--cache-size"),
     Flag("--loss-sigfigs", help="cache-key loss-rate quantization (0 = off)"),
-    Flag("--telemetry"),
+    Flag("--telemetry", choices="service.config:TELEMETRY_KINDS"),
     Flag("--telemetry-file", metavar="PATH",
          help="JSONL counter records (--telemetry file)"),
     Flag("--follow", help="tail --telemetry-file for appends"),
@@ -1113,7 +1136,7 @@ SERVE = (
     POLICY, SEED,
     Flag("--snapshot-out", dest="snapshot_path", metavar="PATH",
          help="write a final state snapshot at drain"),
-    # -- not ServiceConfig fields ---------------------------------------------
+)),
     Flag("--port-file", metavar="PATH",
          help="write the bound HTTP port here once listening "
               "(scripts/CI pair this with --port 0)"),
@@ -1122,27 +1145,6 @@ SERVE = (
               "print the body, exit"),
     ACTIVATION_BUDGET, *FLEET_SHAPE,
 )
-
-
-def _serve_flags() -> Tuple[Flag, ...]:
-    """:data:`SERVE` with each ServiceConfig-backed flag's default and
-    choices filled in from the dataclass, so a knob's default is typed
-    once — there.  (A function because importing the service package is
-    too heavy to do for every other verb.)"""
-    from dataclasses import fields
-
-    from .service.config import EXECUTOR_KINDS, TELEMETRY_KINDS, ServiceConfig
-
-    config = {f.name: f.default for f in fields(ServiceConfig)}
-    choices = {"executor": EXECUTOR_KINDS, "telemetry": TELEMETRY_KINDS}
-    flags = []
-    for flag in SERVE:
-        if flag.dest in config:
-            flag = flag.but(default=config[flag.dest])
-        if flag.dest in choices:
-            flag = flag.but(choices=choices[flag.dest])
-        flags.append(flag)
-    return tuple(flags)
 
 
 # -- the verb table ------------------------------------------------------------
@@ -1193,10 +1195,11 @@ FASTPATH = (
     )),
     Verb("validate", "matched grid on both backends + comparison",
          _fastpath_validate, (
-        Flag("--cells", 200, "approximate grid size"),
+        Flag("--cells", 200, "approximate grid size", range="[1, inf)"),
         SEED,
         WORKERS.but(help="worker processes for the packet cells"),
-        BACKEND.but(default="fastpath", choices=_validation_backends,
+        BACKEND.but(default="fastpath",
+                    choices="fastpath.validate:fast_backends",
                     help="the fast side of the comparison (hybrid = "
                          "the splicing backend)"),
         OUT.but(help="write the full report JSON here"),
@@ -1217,7 +1220,7 @@ OBS = (
     Verb("top", "rank sweep cells by wall-clock cost", _obs_top, (
         Flag("checkpoint", metavar="CHECKPOINT.jsonl",
              help="sweep --checkpoint JSONL of cell results"),
-        Flag("--limit", 10),
+        Flag("--limit", 10, range="[1, inf)"),
     )),
 )
 
@@ -1239,13 +1242,17 @@ LIFECYCLE = (
         POLICY, REPAIR,
         Flag("--repair-param", action="append", metavar="K=V",
              help="one repair-policy parameter (repeatable)"),
-        BACKEND.but(default="hybrid", help="affected-flow evaluation tier"),
-        Flag("--chunks", 1, "time chunks, evaluated in process from one "
-                            "arbitration (bit-identical to --chunks 1)"),
+        BACKEND.but(help="affected-flow evaluation tier",
+                    field=_REPLAY + "backend"),
+        Flag("--chunks", help="time chunks, evaluated in process from one "
+                              "arbitration (bit-identical to --chunks 1)",
+             field=_REPLAY + "n_chunks"),
         REPLAY_WORKERS, CHECKPOINT, RESIM_FRACTION,
-        Flag("--goodput-target", 0.97, "per-day fleet goodput SLO target"),
-        Flag("--affected-target", 1e-3,
-             "per-day affected-flow-fraction SLO target"),
+        Flag("--goodput-target", help="per-day fleet goodput SLO target",
+             field="lifecycle.slo:SloConfig.goodput_target"),
+        Flag("--affected-target",
+             help="per-day affected-flow-fraction SLO target",
+             field="lifecycle.slo:SloConfig.affected_target"),
         OUT.but(metavar="ROLLUP.json",
                 help="write the full rollup document here "
                      "(input to 'repro lifecycle report')"),
@@ -1269,23 +1276,24 @@ BLAME = (
         REPAIR,
         Flag("--at", type=float, metavar="T",
              help="window start in trace seconds (default: the "
-                  "first window with a corrupting link)"),
-        Flag("--top", 10, "ranked links to print"),
+                  "first window with a corrupting link)", range=_FINITE),
+        Flag("--top", 10, "ranked links to print", range="[1, inf)"),
     )),
     Verb("eval", "score voting against ground truth", _blame_eval, (
         *BLAME_FLEET, *BLAME_EVIDENCE,
-        Flag("--mode", "trials",
-             "trials = planted single-bad-link windows; "
-             "trace = lifecycle ground truth", choices=["trials", "trace"]),
-        TRIALS.but(default=20, help="windows evaluated per coverage level"),
+        Flag("--mode", help="trials = planted single-bad-link windows; "
+                            "trace = lifecycle ground truth",
+             choices=["trials", "trace"], field=_EVAL + "mode"),
+        TRIALS.but(help="windows evaluated per coverage level",
+                   field=_EVAL + "n_trials"),
         Flag("--coverages", metavar="C1,C2",
              help="sweep these coverage levels instead of "
                   "--coverage (e.g. 1.0,0.5,0.2)"),
-        Flag("--loss-lo", 5e-4),
-        Flag("--loss-hi", 5e-3),
-        Flag("--trace-days", 10.0),
-        Flag("--detectable-loss", 1e-4,
-             "trace mode: truth is links at/above this"),
+        Flag("--loss-lo", field=_EVAL + "loss_lo"),
+        Flag("--loss-hi", field=_EVAL + "loss_hi"),
+        Flag("--trace-days", field=_EVAL + "trace_days"),
+        Flag("--detectable-loss", field=_EVAL + "detectable_loss",
+             help="trace mode: truth is links at/above this"),
         REPAIR,
         FAIL_UNDER.but(help="exit 1 if single-bad-link top-1 accuracy "
                             "< FRACTION at any coverage level"),
@@ -1312,7 +1320,7 @@ VERBS: Tuple[Verb, ...] = (
         Flag("--resume-kb", 2.0,
              "fig09 backpressure resume threshold in KB, scaled down like "
              "the phase durations so pause/resume dynamics show at sim "
-             "scale; <= 0 restores the paper's 25G default"),
+             "scale; <= 0 restores the paper's 25G default", range=_FINITE),
         *OBS_OUT,
     )),
     Verb("fig10", "FCT of 143B single-packet flows",
@@ -1358,9 +1366,10 @@ VERBS: Tuple[Verb, ...] = (
     Verb("fleet", "fleet campaign: one-shot SLOs + fleet-wide corruptd",
          _fleet, (
         *FLEET_SHAPE, DAYS, SEED, POLICY, ACTIVATION_BUDGET,
-        Flag("--shards", 1,
-             "time shards (day ranges, at most --days), evaluated in "
-             "process from one arbitration (bit-identical to --shards 1)"),
+        Flag("--shards", help="time shards (day ranges, at most --days), "
+                              "evaluated in process from one arbitration "
+                              "(bit-identical to --shards 1)",
+             field="fleet.campaign:FleetCampaignSpec.n_shards"),
         BACKEND, RESIM_FRACTION, REPLAY_WORKERS, CHECKPOINT, *OBS_OUT,
     )),
     Verb("check", "conformance checker: invariants, fault scenarios, "
@@ -1381,7 +1390,7 @@ VERBS: Tuple[Verb, ...] = (
                      "loop, and longitudinal SLO replay."),
     Verb("serve", "always-on control plane: streaming "
                   "telemetry, /metrics, cached what-if "
-                  "API ('repro serve -h')", _serve, _serve_flags,
+                  "API ('repro serve -h')", _serve, SERVE,
          description="Long-running control plane: streaming telemetry in, "
                      "controller decisions and cached what-if answers out."),
     Verb("blame", "corruption localization from flow "
@@ -1430,8 +1439,6 @@ def _observability(args):
     and one of them asks for an artifact."""
     if not hasattr(args, "trace_out"):
         return None
-    if args.timeline_interval_us <= 0:
-        _usage_error("--timeline-interval-us must be > 0")
     if not (args.trace_out or args.metrics_out or args.spans
             or args.timeline_out):
         return None

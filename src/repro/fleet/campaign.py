@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..units import DAY_S
 from .controller import ControllerConfig, ControllerOutcome
 from .cost import EXPOSED_FCT_INFLATION, LG_FCT_INFLATION
@@ -42,10 +42,10 @@ class FleetCampaignSpec(Spec):
     fleet: FleetSpec = field(default_factory=FleetSpec)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     policy: str = "incremental"
-    duration_days: float = 30.0
+    duration_days: float = ranged(30.0, "(0, inf)")
     seed: int = 1
     #: contiguous day ranges the campaign is split into for execution
-    n_shards: int = 1
+    n_shards: int = ranged(1, "[1, inf)")
     #: offered load per link, for the affected-flow and FCT rollups
     flows_per_link_per_s: float = 100.0
     flow_packets: int = 100
@@ -61,7 +61,7 @@ class FleetCampaignSpec(Spec):
 
     def __post_init__(self) -> None:
         n_days = max(1, math.ceil(self.duration_days))
-        if not 1 <= self.n_shards <= n_days:
+        if self.n_shards > n_days:
             raise ValueError(
                 f"n_shards must be in [1, {n_days}] "
                 f"(one shard needs at least one day)")

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..fabric.topology import FabricLink
 from ..obs.trace import NULL_TRACER
 from .cost import (
@@ -54,25 +54,15 @@ class ControllerConfig(Spec):
     """Fleet-wide knobs of the arbitration loop."""
 
     #: CorrOpt fast-checker floor: min fraction of valley-free ToR paths
-    capacity_constraint: float = 0.75
+    capacity_constraint: float = ranged(0.75, "[0, 1]")
     #: per-pod capacity floor LG activation must preserve (activating at
     #: reduced effective speed still costs capacity)
-    pod_capacity_floor: float = 0.5
+    pod_capacity_floor: float = ranged(0.5, "[0, 1]")
     #: max concurrent LinkGuardian activations fleet-wide
-    activation_budget: int = 64
+    activation_budget: int = ranged(64, "[0, inf)")
     #: fraction of links whose endpoints are LG-capable (§6 incremental)
-    lg_deployment_fraction: float = 1.0
-    lg_target_loss: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.activation_budget < 0:
-            raise ValueError("activation_budget must be >= 0")
-        for name in ("capacity_constraint", "pod_capacity_floor",
-                     "lg_deployment_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.lg_target_loss < 1.0:
-            raise ValueError("lg_target_loss must be in (0, 1)")
+    lg_deployment_fraction: float = ranged(1.0, "[0, 1]")
+    lg_target_loss: float = ranged(1e-8, "(0, 1)")
 
 
 @dataclass(frozen=True)

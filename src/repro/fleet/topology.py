@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.rng import RngFactory
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..fabric.topology import FabricTopology
 
 __all__ = [
@@ -30,28 +30,25 @@ __all__ = [
 class FleetSpec(Spec):
     """Shape and stochastic parameters of one simulated fleet."""
 
-    n_pods: int = 4
-    tors_per_pod: int = 8
-    fabrics_per_pod: int = 4
-    spine_uplinks: int = 8
+    n_pods: int = ranged(4, "[1, inf)")
+    tors_per_pod: int = ranged(8, "[1, inf)")
+    fabrics_per_pod: int = ranged(4, "[1, inf)")
+    spine_uplinks: int = ranged(8, "[1, inf)")
     #: mean time between corruption onsets per link (Meza et al. use 10k
     #: hours; campaigns default lower so a 30-day window has activity)
-    mttf_hours: float = 1_500.0
+    mttf_hours: float = ranged(1_500.0, "(0, inf)")
     #: clamp on the per-event Table 1 loss-rate draws
-    loss_floor: float = 1e-7
-    loss_cap: float = 1e-2
+    loss_floor: float = ranged(1e-7, "(0, 1]")
+    loss_cap: float = ranged(1e-2, "(0, 1]")
     #: per-event Gilbert-Elliott mean burst length, log-uniform in range
-    mean_burst_min: float = 1.0
-    mean_burst_max: float = 2.0
+    mean_burst_min: float = ranged(1.0, "[1, inf)")
+    mean_burst_max: float = ranged(2.0, "[1, inf)")
 
     def __post_init__(self) -> None:
-        if min(self.n_pods, self.tors_per_pod, self.fabrics_per_pod,
-               self.spine_uplinks) < 1:
-            raise ValueError("fleet dimensions must all be >= 1")
-        if not 0 < self.loss_floor < self.loss_cap <= 1.0:
-            raise ValueError("need 0 < loss_floor < loss_cap <= 1")
-        if not 1.0 <= self.mean_burst_min <= self.mean_burst_max:
-            raise ValueError("need 1 <= mean_burst_min <= mean_burst_max")
+        if not self.loss_floor < self.loss_cap:
+            raise ValueError("need loss_floor < loss_cap")
+        if not self.mean_burst_min <= self.mean_burst_max:
+            raise ValueError("need mean_burst_min <= mean_burst_max")
 
     @property
     def n_links(self) -> int:

@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.rng import RngFactory
+from ..core.spec import Spec, ranged
 from ..fleet.topology import CorruptionEpisode
 from ..units import DAY_S, HOURS
 from .traces import FailureEvent, LifecycleTrace, TraceSpec, generate_trace
@@ -42,39 +43,34 @@ __all__ = [
 ]
 
 
-class RepairPolicy:
-    """Maps one failure event to the delay until its link is repaired."""
+@dataclass(frozen=True)
+class RepairPolicy(Spec):
+    """Maps one failure event to the delay until its link is repaired;
+    a policy's parameters are its (ranged) fields."""
 
     name = "base"
-
-    def __init__(self, **params: Any) -> None:
-        if params:
-            raise ValueError(
-                f"repair policy {self.name!r} takes no parameters "
-                f"(got {sorted(params)})")
 
     def delay_s(self, rng: np.random.Generator, loss_rate: float) -> float:
         """Repair delay in seconds; ``rng`` is the event's own stream."""
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name}
+        return {"name": self.name, **{key: float(value) for key, value
+                                      in super().to_dict().items()}}
 
 
+@dataclass(frozen=True)
 class CorrOptRepairPolicy(RepairPolicy):
     """CorrOpt §7.1: 80% of links repaired in 2 days, the rest in 4."""
 
     name = "corropt"
+    fast_days: float = ranged(2.0, "(0, inf)")
+    slow_days: float = ranged(4.0, "(0, inf)")
+    fast_fraction: float = ranged(0.8, "[0, 1]")
 
-    def __init__(self, fast_days: float = 2.0, slow_days: float = 4.0,
-                 fast_fraction: float = 0.8) -> None:
-        if not 0.0 <= fast_fraction <= 1.0:
-            raise ValueError("fast_fraction must be in [0, 1]")
-        if not 0.0 < fast_days <= slow_days:
-            raise ValueError("need 0 < fast_days <= slow_days")
-        self.fast_days = float(fast_days)
-        self.slow_days = float(slow_days)
-        self.fast_fraction = float(fast_fraction)
+    def __post_init__(self) -> None:
+        if not self.fast_days <= self.slow_days:
+            raise ValueError("need fast_days <= slow_days")
 
     def delay_s(self, rng: np.random.Generator, loss_rate: float) -> float:
         days = (self.fast_days
@@ -82,29 +78,19 @@ class CorrOptRepairPolicy(RepairPolicy):
                 else self.slow_days)
         return days * DAY_S
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "fast_days": self.fast_days,
-                "slow_days": self.slow_days,
-                "fast_fraction": self.fast_fraction}
 
-
+@dataclass(frozen=True)
 class ExponentialRepairPolicy(RepairPolicy):
     """Memoryless crews: exponential repair time with a configurable mean."""
 
     name = "exponential"
-
-    def __init__(self, mean_hours: float = 48.0) -> None:
-        if mean_hours <= 0:
-            raise ValueError("mean_hours must be positive")
-        self.mean_hours = float(mean_hours)
+    mean_hours: float = ranged(48.0, "(0, inf)")
 
     def delay_s(self, rng: np.random.Generator, loss_rate: float) -> float:
         return float(rng.exponential(self.mean_hours * HOURS))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "mean_hours": self.mean_hours}
 
-
+@dataclass(frozen=True)
 class SeverityTieredRepairPolicy(RepairPolicy):
     """Triage: links corrupting above a threshold get the fast crew.
 
@@ -114,16 +100,13 @@ class SeverityTieredRepairPolicy(RepairPolicy):
     """
 
     name = "severity"
+    threshold_loss_rate: float = ranged(1e-4, "(0, 1]")
+    urgent_days: float = ranged(1.0, "(0, inf)")
+    routine_days: float = ranged(4.0, "(0, inf)")
 
-    def __init__(self, threshold_loss_rate: float = 1e-4,
-                 urgent_days: float = 1.0, routine_days: float = 4.0) -> None:
-        if threshold_loss_rate <= 0:
-            raise ValueError("threshold_loss_rate must be positive")
-        if not 0.0 < urgent_days <= routine_days:
-            raise ValueError("need 0 < urgent_days <= routine_days")
-        self.threshold_loss_rate = float(threshold_loss_rate)
-        self.urgent_days = float(urgent_days)
-        self.routine_days = float(routine_days)
+    def __post_init__(self) -> None:
+        if not self.urgent_days <= self.routine_days:
+            raise ValueError("need urgent_days <= routine_days")
 
     def delay_s(self, rng: np.random.Generator, loss_rate: float) -> float:
         base = (self.urgent_days if loss_rate >= self.threshold_loss_rate
@@ -131,12 +114,6 @@ class SeverityTieredRepairPolicy(RepairPolicy):
         # +/- 25% uniform jitter so same-day repairs do not all land on
         # the exact same instant (one draw, index-addressed stream).
         return base * DAY_S * (0.75 + 0.5 * float(rng.random()))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name,
-                "threshold_loss_rate": self.threshold_loss_rate,
-                "urgent_days": self.urgent_days,
-                "routine_days": self.routine_days}
 
 
 REPAIR_POLICIES = {

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.rng import RngFactory
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..fleet.controller import (
     ControllerConfig, ControllerOutcome, FleetController,
 )
@@ -97,15 +97,15 @@ class ReplaySpec(Spec):
     #: evaluation tier for per-episode affected-flow fractions
     backend: str = "hybrid"
     #: contiguous day ranges the replay is split into for execution
-    n_chunks: int = 1
+    n_chunks: int = ranged(1, "[1, inf)")
     #: offered load per link, for the affected-flow rollup
-    flows_per_link_per_s: float = 100.0
-    flow_packets: int = 100
+    flows_per_link_per_s: float = ranged(100.0, "(0, inf)")
+    flow_packets: int = ranged(100, "[1, inf)")
     #: flows sampled per empirically-evaluated episode
-    sample_flows: int = 128
+    sample_flows: int = ranged(128, "[1, inf)")
     #: fraction of episodes (the worst, by analytic affected fraction)
     #: re-simulated empirically even on the fastpath tier
-    resim_fraction: float = 0.05
+    resim_fraction: float = ranged(0.05, "[0, 1]")
     slo: SloConfig = field(default_factory=SloConfig)
 
     def __post_init__(self) -> None:
@@ -119,16 +119,10 @@ class ReplaySpec(Spec):
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
                 f"known: {', '.join(_BACKENDS)}")
-        if not 1 <= self.n_chunks <= self.trace.n_days:
+        if self.n_chunks > self.trace.n_days:
             raise ValueError(
                 f"n_chunks must be in [1, {self.trace.n_days}] "
                 f"(one chunk needs at least one day)")
-        if self.flows_per_link_per_s <= 0 or self.flow_packets < 1:
-            raise ValueError("flow knobs must be positive")
-        if self.sample_flows < 1:
-            raise ValueError("sample_flows must be >= 1")
-        if not 0.0 <= self.resim_fraction <= 1.0:
-            raise ValueError("resim_fraction must be in [0, 1]")
 
     @property
     def n_days(self) -> int:

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..fleet.controller import ControllerOutcome
 from ..fleet.cost import DISABLED, EXPOSED, PROTECTED, segment_cost
 from ..units import DAY_S
@@ -50,15 +50,9 @@ class SloConfig(Spec):
     """Availability targets the per-day series are scored against."""
 
     #: a day meets the goodput SLO when fleet goodput fraction >= this
-    goodput_target: float = 0.97
+    goodput_target: float = ranged(0.97, "(0, 1]")
     #: ... and the flow SLO when its affected-flow fraction <= this
-    affected_target: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.goodput_target <= 1.0:
-            raise ValueError("goodput_target must be in (0, 1]")
-        if not 0.0 <= self.affected_target <= 1.0:
-            raise ValueError("affected_target must be in [0, 1]")
+    affected_target: float = ranged(1e-3, "[0, 1]")
 
 
 #: the aligned per-day columns every chunk emits, in canonical order

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List
 
 from ..core.rng import RngFactory
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..corropt.trace import sample_loss_rates
 from ..fleet.topology import FleetSpec
 from ..units import DAY_S, HOURS
@@ -64,12 +64,8 @@ class TraceSpec(Spec):
     """
 
     fleet: FleetSpec = field(default_factory=FleetSpec)
-    duration_days: float = 30.0
+    duration_days: float = ranged(30.0, "(0, inf)")
     seed: int = 1
-
-    def __post_init__(self) -> None:
-        if self.duration_days <= 0:
-            raise ValueError("duration_days must be positive")
 
     @property
     def duration_s(self) -> float:

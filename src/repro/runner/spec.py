@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional
 
 from ..core.rng import RngFactory
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 
 __all__ = ["ExperimentSpec", "SweepSpec"]
 
@@ -43,10 +43,10 @@ class ExperimentSpec(Spec):
     kind: str
     transport: str = "dctcp"
     scenario: str = "lg"
-    loss_rate: float = 1e-3
-    flow_size: int = 143
-    n_trials: int = 1_000
-    rate_gbps: float = 100.0
+    loss_rate: float = ranged(1e-3, "[0, 1)")
+    flow_size: int = ranged(143, "[1, inf)")
+    n_trials: int = ranged(1_000, "[1, inf)")
+    rate_gbps: float = ranged(100.0, "(0, inf)")
     seed: int = 1
     #: execution backend: "packet" (the event-driven engine), "fastpath"
     #: (the vectorized analytic models in ``repro.fastpath``) or "hybrid"

@@ -65,7 +65,8 @@ class WhatIfQuery:
 
     Construction coerces numeric fields (JSON strings included, never a
     boolean; an integer field takes only an integral number or string)
-    and rejects unknown fields, non-finite or out-of-range numbers, and
+    and rejects unknown fields, numbers outside the ranges
+    :class:`ExperimentSpec` declares (non-finite ones included), and
     ``(kind, backend)`` pairs the cell table has no row for *before*
     anything reaches a worker — admission control should spend workers
     on queries that can run.
@@ -87,8 +88,6 @@ class WhatIfQuery:
                 data[name] = self._to_int(name, data[name])
         if "loss_rate" not in data:
             raise QueryError("query needs a loss_rate")
-        if not 0.0 <= data["loss_rate"] < 1.0:
-            raise QueryError("loss_rate must be in [0, 1)")
         self.link: Optional[int] = data.pop("link", None)
         self.spec = self._build_spec(data, default_backend)
 
@@ -97,12 +96,9 @@ class WhatIfQuery:
         if isinstance(value, bool):      # float() would read true as 1.0
             raise QueryError(f"{name} must be a number")
         try:
-            out = float(value)
+            return float(value)
         except (TypeError, ValueError):
             raise QueryError(f"{name} must be a number") from None
-        if not math.isfinite(out):
-            raise QueryError(f"{name} must be finite")
-        return out
 
     @staticmethod
     def _to_int(name: str, value: Any) -> int:

@@ -12,12 +12,11 @@ differently per ``evidence`` kind is one :data:`EVIDENCE` row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
 from ..blame.adapter import BlameMonitor
-from ..core.spec import Spec
+from ..core.spec import Spec, ranged
 from ..fleet.controller import ControllerConfig
 from ..fleet.monitor import EvidenceMonitor
 from ..fleet.policies import POLICIES
@@ -80,29 +79,29 @@ class ServiceConfig(Spec):
 
     # -- HTTP front end -------------------------------------------------------
     host: str = "127.0.0.1"
-    port: int = 8351            # 0 = ephemeral (the bound port is published)
+    port: int = ranged(8351, "[0, 65535]")  # 0 = ephemeral (published)
     #: pending what-if queries admitted beyond the in-flight set; the
     #: queue filling up is the 429 admission boundary
-    queue_limit: int = 64
+    queue_limit: int = ranged(64, "[1, inf)")
     #: concurrent queries dispatched to the worker pool
-    max_inflight: int = 8
+    max_inflight: int = ranged(8, "[1, inf)")
     #: per-query server-side deadline; expiry answers 503 rather than
     #: holding the connection forever
-    query_timeout_s: float = 60.0
+    query_timeout_s: float = ranged(60.0, "(0, inf)")
     #: drain deadline: in-flight queries get this long after SIGTERM
-    drain_timeout_s: float = 30.0
+    drain_timeout_s: float = ranged(30.0, "[0, inf)")
 
     # -- query path -----------------------------------------------------------
     executor: str = "process"
-    workers: int = 2
+    workers: int = ranged(2, "[0, inf)")   # 0 only with "inline"
     #: default execution backend for what-if cells (a query may override)
     backend: str = "fastpath"
     #: what-if result cache entries (LRU beyond this)
-    cache_size: int = 1024
+    cache_size: int = ranged(1024, "[1, inf)")
     #: significant figures loss rates are quantized to when building
     #: cache keys — the "cell grid" that makes near-duplicate queries
     #: collide onto one entry (0 disables quantization)
-    loss_sigfigs: int = 3
+    loss_sigfigs: int = ranged(3, "[0, inf)")
 
     # -- telemetry ingestion --------------------------------------------------
     telemetry: str = "synthetic"
@@ -110,34 +109,34 @@ class ServiceConfig(Spec):
     #: or "voting" (007-style blame over per-flow retx reports)
     evidence: str = "port_counters"
     #: voting mode: sliding evidence window the monitor re-votes over
-    blame_window_s: float = 60.0
+    blame_window_s: float = ranged(60.0, "(0, inf)")
     #: voting mode: aggregate synthetic flow rate (0 = sized to fleet)
-    flows_per_s: float = 0.0
+    flows_per_s: float = ranged(0.0, "[0, inf)")
     #: voting mode: fraction of flow reports surviving telemetry loss
-    coverage: float = 1.0
+    coverage: float = ranged(1.0, "(0, 1]")
     #: JSONL file to tail (telemetry="file")
     telemetry_file: Optional[str] = None
     #: keep tailing the file for appends instead of stopping at EOF
     follow: bool = False
     #: TCP ingest listener port (telemetry="tcp"; 0 = ephemeral); reads
     #: are folded as they arrive, so TCP flow control is the backpressure
-    ingest_port: int = 0
+    ingest_port: int = ranged(0, "[0, 65535]")
     #: synthetic source: simulated fleet days the generated trace covers
-    synthetic_days: float = 30.0
+    synthetic_days: float = ranged(30.0, "(0, inf)")
     #: synthetic source: stop after this many records (0 = whole trace)
-    synthetic_records: int = 0
+    synthetic_records: int = ranged(0, "[0, inf)")
     #: synthetic source: simulated seconds between counter snapshots
-    tick_s: float = 60.0
+    tick_s: float = ranged(60.0, "(0, inf)")
     #: synthetic source: frames a busy link carries per tick
-    frames_per_tick: int = 2_000_000
+    frames_per_tick: int = ranged(2_000_000, "[1, inf)")
     #: real-time pacing between synthetic records (0 = flat out)
-    interval_s: float = 0.0
+    interval_s: float = ranged(0.0, "[0, inf)")
     #: window of frames loss rates are estimated over (corruptd-style)
-    window_frames: int = 10_000_000
+    window_frames: int = ranged(10_000_000, "[1, inf)")
     #: loss rate at which a link is declared corrupting
-    onset_threshold: float = 1e-6
+    onset_threshold: float = ranged(1e-6, "(0, 1)")
     #: hysteresis: declared clear only below onset_threshold * this
-    clear_hysteresis: float = 0.1
+    clear_hysteresis: float = ranged(0.1, "(0, 1]")
 
     # -- fleet state ----------------------------------------------------------
     fleet: FleetSpec = field(default_factory=FleetSpec)
@@ -149,7 +148,7 @@ class ServiceConfig(Spec):
     #: final state snapshot written on graceful shutdown (None = skip)
     snapshot_path: Optional[str] = None
     #: recent controller decisions retained for GET /decisions
-    decision_log: int = 1024
+    decision_log: int = ranged(1024, "[0, inf)")
 
     def __post_init__(self) -> None:
         if self.telemetry not in TELEMETRY_KINDS:
@@ -168,27 +167,10 @@ class ServiceConfig(Spec):
             raise ValueError(
                 f"unknown evidence {self.evidence!r}; "
                 f"known: {', '.join(EVIDENCE_KINDS)}")
-        if not 0 < self.blame_window_s < math.inf:
-            raise ValueError("blame_window_s must be positive and finite")
-        if not 0.0 <= self.flows_per_s < math.inf:
-            raise ValueError("flows_per_s must be finite and >= 0 "
-                             "(0 = sized to the fleet)")
-        if not 0.0 < self.coverage <= 1.0:
-            raise ValueError("coverage must be in (0, 1]")
         if self.telemetry == "file" and not self.telemetry_file:
             raise ValueError("telemetry='file' needs telemetry_file")
-        if self.queue_limit < 1 or self.max_inflight < 1:
-            raise ValueError("queue_limit and max_inflight must be >= 1")
         if self.workers < 1 and self.executor != "inline":
             raise ValueError("workers must be >= 1")
-        if self.cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if not 0.0 < self.onset_threshold < 1.0:
-            raise ValueError("onset_threshold must be in (0, 1)")
-        if not 0.0 < self.clear_hysteresis <= 1.0:
-            raise ValueError("clear_hysteresis must be in (0, 1]")
-        if self.tick_s <= 0 or self.frames_per_tick < 1:
-            raise ValueError("tick_s and frames_per_tick must be positive")
 
     def synthetic_feed(self) -> Iterable[Any]:
         """The deterministic demo feed of this config's evidence kind."""

@@ -37,8 +37,8 @@ from typing import (
 )
 
 from ..blame.evidence import (
-    FlowReport, LossOracle, default_fleet_evidence, finite_time,
-    iter_reports, parse_flow_report,
+    EvidenceSpec, FlowReport, LossOracle, finite_time, iter_reports,
+    parse_flow_report,
 )
 from ..fleet.topology import FleetTopology
 from ..lifecycle.repair import corruption_episodes
@@ -270,11 +270,8 @@ class SyntheticFlowEvidence:
         self.chunk_s = float(chunk_s)
         self.limit = int(limit)
         self.topology = FleetTopology(spec.fleet, seed=spec.seed)
-        overrides: Dict[str, float] = {"coverage": float(coverage)}
-        if flows_per_s != 0:   # 0 = fleet-sized; the spec refuses the rest
-            overrides["flows_per_s"] = float(flows_per_s)
-        self.evidence = default_fleet_evidence(
-            spec.fleet, seed=spec.seed, **overrides)
+        self.evidence = EvidenceSpec(flows_per_s=flows_per_s,
+                                     coverage=coverage, seed=spec.seed)
         self.oracle = LossOracle(corruption_episodes(spec, repair))
 
     def reports(self) -> Iterator[FlowReport]:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.blame import (
     BlameEvalSpec, EvidenceSpec, FlowReport, LossOracle,
-    decision_signature, default_fleet_evidence, ecmp_path, evaluate_blame,
+    decision_signature, ecmp_path, evaluate_blame,
     flow_endpoints, flow_flag_probability, harvest_evidence, invert_flow_loss,
     iter_reports, parse_flow_report, run_oracle, run_voting, tally_votes,
 )
@@ -140,10 +140,22 @@ class TestEvidence:
             EvidenceSpec(flows_per_s=-1.0)
         with pytest.raises(ValueError):
             EvidenceSpec.from_dict({"bogus": 1})
-        spec = default_fleet_evidence(SMALL_FLEET, seed=9, coverage=0.5)
-        assert spec.coverage == 0.5
-        assert spec.flows_per_s == 50.0 * 8    # 2 pods x 4 ToRs
+        spec = EvidenceSpec(coverage=0.5, seed=9)
         assert EvidenceSpec.from_dict(spec.to_dict()) == spec
+
+    def test_zero_flow_rate_is_sized_to_the_fleet(self):
+        """``flows_per_s=0`` harvests 50 flows/s per ToR: the reports of
+        an explicit ``50 * n_tors`` rate, on any fleet."""
+        big = FleetSpec(n_pods=2, tors_per_pod=8, fabrics_per_pod=2,
+                        spine_uplinks=4)
+        for fleet, n_tors in ((SMALL_FLEET, 8), (big, 16)):
+            topology = FleetTopology(fleet, seed=1)
+            sized = harvest_evidence(EvidenceSpec(seed=9), topology, [],
+                                     0.0, 10.0)
+            assert sized == harvest_evidence(
+                EvidenceSpec(flows_per_s=50.0 * n_tors, seed=9), topology,
+                [], 0.0, 10.0)
+            assert len(sized) == 500 * n_tors
 
     def test_oracle_intervals(self):
         oracle = LossOracle([episode(4, 10.0, 20.0, loss=1e-3),

@@ -419,6 +419,7 @@ class TestVerbTable:
         from dataclasses import fields
 
         from repro.cli import build_parser
+        from repro.core.spec import lookup
         from repro.service.config import (
             EXECUTOR_KINDS, TELEMETRY_KINDS, ServiceConfig,
         )
@@ -431,8 +432,8 @@ class TestVerbTable:
         serve = next(verb for verb in VERBS if verb.name == "serve")
         choices = {flag.dest: flag.kwargs.get("choices")
                    for flag in serve.flag_rows()}
-        assert choices["telemetry"] is TELEMETRY_KINDS
-        assert choices["executor"] is EXECUTOR_KINDS
+        assert lookup(choices["telemetry"]) is TELEMETRY_KINDS
+        assert lookup(choices["executor"]) is EXECUTOR_KINDS
 
 
 #: flags that belong to one family of verbs; everywhere else they used
@@ -485,12 +486,15 @@ class TestInputErrorsAreOneLine:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("repro: error: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["fleet", "--activation-budget", "-2", "--days", "1"],
-        ["blame", "optimize", "--budgets", "-1", "--days", "1"],
-        ["serve", "--activation-budget", "-2", "--port", "0"],
+    @pytest.mark.parametrize("argv, name", [
+        (["fleet", "--activation-budget", "-2", "--days", "1"],
+         "--activation-budget"),
+        (["blame", "optimize", "--budgets", "-1", "--days", "1"],
+         "activation_budget"),
+        (["serve", "--activation-budget", "-2", "--port", "0"],
+         "--activation-budget"),
     ], ids=["fleet", "blame-optimize", "serve"])
-    def test_negative_activation_budget_exits_two(self, argv, capsys):
+    def test_negative_activation_budget_exits_two(self, argv, name, capsys):
         """Was accepted: ``fleet`` ran, and ``blame optimize`` ranked,
         a controller with a budget of -2 / -1."""
         with pytest.raises(SystemExit) as excinfo:
@@ -498,8 +502,7 @@ class TestInputErrorsAreOneLine:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "repro: error: activation_budget must be >= 0\n")
+        assert captured.err == f"repro: error: {name} must be in [0, inf)\n"
 
     @pytest.mark.parametrize("argv", [
         ["lifecycle", "replay", "--workers", "0", "--days", "1"],
@@ -512,22 +515,22 @@ class TestInputErrorsAreOneLine:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "repro: error: --workers must be >= 1\n"
+        assert captured.err == "repro: error: --workers must be in [1, inf)\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["blame", "eval", "--coverage", "2", "--trials", "2"],
-         "coverage must be in (0, 1]"),
+         "--coverage must be in (0, 1]"),
         (["blame", "eval", "--flows-per-s", "inf", "--trials", "2"],
-         "flows_per_s must be positive and finite"),
+         "--flows-per-s must be in [0, inf)"),
         (["blame", "report", "--flows-per-s", "inf"],
-         "flows_per_s must be positive and finite"),
+         "--flows-per-s must be in [0, inf)"),
         (["blame", "report", "--flows-per-s", "nan"],
-         "flows_per_s must be positive and finite"),
+         "--flows-per-s must be in [0, inf)"),
         (["blame", "report", "--window", "inf"],
-         "--window must be > 0 and finite"),
-        (["blame", "report", "--at", "nan"], "--at must be finite"),
+         "--window must be in (0, inf)"),
+        (["blame", "report", "--at", "nan"], "--at must be in (-inf, inf)"),
         (["blame", "eval", "--window", "inf", "--trials", "2"],
-         "window_s must be positive and finite"),
+         "--window must be in (0, inf)"),
     ], ids=["eval-coverage-2", "eval-rate-inf", "report-rate-inf",
             "report-rate-nan", "report-window-inf", "report-at-nan",
             "eval-window-inf"])
@@ -543,6 +546,71 @@ class TestInputErrorsAreOneLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"repro: error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--axis", "loss_rate=nan", "--trials", "2"],
+         "loss_rate must be in [0, 1)"),
+        (["fastpath", "scan", "--axis", "loss_rate=inf"],
+         "loss_rate must be in [0, 1)"),
+        (["fig10", "--trials", "0"], "--trials must be in [1, inf)"),
+        (["lifecycle", "replay", "--days", "2", "--repair", "exponential",
+          "--repair-param", "mean_hours=nan"],
+         "mean_hours must be in (0, inf)"),
+    ], ids=["sweep-axis-nan", "scan-axis-inf", "fig10-trials-0",
+            "replay-repair-param-nan"])
+    def test_garbage_numbers_exit_two(self, argv, message, capsys):
+        """Ran and printed garbage: a ``pnan`` sweep cell, an FCT at an
+        infinite loss rate, ``nan`` quantiles (exit 0), a replay with a
+        numpy cast warning.  A spec field's declared range refuses each
+        value however it arrives (flag, ``--axis``, ``--repair-param``)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["lifecycle", "replay", "--days", "1"],
+        ["lifecycle", "report", "rollup.json"],
+        ["blame", "eval", "--trials", "1"],
+    ], ids=["lifecycle-replay", "lifecycle-report", "blame-eval"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_fail_under_must_be_finite(self, argv, value, capsys):
+        """``attainment < nan`` is always false: ``--fail-under nan``
+        passed every gate with exit 0.  Any finite gate is taken — the
+        goldens force exit 1 with ``--fail-under 1.01``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"--fail-under={value}"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: --fail-under must be in (-inf, inf)\n")
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args([*argv, "--fail-under", "1e9"])
+        assert args.fail_under == 1e9
+
+    def test_blame_eval_sizes_a_zero_flow_rate_to_the_fleet(
+            self, monkeypatch, capsys):
+        """``--flows-per-s 0`` ("sized to fleet") evaluated at a fixed
+        400 flows/s on any fleet; on 2 x 8 ToRs it is 50 x 16 = 800, the
+        rate ``blame report`` and the service use."""
+        from repro.blame import voting
+
+        harvested, harvest = [], voting.harvest_evidence
+
+        def counted(*args):
+            reports = harvest(*args)
+            harvested.append(len(reports))
+            return reports
+
+        monkeypatch.setattr(voting, "harvest_evidence", counted)
+        for tors, rate in (("8", 800), ("4", 400)):
+            harvested.clear()
+            assert main(["blame", "eval", "--fleet-tors", tors, "--trials",
+                         "2", "--window", "10", "--flows-per-s", "0"]) == 0
+            assert harvested == [10 * rate] * 2
+        capsys.readouterr()
 
     def test_blame_optimize_ranks_a_repeated_budget_once(self, capsys):
         import json
@@ -599,6 +667,11 @@ class TestInputErrorsAreOneLine:
          "ValueError: unknown CheckConfig fields: ['n_packet']"),
         ({"scenario": [{"kind": "data", "index": 3}]},
          "ValueError: FaultScenario must be an object"),
+        # ran "OK" on -5 packets, and ended in a traceback on a nan rate
+        ({"scenario": {}, "config": {"n_packets": -5}},
+         "ValueError: n_packets must be in [1, inf)"),
+        ({"scenario": {}, "config": {"rate_gbps": float("nan")}},
+         "ValueError: rate_gbps must be in (0, inf)"),
     ])
     def test_check_run_refuses_a_bad_spec(self, tmp_path, capsys, document,
                                           message):

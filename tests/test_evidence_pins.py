@@ -26,8 +26,7 @@ import numpy
 import pytest
 
 from repro.blame import (
-    EvidenceSpec, FlowReport, default_fleet_evidence, ecmp_path,
-    harvest_evidence,
+    EvidenceSpec, FlowReport, ecmp_path, harvest_evidence,
 )
 from repro.fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
 from repro.lifecycle import TraceSpec
@@ -76,8 +75,8 @@ def _default_fleet() -> List[FlowReport]:
     episodes = [CorruptionEpisode(3, 0.0, 8.0, 2e-3, 1.0),
                 CorruptionEpisode(140, 2.0, 12.5, 1e-3, 1.0),
                 CorruptionEpisode(255, 5.0, 30.0, 4e-3, 1.0)]
-    # 1,600 flows/s over 12.5 s: 20,000 reports
-    return harvest_evidence(default_fleet_evidence(fleet, seed=11),
+    # fleet-sized, 1,600 flows/s over 12.5 s: 20,000 reports
+    return harvest_evidence(EvidenceSpec(seed=11),
                             FleetTopology(fleet, seed=11), episodes,
                             0.0, 12.5)
 

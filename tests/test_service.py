@@ -392,7 +392,9 @@ class TestWhatIfCanonicalization:
         ("nope", "JSON object"),
         ({}, "loss_rate"),
         ({"loss_rate": 2.0}, r"\[0, 1\)"),
-        ({"loss_rate": float("nan")}, "finite"),
+        ({"loss_rate": float("nan")}, r"loss_rate must be in \[0, 1\)"),
+        ({"loss_rate": 1e-3, "rate_gbps": "inf"},
+         r"rate_gbps must be in \(0, inf\)"),
         ({"loss_rate": 1e-3, "bogus": 1}, "unknown query fields"),
         ({"loss_rate": 1e-3, "n_trials": "many"}, "integer"),
         ({"loss_rate": 1e-3, "n_trials": 1e400}, "integer"),   # inf
